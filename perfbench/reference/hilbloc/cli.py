@@ -1,0 +1,342 @@
+"""Command-line front end.
+
+Every subcommand prints deterministic JSON (schema 1) with exact
+rationals serialized as "p/q" strings, or CSV with --csv.  Exit codes:
+0 success, 2 invalid arguments, 3 internal inconsistency detected.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from fractions import Fraction
+
+from .cobordism import hilb_series
+from .genera import (
+    betti_hilb_model,
+    chi_y_hilb,
+    genus_eval,
+    phi_nk_genus,
+    signature_genus,
+    todd_genus,
+    total_chern_genus,
+)
+from .localization import ConsistencyError, chern_numbers_hilb, chi_via_RR, hilb_cobordism_series
+from .partitions import enumerate_partitions, partition_key
+from .rings import Poly, format_fraction
+from .series import coeff_to_json, fg_series, solve_v
+from .toric import build_model, line_bundle, o_bundle, p2, p1xp1
+from .universal import FitError, fit_AB, universal_chern_poly
+
+LONG_N_MAX = 7
+SHORT_N_MAX = 5
+
+
+def _poly_json(poly: Poly) -> dict:
+    """Serialize a Poly in c1sq/c2 (or any variables) as {monomial: "p/q"}."""
+    out = {}
+    for mono, c in sorted(poly.terms.items()):
+        key = "*".join(f"{v}^{e}" if e > 1 else v for v, e in mono) or "1"
+        out[key] = format_fraction(c)
+    return out
+
+
+def _emit(payload: dict, csv_rows=None, csv_header=None, use_csv=False):
+    if use_csv and csv_rows is not None:
+        if csv_header:
+            print(",".join(csv_header))
+        for row in csv_rows:
+            print(",".join(str(c) for c in row))
+    else:
+        print(json.dumps(payload, indent=2, sort_keys=False))
+
+
+def _check_n(n: int, long_mode: bool, parser: argparse.ArgumentParser):
+    if n < 0:
+        parser.error("n must be non-negative")
+    if n > LONG_N_MAX:
+        parser.error(f"n > {LONG_N_MAX} is not supported")
+    if n > SHORT_N_MAX and not long_mode:
+        parser.error(f"n > {SHORT_N_MAX} requires --long")
+
+
+def _bundle_from_args(model, args, parser):
+    if args.bundle is not None:
+        coeffs = [int(c) for c in args.bundle.split(",")]
+        if len(coeffs) == len(model.rays):
+            return line_bundle(model, coeffs)
+        return o_bundle(model, *coeffs)
+    if args.k is not None:
+        return o_bundle(model, *[int(c) for c in str(args.k).split(",")])
+    parser.error("provide --k or --bundle")
+
+
+def cmd_chern(args, parser):
+    model = build_model(args.surface)
+    _check_n(args.n, args.long, parser)
+    vec = chern_numbers_hilb(model, args.n, args.ladder)
+    rows = [(partition_key(la), format_fraction(v)) for la, v in vec.numbers]
+    _emit(
+        {
+            "schema": 1,
+            "command": "chern",
+            "surface": args.surface,
+            "n": args.n,
+            "dim": vec.dim,
+            "numbers": dict(rows),
+        },
+        csv_rows=rows,
+        csv_header=("partition", "value"),
+        use_csv=args.csv,
+    )
+
+
+def cmd_universal(args, parser):
+    _check_n(args.n, args.long, parser)
+    tab = universal_chern_poly(args.n)
+    table = {partition_key(la): _poly_json(poly) for la, poly in tab.polys}
+    rows = []
+    for la, poly in tab.polys:
+        for mono, c in _poly_json(poly).items():
+            rows.append((partition_key(la), mono, c))
+    _emit(
+        {"schema": 1, "command": "universal", "n": args.n, "polynomials": table},
+        csv_rows=rows,
+        csv_header=("partition", "monomial", "coefficient"),
+        use_csv=args.csv,
+    )
+
+
+def cmd_betti(args, parser):
+    if args.model not in ("P2", "P1xP1"):
+        parser.error("model must be P2 or P1xP1")
+    _check_n(args.n, args.long, parser)
+    b = betti_hilb_model(args.model, args.n)
+    rows = [(2 * p, v) for p, v in enumerate(b)]
+    _emit(
+        {
+            "schema": 1,
+            "command": "betti",
+            "model": args.model,
+            "n": args.n,
+            "betti": {str(2 * p): v for p, v in enumerate(b)},
+        },
+        csv_rows=rows,
+        csv_header=("degree", "b"),
+        use_csv=args.csv,
+    )
+
+
+def cmd_chi(args, parser):
+    model = build_model(args.surface)
+    _check_n(args.n, args.long, parser)
+    L = _bundle_from_args(model, args, parser)
+    val = chi_via_RR(model, args.n, L, args.r, ladder=args.ladder)
+    _emit(
+        {
+            "schema": 1,
+            "command": "chi",
+            "surface": args.surface,
+            "n": args.n,
+            "bundle": list(L.coeffs),
+            "r": args.r,
+            "chi": format_fraction(val),
+        },
+        csv_rows=[(args.n, args.r, format_fraction(val))],
+        csv_header=("n", "r", "chi"),
+        use_csv=args.csv,
+    )
+
+
+def cmd_twist_series(args, parser):
+    if args.order < 2:
+        parser.error("order must be >= 2")
+    if args.order > LONG_N_MAX and not args.long:
+        parser.error(f"order > {LONG_N_MAX} requires --long")
+    pair = fit_AB(args.r, args.order)
+    payload = {
+        "schema": 1,
+        "command": "twist-series",
+        "r": args.r,
+        "order": args.order,
+        "logA": [format_fraction(c) for c in pair.log_a.coeffs],
+        "B": [format_fraction(c) for c in pair.b.coeffs],
+    }
+    if args.order > 5:
+        # published tables stop at z^5; higher orders are derived only
+        payload["unverified_orders"] = list(range(6, args.order + 1))
+    rows = [
+        (m, format_fraction(pair.log_a[m]), format_fraction(pair.b[m]))
+        for m in range(args.order + 1)
+    ]
+    _emit(payload, csv_rows=rows, csv_header=("order", "logA", "B"), use_csv=args.csv)
+
+
+def _genus_by_name(name: str, degree: int, parser):
+    if name == "todd":
+        return todd_genus(degree)
+    if name == "euler":
+        return total_chern_genus(degree)
+    if name == "signature":
+        return signature_genus(degree)
+    if name.startswith("phi:"):
+        try:
+            _, nn, kk = name.split(":")
+            return phi_nk_genus(int(nn), int(kk), degree)
+        except ValueError:
+            parser.error("phi genus spec must be phi:N:k")
+    parser.error(f"unknown genus {name!r} (todd, euler, signature, phi:N:k, chi_y)")
+
+
+def cmd_genus(args, parser):
+    _check_n(args.n, args.long, parser)
+    if args.genus == "chi_y":
+        if args.model not in ("P2", "P1xP1"):
+            parser.error("chi_y tables need --model P2 or P1xP1")
+        series = chi_y_hilb(args.model, args.n, "product")
+        values = [{"n": m, "value": coeff_to_json(series[m])} for m in range(args.n + 1)]
+        rows = [(m, json.dumps(coeff_to_json(series[m]))) for m in range(args.n + 1)]
+    else:
+        genus = _genus_by_name(args.genus, 2 * args.n, parser)
+        if args.surface is not None:
+            h = hilb_cobordism_series(build_model(args.surface), args.n)
+        elif args.k3:
+            h1 = hilb_cobordism_series(p2(), args.n)
+            h2 = hilb_cobordism_series(p1xp1(), args.n)
+            h = hilb_series(Fraction(-16), Fraction(18), args.n, h1, h2)
+        else:
+            parser.error("provide --surface, --k3, or --model for chi_y")
+        values = [
+            {"n": m, "value": format_fraction(genus_eval(genus, h.term(m)))}
+            for m in range(args.n + 1)
+        ]
+        rows = [(v["n"], v["value"]) for v in values]
+    _emit(
+        {"schema": 1, "command": "genus", "genus": args.genus, "values": values},
+        csv_rows=rows,
+        csv_header=("n", "value"),
+        use_csv=args.csv,
+    )
+
+
+def cmd_series_id(args, parser):
+    """Check the f/g series identities for one (a, y) at the given order."""
+    if args.a < 0:
+        parser.error("a must be non-negative")
+    y = Fraction(args.y)
+    a, order = args.a, args.order
+    v = solve_v(a, order)
+    f0 = fg_series("f", 0, a, order)
+    g1 = fg_series("g", 1, a, order)
+    g = fg_series("g", y, a, order)
+    f = fg_series("f", y, a, order)
+    checks = {
+        "f0_closed_form": f0 == (v + 1).pow(a + 1) / ((a + 1) * v + 1),
+        "g_is_g1_pow_y": g == g1.pow(y),
+        "f_is_g1_pow_y_times_f0": f == g1.pow(y) * f0,
+        "g_prime": g.derivative() == (fg_series("f", y - 2 * a - 1, a, order) * y).truncate(order - 1),
+    }
+    if not all(checks.values()):
+        raise ConsistencyError(f"series identities failed: {checks}")
+    _emit(
+        {
+            "schema": 1,
+            "command": "series-id",
+            "a": a,
+            "y": format_fraction(y),
+            "order": order,
+            "holds": True,
+            "checks": {k: bool(ok) for k, ok in checks.items()},
+        },
+        csv_rows=[(k, ok) for k, ok in checks.items()],
+        csv_header=("identity", "holds"),
+        use_csv=args.csv,
+    )
+
+
+def cmd_verify(args, parser):
+    from .verify import run_all
+
+    results = run_all(args.profile, emit=print)
+    if not all(r.passed for r in results):
+        sys.exit(1)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="hilbloc", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(sp, n_flag=True):
+        if n_flag:
+            sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--long", action="store_true", help="enable n = 6, 7")
+        sp.add_argument("--csv", action="store_true")
+        sp.add_argument("--ladder", choices=("xi", "eta"), default="xi")
+
+    sp = sub.add_parser("chern", help="Chern numbers of Hilb^n over a toric model")
+    sp.add_argument("--surface", required=True)
+    common(sp)
+    sp.set_defaults(fn=cmd_chern)
+
+    sp = sub.add_parser("universal", help="universal polynomials P_la(c1^2, c2)")
+    common(sp)
+    sp.set_defaults(fn=cmd_universal)
+
+    sp = sub.add_parser("betti", help="Betti numbers of Hilb^n for the two models")
+    sp.add_argument("--model", required=True)
+    common(sp)
+    sp.set_defaults(fn=cmd_betti)
+
+    sp = sub.add_parser("chi", help="chi(L_n (x) E^r) by localization")
+    sp.add_argument("--surface", required=True)
+    sp.add_argument("--k", type=str, default=None, help="degree(s) of O(k) / O(k1,k2)")
+    sp.add_argument("--bundle", type=str, default=None, help="comma-separated ray coefficients")
+    sp.add_argument("--r", type=int, default=0)
+    common(sp)
+    sp.set_defaults(fn=cmd_chi)
+
+    sp = sub.add_parser("twist-series", help="fitted log A_r and B_r")
+    sp.add_argument("--r", type=int, required=True)
+    sp.add_argument("--order", type=int, required=True)
+    sp.add_argument("--long", action="store_true")
+    sp.add_argument("--csv", action="store_true")
+    sp.set_defaults(fn=cmd_twist_series)
+
+    sp = sub.add_parser("genus", help="genus values of Hilb^n terms")
+    sp.add_argument("--genus", required=True, help="todd | euler | signature | phi:N:k | chi_y")
+    sp.add_argument("--surface", default=None)
+    sp.add_argument("--model", default=None, help="P2 | P1xP1 (for chi_y)")
+    sp.add_argument("--k3", action="store_true", help="use the K3 cobordism class")
+    common(sp)
+    sp.set_defaults(fn=cmd_genus)
+
+    sp = sub.add_parser("series-id", help="verify the f/g power-series identities")
+    sp.add_argument("--a", type=int, required=True)
+    sp.add_argument("--y", type=str, default="1")
+    sp.add_argument("--order", type=int, default=30)
+    sp.add_argument("--csv", action="store_true")
+    sp.set_defaults(fn=cmd_series_id)
+
+    sp = sub.add_parser("verify", help="run the acceptance suite")
+    sp.add_argument("--profile", choices=("quick", "standard", "long"), default="quick")
+    sp.set_defaults(fn=cmd_verify)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args.fn(args, parser)
+    except (ConsistencyError, FitError) as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        parser.exit(2, f"error: {exc}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

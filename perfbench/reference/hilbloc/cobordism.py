@@ -1,0 +1,312 @@
+"""The rational complex cobordism ring in Chern-number coordinates.
+
+A class of complex dimension d is stored as the map {partitions of d} -> Q
+of its Chern numbers.  Products go through the basis of projective-space
+monomials CP^{m_1} x ... x CP^{m_k} (one monomial per partition of d),
+whose change-of-basis matrix is invertible by Milnor's theorem.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+from .partitions import enumerate_partitions, merge, partition_key
+from .rings import Poly, format_fraction, gauss_solve
+
+
+@dataclass(frozen=True)
+class ChernVector:
+    """A rational cobordism class: complex dimension + Chern numbers.
+
+    Dimension 0 encodes a multiple of the point class; the single entry
+    (keyed by the empty partition) is that multiple.  Values are Fractions
+    or Polys in formal parameters.
+    """
+
+    dim: int
+    numbers: tuple  # tuple of (partition, value), partitions in rev-lex order
+
+    @staticmethod
+    def from_dict(dim: int, numbers: dict) -> "ChernVector":
+        lams = enumerate_partitions(dim)
+        if set(numbers) != set(lams):
+            raise ValueError("keys must be exactly the partitions of dim")
+        return ChernVector(dim, tuple((la, numbers[la]) for la in lams))
+
+    @staticmethod
+    def point(value=1) -> "ChernVector":
+        return ChernVector(0, (((), _val(value)),))
+
+    def as_dict(self) -> dict:
+        return dict(self.numbers)
+
+    def value(self, la) -> Fraction:
+        return dict(self.numbers).get(tuple(la), Fraction(0))
+
+    def scalar(self):
+        if self.dim != 0:
+            raise ValueError("not a point class")
+        return self.numbers[0][1]
+
+    def __add__(self, other: "ChernVector") -> "ChernVector":
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        od = other.as_dict()
+        return ChernVector(
+            self.dim, tuple((la, v + od[la]) for la, v in self.numbers)
+        )
+
+    def scale(self, c) -> "ChernVector":
+        return ChernVector(self.dim, tuple((la, v * c) for la, v in self.numbers))
+
+    def to_json(self) -> dict:
+        return {
+            "dim": self.dim,
+            "numbers": {
+                partition_key(la): (
+                    format_fraction(v) if not isinstance(v, Poly) else repr(v)
+                )
+                for la, v in self.numbers
+            },
+        }
+
+
+def _val(x):
+    return x if isinstance(x, Poly) else Fraction(x)
+
+
+# -- Chern numbers of products of projective spaces ---------------------------
+
+
+@lru_cache(maxsize=None)
+def cp_product_class(dims: tuple) -> ChernVector:
+    """Chern numbers of CP^{d_1} x ... x CP^{d_k}.
+
+    The total Chern class is prod_i (1+h_i)^{d_i+1} in the ring with
+    h_i^{d_i+1} = 0, and the integral of h_1^{d_1}...h_k^{d_k} is 1.
+    """
+    dims = tuple(dims)
+    if not dims or any(d < 1 for d in dims):
+        raise ValueError("dims must be positive integers")
+    d = sum(dims)
+    total = _expand_total_chern(dims)
+    # split into graded pieces c_0..c_d  (degree = sum of exponents)
+    graded = [dict() for _ in range(d + 1)]
+    for exps, c in total.items():
+        graded[sum(exps)][exps] = c
+    top = dims  # exponent vector of the point monomial
+    numbers = {}
+    for la in enumerate_partitions(d):
+        prod = {(0,) * len(dims): Fraction(1)}
+        for part in la:
+            prod = _mul_trunc(prod, graded[part], dims)
+        numbers[la] = prod.get(top, Fraction(0))
+    return ChernVector.from_dict(d, numbers)
+
+
+def _expand_total_chern(dims):
+    from math import comb
+
+    k = len(dims)
+    total = {(0,) * k: Fraction(1)}
+    for i, di in enumerate(dims):
+        factor = {}
+        for e in range(di + 1):
+            exps = [0] * k
+            exps[i] = e
+            factor[tuple(exps)] = Fraction(comb(di + 1, e))
+        total = _mul_trunc(total, factor, dims)
+    return total
+
+
+def _mul_trunc(a, b, caps):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if any(x > cap for x, cap in zip(e, caps)):
+                continue
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return out
+
+
+# -- basis conversion -----------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def basis_matrix(d: int):
+    """Rows: CP-monomials mu (partitions of d); columns: Chern numbers c_la.
+
+    M[mu][la] = c_la(CP^{mu_1} x ... ).  Returned as a nested tuple in the
+    rev-lex partition order.
+    """
+    lams = enumerate_partitions(d)
+    rows = []
+    for mu in lams:
+        cls = cp_product_class(mu)
+        rows.append(tuple(cls.value(la) for la in lams))
+    return tuple(rows)
+
+
+def to_cp_basis(x: ChernVector) -> dict:
+    """Coefficients a_mu with x = sum_mu a_mu [CP^mu-product]."""
+    if x.dim == 0:
+        return {(): x.scalar()}
+    lams = enumerate_partitions(x.dim)
+    m = basis_matrix(x.dim)
+    # solve sum_mu a_mu M[mu][la] = x_la  (transpose system)
+    mt = [[m[j][i] for j in range(len(lams))] for i in range(len(lams))]
+    xd = x.as_dict()
+    try:
+        sol = gauss_solve(mt, [xd[la] for la in lams])
+    except ValueError as exc:  # pragma: no cover - Milnor guarantees this
+        raise RuntimeError(f"cobordism basis matrix singular in dim {x.dim}") from exc
+    return dict(zip(lams, sol))
+
+
+def from_cp_basis(d: int, coeffs: dict) -> ChernVector:
+    if d == 0:
+        return ChernVector.point(coeffs.get((), Fraction(0)))
+    lams = enumerate_partitions(d)
+    m = basis_matrix(d)
+    idx = {mu: i for i, mu in enumerate(lams)}
+    numbers = {la: _val(0) for la in lams}
+    for mu, a in coeffs.items():
+        row = m[idx[mu]]
+        if a:
+            for j, la in enumerate(lams):
+                numbers[la] = numbers[la] + a * row[j]
+    return ChernVector.from_dict(d, numbers)
+
+
+def multiply(x: ChernVector, y: ChernVector) -> ChernVector:
+    """Ring product via the CP-monomial basis (concatenate monomials)."""
+    if x.dim == 0:
+        return y.scale(x.scalar())
+    if y.dim == 0:
+        return x.scale(y.scalar())
+    cx, cy = to_cp_basis(x), to_cp_basis(y)
+    out = {}
+    for mu, a in cx.items():
+        for nu, b in cy.items():
+            key = merge(mu, nu)
+            out[key] = out.get(key, Fraction(0)) + a * b
+    return from_cp_basis(x.dim + y.dim, out)
+
+
+# -- graded series over the cobordism ring ----------------------------------------
+
+
+@dataclass(frozen=True)
+class CobordismSeries:
+    """sum_n [X_n] z^n with [X_n] of complex dimension 2n (e.g. H(S))."""
+
+    order: int
+    terms: tuple  # terms[n] is a ChernVector of dimension 2n
+
+    def __post_init__(self):
+        if len(self.terms) != self.order + 1:
+            raise ValueError("need exactly order+1 terms")
+        for n, t in enumerate(self.terms):
+            if t.dim != 2 * n:
+                raise ValueError(f"term {n} has dimension {t.dim}, expected {2*n}")
+
+    def term(self, n: int) -> ChernVector:
+        return self.terms[n]
+
+
+def _series_to_basis(s: CobordismSeries):
+    """Term-wise CP-basis coordinates: list of dicts {partition of 2n: coeff}."""
+    return [to_cp_basis(t) for t in s.terms]
+
+
+def _basis_conv(a, b, order):
+    out = [dict() for _ in range(order + 1)]
+    for i, ai in enumerate(a[: order + 1]):
+        for j, bj in enumerate(b[: order + 1 - i]):
+            tgt = out[i + j]
+            for mu, ca in ai.items():
+                if not ca:
+                    continue
+                for nu, cb in bj.items():
+                    key = merge(mu, nu)
+                    tgt[key] = tgt.get(key, Fraction(0)) + ca * cb
+    return out
+
+
+def _basis_scale(a, c):
+    return [{mu: v * c for mu, v in t.items()} for t in a]
+
+
+def _basis_add(a, b):
+    out = []
+    for ta, tb in zip(a, b):
+        t = dict(ta)
+        for mu, v in tb.items():
+            t[mu] = t.get(mu, Fraction(0)) + v
+        out.append(t)
+    return out
+
+
+def _basis_log(a, order):
+    """log of basis-coordinate series with unit term 0."""
+    u0 = a[0].get((), None)
+    if u0 != 1:
+        raise ValueError("log requires unit constant term")
+    l = [dict(t) for t in a]
+    l[0] = {}
+    out = [dict() for _ in range(order + 1)]
+    power = [{(): Fraction(1)}] + [dict() for _ in range(order)]
+    sign = Fraction(1)
+    for k in range(1, order + 1):
+        power = _basis_conv(power, l, order)
+        out = _basis_add(out, _basis_scale(power, sign / k))
+        sign = -sign
+    return out
+
+
+def _basis_exp(a, order):
+    if a[0]:
+        raise ValueError("exp requires zero constant term")
+    from math import factorial
+
+    out = [{(): Fraction(1)}] + [dict() for _ in range(order)]
+    power = [{(): Fraction(1)}] + [dict() for _ in range(order)]
+    for k in range(1, order + 1):
+        power = _basis_conv(power, a, order)
+        out = _basis_add(out, _basis_scale(power, Fraction(1, factorial(k))))
+    return out
+
+
+def _series_from_basis(coords) -> CobordismSeries:
+    terms = []
+    for n, t in enumerate(coords):
+        if n == 0:
+            terms.append(ChernVector.point(t.get((), Fraction(0))))
+        else:
+            terms.append(from_cp_basis(2 * n, t))
+    return CobordismSeries(len(coords) - 1, tuple(terms))
+
+
+def hilb_series(a, b, order: int, h_p2: CobordismSeries, h_p1xp1: CobordismSeries) -> CobordismSeries:
+    """H(S) for [S] = a [CP2] + b [CP1xCP1]: exp(a log H(P2) + b log H(P1xP1)).
+
+    a and b may be exact rationals or Polys, so the same routine produces
+    both numeric Hilbert series and the universal two-parameter family.
+    """
+    if h_p2.order < order or h_p1xp1.order < order:
+        raise ValueError("model data truncated below requested order")
+    l1 = _basis_log(_series_to_basis(h_p2)[: order + 1], order)
+    l2 = _basis_log(_series_to_basis(h_p1xp1)[: order + 1], order)
+    combined = _basis_add(_basis_scale(l1, _val(a)), _basis_scale(l2, _val(b)))
+    return _series_from_basis(_basis_exp(combined, order))
+
+
+def product_series(x: CobordismSeries, y: CobordismSeries) -> CobordismSeries:
+    order = min(x.order, y.order)
+    conv = _basis_conv(
+        _series_to_basis(x)[: order + 1], _series_to_basis(y)[: order + 1], order
+    )
+    return _series_from_basis(conv)

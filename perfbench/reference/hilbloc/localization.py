@@ -1,0 +1,462 @@
+"""Torus fixed points of Hilb^n over a toric surface and the exact
+Bott-residue integrator.
+
+A fixed point assigns one partition per chart (monomial ideals at the
+torus-fixed points of S), with total size n.  Tangent weights come from
+the arm/leg formula; tautological weights from the cell grid shifted by
+the local weight of the inducing line bundle.
+
+Characters stay symbolic (integer pairs) until they are specialized
+along a generic one-parameter subgroup (a, b); every public computation
+is performed for two members of a deterministic 1-PS ladder and the two
+exact results must agree.
+"""
+
+from __future__ import annotations
+
+import os
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+
+from .cobordism import ChernVector, CobordismSeries
+from .partitions import cells, enumerate_partitions
+from .series import TruncSeries, todd_series
+from .toric import Chart, TLineBundle, ToricSurface
+
+
+class ConsistencyError(RuntimeError):
+    """Two independent 1-PS specializations disagreed: an engine bug."""
+
+
+@dataclass(frozen=True)
+class HilbFixedPoint:
+    """One partition per chart; a torus-fixed point of Hilb^n(S)."""
+
+    assignment: tuple  # tuple of partitions, one per chart
+
+    @property
+    def n(self) -> int:
+        return sum(sum(la) for la in self.assignment)
+
+
+@dataclass(frozen=True)
+class TautClass:
+    """A K-theory class sum +/- [line bundle] + trivial * [O^triv]."""
+
+    line_bundles: tuple = ()  # tuple of (TLineBundle, multiplicity)
+    trivial: int = 0
+
+    @property
+    def rank(self) -> int:
+        return sum(m for _, m in self.line_bundles) + self.trivial
+
+
+def enumerate_fixed_points(model: ToricSurface, n: int) -> list:
+    """All chart-partition assignments with total size n, deterministically
+    ordered (lexicographic over compositions, rev-lex partitions within)."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    e = len(model.charts)
+    out = []
+
+    def rec(chart: int, remaining: int, acc):
+        if chart == e - 1:
+            for la in enumerate_partitions(remaining):
+                out.append(HilbFixedPoint(tuple(acc + [la])))
+            return
+        for m in range(remaining, -1, -1):
+            for la in enumerate_partitions(m):
+                rec(chart + 1, remaining - m, acc + [la])
+
+    rec(0, n, [])
+    return out
+
+
+# -- weight data --------------------------------------------------------------
+#
+# Orientation convention: within a chart with weights (w1, w2), the rows of
+# the partition run along w1 and the columns along w2, a cell in row i /
+# column j of the monomial ideal contributes the character -(i*w1 + j*w2)
+# to the fibre of O^[n] (the monomial x^i y^j acts on functions, so its
+# character is opposite to the tangent one), and the tangent space picks up
+#   (leg+1)*w1 - arm*w2   and   -leg*w1 + (arm+1)*w2
+# per cell.  This is the single Hilb-level convention; the fibre sign is
+# invisible to the rank-symmetric Riemann-Roch checks and is pinned by the
+# determinant twist series instead.
+
+
+def tangent_weights(model: ToricSurface, fp: HilbFixedPoint) -> list:
+    """The 2n tangent characters at fp (with multiplicity)."""
+    out = []
+    for chart, la in zip(model.charts, fp.assignment):
+        w1, w2 = chart.w1, chart.w2
+        for c in cells(la):
+            a, l = c.arm, c.leg
+            ch1 = ((l + 1) * w1[0] - a * w2[0], (l + 1) * w1[1] - a * w2[1])
+            ch2 = (-l * w1[0] + (a + 1) * w2[0], -l * w1[1] + (a + 1) * w2[1])
+            if ch1 == (0, 0) or ch2 == (0, 0):
+                raise ConsistencyError("non-isolated fixed point (zero tangent character)")
+            out.append(ch1)
+            out.append(ch2)
+    return out
+
+
+def _cell_char(chart: Chart, i: int, j: int, base) -> tuple:
+    return (
+        base[0] - i * chart.w1[0] - j * chart.w2[0],
+        base[1] - i * chart.w1[1] - j * chart.w2[1],
+    )
+
+
+def taut_weights(model: ToricSurface, fp: HilbFixedPoint, x: TautClass) -> list:
+    """Fibre characters of x^[n] at fp as (character, multiplicity) pairs."""
+    out = []
+    for chart, la in zip(model.charts, fp.assignment):
+        cell_list = [(c.i, c.j) for c in cells(la)]
+        for bundle, mult in x.line_bundles:
+            lw = bundle.local_weight(chart)
+            for i, j in cell_list:
+                out.append((_cell_char(chart, i, j, lw), mult))
+        if x.trivial:
+            for i, j in cell_list:
+                out.append((_cell_char(chart, i, j, (0, 0)), x.trivial))
+    return out
+
+
+def det_taut_weight(model: ToricSurface, fp: HilbFixedPoint, L: TLineBundle, r: int) -> tuple:
+    """The c1-weight of L_n (x) E^r at fp.
+
+    det(F^[n]) = det(F)_n (x) E^{rk F} with E = det(O^[n]) gives
+    weight(L_n (x) E^r) = sum weights(L^[n]) + (r-1) * sum weights(O^[n]).
+    """
+    acc = [0, 0]
+    for chart, la in zip(model.charts, fp.assignment):
+        lw = bundle_lw = L.local_weight(chart)
+        for c in cells(la):
+            ch = _cell_char(chart, c.i, c.j, bundle_lw)
+            acc[0] += ch[0]
+            acc[1] += ch[1]
+            ch0 = _cell_char(chart, c.i, c.j, (0, 0))
+            acc[0] += (r - 1) * ch0[0]
+            acc[1] += (r - 1) * ch0[1]
+        del lw
+    return (acc[0], acc[1])
+
+
+# -- 1-PS ladders ---------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _char_bound(model: ToricSurface, n: int):
+    b1 = b2 = 1
+    for fp in enumerate_fixed_points(model, n):
+        for a1, a2 in tangent_weights(model, fp):
+            if a2 != 0:
+                b1 = max(b1, abs(a1))
+            if a1 != 0:
+                b2 = max(b2, abs(a2))
+    return b1 + 1, b2 + 1
+
+
+def one_ps_ladder(model: ToricSurface, n: int, name: str = "xi") -> list:
+    """Two documented deterministic ladders of generic 1-parameter subgroups.
+
+    'xi'  : (1, B), (1, B+1), ...  with B exceeding every |a1/a2|;
+    'eta' : (B', 1), (B'+1, 1), ... with B' exceeding every |a2/a1|.
+    The first entry of each ladder is already generic by construction.
+    """
+    b1, b2 = _char_bound(model, n)
+    if name == "xi":
+        return [(1, b1 + j) for j in range(4)]
+    if name == "eta":
+        return [(b2 + j, 1) for j in range(4)]
+    raise ValueError(f"unknown ladder {name!r}")
+
+
+def _specialize(char, spec) -> int:
+    return char[0] * spec[0] + char[1] * spec[1]
+
+
+# -- epsilon-graded series helpers (plain lists of Fractions) ----------------------
+
+
+def _eps_mul(a, b, order):
+    out = [Fraction(0)] * (order + 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j in range(min(len(b), order + 1 - i)):
+            if b[j]:
+                out[i + j] += x * b[j]
+    return out
+
+
+def _eps_inv(a, order):
+    if a[0] == 0:
+        raise ZeroDivisionError("non-unit total class")
+    inv0 = Fraction(1) / a[0]
+    out = [inv0] + [Fraction(0)] * order
+    for k in range(1, order + 1):
+        acc = Fraction(0)
+        for i in range(1, min(k, len(a) - 1) + 1):
+            acc += a[i] * out[k - i]
+        out[k] = -inv0 * acc
+    return out
+
+
+def _eps_exp_weight(w, order):
+    out, acc = [], Fraction(1)
+    for k in range(order + 1):
+        out.append(acc / factorial(k))
+        acc = acc * w
+    return out
+
+
+@lru_cache(maxsize=None)
+def _todd_coeffs(order: int):
+    return todd_series("x", order).coeffs
+
+
+def _total_chern(weights, order):
+    """Total Chern class of a virtual weight multiset, as an eps-series."""
+    num = [Fraction(1)] + [Fraction(0)] * order
+    den = [Fraction(1)] + [Fraction(0)] * order
+    for w, mult in weights:
+        lin = [Fraction(1), Fraction(w)]
+        tgt = num if mult > 0 else den
+        for _ in range(abs(mult)):
+            tgt2 = _eps_mul(tgt, lin, order)
+            if mult > 0:
+                num = tgt2
+            else:
+                den = tgt2
+            tgt = tgt2
+    return _eps_mul(num, _eps_inv(den, order), order)
+
+
+# -- integrand ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Integrand:
+    """A polynomial in Chern classes of declared bundles, optionally times
+    the Todd class of the tangent bundle, exp of a determinant weight,
+    a Chern character factor, and/or a multiplicative tangent class."""
+
+    poly: tuple = ((Fraction(1), ()),)  # sum of (coeff, ((bundle_name, degree), ...))
+    bundles: tuple = ()  # ((name, TautClass-or-"tangent"), ...)
+    todd: bool = False
+    exp_det: tuple | None = None  # (TLineBundle, r)
+    ch_bundle: TautClass | None = None
+    tangent_class: TruncSeries | None = None  # characteristic series Q(x)
+
+    @staticmethod
+    def chern_monomial(la) -> "Integrand":
+        return Integrand(
+            poly=((Fraction(1), tuple(("T", int(p)) for p in la)),),
+            bundles=(("T", "tangent"),),
+        )
+
+    @staticmethod
+    def riemann_roch(L: TLineBundle, r: int = 0, ch_of: TautClass | None = None) -> "Integrand":
+        return Integrand(todd=True, exp_det=(L, r), ch_bundle=ch_of)
+
+
+def _point_value(model, n, fp, integrand, spec):
+    order = 2 * n
+    tchars = tangent_weights(model, fp)
+    tvals = [_specialize(c, spec) for c in tchars]
+    if any(v == 0 for v in tvals):
+        raise ConsistencyError("1-PS specialization hit a zero tangent weight")
+    denom = 1
+    for v in tvals:
+        denom *= v
+
+    # polynomial part
+    bundle_map = dict(integrand.bundles)
+    chern_cache = {}
+
+    def chern_of(name, deg):
+        if name not in chern_cache:
+            src = bundle_map[name]
+            if src == "tangent":
+                ws = [(v, 1) for v in tvals]
+            else:
+                ws = [(_specialize(c, spec), m) for c, m in taut_weights(model, fp, src)]
+            chern_cache[name] = _total_chern(ws, order)
+        return chern_cache[name][deg] if deg <= order else Fraction(0)
+
+    series = [Fraction(0)] * (order + 1)
+    for coeff, monos in integrand.poly:
+        deg = sum(d for _, d in monos)
+        if deg > order:
+            continue
+        val = Fraction(coeff)
+        for name, d in monos:
+            val *= chern_of(name, d)
+            if not val:
+                break
+        series[deg] += val
+
+    if integrand.todd:
+        td = _todd_coeffs(order)
+        for t in tvals:
+            fac, acc = [], 1
+            for k in range(order + 1):
+                fac.append(td[k] * acc)
+                acc *= t
+            series = _eps_mul(series, fac, order)
+    if integrand.tangent_class is not None:
+        q = integrand.tangent_class
+        if q.order < order:
+            raise ValueError("tangent characteristic series truncated below 2n")
+        for t in tvals:
+            fac, acc = [], 1
+            for k in range(order + 1):
+                fac.append(q.coeffs[k] * acc)
+                acc *= t
+            series = _eps_mul(series, fac, order)
+    if integrand.exp_det is not None:
+        L, r = integrand.exp_det
+        w = _specialize(det_taut_weight(model, fp, L, r), spec)
+        series = _eps_mul(series, _eps_exp_weight(w, order), order)
+    if integrand.ch_bundle is not None:
+        ws = [
+            (_specialize(c, spec), m)
+            for c, m in taut_weights(model, fp, integrand.ch_bundle)
+        ]
+        ch = [Fraction(0)] * (order + 1)
+        for w, m in ws:
+            e = _eps_exp_weight(w, order)
+            for k in range(order + 1):
+                ch[k] += m * e[k]
+        series = _eps_mul(series, ch, order)
+
+    return Fraction(series[order], denom)
+
+
+def _integrate_spec(model, n, integrand, spec):
+    acc = Fraction(0)
+    for fp in enumerate_fixed_points(model, n):
+        acc += _point_value(model, n, fp, integrand, spec)
+    return acc
+
+
+def integrate(model: ToricSurface, n: int, integrand: Integrand, ladder: str = "xi") -> Fraction:
+    """Bott-residue integral over Hilb^n(S), exact.
+
+    The sum is evaluated at the first two members of the chosen 1-PS
+    ladder; disagreement raises ConsistencyError.
+    """
+    specs = one_ps_ladder(model, n, ladder)
+    v1 = _integrate_spec(model, n, integrand, specs[0])
+    v2 = _integrate_spec(model, n, integrand, specs[1])
+    if v1 != v2:
+        raise ConsistencyError(
+            f"specializations {specs[0]} and {specs[1]} disagree: {v1} vs {v2}"
+        )
+    return v1
+
+
+# -- Chern numbers of Hilb^n -----------------------------------------------------
+
+
+def _elementary_symmetric(values, top):
+    e = [1] + [0] * top
+    for v in values:
+        for k in range(min(top, len(e) - 1), 0, -1):
+            e[k] = e[k] + v * e[k - 1]
+    return e
+
+
+def _chern_point_contrib(model, n, fp, lams, spec):
+    tvals = [_specialize(c, spec) for c in tangent_weights(model, fp)]
+    if any(v == 0 for v in tvals):
+        raise ConsistencyError("1-PS specialization hit a zero tangent weight")
+    denom = 1
+    for v in tvals:
+        denom *= v
+    e = _elementary_symmetric(tvals, 2 * n)
+    out = {}
+    for la in lams:
+        prod = 1
+        for p in la:
+            prod *= e[p]
+            if not prod:
+                break
+        out[la] = Fraction(prod, denom)
+    return out
+
+
+def _chern_numbers_spec(model, n, spec, points=None):
+    lams = enumerate_partitions(2 * n)
+    acc = {la: Fraction(0) for la in lams}
+    for fp in points if points is not None else enumerate_fixed_points(model, n):
+        contrib = _chern_point_contrib(model, n, fp, lams, spec)
+        for la in lams:
+            acc[la] += contrib[la]
+    return acc
+
+
+def _chunk_worker(args):
+    model, n, spec, chunk = args
+    return _chern_numbers_spec(model, n, spec, points=chunk)
+
+
+def _worker_count() -> int:
+    try:
+        return max(1, int(os.environ.get("HILBLOC_THREADS", "1")))
+    except ValueError:
+        return 1
+
+
+def _chern_numbers_parallel(model, n, spec):
+    workers = _worker_count()
+    points = enumerate_fixed_points(model, n)
+    if workers == 1 or len(points) < 4 * workers:
+        return _chern_numbers_spec(model, n, spec, points=points)
+    chunks = [points[i::workers] for i in range(workers)]
+    lams = enumerate_partitions(2 * n)
+    acc = {la: Fraction(0) for la in lams}
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for part in pool.map(_chunk_worker, [(model, n, spec, c) for c in chunks]):
+            for la in lams:
+                acc[la] += part[la]
+    return acc
+
+
+@lru_cache(maxsize=None)
+def chern_numbers_hilb(model: ToricSurface, n: int, ladder: str = "xi") -> ChernVector:
+    """All Chern numbers c_la(Hilb^n(S)), la a partition of 2n, exact."""
+    if n == 0:
+        return ChernVector.point(1)
+    specs = one_ps_ladder(model, n, ladder)
+    v1 = _chern_numbers_parallel(model, n, specs[0])
+    v2 = _chern_numbers_parallel(model, n, specs[1])
+    if v1 != v2:
+        raise ConsistencyError("Chern-number specializations disagree")
+    return ChernVector.from_dict(2 * n, v1)
+
+
+@lru_cache(maxsize=None)
+def hilb_cobordism_series(model: ToricSurface, order: int) -> CobordismSeries:
+    """H(S) = sum [Hilb^n(S)] z^n to the requested order, by localization."""
+    return CobordismSeries(
+        order, tuple(chern_numbers_hilb(model, n) for n in range(order + 1))
+    )
+
+
+def chi_via_RR(
+    model: ToricSurface,
+    n: int,
+    L: TLineBundle,
+    r: int = 0,
+    ch_of: TautClass | None = None,
+    ladder: str = "xi",
+) -> Fraction:
+    """chi(L_n (x) E^r) (or with an extra ch(F^[n]) factor) by equivariant
+    Riemann-Roch: the Bott integral of td(T) exp(c1) [ch]."""
+    return integrate(model, n, Integrand.riemann_roch(L, r, ch_of), ladder)

@@ -1,0 +1,105 @@
+"""Partition enumeration and Young-diagram combinatorics.
+
+Partitions are plain tuples of weakly decreasing positive integers; the
+empty partition is ().  They index both Chern-number monomials and the
+monomial-ideal fixed points of Hilbert schemes.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import NamedTuple
+
+Partition = tuple  # weakly decreasing tuple of positive ints
+
+
+class Cell(NamedTuple):
+    """A box (row i, column j) of a Young diagram with its arm and leg."""
+
+    i: int
+    j: int
+    arm: int
+    leg: int
+
+
+def is_partition(parts) -> bool:
+    return all(
+        isinstance(p, int) and p > 0 for p in parts
+    ) and all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
+
+
+def size(la: Partition) -> int:
+    return sum(la)
+
+
+@lru_cache(maxsize=None)
+def enumerate_partitions(n: int) -> tuple:
+    """All partitions of n, in reverse lexicographic order.
+
+    enumerate_partitions(4) == ((4,), (3,1), (2,2), (2,1,1), (1,1,1,1)).
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return tuple(_gen(n, n))
+
+
+def _gen(n, largest):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _gen(n - first, first):
+            yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def count_with_parts(n: int, r: int) -> int:
+    """p(n, r): the number of partitions of n into exactly r positive parts."""
+    if n < 0 or r < 0:
+        raise ValueError("arguments must be non-negative")
+    if n == 0:
+        return 1 if r == 0 else 0
+    if r == 0 or r > n:
+        return 0
+    # either smallest part is 1, or subtract 1 from every part
+    return count_with_parts(n - 1, r - 1) + count_with_parts(n - r, r)
+
+
+def count_partitions(n: int) -> int:
+    """p(n), partitions of n with any number of parts."""
+    return sum(count_with_parts(n, r) for r in range(n + 1))
+
+
+def conjugate(la: Partition) -> Partition:
+    if not la:
+        return ()
+    return tuple(sum(1 for p in la if p > j) for j in range(la[0]))
+
+
+def cells(la: Partition) -> list:
+    """The cells of the Young diagram of la with arm and leg lengths.
+
+    arm(i,j) = la[i] - j - 1 (boxes strictly to the right),
+    leg(i,j) = #{i' > i : la[i'] > j} (boxes strictly below).
+    """
+    out = []
+    for i, row in enumerate(la):
+        for j in range(row):
+            arm = row - j - 1
+            leg = sum(1 for rr in la[i + 1:] if rr > j)
+            out.append(Cell(i, j, arm, leg))
+    return out
+
+
+def partition_to_json(la: Partition) -> list:
+    return list(la)
+
+
+def partition_key(la: Partition) -> str:
+    """Comma-joined parts, used as a JSON object key: (2,2) -> "2,2"."""
+    return ",".join(str(p) for p in la) if la else ""
+
+
+def merge(la: Partition, mu: Partition) -> Partition:
+    """Multiset union, re-sorted: the product of monomials c_la * c_mu."""
+    return tuple(sorted(la + mu, reverse=True))

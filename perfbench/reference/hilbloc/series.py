@@ -1,0 +1,364 @@
+"""Truncated formal power series with exact coefficients.
+
+Coefficients are Fractions, or Polys in declared parameters (y, r, ...).
+All arithmetic is exact; a binary operation truncates to the smaller of
+the two operand orders so precision is never silently invented.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial
+
+from .rings import Poly, binomial
+from .partitions import count_with_parts
+
+
+def _coerce(c):
+    if isinstance(c, Poly):
+        return c
+    return Fraction(c)
+
+
+class TruncSeries:
+    """A power series in one variable, truncated at order N inclusive."""
+
+    __slots__ = ("var", "order", "coeffs")
+
+    def __init__(self, var: str, order: int, coeffs=()):
+        if order < 0:
+            raise ValueError("order must be non-negative")
+        cs = [_coerce(c) for c in coeffs[: order + 1]]
+        cs += [Fraction(0)] * (order + 1 - len(cs))
+        self.var = var
+        self.order = order
+        self.coeffs = tuple(cs)
+
+    # -- constructors ----------------------------------------------------
+
+    @staticmethod
+    def zero(var: str, order: int) -> "TruncSeries":
+        return TruncSeries(var, order)
+
+    @staticmethod
+    def one(var: str, order: int) -> "TruncSeries":
+        return TruncSeries(var, order, [1])
+
+    @staticmethod
+    def x(var: str, order: int) -> "TruncSeries":
+        return TruncSeries(var, order, [0, 1])
+
+    @staticmethod
+    def const(c, var: str, order: int) -> "TruncSeries":
+        return TruncSeries(var, order, [c])
+
+    # -- helpers -----------------------------------------------------------
+
+    def __getitem__(self, n: int):
+        return self.coeffs[n] if 0 <= n <= self.order else Fraction(0)
+
+    def truncate(self, order: int) -> "TruncSeries":
+        return TruncSeries(self.var, min(order, self.order), self.coeffs)
+
+    def _common(self, other):
+        if not isinstance(other, TruncSeries):
+            raise TypeError("expected a TruncSeries")
+        if self.var != other.var:
+            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
+        return min(self.order, other.order)
+
+    # -- ring operations ----------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction, Poly)):
+            cs = list(self.coeffs)
+            cs[0] = cs[0] + other
+            return TruncSeries(self.var, self.order, cs)
+        n = self._common(other)
+        return TruncSeries(
+            self.var, n, [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TruncSeries(self.var, self.order, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, TruncSeries) else -_coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Poly)):
+            return TruncSeries(self.var, self.order, [c * other for c in self.coeffs])
+        n = self._common(other)
+        out = [Fraction(0)] * (n + 1)
+        for i in range(n + 1):
+            a = self.coeffs[i]
+            if not a:
+                continue
+            for j in range(n + 1 - i):
+                b = other.coeffs[j]
+                if b:
+                    out[i + j] = out[i + j] + a * b
+        return TruncSeries(self.var, n, out)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "TruncSeries":
+        c0 = self.coeffs[0]
+        if isinstance(c0, Poly):
+            if not c0.is_constant():
+                raise ZeroDivisionError("non-unit divisor: constant term not scalar")
+            c0 = c0.as_fraction()
+        if c0 == 0:
+            raise ZeroDivisionError("non-unit divisor: zero constant term")
+        inv0 = Fraction(1) / c0
+        out = [inv0] + [Fraction(0)] * self.order
+        for n in range(1, self.order + 1):
+            acc = Fraction(0)
+            for k in range(1, n + 1):
+                if self.coeffs[k]:
+                    acc = acc + self.coeffs[k] * out[n - k]
+            out[n] = -inv0 * acc
+        return TruncSeries(self.var, self.order, out)
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (Fraction(1) / Fraction(other))
+        if isinstance(other, Poly):
+            return self * (Fraction(1) / other.as_fraction())
+        n = self._common(other)
+        return self.truncate(n) * other.truncate(n).inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __eq__(self, other):
+        if isinstance(other, TruncSeries):
+            n = self._common(other)
+            return all(self.coeffs[i] == other.coeffs[i] for i in range(n + 1))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.var, self.order, self.coeffs))
+
+    def __repr__(self):
+        bits = []
+        for i, c in enumerate(self.coeffs):
+            if c:
+                if i == 0:
+                    bits.append(f"{c}")
+                else:
+                    bits.append(f"({c})*{self.var}^{i}")
+        return " + ".join(bits) if bits else "0"
+
+    # -- calculus -------------------------------------------------------------
+
+    def derivative(self) -> "TruncSeries":
+        return TruncSeries(
+            self.var,
+            max(self.order - 1, 0),
+            [self.coeffs[i] * i for i in range(1, self.order + 1)],
+        )
+
+    def integral(self) -> "TruncSeries":
+        """Antiderivative with zero constant term (order rises by one)."""
+        out = [Fraction(0)]
+        for i in range(self.order + 1):
+            out.append(self.coeffs[i] / (i + 1))
+        return TruncSeries(self.var, self.order + 1, out)
+
+    # -- exp / log / pow -------------------------------------------------------
+
+    def exp(self) -> "TruncSeries":
+        if self.coeffs[0] != 0:
+            raise ValueError("exp requires zero constant term")
+        n = self.order
+        out = [_coerce(1)] + [Fraction(0)] * n
+        for m in range(1, n + 1):
+            acc = Fraction(0)
+            for k in range(1, m + 1):
+                if self.coeffs[k]:
+                    acc = acc + k * self.coeffs[k] * out[m - k]
+            out[m] = acc / m
+        return TruncSeries(self.var, n, out)
+
+    def log(self) -> "TruncSeries":
+        if self.coeffs[0] != 1:
+            raise ValueError("log requires constant term 1")
+        return (self.derivative() * self.truncate(self.order - 1).inverse()).integral() \
+            if self.order > 0 else TruncSeries(self.var, 0)
+
+    def pow(self, e) -> "TruncSeries":
+        """f**e for exact rational e; requires constant term 1."""
+        if self.coeffs[0] != 1:
+            raise ValueError("pow requires constant term 1")
+        e = Fraction(e)
+        if e == 0:
+            return TruncSeries.one(self.var, self.order)
+        if e.denominator == 1 and 0 < e.numerator <= self.order:
+            out = self
+            for _ in range(e.numerator - 1):
+                out = out * self
+            return out
+        return (self.log() * e).exp()
+
+    def compose_monomial(self, scale, power: int) -> "TruncSeries":
+        """Substitute var -> scale * var**power (power >= 1)."""
+        if power < 1:
+            raise ValueError("power must be >= 1")
+        out = [Fraction(0)] * (self.order + 1)
+        s = _coerce(1)
+        for i, c in enumerate(self.coeffs):
+            if i * power > self.order:
+                break
+            if c:
+                out[i * power] = c * s
+            s = s * scale
+        return TruncSeries(self.var, self.order, out)
+
+    def substitute_params(self, assignment: dict) -> "TruncSeries":
+        """Substitute values for Poly parameters in the coefficients."""
+        cs = []
+        for c in self.coeffs:
+            if isinstance(c, Poly):
+                v = c.substitute(assignment)
+                cs.append(v.as_fraction() if v.is_constant() else v)
+            else:
+                cs.append(c)
+        return TruncSeries(self.var, self.order, cs)
+
+
+# -- named series ----------------------------------------------------------------
+
+
+def geometric(var: str, order: int) -> TruncSeries:
+    """1/(1-x) = sum x^n."""
+    return TruncSeries(var, order, [1] * (order + 1))
+
+
+def exp_series(var: str, order: int, scale=1) -> TruncSeries:
+    """exp(scale * x)."""
+    sc = _coerce(scale)
+    out, acc = [], _coerce(1)
+    for n in range(order + 1):
+        out.append(acc / factorial(n))
+        acc = acc * sc
+    return TruncSeries(var, order, out)
+
+
+def todd_series(var: str, order: int) -> TruncSeries:
+    """x / (1 - e^{-x}), the Todd characteristic series."""
+    em = exp_series(var, order + 1, -1)
+    denom_over_x = TruncSeries(
+        var, order, [-(em[i + 1]) for i in range(order + 1)]
+    )  # (1 - e^{-x})/x
+    return denom_over_x.inverse()
+
+
+def solve_v(a: int, order: int) -> TruncSeries:
+    """The unique series v(z), v(0)=0, with z = v (1+v)^a.
+
+    Computed by Lagrange inversion, cross-checked against fixed-point
+    iteration of v <- z/(1+v)^a; the two must agree.
+    """
+    if a < 0:
+        raise ValueError("a must be non-negative")
+    coeffs = [Fraction(0)]
+    for n in range(1, order + 1):
+        # [w^{n-1}] (1+w)^{-a n} / n
+        coeffs.append(Fraction(binomial(Fraction(-a * n), n - 1), n))
+    v = TruncSeries("z", order, coeffs)
+
+    z = TruncSeries.x("z", order)
+    w = TruncSeries.zero("z", order)
+    for _ in range(order + 1):
+        w = z * (w + 1).pow(Fraction(-a))
+    if w != v:
+        raise AssertionError("Lagrange inversion and fixed-point iteration disagree")
+    return v
+
+
+def fg_series(kind: str, y, a: int, order: int) -> TruncSeries:
+    """The combinatorial series f_{y,a} and g_{y,a}.
+
+    f_{y,a} = sum_n C(y - a(n-1), n) z^n
+    g_{y,a} = 1 + sum_{n>=1} y/(y-an) * C(y-an, n) z^n
+
+    y may be an exact rational or a Poly parameter.  The apparent pole of
+    the g coefficient at y = a*n cancels exactly against the leading factor
+    of C(y-an, n), so every coefficient is a polynomial in y.
+    """
+    if kind not in ("f", "g"):
+        raise ValueError("kind must be 'f' or 'g'")
+    yv = y if isinstance(y, Poly) else Fraction(y)
+    coeffs = [_coerce(1)]
+    for n in range(1, order + 1):
+        if kind == "f":
+            coeffs.append(binomial(yv - a * (n - 1), n))
+        else:
+            # y/(y-an) * C(y-an, n) with the (y-an) factor cancelled
+            num = yv
+            for i in range(1, n):
+                num = num * (yv - a * n - i)
+            coeffs.append(num / factorial(n))
+    return TruncSeries("z", order, coeffs)
+
+
+def partition_product(factors, order: int) -> TruncSeries:
+    """prod over (eps, m) of prod_{k>=1} (1 - y^{k+eps} z^k)^{-m}.
+
+    Returns a series in z with Poly-in-y coefficients.
+    """
+    out = TruncSeries.one("z", order)
+    for eps, m in factors:
+        if m < 1:
+            raise ValueError("multiplicity must be positive")
+        for k in range(1, order + 1):
+            if k + eps < 0:
+                raise ValueError(f"negative y-exponent at k={k}, eps={eps}")
+            cs = [Fraction(0)] * (order + 1)
+            cs[0] = Fraction(1)
+            cs[k] = -Poly.var("y", k + eps) if k + eps else Fraction(-1)
+            factor = TruncSeries("z", order, cs).inverse()
+            for _ in range(m):
+                out = out * factor
+    return out
+
+
+def partition_double_sum(eps: int, order: int) -> TruncSeries:
+    """sum_{n,r} p(n,r) y^{n+eps*r} z^n, the oracle form of partition_product."""
+    coeffs = []
+    for n in range(order + 1):
+        acc = Poly.const(0)
+        for r in range(n + 1):
+            c = count_with_parts(n, r)
+            if c:
+                acc = acc + c * Poly.var("y", n + eps * r)
+        coeffs.append(acc)
+    return TruncSeries("z", order, coeffs)
+
+
+# -- serialization -----------------------------------------------------------------
+
+
+def coeff_to_json(c):
+    from .rings import format_fraction
+
+    if isinstance(c, Poly):
+        if c.is_constant():
+            return format_fraction(c.constant_term())
+        name = c.variables()[0]
+        return {str(e): format_fraction(v) for e, v in c.coefficient_map(name).items()}
+    return format_fraction(c)
+
+
+def series_to_json(s: TruncSeries) -> dict:
+    return {
+        "var": s.var,
+        "order": s.order,
+        "coeffs": [coeff_to_json(c) for c in s.coeffs],
+    }

@@ -1,0 +1,203 @@
+"""Smooth projective toric surface models: P2, P1xP1 and iterated blowups.
+
+A model is a complete smooth fan in Z^2, given by its rays in cyclic
+order.  Charts are the 2-dimensional cones (consecutive ray pairs); the
+two chart weights are the dual basis of the cone's rays and serve as the
+tangent characters at the torus-fixed point.
+
+Sign convention (the one global choice, validated by the n = 1 acceptance
+tests): the local weight of L = sum a_i D_i at the chart spanned by
+(v_i, v_{i+1}) is the character m with <m, v_i> = a_i, <m, v_{i+1}> = a_{i+1}.
+With tangent weights equal to the dual basis this makes
+integral(td * exp c1(L)) = chi(L) come out right on the surface itself.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+
+Vec = tuple  # (int, int) character / lattice vector
+
+
+@dataclass(frozen=True)
+class Chart:
+    index: int
+    rays: tuple  # (v_i, v_{i+1})
+    w1: Vec  # dual to v_i
+    w2: Vec  # dual to v_{i+1}
+
+
+@dataclass(frozen=True)
+class ToricSurface:
+    name: str
+    rays: tuple  # cyclic order, consecutive determinant +1
+
+    def __post_init__(self):
+        n = len(self.rays)
+        if n < 3:
+            raise ValueError("a complete fan needs at least 3 rays")
+        for i in range(n):
+            v, w = self.rays[i], self.rays[(i + 1) % n]
+            if v[0] * w[1] - v[1] * w[0] != 1:
+                raise ValueError(
+                    f"rays {v}, {w} do not span a smooth positively-oriented cone"
+                )
+
+    @property
+    def charts(self) -> tuple:
+        out = []
+        n = len(self.rays)
+        for i in range(n):
+            v, w = self.rays[i], self.rays[(i + 1) % n]
+            # dual basis for det(v, w) = +1
+            w1 = (w[1], -w[0])
+            w2 = (-v[1], v[0])
+            out.append(Chart(i, (v, w), w1, w2))
+        return tuple(out)
+
+    @property
+    def euler_number(self) -> int:
+        return len(self.rays)
+
+    def canonical_bundle(self) -> "TLineBundle":
+        return TLineBundle(self, (-1,) * len(self.rays))
+
+    def c1_squared(self) -> int:
+        k = self.canonical_bundle()
+        return intersection(k, k)
+
+    def c2(self) -> int:
+        return self.euler_number
+
+
+@dataclass(frozen=True)
+class TLineBundle:
+    """An equivariant line bundle, as ray coefficients of a toric divisor."""
+
+    surface: ToricSurface
+    coeffs: tuple
+
+    def __post_init__(self):
+        if len(self.coeffs) != len(self.surface.rays):
+            raise ValueError("one coefficient per ray required")
+        if any(not isinstance(c, int) for c in self.coeffs):
+            raise ValueError("divisor coefficients must be integers")
+
+    def local_weight(self, chart: Chart) -> Vec:
+        i = chart.index
+        n = len(self.surface.rays)
+        a, b = self.coeffs[i], self.coeffs[(i + 1) % n]
+        return (
+            a * chart.w1[0] + b * chart.w2[0],
+            a * chart.w1[1] + b * chart.w2[1],
+        )
+
+
+@dataclass(frozen=True)
+class SurfaceInvariants:
+    L2: Fraction
+    KL: Fraction
+    K2: Fraction
+    e: int
+    chi_O: Fraction
+    chi_L: Fraction
+
+
+# -- model construction ------------------------------------------------------------
+
+
+def p2() -> ToricSurface:
+    return ToricSurface("p2", ((1, 0), (0, 1), (-1, -1)))
+
+
+def p1xp1() -> ToricSurface:
+    return ToricSurface("p1xp1", ((1, 0), (0, 1), (-1, 0), (0, -1)))
+
+
+def blowup(model: ToricSurface, chart_index: int) -> ToricSurface:
+    """Blow up the torus-fixed point of the given chart (insert the ray sum)."""
+    n = len(model.rays)
+    if not 0 <= chart_index < n:
+        raise ValueError(f"invalid chart index {chart_index}")
+    v, w = model.rays[chart_index], model.rays[(chart_index + 1) % n]
+    new_ray = (v[0] + w[0], v[1] + w[1])
+    rays = model.rays[: chart_index + 1] + (new_ray,) + model.rays[chart_index + 1 :]
+    return ToricSurface(f"blowup:{model.name}:{chart_index}", rays)
+
+
+def build_model(spec: str) -> ToricSurface:
+    """Parse a CLI model spec: p2 | p1xp1 | blowup:<spec>:<chart_index>."""
+    spec = spec.strip().lower()
+    if spec == "p2":
+        return p2()
+    if spec == "p1xp1":
+        return p1xp1()
+    if spec.startswith("blowup:"):
+        body, _, idx = spec.rpartition(":")
+        inner = body[len("blowup:"):]
+        try:
+            return blowup(build_model(inner), int(idx))
+        except ValueError as exc:
+            raise ValueError(f"bad model spec {spec!r}") from exc
+    raise ValueError(f"unknown surface spec {spec!r}")
+
+
+def line_bundle(model: ToricSurface, coeffs) -> TLineBundle:
+    return TLineBundle(model, tuple(int(c) for c in coeffs))
+
+
+def o_bundle(model: ToricSurface, *degrees) -> TLineBundle:
+    """O(k) on P2 (ray 0), O(k1,k2) on P1xP1 (rays 0 and 1)."""
+    coeffs = [0] * len(model.rays)
+    for i, d in enumerate(degrees):
+        coeffs[i] = int(d)
+    return TLineBundle(model, tuple(coeffs))
+
+
+# -- intersection numbers via localization on the surface ----------------------------
+
+
+def _dot(char: Vec, spec) -> Fraction:
+    return Fraction(char[0] * spec[0] + char[1] * spec[1])
+
+
+def _surface_specs(model: ToricSurface):
+    chars = []
+    for ch in model.charts:
+        chars.extend([ch.w1, ch.w2])
+    bound = 1 + max(abs(c[0]) for c in chars if c[1] != 0)
+    return (1, bound), (1, bound + 1)
+
+
+def intersection(l1: TLineBundle, l2: TLineBundle) -> int:
+    """L1 . L2 by the Bott residue sum over the fixed points of S."""
+    model = l1.surface
+    if l2.surface != model:
+        raise ValueError("bundles live on different surfaces")
+    values = []
+    for spec in _surface_specs(model):
+        acc = Fraction(0)
+        for ch in model.charts:
+            t1, t2 = _dot(ch.w1, spec), _dot(ch.w2, spec)
+            acc += _dot(l1.local_weight(ch), spec) * _dot(l2.local_weight(ch), spec) / (t1 * t2)
+        values.append(acc)
+    if values[0] != values[1]:
+        raise AssertionError("intersection number depends on the 1-PS choice")
+    if values[0].denominator != 1:
+        raise AssertionError("non-integral intersection number")
+    return int(values[0])
+
+
+def invariants(model: ToricSurface, L: TLineBundle | None = None) -> SurfaceInvariants:
+    if L is None:
+        L = TLineBundle(model, (0,) * len(model.rays))
+    k = model.canonical_bundle()
+    l2 = Fraction(intersection(L, L))
+    kl = Fraction(intersection(k, L))
+    k2 = Fraction(intersection(k, k))
+    e = model.euler_number
+    chi_o = (k2 + e) / 12
+    chi_l = l2 / 2 - kl / 2 + chi_o
+    return SurfaceInvariants(l2, kl, k2, e, chi_o, chi_l)
