@@ -23,7 +23,7 @@ from .genera import (
     total_chern_genus,
 )
 from .localization import ConsistencyError, chern_numbers_hilb, chi_via_RR, hilb_cobordism_series
-from .partitions import enumerate_partitions, partition_key
+from .partitions import partition_key
 from .rings import Poly, format_fraction
 from .series import coeff_to_json, fg_series, solve_v
 from .toric import build_model, line_bundle, o_bundle, p2, p1xp1
@@ -61,14 +61,31 @@ def _check_n(n: int, long_mode: bool, parser: argparse.ArgumentParser):
         parser.error(f"n > {SHORT_N_MAX} requires --long")
 
 
+# number of --k degrees each named model takes: O(k) on P2, O(k1,k2) on P1xP1
+_K_DEGREES = {"p2": 1, "p1xp1": 2}
+
+
+def _int_list(text: str, flag: str, parser) -> list:
+    try:
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        parser.error(f"{flag} must be comma-separated integers, got {text!r}")
+
+
 def _bundle_from_args(model, args, parser):
     if args.bundle is not None:
-        coeffs = [int(c) for c in args.bundle.split(",")]
-        if len(coeffs) == len(model.rays):
-            return line_bundle(model, coeffs)
-        return o_bundle(model, *coeffs)
+        coeffs = _int_list(args.bundle, "--bundle", parser)
+        if len(coeffs) != len(model.rays):
+            parser.error(f"--bundle needs one coefficient per ray, {len(model.rays)} on {model.name}")
+        return line_bundle(model, coeffs)
     if args.k is not None:
-        return o_bundle(model, *[int(c) for c in str(args.k).split(",")])
+        degrees = _int_list(args.k, "--k", parser)
+        if len(degrees) != _K_DEGREES.get(model.name):
+            parser.error(
+                "--k takes one degree on p2 and a bidegree k1,k2 on p1xp1; "
+                "use --bundle with one coefficient per ray for other bundles or surfaces"
+            )
+        return o_bundle(model, *degrees)
     parser.error("provide --k or --bundle")
 
 
@@ -224,7 +241,10 @@ def cmd_series_id(args, parser):
     """Check the f/g series identities for one (a, y) at the given order."""
     if args.a < 0:
         parser.error("a must be non-negative")
-    y = Fraction(args.y)
+    try:
+        y = Fraction(args.y)
+    except (ValueError, ZeroDivisionError):
+        parser.error(f"--y must be a rational number p or p/q, got {args.y!r}")
     a, order = args.a, args.order
     v = solve_v(a, order)
     f0 = fg_series("f", 0, a, order)

@@ -1,9 +1,23 @@
-"""The rational complex cobordism ring in Chern-number coordinates.
+"""The rational complex cobordism ring in power-sum coordinates.
 
 A class of complex dimension d is stored as the map {partitions of d} -> Q
-of its Chern numbers.  Products go through the basis of projective-space
-monomials CP^{m_1} x ... x CP^{m_k} (one monomial per partition of d),
-whose change-of-basis matrix is invertible by Milnor's theorem.
+of its Chern numbers c_la = integral of c_la1 c_la2 ... (TM).  Ring
+arithmetic runs in power-sum coordinates
+
+    b_mu = integral of p_mu(TM) / aut(mu),   mu a partition of d,
+
+where p_k is the k-th power sum of the Chern roots and aut(mu) is the
+product of the factorials of the part multiplicities.  Then b_mu is the
+coefficient of beta_mu1 beta_mu2 ... in the integral of
+exp(sum_k beta_k p_k), so a product of classes is the product of
+polynomials in the beta_k (concatenate monomials) and a genus with
+log Q(x) = sum_k s_k x^k is the substitution beta_k = s_k (Hirzebruch,
+Topological Methods in Algebraic Geometry, Sections 1-4).
+
+The basis of projective-space monomials CP^{m_1} x ... x CP^{m_k}
+(`cp_product_class`, `basis_matrix`, `to_cp_basis`, `from_cp_basis`) is
+kept as an independent reference: the tests compare the power-sum ring
+against it, and no computation here goes through it.
 """
 
 from __future__ import annotations
@@ -11,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
-from .partitions import enumerate_partitions, merge, partition_key
-from .rings import Poly, format_fraction, gauss_solve
+from .partitions import enumerate_partitions, merge
+from .rings import Poly, gauss_solve
 
 
 @dataclass(frozen=True)
@@ -61,23 +76,16 @@ class ChernVector:
     def scale(self, c) -> "ChernVector":
         return ChernVector(self.dim, tuple((la, v * c) for la, v in self.numbers))
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "numbers": {
-                partition_key(la): (
-                    format_fraction(v) if not isinstance(v, Poly) else repr(v)
-                )
-                for la, v in self.numbers
-            },
-        }
-
 
 def _val(x):
     return x if isinstance(x, Poly) else Fraction(x)
 
 
 # -- Chern numbers of products of projective spaces ---------------------------
+#
+# Milnor's theorem makes the CP-monomials a basis of the rational cobordism
+# ring.  This section and the next solve for coordinates in it by Gaussian
+# elimination; the tests use them as an oracle for the power-sum ring.
 
 
 @lru_cache(maxsize=None)
@@ -181,19 +189,118 @@ def from_cp_basis(d: int, coeffs: dict) -> ChernVector:
     return ChernVector.from_dict(d, numbers)
 
 
+# -- power-sum coordinates ---------------------------------------------------------
+
+# Polynomials in the e_k (Chern classes) or in the p_k (power sums) are
+# dicts keyed by partitions: la stands for the monomial e_la1 e_la2 ...
+
+
+def _aut(mu) -> int:
+    """prod_i m_i! over the multiplicities m_i of the parts of mu."""
+    out = 1
+    for part in set(mu):
+        out *= factorial(mu.count(part))
+    return out
+
+
+def _mul_into(out: dict, a: dict, b: dict) -> dict:
+    """out += a * b, concatenating the monomials."""
+    for la, ca in a.items():
+        if not ca:
+            continue
+        for mu, cb in b.items():
+            key = merge(la, mu)
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return out
+
+
+@lru_cache(maxsize=None)
+def _power_sum_in_e(k: int) -> dict:
+    """p_k in the e_la by Newton's identity
+    p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^{k-1} k e_k."""
+    out = {(k,): Fraction((-1) ** (k - 1) * k)}
+    for i in range(1, k):
+        _mul_into(out, {(i,): Fraction((-1) ** (i - 1))}, _power_sum_in_e(k - i))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _elementary_in_p(k: int) -> dict:
+    """e_k = sum_{nu |- k} (-1)^{k - len(nu)} p_nu / z_nu, z_nu = aut(nu) prod nu."""
+    out = {}
+    for nu in enumerate_partitions(k):
+        z = _aut(nu)
+        for part in nu:
+            z *= part
+        out[nu] = Fraction((-1) ** (k - len(nu)), z)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _expand(single, mu) -> dict:
+    """prod_j single(mu_j): p_mu in the e_la, or e_mu in the p_nu."""
+    if not mu:
+        return {(): Fraction(1)}
+    return _mul_into({}, single(mu[0]), _expand(single, mu[1:]))
+
+
+@lru_cache(maxsize=None)
+def to_beta_table(d: int) -> tuple:
+    """Rows (mu, ((la, t), ...)) over the partitions mu of d with
+    b_mu = sum t c_la, that is t = [e_la] p_mu / aut(mu)."""
+    return tuple(
+        (mu, tuple((la, c / _aut(mu)) for la, c in _expand(_power_sum_in_e, mu).items() if c))
+        for mu in enumerate_partitions(d)
+    )
+
+
+@lru_cache(maxsize=None)
+def _from_beta_table(d: int) -> tuple:
+    """Rows (la, ((mu, t), ...)) over the partitions la of d with
+    c_la = sum t b_mu, that is t = aut(mu) [p_mu] e_la."""
+    return tuple(
+        (la, tuple((mu, c * _aut(mu)) for mu, c in _expand(_elementary_in_p, la).items() if c))
+        for la in enumerate_partitions(d)
+    )
+
+
+def to_beta(x: ChernVector) -> dict:
+    """Power-sum coordinates {mu: b_mu} of a class."""
+    if x.dim == 0:
+        return {(): x.scalar()}
+    c = x.as_dict()
+    out = {}
+    for mu, row in to_beta_table(x.dim):
+        acc = Fraction(0)
+        for la, t in row:
+            if c[la]:
+                acc = acc + c[la] * t
+        out[mu] = acc
+    return out
+
+
+def from_beta(d: int, coeffs: dict) -> ChernVector:
+    """The class of dimension d with power-sum coordinates coeffs."""
+    if d == 0:
+        return ChernVector.point(coeffs.get((), Fraction(0)))
+    numbers = {}
+    for la, row in _from_beta_table(d):
+        acc = Fraction(0)
+        for mu, t in row:
+            b = coeffs.get(mu)
+            if b:
+                acc = acc + b * t
+        numbers[la] = acc
+    return ChernVector.from_dict(d, numbers)
+
+
 def multiply(x: ChernVector, y: ChernVector) -> ChernVector:
-    """Ring product via the CP-monomial basis (concatenate monomials)."""
+    """Ring product: multiply the power-sum polynomials."""
     if x.dim == 0:
         return y.scale(x.scalar())
     if y.dim == 0:
         return x.scale(y.scalar())
-    cx, cy = to_cp_basis(x), to_cp_basis(y)
-    out = {}
-    for mu, a in cx.items():
-        for nu, b in cy.items():
-            key = merge(mu, nu)
-            out[key] = out.get(key, Fraction(0)) + a * b
-    return from_cp_basis(x.dim + y.dim, out)
+    return from_beta(x.dim + y.dim, _mul_into({}, to_beta(x), to_beta(y)))
 
 
 # -- graded series over the cobordism ring ----------------------------------------
@@ -218,21 +325,15 @@ class CobordismSeries:
 
 
 def _series_to_basis(s: CobordismSeries):
-    """Term-wise CP-basis coordinates: list of dicts {partition of 2n: coeff}."""
-    return [to_cp_basis(t) for t in s.terms]
+    """Term-wise power-sum coordinates: list of dicts {partition of 2n: b_mu}."""
+    return [to_beta(t) for t in s.terms]
 
 
 def _basis_conv(a, b, order):
     out = [dict() for _ in range(order + 1)]
     for i, ai in enumerate(a[: order + 1]):
         for j, bj in enumerate(b[: order + 1 - i]):
-            tgt = out[i + j]
-            for mu, ca in ai.items():
-                if not ca:
-                    continue
-                for nu, cb in bj.items():
-                    key = merge(mu, nu)
-                    tgt[key] = tgt.get(key, Fraction(0)) + ca * cb
+            _mul_into(out[i + j], ai, bj)
     return out
 
 
@@ -270,8 +371,6 @@ def _basis_log(a, order):
 def _basis_exp(a, order):
     if a[0]:
         raise ValueError("exp requires zero constant term")
-    from math import factorial
-
     out = [{(): Fraction(1)}] + [dict() for _ in range(order)]
     power = [{(): Fraction(1)}] + [dict() for _ in range(order)]
     for k in range(1, order + 1):
@@ -281,12 +380,7 @@ def _basis_exp(a, order):
 
 
 def _series_from_basis(coords) -> CobordismSeries:
-    terms = []
-    for n, t in enumerate(coords):
-        if n == 0:
-            terms.append(ChernVector.point(t.get((), Fraction(0))))
-        else:
-            terms.append(from_cp_basis(2 * n, t))
+    terms = [from_beta(2 * n, t) for n, t in enumerate(coords)]
     return CobordismSeries(len(coords) - 1, tuple(terms))
 
 

@@ -1,20 +1,22 @@
 """Genera as ring homomorphisms from the cobordism ring.
 
-A genus is given by its characteristic power series Q(x) with Q(0) = 1;
-the associated multiplicative sequence is computed with Newton's
-identities (power sums of Chern roots in terms of Chern classes), never
-by root-finding.  Coefficients may be polynomials in parameters (y).
+A genus is given by its characteristic power series Q(x) with Q(0) = 1.
+With log Q(x) = sum_k s_k x^k, the genus of a class with power-sum
+coordinates b_mu (see `cobordism`) is sum_mu b_mu s_mu1 s_mu2 ..., and
+the multiplicative sequence comes from the same table of power sums in
+Chern classes; no root-finding is involved.  Coefficients may be
+polynomials in parameters (y).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
-from .cobordism import ChernVector, CobordismSeries
-from .partitions import count_partitions, count_with_parts, enumerate_partitions, merge
+from .cobordism import ChernVector, CobordismSeries, to_beta, to_beta_table
+from .partitions import count_partitions, count_with_parts, enumerate_partitions
 from .rings import Poly
 from .series import TruncSeries, exp_series, geometric, partition_product, todd_series
 
@@ -33,6 +35,18 @@ class GenusSpec:
     @property
     def degree(self) -> int:
         return self.q.order
+
+    @cached_property
+    def log_coeffs(self) -> tuple:
+        """(s_0, s_1, ..., s_D) with log Q(x) = sum_k s_k x^k."""
+        return self.q.log().coeffs
+
+    def s_monomial(self, mu):
+        """s_mu1 s_mu2 ... for a partition mu."""
+        out = Fraction(1)
+        for part in mu:
+            out = out * self.log_coeffs[part]
+        return out
 
 
 # -- standard characteristic series ------------------------------------------------
@@ -99,86 +113,40 @@ def phi_nk_genus(n_level: int, k: int, degree: int) -> GenusSpec:
     )
 
 
-# -- multiplicative sequences --------------------------------------------------------
-
-# Elements of Q[c_1, c_2, ...] graded by weight(c_i) = i are dicts keyed by
-# partitions (the monomial c_la), truncated above the target degree.
-
-
-def _graded_mul(a, b, cap):
-    out = {}
-    for la, ca in a.items():
-        wa = sum(la)
-        for mu, cb in b.items():
-            if wa + sum(mu) > cap:
-                continue
-            key = merge(la, mu)
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return out
-
-
-def _graded_scale(a, c):
-    return {k: v * c for k, v in a.items()}
-
-
-def _graded_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
-    return out
-
-
-def _newton_power_sums(cap):
-    """p_k as polynomials in the c_i, via p_k = c_1 p_{k-1} - c_2 p_{k-2}
-    + ... + (-1)^{k-1} k c_k."""
-    p = [None] * (cap + 1)
-    for k in range(1, cap + 1):
-        acc = {}
-        sign = 1
-        for i in range(1, k):
-            e_i = {(i,): Fraction(sign)}
-            acc = _graded_add(acc, _graded_mul(e_i, p[k - i], cap))
-            sign = -sign
-        acc = _graded_add(acc, {(k,): Fraction(sign * k)})
-        p[k] = acc
-    return p
+# -- multiplicative sequences and genus values ----------------------------------------
 
 
 @lru_cache(maxsize=None)
 def multiplicative_sequence(genus: GenusSpec, d: int):
     """Coefficients K_la with (prod_i Q(x_i))_{deg d} = sum_la K_la c_la.
 
-    Returned as a dict over partitions of d; values are Fractions or Polys
-    in the genus parameters.
+    prod_i Q(x_i) = exp(sum_k s_k p_k) = sum_mu s_mu p_mu / aut(mu), so
+    K_la = sum_mu s_mu [e_la] p_mu / aut(mu).  Returned as a dict over
+    partitions of d; values are Fractions or Polys in the genus parameters.
     """
     if d == 0:
         return {(): Fraction(1)}
     if d > genus.degree:
         raise ValueError("genus characteristic series truncated below d")
-    s = genus.q.log()  # log Q = sum s_k x^k
-    p = _newton_power_sums(d)
-    arg = {}
-    for k in range(1, d + 1):
-        if s.coeffs[k]:
-            arg = _graded_add(arg, _graded_scale(p[k], s.coeffs[k]))
-    # exp(arg), graded-truncated at d
-    total = {(): Fraction(1)}
-    power = {(): Fraction(1)}
-    for j in range(1, d + 1):
-        power = _graded_mul(power, arg, d)
-        total = _graded_add(total, _graded_scale(power, Fraction(1, factorial(j))))
-    return {la: total.get(la, Fraction(0)) for la in enumerate_partitions(d)}
+    out = {la: Fraction(0) for la in enumerate_partitions(d)}
+    for mu, row in to_beta_table(d):
+        s_mu = genus.s_monomial(mu)
+        if s_mu:
+            for la, t in row:
+                out[la] = out[la] + s_mu * t
+    return out
 
 
 def genus_eval(genus: GenusSpec, x: ChernVector):
-    """The genus of a cobordism class: sum_la K_la c_la(x)."""
+    """The genus of a cobordism class: sum_mu b_mu s_mu1 s_mu2 ...."""
     if x.dim == 0:
         return x.scalar()
-    k = multiplicative_sequence(genus, x.dim)
+    if x.dim > genus.degree:
+        raise ValueError("genus characteristic series truncated below d")
     acc = Fraction(0)
-    for la, v in x.numbers:
-        if v:
-            acc = acc + k[la] * v
+    for mu, b in to_beta(x).items():
+        if b:
+            acc = acc + b * genus.s_monomial(mu)
     return acc
 
 
@@ -267,7 +235,6 @@ def chi_y_hilb(model_name: str, order: int, method: str = "product", chi_y=None)
         chi = chi_y if chi_y is not None else _MODEL_CHI_Y[model_name]
         chi = Poly.coerce(chi)
         arg = TruncSeries.zero("z", order)
-        y = Poly.var("y")
         for m in range(1, order + 1):
             chi_m = chi.substitute({"y": Poly.var("y", m)})
             # z^m/m * 1/(1-(yz)^m) = sum_j y^{mj} z^{m(j+1)} / m
@@ -278,7 +245,6 @@ def chi_y_hilb(model_name: str, order: int, method: str = "product", chi_y=None)
                 j += 1
             term = TruncSeries("z", order, cs) * chi_m
             arg = arg + term
-        del y
         return arg.exp()
     raise ValueError(f"unknown method {method!r}")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -134,7 +134,7 @@ def det_taut_weight(model: ToricSurface, fp: HilbFixedPoint, L: TLineBundle, r: 
     """
     acc = [0, 0]
     for chart, la in zip(model.charts, fp.assignment):
-        lw = bundle_lw = L.local_weight(chart)
+        bundle_lw = L.local_weight(chart)
         for c in cells(la):
             ch = _cell_char(chart, c.i, c.j, bundle_lw)
             acc[0] += ch[0]
@@ -142,7 +142,6 @@ def det_taut_weight(model: ToricSurface, fp: HilbFixedPoint, L: TLineBundle, r: 
             ch0 = _cell_char(chart, c.i, c.j, (0, 0))
             acc[0] += (r - 1) * ch0[0]
             acc[1] += (r - 1) * ch0[1]
-        del lw
     return (acc[0], acc[1])
 
 

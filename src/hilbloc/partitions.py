@@ -22,16 +22,6 @@ class Cell(NamedTuple):
     leg: int
 
 
-def is_partition(parts) -> bool:
-    return all(
-        isinstance(p, int) and p > 0 for p in parts
-    ) and all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
-
-
-def size(la: Partition) -> int:
-    return sum(la)
-
-
 @lru_cache(maxsize=None)
 def enumerate_partitions(n: int) -> tuple:
     """All partitions of n, in reverse lexicographic order.
@@ -89,10 +79,6 @@ def cells(la: Partition) -> list:
             leg = sum(1 for rr in la[i + 1:] if rr > j)
             out.append(Cell(i, j, arm, leg))
     return out
-
-
-def partition_to_json(la: Partition) -> list:
-    return list(la)
 
 
 def partition_key(la: Partition) -> str:

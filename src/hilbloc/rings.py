@@ -75,11 +75,6 @@ class Poly:
                 names.add(v)
         return sorted(names)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in m) for m in self.terms)
-
     def coefficient_map(self, name: str):
         """For a univariate polynomial in `name`, return {exponent: Fraction}."""
         out = {}
@@ -225,7 +220,6 @@ def gauss_solve(matrix, rhs):
     b = list(rhs)
     if any(len(row) != n for row in m) or len(b) != n:
         raise ValueError("gauss_solve requires a square system")
-    perm = list(range(n))
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
@@ -241,7 +235,6 @@ def gauss_solve(matrix, rhs):
                 f = m[r][col]
                 m[r] = [a - f * c for a, c in zip(m[r], m[col])]
                 b[r] = b[r] - f * b[col]
-    del perm
     return b
 
 

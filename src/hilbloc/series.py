@@ -354,11 +354,3 @@ def coeff_to_json(c):
         name = c.variables()[0]
         return {str(e): format_fraction(v) for e, v in c.coefficient_map(name).items()}
     return format_fraction(c)
-
-
-def series_to_json(s: TruncSeries) -> dict:
-    return {
-        "var": s.var,
-        "order": s.order,
-        "coeffs": [coeff_to_json(c) for c in s.coeffs],
-    }

@@ -14,7 +14,6 @@ from fractions import Fraction
 from .cobordism import hilb_series
 from .genera import (
     chi_y_hilb,
-    chi_y_surface,
     genus_eval,
     genus_series,
     phi_nk_closed_form,
@@ -30,7 +29,7 @@ from .localization import (
 )
 from .partitions import enumerate_partitions
 from .rings import Poly
-from .series import fg_series, geometric, solve_v
+from .series import fg_series, solve_v
 from .toric import blowup, o_bundle, p2, p1xp1
 from .universal import chi_from_genfun, chi_taut, cohomology_genfun, fit_AB, universal_chern_poly
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hilbloc
 from hilbloc.cli import main
 
 
@@ -52,6 +57,10 @@ def test_twist_series_unverified_marker(capsys):
 def test_chi(capsys):
     payload = run_json(capsys, "chi", "--surface", "p2", "--n", "3", "--k", "2", "--r", "1")
     assert payload["chi"] == "20"
+    # --k on P1xP1 is a bidegree: h0(O(1,2)) = 2 * 3
+    payload = run_json(capsys, "chi", "--surface", "p1xp1", "--n", "1", "--k", "1,2")
+    assert payload["bundle"] == [1, 2, 0, 0]
+    assert payload["chi"] == "6"
 
 
 def test_chi_bundle_ray_coeffs(capsys):
@@ -98,3 +107,27 @@ def test_missing_bundle(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["chi", "--surface", "p2", "--n", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series-id", "--a", "1", "--y", "1/0"],
+        ["series-id", "--a", "1", "--y", "half"],
+        ["chi", "--surface", "p2", "--n", "1", "--k", "1,2,3,4,5"],
+        ["chi", "--surface", "p2", "--n", "1", "--k", "1,2"],
+        ["chi", "--surface", "p1xp1", "--n", "1", "--k", "1"],
+        ["chi", "--surface", "blowup:p2:0", "--n", "1", "--k", "1"],
+        ["chi", "--surface", "p2", "--n", "1", "--k", "one"],
+        ["chi", "--surface", "p2", "--n", "1", "--bundle", "1,2"],
+    ],
+)
+def test_input_errors_exit_2(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(hilbloc.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbloc.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+    assert proc.stdout == ""

@@ -6,13 +6,44 @@ from hilbloc.cobordism import (
     ChernVector,
     CobordismSeries,
     cp_product_class,
+    from_beta,
     from_cp_basis,
     hilb_series,
     multiply,
     product_series,
+    to_beta,
     to_cp_basis,
 )
-from hilbloc.partitions import enumerate_partitions
+from hilbloc.partitions import enumerate_partitions, merge
+from hilbloc.rings import Poly
+
+U = Poly.var("u")
+
+
+def _cp_multiply(x, y):
+    """The product through the CP-monomial basis: the reference route."""
+    out = {}
+    for mu, a in to_cp_basis(x).items():
+        for nu, b in to_cp_basis(y).items():
+            key = merge(mu, nu)
+            out[key] = out.get(key, Fraction(0)) + a * b
+    return from_cp_basis(x.dim + y.dim, out)
+
+
+def _cp_product_series(x, y):
+    order = min(x.order, y.order)
+    terms = []
+    for n in range(order + 1):
+        acc = _cp_multiply(x.term(0), y.term(n))
+        for i in range(1, n + 1):
+            acc = acc + _cp_multiply(x.term(i), y.term(n - i))
+        terms.append(acc)
+    return CobordismSeries(order, tuple(terms))
+
+
+def _class(d, value):
+    """A class of dimension d whose i-th Chern number is value(i)."""
+    return ChernVector.from_dict(d, {la: value(i) for i, la in enumerate(enumerate_partitions(d))})
 
 
 def test_cp2_chern_numbers():
@@ -36,11 +67,15 @@ def test_cp3_chern_numbers():
 
 
 def test_basis_roundtrip():
-    for d in (2, 4, 6):
-        x = ChernVector.from_dict(
-            d, {la: Fraction(i + 1, 3) for i, la in enumerate(enumerate_partitions(d))}
-        )
-        assert from_cp_basis(d, to_cp_basis(x)) == x
+    for d in (0, 2, 4, 6, 8):
+        numeric = _class(d, lambda i: Fraction(i + 1, 3))
+        symbolic = _class(d, lambda i: (i - 2) * U + Fraction(1, i + 1))
+        for x in (numeric, symbolic):
+            assert from_beta(d, to_beta(x)) == x
+            if d <= 6:
+                assert from_cp_basis(d, to_cp_basis(x)) == x
+    # b_mu = integral p_mu / aut(mu): p_2 = c1^2 - 2 c2 = 3 and p_1^2 / 2! = 9/2 on CP2
+    assert to_beta(cp_product_class((2,))) == {(2,): 3, (1, 1): Fraction(9, 2)}
 
 
 def test_multiply_is_product_of_manifolds():
@@ -48,6 +83,11 @@ def test_multiply_is_product_of_manifolds():
     assert multiply(cp2, cp2) == cp_product_class((2, 2))
     cp1 = cp_product_class((1, 1))
     assert multiply(cp2, cp1) == cp_product_class((2, 1, 1))
+    cp3 = cp_product_class((3,))
+    assert multiply(cp3, cp1) == cp_product_class((3, 1, 1))
+    x = _class(4, lambda i: i * U - 1)
+    for a, b in ((cp2, cp3), (cp1, x), (x, _class(2, lambda i: Fraction(i - 1, 7)))):
+        assert multiply(a, b) == _cp_multiply(a, b)
 
 
 def test_multiply_point():
@@ -65,9 +105,22 @@ def _toy_series(order):
 def test_hilb_series_unit_coefficients():
     h1 = _toy_series(3)
     h2 = product_series(h1, h1)
+    assert h2 == _cp_product_series(h1, h1)
     # exp(1*log h1 + 0*log h2) = h1
     assert hilb_series(1, 0, 3, h1, h2).terms == h1.terms
     assert hilb_series(0, 1, 3, h1, h2).terms == h2.terms
+    # exp(2 log h1 + log h2) = h1^4 through the CP basis; a = -1 inverts h1
+    h4 = _cp_product_series(h2, h2)
+    assert hilb_series(2, 1, 3, h1, h2) == h4
+    zeros = tuple(_class(2 * n, lambda i: 0) for n in (1, 2, 3))
+    one = CobordismSeries(3, (ChernVector.point(1),) + zeros)
+    assert _cp_product_series(hilb_series(-1, 0, 3, h1, h2), h1) == one
+    # Poly exponents specialize to the numeric ones
+    a, b = Poly.var("a"), Poly.var("b")
+    symbolic = hilb_series(a, b, 3, h1, h2)
+    for t, want in zip(symbolic.terms, h4.terms):
+        got = {la: Poly.coerce(v).substitute({"a": 2, "b": 1}) for la, v in t.numbers}
+        assert got == want.as_dict()
 
 
 def test_series_dimension_validation():

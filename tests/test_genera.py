@@ -73,6 +73,25 @@ def test_multiplicative_sequence_todd_surface():
     assert k[(2,)] == Fraction(1, 12)
 
 
+def test_multiplicative_sequence_hirzebruch_d4():
+    # L_2 = (7 p_2 - p_1^2)/45 with p_1 = c1^2 - 2 c2, p_2 = c2^2 - 2 c1 c3 + 2 c4
+    assert multiplicative_sequence(signature_genus(4), 4) == {
+        (4,): Fraction(14, 45),
+        (3, 1): Fraction(-14, 45),
+        (2, 2): Fraction(3, 45),
+        (2, 1, 1): Fraction(4, 45),
+        (1, 1, 1, 1): Fraction(-1, 45),
+    }
+    # td_2 = (-c4 + c3 c1 + 3 c2^2 + 4 c2 c1^2 - c1^4)/720
+    assert multiplicative_sequence(todd_genus(4), 4) == {
+        (4,): Fraction(-1, 720),
+        (3, 1): Fraction(1, 720),
+        (2, 2): Fraction(3, 720),
+        (2, 1, 1): Fraction(4, 720),
+        (1, 1, 1, 1): Fraction(-1, 720),
+    }
+
+
 def test_betti_n1_is_surface():
     assert betti_hilb_model("P2", 1) == [1, 1, 1]
     assert betti_hilb_model("P1xP1", 1) == [1, 2, 1]

@@ -49,6 +49,26 @@ def test_universal_k3_values():
     assert vals[(2, 2)] == 828
 
 
+def _goettsche(euler, order):
+    """Coefficients of prod_k (1 - q^k)^(-euler) through q^order."""
+    c = [1] + [0] * order
+    for k in range(1, order + 1):
+        for _ in range(euler):
+            for i in range(k, order + 1):
+                c[i] += c[i - k]
+    return c
+
+
+def test_universal_top_chern_is_goettsche():
+    surfaces = ((0, 24), (9, 3), (8, 4))
+    want = {c2: _goettsche(c2, 6) for _, c2 in surfaces}
+    assert want[24][2:] == [324, 3200, 25650, 176256, 1073720]
+    for n in range(1, 7):
+        tab = universal_chern_poly(n)
+        for c1sq, c2 in surfaces:
+            assert tab.evaluate(c1sq, c2)[(2 * n,)] == want[c2][n]
+
+
 def test_fit_ab_trivial_ranks():
     for r in (-1, 0, 1):
         pair = fit_AB(r, 3)
