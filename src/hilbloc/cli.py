@@ -2,7 +2,8 @@
 
 Every subcommand prints deterministic JSON (schema 1) with exact
 rationals serialized as "p/q" strings, or CSV with --csv.  Exit codes:
-0 success, 2 invalid arguments, 3 internal inconsistency detected.
+0 success, 2 invalid arguments, 3 internal inconsistency detected;
+`verify` exits 1 when one of its checks fails.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .universal import FitError, fit_AB, universal_chern_poly
 
 LONG_N_MAX = 7
 SHORT_N_MAX = 5
+TWIST_ORDER_MAX = 10  # twist-series --order 10 --long: about 15 s of CPU time
+SERIES_ORDER_MAX = 60  # series-id: about 2 s at --order 60 --a 100
+SERIES_A_MAX = 100
 
 
 def _poly_json(poly: Poly) -> dict:
@@ -169,6 +173,8 @@ def cmd_chi(args, parser):
 def cmd_twist_series(args, parser):
     if args.order < 2:
         parser.error("order must be >= 2")
+    if args.order > TWIST_ORDER_MAX:
+        parser.error(f"order > {TWIST_ORDER_MAX} is not supported")
     if args.order > LONG_N_MAX and not args.long:
         parser.error(f"order > {LONG_N_MAX} requires --long")
     pair = fit_AB(args.r, args.order)
@@ -200,9 +206,10 @@ def _genus_by_name(name: str, degree: int, parser):
     if name.startswith("phi:"):
         try:
             _, nn, kk = name.split(":")
-            return phi_nk_genus(int(nn), int(kk), degree)
+            level, k = int(nn), int(kk)
         except ValueError:
             parser.error("phi genus spec must be phi:N:k")
+        return phi_nk_genus(level, k, degree)
     parser.error(f"unknown genus {name!r} (todd, euler, signature, phi:N:k, chi_y)")
 
 
@@ -239,8 +246,10 @@ def cmd_genus(args, parser):
 
 def cmd_series_id(args, parser):
     """Check the f/g series identities for one (a, y) at the given order."""
-    if args.a < 0:
-        parser.error("a must be non-negative")
+    if not 0 <= args.a <= SERIES_A_MAX:
+        parser.error(f"--a must be in 0..{SERIES_A_MAX}")
+    if not 1 <= args.order <= SERIES_ORDER_MAX:
+        parser.error(f"--order must be in 1..{SERIES_ORDER_MAX}")
     try:
         y = Fraction(args.y)
     except (ValueError, ZeroDivisionError):
@@ -318,8 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("twist-series", help="fitted log A_r and B_r")
     sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--order", type=int, required=True)
-    sp.add_argument("--long", action="store_true")
+    sp.add_argument(
+        "--order", type=int, required=True,
+        help=f"2..{TWIST_ORDER_MAX}; above {LONG_N_MAX} needs --long (order {TWIST_ORDER_MAX}: about 15 s)",
+    )
+    sp.add_argument("--long", action="store_true", help=f"enable order {LONG_N_MAX + 1}..{TWIST_ORDER_MAX}")
     sp.add_argument("--csv", action="store_true")
     sp.set_defaults(fn=cmd_twist_series)
 
@@ -332,13 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_genus)
 
     sp = sub.add_parser("series-id", help="verify the f/g power-series identities")
-    sp.add_argument("--a", type=int, required=True)
+    sp.add_argument("--a", type=int, required=True, help=f"0..{SERIES_A_MAX}")
     sp.add_argument("--y", type=str, default="1")
-    sp.add_argument("--order", type=int, default=30)
+    sp.add_argument("--order", type=int, default=30, help=f"1..{SERIES_ORDER_MAX}")
     sp.add_argument("--csv", action="store_true")
     sp.set_defaults(fn=cmd_series_id)
 
-    sp = sub.add_parser("verify", help="run the acceptance suite")
+    sp = sub.add_parser("verify", help="run the acceptance suite (exit 1 if a check fails)")
     sp.add_argument("--profile", choices=("quick", "standard", "long"), default="quick")
     sp.set_defaults(fn=cmd_verify)
 

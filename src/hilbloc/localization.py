@@ -10,6 +10,10 @@ Characters stay symbolic (integer pairs) until they are specialized
 along a generic one-parameter subgroup (a, b); every public computation
 is performed for two members of a deterministic 1-PS ladder and the two
 exact results must agree.
+
+The integrand at a point is built from power sums of its weight multisets
+(see "integrand" below), so `chi_via_RR_family` serves several
+determinant twists from one pass over the fixed points.
 """
 
 from __future__ import annotations
@@ -179,64 +183,30 @@ def _specialize(char, spec) -> int:
     return char[0] * spec[0] + char[1] * spec[1]
 
 
-# -- epsilon-graded series helpers (plain lists of Fractions) ----------------------
-
-
-def _eps_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j in range(min(len(b), order + 1 - i)):
-            if b[j]:
-                out[i + j] += x * b[j]
-    return out
-
-
-def _eps_inv(a, order):
-    if a[0] == 0:
-        raise ZeroDivisionError("non-unit total class")
-    inv0 = Fraction(1) / a[0]
-    out = [inv0] + [Fraction(0)] * order
-    for k in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(1, min(k, len(a) - 1) + 1):
-            acc += a[i] * out[k - i]
-        out[k] = -inv0 * acc
-    return out
-
-
-def _eps_exp_weight(w, order):
-    out, acc = [], Fraction(1)
-    for k in range(order + 1):
-        out.append(acc / factorial(k))
-        acc = acc * w
-    return out
-
-
-@lru_cache(maxsize=None)
-def _todd_coeffs(order: int):
-    return todd_series("x", order).coeffs
-
-
-def _total_chern(weights, order):
-    """Total Chern class of a virtual weight multiset, as an eps-series."""
-    num = [Fraction(1)] + [Fraction(0)] * order
-    den = [Fraction(1)] + [Fraction(0)] * order
-    for w, mult in weights:
-        lin = [Fraction(1), Fraction(w)]
-        tgt = num if mult > 0 else den
-        for _ in range(abs(mult)):
-            tgt2 = _eps_mul(tgt, lin, order)
-            if mult > 0:
-                num = tgt2
-            else:
-                den = tgt2
-            tgt = tgt2
-    return _eps_mul(num, _eps_inv(den, order), order)
+def _power_sums(weights, order):
+    """[p_0, ..., p_order] with p_k = sum m w^k over (w, m) pairs."""
+    p = [0] * (order + 1)
+    for w, m in weights:
+        x = m
+        for k in range(order + 1):
+            p[k] += x
+            x *= w
+    return p
 
 
 # -- integrand ---------------------------------------------------------------------
+#
+# Every factor of the integrand at a fixed point is a function of the power
+# sums p_k = sum m w^k of a weight multiset (Hirzebruch's universal-genus
+# viewpoint, as in `cobordism`):
+#   prod_i Q(t_i eps) = Q(0)^{2n} exp(sum_k s_k p_k(t) eps^k),  log(Q/Q(0)) = sum s_k x^k,
+#   c(X) = exp(sum_k (-1)^(k-1) p_k(X) eps^k / k)   (virtual X too),
+#   ch(X) = sum_k p_k(X) eps^k / k!,
+# and a factor e^{w eps} only enters the final eps^{2n} coefficient, as the
+# dot product sum_j body[2n - j] w^j / j!.
+
+
+_UNIT_POLY = ((Fraction(1), ()),)
 
 
 @dataclass(frozen=True)
@@ -245,7 +215,7 @@ class Integrand:
     the Todd class of the tangent bundle, exp of a determinant weight,
     a Chern character factor, and/or a multiplicative tangent class."""
 
-    poly: tuple = ((Fraction(1), ()),)  # sum of (coeff, ((bundle_name, degree), ...))
+    poly: tuple = _UNIT_POLY  # sum of (coeff, ((bundle_name, degree), ...))
     bundles: tuple = ()  # ((name, TautClass-or-"tangent"), ...)
     todd: bool = False
     exp_det: tuple | None = None  # (TLineBundle, r)
@@ -264,84 +234,100 @@ class Integrand:
         return Integrand(todd=True, exp_det=(L, r), ch_bundle=ch_of)
 
 
-def _point_value(model, n, fp, integrand, spec):
+def _tangent_log(integrand, order):
+    """(Q(0)^order, (s_0, ..., s_order)) with log(Q/Q(0)) = sum s_k x^k, for Q
+    the Todd series times the tangent class; (1, None) if there is neither."""
+    q = todd_series("x", order) if integrand.todd else None
+    if integrand.tangent_class is not None:
+        if integrand.tangent_class.order < order:
+            raise ValueError("tangent characteristic series truncated below 2n")
+        tc = integrand.tangent_class.truncate(order)
+        q = tc if q is None else q * tc
+    if q is None:
+        return Fraction(1), None
+    if q[0] == 0:
+        raise ValueError("tangent characteristic series needs Q(0) != 0")
+    return Fraction(q[0]) ** order, (q * (1 / Fraction(q[0]))).log().coeffs
+
+
+def _point_values(model, n, fp, integrand, tangent_log, spec, dets):
+    """The residues at fp of the integrand times e^{c1(L_n (x) E^r)}, one per
+    (L, r) in dets (an entry None means no determinant factor)."""
     order = 2 * n
-    tchars = tangent_weights(model, fp)
-    tvals = [_specialize(c, spec) for c in tchars]
+    tvals = [_specialize(c, spec) for c in tangent_weights(model, fp)]
     if any(v == 0 for v in tvals):
         raise ConsistencyError("1-PS specialization hit a zero tangent weight")
     denom = 1
     for v in tvals:
         denom *= v
+    scale, s = tangent_log
 
-    # polynomial part
-    bundle_map = dict(integrand.bundles)
-    chern_cache = {}
+    def power_sums(src):
+        if src == "tangent":
+            return _power_sums([(v, 1) for v in tvals], order)
+        return _power_sums([(_specialize(c, spec), m) for c, m in taut_weights(model, fp, src)], order)
 
-    def chern_of(name, deg):
-        if name not in chern_cache:
-            src = bundle_map[name]
-            if src == "tangent":
-                ws = [(v, 1) for v in tvals]
-            else:
-                ws = [(_specialize(c, spec), m) for c, m in taut_weights(model, fp, src)]
-            chern_cache[name] = _total_chern(ws, order)
-        return chern_cache[name][deg] if deg <= order else Fraction(0)
+    def eps_series(coeffs):
+        return TruncSeries("eps", order, coeffs)
 
-    series = [Fraction(0)] * (order + 1)
-    for coeff, monos in integrand.poly:
-        deg = sum(d for _, d in monos)
-        if deg > order:
-            continue
-        val = Fraction(coeff)
-        for name, d in monos:
-            val *= chern_of(name, d)
-            if not val:
-                break
-        series[deg] += val
-
-    if integrand.todd:
-        td = _todd_coeffs(order)
-        for t in tvals:
-            fac, acc = [], 1
-            for k in range(order + 1):
-                fac.append(td[k] * acc)
-                acc *= t
-            series = _eps_mul(series, fac, order)
-    if integrand.tangent_class is not None:
-        q = integrand.tangent_class
-        if q.order < order:
-            raise ValueError("tangent characteristic series truncated below 2n")
-        for t in tvals:
-            fac, acc = [], 1
-            for k in range(order + 1):
-                fac.append(q.coeffs[k] * acc)
-                acc *= t
-            series = _eps_mul(series, fac, order)
-    if integrand.exp_det is not None:
-        L, r = integrand.exp_det
-        w = _specialize(det_taut_weight(model, fp, L, r), spec)
-        series = _eps_mul(series, _eps_exp_weight(w, order), order)
+    factors = []
+    if integrand.poly != _UNIT_POLY:
+        chern = {}
+        for name, src in integrand.bundles:
+            p = power_sums(src)
+            log_c = [Fraction((-1) ** (k - 1) * p[k], k) for k in range(1, order + 1)]
+            chern[name] = eps_series([0] + log_c).exp()
+        poly = [Fraction(0)] * (order + 1)
+        for coeff, monos in integrand.poly:
+            deg = sum(d for _, d in monos)
+            if deg <= order:
+                val = Fraction(coeff)
+                for name, d in monos:
+                    val *= chern[name][d]
+                poly[deg] += val
+        factors.append(eps_series(poly))
     if integrand.ch_bundle is not None:
-        ws = [
-            (_specialize(c, spec), m)
-            for c, m in taut_weights(model, fp, integrand.ch_bundle)
-        ]
-        ch = [Fraction(0)] * (order + 1)
-        for w, m in ws:
-            e = _eps_exp_weight(w, order)
-            for k in range(order + 1):
-                ch[k] += m * e[k]
-        series = _eps_mul(series, ch, order)
+        p = power_sums(integrand.ch_bundle)
+        factors.append(eps_series([Fraction(p[k], factorial(k)) for k in range(order + 1)]))
+    if s is not None:
+        p = power_sums("tangent")
+        factors.append(eps_series([0] + [s[k] * p[k] for k in range(1, order + 1)]).exp())
+    body = factors[0] if factors else eps_series([1])
+    for f in factors[1:]:
+        body = body * f
 
-    return Fraction(series[order], denom)
+    unit = scale / denom
+    out = []
+    for det in dets:
+        top = body[order]
+        if det is not None:
+            w = _specialize(det_taut_weight(model, fp, *det), spec)
+            top = sum(body[order - j] * Fraction(w**j, factorial(j)) for j in range(order + 1))
+        out.append(top * unit)
+    return out
 
 
-def _integrate_spec(model, n, integrand, spec):
-    acc = Fraction(0)
+def _integrate_spec(model, n, integrand, spec, dets):
+    tangent_log = _tangent_log(integrand, 2 * n)
+    acc = [Fraction(0)] * len(dets)
     for fp in enumerate_fixed_points(model, n):
-        acc += _point_value(model, n, fp, integrand, spec)
+        for i, v in enumerate(_point_values(model, n, fp, integrand, tangent_log, spec, dets)):
+            acc[i] += v
     return acc
+
+
+def _integrate_family(model, n, integrand, dets, ladder):
+    """One pass over the fixed points per specialization for all of dets;
+    each value keeps its own two-specialization check."""
+    specs = one_ps_ladder(model, n, ladder)
+    v1 = _integrate_spec(model, n, integrand, specs[0], dets)
+    v2 = _integrate_spec(model, n, integrand, specs[1], dets)
+    for a, b in zip(v1, v2):
+        if a != b:
+            raise ConsistencyError(
+                f"specializations {specs[0]} and {specs[1]} disagree: {a} vs {b}"
+            )
+    return v1
 
 
 def integrate(model: ToricSurface, n: int, integrand: Integrand, ladder: str = "xi") -> Fraction:
@@ -350,14 +336,7 @@ def integrate(model: ToricSurface, n: int, integrand: Integrand, ladder: str = "
     The sum is evaluated at the first two members of the chosen 1-PS
     ladder; disagreement raises ConsistencyError.
     """
-    specs = one_ps_ladder(model, n, ladder)
-    v1 = _integrate_spec(model, n, integrand, specs[0])
-    v2 = _integrate_spec(model, n, integrand, specs[1])
-    if v1 != v2:
-        raise ConsistencyError(
-            f"specializations {specs[0]} and {specs[1]} disagree: {v1} vs {v2}"
-        )
-    return v1
+    return _integrate_family(model, n, integrand, (integrand.exp_det,), ladder)[0]
 
 
 # -- Chern numbers of Hilb^n -----------------------------------------------------
@@ -459,3 +438,10 @@ def chi_via_RR(
     """chi(L_n (x) E^r) (or with an extra ch(F^[n]) factor) by equivariant
     Riemann-Roch: the Bott integral of td(T) exp(c1) [ch]."""
     return integrate(model, n, Integrand.riemann_roch(L, r, ch_of), ladder)
+
+
+def chi_via_RR_family(model: ToricSurface, n: int, bundles, r: int, ladder: str = "xi") -> list:
+    """[chi(L_n (x) E^r) for L in bundles], from one pass over the fixed
+    points per specialization: the Todd series is built once per point and
+    each L costs one dot product."""
+    return _integrate_family(model, n, Integrand(todd=True), tuple((L, r) for L in bundles), ladder)

@@ -177,12 +177,13 @@ class TruncSeries:
         if self.coeffs[0] != 0:
             raise ValueError("exp requires zero constant term")
         n = self.order
+        kc = [k * c for k, c in enumerate(self.coeffs)]
         out = [_coerce(1)] + [Fraction(0)] * n
         for m in range(1, n + 1):
             acc = Fraction(0)
             for k in range(1, m + 1):
-                if self.coeffs[k]:
-                    acc = acc + k * self.coeffs[k] * out[m - k]
+                if kc[k]:
+                    acc = acc + kc[k] * out[m - k]
             out[m] = acc / m
         return TruncSeries(self.var, n, out)
 

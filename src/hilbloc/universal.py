@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cobordism import CobordismSeries, hilb_series
-from .localization import Integrand, TautClass, chi_via_RR, hilb_cobordism_series, integrate
+from .localization import Integrand, TautClass, chi_via_RR_family, hilb_cobordism_series, integrate
 from .partitions import enumerate_partitions
 from .rings import Poly, binomial, gauss_solve
 from .series import TruncSeries, fg_series
@@ -80,13 +80,13 @@ class TwistSeriesPair:
         return self.log_a.exp()
 
 
-def chi_twist_series(k: int, r: int, order: int, ladder: str = "xi") -> TruncSeries:
-    """sum_n chi((kH)_n (x) E^r) z^n on P2, by localization."""
+def chi_twist_series(ks, r: int, order: int, ladder: str = "xi") -> dict:
+    """k -> sum_n chi((kH)_n (x) E^r) z^n on P2 for each k in ks, by
+    localization, with one pass over the fixed points per n for all k."""
     model = p2()
-    L = o_bundle(model, k)
-    return TruncSeries(
-        "z", order, [chi_via_RR(model, n, L, r, ladder=ladder) for n in range(order + 1)]
-    )
+    bundles = [o_bundle(model, k) for k in ks]
+    cols = [chi_via_RR_family(model, n, bundles, r, ladder) for n in range(order + 1)]
+    return {k: TruncSeries("z", order, [col[i] for col in cols]) for i, k in enumerate(ks)}
 
 
 def fit_AB(r: int, order: int, chi_data: dict | None = None, ladder: str = "xi") -> TwistSeriesPair:
@@ -98,7 +98,7 @@ def fit_AB(r: int, order: int, chi_data: dict | None = None, ladder: str = "xi")
     On P2: chi(O_S) = 1, K^2 = 9, KL = -3k, chi(O(k)) = (k+1)(k+2)/2.
     """
     if chi_data is None:
-        chi_data = {k: chi_twist_series(k, r, order, ladder) for k in (0, 1, 2)}
+        chi_data = chi_twist_series((0, 1, 2), r, order, ladder)
     ks = sorted(chi_data)
     if len(ks) < 2:
         raise ValueError("need at least two k values")

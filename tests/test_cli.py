@@ -120,14 +120,46 @@ def test_missing_bundle(capsys):
         ["chi", "--surface", "blowup:p2:0", "--n", "1", "--k", "1"],
         ["chi", "--surface", "p2", "--n", "1", "--k", "one"],
         ["chi", "--surface", "p2", "--n", "1", "--bundle", "1,2"],
+        ["series-id", "--a", "1", "--order", "0"],
+        ["series-id", "--a", "1", "--order", "61"],
+        ["series-id", "--a", "101"],
+        ["series-id", "--a", "-1"],
+        ["twist-series", "--r", "2", "--order", "11", "--long"],
+        ["genus", "--genus", "phi:2:5", "--k3", "--n", "2"],
+        ["genus", "--genus", "phi:2", "--k3", "--n", "2"],
     ],
 )
 def test_input_errors_exit_2(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(hilbloc.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hilbloc.cli", *argv], capture_output=True, text=True, env=env
-    )
+    proc = run_cli(argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
     assert proc.stdout == ""
+
+
+def run_cli(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(hilbloc.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "hilbloc.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["genus", "--genus", "phi:2:5", "--k3", "--n", "2"], "require 0 <= k <= N"),
+        (["genus", "--genus", "phi:2", "--k3", "--n", "2"], "phi genus spec must be phi:N:k"),
+        (["series-id", "--a", "1", "--order", "0"], "--order must be in 1..60"),
+        (["series-id", "--a", "101"], "--a must be in 0..100"),
+        (["twist-series", "--r", "2", "--order", "11", "--long"], "order > 10 is not supported"),
+    ],
+)
+def test_input_error_messages(argv, message):
+    proc = run_cli(argv)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+
+
+def test_series_id_order_one(capsys):
+    payload = run_json(capsys, "series-id", "--a", "1", "--order", "1")
+    assert payload["holds"] is True

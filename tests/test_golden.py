@@ -1,0 +1,48 @@
+"""End-to-end golden outputs: the exact stdout bytes of documented CLI calls.
+
+The expected files in `tests/golden/` were written by the CLI before the
+power-sum integrand evaluator replaced the epsilon-multiplication chain, so
+they pin the byte-identical output of every rewrite of the engine.  Each
+entry is `<name>.json` with the argv below; regenerating one means running
+`python -m hilbloc.cli <argv> > tests/golden/<name>.json` on a build whose
+output is already trusted.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hilbloc
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# every README CLI line except `verify`, plus the twist-series workload sizes
+GOLDEN = {
+    "chern_p2_n4": ["chern", "--surface", "p2", "--n", "4"],
+    "chern_blowup_n6": ["chern", "--surface", "blowup:p2:0", "--n", "6", "--long"],
+    "universal_n3": ["universal", "--n", "3"],
+    "chi_p2_n3_k2_r1": ["chi", "--surface", "p2", "--n", "3", "--k", "2", "--r", "1"],
+    "twist_r2_o5": ["twist-series", "--r", "2", "--order", "5"],
+    "betti_p2_n4": ["betti", "--model", "P2", "--n", "4"],
+    "genus_phi21_k3_n5": ["genus", "--genus", "phi:2:1", "--k3", "--n", "5"],
+    "series_id_a3": ["series-id", "--a", "3", "--y", "5/2", "--order", "30"],
+    "twist_r2_o6_long": ["twist-series", "--r", "2", "--order", "6", "--long"],
+    "twist_rm2_o6_long": ["twist-series", "--r", "-2", "--order", "6", "--long"],
+    "twist_r3_o5": ["twist-series", "--r", "3", "--order", "5"],
+    "twist_rm3_o5": ["twist-series", "--r", "-3", "--order", "5"],
+    "chi_p1xp1_n3_k12_r2": ["chi", "--surface", "p1xp1", "--n", "3", "--k", "1,2", "--r", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_stdout(name):
+    env = dict(os.environ, PYTHONPATH=str(Path(hilbloc.__file__).parents[1]))
+    env.pop("HILBLOC_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbloc.cli", *GOLDEN[name]], capture_output=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN_DIR / f"{name}.json").read_bytes()

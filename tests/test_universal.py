@@ -89,7 +89,7 @@ def test_fit_ab_symmetry():
 
 
 def test_fit_ab_rejects_corrupt_data():
-    data = {k: chi_twist_series(k, 2, 3) for k in (0, 1, 2)}
+    data = chi_twist_series((0, 1, 2), 2, 3)
     bad = data[2]
     data[2] = TruncSeries("z", 3, [bad[0], bad[1], bad[2] + 1, bad[3]])
     with pytest.raises(FitError):
@@ -184,7 +184,7 @@ def test_five_series_expdet_matches_twist_fit():
         (s * Fraction(g) for s, g in zip(series, gam)),
         TruncSeries.zero("z", order),
     ).exp()
-    assert pred == chi_twist_series(1, r, order)
+    assert pred == chi_twist_series((1,), r, order)[1]
 
 
 def test_five_series_bad_psi():
