@@ -33,8 +33,9 @@ from .universal import FitError, fit_AB, universal_chern_poly
 LONG_N_MAX = 7
 SHORT_N_MAX = 5
 TWIST_ORDER_MAX = 10  # twist-series --order 10 --long: about 15 s of CPU time
-SERIES_ORDER_MAX = 60  # series-id: about 2 s at --order 60 --a 100
+SERIES_ORDER_MAX = 60  # series-id: about 3 s at --order 60 --a 100 with a 40-digit p/q
 SERIES_A_MAX = 100
+SERIES_Y_DIGITS = 40  # digits of each of p and q in series-id --y p/q
 
 
 def _poly_json(poly: Poly) -> dict:
@@ -251,9 +252,13 @@ def cmd_series_id(args, parser):
     if not 1 <= args.order <= SERIES_ORDER_MAX:
         parser.error(f"--order must be in 1..{SERIES_ORDER_MAX}")
     try:
+        if "e" in args.y.lower():  # unparsed: Fraction("1e999999999") builds 10**999999999
+            raise ValueError
         y = Fraction(args.y)
     except (ValueError, ZeroDivisionError):
         parser.error(f"--y must be a rational number p or p/q, got {args.y!r}")
+    if max(abs(y.numerator), y.denominator) >= 10**SERIES_Y_DIGITS:
+        parser.error(f"--y numerator and denominator must have at most {SERIES_Y_DIGITS} digits")
     a, order = args.a, args.order
     v = solve_v(a, order)
     f0 = fg_series("f", 0, a, order)
@@ -345,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("series-id", help="verify the f/g power-series identities")
     sp.add_argument("--a", type=int, required=True, help=f"0..{SERIES_A_MAX}")
-    sp.add_argument("--y", type=str, default="1")
+    sp.add_argument("--y", default="1", help=f"p or p/q, at most {SERIES_Y_DIGITS} digits each")
     sp.add_argument("--order", type=int, default=30, help=f"1..{SERIES_ORDER_MAX}")
     sp.add_argument("--csv", action="store_true")
     sp.set_defaults(fn=cmd_series_id)

@@ -14,16 +14,20 @@ exact results must agree.
 The integrand at a point is built from power sums of its weight multisets
 (see "integrand" below), so `chi_via_RR_family` serves several
 determinant twists from one pass over the fixed points.
+
+Chern numbers take one pass over the fixed points for both
+specializations.  Each specialization keeps integer numerators
+prod_{p in la} e_p(t) over one running common denominator, the lcm of the
+point denominators prod t seen so far, and builds one Fraction per la at
+the end.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
 from .cobordism import ChernVector, CobordismSeries
 from .partitions import cells, enumerate_partitions
@@ -134,19 +138,20 @@ def det_taut_weight(model: ToricSurface, fp: HilbFixedPoint, L: TLineBundle, r: 
     """The c1-weight of L_n (x) E^r at fp.
 
     det(F^[n]) = det(F)_n (x) E^{rk F} with E = det(O^[n]) gives
-    weight(L_n (x) E^r) = sum weights(L^[n]) + (r-1) * sum weights(O^[n]).
+    weight(L_n (x) E^r) = sum weights(L^[n]) + (r-1) * sum weights(O^[n])
+                        = sum_charts |la| lw(L) + r * sum weights(O^[n]),
+    and the cells (i, j) of la contribute -(sum i) w1 - (sum j) w2 to the
+    O^[n] sum, with sum i = sum_i i la_i and sum j = sum_i binom(la_i, 2).
     """
-    acc = [0, 0]
+    acc0 = acc1 = 0
     for chart, la in zip(model.charts, fp.assignment):
-        bundle_lw = L.local_weight(chart)
-        for c in cells(la):
-            ch = _cell_char(chart, c.i, c.j, bundle_lw)
-            acc[0] += ch[0]
-            acc[1] += ch[1]
-            ch0 = _cell_char(chart, c.i, c.j, (0, 0))
-            acc[0] += (r - 1) * ch0[0]
-            acc[1] += (r - 1) * ch0[1]
-    return (acc[0], acc[1])
+        lw = L.local_weight(chart)
+        si = sum(i * row for i, row in enumerate(la))
+        sj = sum(row * (row - 1) // 2 for row in la)
+        size = sum(la)
+        acc0 += size * lw[0] - r * (si * chart.w1[0] + sj * chart.w2[0])
+        acc1 += size * lw[1] - r * (si * chart.w1[1] + sj * chart.w2[1])
+    return (acc0, acc1)
 
 
 # -- 1-PS ladders ---------------------------------------------------------------
@@ -342,78 +347,66 @@ def integrate(model: ToricSurface, n: int, integrand: Integrand, ladder: str = "
 # -- Chern numbers of Hilb^n -----------------------------------------------------
 
 
-def _elementary_symmetric(values, top):
-    e = [1] + [0] * top
-    for v in values:
-        for k in range(min(top, len(e) - 1), 0, -1):
-            e[k] = e[k] + v * e[k - 1]
+def _elementary_symmetric(values):
+    e = [1] + [0] * len(values)
+    for m, v in enumerate(values, 1):
+        for k in range(m, 0, -1):
+            e[k] += v * e[k - 1]
     return e
 
 
-def _chern_point_contrib(model, n, fp, lams, spec):
-    tvals = [_specialize(c, spec) for c in tangent_weights(model, fp)]
-    if any(v == 0 for v in tvals):
-        raise ConsistencyError("1-PS specialization hit a zero tangent weight")
-    denom = 1
-    for v in tvals:
-        denom *= v
-    e = _elementary_symmetric(tvals, 2 * n)
-    out = {}
-    for la in lams:
-        prod = 1
-        for p in la:
-            prod *= e[p]
-            if not prod:
-                break
-        out[la] = Fraction(prod, denom)
-    return out
+class _ChernSum:
+    """sum over fixed points of prod_{p in la} e_p(t) / prod t for every la,
+    kept as integer numerators over one running common denominator."""
 
+    def __init__(self, lams):
+        self.lams = lams
+        self.acc = [0] * len(lams)
+        self.den = 1  # positive lcm of the point denominators seen so far
 
-def _chern_numbers_spec(model, n, spec, points=None):
-    lams = enumerate_partitions(2 * n)
-    acc = {la: Fraction(0) for la in lams}
-    for fp in points if points is not None else enumerate_fixed_points(model, n):
-        contrib = _chern_point_contrib(model, n, fp, lams, spec)
-        for la in lams:
-            acc[la] += contrib[la]
-    return acc
+    def add(self, tvals):
+        d = 1
+        for v in tvals:
+            d *= v
+        up = abs(d) // gcd(self.den, d)
+        if up != 1:
+            self.acc = [a * up for a in self.acc]
+            self.den *= up
+        scale = self.den // d
+        e = _elementary_symmetric(tvals)
+        acc = self.acc
+        for i, la in enumerate(self.lams):
+            x = scale
+            for p in la:
+                x *= e[p]
+                if not x:
+                    break
+            acc[i] += x
 
-
-def _chunk_worker(args):
-    model, n, spec, chunk = args
-    return _chern_numbers_spec(model, n, spec, points=chunk)
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("HILBLOC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _chern_numbers_parallel(model, n, spec):
-    workers = _worker_count()
-    points = enumerate_fixed_points(model, n)
-    if workers == 1 or len(points) < 4 * workers:
-        return _chern_numbers_spec(model, n, spec, points=points)
-    chunks = [points[i::workers] for i in range(workers)]
-    lams = enumerate_partitions(2 * n)
-    acc = {la: Fraction(0) for la in lams}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_chunk_worker, [(model, n, spec, c) for c in chunks]):
-            for la in lams:
-                acc[la] += part[la]
-    return acc
+    def values(self) -> dict:
+        return {la: Fraction(a, self.den) for la, a in zip(self.lams, self.acc)}
 
 
 @lru_cache(maxsize=None)
 def chern_numbers_hilb(model: ToricSurface, n: int, ladder: str = "xi") -> ChernVector:
-    """All Chern numbers c_la(Hilb^n(S)), la a partition of 2n, exact."""
+    """All Chern numbers c_la(Hilb^n(S)), la a partition of 2n, exact.
+
+    One pass over the fixed points feeds the sums of both specializations;
+    the two are independent until they are compared at the end.
+    """
     if n == 0:
         return ChernVector.point(1)
-    specs = one_ps_ladder(model, n, ladder)
-    v1 = _chern_numbers_parallel(model, n, specs[0])
-    v2 = _chern_numbers_parallel(model, n, specs[1])
+    specs = one_ps_ladder(model, n, ladder)[:2]
+    lams = enumerate_partitions(2 * n)
+    sums = [_ChernSum(lams) for _ in specs]
+    for fp in enumerate_fixed_points(model, n):
+        chars = tangent_weights(model, fp)
+        for spec, total in zip(specs, sums):
+            tvals = [_specialize(c, spec) for c in chars]
+            if 0 in tvals:
+                raise ConsistencyError("1-PS specialization hit a zero tangent weight")
+            total.add(tvals)
+    v1, v2 = (total.values() for total in sums)
     if v1 != v2:
         raise ConsistencyError("Chern-number specializations disagree")
     return ChernVector.from_dict(2 * n, v1)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hilbloc
 from hilbloc.cli import main
@@ -127,6 +131,9 @@ def test_missing_bundle(capsys):
         ["twist-series", "--r", "2", "--order", "11", "--long"],
         ["genus", "--genus", "phi:2:5", "--k3", "--n", "2"],
         ["genus", "--genus", "phi:2", "--k3", "--n", "2"],
+        ["series-id", "--a", "1", "--y", "9" * 41],
+        ["series-id", "--a", "1", "--y", "1/" + "7" * 41],
+        ["series-id", "--a", "1", "--y", "1e999999999"],
     ],
 )
 def test_input_errors_exit_2(argv):
@@ -152,6 +159,7 @@ def run_cli(argv):
         (["series-id", "--a", "1", "--order", "0"], "--order must be in 1..60"),
         (["series-id", "--a", "101"], "--a must be in 0..100"),
         (["twist-series", "--r", "2", "--order", "11", "--long"], "order > 10 is not supported"),
+        (["series-id", "--a", "1", "--y", "9" * 41], "at most 40 digits"),
     ],
 )
 def test_input_error_messages(argv, message):
@@ -163,3 +171,87 @@ def test_input_error_messages(argv, message):
 def test_series_id_order_one(capsys):
     payload = run_json(capsys, "series-id", "--a", "1", "--order", "1")
     assert payload["holds"] is True
+
+
+def test_series_id_y_at_digit_bound(capsys):
+    y = "1" + "0" * 39 + "/" + "3" * 40  # in lowest terms
+    payload = run_json(capsys, "series-id", "--a", "1", "--order", "3", "--y", y)
+    assert payload["y"] == y
+
+
+# argv over every subcommand: cheap sizes (n <= 2, order <= 3) mixed with
+# malformed values.  `verify` only gets malformed arguments: a valid profile
+# runs the acceptance suite for seconds and prints a text report.  A value
+# listed twice is drawn twice as often.
+SURFACES = st.sampled_from(["p2", "p1xp1", "blowup:p2:0", "p2", "p1xp1", "blowup:p2:9", "p5", ""])
+SMALL_INT = st.sampled_from(["0", "1", "2", "0", "1", "2", "-1", "x", "1.5", "99"])
+Y = st.sampled_from(["-3", "0", "1", "5/2", "-1/3", "2.5", "1/0", "half", "1e5", "", "9" * 41])
+FLAGS = st.lists(
+    st.sampled_from(["--csv", "--long", "--ladder=eta", "--ladder=xi", "--ladder=zeta", "--bogus"]),
+    max_size=2,
+)
+GENERA = st.sampled_from(["todd", "euler", "signature", "phi:2:1", "phi:2:5", "phi:x", "chi_y", "a"])
+
+
+def _req(flag, values):
+    return values.map(lambda v: [f"{flag}={v}"])
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), _req(flag, values))
+
+
+ARGV = st.one_of(
+    *[
+        st.tuples(st.just([cmd]), *opts).map(lambda parts: [t for part in parts for t in part])
+        for cmd, *opts in [
+            ("chern", _req("--surface", SURFACES), _req("--n", SMALL_INT), FLAGS),
+            ("universal", _req("--n", SMALL_INT), FLAGS),
+            ("betti", _req("--model", st.sampled_from(["P2", "P1xP1", "K3"])), _req("--n", SMALL_INT), FLAGS),
+            (
+                "chi",
+                _req("--surface", SURFACES),
+                _req("--n", SMALL_INT),
+                _opt("--k", st.sampled_from(["1", "1,2", "-1", "one", "1,2,3,4,5"])),
+                _opt("--bundle", st.sampled_from(["1,0,0", "2,1,0,0", "1,2", "a,b"])),
+                _opt("--r", SMALL_INT),
+                FLAGS,
+            ),
+            (
+                "twist-series",
+                _req("--r", SMALL_INT),
+                _req("--order", st.sampled_from(["2", "3", "2", "3", "0", "11", "x"])),
+                st.sampled_from([[], ["--csv"], ["--long"], ["--bogus"]]),
+            ),
+            (
+                "genus",
+                _req("--genus", GENERA),
+                st.sampled_from([["--k3"], ["--surface=p2"], ["--model=P2"], ["--model=K3"], []]),
+                _req("--n", SMALL_INT),
+                FLAGS,
+            ),
+            (
+                "series-id",
+                _req("--a", st.sampled_from(["0", "2", "0", "2", "-1", "101", "a"])),
+                _opt("--y", Y),
+                _opt("--order", st.sampled_from(["1", "3", "1", "3", "-1", "0", "61", "x"])),
+                st.sampled_from([[], ["--csv"], ["--bogus"]]),
+            ),
+            ("verify", _req("--profile", st.sampled_from(["", "QUICK", "fast"]))),
+        ]
+    ]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARGV)
+def test_cli_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3) or (code == 1 and argv[0] == "verify"), (code, err.getvalue())
+    if code == 0 and "--csv" not in argv:
+        assert json.loads(out.getvalue())["schema"] == 1

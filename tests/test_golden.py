@@ -1,8 +1,10 @@
 """End-to-end golden outputs: the exact stdout bytes of documented CLI calls.
 
 The expected files in `tests/golden/` were written by the CLI before the
-power-sum integrand evaluator replaced the epsilon-multiplication chain, so
-they pin the byte-identical output of every rewrite of the engine.  Each
+power-sum integrand evaluator replaced the epsilon-multiplication chain
+(the `chern_*_n7_long` files: before the Chern-number sum moved to integer
+numerators over a common denominator), so they pin the byte-identical
+output of every rewrite of the engine.  Each
 entry is `<name>.json` with the argv below; regenerating one means running
 `python -m hilbloc.cli <argv> > tests/golden/<name>.json` on a build whose
 output is already trusted.
@@ -19,7 +21,7 @@ import hilbloc
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-# every README CLI line except `verify`, plus the twist-series workload sizes
+# every README CLI line except `verify`, plus the twist-series and chern workload sizes
 GOLDEN = {
     "chern_p2_n4": ["chern", "--surface", "p2", "--n", "4"],
     "chern_blowup_n6": ["chern", "--surface", "blowup:p2:0", "--n", "6", "--long"],
@@ -34,13 +36,15 @@ GOLDEN = {
     "twist_r3_o5": ["twist-series", "--r", "3", "--order", "5"],
     "twist_rm3_o5": ["twist-series", "--r", "-3", "--order", "5"],
     "chi_p1xp1_n3_k12_r2": ["chi", "--surface", "p1xp1", "--n", "3", "--k", "1,2", "--r", "2"],
+    "chern_p2_n7_long": ["chern", "--surface", "p2", "--n", "7", "--long"],
+    "chern_p1xp1_n7_long": ["chern", "--surface", "p1xp1", "--n", "7", "--long"],
+    "chern_blowup_p2_1_n7_long": ["chern", "--surface", "blowup:p2:0", "--n", "7", "--long"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_stdout(name):
     env = dict(os.environ, PYTHONPATH=str(Path(hilbloc.__file__).parents[1]))
-    env.pop("HILBLOC_THREADS", None)
     proc = subprocess.run(
         [sys.executable, "-m", "hilbloc.cli", *GOLDEN[name]], capture_output=True, env=env
     )

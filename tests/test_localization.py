@@ -118,15 +118,90 @@ def test_p1xp1_factor_swap_symmetry():
         assert chern_numbers_hilb(swapped, n) == chern_numbers_hilb(p1xp1(), n)
 
 
-def test_parallel_workers_agree(monkeypatch):
-    m = p2()
-    base = chern_numbers_hilb(m, 3)
-    monkeypatch.setenv("HILBLOC_THREADS", "2")
+MODELS = {"p2": p2(), "p1xp1": p1xp1(), "blowup:p2:0": blowup(p2(), 0)}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_chern_numbers_match_integrand_evaluator(name):
+    # the power-sum integrand evaluator is a separate code path
+    model = MODELS[name]
+    for n in (1, 2, 3):
+        vec = chern_numbers_hilb(model, n)
+        for la, value in vec.numbers:
+            assert value == integrate(model, n, Integrand.chern_monomial(la)), (n, la)
+
+
+def goettsche_euler(e, n):
+    """The q^n coefficient of prod_k (1 - q^k)^(-e)."""
+    series = [1] + [0] * n
+    for k in range(1, n + 1):
+        for _ in range(e):
+            for m in range(k, n + 1):
+                series[m] += series[m - k]
+    return series[n]
+
+
+@pytest.mark.parametrize("name, euler", [("p2", 3), ("p1xp1", 4), ("blowup:p2:0", 4)])
+def test_top_chern_number_is_goettsche(name, euler):
+    for n in range(1, 8):
+        assert chern_numbers_hilb(MODELS[name], n).value((2 * n,)) == goettsche_euler(euler, n)
+
+
+def test_chern_gate_catches_a_perturbed_second_sum(monkeypatch):
+    import hilbloc.localization as loc
+
+    sums = []  # in order of first use: the first specialization's, then the second's
+    add = loc._ChernSum.add
+
+    def perturbed_add(self, tvals):
+        if self not in sums:
+            sums.append(self)
+        if len(sums) == 2 and self is sums[1]:
+            tvals = [2 * tvals[0], *tvals[1:]]
+        add(self, tvals)
+
+    monkeypatch.setattr(loc._ChernSum, "add", perturbed_add)
     chern_numbers_hilb.cache_clear()
     try:
-        assert chern_numbers_hilb(m, 3) == base
+        with pytest.raises(ConsistencyError, match="disagree"):
+            chern_numbers_hilb(p2(), 3)
     finally:
         chern_numbers_hilb.cache_clear()
+
+
+def test_chern_gate_catches_a_zero_tangent_weight(monkeypatch):
+    import hilbloc.localization as loc
+
+    # (1, 1) kills the character (1, -1) of P2's tangent space at n = 1
+    m = p2()
+    assert (1, -1) in [c for fp in enumerate_fixed_points(m, 1) for c in tangent_weights(m, fp)]
+    monkeypatch.setattr(loc, "one_ps_ladder", lambda model, n, ladder: [(1, 1), (1, 2)])
+    chern_numbers_hilb.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="zero tangent weight"):
+            chern_numbers_hilb(m, 1)
+    finally:
+        chern_numbers_hilb.cache_clear()
+
+
+def test_det_taut_weight_is_the_cell_sum():
+    # weight(L_n (x) E^r) = sum weights(L^[n]) + (r - 1) sum weights(O^[n])
+    def weight_sum(model, fp, line):
+        pairs = taut_weights(model, fp, TautClass(((line, 1),)))
+        return tuple(sum(m * w[i] for w, m in pairs) for i in (0, 1))
+
+    for model in MODELS.values():
+        rays = len(model.rays)
+        o = line_bundle(model, [0] * rays)
+        bundles = [o, line_bundle(model, range(1, rays + 1)), line_bundle(model, [3, -2] + [0] * (rays - 2))]
+        for n in (1, 2, 3):
+            for fp in enumerate_fixed_points(model, n):
+                o_sum = weight_sum(model, fp, o)
+                for L in bundles:
+                    l_sum = weight_sum(model, fp, L)
+                    for r in (-2, 0, 1, 3):
+                        expected = tuple(l_sum[i] + (r - 1) * o_sum[i] for i in (0, 1))
+                        assert det_taut_weight(model, fp, L, r) == expected
 
 
 def test_taut_class_rank():
