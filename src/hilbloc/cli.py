@@ -301,16 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hilbloc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, n_flag=True):
-        if n_flag:
-            sp.add_argument("--n", type=int, required=True)
+    def common(sp, ladder=False):
+        sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--long", action="store_true", help="enable n = 6, 7")
         sp.add_argument("--csv", action="store_true")
-        sp.add_argument("--ladder", choices=("xi", "eta"), default="xi")
+        if ladder:
+            sp.add_argument("--ladder", choices=("xi", "eta"), default="xi", help="1-PS ladder of the residue sum")
 
     sp = sub.add_parser("chern", help="Chern numbers of Hilb^n over a toric model")
     sp.add_argument("--surface", required=True)
-    common(sp)
+    common(sp, ladder=True)
     sp.set_defaults(fn=cmd_chern)
 
     sp = sub.add_parser("universal", help="universal polynomials P_la(c1^2, c2)")
@@ -324,10 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("chi", help="chi(L_n (x) E^r) by localization")
     sp.add_argument("--surface", required=True)
-    sp.add_argument("--k", type=str, default=None, help="degree(s) of O(k) / O(k1,k2)")
-    sp.add_argument("--bundle", type=str, default=None, help="comma-separated ray coefficients")
+    bundle = sp.add_mutually_exclusive_group()
+    bundle.add_argument("--k", type=str, default=None, help="degree(s) of O(k) / O(k1,k2)")
+    bundle.add_argument("--bundle", type=str, default=None, help="comma-separated ray coefficients")
     sp.add_argument("--r", type=int, default=0)
-    common(sp)
+    common(sp, ladder=True)
     sp.set_defaults(fn=cmd_chi)
 
     sp = sub.add_parser("twist-series", help="fitted log A_r and B_r")
@@ -342,9 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("genus", help="genus values of Hilb^n terms")
     sp.add_argument("--genus", required=True, help="todd | euler | signature | phi:N:k | chi_y")
-    sp.add_argument("--surface", default=None)
-    sp.add_argument("--model", default=None, help="P2 | P1xP1 (for chi_y)")
-    sp.add_argument("--k3", action="store_true", help="use the K3 cobordism class")
+    where = sp.add_mutually_exclusive_group()
+    where.add_argument("--surface", default=None, help="toric model, e.g. p2 or blowup:p2:0")
+    where.add_argument("--model", default=None, help="P2 | P1xP1 (for chi_y)")
+    where.add_argument("--k3", action="store_true", help="use the K3 cobordism class")
     common(sp)
     sp.set_defaults(fn=cmd_genus)
 

@@ -2,22 +2,22 @@
 
 A class of complex dimension d is stored as the map {partitions of d} -> Q
 of its Chern numbers c_la = integral of c_la1 c_la2 ... (TM).  Ring
-arithmetic runs in power-sum coordinates
+arithmetic runs on its power-sum polynomial (`to_beta`)
 
-    b_mu = integral of p_mu(TM) / aut(mu),   mu a partition of d,
+    sum_mu b_mu beta_mu1 beta_mu2 ...,   b_mu = integral of p_mu(TM) / aut(mu),
 
-where p_k is the k-th power sum of the Chern roots and aut(mu) is the
-product of the factorials of the part multiplicities.  Then b_mu is the
-coefficient of beta_mu1 beta_mu2 ... in the integral of
-exp(sum_k beta_k p_k), so a product of classes is the product of
-polynomials in the beta_k (concatenate monomials) and a genus with
-log Q(x) = sum_k s_k x^k is the substitution beta_k = s_k (Hirzebruch,
-Topological Methods in Algebraic Geometry, Sections 1-4).
+a `Poly` in the variables beta1, beta2, ... (p_k is the k-th power sum of
+the Chern roots, aut(mu) the product of the factorials of the part
+multiplicities).  This is the integral of exp(sum_k beta_k p_k), so the
+product of classes is the product of their polynomials, a series of
+classes is a `TruncSeries` of them, and a genus with log Q(x) =
+sum_k s_k x^k is the substitution beta_k = s_k (Hirzebruch, Topological
+Methods in Algebraic Geometry, Sections 1-4).
 
 The basis of projective-space monomials CP^{m_1} x ... x CP^{m_k}
 (`cp_product_class`, `basis_matrix`, `to_cp_basis`, `from_cp_basis`) is
-kept as an independent reference: the tests compare the power-sum ring
-against it, and no computation here goes through it.
+kept as an independent reference for the tests; no computation here
+goes through it.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from math import factorial
 
 from .partitions import enumerate_partitions, merge
 from .rings import Poly, gauss_solve
+from .series import TruncSeries
 
 
 @dataclass(frozen=True)
@@ -264,43 +265,56 @@ def _from_beta_table(d: int) -> tuple:
     )
 
 
-def to_beta(x: ChernVector) -> dict:
-    """Power-sum coordinates {mu: b_mu} of a class."""
-    if x.dim == 0:
-        return {(): x.scalar()}
+def beta_var(k: int) -> str:
+    """The name of the power-sum variable beta_k in a `to_beta` polynomial."""
+    return f"beta{k}"
+
+
+@lru_cache(maxsize=None)
+def _beta_monomial(mu) -> tuple:
+    """beta_mu1 beta_mu2 ... as a Poly monomial."""
+    return tuple(sorted((beta_var(k), mu.count(k)) for k in set(mu)))
+
+
+def to_beta(x: ChernVector) -> Poly:
+    """The power-sum polynomial sum_mu b_mu beta_mu1 beta_mu2 ... of a class.
+
+    Chern numbers that are Polys in parameters (c1sq, c2, y, ...) keep
+    those variables next to the beta_k.
+    """
     c = x.as_dict()
-    out = {}
+    terms = {}
     for mu, row in to_beta_table(x.dim):
-        acc = Fraction(0)
-        for la, t in row:
-            if c[la]:
-                acc = acc + c[la] * t
-        out[mu] = acc
-    return out
+        b_mu = sum((c[la] * t for la, t in row if c[la]), Fraction(0))
+        for mono, v in Poly.coerce(b_mu).terms.items():
+            terms[tuple(sorted(mono + _beta_monomial(mu)))] = v
+    return Poly(terms)
 
 
-def from_beta(d: int, coeffs: dict) -> ChernVector:
-    """The class of dimension d with power-sum coordinates coeffs."""
-    if d == 0:
-        return ChernVector.point(coeffs.get((), Fraction(0)))
-    numbers = {}
-    for la, row in _from_beta_table(d):
-        acc = Fraction(0)
-        for mu, t in row:
-            b = coeffs.get(mu)
-            if b:
-                acc = acc + b * t
-        numbers[la] = acc
+def from_beta(d: int, b) -> ChernVector:
+    """The class of dimension d whose power-sum polynomial is b; variables
+    other than beta1, ..., beta<d> stay in its Chern numbers."""
+    index = {beta_var(k): k for k in range(1, d + 1)}
+    split = {}  # mu -> terms of the coefficient of beta_mu
+    for mono, c in Poly.coerce(b).terms.items():
+        mu = tuple(sorted((index[v] for v, e in mono if v in index for _ in range(e)), reverse=True))
+        if sum(mu) != d:
+            raise ValueError(f"monomial {mono} has beta-degree {sum(mu)}, expected {d}")
+        split.setdefault(mu, {})[tuple(m for m in mono if m[0] not in index)] = c
+    coeffs = {}
+    for mu, terms in split.items():
+        p = Poly(terms)
+        coeffs[mu] = p.as_fraction() if p.is_constant() else p
+    numbers = {
+        la: sum((coeffs[mu] * t for mu, t in row if mu in coeffs), Fraction(0))
+        for la, row in _from_beta_table(d)
+    }
     return ChernVector.from_dict(d, numbers)
 
 
 def multiply(x: ChernVector, y: ChernVector) -> ChernVector:
-    """Ring product: multiply the power-sum polynomials."""
-    if x.dim == 0:
-        return y.scale(x.scalar())
-    if y.dim == 0:
-        return x.scale(y.scalar())
-    return from_beta(x.dim + y.dim, _mul_into({}, to_beta(x), to_beta(y)))
+    """Ring product: the product of the power-sum polynomials."""
+    return from_beta(x.dim + y.dim, to_beta(x) * to_beta(y))
 
 
 # -- graded series over the cobordism ring ----------------------------------------
@@ -323,65 +337,13 @@ class CobordismSeries:
     def term(self, n: int) -> ChernVector:
         return self.terms[n]
 
+    def to_beta(self, order: int) -> TruncSeries:
+        """The z-series of the power-sum polynomials of terms 0..order."""
+        return TruncSeries("z", order, [to_beta(t) for t in self.terms[: order + 1]])
 
-def _series_to_basis(s: CobordismSeries):
-    """Term-wise power-sum coordinates: list of dicts {partition of 2n: b_mu}."""
-    return [to_beta(t) for t in s.terms]
-
-
-def _basis_conv(a, b, order):
-    out = [dict() for _ in range(order + 1)]
-    for i, ai in enumerate(a[: order + 1]):
-        for j, bj in enumerate(b[: order + 1 - i]):
-            _mul_into(out[i + j], ai, bj)
-    return out
-
-
-def _basis_scale(a, c):
-    return [{mu: v * c for mu, v in t.items()} for t in a]
-
-
-def _basis_add(a, b):
-    out = []
-    for ta, tb in zip(a, b):
-        t = dict(ta)
-        for mu, v in tb.items():
-            t[mu] = t.get(mu, Fraction(0)) + v
-        out.append(t)
-    return out
-
-
-def _basis_log(a, order):
-    """log of basis-coordinate series with unit term 0."""
-    u0 = a[0].get((), None)
-    if u0 != 1:
-        raise ValueError("log requires unit constant term")
-    l = [dict(t) for t in a]
-    l[0] = {}
-    out = [dict() for _ in range(order + 1)]
-    power = [{(): Fraction(1)}] + [dict() for _ in range(order)]
-    sign = Fraction(1)
-    for k in range(1, order + 1):
-        power = _basis_conv(power, l, order)
-        out = _basis_add(out, _basis_scale(power, sign / k))
-        sign = -sign
-    return out
-
-
-def _basis_exp(a, order):
-    if a[0]:
-        raise ValueError("exp requires zero constant term")
-    out = [{(): Fraction(1)}] + [dict() for _ in range(order)]
-    power = [{(): Fraction(1)}] + [dict() for _ in range(order)]
-    for k in range(1, order + 1):
-        power = _basis_conv(power, a, order)
-        out = _basis_add(out, _basis_scale(power, Fraction(1, factorial(k))))
-    return out
-
-
-def _series_from_basis(coords) -> CobordismSeries:
-    terms = [from_beta(2 * n, t) for n, t in enumerate(coords)]
-    return CobordismSeries(len(coords) - 1, tuple(terms))
+    @staticmethod
+    def from_beta(s: TruncSeries) -> "CobordismSeries":
+        return CobordismSeries(s.order, tuple(from_beta(2 * n, c) for n, c in enumerate(s.coeffs)))
 
 
 def hilb_series(a, b, order: int, h_p2: CobordismSeries, h_p1xp1: CobordismSeries) -> CobordismSeries:
@@ -392,15 +354,11 @@ def hilb_series(a, b, order: int, h_p2: CobordismSeries, h_p1xp1: CobordismSerie
     """
     if h_p2.order < order or h_p1xp1.order < order:
         raise ValueError("model data truncated below requested order")
-    l1 = _basis_log(_series_to_basis(h_p2)[: order + 1], order)
-    l2 = _basis_log(_series_to_basis(h_p1xp1)[: order + 1], order)
-    combined = _basis_add(_basis_scale(l1, _val(a)), _basis_scale(l2, _val(b)))
-    return _series_from_basis(_basis_exp(combined, order))
+    log_p2 = h_p2.to_beta(order).log()
+    log_p1xp1 = h_p1xp1.to_beta(order).log()
+    return CobordismSeries.from_beta((log_p2 * a + log_p1xp1 * b).exp())
 
 
 def product_series(x: CobordismSeries, y: CobordismSeries) -> CobordismSeries:
     order = min(x.order, y.order)
-    conv = _basis_conv(
-        _series_to_basis(x)[: order + 1], _series_to_basis(y)[: order + 1], order
-    )
-    return _series_from_basis(conv)
+    return CobordismSeries.from_beta(x.to_beta(order) * y.to_beta(order))

@@ -1,11 +1,11 @@
 """Genera as ring homomorphisms from the cobordism ring.
 
 A genus is given by its characteristic power series Q(x) with Q(0) = 1.
-With log Q(x) = sum_k s_k x^k, the genus of a class with power-sum
-coordinates b_mu (see `cobordism`) is sum_mu b_mu s_mu1 s_mu2 ..., and
-the multiplicative sequence comes from the same table of power sums in
-Chern classes; no root-finding is involved.  Coefficients may be
-polynomials in parameters (y).
+With log Q(x) = sum_k s_k x^k, the genus of a class is its power-sum
+polynomial (`cobordism.to_beta`) at beta_k = s_k, and the multiplicative
+sequence comes from the same table of power sums in Chern classes; no
+root-finding is involved.  Coefficients may be polynomials in parameters
+(y).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
 
-from .cobordism import ChernVector, CobordismSeries, to_beta, to_beta_table
+from .cobordism import ChernVector, CobordismSeries, beta_var, to_beta, to_beta_table
 from .partitions import count_partitions, count_with_parts, enumerate_partitions
 from .rings import Poly
 from .series import TruncSeries, exp_series, geometric, partition_product, todd_series
@@ -138,16 +138,11 @@ def multiplicative_sequence(genus: GenusSpec, d: int):
 
 
 def genus_eval(genus: GenusSpec, x: ChernVector):
-    """The genus of a cobordism class: sum_mu b_mu s_mu1 s_mu2 ...."""
-    if x.dim == 0:
-        return x.scalar()
+    """The genus of a cobordism class: its power-sum polynomial at beta_k = s_k."""
     if x.dim > genus.degree:
         raise ValueError("genus characteristic series truncated below d")
-    acc = Fraction(0)
-    for mu, b in to_beta(x).items():
-        if b:
-            acc = acc + b * genus.s_monomial(mu)
-    return acc
+    s = genus.log_coeffs
+    return to_beta(x)(**{beta_var(k): s[k] for k in range(1, x.dim + 1)})
 
 
 def genus_series(genus: GenusSpec, h: CobordismSeries, var: str = "t") -> TruncSeries:

@@ -159,13 +159,24 @@ def det_taut_weight(model: ToricSurface, fp: HilbFixedPoint, L: TLineBundle, r: 
 
 @lru_cache(maxsize=None)
 def _char_bound(model: ToricSurface, n: int):
+    """1 + the largest |a1| over tangent characters with a2 != 0, and 1 + the
+    largest |a2| over those with a1 != 0, at all fixed points of Hilb^n.
+
+    A cell with arm a and leg l has a + l < n, and every such (a, l) occurs
+    in some chart (a hook of size a + l + 1), so the bound walks the pairs
+    (a, l) per chart instead of the fixed points.
+    """
     b1 = b2 = 1
-    for fp in enumerate_fixed_points(model, n):
-        for a1, a2 in tangent_weights(model, fp):
-            if a2 != 0:
-                b1 = max(b1, abs(a1))
-            if a1 != 0:
-                b2 = max(b2, abs(a2))
+    for chart in model.charts:
+        w1, w2 = chart.w1, chart.w2
+        for a in range(n):
+            for l in range(n - a):
+                for x, y in ((l + 1, -a), (-l, a + 1)):
+                    a1, a2 = x * w1[0] + y * w2[0], x * w1[1] + y * w2[1]
+                    if a2 != 0:
+                        b1 = max(b1, abs(a1))
+                    if a1 != 0:
+                        b2 = max(b2, abs(a2))
     return b1 + 1, b2 + 1
 
 

@@ -11,7 +11,6 @@ from fractions import Fraction
 from math import factorial
 
 from .rings import Poly, binomial
-from .partitions import count_with_parts
 
 
 def _coerce(c):
@@ -328,19 +327,6 @@ def partition_product(factors, order: int) -> TruncSeries:
             for _ in range(m):
                 out = out * factor
     return out
-
-
-def partition_double_sum(eps: int, order: int) -> TruncSeries:
-    """sum_{n,r} p(n,r) y^{n+eps*r} z^n, the oracle form of partition_product."""
-    coeffs = []
-    for n in range(order + 1):
-        acc = Poly.const(0)
-        for r in range(n + 1):
-            c = count_with_parts(n, r)
-            if c:
-                acc = acc + c * Poly.var("y", n + eps * r)
-        coeffs.append(acc)
-    return TruncSeries("z", order, coeffs)
 
 
 # -- serialization -----------------------------------------------------------------

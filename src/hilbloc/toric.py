@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 
 Vec = tuple  # (int, int) character / lattice vector
@@ -45,8 +46,10 @@ class ToricSurface:
                     f"rays {v}, {w} do not span a smooth positively-oriented cone"
                 )
 
-    @property
+    @cached_property
     def charts(self) -> tuple:
+        """Built once per surface; not a field, so equality and hash see
+        only name and rays."""
         out = []
         n = len(self.rays)
         for i in range(n):

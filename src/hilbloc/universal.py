@@ -284,35 +284,11 @@ def _psi_phi_integrand(model, x: TautClass, psi: str, phi_q: TruncSeries, n: int
             exp_det=(TLineBundle(model, tuple(det_l)), x.rank),
             tangent_class=phi_q,
         )
-    # total Chern or Segre class of x^[n] as a polynomial in its Chern classes
-    top = 2 * n
-    if psi == "chern":
-        poly = tuple(
-            (Fraction(1), (("X", d),) if d else ()) for d in range(top + 1)
-        )
-    else:
-        poly = _segre_poly(top)
+    # the total Chern class of x^[n], or of -x^[n] for the Segre class: c(-X) = s(X)
+    if psi == "segre":
+        x = TautClass(tuple((b, -m) for b, m in x.line_bundles), -x.trivial)
+    poly = tuple((Fraction(1), (("X", d),) if d else ()) for d in range(2 * n + 1))
     return Integrand(poly=poly, bundles=(("X", x),), tangent_class=phi_q)
-
-
-def _segre_poly(top: int):
-    """The total Segre class 1/(1 + c1 + c2 + ...) as (coeff, monomial)
-    pairs in the Chern classes of the bundle named 'X'."""
-    # formal inversion: s_0 = 1, s_d = -sum_{i>=1} c_i s_{d-i}
-    s = [dict() for _ in range(top + 1)]
-    s[0] = {(): Fraction(1)}
-    for d in range(1, top + 1):
-        acc = {}
-        for i in range(1, d + 1):
-            for mono, c in s[d - i].items():
-                key = tuple(sorted(mono + (i,), reverse=True))
-                acc[key] = acc.get(key, Fraction(0)) - c
-        s[d] = acc
-    poly = []
-    for d in range(top + 1):
-        for mono, c in s[d].items():
-            poly.append((c, tuple(("X", i) for i in mono)))
-    return tuple(poly)
 
 
 def fit_five_series(psi: str, phi_q: TruncSeries, r: int, order: int,

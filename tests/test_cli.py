@@ -134,6 +134,13 @@ def test_missing_bundle(capsys):
         ["series-id", "--a", "1", "--y", "9" * 41],
         ["series-id", "--a", "1", "--y", "1/" + "7" * 41],
         ["series-id", "--a", "1", "--y", "1e999999999"],
+        ["universal", "--n", "2", "--ladder", "eta"],
+        ["betti", "--model", "P2", "--n", "2", "--ladder", "eta"],
+        ["genus", "--genus", "todd", "--k3", "--n", "2", "--ladder", "eta"],
+        ["genus", "--genus", "euler", "--surface", "p2", "--k3", "--n", "2"],
+        ["genus", "--genus", "chi_y", "--model", "P2", "--surface", "p1xp1", "--n", "2"],
+        ["genus", "--genus", "todd", "--model", "P2", "--k3", "--n", "2"],
+        ["chi", "--surface", "p2", "--n", "2", "--k", "5", "--bundle", "1,0,0"],
     ],
 )
 def test_input_errors_exit_2(argv):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hilbloc.localization import (
     ConsistencyError,
+    _char_bound,
     Integrand,
     TautClass,
     chern_numbers_hilb,
@@ -22,7 +23,7 @@ from hilbloc.localization import (
 from hilbloc.partitions import count_partitions, enumerate_partitions
 from hilbloc.series import TruncSeries, todd_series
 from hilbloc.toric import blowup, line_bundle, o_bundle, p1xp1, p2
-from hilbloc.universal import _segre_poly
+from hilbloc.universal import _reference_classes, h_psi_phi
 
 
 def fp_count(model, n):
@@ -324,6 +325,28 @@ def chain_integrate(model, n, integrand):
 
 
 MODELS = {"p2": p2(), "p1xp1": p1xp1(), "blowup:p2:0": blowup(p2(), 0)}
+
+
+def _segre_poly(top: int):
+    """The total Segre class 1/(1 + c1 + c2 + ...) as (coeff, monomial)
+    pairs in the Chern classes of the bundle named 'X'."""
+    # formal inversion: s_0 = 1, s_d = -sum_{i>=1} c_i s_{d-i}
+    s = [dict() for _ in range(top + 1)]
+    s[0] = {(): Fraction(1)}
+    for d in range(1, top + 1):
+        acc = {}
+        for i in range(1, d + 1):
+            for mono, c in s[d - i].items():
+                key = tuple(sorted(mono + (i,), reverse=True))
+                acc[key] = acc.get(key, Fraction(0)) - c
+        s[d] = acc
+    poly = []
+    for d in range(top + 1):
+        for mono, c in s[d].items():
+            poly.append((c, tuple(("X", i) for i in mono)))
+    return tuple(poly)
+
+
 small = st.integers(-2, 2)
 
 
@@ -379,3 +402,33 @@ def test_tangent_class_without_constant_term_is_rejected():
     q = TruncSeries("x", 4, [0, 1])
     with pytest.raises(ValueError):
         integrate(p2(), 2, Integrand(tangent_class=q))
+
+
+def test_segre_path_is_the_segre_polynomial():
+    # h_psi_phi takes the Segre class as c(-X); the oracle expands 1/c(X) in Chern classes
+    phi = TruncSeries("x", 6, [1, Fraction(1, 2), Fraction(-1, 3), 2, 0, Fraction(1, 5), -1])
+    for model, x in _reference_classes(2):
+        series = h_psi_phi(model, x, "segre", phi, 3)
+        for n in range(1, 4):
+            oracle = Integrand(poly=_segre_poly(2 * n), bundles=(("X", x),), tangent_class=phi)
+            assert series[n] == integrate(model, n, oracle)
+
+
+def _walked_char_bound(model, n):
+    """The ladder bound from every tangent character at every fixed point."""
+    b1 = b2 = 1
+    for fp in enumerate_fixed_points(model, n):
+        for a1, a2 in tangent_weights(model, fp):
+            if a2 != 0:
+                b1 = max(b1, abs(a1))
+            if a1 != 0:
+                b2 = max(b2, abs(a2))
+    return b1 + 1, b2 + 1
+
+
+def test_char_bound_matches_fixed_point_walk():
+    models = [p2(), p1xp1(), *(blowup(p2(), i) for i in range(3))]
+    models += [blowup(blowup(p2(), 0), 1), blowup(blowup(p1xp1(), 2), 0)]
+    for model in models:
+        for n in range(8):
+            assert _char_bound(model, n) == _walked_char_bound(model, n), (model.name, n)

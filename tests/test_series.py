@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hilbloc.partitions import count_with_parts
 from hilbloc.rings import Poly, binomial
 from hilbloc.series import (
     TruncSeries,
     exp_series,
     fg_series,
     geometric,
-    partition_double_sum,
     partition_product,
     solve_v,
     todd_series,
@@ -116,6 +116,19 @@ def test_fg_series_poly_parameter():
     # specializing the symbolic series matches the numeric one
     num = fg_series("g", Fraction(5, 2), 1, 3)
     assert g.substitute_params({"y": Fraction(5, 2)}) == num
+
+
+def partition_double_sum(eps: int, order: int) -> TruncSeries:
+    """sum_{n,r} p(n,r) y^{n+eps*r} z^n, the oracle form of partition_product."""
+    coeffs = []
+    for n in range(order + 1):
+        acc = Poly.const(0)
+        for r in range(n + 1):
+            c = count_with_parts(n, r)
+            if c:
+                acc = acc + c * Poly.var("y", n + eps * r)
+        coeffs.append(acc)
+    return TruncSeries("z", order, coeffs)
 
 
 def test_partition_product_matches_double_sum():
