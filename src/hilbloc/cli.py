@@ -32,10 +32,10 @@ from .universal import FitError, fit_AB, universal_chern_poly
 
 LONG_N_MAX = 7
 SHORT_N_MAX = 5
-TWIST_ORDER_MAX = 10  # twist-series --order 10 --long: about 15 s of CPU time
+TWIST_ORDER_MAX = 10  # twist-series --order 10 --long: about 2 s of CPU time, also with a 40-digit --r
 SERIES_ORDER_MAX = 60  # series-id: about 3 s at --order 60 --a 100 with a 40-digit p/q
 SERIES_A_MAX = 100
-SERIES_Y_DIGITS = 40  # digits of each of p and q in series-id --y p/q
+DIGITS_MAX = 40  # digits of --r, of each --k/--bundle entry, and of p and q in series-id --y
 
 
 def _poly_json(poly: Poly) -> dict:
@@ -70,11 +70,18 @@ def _check_n(n: int, long_mode: bool, parser: argparse.ArgumentParser):
 _K_DEGREES = {"p2": 1, "p1xp1": 2}
 
 
+def _check_digits(value: int, flag: str, parser) -> int:
+    if abs(value) >= 10**DIGITS_MAX:
+        parser.error(f"{flag} must have at most {DIGITS_MAX} digits")
+    return value
+
+
 def _int_list(text: str, flag: str, parser) -> list:
     try:
-        return [int(c) for c in text.split(",")]
+        values = [int(c) for c in text.split(",")]
     except ValueError:
         parser.error(f"{flag} must be comma-separated integers, got {text!r}")
+    return [_check_digits(v, f"each {flag} entry", parser) for v in values]
 
 
 def _bundle_from_args(model, args, parser):
@@ -153,6 +160,7 @@ def cmd_betti(args, parser):
 def cmd_chi(args, parser):
     model = build_model(args.surface)
     _check_n(args.n, args.long, parser)
+    _check_digits(args.r, "--r", parser)
     L = _bundle_from_args(model, args, parser)
     val = chi_via_RR(model, args.n, L, args.r, ladder=args.ladder)
     _emit(
@@ -178,6 +186,7 @@ def cmd_twist_series(args, parser):
         parser.error(f"order > {TWIST_ORDER_MAX} is not supported")
     if args.order > LONG_N_MAX and not args.long:
         parser.error(f"order > {LONG_N_MAX} requires --long")
+    _check_digits(args.r, "--r", parser)
     pair = fit_AB(args.r, args.order)
     payload = {
         "schema": 1,
@@ -257,8 +266,8 @@ def cmd_series_id(args, parser):
         y = Fraction(args.y)
     except (ValueError, ZeroDivisionError):
         parser.error(f"--y must be a rational number p or p/q, got {args.y!r}")
-    if max(abs(y.numerator), y.denominator) >= 10**SERIES_Y_DIGITS:
-        parser.error(f"--y numerator and denominator must have at most {SERIES_Y_DIGITS} digits")
+    if max(abs(y.numerator), y.denominator) >= 10**DIGITS_MAX:
+        parser.error(f"--y numerator and denominator must have at most {DIGITS_MAX} digits")
     a, order = args.a, args.order
     v = solve_v(a, order)
     f0 = fg_series("f", 0, a, order)
@@ -325,17 +334,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("chi", help="chi(L_n (x) E^r) by localization")
     sp.add_argument("--surface", required=True)
     bundle = sp.add_mutually_exclusive_group()
-    bundle.add_argument("--k", type=str, default=None, help="degree(s) of O(k) / O(k1,k2)")
-    bundle.add_argument("--bundle", type=str, default=None, help="comma-separated ray coefficients")
-    sp.add_argument("--r", type=int, default=0)
+    bundle.add_argument(
+        "--k", type=str, default=None, help=f"degree(s) of O(k) / O(k1,k2), at most {DIGITS_MAX} digits each"
+    )
+    bundle.add_argument(
+        "--bundle", type=str, default=None, help=f"comma-separated ray coefficients, at most {DIGITS_MAX} digits each"
+    )
+    sp.add_argument("--r", type=int, default=0, help=f"at most {DIGITS_MAX} digits")
     common(sp, ladder=True)
     sp.set_defaults(fn=cmd_chi)
 
     sp = sub.add_parser("twist-series", help="fitted log A_r and B_r")
-    sp.add_argument("--r", type=int, required=True)
+    sp.add_argument("--r", type=int, required=True, help=f"at most {DIGITS_MAX} digits")
     sp.add_argument(
         "--order", type=int, required=True,
-        help=f"2..{TWIST_ORDER_MAX}; above {LONG_N_MAX} needs --long (order {TWIST_ORDER_MAX}: about 15 s)",
+        help=f"2..{TWIST_ORDER_MAX}; above {LONG_N_MAX} needs --long (order {TWIST_ORDER_MAX}: about 2 s)",
     )
     sp.add_argument("--long", action="store_true", help=f"enable order {LONG_N_MAX + 1}..{TWIST_ORDER_MAX}")
     sp.add_argument("--csv", action="store_true")
@@ -352,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("series-id", help="verify the f/g power-series identities")
     sp.add_argument("--a", type=int, required=True, help=f"0..{SERIES_A_MAX}")
-    sp.add_argument("--y", default="1", help=f"p or p/q, at most {SERIES_Y_DIGITS} digits each")
+    sp.add_argument("--y", default="1", help=f"p or p/q, at most {DIGITS_MAX} digits each")
     sp.add_argument("--order", type=int, default=30, help=f"1..{SERIES_ORDER_MAX}")
     sp.add_argument("--csv", action="store_true")
     sp.set_defaults(fn=cmd_series_id)

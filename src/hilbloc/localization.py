@@ -9,17 +9,19 @@ the local weight of the inducing line bundle.
 Characters stay symbolic (integer pairs) until they are specialized
 along a generic one-parameter subgroup (a, b); every public computation
 is performed for two members of a deterministic 1-PS ladder and the two
-exact results must agree.
+exact results must agree.  One pass over the fixed points feeds both
+specializations: a point's symbolic weights are computed once and
+specialized for each, and the two sums stay independent until they are
+compared at the end.
 
-The integrand at a point is built from power sums of its weight multisets
-(see "integrand" below), so `chi_via_RR_family` serves several
-determinant twists from one pass over the fixed points.
-
-Chern numbers take one pass over the fixed points for both
-specializations.  Each specialization keeps integer numerators
-prod_{p in la} e_p(t) over one running common denominator, the lcm of the
-point denominators prod t seen so far, and builds one Fraction per la at
-the end.
+Every residue sum runs in integers.  A specialization keeps integer
+numerators over one running common denominator, the lcm of the point
+denominators prod t seen so far, and builds one Fraction per output at
+the end.  For Chern numbers the numerators are prod_{p in la} e_p(t).
+For other integrands they come from the power sums and elementary
+symmetric functions of the point's weights, each factor scaled so that
+its coefficients are integers (see "integrand" below); `chi_via_RR_family`
+serves several determinant twists from the same pass.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import comb, factorial, gcd, lcm, prod
+from operator import mul
 
 from .cobordism import ChernVector, CobordismSeries
 from .partitions import cells, enumerate_partitions
@@ -201,25 +204,86 @@ def _specialize(char, spec) -> int:
 
 def _power_sums(weights, order):
     """[p_0, ..., p_order] with p_k = sum m w^k over (w, m) pairs."""
-    p = [0] * (order + 1)
-    for w, m in weights:
-        x = m
-        for k in range(order + 1):
-            p[k] += x
-            x *= w
+    ws = [w for w, _ in weights]
+    x = [m for _, m in weights]
+    p = []
+    for _ in range(order + 1):
+        p.append(sum(x))
+        x = list(map(mul, x, ws))
     return p
+
+
+# -- residue sums ------------------------------------------------------------------
+
+
+class _ResidueSum:
+    """Per-output sums over fixed points of integer numerators over the point
+    denominators d = prod t, kept as integer numerators over one running
+    positive common denominator: the lcm of the d seen so far."""
+
+    def __init__(self, size):
+        self.acc = [0] * size
+        self.den = 1
+
+    def rebase(self, d) -> int:
+        """Make den a multiple of d, rescaling the numerators; return den // d."""
+        up = abs(d) // gcd(self.den, d)
+        if up != 1:
+            self.acc = [a * up for a in self.acc]
+            self.den *= up
+        return self.den // d
+
+    def fractions(self, divisor=1) -> list:
+        """The sums, each divided by divisor."""
+        return [Fraction(a, self.den * divisor) for a in self.acc]
+
+
+def _elementary_symmetric(values):
+    e = [1] + [0] * len(values)
+    for m, v in enumerate(values, 1):
+        for k in range(m, 0, -1):
+            e[k] += v * e[k - 1]
+    return e
+
+
+def _chern_classes(weights, order):
+    """[c_0, ..., c_order] of prod (1 + w eps)^m over (w, m) pairs; a negative
+    m divides by (1 + w eps)^|m|, which is still an integer series."""
+    c = [1] + [0] * order
+    for w, m in weights:
+        if not w:
+            continue
+        for _ in range(m):
+            for k in range(order, 0, -1):
+                c[k] += w * c[k - 1]
+        for _ in range(-m):
+            for k in range(1, order + 1):
+                c[k] -= w * c[k - 1]
+    return c
 
 
 # -- integrand ---------------------------------------------------------------------
 #
-# Every factor of the integrand at a fixed point is a function of the power
-# sums p_k = sum m w^k of a weight multiset (Hirzebruch's universal-genus
-# viewpoint, as in `cobordism`):
-#   prod_i Q(t_i eps) = Q(0)^{2n} exp(sum_k s_k p_k(t) eps^k),  log(Q/Q(0)) = sum s_k x^k,
-#   c(X) = exp(sum_k (-1)^(k-1) p_k(X) eps^k / k)   (virtual X too),
+# Every factor of the integrand at a fixed point is a function of its weight
+# multisets (Hirzebruch's universal-genus viewpoint, as in `cobordism`), with
+# p_k = sum m w^k their power sums and N = 2n:
+#   prod_i Q(t_i eps) = Q(0)^N exp(sum_k s_k p_k(t) eps^k),  log(Q/Q(0)) = sum s_k x^k,
+#   c(X) = prod (1 + w eps)^m   (virtual X too: m < 0),
 #   ch(X) = sum_k p_k(X) eps^k / k!,
-# and a factor e^{w eps} only enters the final eps^{2n} coefficient, as the
-# dot product sum_j body[2n - j] w^j / j!.
+#   e^{w eps} = sum_j w^j eps^j / j!.
+# Let D be an integer with D^k s_k integral for k = 1..N (it is grown from
+# the denominators of the s_k, and stays far below their lcm).  Each factor
+# is kept as its scaled coefficients X_m = m! D^m [eps^m], which are integers
+# (the Chern polynomial's also times P, the lcm of its coefficients'
+# denominators), and a product of factors is the binomial convolution
+#   (XY)_m = sum_j C(m, j) X_j Y_{m-j}.
+# The tangent exponential is
+#   E_0 = 1,  E_m = sum_k (k D^k s_k) (m-1)!/(m-k)! p_k E_{m-k},
+# ch gives D^m p_m, and a determinant twist enters only the top coefficient
+# of the product B:
+#   N! D^N P top = sum_j C(N, j) (D w)^j B_{N-j}.
+# The integral is Q(0)^N / (N! D^N P) times the residue sum of these
+# integers over prod t.
 
 
 _UNIT_POLY = ((Fraction(1), ()),)
@@ -266,78 +330,129 @@ def _tangent_log(integrand, order):
     return Fraction(q[0]) ** order, (q * (1 / Fraction(q[0]))).log().coeffs
 
 
-def _point_values(model, n, fp, integrand, tangent_log, spec, dets):
-    """The residues at fp of the integrand times e^{c1(L_n (x) E^r)}, one per
-    (L, r) in dets (an entry None means no determinant factor)."""
-    order = 2 * n
-    tvals = [_specialize(c, spec) for c in tangent_weights(model, fp)]
-    if any(v == 0 for v in tvals):
-        raise ConsistencyError("1-PS specialization hit a zero tangent weight")
-    denom = 1
-    for v in tvals:
-        denom *= v
-    scale, s = tangent_log
+class _IntegerIntegrand:
+    """One integral's integrand over Hilb^n in the scaled integer form above:
+    the constants depend on the integrand and n only, and `numerators` is
+    the per-point work."""
 
-    def power_sums(src):
-        if src == "tangent":
-            return _power_sums([(v, 1) for v in tvals], order)
-        return _power_sums([(_specialize(c, spec), m) for c, m in taut_weights(model, fp, src)], order)
+    def __init__(self, integrand: Integrand, n: int):
+        order = self.order = 2 * n
+        self.scale, s = _tangent_log(integrand, order)
+        d = 1
+        for k, c in enumerate(s or ()):
+            while (c * d**k).denominator != 1:
+                d *= (c * d**k).denominator
+        self.d = d
+        self.fd = [factorial(m) * d**m for m in range(order + 1)]
+        self.binom = [[comb(m, j) for j in range(m + 1)] for m in range(order + 1)]
+        # E_m = sum_k ff[m][k-1] (a_k p_k) E_{m-k} with a_k = k D^k s_k and
+        # ff[m][k-1] = (m-1)!/(m-k)!
+        self.exp_a = self.exp_ff = None
+        if s is not None:
+            self.exp_a = [int(k * c * d**k) for k, c in enumerate(s)]
+            self.exp_ff = [
+                [factorial(m - 1) // factorial(m - k) for k in range(1, m + 1)]
+                for m in range(order + 1)
+            ]
+        poly_den = 1  # P
+        self.poly = None
+        if integrand.poly != _UNIT_POLY:
+            terms = [(sum(deg for _, deg in monos), Fraction(c), monos) for c, monos in integrand.poly]
+            terms = [t for t in terms if t[0] <= order]
+            for _, c, _ in terms:
+                poly_den = lcm(poly_den, c.denominator)
+            self.poly = [(deg, int(c * poly_den), monos) for deg, c, monos in terms]
+        self.chern_of = dict(integrand.bundles) if self.poly is not None else {}
+        self.ch_of = integrand.ch_bundle
+        self.denominator = self.fd[order] * poly_den
+        sources = [*self.chern_of.values(), self.ch_of]
+        self.taut_classes = tuple(dict.fromkeys(x for x in sources if x not in (None, "tangent")))
 
-    def eps_series(coeffs):
-        return TruncSeries("eps", order, coeffs)
+    def _times(self, x, y):
+        if x is None:
+            return y
+        return [
+            sum(c * x[j] * y[m - j] for j, c in enumerate(self.binom[m]))
+            for m in range(self.order + 1)
+        ]
 
-    factors = []
-    if integrand.poly != _UNIT_POLY:
-        chern = {}
-        for name, src in integrand.bundles:
-            p = power_sums(src)
-            log_c = [Fraction((-1) ** (k - 1) * p[k], k) for k in range(1, order + 1)]
-            chern[name] = eps_series([0] + log_c).exp()
-        poly = [Fraction(0)] * (order + 1)
-        for coeff, monos in integrand.poly:
-            deg = sum(d for _, d in monos)
-            if deg <= order:
-                val = Fraction(coeff)
-                for name, d in monos:
-                    val *= chern[name][d]
-                poly[deg] += val
-        factors.append(eps_series(poly))
-    if integrand.ch_bundle is not None:
-        p = power_sums(integrand.ch_bundle)
-        factors.append(eps_series([Fraction(p[k], factorial(k)) for k in range(order + 1)]))
-    if s is not None:
-        p = power_sums("tangent")
-        factors.append(eps_series([0] + [s[k] * p[k] for k in range(1, order + 1)]).exp())
-    body = factors[0] if factors else eps_series([1])
-    for f in factors[1:]:
-        body = body * f
+    def numerators(self, tvals, weights, dets) -> list:
+        """N! D^N P times the eps^N coefficient at a point with tangent weights
+        tvals, one per determinant weight in dets (None: no determinant
+        factor); weights maps each tautological class to its (w, m) pairs."""
+        order = self.order
+        body = None
+        if self.poly is not None:
+            chern = {
+                name: _elementary_symmetric(tvals) if src == "tangent" else _chern_classes(weights[src], order)
+                for name, src in self.chern_of.items()
+            }
+            y = [0] * (order + 1)
+            for deg, c, monos in self.poly:
+                for name, k in monos:
+                    c *= chern[name][k]
+                y[deg] += c
+            body = [f * v for f, v in zip(self.fd, y)]
+        if self.ch_of is not None:
+            p = _power_sums(weights[self.ch_of], order)
+            body = self._times(body, [self.d**m * p[m] for m in range(order + 1)])
+        if self.exp_a is not None:
+            h = list(map(mul, self.exp_a, _power_sums([(v, 1) for v in tvals], order)))[1:]
+            e = [1]
+            for ff in self.exp_ff[1:]:
+                e.append(sum(map(mul, map(mul, ff, h), reversed(e))))
+            body = self._times(body, e)
+        if body is None:
+            body = [1] + [0] * order
+        out = []
+        top = None
+        for w in dets:
+            if w is None:
+                out.append(body[order])
+                continue
+            if top is None:  # C(N, j) B_{N-j}, highest j first
+                top = [c * b for c, b in zip(self.binom[order], reversed(body))][::-1]
+            x, acc = self.d * w, 0
+            for u in top:
+                acc = acc * x + u
+            out.append(acc)
+        return out
 
-    unit = scale / denom
-    out = []
-    for det in dets:
-        top = body[order]
-        if det is not None:
-            w = _specialize(det_taut_weight(model, fp, *det), spec)
-            top = sum(body[order - j] * Fraction(w**j, factorial(j)) for j in range(order + 1))
-        out.append(top * unit)
-    return out
 
+class _IntegrandSum(_ResidueSum):
+    """The residue sums of one specialization, one per determinant twist."""
 
-def _integrate_spec(model, n, integrand, spec, dets):
-    tangent_log = _tangent_log(integrand, 2 * n)
-    acc = [Fraction(0)] * len(dets)
-    for fp in enumerate_fixed_points(model, n):
-        for i, v in enumerate(_point_values(model, n, fp, integrand, tangent_log, spec, dets)):
-            acc[i] += v
-    return acc
+    def add(self, d, nums):
+        scale = self.rebase(d)
+        acc = self.acc
+        for i, x in enumerate(nums):
+            acc[i] += x * scale
 
 
 def _integrate_family(model, n, integrand, dets, ladder):
-    """One pass over the fixed points per specialization for all of dets;
-    each value keeps its own two-specialization check."""
-    specs = one_ps_ladder(model, n, ladder)
-    v1 = _integrate_spec(model, n, integrand, specs[0], dets)
-    v2 = _integrate_spec(model, n, integrand, specs[1], dets)
+    """The integral of the integrand times e^{c1(L_n (x) E^r)} for each (L, r)
+    in dets (an entry None means no determinant factor).
+
+    One pass over the fixed points feeds both specializations: the symbolic
+    weights are computed once per point and specialized for each.  The two
+    sums are independent until they are compared, value by value, at the
+    end.
+    """
+    specs = one_ps_ladder(model, n, ladder)[:2]
+    form = _IntegerIntegrand(integrand, n)
+    sums = [_IntegrandSum(len(dets)) for _ in specs]
+    for fp in enumerate_fixed_points(model, n):
+        chars = tangent_weights(model, fp)
+        taut = {x: taut_weights(model, fp, x) for x in form.taut_classes}
+        det_chars = [None if det is None else det_taut_weight(model, fp, *det) for det in dets]
+        for spec, total in zip(specs, sums):
+            tvals = [_specialize(c, spec) for c in chars]
+            if 0 in tvals:
+                raise ConsistencyError("1-PS specialization hit a zero tangent weight")
+            weights = {x: [(_specialize(c, spec), m) for c, m in pairs] for x, pairs in taut.items()}
+            ws = [None if c is None else _specialize(c, spec) for c in det_chars]
+            total.add(prod(tvals), form.numerators(tvals, weights, ws))
+    v1, v2 = ([v * form.scale for v in total.fractions(form.denominator)] for total in sums)
     for a, b in zip(v1, v2):
         if a != b:
             raise ConsistencyError(
@@ -358,32 +473,16 @@ def integrate(model: ToricSurface, n: int, integrand: Integrand, ladder: str = "
 # -- Chern numbers of Hilb^n -----------------------------------------------------
 
 
-def _elementary_symmetric(values):
-    e = [1] + [0] * len(values)
-    for m, v in enumerate(values, 1):
-        for k in range(m, 0, -1):
-            e[k] += v * e[k - 1]
-    return e
-
-
-class _ChernSum:
+class _ChernSum(_ResidueSum):
     """sum over fixed points of prod_{p in la} e_p(t) / prod t for every la,
     kept as integer numerators over one running common denominator."""
 
     def __init__(self, lams):
+        super().__init__(len(lams))
         self.lams = lams
-        self.acc = [0] * len(lams)
-        self.den = 1  # positive lcm of the point denominators seen so far
 
     def add(self, tvals):
-        d = 1
-        for v in tvals:
-            d *= v
-        up = abs(d) // gcd(self.den, d)
-        if up != 1:
-            self.acc = [a * up for a in self.acc]
-            self.den *= up
-        scale = self.den // d
+        scale = self.rebase(prod(tvals))
         e = _elementary_symmetric(tvals)
         acc = self.acc
         for i, la in enumerate(self.lams):
@@ -395,7 +494,7 @@ class _ChernSum:
             acc[i] += x
 
     def values(self) -> dict:
-        return {la: Fraction(a, self.den) for la, a in zip(self.lams, self.acc)}
+        return dict(zip(self.lams, self.fractions()))
 
 
 @lru_cache(maxsize=None)
@@ -446,6 +545,6 @@ def chi_via_RR(
 
 def chi_via_RR_family(model: ToricSurface, n: int, bundles, r: int, ladder: str = "xi") -> list:
     """[chi(L_n (x) E^r) for L in bundles], from one pass over the fixed
-    points per specialization: the Todd series is built once per point and
-    each L costs one dot product."""
+    points for both specializations: the Todd factor is built once per point
+    and specialization, and each L costs one Horner evaluation."""
     return _integrate_family(model, n, Integrand(todd=True), tuple((L, r) for L in bundles), ladder)

@@ -262,8 +262,9 @@ def todd_series(var: str, order: int) -> TruncSeries:
 def solve_v(a: int, order: int) -> TruncSeries:
     """The unique series v(z), v(0)=0, with z = v (1+v)^a.
 
-    Computed by Lagrange inversion, cross-checked against fixed-point
-    iteration of v <- z/(1+v)^a; the two must agree.
+    Computed by Lagrange inversion and checked by substitution: with
+    v(0) = 0 the equation has exactly one solution, so v (1+v)^a = z
+    proves the coefficients.
     """
     if a < 0:
         raise ValueError("a must be non-negative")
@@ -272,13 +273,8 @@ def solve_v(a: int, order: int) -> TruncSeries:
         # [w^{n-1}] (1+w)^{-a n} / n
         coeffs.append(Fraction(binomial(Fraction(-a * n), n - 1), n))
     v = TruncSeries("z", order, coeffs)
-
-    z = TruncSeries.x("z", order)
-    w = TruncSeries.zero("z", order)
-    for _ in range(order + 1):
-        w = z * (w + 1).pow(Fraction(-a))
-    if w != v:
-        raise AssertionError("Lagrange inversion and fixed-point iteration disagree")
+    if v * (v + 1).pow(a) != TruncSeries.x("z", order):
+        raise AssertionError("Lagrange inversion does not solve z = v (1+v)^a")
     return v
 
 

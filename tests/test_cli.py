@@ -141,6 +141,12 @@ def test_missing_bundle(capsys):
         ["genus", "--genus", "chi_y", "--model", "P2", "--surface", "p1xp1", "--n", "2"],
         ["genus", "--genus", "todd", "--model", "P2", "--k3", "--n", "2"],
         ["chi", "--surface", "p2", "--n", "2", "--k", "5", "--bundle", "1,0,0"],
+        ["twist-series", "--r", "9" * 41, "--order", "3"],
+        ["twist-series", "--r", "9" * 4001, "--order", "3"],
+        ["chi", "--surface", "p2", "--n", "1", "--k", "9" * 4001],
+        ["chi", "--surface", "p2", "--n", "1", "--k", "1", "--r", "-" + "9" * 41],
+        ["chi", "--surface", "p1xp1", "--n", "1", "--k", "1,-" + "9" * 41],
+        ["chi", "--surface", "p2", "--n", "1", "--bundle", "0,0," + "9" * 41],
     ],
 )
 def test_input_errors_exit_2(argv):
@@ -167,6 +173,8 @@ def run_cli(argv):
         (["series-id", "--a", "101"], "--a must be in 0..100"),
         (["twist-series", "--r", "2", "--order", "11", "--long"], "order > 10 is not supported"),
         (["series-id", "--a", "1", "--y", "9" * 41], "at most 40 digits"),
+        (["twist-series", "--r", "9" * 4001, "--order", "3"], "--r must have at most 40 digits"),
+        (["chi", "--surface", "p2", "--n", "1", "--k", "9" * 41], "each --k entry must have at most 40 digits"),
     ],
 )
 def test_input_error_messages(argv, message):
@@ -186,12 +194,21 @@ def test_series_id_y_at_digit_bound(capsys):
     assert payload["y"] == y
 
 
+def test_integer_arguments_at_digit_bound(capsys):
+    big = "9" * 40
+    assert run_json(capsys, "twist-series", "--r", "-" + big, "--order", "2")["r"] == -int(big)
+    payload = run_json(capsys, "chi", "--surface", "p2", "--n", "1", "--k", big, "--r", big)
+    assert payload["bundle"] == [int(big), 0, 0]
+
+
 # argv over every subcommand: cheap sizes (n <= 2, order <= 3) mixed with
 # malformed values.  `verify` only gets malformed arguments: a valid profile
 # runs the acceptance suite for seconds and prints a text report.  A value
 # listed twice is drawn twice as often.
 SURFACES = st.sampled_from(["p2", "p1xp1", "blowup:p2:0", "p2", "p1xp1", "blowup:p2:9", "p5", ""])
 SMALL_INT = st.sampled_from(["0", "1", "2", "0", "1", "2", "-1", "x", "1.5", "99"])
+# --r at and past its 40-digit bound, and far past it
+R_INT = st.one_of(SMALL_INT, st.sampled_from(["9" * 40, "-" + "9" * 40, "9" * 41, "-" + "9" * 41, "9" * 4001]))
 Y = st.sampled_from(["-3", "0", "1", "5/2", "-1/3", "2.5", "1/0", "half", "1e5", "", "9" * 41])
 FLAGS = st.lists(
     st.sampled_from(["--csv", "--long", "--ladder=eta", "--ladder=xi", "--ladder=zeta", "--bogus"]),
@@ -219,14 +236,14 @@ ARGV = st.one_of(
                 "chi",
                 _req("--surface", SURFACES),
                 _req("--n", SMALL_INT),
-                _opt("--k", st.sampled_from(["1", "1,2", "-1", "one", "1,2,3,4,5"])),
-                _opt("--bundle", st.sampled_from(["1,0,0", "2,1,0,0", "1,2", "a,b"])),
-                _opt("--r", SMALL_INT),
+                _opt("--k", st.sampled_from(["1", "1,2", "-1", "one", "1,2,3,4,5", "9" * 40, "1," + "9" * 41])),
+                _opt("--bundle", st.sampled_from(["1,0,0", "2,1,0,0", "1,2", "a,b", "0,0,-" + "9" * 40, "0,0," + "9" * 41])),
+                _opt("--r", R_INT),
                 FLAGS,
             ),
             (
                 "twist-series",
-                _req("--r", SMALL_INT),
+                _req("--r", R_INT),
                 _req("--order", st.sampled_from(["2", "3", "2", "3", "0", "11", "x"])),
                 st.sampled_from([[], ["--csv"], ["--long"], ["--bogus"]]),
             ),

@@ -3,8 +3,9 @@
 The expected files in `tests/golden/` were written by the CLI before the
 power-sum integrand evaluator replaced the epsilon-multiplication chain
 (the `chern_*_n7_long` files: before the Chern-number sum moved to integer
-numerators over a common denominator), so they pin the byte-identical
-output of every rewrite of the engine.  Each
+numerators over a common denominator; `twist_r3_o8_long`: before the
+integrand evaluator did), so they pin the byte-identical output of every
+rewrite of the engine.  Each
 entry is `<name>.json` with the argv below; regenerating one means running
 `python -m hilbloc.cli <argv> > tests/golden/<name>.json` on a build whose
 output is already trusted.
@@ -39,6 +40,7 @@ GOLDEN = {
     "chern_p2_n7_long": ["chern", "--surface", "p2", "--n", "7", "--long"],
     "chern_p1xp1_n7_long": ["chern", "--surface", "p1xp1", "--n", "7", "--long"],
     "chern_blowup_p2_1_n7_long": ["chern", "--surface", "blowup:p2:0", "--n", "7", "--long"],
+    "twist_r3_o8_long": ["twist-series", "--r", "3", "--order", "8", "--long"],
 }
 
 

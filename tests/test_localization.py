@@ -21,6 +21,7 @@ from hilbloc.localization import (
     tangent_weights,
 )
 from hilbloc.partitions import count_partitions, enumerate_partitions
+from hilbloc.rings import binomial
 from hilbloc.series import TruncSeries, todd_series
 from hilbloc.toric import blowup, line_bundle, o_bundle, p1xp1, p2
 from hilbloc.universal import _reference_classes, h_psi_phi
@@ -183,6 +184,73 @@ def test_chern_gate_catches_a_zero_tangent_weight(monkeypatch):
             chern_numbers_hilb(m, 1)
     finally:
         chern_numbers_hilb.cache_clear()
+
+
+def _perturb_second_integrand_sum(monkeypatch):
+    """Add 1 to the numerators of the first point fed to the second
+    specialization's sum; the first sum is left alone."""
+    import hilbloc.localization as loc
+
+    sums = []  # in order of first use: the first specialization's, then the second's
+    add = loc._IntegrandSum.add
+
+    def perturbed_add(self, d, nums):
+        if self not in sums:
+            sums.append(self)
+            if len(sums) == 2:
+                nums = [x + 1 for x in nums]
+        add(self, d, nums)
+
+    monkeypatch.setattr(loc._IntegrandSum, "add", perturbed_add)
+
+
+def test_integrand_gate_catches_a_perturbed_second_sum(monkeypatch):
+    m = p2()
+    _perturb_second_integrand_sum(monkeypatch)
+    with pytest.raises(ConsistencyError, match="disagree"):
+        integrate(m, 2, Integrand.riemann_roch(o_bundle(m, 1), 1))
+
+
+def test_family_gate_catches_a_perturbed_second_sum(monkeypatch):
+    m = p2()
+    _perturb_second_integrand_sum(monkeypatch)
+    with pytest.raises(ConsistencyError, match="disagree"):
+        chi_via_RR_family(m, 2, [o_bundle(m, k) for k in (0, 1, 2)], 1)
+
+
+def test_integrand_gate_catches_a_zero_tangent_weight(monkeypatch):
+    import hilbloc.localization as loc
+
+    # (1, 1) kills the character (1, -1) of P2's tangent space at n = 1
+    m = p2()
+    monkeypatch.setattr(loc, "one_ps_ladder", lambda model, n, ladder: [(1, 1), (1, 2)])
+    with pytest.raises(ConsistencyError, match="zero tangent weight"):
+        integrate(m, 1, Integrand.chern_monomial((2,)))
+    with pytest.raises(ConsistencyError, match="zero tangent weight"):
+        chi_via_RR_family(m, 1, [o_bundle(m, 0), o_bundle(m, 1)], 0)
+
+
+@pytest.mark.parametrize("name", ["p2", "p1xp1"])
+def test_chi_closed_forms_through_integer_path(name):
+    # chi(L_n) = C(chi(L) + n - 1, n) and chi(L_n (x) E) = C(chi(L), n)
+    model = MODELS[name]
+    if name == "p2":
+        degrees = [(k,) for k in range(-3, 4)]
+        chis = [Fraction((k + 1) * (k + 2), 2) for (k,) in degrees]
+    else:
+        degrees = [(k1, k2) for k1 in (-2, 0, 1) for k2 in (-1, 0, 2)]
+        chis = [Fraction((k1 + 1) * (k2 + 1)) for k1, k2 in degrees]
+    bundles = [o_bundle(model, *ks) for ks in degrees]
+    for n in range(1, 7):
+        assert chi_via_RR_family(model, n, bundles, 0) == [binomial(c + n - 1, n) for c in chis]
+        assert chi_via_RR_family(model, n, bundles, 1) == [binomial(c, n) for c in chis]
+
+
+@pytest.mark.parametrize("name, euler", [("p2", 3), ("p1xp1", 4), ("blowup:p2:0", 4)])
+def test_top_chern_integrand_is_goettsche(name, euler):
+    # the Chern-polynomial branch of the integrand evaluator, not the Chern-number sum
+    for n in range(1, 7):
+        assert integrate(MODELS[name], n, Integrand.chern_monomial((2 * n,))) == goettsche_euler(euler, n)
 
 
 def test_det_taut_weight_is_the_cell_sum():

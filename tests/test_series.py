@@ -90,6 +90,19 @@ def test_solve_v_lagrange_coefficients():
     assert list(v.coeffs) == [Fraction(c) for c in cats]
 
 
+@pytest.mark.parametrize("a, bad_n", [(0, 1), (2, 3), (5, 12)])
+def test_solve_v_rejects_a_wrong_lagrange_coefficient(monkeypatch, a, bad_n):
+    import hilbloc.series as series
+
+    def perturbed(x, k):
+        value = binomial(x, k)
+        return value + 1 if x == -a * bad_n and k == bad_n - 1 else value
+
+    monkeypatch.setattr(series, "binomial", perturbed)
+    with pytest.raises(AssertionError, match="Lagrange inversion"):
+        solve_v(a, 12)
+
+
 def test_fg_series_f_coefficients():
     f = fg_series("f", 7, 2, 4)
     for n in range(5):
