@@ -33,9 +33,14 @@ from .universal import FitError, fit_AB, universal_chern_poly
 LONG_N_MAX = 7
 SHORT_N_MAX = 5
 TWIST_ORDER_MAX = 10  # twist-series --order 10 --long: about 2 s of CPU time, also with a 40-digit --r
-SERIES_ORDER_MAX = 60  # series-id: about 3 s at --order 60 --a 100 with a 40-digit p/q
+SERIES_ORDER_MAX = 60  # series-id: about 0.2 s at --order 60 --a 100 with a 40-digit p/q
 SERIES_A_MAX = 100
-DIGITS_MAX = 40  # digits of --r, of each --k/--bundle entry, and of p and q in series-id --y
+DIGITS_MAX = 40  # digits of --r, of each --k/--bundle entry, of N and k in --genus phi:N:k, and of p and q in series-id --y
+BLOWUP_DEPTH_MAX = 3  # nested blowup: levels in --surface
+SURFACE_HELP = (
+    f"p2, p1xp1 or blowup:<surface>:<chart>, at most {BLOWUP_DEPTH_MAX} blowup: levels "
+    "(--n 7 --long on three blowups of p1xp1: chern and chi about 4 s, genus about 5.5 s)"
+)
 
 
 def _poly_json(poly: Poly) -> dict:
@@ -76,6 +81,13 @@ def _check_digits(value: int, flag: str, parser) -> int:
     return value
 
 
+def _surface(spec: str, parser):
+    # counted before parsing: build_model recurses once per level
+    if spec.lower().count("blowup:") > BLOWUP_DEPTH_MAX:
+        parser.error(f"--surface nests at most {BLOWUP_DEPTH_MAX} blowup: levels")
+    return build_model(spec)
+
+
 def _int_list(text: str, flag: str, parser) -> list:
     try:
         values = [int(c) for c in text.split(",")]
@@ -102,7 +114,7 @@ def _bundle_from_args(model, args, parser):
 
 
 def cmd_chern(args, parser):
-    model = build_model(args.surface)
+    model = _surface(args.surface, parser)
     _check_n(args.n, args.long, parser)
     vec = chern_numbers_hilb(model, args.n, args.ladder)
     rows = [(partition_key(la), format_fraction(v)) for la, v in vec.numbers]
@@ -158,7 +170,7 @@ def cmd_betti(args, parser):
 
 
 def cmd_chi(args, parser):
-    model = build_model(args.surface)
+    model = _surface(args.surface, parser)
     _check_n(args.n, args.long, parser)
     _check_digits(args.r, "--r", parser)
     L = _bundle_from_args(model, args, parser)
@@ -219,6 +231,8 @@ def _genus_by_name(name: str, degree: int, parser):
             level, k = int(nn), int(kk)
         except ValueError:
             parser.error("phi genus spec must be phi:N:k")
+        _check_digits(level, "N in --genus phi:N:k", parser)
+        _check_digits(k, "k in --genus phi:N:k", parser)
         return phi_nk_genus(level, k, degree)
     parser.error(f"unknown genus {name!r} (todd, euler, signature, phi:N:k, chi_y)")
 
@@ -234,7 +248,7 @@ def cmd_genus(args, parser):
     else:
         genus = _genus_by_name(args.genus, 2 * args.n, parser)
         if args.surface is not None:
-            h = hilb_cobordism_series(build_model(args.surface), args.n)
+            h = hilb_cobordism_series(_surface(args.surface, parser), args.n)
         elif args.k3:
             h1 = hilb_cobordism_series(p2(), args.n)
             h2 = hilb_cobordism_series(p1xp1(), args.n)
@@ -318,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--ladder", choices=("xi", "eta"), default="xi", help="1-PS ladder of the residue sum")
 
     sp = sub.add_parser("chern", help="Chern numbers of Hilb^n over a toric model")
-    sp.add_argument("--surface", required=True)
+    sp.add_argument("--surface", required=True, help=SURFACE_HELP)
     common(sp, ladder=True)
     sp.set_defaults(fn=cmd_chern)
 
@@ -332,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_betti)
 
     sp = sub.add_parser("chi", help="chi(L_n (x) E^r) by localization")
-    sp.add_argument("--surface", required=True)
+    sp.add_argument("--surface", required=True, help=SURFACE_HELP)
     bundle = sp.add_mutually_exclusive_group()
     bundle.add_argument(
         "--k", type=str, default=None, help=f"degree(s) of O(k) / O(k1,k2), at most {DIGITS_MAX} digits each"
@@ -355,9 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_twist_series)
 
     sp = sub.add_parser("genus", help="genus values of Hilb^n terms")
-    sp.add_argument("--genus", required=True, help="todd | euler | signature | phi:N:k | chi_y")
+    sp.add_argument(
+        "--genus", required=True,
+        help=f"todd | euler | signature | phi:N:k | chi_y; N and k have at most {DIGITS_MAX} digits each",
+    )
     where = sp.add_mutually_exclusive_group()
-    where.add_argument("--surface", default=None, help="toric model, e.g. p2 or blowup:p2:0")
+    where.add_argument("--surface", default=None, help=SURFACE_HELP)
     where.add_argument("--model", default=None, help="P2 | P1xP1 (for chi_y)")
     where.add_argument("--k3", action="store_true", help="use the K3 cobordism class")
     common(sp)

@@ -197,17 +197,24 @@ class Poly:
 def binomial(x, n: int):
     """Generalized binomial coefficient C(x, n) = x(x-1)...(x-n+1)/n!.
 
-    Works for integer, Fraction and Poly arguments alike.
+    Works for integer, Fraction and Poly arguments alike; for x = p/q it
+    forms prod_{i<n} (p - q i) / (q^n n!) in integers.
     """
+    if not isinstance(x, Poly):
+        if n < 0:
+            return Fraction(0)
+        x = Fraction(x)
+        p, q = x.numerator, x.denominator
+        num = 1
+        for i in range(n):
+            num *= p - q * i
+        return Fraction(num, q**n * factorial(n))
     if n < 0:
-        return Fraction(0) if not isinstance(x, Poly) else Poly.const(0)
-    num = Fraction(1) if not isinstance(x, Poly) else Poly.const(1)
+        return Poly.const(0)
+    num = Poly.const(1)
     for i in range(n):
         num = num * (x - i)
-    result = num / factorial(n)
-    if isinstance(result, Fraction) or isinstance(x, Poly):
-        return result
-    return Fraction(result)
+    return num / factorial(n)
 
 
 def gauss_solve(matrix, rhs):

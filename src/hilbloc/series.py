@@ -3,20 +3,42 @@
 Coefficients are Fractions, or Polys in declared parameters (y, r, ...).
 All arithmetic is exact; a binary operation truncates to the smaller of
 the two operand orders so precision is never silently invented.
+
+A series whose coefficients are all Fractions is written as integer
+numerators over their positive lcm denominator L, and `*`, `inverse` and
+`exp` run on those integers, forming one Fraction per output coefficient:
+- a product is the integer convolution of the numerators over L_a L_b;
+- the inverse of F/L is g_n = L H_n / F_0^(n+1) with H_0 = 1 and
+  H_n = -sum_{k>=1} F_k F_0^(k-1) H_(n-k);
+- the exponential of C/L (C_0 = 0) is out_m = E_m / (m! L^m) with E_0 = 1
+  and E_m = sum_{k>=1} k C_k L^(k-1) (m-1)!/(m-k)! E_(m-k).
+`log` and `pow` are built from these three.  A series with any Poly
+coefficient runs the generic coefficient loops.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .rings import Poly, binomial
 
 
 def _coerce(c):
-    if isinstance(c, Poly):
+    if isinstance(c, (Poly, Fraction)):
         return c
     return Fraction(c)
+
+
+def _int_form(coeffs):
+    """(integer numerators, positive lcm denominator) of Fraction
+    coefficients, or None when a Poly is present."""
+    den = 1
+    for c in coeffs:
+        if isinstance(c, Poly):
+            return None
+        den = lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class TruncSeries:
@@ -93,6 +115,18 @@ class TruncSeries:
         if isinstance(other, (int, Fraction, Poly)):
             return TruncSeries(self.var, self.order, [c * other for c in self.coeffs])
         n = self._common(other)
+        a_int = _int_form(self.coeffs[: n + 1])
+        b_int = a_int and _int_form(other.coeffs[: n + 1])
+        if b_int:
+            (a, da), (b, db) = a_int, b_int
+            out = [0] * (n + 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j in range(n + 1 - i):
+                        if b[j]:
+                            out[i + j] += ai * b[j]
+            den = da * db
+            return TruncSeries(self.var, n, [Fraction(c, den) for c in out])
         out = [Fraction(0)] * (n + 1)
         for i in range(n + 1):
             a = self.coeffs[i]
@@ -114,6 +148,19 @@ class TruncSeries:
             c0 = c0.as_fraction()
         if c0 == 0:
             raise ZeroDivisionError("non-unit divisor: zero constant term")
+        f_int = _int_form(self.coeffs)
+        if f_int:
+            f, den = f_int
+            f0, fp = f[0], 1  # fp = F_0^(k-1)
+            scaled = [0]  # F_k F_0^(k-1)
+            for fk in f[1:]:
+                scaled.append(fk * fp)
+                fp *= f0
+            h, out = [1], [Fraction(den, f0)]
+            for n in range(1, self.order + 1):
+                h.append(-sum(scaled[k] * h[n - k] for k in range(1, n + 1) if scaled[k]))
+                out.append(Fraction(den * h[n], f0 ** (n + 1)))
+            return TruncSeries(self.var, self.order, out)
         inv0 = Fraction(1) / c0
         out = [inv0] + [Fraction(0)] * self.order
         for n in range(1, self.order + 1):
@@ -176,6 +223,24 @@ class TruncSeries:
         if self.coeffs[0] != 0:
             raise ValueError("exp requires zero constant term")
         n = self.order
+        c_int = _int_form(self.coeffs)
+        if c_int:
+            c, den = c_int
+            kcl, lp = [0], 1  # k C_k L^(k-1); lp = L^(k-1)
+            for k in range(1, n + 1):
+                kcl.append(k * c[k] * lp)
+                lp *= den
+            e, out, scale = [1], [Fraction(1)], 1  # scale = m! L^m
+            for m in range(1, n + 1):
+                acc, ff = 0, 1  # ff = (m-1)!/(m-k)!
+                for k in range(1, m + 1):
+                    if kcl[k]:
+                        acc += kcl[k] * ff * e[m - k]
+                    ff *= m - k
+                e.append(acc)
+                scale *= m * den
+                out.append(Fraction(acc, scale))
+            return TruncSeries(self.var, n, out)
         kc = [k * c for k, c in enumerate(self.coeffs)]
         out = [_coerce(1)] + [Fraction(0)] * n
         for m in range(1, n + 1):
@@ -292,6 +357,15 @@ def fg_series(kind: str, y, a: int, order: int) -> TruncSeries:
         raise ValueError("kind must be 'f' or 'g'")
     yv = y if isinstance(y, Poly) else Fraction(y)
     coeffs = [_coerce(1)]
+    if kind == "g" and not isinstance(yv, Poly):
+        # y = p/q: p prod_{i=1}^{n-1} (p - q(an + i)) / (q^n n!)
+        p, q = yv.numerator, yv.denominator
+        for n in range(1, order + 1):
+            num = p
+            for i in range(1, n):
+                num *= p - q * (a * n + i)
+            coeffs.append(Fraction(num, q**n * factorial(n)))
+        return TruncSeries("z", order, coeffs)
     for n in range(1, order + 1):
         if kind == "f":
             coeffs.append(binomial(yv - a * (n - 1), n))

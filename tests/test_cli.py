@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import hilbloc
 from hilbloc.cli import main
+from hilbloc.toric import build_model
 
 
 def run(capsys, *argv):
@@ -113,6 +114,10 @@ def test_missing_bundle(capsys):
     assert exc.value.code == 2
 
 
+# p2 blown up four times, one level past the CLI bound
+DEPTH_4 = "blowup:blowup:blowup:blowup:p2:0:0:0:0"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -147,6 +152,14 @@ def test_missing_bundle(capsys):
         ["chi", "--surface", "p2", "--n", "1", "--k", "1", "--r", "-" + "9" * 41],
         ["chi", "--surface", "p1xp1", "--n", "1", "--k", "1,-" + "9" * 41],
         ["chi", "--surface", "p2", "--n", "1", "--bundle", "0,0," + "9" * 41],
+        ["genus", "--genus", "phi:" + "9" * 41 + ":1", "--surface", "p2", "--n", "1"],
+        ["genus", "--genus", "phi:2:-" + "9" * 41, "--k3", "--n", "1"],
+        ["genus", "--genus", "phi:" + "9" * 3000 + ":1", "--surface", "p2", "--n", "1"],
+        ["genus", "--genus", "phi:" + "9" * 5000 + ":1", "--k3", "--n", "1"],
+        ["chern", "--surface", DEPTH_4, "--n", "1"],
+        ["chi", "--surface", DEPTH_4, "--n", "1", "--bundle", "1,0,0,0,0,0,0"],
+        ["genus", "--genus", "todd", "--surface", DEPTH_4, "--n", "1"],
+        ["chern", "--surface", "blowup:" * 3000 + "p2" + ":0" * 3000, "--n", "1"],
     ],
 )
 def test_input_errors_exit_2(argv):
@@ -175,6 +188,12 @@ def run_cli(argv):
         (["series-id", "--a", "1", "--y", "9" * 41], "at most 40 digits"),
         (["twist-series", "--r", "9" * 4001, "--order", "3"], "--r must have at most 40 digits"),
         (["chi", "--surface", "p2", "--n", "1", "--k", "9" * 41], "each --k entry must have at most 40 digits"),
+        (
+            ["genus", "--genus", "phi:" + "9" * 3000 + ":1", "--surface", "p2", "--n", "1"],
+            "N in --genus phi:N:k must have at most 40 digits",
+        ),
+        (["genus", "--genus", "phi:2:" + "9" * 41, "--k3", "--n", "1"], "k in --genus phi:N:k must have at most 40 digits"),
+        (["chern", "--surface", DEPTH_4, "--n", "1"], "--surface nests at most 3 blowup: levels"),
     ],
 )
 def test_input_error_messages(argv, message):
@@ -194,6 +213,23 @@ def test_series_id_y_at_digit_bound(capsys):
     assert payload["y"] == y
 
 
+def test_phi_genus_at_digit_bound(capsys):
+    big = "9" * 40
+    payload = run_json(capsys, "genus", "--genus", f"phi:{big}:{big}", "--surface", "p2", "--n", "1")
+    assert [v["n"] for v in payload["values"]] == [0, 1]
+
+
+def test_surface_at_blowup_depth_bound(capsys):
+    depth_3 = "blowup:blowup:blowup:p2:0:0:0"
+    payload = run_json(capsys, "chern", "--surface", depth_3, "--n", "1")
+    assert payload["numbers"]["2"] == "6"  # e(S) = 6 rays
+    payload = run_json(capsys, "chi", "--surface", depth_3, "--n", "1", "--bundle", "0,0,0,0,0,0")
+    assert payload["chi"] == "1"
+    assert run_json(capsys, "genus", "--genus", "euler", "--surface", depth_3, "--n", "1")["values"][1]["value"] == "6"
+    # the bound is the CLI's: the library builds any depth
+    assert len(build_model(DEPTH_4).rays) == 7
+
+
 def test_integer_arguments_at_digit_bound(capsys):
     big = "9" * 40
     assert run_json(capsys, "twist-series", "--r", "-" + big, "--order", "2")["r"] == -int(big)
@@ -205,7 +241,9 @@ def test_integer_arguments_at_digit_bound(capsys):
 # malformed values.  `verify` only gets malformed arguments: a valid profile
 # runs the acceptance suite for seconds and prints a text report.  A value
 # listed twice is drawn twice as often.
-SURFACES = st.sampled_from(["p2", "p1xp1", "blowup:p2:0", "p2", "p1xp1", "blowup:p2:9", "p5", ""])
+SURFACES = st.sampled_from(
+    ["p2", "p1xp1", "blowup:p2:0", "p2", "p1xp1", "blowup:p2:9", "p5", "", "blowup:blowup:blowup:p2:0:0:0", DEPTH_4]
+)
 SMALL_INT = st.sampled_from(["0", "1", "2", "0", "1", "2", "-1", "x", "1.5", "99"])
 # --r at and past its 40-digit bound, and far past it
 R_INT = st.one_of(SMALL_INT, st.sampled_from(["9" * 40, "-" + "9" * 40, "9" * 41, "-" + "9" * 41, "9" * 4001]))
@@ -214,7 +252,11 @@ FLAGS = st.lists(
     st.sampled_from(["--csv", "--long", "--ladder=eta", "--ladder=xi", "--ladder=zeta", "--bogus"]),
     max_size=2,
 )
-GENERA = st.sampled_from(["todd", "euler", "signature", "phi:2:1", "phi:2:5", "phi:x", "chi_y", "a"])
+# phi:N:k with N and k at and past their 40-digit bound, and far past it
+GENERA = st.sampled_from(
+    ["todd", "euler", "signature", "phi:2:1", "phi:2:5", "phi:x", "chi_y", "a"]
+    + ["phi:" + "9" * 40 + ":1", "phi:" + "9" * 41 + ":1", "phi:2:" + "9" * 41, "phi:" + "9" * 3000 + ":1"]
+)
 
 
 def _req(flag, values):

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hilbloc.partitions import count_with_parts
 from hilbloc.rings import Poly, binomial
@@ -155,3 +156,144 @@ def test_compose_monomial():
     g = f.compose_monomial(Fraction(2), 2)
     assert g.coeffs[0] == 1 and g.coeffs[2] == 2 and g.coeffs[4] == 4
     assert g.coeffs[1] == 0
+
+
+# -- oracle: the generic coefficient loops, kept here as they stood before
+# Fraction-only series got integer kernels.  Coefficient lists in, lists out.
+
+
+def oracle_mul(a, b):
+    n = min(len(a), len(b)) - 1
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        if not a[i]:
+            continue
+        for j in range(n + 1 - i):
+            if b[j]:
+                out[i + j] = out[i + j] + a[i] * b[j]
+    return out
+
+
+def oracle_inverse(cs):
+    inv0 = Fraction(1) / cs[0]
+    out = [inv0] + [Fraction(0)] * (len(cs) - 1)
+    for n in range(1, len(cs)):
+        acc = Fraction(0)
+        for k in range(1, n + 1):
+            if cs[k]:
+                acc = acc + cs[k] * out[n - k]
+        out[n] = -inv0 * acc
+    return out
+
+
+def oracle_exp(cs):
+    kc = [k * c for k, c in enumerate(cs)]
+    out = [Fraction(1)] + [Fraction(0)] * (len(cs) - 1)
+    for m in range(1, len(cs)):
+        acc = Fraction(0)
+        for k in range(1, m + 1):
+            if kc[k]:
+                acc = acc + kc[k] * out[m - k]
+        out[m] = acc / m
+    return out
+
+
+def oracle_log(cs):
+    if len(cs) == 1:
+        return [Fraction(0)]
+    deriv = [cs[i] * i for i in range(1, len(cs))]
+    return [Fraction(0)] + [c / (i + 1) for i, c in enumerate(oracle_mul(deriv, oracle_inverse(cs[:-1])))]
+
+
+def oracle_pow(cs, e):
+    if e.denominator == 1 and 0 < e.numerator < len(cs):
+        out = cs
+        for _ in range(e.numerator - 1):
+            out = oracle_mul(out, cs)
+        return out
+    return oracle_exp([c * e for c in oracle_log(cs)])
+
+
+# zero coefficients, small fractions and 40-digit numerators and denominators
+wide = st.one_of(
+    st.just(Fraction(0)),
+    fractions,
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+unit_free = st.lists(wide, min_size=0, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_free, unit_free, wide.filter(bool))
+def test_integer_kernels_match_generic_loops(cs, ds, c0):
+    f = TruncSeries("z", len(cs), [c0] + cs)  # c0 is any nonzero rational
+    g = TruncSeries("z", len(ds), [Fraction(0)] + ds)
+    n = min(f.order, g.order)
+    assert list((f * g).coeffs) == oracle_mul(f.coeffs, g.coeffs)[: n + 1]
+    assert list(f.inverse().coeffs) == oracle_inverse(list(f.coeffs))
+    assert list(g.exp().coeffs) == oracle_exp(list(g.coeffs))
+    unit = f * (1 / c0)
+    assert list(unit.log().coeffs) == oracle_log(list(unit.coeffs))
+    for e in (Fraction(2), Fraction(3), Fraction(-2), Fraction(-1, 2), Fraction(7, 3), Fraction(10**40, 3)):
+        assert list(unit.pow(e).coeffs) == oracle_pow(list(unit.coeffs), e)
+
+
+@pytest.mark.parametrize("c0", [Fraction(-1), Fraction(3), Fraction(-7, 5), Fraction(10**40 + 1, 10**39)])
+def test_inverse_of_non_unit_constant_term(c0):
+    f = TruncSeries("z", 6, [c0, 0, Fraction(2, 3), 0, -5, Fraction(1, 10**40)])
+    inv = f.inverse()
+    assert list(inv.coeffs) == oracle_inverse(list(f.coeffs))
+    assert f * inv == TruncSeries.one("z", 6)
+
+
+def falling_product(p, q, start, count):
+    """prod_{i<count} (p/q - start - i), one exact factor at a time."""
+    out = Fraction(1)
+    for i in range(count):
+        out *= Fraction(p, q) - start - i
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [(0, 1), (-3, 1), (-7, 2), (10**39 + 7, 10**40 - 3), (-(10**40 - 1), 10**39 + 1)],
+)
+def test_fg_series_and_binomial_against_product_formula(p, q):
+    y, a, order = Fraction(p, q), 3, 9
+    f, g = fg_series("f", y, a, order), fg_series("g", y, a, order)
+    assert f[0] == g[0] == 1
+    for n in range(1, order + 1):
+        assert f[n] == falling_product(p, q, a * (n - 1), n) / factorial(n)
+        assert g[n] == y * falling_product(p, q, a * n + 1, n - 1) / factorial(n)
+        assert binomial(y, n) == falling_product(p, q, 0, n) / factorial(n)
+    assert binomial(y, 0) == 1 and binomial(y, -1) == 0
+    assert binomial(-4, 3) == Fraction(-20)  # an int argument gives a Fraction
+    assert isinstance(binomial(5, 2), Fraction)
+
+
+def test_mixed_poly_fraction_series_stay_exact():
+    y = Poly.var("y")
+    f = TruncSeries("z", 5, [1, y, Fraction(1, 3), 0, y * y - 2, Fraction(-5, 7)])
+    g = TruncSeries("z", 5, [Fraction(2), Fraction(1, 10**40), 0, 3, Fraction(-1, 6), 1])
+    h = TruncSeries("z", 5, [0, Fraction(1, 2), y, 0, 1, Fraction(2, 9)])
+    assert list((f * g).coeffs) == oracle_mul(f.coeffs, g.coeffs)
+    assert list(f.inverse().coeffs) == oracle_inverse(list(f.coeffs))
+    assert list(h.exp().coeffs) == oracle_exp(list(h.coeffs))
+    at = {"y": Fraction(-3, 4)}
+    assert (f * g).substitute_params(at) == f.substitute_params(at) * g
+    assert f.inverse().substitute_params(at) == f.substitute_params(at).inverse()
+    assert h.exp().substitute_params(at) == h.substitute_params(at).exp()
+    assert f.pow(Fraction(5, 2)).substitute_params(at) == f.substitute_params(at).pow(Fraction(5, 2))
+
+
+def test_kernel_error_gates_are_kept():
+    with pytest.raises(ZeroDivisionError, match="zero constant term"):
+        series([0, Fraction(1, 3), 2]).inverse()
+    with pytest.raises(ZeroDivisionError, match="constant term not scalar"):
+        series([Poly.var("y"), 1]).inverse()
+    with pytest.raises(ValueError, match="exp requires zero constant term"):
+        series([Fraction(1, 10**40), 1]).exp()
+    with pytest.raises(ValueError, match="log requires constant term 1"):
+        series([2, 1]).log()
+    with pytest.raises(ValueError, match="pow requires constant term 1"):
+        series([-1, 1]).pow(Fraction(1, 2))
