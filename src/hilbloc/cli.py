@@ -88,12 +88,18 @@ def _surface(spec: str, parser):
     return build_model(spec)
 
 
+def _parse_int(text: str, flag: str, parser) -> int:
+    # digits counted before int(), which refuses strings past 4300 digits
+    if len(text.strip().lstrip("+-")) > DIGITS_MAX:
+        parser.error(f"{flag} must have at most {DIGITS_MAX} digits")
+    return int(text)
+
+
 def _int_list(text: str, flag: str, parser) -> list:
     try:
-        values = [int(c) for c in text.split(",")]
+        return [_parse_int(c, f"each {flag} entry", parser) for c in text.split(",")]
     except ValueError:
         parser.error(f"{flag} must be comma-separated integers, got {text!r}")
-    return [_check_digits(v, f"each {flag} entry", parser) for v in values]
 
 
 def _bundle_from_args(model, args, parser):
@@ -228,11 +234,10 @@ def _genus_by_name(name: str, degree: int, parser):
     if name.startswith("phi:"):
         try:
             _, nn, kk = name.split(":")
-            level, k = int(nn), int(kk)
+            level = _parse_int(nn, "N in --genus phi:N:k", parser)
+            k = _parse_int(kk, "k in --genus phi:N:k", parser)
         except ValueError:
             parser.error("phi genus spec must be phi:N:k")
-        _check_digits(level, "N in --genus phi:N:k", parser)
-        _check_digits(k, "k in --genus phi:N:k", parser)
         return phi_nk_genus(level, k, degree)
     parser.error(f"unknown genus {name!r} (todd, euler, signature, phi:N:k, chi_y)")
 

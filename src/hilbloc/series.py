@@ -357,24 +357,12 @@ def fg_series(kind: str, y, a: int, order: int) -> TruncSeries:
         raise ValueError("kind must be 'f' or 'g'")
     yv = y if isinstance(y, Poly) else Fraction(y)
     coeffs = [_coerce(1)]
-    if kind == "g" and not isinstance(yv, Poly):
-        # y = p/q: p prod_{i=1}^{n-1} (p - q(an + i)) / (q^n n!)
-        p, q = yv.numerator, yv.denominator
-        for n in range(1, order + 1):
-            num = p
-            for i in range(1, n):
-                num *= p - q * (a * n + i)
-            coeffs.append(Fraction(num, q**n * factorial(n)))
-        return TruncSeries("z", order, coeffs)
     for n in range(1, order + 1):
         if kind == "f":
             coeffs.append(binomial(yv - a * (n - 1), n))
         else:
             # y/(y-an) * C(y-an, n) with the (y-an) factor cancelled
-            num = yv
-            for i in range(1, n):
-                num = num * (yv - a * n - i)
-            coeffs.append(num / factorial(n))
+            coeffs.append(yv * binomial(yv - a * n - 1, n - 1) / n)
     return TruncSeries("z", order, coeffs)
 
 

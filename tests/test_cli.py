@@ -194,6 +194,12 @@ def run_cli(argv):
         ),
         (["genus", "--genus", "phi:2:" + "9" * 41, "--k3", "--n", "1"], "k in --genus phi:N:k must have at most 40 digits"),
         (["chern", "--surface", DEPTH_4, "--n", "1"], "--surface nests at most 3 blowup: levels"),
+        (
+            ["genus", "--genus", "phi:" + "9" * 5000 + ":1", "--k3", "--n", "1"],
+            "N in --genus phi:N:k must have at most 40 digits",
+        ),
+        (["genus", "--genus", "phi:2:-" + "9" * 5000, "--k3", "--n", "1"], "k in --genus phi:N:k must have at most 40 digits"),
+        (["chi", "--surface", "p2", "--n", "1", "--k", "9" * 5000], "each --k entry must have at most 40 digits"),
     ],
 )
 def test_input_error_messages(argv, message):
@@ -256,6 +262,7 @@ FLAGS = st.lists(
 GENERA = st.sampled_from(
     ["todd", "euler", "signature", "phi:2:1", "phi:2:5", "phi:x", "chi_y", "a"]
     + ["phi:" + "9" * 40 + ":1", "phi:" + "9" * 41 + ":1", "phi:2:" + "9" * 41, "phi:" + "9" * 3000 + ":1"]
+    + ["phi:" + "9" * 5000 + ":1"]
 )
 
 
