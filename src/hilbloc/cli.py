@@ -75,12 +75,6 @@ def _check_n(n: int, long_mode: bool, parser: argparse.ArgumentParser):
 _K_DEGREES = {"p2": 1, "p1xp1": 2}
 
 
-def _check_digits(value: int, flag: str, parser) -> int:
-    if abs(value) >= 10**DIGITS_MAX:
-        parser.error(f"{flag} must have at most {DIGITS_MAX} digits")
-    return value
-
-
 def _surface(spec: str, parser):
     # counted before parsing: build_model recurses once per level
     if spec.lower().count("blowup:") > BLOWUP_DEPTH_MAX:
@@ -92,14 +86,14 @@ def _parse_int(text: str, flag: str, parser) -> int:
     # digits counted before int(), which refuses strings past 4300 digits
     if len(text.strip().lstrip("+-")) > DIGITS_MAX:
         parser.error(f"{flag} must have at most {DIGITS_MAX} digits")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        parser.error(f"{flag} must be an integer, got {text!r}")
 
 
 def _int_list(text: str, flag: str, parser) -> list:
-    try:
-        return [_parse_int(c, f"each {flag} entry", parser) for c in text.split(",")]
-    except ValueError:
-        parser.error(f"{flag} must be comma-separated integers, got {text!r}")
+    return [_parse_int(c, f"each {flag} entry", parser) for c in text.split(",")]
 
 
 def _bundle_from_args(model, args, parser):
@@ -178,9 +172,9 @@ def cmd_betti(args, parser):
 def cmd_chi(args, parser):
     model = _surface(args.surface, parser)
     _check_n(args.n, args.long, parser)
-    _check_digits(args.r, "--r", parser)
+    r = _parse_int(args.r, "--r", parser)
     L = _bundle_from_args(model, args, parser)
-    val = chi_via_RR(model, args.n, L, args.r, ladder=args.ladder)
+    val = chi_via_RR(model, args.n, L, r, ladder=args.ladder)
     _emit(
         {
             "schema": 1,
@@ -188,10 +182,10 @@ def cmd_chi(args, parser):
             "surface": args.surface,
             "n": args.n,
             "bundle": list(L.coeffs),
-            "r": args.r,
+            "r": r,
             "chi": format_fraction(val),
         },
-        csv_rows=[(args.n, args.r, format_fraction(val))],
+        csv_rows=[(args.n, r, format_fraction(val))],
         csv_header=("n", "r", "chi"),
         use_csv=args.csv,
     )
@@ -204,12 +198,12 @@ def cmd_twist_series(args, parser):
         parser.error(f"order > {TWIST_ORDER_MAX} is not supported")
     if args.order > LONG_N_MAX and not args.long:
         parser.error(f"order > {LONG_N_MAX} requires --long")
-    _check_digits(args.r, "--r", parser)
-    pair = fit_AB(args.r, args.order)
+    r = _parse_int(args.r, "--r", parser)
+    pair = fit_AB(r, args.order)
     payload = {
         "schema": 1,
         "command": "twist-series",
-        "r": args.r,
+        "r": r,
         "order": args.order,
         "logA": [format_fraction(c) for c in pair.log_a.coeffs],
         "B": [format_fraction(c) for c in pair.b.coeffs],
@@ -359,12 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     bundle.add_argument(
         "--bundle", type=str, default=None, help=f"comma-separated ray coefficients, at most {DIGITS_MAX} digits each"
     )
-    sp.add_argument("--r", type=int, default=0, help=f"at most {DIGITS_MAX} digits")
+    sp.add_argument("--r", default="0", help=f"at most {DIGITS_MAX} digits")
     common(sp, ladder=True)
     sp.set_defaults(fn=cmd_chi)
 
     sp = sub.add_parser("twist-series", help="fitted log A_r and B_r")
-    sp.add_argument("--r", type=int, required=True, help=f"at most {DIGITS_MAX} digits")
+    sp.add_argument("--r", required=True, help=f"at most {DIGITS_MAX} digits")
     sp.add_argument(
         "--order", type=int, required=True,
         help=f"2..{TWIST_ORDER_MAX}; above {LONG_N_MAX} needs --long (order {TWIST_ORDER_MAX}: about 2 s)",
@@ -376,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("genus", help="genus values of Hilb^n terms")
     sp.add_argument(
         "--genus", required=True,
-        help=f"todd | euler | signature | phi:N:k | chi_y; N and k have at most {DIGITS_MAX} digits each",
+        help=f"todd | euler | signature | phi:N:k | chi_y; phi:N:k needs 0 <= k <= N and N >= 1, "
+        f"N and k of at most {DIGITS_MAX} digits each",
     )
     where = sp.add_mutually_exclusive_group()
     where.add_argument("--surface", default=None, help=SURFACE_HELP)

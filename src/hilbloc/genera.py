@@ -104,9 +104,9 @@ def chi_minus_y_genus(degree: int) -> GenusSpec:
 
 
 def phi_nk_genus(n_level: int, k: int, degree: int) -> GenusSpec:
-    """Q(x) = x e^{-(k/N) x} / (1 - e^{-x}), for 0 <= k <= N."""
-    if not 0 <= k <= n_level:
-        raise ValueError(f"require 0 <= k <= N, got k={k}, N={n_level}")
+    """Q(x) = x e^{-(k/N) x} / (1 - e^{-x}), for 0 <= k <= N and N >= 1."""
+    if not 0 <= k <= n_level or n_level < 1:
+        raise ValueError(f"require 0 <= k <= N and N >= 1, got k={k}, N={n_level}")
     td = todd_series("x", degree)
     return GenusSpec(
         f"phi_{n_level}_{k}", td * exp_series("x", degree, Fraction(-k, n_level))

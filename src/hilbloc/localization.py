@@ -6,22 +6,18 @@ torus-fixed points of S), with total size n.  Tangent weights come from
 the arm/leg formula; tautological weights from the cell grid shifted by
 the local weight of the inducing line bundle.
 
-Characters stay symbolic (integer pairs) until they are specialized
-along a generic one-parameter subgroup (a, b); every public computation
-is performed for two members of a deterministic 1-PS ladder and the two
-exact results must agree.  One pass over the fixed points feeds both
-specializations: a point's symbolic weights are computed once and
-specialized for each, and the two sums stay independent until they are
-compared at the end.
-
-Every residue sum runs in integers.  A specialization keeps integer
-numerators over one running common denominator, the lcm of the point
-denominators prod t seen so far, and builds one Fraction per output at
-the end.  For Chern numbers the numerators are prod_{p in la} e_p(t).
-For other integrands they come from the power sums and elementary
-symmetric functions of the point's weights, each factor scaled so that
-its coefficients are integers (see "integrand" below); `chi_via_RR_family`
-serves several determinant twists from the same pass.
+Every number computed here is a residue sum over the fixed points of an
+integer numerator over prod t, and one pass, `_residue_pass`, evaluates
+them all; each output supplies only its per-point numerators.  For Chern
+numbers these are prod_{p in la} e_p(t).  For other integrands they come
+from the power sums and elementary symmetric functions of the point's
+weights, each factor scaled so that its coefficients are integers (see
+"integrand" below); `chi_via_RR_family` serves several determinant twists
+from the same pass.  Characters stay symbolic (integer pairs) until the
+pass specializes them along the first two members of a deterministic
+ladder of generic one-parameter subgroups; each specialization keeps
+integer numerators over one running common denominator, the lcm of the
+point denominators seen so far, and the two exact sums must agree.
 """
 
 from __future__ import annotations
@@ -225,17 +221,41 @@ class _ResidueSum:
         self.acc = [0] * size
         self.den = 1
 
-    def rebase(self, d) -> int:
-        """Make den a multiple of d, rescaling the numerators; return den // d."""
+    def add(self, d, nums):
         up = abs(d) // gcd(self.den, d)
         if up != 1:
             self.acc = [a * up for a in self.acc]
             self.den *= up
-        return self.den // d
+        scale = self.den // d
+        acc = self.acc
+        for i, x in enumerate(nums):
+            acc[i] += x * scale
 
-    def fractions(self, divisor=1) -> list:
-        """The sums, each divided by divisor."""
-        return [Fraction(a, self.den * divisor) for a in self.acc]
+
+def _residue_pass(model, n, ladder, size, at_point) -> list:
+    """The size residue sums over the fixed points of Hilb^n, exact.
+
+    at_point(fp) returns numerators(spec, tvals), the point's integer
+    numerators over prod t at a specialization spec with tangent weights
+    tvals.  The sums of the two specializations are independent until they
+    are compared, value by value, at the end."""
+    specs = one_ps_ladder(model, n, ladder)[:2]
+    sums = [_ResidueSum(size) for _ in specs]
+    for fp in enumerate_fixed_points(model, n):
+        chars = tangent_weights(model, fp)
+        numerators = at_point(fp)
+        for spec, total in zip(specs, sums):
+            tvals = [_specialize(c, spec) for c in chars]
+            if 0 in tvals:
+                raise ConsistencyError("1-PS specialization hit a zero tangent weight")
+            total.add(prod(tvals), numerators(spec, tvals))
+    v1, v2 = ([Fraction(a, total.den) for a in total.acc] for total in sums)
+    for a, b in zip(v1, v2):
+        if a != b:
+            raise ConsistencyError(
+                f"specializations {specs[0]} and {specs[1]} disagree: {a} vs {b}"
+            )
+    return v1
 
 
 def _elementary_symmetric(values):
@@ -419,107 +439,56 @@ class _IntegerIntegrand:
         return out
 
 
-class _IntegrandSum(_ResidueSum):
-    """The residue sums of one specialization, one per determinant twist."""
-
-    def add(self, d, nums):
-        scale = self.rebase(d)
-        acc = self.acc
-        for i, x in enumerate(nums):
-            acc[i] += x * scale
-
-
 def _integrate_family(model, n, integrand, dets, ladder):
     """The integral of the integrand times e^{c1(L_n (x) E^r)} for each (L, r)
-    in dets (an entry None means no determinant factor).
-
-    One pass over the fixed points feeds both specializations: the symbolic
-    weights are computed once per point and specialized for each.  The two
-    sums are independent until they are compared, value by value, at the
-    end.
-    """
-    specs = one_ps_ladder(model, n, ladder)[:2]
+    in dets (an entry None means no determinant factor)."""
     form = _IntegerIntegrand(integrand, n)
-    sums = [_IntegrandSum(len(dets)) for _ in specs]
-    for fp in enumerate_fixed_points(model, n):
-        chars = tangent_weights(model, fp)
+
+    def at_point(fp):
         taut = {x: taut_weights(model, fp, x) for x in form.taut_classes}
         det_chars = [None if det is None else det_taut_weight(model, fp, *det) for det in dets]
-        for spec, total in zip(specs, sums):
-            tvals = [_specialize(c, spec) for c in chars]
-            if 0 in tvals:
-                raise ConsistencyError("1-PS specialization hit a zero tangent weight")
+
+        def numerators(spec, tvals):
             weights = {x: [(_specialize(c, spec), m) for c, m in pairs] for x, pairs in taut.items()}
             ws = [None if c is None else _specialize(c, spec) for c in det_chars]
-            total.add(prod(tvals), form.numerators(tvals, weights, ws))
-    v1, v2 = ([v * form.scale for v in total.fractions(form.denominator)] for total in sums)
-    for a, b in zip(v1, v2):
-        if a != b:
-            raise ConsistencyError(
-                f"specializations {specs[0]} and {specs[1]} disagree: {a} vs {b}"
-            )
-    return v1
+            return form.numerators(tvals, weights, ws)
+
+        return numerators
+
+    factor = form.scale / form.denominator
+    return [v * factor for v in _residue_pass(model, n, ladder, len(dets), at_point)]
 
 
 def integrate(model: ToricSurface, n: int, integrand: Integrand, ladder: str = "xi") -> Fraction:
-    """Bott-residue integral over Hilb^n(S), exact.
-
-    The sum is evaluated at the first two members of the chosen 1-PS
-    ladder; disagreement raises ConsistencyError.
-    """
+    """Bott-residue integral over Hilb^n(S), exact; ConsistencyError if the
+    two specializations of the chosen 1-PS ladder disagree."""
     return _integrate_family(model, n, integrand, (integrand.exp_det,), ladder)[0]
 
 
 # -- Chern numbers of Hilb^n -----------------------------------------------------
 
 
-class _ChernSum(_ResidueSum):
-    """sum over fixed points of prod_{p in la} e_p(t) / prod t for every la,
-    kept as integer numerators over one running common denominator."""
-
-    def __init__(self, lams):
-        super().__init__(len(lams))
-        self.lams = lams
-
-    def add(self, tvals):
-        scale = self.rebase(prod(tvals))
-        e = _elementary_symmetric(tvals)
-        acc = self.acc
-        for i, la in enumerate(self.lams):
-            x = scale
-            for p in la:
-                x *= e[p]
-                if not x:
-                    break
-            acc[i] += x
-
-    def values(self) -> dict:
-        return dict(zip(self.lams, self.fractions()))
-
-
 @lru_cache(maxsize=None)
 def chern_numbers_hilb(model: ToricSurface, n: int, ladder: str = "xi") -> ChernVector:
-    """All Chern numbers c_la(Hilb^n(S)), la a partition of 2n, exact.
-
-    One pass over the fixed points feeds the sums of both specializations;
-    the two are independent until they are compared at the end.
-    """
-    if n == 0:
-        return ChernVector.point(1)
-    specs = one_ps_ladder(model, n, ladder)[:2]
+    """All Chern numbers c_la(Hilb^n(S)), la a partition of 2n, exact: the
+    residue sums of prod_{p in la} e_p(t) / prod t."""
     lams = enumerate_partitions(2 * n)
-    sums = [_ChernSum(lams) for _ in specs]
-    for fp in enumerate_fixed_points(model, n):
-        chars = tangent_weights(model, fp)
-        for spec, total in zip(specs, sums):
-            tvals = [_specialize(c, spec) for c in chars]
-            if 0 in tvals:
-                raise ConsistencyError("1-PS specialization hit a zero tangent weight")
-            total.add(tvals)
-    v1, v2 = (total.values() for total in sums)
-    if v1 != v2:
-        raise ConsistencyError("Chern-number specializations disagree")
-    return ChernVector.from_dict(2 * n, v1)
+    # each distinct suffix of a la costs one product e_p * (its tail's), and
+    # sorting by length puts every tail first, the empty one at index 0
+    suffixes = sorted({la[k:] for la in lams for k in range(len(la) + 1)}, key=len)
+    index = {s: i for i, s in enumerate(suffixes)}
+    plan = [(s[0], index[s[1:]]) for s in suffixes[1:]]
+    pick = [index[la] for la in lams]
+
+    def numerators(spec, tvals):
+        e = _elementary_symmetric(tvals)
+        prods = [1]
+        for p, tail in plan:
+            prods.append(e[p] * prods[tail])
+        return [prods[i] for i in pick]
+
+    values = _residue_pass(model, n, ladder, len(lams), lambda fp: numerators)
+    return ChernVector.from_dict(2 * n, dict(zip(lams, values)))
 
 
 @lru_cache(maxsize=None)

@@ -60,12 +60,6 @@ def count_partitions(n: int) -> int:
     return sum(count_with_parts(n, r) for r in range(n + 1))
 
 
-def conjugate(la: Partition) -> Partition:
-    if not la:
-        return ()
-    return tuple(sum(1 for p in la if p > j) for j in range(la[0]))
-
-
 def cells(la: Partition) -> list:
     """The cells of the Young diagram of la with arm and leg lengths.
 

@@ -54,9 +54,6 @@ class Poly:
 
     # -- queries -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return all(m == () for m in self.terms)
 
@@ -251,7 +248,3 @@ def format_fraction(x) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)

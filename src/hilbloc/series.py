@@ -69,10 +69,6 @@ class TruncSeries:
     def x(var: str, order: int) -> "TruncSeries":
         return TruncSeries(var, order, [0, 1])
 
-    @staticmethod
-    def const(c, var: str, order: int) -> "TruncSeries":
-        return TruncSeries(var, order, [c])
-
     # -- helpers -----------------------------------------------------------
 
     def __getitem__(self, n: int):
@@ -270,20 +266,6 @@ class TruncSeries:
                 out = out * self
             return out
         return (self.log() * e).exp()
-
-    def compose_monomial(self, scale, power: int) -> "TruncSeries":
-        """Substitute var -> scale * var**power (power >= 1)."""
-        if power < 1:
-            raise ValueError("power must be >= 1")
-        out = [Fraction(0)] * (self.order + 1)
-        s = _coerce(1)
-        for i, c in enumerate(self.coeffs):
-            if i * power > self.order:
-                break
-            if c:
-                out[i * power] = c * s
-            s = s * scale
-        return TruncSeries(self.var, self.order, out)
 
     def substitute_params(self, assignment: dict) -> "TruncSeries":
         """Substitute values for Poly parameters in the coefficients."""

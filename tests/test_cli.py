@@ -160,6 +160,7 @@ DEPTH_4 = "blowup:blowup:blowup:blowup:p2:0:0:0:0"
         ["chi", "--surface", DEPTH_4, "--n", "1", "--bundle", "1,0,0,0,0,0,0"],
         ["genus", "--genus", "todd", "--surface", DEPTH_4, "--n", "1"],
         ["chern", "--surface", "blowup:" * 3000 + "p2" + ":0" * 3000, "--n", "1"],
+        ["genus", "--genus", "phi:0:0", "--surface", "p2", "--n", "2"],
     ],
 )
 def test_input_errors_exit_2(argv):
@@ -200,6 +201,7 @@ def run_cli(argv):
         ),
         (["genus", "--genus", "phi:2:-" + "9" * 5000, "--k3", "--n", "1"], "k in --genus phi:N:k must have at most 40 digits"),
         (["chi", "--surface", "p2", "--n", "1", "--k", "9" * 5000], "each --k entry must have at most 40 digits"),
+        (["twist-series", "--r", "9" * 5000, "--order", "3"], "--r must have at most 40 digits"),
     ],
 )
 def test_input_error_messages(argv, message):
@@ -260,7 +262,7 @@ FLAGS = st.lists(
 )
 # phi:N:k with N and k at and past their 40-digit bound, and far past it
 GENERA = st.sampled_from(
-    ["todd", "euler", "signature", "phi:2:1", "phi:2:5", "phi:x", "chi_y", "a"]
+    ["todd", "euler", "signature", "phi:2:1", "phi:2:5", "phi:0:0", "phi:x", "chi_y", "a"]
     + ["phi:" + "9" * 40 + ":1", "phi:" + "9" * 41 + ":1", "phi:2:" + "9" * 41, "phi:" + "9" * 3000 + ":1"]
     + ["phi:" + "9" * 5000 + ":1"]
 )

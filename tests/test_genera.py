@@ -63,6 +63,8 @@ def test_genus_requires_unit_series():
 def test_phi_nk_validation():
     with pytest.raises(ValueError):
         phi_nk_genus(2, 3, 4)
+    with pytest.raises(ValueError, match="0 <= k <= N"):
+        phi_nk_genus(0, 0, 4)  # k/N undefined
     # phi_1,0 is the Todd genus
     assert genus_eval(phi_nk_genus(1, 0, 4), CP2) == 1
 

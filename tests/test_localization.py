@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbloc.cobordism import ChernVector
 from hilbloc.localization import (
     ConsistencyError,
     _char_bound,
@@ -127,7 +128,8 @@ MODELS = {"p2": p2(), "p1xp1": p1xp1(), "blowup:p2:0": blowup(p2(), 0)}
 def test_chern_numbers_match_integrand_evaluator(name):
     # the power-sum integrand evaluator is a separate code path
     model = MODELS[name]
-    for n in (1, 2, 3):
+    assert chern_numbers_hilb(model, 0) == ChernVector.point(1)
+    for n in (0, 1, 2, 3):
         vec = chern_numbers_hilb(model, n)
         for la, value in vec.numbers:
             assert value == integrate(model, n, Integrand.chern_monomial(la)), (n, la)
@@ -149,20 +151,26 @@ def test_top_chern_number_is_goettsche(name, euler):
         assert chern_numbers_hilb(MODELS[name], n).value((2 * n,)) == goettsche_euler(euler, n)
 
 
-def test_chern_gate_catches_a_perturbed_second_sum(monkeypatch):
+def _perturb_second_sum(monkeypatch):
+    """Add 1 to the numerators of the first point fed to the second
+    specialization's residue sum; the first sum is left alone."""
     import hilbloc.localization as loc
 
     sums = []  # in order of first use: the first specialization's, then the second's
-    add = loc._ChernSum.add
+    add = loc._ResidueSum.add
 
-    def perturbed_add(self, tvals):
+    def perturbed_add(self, d, nums):
         if self not in sums:
             sums.append(self)
-        if len(sums) == 2 and self is sums[1]:
-            tvals = [2 * tvals[0], *tvals[1:]]
-        add(self, tvals)
+            if len(sums) == 2:
+                nums = [x + 1 for x in nums]
+        add(self, d, nums)
 
-    monkeypatch.setattr(loc._ChernSum, "add", perturbed_add)
+    monkeypatch.setattr(loc._ResidueSum, "add", perturbed_add)
+
+
+def test_chern_gate_catches_a_perturbed_second_sum(monkeypatch):
+    _perturb_second_sum(monkeypatch)
     chern_numbers_hilb.cache_clear()
     try:
         with pytest.raises(ConsistencyError, match="disagree"):
@@ -186,34 +194,16 @@ def test_chern_gate_catches_a_zero_tangent_weight(monkeypatch):
         chern_numbers_hilb.cache_clear()
 
 
-def _perturb_second_integrand_sum(monkeypatch):
-    """Add 1 to the numerators of the first point fed to the second
-    specialization's sum; the first sum is left alone."""
-    import hilbloc.localization as loc
-
-    sums = []  # in order of first use: the first specialization's, then the second's
-    add = loc._IntegrandSum.add
-
-    def perturbed_add(self, d, nums):
-        if self not in sums:
-            sums.append(self)
-            if len(sums) == 2:
-                nums = [x + 1 for x in nums]
-        add(self, d, nums)
-
-    monkeypatch.setattr(loc._IntegrandSum, "add", perturbed_add)
-
-
 def test_integrand_gate_catches_a_perturbed_second_sum(monkeypatch):
     m = p2()
-    _perturb_second_integrand_sum(monkeypatch)
+    _perturb_second_sum(monkeypatch)
     with pytest.raises(ConsistencyError, match="disagree"):
         integrate(m, 2, Integrand.riemann_roch(o_bundle(m, 1), 1))
 
 
 def test_family_gate_catches_a_perturbed_second_sum(monkeypatch):
     m = p2()
-    _perturb_second_integrand_sum(monkeypatch)
+    _perturb_second_sum(monkeypatch)
     with pytest.raises(ConsistencyError, match="disagree"):
         chi_via_RR_family(m, 2, [o_bundle(m, k) for k in (0, 1, 2)], 1)
 

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 from hilbloc.partitions import (
     Cell,
     cells,
-    conjugate,
     count_partitions,
     count_with_parts,
     enumerate_partitions,
@@ -36,13 +35,6 @@ def test_count_with_parts_brute():
         for r in range(n + 2):
             brute = sum(1 for la in enumerate_partitions(n) if len(la) == r)
             assert count_with_parts(n, r) == brute
-
-
-@given(st.integers(0, 10))
-def test_conjugate_involution(n):
-    for la in enumerate_partitions(n):
-        assert conjugate(conjugate(la)) == la
-        assert sum(conjugate(la)) == n
 
 
 def brute_arm_leg(la, i, j):

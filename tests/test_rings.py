@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hilbloc.rings import Poly, binomial, format_fraction, gauss_solve, parse_fraction
+from hilbloc.rings import Poly, binomial, format_fraction, gauss_solve
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -19,7 +19,6 @@ def test_poly_basics():
 
 def test_poly_zero_terms_dropped():
     x = Poly.var("x")
-    assert (x - x).is_zero()
     assert not (x - x).terms
 
 
@@ -72,4 +71,4 @@ def test_gauss_solve_roundtrip(xs):
 
 @given(fractions)
 def test_fraction_roundtrip(q):
-    assert parse_fraction(format_fraction(q)) == q
+    assert Fraction(format_fraction(q)) == q

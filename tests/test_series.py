@@ -151,13 +151,6 @@ def test_partition_product_matches_double_sum():
         assert prod == partition_double_sum(eps, 8)
 
 
-def test_compose_monomial():
-    f = series([1, 1, 1, 1, 1])
-    g = f.compose_monomial(Fraction(2), 2)
-    assert g.coeffs[0] == 1 and g.coeffs[2] == 2 and g.coeffs[4] == 4
-    assert g.coeffs[1] == 0
-
-
 # -- oracle: the generic coefficient loops, kept here as they stood before
 # Fraction-only series got integer kernels.  Coefficient lists in, lists out.
 
