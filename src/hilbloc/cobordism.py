@@ -1,23 +1,26 @@
 """The rational complex cobordism ring in power-sum coordinates.
 
-A class of complex dimension d is stored as the map {partitions of d} -> Q
-of its Chern numbers c_la = integral of c_la1 c_la2 ... (TM).  Ring
-arithmetic runs on its power-sum polynomial (`to_beta`)
+A class of complex dimension d is its power-sum polynomial
 
     sum_mu b_mu beta_mu1 beta_mu2 ...,   b_mu = integral of p_mu(TM) / aut(mu),
 
 a `Poly` in the variables beta1, beta2, ... (p_k is the k-th power sum of
 the Chern roots, aut(mu) the product of the factorials of the part
-multiplicities).  This is the integral of exp(sum_k beta_k p_k), so the
-product of classes is the product of their polynomials, a series of
-classes is a `TruncSeries` of them, and a genus with log Q(x) =
-sum_k s_k x^k is the substitution beta_k = s_k (Hirzebruch, Topological
-Methods in Algebraic Geometry, Sections 1-4).
+multiplicities; `beta_poly` builds it from the integrals of the p_mu).
+This is the integral of exp(sum_k beta_k p_k), so the product of classes
+is the product of their polynomials, a graded series of classes such as
+H(S) = sum_n [Hilb^n(S)] z^n is a `TruncSeries` in z of them, and a genus
+with log Q(x) = sum_k s_k x^k is the substitution beta_k = s_k
+(Hirzebruch, Topological Methods in Algebraic Geometry, Sections 1-4).
+This module is the only one that knows the variable names and aut(mu).
 
-The basis of projective-space monomials CP^{m_1} x ... x CP^{m_k}
-(`cp_product_class`, `basis_matrix`, `to_cp_basis`, `from_cp_basis`) is
-kept as an independent reference for the tests; no computation here
-goes through it.
+A `ChernVector`, the map {partitions la of d} -> Q of the Chern numbers
+c_la = integral of c_la1 c_la2 ... (TM), is the form in which classes are
+printed and compared; `to_beta` and `from_beta` convert by Newton's
+identities.  The basis of projective-space monomials
+CP^{m_1} x ... x CP^{m_k} (`cp_product_class`, `basis_matrix`,
+`to_cp_basis`, `from_cp_basis`) is kept on `ChernVector`s as an
+independent reference for the tests; no computation here goes through it.
 """
 
 from __future__ import annotations
@@ -65,17 +68,6 @@ class ChernVector:
         if self.dim != 0:
             raise ValueError("not a point class")
         return self.numbers[0][1]
-
-    def __add__(self, other: "ChernVector") -> "ChernVector":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        od = other.as_dict()
-        return ChernVector(
-            self.dim, tuple((la, v + od[la]) for la, v in self.numbers)
-        )
-
-    def scale(self, c) -> "ChernVector":
-        return ChernVector(self.dim, tuple((la, v * c) for la, v in self.numbers))
 
 
 def _val(x):
@@ -246,11 +238,11 @@ def _expand(single, mu) -> dict:
 
 
 @lru_cache(maxsize=None)
-def to_beta_table(d: int) -> tuple:
-    """Rows (mu, ((la, t), ...)) over the partitions mu of d with
-    b_mu = sum t c_la, that is t = [e_la] p_mu / aut(mu)."""
+def _newton_table(d: int) -> tuple:
+    """One row ((la, t), ...) per partition mu of d, in rev-lex order, with
+    integral p_mu = sum t c_la, that is t = [e_la] p_mu."""
     return tuple(
-        (mu, tuple((la, c / _aut(mu)) for la, c in _expand(_power_sum_in_e, mu).items() if c))
+        tuple((la, c) for la, c in _expand(_power_sum_in_e, mu).items() if c)
         for mu in enumerate_partitions(d)
     )
 
@@ -265,9 +257,12 @@ def _from_beta_table(d: int) -> tuple:
     )
 
 
+_BETA = "beta"
+
+
 def beta_var(k: int) -> str:
-    """The name of the power-sum variable beta_k in a `to_beta` polynomial."""
-    return f"beta{k}"
+    """The name of the power-sum variable beta_k."""
+    return f"{_BETA}{k}"
 
 
 @lru_cache(maxsize=None)
@@ -276,19 +271,37 @@ def _beta_monomial(mu) -> tuple:
     return tuple(sorted((beta_var(k), mu.count(k)) for k in set(mu)))
 
 
-def to_beta(x: ChernVector) -> Poly:
-    """The power-sum polynomial sum_mu b_mu beta_mu1 beta_mu2 ... of a class.
+def beta_poly(d: int, integrals) -> Poly:
+    """The power-sum polynomial of the class of dimension d whose integral of
+    p_mu is integrals[i] for the i-th partition mu of d (rev-lex order).
 
-    Chern numbers that are Polys in parameters (c1sq, c2, y, ...) keep
-    those variables next to the beta_k.
+    Integrals that are Polys in parameters (c1sq, c2, y, ...) keep those
+    variables next to the beta_k.
     """
-    c = x.as_dict()
     terms = {}
-    for mu, row in to_beta_table(x.dim):
-        b_mu = sum((c[la] * t for la, t in row if c[la]), Fraction(0))
-        for mono, v in Poly.coerce(b_mu).terms.items():
-            terms[tuple(sorted(mono + _beta_monomial(mu)))] = v
+    for mu, v in zip(enumerate_partitions(d), integrals):
+        if v:
+            aut = _aut(mu)
+            for mono, c in Poly.coerce(v).terms.items():
+                terms[tuple(sorted(mono + _beta_monomial(mu)))] = c / aut
     return Poly(terms)
+
+
+def beta_degree(b) -> int:
+    """The complex dimension of a power-sum polynomial: the largest sum of
+    k e over the factors beta_k^e of one of its monomials (0 if constant)."""
+    return max(
+        (sum(int(v[len(_BETA):]) * e for v, e in mono if v.startswith(_BETA)) for mono in Poly.coerce(b).terms),
+        default=0,
+    )
+
+
+def to_beta(x: ChernVector) -> Poly:
+    """The power-sum polynomial of a class given by its Chern numbers."""
+    c = x.as_dict()
+    return beta_poly(
+        x.dim, [sum((c[la] * t for la, t in row if c[la]), Fraction(0)) for row in _newton_table(x.dim)]
+    )
 
 
 def from_beta(d: int, b) -> ChernVector:
@@ -320,45 +333,19 @@ def multiply(x: ChernVector, y: ChernVector) -> ChernVector:
 # -- graded series over the cobordism ring ----------------------------------------
 
 
-@dataclass(frozen=True)
-class CobordismSeries:
-    """sum_n [X_n] z^n with [X_n] of complex dimension 2n (e.g. H(S))."""
-
-    order: int
-    terms: tuple  # terms[n] is a ChernVector of dimension 2n
-
-    def __post_init__(self):
-        if len(self.terms) != self.order + 1:
-            raise ValueError("need exactly order+1 terms")
-        for n, t in enumerate(self.terms):
-            if t.dim != 2 * n:
-                raise ValueError(f"term {n} has dimension {t.dim}, expected {2*n}")
-
-    def term(self, n: int) -> ChernVector:
-        return self.terms[n]
-
-    def to_beta(self, order: int) -> TruncSeries:
-        """The z-series of the power-sum polynomials of terms 0..order."""
-        return TruncSeries("z", order, [to_beta(t) for t in self.terms[: order + 1]])
-
-    @staticmethod
-    def from_beta(s: TruncSeries) -> "CobordismSeries":
-        return CobordismSeries(s.order, tuple(from_beta(2 * n, c) for n, c in enumerate(s.coeffs)))
-
-
-def hilb_series(a, b, order: int, h_p2: CobordismSeries, h_p1xp1: CobordismSeries) -> CobordismSeries:
-    """H(S) for [S] = a [CP2] + b [CP1xCP1]: exp(a log H(P2) + b log H(P1xP1)).
+def hilb_series(a, b, order: int, h_p2: TruncSeries, h_p1xp1: TruncSeries) -> TruncSeries:
+    """H(S) for [S] = a [CP2] + b [CP1xCP1]: exp(a log H(P2) + b log H(P1xP1)),
+    on z-series whose term n is the power-sum polynomial of a class of
+    dimension 2n.
 
     a and b may be exact rationals or Polys, so the same routine produces
     both numeric Hilbert series and the universal two-parameter family.
     """
     if h_p2.order < order or h_p1xp1.order < order:
         raise ValueError("model data truncated below requested order")
-    log_p2 = h_p2.to_beta(order).log()
-    log_p1xp1 = h_p1xp1.to_beta(order).log()
-    return CobordismSeries.from_beta((log_p2 * a + log_p1xp1 * b).exp())
+    return (h_p2.truncate(order).log() * a + h_p1xp1.truncate(order).log() * b).exp()
 
 
-def product_series(x: CobordismSeries, y: CobordismSeries) -> CobordismSeries:
-    order = min(x.order, y.order)
-    return CobordismSeries.from_beta(x.to_beta(order) * y.to_beta(order))
+def product_series(x: TruncSeries, y: TruncSeries) -> TruncSeries:
+    """The product of two series of classes, to the smaller of their orders."""
+    return x * y

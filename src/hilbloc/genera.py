@@ -2,10 +2,10 @@
 
 A genus is given by its characteristic power series Q(x) with Q(0) = 1.
 With log Q(x) = sum_k s_k x^k, the genus of a class is its power-sum
-polynomial (`cobordism.to_beta`) at beta_k = s_k, and the multiplicative
-sequence comes from the same table of power sums in Chern classes; no
-root-finding is involved.  Coefficients may be polynomials in parameters
-(y).
+polynomial (see `cobordism`) at beta_k = s_k, and the multiplicative
+sequence is the genus of the classes with a single nonzero Chern number;
+no root-finding is involved.  Coefficients may be polynomials in
+parameters (y).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
 
-from .cobordism import ChernVector, CobordismSeries, beta_var, to_beta, to_beta_table
+from .cobordism import ChernVector, beta_degree, beta_var, to_beta
 from .partitions import count_partitions, count_with_parts, enumerate_partitions
 from .rings import Poly
 from .series import TruncSeries, exp_series, geometric, partition_product, todd_series
@@ -40,13 +40,6 @@ class GenusSpec:
     def log_coeffs(self) -> tuple:
         """(s_0, s_1, ..., s_D) with log Q(x) = sum_k s_k x^k."""
         return self.q.log().coeffs
-
-    def s_monomial(self, mu):
-        """s_mu1 s_mu2 ... for a partition mu."""
-        out = Fraction(1)
-        for part in mu:
-            out = out * self.log_coeffs[part]
-        return out
 
 
 # -- standard characteristic series ------------------------------------------------
@@ -120,34 +113,29 @@ def phi_nk_genus(n_level: int, k: int, degree: int) -> GenusSpec:
 def multiplicative_sequence(genus: GenusSpec, d: int):
     """Coefficients K_la with (prod_i Q(x_i))_{deg d} = sum_la K_la c_la.
 
-    prod_i Q(x_i) = exp(sum_k s_k p_k) = sum_mu s_mu p_mu / aut(mu), so
-    K_la = sum_mu s_mu [e_la] p_mu / aut(mu).  Returned as a dict over
-    partitions of d; values are Fractions or Polys in the genus parameters.
+    The genus is linear in the Chern numbers, so K_la is the genus of the
+    class with c_la = 1 and every other Chern number 0.  Returned as a dict
+    over partitions of d; values are Fractions or Polys in the genus
+    parameters.
     """
-    if d == 0:
-        return {(): Fraction(1)}
-    if d > genus.degree:
-        raise ValueError("genus characteristic series truncated below d")
-    out = {la: Fraction(0) for la in enumerate_partitions(d)}
-    for mu, row in to_beta_table(d):
-        s_mu = genus.s_monomial(mu)
-        if s_mu:
-            for la, t in row:
-                out[la] = out[la] + s_mu * t
-    return out
+    lams = enumerate_partitions(d)
+    return {
+        la: genus_eval(genus, to_beta(ChernVector.from_dict(d, {nu: int(nu == la) for nu in lams})))
+        for la in lams
+    }
 
 
-def genus_eval(genus: GenusSpec, x: ChernVector):
-    """The genus of a cobordism class: its power-sum polynomial at beta_k = s_k."""
-    if x.dim > genus.degree:
+def genus_eval(genus: GenusSpec, b):
+    """The genus of a cobordism class: its power-sum polynomial b at beta_k = s_k."""
+    if beta_degree(b) > genus.degree:
         raise ValueError("genus characteristic series truncated below d")
     s = genus.log_coeffs
-    return to_beta(x)(**{beta_var(k): s[k] for k in range(1, x.dim + 1)})
+    return Poly.coerce(b)(**{beta_var(k): s[k] for k in range(1, genus.degree + 1)})
 
 
-def genus_series(genus: GenusSpec, h: CobordismSeries, var: str = "t") -> TruncSeries:
-    """Apply a genus termwise to a cobordism series."""
-    return TruncSeries(var, h.order, [genus_eval(genus, t) for t in h.terms])
+def genus_series(genus: GenusSpec, h: TruncSeries, var: str = "t") -> TruncSeries:
+    """Apply a genus termwise to a series of classes."""
+    return TruncSeries(var, h.order, [genus_eval(genus, c) for c in h.coeffs])
 
 
 # -- model Betti numbers and the chi_y generating series ------------------------------

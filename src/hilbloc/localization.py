@@ -9,7 +9,9 @@ the local weight of the inducing line bundle.
 Every number computed here is a residue sum over the fixed points of an
 integer numerator over prod t, and one pass, `_residue_pass`, evaluates
 them all; each output supplies only its per-point numerators.  For Chern
-numbers these are prod_{p in la} e_p(t).  For other integrands they come
+numbers these are prod_{p in la} e_p(t), and for the power-sum polynomial
+of Hilb^n(S) (the cobordism class that `hilb_cobordism_series` returns)
+prod_{p in mu} p_p(t).  For other integrands they come
 from the power sums and elementary symmetric functions of the point's
 weights, each factor scaled so that its coefficients are integers (see
 "integrand" below); `chi_via_RR_family` serves several determinant twists
@@ -28,7 +30,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
-from .cobordism import ChernVector, CobordismSeries
+from .cobordism import ChernVector, beta_poly
 from .partitions import cells, enumerate_partitions
 from .series import TruncSeries, todd_series
 from .toric import Chart, TLineBundle, ToricSurface
@@ -133,24 +135,32 @@ def taut_weights(model: ToricSurface, fp: HilbFixedPoint, x: TautClass) -> list:
     return out
 
 
-def det_taut_weight(model: ToricSurface, fp: HilbFixedPoint, L: TLineBundle, r: int) -> tuple:
-    """The c1-weight of L_n (x) E^r at fp.
+def det_taut_weight(model: ToricSurface, fp: HilbFixedPoint, dets) -> list:
+    """The c1-weights of L_n (x) E^r at fp, one per (L, r) in dets.
 
     det(F^[n]) = det(F)_n (x) E^{rk F} with E = det(O^[n]) gives
     weight(L_n (x) E^r) = sum weights(L^[n]) + (r-1) * sum weights(O^[n])
                         = sum_charts |la| lw(L) + r * sum weights(O^[n]),
     and the cells (i, j) of la contribute -(sum i) w1 - (sum j) w2 to the
     O^[n] sum, with sum i = sum_i i la_i and sum j = sum_i binom(la_i, 2).
+    These partition moments are computed once for all entries of dets.
     """
-    acc0 = acc1 = 0
+    o0 = o1 = 0  # the weight of det O^[n]
     for chart, la in zip(model.charts, fp.assignment):
-        lw = L.local_weight(chart)
         si = sum(i * row for i, row in enumerate(la))
         sj = sum(row * (row - 1) // 2 for row in la)
-        size = sum(la)
-        acc0 += size * lw[0] - r * (si * chart.w1[0] + sj * chart.w2[0])
-        acc1 += size * lw[1] - r * (si * chart.w1[1] + sj * chart.w2[1])
-    return (acc0, acc1)
+        o0 -= si * chart.w1[0] + sj * chart.w2[0]
+        o1 -= si * chart.w1[1] + sj * chart.w2[1]
+    sized = [(chart, sum(la)) for chart, la in zip(model.charts, fp.assignment) if la]
+    out = []
+    for L, r in dets:
+        acc0, acc1 = r * o0, r * o1
+        for chart, size in sized:
+            lw = L.local_weight(chart)
+            acc0 += size * lw[0]
+            acc1 += size * lw[1]
+        out.append((acc0, acc1))
+    return out
 
 
 # -- 1-PS ladders ---------------------------------------------------------------
@@ -206,6 +216,15 @@ def _power_sums(weights, order):
     for _ in range(order + 1):
         p.append(sum(x))
         x = list(map(mul, x, ws))
+    return p
+
+
+def _tangent_power_sums(tvals, order):
+    """[p_0, ..., p_order] with p_k = sum t^k over the tangent weights t."""
+    p, x = [len(tvals)], tvals
+    for _ in range(order):
+        p.append(sum(x))
+        x = list(map(mul, x, tvals))
     return p
 
 
@@ -417,7 +436,7 @@ class _IntegerIntegrand:
             p = _power_sums(weights[self.ch_of], order)
             body = self._times(body, [self.d**m * p[m] for m in range(order + 1)])
         if self.exp_a is not None:
-            h = list(map(mul, self.exp_a, _power_sums([(v, 1) for v in tvals], order)))[1:]
+            h = list(map(mul, self.exp_a, _tangent_power_sums(tvals, order)))[1:]
             e = [1]
             for ff in self.exp_ff[1:]:
                 e.append(sum(map(mul, map(mul, ff, h), reversed(e))))
@@ -446,7 +465,7 @@ def _integrate_family(model, n, integrand, dets, ladder):
 
     def at_point(fp):
         taut = {x: taut_weights(model, fp, x) for x in form.taut_classes}
-        det_chars = [None if det is None else det_taut_weight(model, fp, *det) for det in dets]
+        det_chars = dets if dets == (None,) else det_taut_weight(model, fp, dets)
 
         def numerators(spec, tvals):
             weights = {x: [(_specialize(c, spec), m) for c, m in pairs] for x, pairs in taut.items()}
@@ -465,15 +484,15 @@ def integrate(model: ToricSurface, n: int, integrand: Integrand, ladder: str = "
     return _integrate_family(model, n, integrand, (integrand.exp_det,), ladder)[0]
 
 
-# -- Chern numbers of Hilb^n -----------------------------------------------------
+# -- Chern numbers and the cobordism class of Hilb^n -------------------------------
 
 
-@lru_cache(maxsize=None)
-def chern_numbers_hilb(model: ToricSurface, n: int, ladder: str = "xi") -> ChernVector:
-    """All Chern numbers c_la(Hilb^n(S)), la a partition of 2n, exact: the
-    residue sums of prod_{p in la} e_p(t) / prod t."""
+def _partition_sums(model, n, ladder, factors) -> list:
+    """The residue sums of prod_{p in la} f_p / prod t over the partitions la
+    of 2n (rev-lex order), with f = factors(t) the point's sequence f_0,
+    ..., f_2n of symmetric functions of its tangent weights t."""
     lams = enumerate_partitions(2 * n)
-    # each distinct suffix of a la costs one product e_p * (its tail's), and
+    # each distinct suffix of a la costs one product f_p * (its tail's), and
     # sorting by length puts every tail first, the empty one at index 0
     suffixes = sorted({la[k:] for la in lams for k in range(len(la) + 1)}, key=len)
     index = {s: i for i, s in enumerate(suffixes)}
@@ -481,22 +500,34 @@ def chern_numbers_hilb(model: ToricSurface, n: int, ladder: str = "xi") -> Chern
     pick = [index[la] for la in lams]
 
     def numerators(spec, tvals):
-        e = _elementary_symmetric(tvals)
+        f = factors(tvals)
         prods = [1]
         for p, tail in plan:
-            prods.append(e[p] * prods[tail])
+            prods.append(f[p] * prods[tail])
         return [prods[i] for i in pick]
 
-    values = _residue_pass(model, n, ladder, len(lams), lambda fp: numerators)
-    return ChernVector.from_dict(2 * n, dict(zip(lams, values)))
+    return _residue_pass(model, n, ladder, len(lams), lambda fp: numerators)
 
 
 @lru_cache(maxsize=None)
-def hilb_cobordism_series(model: ToricSurface, order: int) -> CobordismSeries:
-    """H(S) = sum [Hilb^n(S)] z^n to the requested order, by localization."""
-    return CobordismSeries(
-        order, tuple(chern_numbers_hilb(model, n) for n in range(order + 1))
-    )
+def chern_numbers_hilb(model: ToricSurface, n: int, ladder: str = "xi") -> ChernVector:
+    """All Chern numbers c_la(Hilb^n(S)), la a partition of 2n, exact: the
+    residue sums of prod_{p in la} e_p(t) / prod t."""
+    values = _partition_sums(model, n, ladder, _elementary_symmetric)
+    return ChernVector.from_dict(2 * n, dict(zip(enumerate_partitions(2 * n), values)))
+
+
+@lru_cache(maxsize=None)
+def _hilb_beta(model: ToricSurface, n: int):
+    """The power-sum polynomial of Hilb^n(S): its integrals of p_mu are the
+    residue sums of prod_{p in mu} p_p(t) / prod t."""
+    return beta_poly(2 * n, _partition_sums(model, n, "xi", lambda t: _tangent_power_sums(t, 2 * n)))
+
+
+def hilb_cobordism_series(model: ToricSurface, order: int) -> TruncSeries:
+    """H(S) = sum [Hilb^n(S)] z^n to the requested order, by localization:
+    term n is the power-sum polynomial of Hilb^n(S)."""
+    return TruncSeries("z", order, [_hilb_beta(model, n) for n in range(order + 1)])
 
 
 def chi_via_RR(

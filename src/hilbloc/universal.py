@@ -8,9 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cobordism import CobordismSeries, hilb_series
+from .cobordism import ChernVector, from_beta, hilb_series
 from .localization import Integrand, TautClass, chi_via_RR_family, hilb_cobordism_series, integrate
-from .partitions import enumerate_partitions
 from .rings import Poly, binomial, gauss_solve
 from .series import TruncSeries, fg_series
 from .toric import TLineBundle, intersection, o_bundle, p2, p1xp1
@@ -23,47 +22,20 @@ class FitError(RuntimeError):
 # -- universal Chern polynomials ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniversalChernTable:
-    """Chern numbers of Hilb^n as polynomials in (c1^2(S), c2(S))."""
-
-    n: int
-    polys: tuple  # ((partition of 2n, Poly in c1sq/c2), ...)
-
-    def poly(self, la) -> Poly:
-        return dict(self.polys)[tuple(la)]
-
-    def evaluate(self, c1sq, c2) -> dict:
-        vals = {}
-        for la, p in self.polys:
-            v = p.substitute({"c1sq": Fraction(c1sq), "c2": Fraction(c2)})
-            vals[la] = v.as_fraction()
-        return vals
-
-
-def universal_chern_poly(n: int, h_p2: CobordismSeries | None = None,
-                         h_p1xp1: CobordismSeries | None = None) -> UniversalChernTable:
-    """P_la with c_la(Hilb^n(S)) = P_la(c1^2(S), c2(S)).
+def universal_chern_poly(n: int) -> ChernVector:
+    """The Chern numbers of Hilb^n as polynomials P_la in (c1sq, c2), with
+    c_la(Hilb^n(S)) = P_la(c1^2(S), c2(S)).
 
     Produced through the cobordism route: write [S] = a [P2] + b [P1xP1]
     with (c1^2, c2) = (9a+8b, 3a+4b), expand term n of the two-parameter
     Hilbert series symbolically in (a, b) and substitute back
     a = (c1^2 - 2 c2)/3, b = (3 c2 - c1^2)/4.
     """
-    if h_p2 is None:
-        h_p2 = hilb_cobordism_series(p2(), n)
-    if h_p1xp1 is None:
-        h_p1xp1 = hilb_cobordism_series(p1xp1(), n)
     z1, z2 = Poly.var("c1sq"), Poly.var("c2")
     a = (z1 - 2 * z2) / 3
     b = (3 * z2 - z1) / 4
-    h = hilb_series(a, b, n, h_p2, h_p1xp1)
-    term = h.term(n)
-    polys = []
-    for la in enumerate_partitions(2 * n):
-        v = term.value(la)
-        polys.append((la, Poly.coerce(v)))
-    return UniversalChernTable(n, tuple(polys))
+    h = hilb_series(a, b, n, hilb_cobordism_series(p2(), n), hilb_cobordism_series(p1xp1(), n))
+    return from_beta(2 * n, h[n])
 
 
 # -- twist series A_r, B_r ----------------------------------------------------------

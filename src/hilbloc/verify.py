@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cobordism import hilb_series
+from .cobordism import from_beta, hilb_series
 from .genera import (
     chi_y_hilb,
     genus_eval,
@@ -187,7 +187,7 @@ def check_k3_chern(p: Profile) -> CheckResult:
     for n, table in K3_CHERN.items():
         if n > order:
             continue
-        term = k3.term(n).as_dict()
+        term = from_beta(2 * n, k3[n]).as_dict()
         for la, v in table.items():
             if term[la] != v:
                 return CheckResult(2, "K3 Chern numbers", False, f"n={n}, {la}: {term[la]} != {v}")
@@ -257,7 +257,7 @@ def check_phi_nk(p: Profile) -> CheckResult:
         genus = phi_nk_genus(nk[0], nk[1], 2 * order)
         for name, h in classes.items():
             series = genus_series(genus, h)
-            phi_s = genus_eval(genus, h.term(1))
+            phi_s = genus_eval(genus, h[1])
             if series != phi_nk_closed_form(phi_s, order):
                 return CheckResult(6, "phi_N,k generating series", False, f"{nk} on {name}")
     return CheckResult(
@@ -348,16 +348,14 @@ def check_engine(p: Profile) -> CheckResult:
 def check_universal_nonneg(p: Profile) -> CheckResult:
     warnings = []
     for n in range(1, p.univ_n + 1):
-        tab = universal_chern_poly(n)
-        for la, poly in tab.polys:
-            if any(c < 0 for c in poly.terms.values()):
+        for la, poly in universal_chern_poly(n).numbers:
+            if any(c < 0 for c in Poly.coerce(poly).terms.values()):
                 return CheckResult(
                     10, "universal polynomial nonnegativity", False, f"negative coefficient in P_{la}, n={n}"
                 )
     if p.univ_warn_n:
-        tab = universal_chern_poly(p.univ_warn_n)
-        for la, poly in tab.polys:
-            if any(c < 0 for c in poly.terms.values()):
+        for la, poly in universal_chern_poly(p.univ_warn_n).numbers:
+            if any(c < 0 for c in Poly.coerce(poly).terms.values()):
                 warnings.append(f"P_{la} has a negative coefficient at n={p.univ_warn_n}")
     return CheckResult(
         10,

@@ -1,10 +1,9 @@
 from fractions import Fraction
 
-import pytest
-
 from hilbloc.cobordism import (
     ChernVector,
-    CobordismSeries,
+    beta_degree,
+    beta_poly,
     cp_product_class,
     from_beta,
     from_cp_basis,
@@ -16,29 +15,40 @@ from hilbloc.cobordism import (
 )
 from hilbloc.partitions import enumerate_partitions, merge
 from hilbloc.rings import Poly
+from hilbloc.series import TruncSeries
 
 U = Poly.var("u")
 
 
-def _cp_multiply(x, y):
-    """The product through the CP-monomial basis: the reference route."""
-    out = {}
+def _cp_product_coeffs(x, y, out):
+    """out += the CP-monomial coordinates of x * y."""
     for mu, a in to_cp_basis(x).items():
         for nu, b in to_cp_basis(y).items():
             key = merge(mu, nu)
             out[key] = out.get(key, Fraction(0)) + a * b
-    return from_cp_basis(x.dim + y.dim, out)
+    return out
+
+
+def _cp_multiply(x, y):
+    """The product through the CP-monomial basis: the reference route."""
+    return from_cp_basis(x.dim + y.dim, _cp_product_coeffs(x, y, {}))
+
+
+def _chern_terms(series):
+    """The terms of a series of classes as Chern numbers: term n has dimension 2n."""
+    return [from_beta(2 * n, c) for n, c in enumerate(series.coeffs)]
 
 
 def _cp_product_series(x, y):
-    order = min(x.order, y.order)
+    """The Chern numbers of the terms of x * y, multiplied in the CP basis."""
+    xs, ys = _chern_terms(x), _chern_terms(y)
     terms = []
-    for n in range(order + 1):
-        acc = _cp_multiply(x.term(0), y.term(n))
-        for i in range(1, n + 1):
-            acc = acc + _cp_multiply(x.term(i), y.term(n - i))
-        terms.append(acc)
-    return CobordismSeries(order, tuple(terms))
+    for n in range(min(x.order, y.order) + 1):
+        out = {}
+        for i in range(n + 1):
+            _cp_product_coeffs(xs[i], ys[n - i], out)
+        terms.append(from_cp_basis(2 * n, out))
+    return terms
 
 
 def _class(d, value):
@@ -93,37 +103,43 @@ def test_multiply_is_product_of_manifolds():
 
 def test_multiply_point():
     cp2 = cp_product_class((2,))
-    assert multiply(ChernVector.point(3), cp2) == cp2.scale(3)
+    assert multiply(ChernVector.point(3), cp2) == ChernVector(2, tuple((la, 3 * v) for la, v in cp2.numbers))
 
 
 def _toy_series(order):
     terms = [ChernVector.point(1)]
     for n in range(1, order + 1):
         terms.append(cp_product_class((1,) * (2 * n)))
-    return CobordismSeries(order, tuple(terms))
+    return TruncSeries("z", order, [to_beta(t) for t in terms])
 
 
 def test_hilb_series_unit_coefficients():
     h1 = _toy_series(3)
     h2 = product_series(h1, h1)
-    assert h2 == _cp_product_series(h1, h1)
+    assert _chern_terms(h2) == _cp_product_series(h1, h1)
     # exp(1*log h1 + 0*log h2) = h1
-    assert hilb_series(1, 0, 3, h1, h2).terms == h1.terms
-    assert hilb_series(0, 1, 3, h1, h2).terms == h2.terms
+    assert hilb_series(1, 0, 3, h1, h2).coeffs == h1.coeffs
+    assert hilb_series(0, 1, 3, h1, h2).coeffs == h2.coeffs
     # exp(2 log h1 + log h2) = h1^4 through the CP basis; a = -1 inverts h1
     h4 = _cp_product_series(h2, h2)
-    assert hilb_series(2, 1, 3, h1, h2) == h4
-    zeros = tuple(_class(2 * n, lambda i: 0) for n in (1, 2, 3))
-    one = CobordismSeries(3, (ChernVector.point(1),) + zeros)
+    assert _chern_terms(hilb_series(2, 1, 3, h1, h2)) == h4
+    zeros = [_class(2 * n, lambda i: 0) for n in (1, 2, 3)]
+    one = [ChernVector.point(1)] + zeros
     assert _cp_product_series(hilb_series(-1, 0, 3, h1, h2), h1) == one
     # Poly exponents specialize to the numeric ones
     a, b = Poly.var("a"), Poly.var("b")
     symbolic = hilb_series(a, b, 3, h1, h2)
-    for t, want in zip(symbolic.terms, h4.terms):
+    for t, want in zip(_chern_terms(symbolic), h4):
         got = {la: Poly.coerce(v).substitute({"a": 2, "b": 1}) for la, v in t.numbers}
         assert got == want.as_dict()
 
 
-def test_series_dimension_validation():
-    with pytest.raises(ValueError):
-        CobordismSeries(1, (ChernVector.point(1), ChernVector.point(1)))
+def test_beta_poly_divides_by_aut_and_keeps_parameters():
+    # integrals of p_2 and p_1^2 on CP2 are 3 and 9; aut((1, 1)) = 2
+    b1, b2 = Poly.var("beta1"), Poly.var("beta2")
+    assert beta_poly(2, [3, 9]) == to_beta(cp_product_class((2,)))
+    assert beta_poly(2, [U, 0]) == U * b2
+    assert beta_poly(0, [Fraction(5)]) == 5
+    assert beta_degree(3 * b2 + U * b1 * b1) == 2
+    assert beta_degree(to_beta(cp_product_class((3, 1)))) == 4
+    assert beta_degree(Fraction(7)) == beta_degree(U) == 0

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hilbloc.cobordism import cp_product_class, hilb_series
+from hilbloc.cobordism import cp_product_class, hilb_series, to_beta
 from hilbloc.genera import (
     GenusSpec,
     betti_hilb_model,
@@ -24,15 +24,15 @@ from hilbloc.rings import Poly
 from hilbloc.series import TruncSeries
 from hilbloc.toric import p1xp1, p2
 
-CP2 = cp_product_class((2,))
-CP1SQ = cp_product_class((1, 1))
+CP2 = to_beta(cp_product_class((2,)))
+CP1SQ = to_beta(cp_product_class((1, 1)))
 
 
 def test_todd_of_projective_spaces():
     td = todd_genus(6)
     assert genus_eval(td, CP2) == 1
     assert genus_eval(td, CP1SQ) == 1
-    assert genus_eval(td, cp_product_class((3,))) == 1
+    assert genus_eval(td, to_beta(cp_product_class((3,)))) == 1
 
 
 def test_euler_genus_is_top_chern():
@@ -45,7 +45,7 @@ def test_signature():
     g = signature_genus(4)
     assert genus_eval(g, CP2) == 1
     assert genus_eval(g, CP1SQ) == 0
-    assert genus_eval(g, cp_product_class((2, 2))) == 1
+    assert genus_eval(g, to_beta(cp_product_class((2, 2)))) == 1
 
 
 def test_chi_minus_y_specializations():
@@ -53,6 +53,19 @@ def test_chi_minus_y_specializations():
     val = genus_eval(g, CP2)
     assert val == 1 + Poly.var("y") + Poly.var("y", 2)
     assert genus_eval(g, CP1SQ) == 1 + 2 * Poly.var("y") + Poly.var("y", 2)
+
+
+def test_genus_eval_rejects_a_series_truncated_below_the_class():
+    with pytest.raises(ValueError, match="truncated below d"):
+        genus_eval(todd_genus(2), to_beta(cp_product_class((3,))))
+    h = hilb_cobordism_series(p2(), 3)
+    assert genus_eval(todd_genus(4), h[2]) == 1
+    with pytest.raises(ValueError, match="truncated below d"):
+        genus_eval(todd_genus(4), h[3])
+    with pytest.raises(ValueError, match="truncated below d"):
+        genus_series(todd_genus(5), h)
+    with pytest.raises(ValueError, match="truncated below d"):
+        multiplicative_sequence(todd_genus(2), 3)
 
 
 def test_genus_requires_unit_series():
@@ -133,7 +146,7 @@ def test_genus_route_matches_betti_route():
     g = chi_minus_y_genus(8)
     h = hilb_cobordism_series(p2(), 4)
     for n in range(5):
-        val = genus_eval(g, h.term(n))
+        val = genus_eval(g, h[n])
         b = betti_hilb_model("P2", n)
         want = sum(bb * Poly.var("y", p) for p, bb in enumerate(b))
         assert val == want
@@ -144,7 +157,7 @@ def test_phi_closed_form_k3():
     h2 = hilb_cobordism_series(p1xp1(), 3)
     k3 = hilb_series(Fraction(-16), Fraction(18), 3, h1, h2)
     genus = phi_nk_genus(2, 1, 6)
-    assert genus_eval(genus, k3.term(1)) == 2
+    assert genus_eval(genus, k3[1]) == 2
     assert genus_series(genus, k3) == phi_nk_closed_form(2, 3)
 
 

@@ -22,7 +22,8 @@ import hilbloc
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-# every README CLI line except `verify`, plus the twist-series and chern workload sizes
+# every README CLI line except `verify`, plus the twist-series and chern workload sizes,
+# the largest `universal` call and genera on a blowup, on P1xP1 and on K3
 GOLDEN = {
     "chern_p2_n4": ["chern", "--surface", "p2", "--n", "4"],
     "chern_blowup_n6": ["chern", "--surface", "blowup:p2:0", "--n", "6", "--long"],
@@ -41,6 +42,13 @@ GOLDEN = {
     "chern_p1xp1_n7_long": ["chern", "--surface", "p1xp1", "--n", "7", "--long"],
     "chern_blowup_p2_1_n7_long": ["chern", "--surface", "blowup:p2:0", "--n", "7", "--long"],
     "twist_r3_o8_long": ["twist-series", "--r", "3", "--order", "8", "--long"],
+    "universal_n5": ["universal", "--n", "5"],
+    "universal_n7_long": ["universal", "--n", "7", "--long"],
+    "genus_todd_p1xp1_n6_long": ["genus", "--genus", "todd", "--surface", "p1xp1", "--n", "6", "--long"],
+    "genus_signature_blowup_p2_0_n5": [
+        "genus", "--genus", "signature", "--surface", "blowup:p2:0", "--n", "5",
+    ],
+    "genus_euler_k3_n7_long": ["genus", "--genus", "euler", "--k3", "--n", "7", "--long"],
 }
 
 

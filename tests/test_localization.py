@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbloc.cobordism import ChernVector
+from hilbloc.cobordism import ChernVector, to_beta
 from hilbloc.localization import (
     ConsistencyError,
     _char_bound,
@@ -16,6 +16,7 @@ from hilbloc.localization import (
     chi_via_RR_family,
     det_taut_weight,
     enumerate_fixed_points,
+    hilb_cobordism_series,
     integrate,
     one_ps_ladder,
     taut_weights,
@@ -24,7 +25,7 @@ from hilbloc.localization import (
 from hilbloc.partitions import count_partitions, enumerate_partitions
 from hilbloc.rings import binomial
 from hilbloc.series import TruncSeries, todd_series
-from hilbloc.toric import blowup, line_bundle, o_bundle, p1xp1, p2
+from hilbloc.toric import blowup, build_model, line_bundle, o_bundle, p1xp1, p2
 from hilbloc.universal import _reference_classes, h_psi_phi
 
 
@@ -135,6 +136,18 @@ def test_chern_numbers_match_integrand_evaluator(name):
             assert value == integrate(model, n, Integrand.chern_monomial(la)), (n, la)
 
 
+@pytest.mark.parametrize("spec", ["p2", "p1xp1", "blowup:p2:0", "blowup:blowup:p2:0:1"])
+def test_cobordism_series_is_the_power_sum_form_of_the_chern_numbers(spec):
+    # the power-sum residue sums against Newton's identities applied to the
+    # Chern-number sums: two separate per-point numerators and conversions
+    model = build_model(spec)
+    h = hilb_cobordism_series(model, 5)
+    assert h.var == "z" and h.order == 5
+    assert h[0] == 1
+    for n in range(6):
+        assert h[n] == to_beta(chern_numbers_hilb(model, n)), n
+
+
 def goettsche_euler(e, n):
     """The q^n coefficient of prod_k (1 - q^k)^(-e)."""
     series = [1] + [0] * n
@@ -179,6 +192,18 @@ def test_chern_gate_catches_a_perturbed_second_sum(monkeypatch):
         chern_numbers_hilb.cache_clear()
 
 
+def test_cobordism_gate_catches_a_perturbed_second_sum(monkeypatch):
+    import hilbloc.localization as loc
+
+    _perturb_second_sum(monkeypatch)
+    loc._hilb_beta.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="disagree"):
+            hilb_cobordism_series(p2(), 3)
+    finally:
+        loc._hilb_beta.cache_clear()
+
+
 def test_chern_gate_catches_a_zero_tangent_weight(monkeypatch):
     import hilbloc.localization as loc
 
@@ -187,11 +212,15 @@ def test_chern_gate_catches_a_zero_tangent_weight(monkeypatch):
     assert (1, -1) in [c for fp in enumerate_fixed_points(m, 1) for c in tangent_weights(m, fp)]
     monkeypatch.setattr(loc, "one_ps_ladder", lambda model, n, ladder: [(1, 1), (1, 2)])
     chern_numbers_hilb.cache_clear()
+    loc._hilb_beta.cache_clear()
     try:
         with pytest.raises(ConsistencyError, match="zero tangent weight"):
             chern_numbers_hilb(m, 1)
+        with pytest.raises(ConsistencyError, match="zero tangent weight"):
+            hilb_cobordism_series(m, 1)
     finally:
         chern_numbers_hilb.cache_clear()
+        loc._hilb_beta.cache_clear()
 
 
 def test_integrand_gate_catches_a_perturbed_second_sum(monkeypatch):
@@ -260,7 +289,7 @@ def test_det_taut_weight_is_the_cell_sum():
                     l_sum = weight_sum(model, fp, L)
                     for r in (-2, 0, 1, 3):
                         expected = tuple(l_sum[i] + (r - 1) * o_sum[i] for i in (0, 1))
-                        assert det_taut_weight(model, fp, L, r) == expected
+                        assert det_taut_weight(model, fp, [(L, r)]) == [expected]
 
 
 def test_taut_class_rank():
@@ -363,7 +392,7 @@ def _chain_point_value(model, n, fp, integrand, spec):
         for t in tvals:
             series = _eps_mul(series, [q[k] * t**k for k in range(order + 1)], order)
     if integrand.exp_det is not None:
-        w = specialize(det_taut_weight(model, fp, *integrand.exp_det))
+        w = specialize(det_taut_weight(model, fp, [integrand.exp_det])[0])
         series = _eps_mul(series, _eps_exp_weight(w, order), order)
     if integrand.ch_bundle is not None:
         ch = [Fraction(0)] * (order + 1)
