@@ -9,6 +9,7 @@ rationals serialized as "p/q" strings, or CSV with --csv.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from fractions import Fraction
@@ -27,7 +28,7 @@ from .localization import ConsistencyError, chern_numbers_hilb, chi_via_RR, hilb
 from .partitions import partition_key
 from .rings import Poly, format_fraction
 from .series import coeff_to_json, fg_series, solve_v
-from .toric import build_model, line_bundle, o_bundle, p2, p1xp1
+from .toric import build_model, line_bundle, o_bundle
 from .universal import FitError, fit_AB, universal_chern_poly
 
 LONG_N_MAX = 7
@@ -52,12 +53,11 @@ def _poly_json(poly) -> dict:
     return out
 
 
-def _emit(payload: dict, csv_rows=None, csv_header=None, use_csv=False):
-    if use_csv and csv_rows is not None:
-        if csv_header:
-            print(",".join(csv_header))
-        for row in csv_rows:
-            print(",".join(str(c) for c in row))
+def _emit(payload: dict, csv_rows, csv_header, use_csv):
+    if use_csv:
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(csv_header)
+        out.writerows(csv_rows)
     else:
         print(json.dumps(payload, indent=2, sort_keys=False))
 
@@ -249,9 +249,7 @@ def cmd_genus(args, parser):
         if args.surface is not None:
             h = hilb_cobordism_series(_surface(args.surface, parser), args.n)
         elif args.k3:
-            h1 = hilb_cobordism_series(p2(), args.n)
-            h2 = hilb_cobordism_series(p1xp1(), args.n)
-            h = hilb_series(Fraction(-16), Fraction(18), args.n, h1, h2)
+            h = hilb_series(0, 24, args.n)
         else:
             parser.error("provide --surface, --k3, or --model for chi_y")
         values = [{"n": m, "value": format_fraction(v)} for m, v in enumerate(genus_series(genus, h).coeffs)]

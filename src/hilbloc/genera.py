@@ -84,18 +84,6 @@ def chi_y_genus(degree: int) -> GenusSpec:
     return GenusSpec("chi_y", q - xy)
 
 
-def chi_minus_y_genus(degree: int) -> GenusSpec:
-    """chi_{-y}: the chi_y genus with y -> -y, so that varieties with
-    isolated-fixed-point torus actions get nonnegative Betti coefficients
-    (chi_{-y}(CP2) = 1 + y + y^2)."""
-    base = chi_y_genus(degree)
-    minus = {"y": -Poly.var("y")}
-    coeffs = [
-        c.substitute(minus) if isinstance(c, Poly) else c for c in base.q.coeffs
-    ]
-    return GenusSpec("chi_minus_y", TruncSeries("x", degree, coeffs))
-
-
 def phi_nk_genus(n_level: int, k: int, degree: int) -> GenusSpec:
     """Q(x) = x e^{-(k/N) x} / (1 - e^{-x}), for 0 <= k <= N and N >= 1."""
     if not 0 <= k <= n_level or n_level < 1:
@@ -133,9 +121,9 @@ def genus_eval(genus: GenusSpec, b):
     return Poly.coerce(b)(**{beta_var(k): s[k] for k in range(1, genus.degree + 1)})
 
 
-def genus_series(genus: GenusSpec, h: TruncSeries, var: str = "t") -> TruncSeries:
-    """Apply a genus termwise to a series of classes."""
-    return TruncSeries(var, h.order, [genus_eval(genus, c) for c in h.coeffs])
+def genus_series(genus: GenusSpec, h: TruncSeries) -> TruncSeries:
+    """Apply a genus termwise to a series of classes: a series in t."""
+    return TruncSeries("t", h.order, [genus_eval(genus, c) for c in h.coeffs])
 
 
 # -- model Betti numbers and the chi_y generating series ------------------------------
@@ -190,17 +178,12 @@ _MODEL_CHI_Y = {
 }
 
 
-def chi_y_surface(model_name: str) -> Poly:
-    return _MODEL_CHI_Y[model_name]
-
-
-def chi_y_hilb(model_name: str, order: int, method: str = "product", chi_y=None) -> TruncSeries:
+def chi_y_hilb(model_name: str, order: int, method: str = "product") -> TruncSeries:
     """chi_{-y}(H(S)) as a z-series with polynomial-in-y coefficients.
 
     method 'product': the infinite-product formula for the two models;
     method 'exp'    : exp( sum_m chi_{-y^m}(S) z^m / (m (1-(yz)^m)) );
     method 'betti'  : sum_p b_2p(Hilb^n) y^p z^n from the Betti sums.
-    For 'exp', chi_y may override the surface polynomial (any class).
     """
     if method == "product":
         return partition_product(_MODEL_FACTORS[model_name], order)
@@ -215,8 +198,7 @@ def chi_y_hilb(model_name: str, order: int, method: str = "product", chi_y=None)
             coeffs.append(acc)
         return TruncSeries("z", order, coeffs)
     if method == "exp":
-        chi = chi_y if chi_y is not None else _MODEL_CHI_Y[model_name]
-        chi = Poly.coerce(chi)
+        chi = _MODEL_CHI_Y[model_name]
         arg = TruncSeries.zero("z", order)
         for m in range(1, order + 1):
             chi_m = chi.substitute({"y": Poly.var("y", m)})
@@ -235,6 +217,6 @@ def chi_y_hilb(model_name: str, order: int, method: str = "product", chi_y=None)
 # -- Theorem 3 ---------------------------------------------------------------------
 
 
-def phi_nk_closed_form(phi_of_s, order: int, var: str = "t") -> TruncSeries:
+def phi_nk_closed_form(phi_of_s, order: int) -> TruncSeries:
     """(1 - t)^{-phi(S)}, the closed-form generating series of the genus."""
-    return geometric(var, order).pow(Fraction(phi_of_s))
+    return geometric("t", order).pow(Fraction(phi_of_s))

@@ -348,10 +348,6 @@ class Integrand:
             bundles=(("T", "tangent"),),
         )
 
-    @staticmethod
-    def riemann_roch(L: TLineBundle, r: int = 0, ch_of: TautClass | None = None) -> "Integrand":
-        return Integrand(todd=True, exp_det=(L, r), ch_bundle=ch_of)
-
 
 def _tangent_log(integrand, order):
     """(Q(0)^order, (s_0, ..., s_order)) with log(Q/Q(0)) = sum s_k x^k, for Q
@@ -530,21 +526,14 @@ def hilb_cobordism_series(model: ToricSurface, order: int) -> TruncSeries:
     return TruncSeries("z", order, [_hilb_beta(model, n) for n in range(order + 1)])
 
 
-def chi_via_RR(
-    model: ToricSurface,
-    n: int,
-    L: TLineBundle,
-    r: int = 0,
-    ch_of: TautClass | None = None,
-    ladder: str = "xi",
-) -> Fraction:
-    """chi(L_n (x) E^r) (or with an extra ch(F^[n]) factor) by equivariant
-    Riemann-Roch: the Bott integral of td(T) exp(c1) [ch]."""
-    return integrate(model, n, Integrand.riemann_roch(L, r, ch_of), ladder)
+def chi_via_RR(model: ToricSurface, n: int, L: TLineBundle, r: int = 0, ladder: str = "xi") -> Fraction:
+    """chi(L_n (x) E^r) by equivariant Riemann-Roch: the Bott integral of
+    td(T) exp(c1(L_n (x) E^r))."""
+    return integrate(model, n, Integrand(todd=True, exp_det=(L, r)), ladder)
 
 
-def chi_via_RR_family(model: ToricSurface, n: int, bundles, r: int, ladder: str = "xi") -> list:
+def chi_via_RR_family(model: ToricSurface, n: int, bundles, r: int) -> list:
     """[chi(L_n (x) E^r) for L in bundles], from one pass over the fixed
     points for both specializations: the Todd factor is built once per point
     and specialization, and each L costs one Horner evaluation."""
-    return _integrate_family(model, n, Integrand(todd=True), tuple((L, r) for L in bundles), ladder)
+    return _integrate_family(model, n, Integrand(todd=True), tuple((L, r) for L in bundles), "xi")

@@ -267,17 +267,6 @@ class TruncSeries:
             return out
         return (self.log() * e).exp()
 
-    def substitute_params(self, assignment: dict) -> "TruncSeries":
-        """Substitute values for Poly parameters in the coefficients."""
-        cs = []
-        for c in self.coeffs:
-            if isinstance(c, Poly):
-                v = c.substitute(assignment)
-                cs.append(v.as_fraction() if v.is_constant() else v)
-            else:
-                cs.append(c)
-        return TruncSeries(self.var, self.order, cs)
-
 
 # -- named series ----------------------------------------------------------------
 

@@ -67,13 +67,6 @@ class ToricSurface:
     def canonical_bundle(self) -> "TLineBundle":
         return TLineBundle(self, (-1,) * len(self.rays))
 
-    def c1_squared(self) -> int:
-        k = self.canonical_bundle()
-        return intersection(k, k)
-
-    def c2(self) -> int:
-        return self.euler_number
-
 
 @dataclass(frozen=True)
 class TLineBundle:
@@ -193,9 +186,7 @@ def intersection(l1: TLineBundle, l2: TLineBundle) -> int:
     return int(values[0])
 
 
-def invariants(model: ToricSurface, L: TLineBundle | None = None) -> SurfaceInvariants:
-    if L is None:
-        L = TLineBundle(model, (0,) * len(model.rays))
+def invariants(model: ToricSurface, L: TLineBundle) -> SurfaceInvariants:
     k = model.canonical_bundle()
     l2 = Fraction(intersection(L, L))
     kl = Fraction(intersection(k, L))

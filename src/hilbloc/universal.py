@@ -1,6 +1,10 @@
 """Extraction of the universal objects: P_la(c1^2, c2), the twist series
 A_r/B_r, the five-series decomposition, and the closed Euler-characteristic
 formulas for tautological sheaves.
+
+P_la is term n of `cobordism.hilb_series` at symbolic (c1^2, c2).  The
+twist-series and five-series fits share `_fit`, in which every row beyond
+the solved ones (a third k, a sixth class) is a hard consistency gate.
 """
 
 from __future__ import annotations
@@ -9,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cobordism import ChernVector, from_beta, hilb_series
-from .localization import Integrand, TautClass, chi_via_RR_family, hilb_cobordism_series, integrate
+from .localization import Integrand, TautClass, chi_via_RR_family, integrate
 from .rings import Poly, binomial, gauss_solve
 from .series import TruncSeries, fg_series
 from .toric import TLineBundle, intersection, o_bundle, p2, p1xp1
@@ -24,18 +28,11 @@ class FitError(RuntimeError):
 
 def universal_chern_poly(n: int) -> ChernVector:
     """The Chern numbers of Hilb^n as polynomials P_la in (c1sq, c2), with
-    c_la(Hilb^n(S)) = P_la(c1^2(S), c2(S)).
-
-    Produced through the cobordism route: write [S] = a [P2] + b [P1xP1]
-    with (c1^2, c2) = (9a+8b, 3a+4b), expand term n of the two-parameter
-    Hilbert series symbolically in (a, b) and substitute back
-    a = (c1^2 - 2 c2)/3, b = (3 c2 - c1^2)/4.
+    c_la(Hilb^n(S)) = P_la(c1^2(S), c2(S)): term n of the Hilbert series
+    of the symbolic surface class (c1sq, c2), read back by Newton's
+    identities.
     """
-    z1, z2 = Poly.var("c1sq"), Poly.var("c2")
-    a = (z1 - 2 * z2) / 3
-    b = (3 * z2 - z1) / 4
-    h = hilb_series(a, b, n, hilb_cobordism_series(p2(), n), hilb_cobordism_series(p1xp1(), n))
-    return from_beta(2 * n, h[n])
+    return from_beta(2 * n, hilb_series(Poly.var("c1sq"), Poly.var("c2"), n)[n])
 
 
 # -- twist series A_r, B_r ----------------------------------------------------------
@@ -47,59 +44,58 @@ class TwistSeriesPair:
     log_a: TruncSeries
     b: TruncSeries
 
-    @property
-    def a(self) -> TruncSeries:
-        return self.log_a.exp()
+
+def _fit(rows, logs, order: int, gates) -> list:
+    """The series x_1..x_d, d = len(rows[0]), with row . x = log at orders
+    1..order for every (row, log) pair: the first d rows are solved, and each
+    further row is a gate that raises FitError(gate.format(m=m)) at an
+    order m where it disagrees.
+    """
+    d = len(rows[0])
+    coeffs = [[Fraction(0)] * (order + 1) for _ in range(d)]
+    for m in range(1, order + 1):
+        sol = gauss_solve(rows[:d], [log[m] for log in logs[:d]])
+        for row, log, gate in zip(rows[d:], logs[d:], gates):
+            if sum(g * x for g, x in zip(row, sol)) != log[m]:
+                raise FitError(gate.format(m=m))
+        for i, x in enumerate(sol):
+            coeffs[i][m] = x
+    return [TruncSeries("z", order, c) for c in coeffs]
 
 
-def chi_twist_series(ks, r: int, order: int, ladder: str = "xi") -> dict:
+def chi_twist_series(ks, r: int, order: int) -> dict:
     """k -> sum_n chi((kH)_n (x) E^r) z^n on P2 for each k in ks, by
     localization, with one pass over the fixed points per n for all k."""
     model = p2()
     bundles = [o_bundle(model, k) for k in ks]
-    cols = [chi_via_RR_family(model, n, bundles, r, ladder) for n in range(order + 1)]
+    cols = [chi_via_RR_family(model, n, bundles, r) for n in range(order + 1)]
     return {k: TruncSeries("z", order, [col[i] for col in cols]) for i, k in enumerate(ks)}
 
 
-def fit_AB(r: int, order: int, chi_data: dict | None = None, ladder: str = "xi") -> TwistSeriesPair:
+def fit_AB(r: int, order: int, chi_data: dict | None = None) -> TwistSeriesPair:
     """Solve for log A_r and log B_r from P2 twist data.
 
     chi_data maps k -> the z-series of chi((kH)_n (x) E^r); at least two k
     are required, any extra k is used as a redundancy check (a failure is
     a hard error: it falsifies the ansatz or the localization engine).
-    On P2: chi(O_S) = 1, K^2 = 9, KL = -3k, chi(O(k)) = (k+1)(k+2)/2.
+    On P2: chi(O_S) = 1, K^2 = 9, KL = -3k, chi(O(k)) = (k+1)(k+2)/2, and
+    log chi = chi(L) log g + log f / 2 + (KL - K^2/2) log A + K^2 log B.
     """
     if chi_data is None:
-        chi_data = chi_twist_series((0, 1, 2), r, order, ladder)
+        chi_data = chi_twist_series((0, 1, 2), r, order)
     ks = sorted(chi_data)
     if len(ks) < 2:
         raise ValueError("need at least two k values")
     a_param = r * r - 1
     log_g = fg_series("g", 1, a_param, order).log()
     log_f = fg_series("f", 0, a_param, order).log()
-    residual = {}
-    for k in ks:
-        chi_l = Fraction((k + 1) * (k + 2), 2)
-        residual[k] = chi_data[k].log() - log_g * chi_l - log_f * Fraction(1, 2)
-    log_a = [Fraction(0)] * (order + 1)
-    log_b = [Fraction(0)] * (order + 1)
-    k0, k1 = ks[0], ks[1]
-    for m in range(1, order + 1):
-        mat = [
-            [Fraction(-3 * k0) - Fraction(9, 2), Fraction(9)],
-            [Fraction(-3 * k1) - Fraction(9, 2), Fraction(9)],
-        ]
-        la, lb = gauss_solve(mat, [residual[k0][m], residual[k1][m]])
-        log_a[m], log_b[m] = la, lb
-        for k in ks[2:]:
-            expect = (Fraction(-3 * k) - Fraction(9, 2)) * la + 9 * lb
-            if residual[k][m] != expect:
-                raise FitError(
-                    f"twist-series fit inconsistent at order {m} for k={k}"
-                )
-    return TwistSeriesPair(
-        r, TruncSeries("z", order, log_a), TruncSeries("z", order, log_b).exp()
-    )
+    residuals = [
+        chi_data[k].log() - log_g * Fraction((k + 1) * (k + 2), 2) - log_f * Fraction(1, 2) for k in ks
+    ]
+    rows = [(Fraction(-3 * k) - Fraction(9, 2), 9) for k in ks]
+    gates = [f"twist-series fit inconsistent at order {{m}} for k={k}" for k in ks[2:]]
+    log_a, log_b = _fit(rows, residuals, order, gates)
+    return TwistSeriesPair(r, log_a, log_b.exp())
 
 
 def chi_Ln_Er(inv, n: int, r: int, pair: TwistSeriesPair | None = None,
@@ -234,15 +230,14 @@ def gamma_vector(model, x: TautClass):
     return (c1sq, c2, c1_c1s, intersection(k, k), model.euler_number)
 
 
-def h_psi_phi(model, x: TautClass, psi: str, phi_q: TruncSeries, order: int,
-              ladder: str = "xi") -> TruncSeries:
+def h_psi_phi(model, x: TautClass, psi: str, phi_q: TruncSeries, order: int) -> TruncSeries:
     """H_{Psi,Phi}(S, x) = sum_n integral Psi(x^[n]) Phi(Hilb^n) z^n."""
     if psi not in ("chern", "segre", "expdet"):
         raise ValueError("psi must be 'chern', 'segre' or 'expdet'")
     coeffs = [Fraction(1)]
     for n in range(1, order + 1):
         integrand = _psi_phi_integrand(model, x, psi, phi_q, n)
-        coeffs.append(integrate(model, n, integrand, ladder))
+        coeffs.append(integrate(model, n, integrand))
     return TruncSeries("z", order, coeffs)
 
 
@@ -263,35 +258,18 @@ def _psi_phi_integrand(model, x: TautClass, psi: str, phi_q: TruncSeries, n: int
     return Integrand(poly=poly, bundles=(("X", x),), tangent_class=phi_q)
 
 
-def fit_five_series(psi: str, phi_q: TruncSeries, r: int, order: int,
-                    check_sixth: bool = True, ladder: str = "xi"):
+def fit_five_series(psi: str, phi_q: TruncSeries, r: int, order: int):
     """Fit the five universal series with log H = gamma . (A1..A5).
 
     Returns the five exponent series (each with zero constant term).  A
     sixth evaluation point (P2, O(3)+(r-1).1) is checked against the fit;
     failure is a hard error.
     """
-    refs = _reference_classes(r)
-    logs = []
-    for (model, x), gamma in zip(refs, _REFERENCE_GAMMAS):
-        measured = gamma_vector(model, x)
+    m = p2()
+    classes = _reference_classes(r) + ((m, TautClass(((o_bundle(m, 3), 1),), r - 1)),)
+    gammas = [gamma_vector(model, x) for model, x in classes]
+    for measured, gamma in zip(gammas, _REFERENCE_GAMMAS):
         if measured != gamma:
             raise FitError(f"reference gamma mismatch: {measured} != {gamma}")
-        logs.append(h_psi_phi(model, x, psi, phi_q, order, ladder).log())
-    mat = [[Fraction(g) for g in gamma] for gamma in _REFERENCE_GAMMAS]
-    series = [[Fraction(0)] * (order + 1) for _ in range(5)]
-    for m in range(1, order + 1):
-        sol = gauss_solve(mat, [l[m] for l in logs])
-        for i in range(5):
-            series[i][m] = sol[i]
-    out = [TruncSeries("z", order, c) for c in series]
-    if check_sixth:
-        model = p2()
-        x6 = TautClass(((o_bundle(model, 3), 1),), r - 1)
-        gamma6 = gamma_vector(model, x6)
-        log6 = h_psi_phi(model, x6, psi, phi_q, order, ladder).log()
-        for m in range(1, order + 1):
-            expect = sum(Fraction(g) * out[i][m] for i, g in enumerate(gamma6))
-            if log6[m] != expect:
-                raise FitError(f"sixth-point consistency failed at order {m}")
-    return out
+    logs = [h_psi_phi(model, x, psi, phi_q, order).log() for model, x in classes]
+    return _fit(gammas, logs, order, ["sixth-point consistency failed at order {m}"])

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -38,7 +39,28 @@ def test_chern_p2_n2(capsys):
 def test_chern_csv(capsys):
     code, out = run(capsys, "chern", "--surface", "p2", "--n", "1", "--csv")
     assert code == 0
-    assert out.splitlines() == ["partition,value", "2,3", "1,1,9"]
+    assert out.splitlines() == ["partition,value", "2,3", '"1,1",9']
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chern", "--surface", "p2", "--n", "2"],
+        ["universal", "--n", "2"],
+        ["betti", "--model", "P2", "--n", "2"],
+        ["chi", "--surface", "p2", "--n", "2", "--k", "1", "--r", "1"],
+        ["twist-series", "--r", "2", "--order", "3"],
+        ["genus", "--genus", "todd", "--surface", "p1xp1", "--n", "2"],
+        ["genus", "--genus", "chi_y", "--model", "P2", "--n", "2"],
+        ["series-id", "--a", "1", "--y", "1/2", "--order", "5"],
+    ],
+)
+def test_csv_rows_have_one_field_per_column(capsys, argv):
+    code, out = run(capsys, *argv, "--csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert rows
+    assert all(len(row) == len(header) for row in rows)
 
 
 def test_chern_deterministic(capsys):

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from hilbloc.cobordism import (
     ChernVector,
     beta_degree,
@@ -13,9 +15,10 @@ from hilbloc.cobordism import (
     to_beta,
     to_cp_basis,
 )
+from hilbloc.localization import hilb_cobordism_series
 from hilbloc.partitions import enumerate_partitions, merge
 from hilbloc.rings import Poly
-from hilbloc.series import TruncSeries
+from hilbloc.toric import build_model, intersection, p1xp1, p2
 
 U = Poly.var("u")
 
@@ -106,32 +109,36 @@ def test_multiply_point():
     assert multiply(ChernVector.point(3), cp2) == ChernVector(2, tuple((la, 3 * v) for la, v in cp2.numbers))
 
 
-def _toy_series(order):
-    terms = [ChernVector.point(1)]
-    for n in range(1, order + 1):
-        terms.append(cp_product_class((1,) * (2 * n)))
-    return TruncSeries("z", order, [to_beta(t) for t in terms])
-
-
 def test_hilb_series_unit_coefficients():
-    h1 = _toy_series(3)
-    h2 = product_series(h1, h1)
-    assert _chern_terms(h2) == _cp_product_series(h1, h1)
-    # exp(1*log h1 + 0*log h2) = h1
-    assert hilb_series(1, 0, 3, h1, h2).coeffs == h1.coeffs
-    assert hilb_series(0, 1, 3, h1, h2).coeffs == h2.coeffs
-    # exp(2 log h1 + log h2) = h1^4 through the CP basis; a = -1 inverts h1
-    h4 = _cp_product_series(h2, h2)
-    assert _chern_terms(hilb_series(2, 1, 3, h1, h2)) == h4
+    # (c1^2, c2) = (9a + 8b, 3a + 4b) for [S] = a [P2] + b [P1xP1]
+    h1 = hilb_cobordism_series(p2(), 3)
+    hq = hilb_cobordism_series(p1xp1(), 3)
+    assert hilb_series(9, 3, 3).coeffs == h1.coeffs
+    assert hilb_series(8, 4, 3).coeffs == hq.coeffs
+    # a = 2, b = 1: H(P2)^2 H(P1xP1), multiplied through the CP basis
+    h1sq = product_series(h1, h1)
+    assert _chern_terms(h1sq) == _cp_product_series(h1, h1)
+    want = _cp_product_series(h1sq, hq)
+    assert _chern_terms(hilb_series(26, 10, 3)) == want
+    # a = -1, b = 0 inverts H(P2)
     zeros = [_class(2 * n, lambda i: 0) for n in (1, 2, 3)]
-    one = [ChernVector.point(1)] + zeros
-    assert _cp_product_series(hilb_series(-1, 0, 3, h1, h2), h1) == one
-    # Poly exponents specialize to the numeric ones
-    a, b = Poly.var("a"), Poly.var("b")
-    symbolic = hilb_series(a, b, 3, h1, h2)
-    for t, want in zip(_chern_terms(symbolic), h4):
-        got = {la: Poly.coerce(v).substitute({"a": 2, "b": 1}) for la, v in t.numbers}
-        assert got == want.as_dict()
+    assert _cp_product_series(hilb_series(-9, -3, 3), h1) == [ChernVector.point(1)] + zeros
+    # Poly (c1sq, c2) specialize to the numeric ones
+    symbolic = hilb_series(Poly.var("c1sq"), Poly.var("c2"), 3)
+    for t, w in zip(_chern_terms(symbolic), want):
+        assert {la: Poly.coerce(v)(c1sq=26, c2=10) for la, v in t.numbers} == w.as_dict()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["blowup:p2:1", "blowup:blowup:p2:0:1", "blowup:p1xp1:2", "blowup:blowup:blowup:p1xp1:0:0:0"],
+)
+def test_hilb_series_of_the_surface_class_is_the_localized_series(spec):
+    # the main theorem: H(S) depends on S only through (K^2, e(S))
+    model = build_model(spec)
+    k = model.canonical_bundle()
+    got = hilb_series(intersection(k, k), model.euler_number, 4)
+    assert got.coeffs == hilb_cobordism_series(model, 4).coeffs
 
 
 def test_beta_poly_divides_by_aut_and_keeps_parameters():

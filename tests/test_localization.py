@@ -227,7 +227,7 @@ def test_integrand_gate_catches_a_perturbed_second_sum(monkeypatch):
     m = p2()
     _perturb_second_sum(monkeypatch)
     with pytest.raises(ConsistencyError, match="disagree"):
-        integrate(m, 2, Integrand.riemann_roch(o_bundle(m, 1), 1))
+        integrate(m, 2, Integrand(todd=True, exp_det=(o_bundle(m, 1), 1)))
 
 
 def test_family_gate_catches_a_perturbed_second_sum(monkeypatch):

@@ -23,6 +23,18 @@ def series(coeffs, var="z"):
     return TruncSeries(var, len(coeffs) - 1, coeffs)
 
 
+def substitute_params(f, assignment):
+    """f with values substituted for the Poly parameters of its coefficients."""
+    cs = []
+    for c in f.coeffs:
+        if isinstance(c, Poly):
+            v = c.substitute(assignment)
+            cs.append(v.as_fraction() if v.is_constant() else v)
+        else:
+            cs.append(c)
+    return TruncSeries(f.var, f.order, cs)
+
+
 def test_arithmetic_truncates_to_common_order():
     a = series([1, 2, 3, 4])
     b = TruncSeries("z", 2, [1, 1, 1])
@@ -129,7 +141,7 @@ def test_fg_series_poly_parameter():
     g = fg_series("g", y, 1, 3)
     # specializing the symbolic series matches the numeric one
     num = fg_series("g", Fraction(5, 2), 1, 3)
-    assert g.substitute_params({"y": Fraction(5, 2)}) == num
+    assert substitute_params(g, {"y": Fraction(5, 2)}) == num
 
 
 def partition_double_sum(eps: int, order: int) -> TruncSeries:
@@ -273,10 +285,10 @@ def test_mixed_poly_fraction_series_stay_exact():
     assert list(f.inverse().coeffs) == oracle_inverse(list(f.coeffs))
     assert list(h.exp().coeffs) == oracle_exp(list(h.coeffs))
     at = {"y": Fraction(-3, 4)}
-    assert (f * g).substitute_params(at) == f.substitute_params(at) * g
-    assert f.inverse().substitute_params(at) == f.substitute_params(at).inverse()
-    assert h.exp().substitute_params(at) == h.substitute_params(at).exp()
-    assert f.pow(Fraction(5, 2)).substitute_params(at) == f.substitute_params(at).pow(Fraction(5, 2))
+    assert substitute_params(f * g, at) == substitute_params(f, at) * g
+    assert substitute_params(f.inverse(), at) == substitute_params(f, at).inverse()
+    assert substitute_params(h.exp(), at) == substitute_params(h, at).exp()
+    assert substitute_params(f.pow(Fraction(5, 2)), at) == substitute_params(f, at).pow(Fraction(5, 2))
 
 
 def test_kernel_error_gates_are_kept():

@@ -14,6 +14,11 @@ from hilbloc.toric import (
 )
 
 
+def c1_squared(model):
+    k = model.canonical_bundle()
+    return intersection(k, k)
+
+
 def test_p2_intersection_form():
     m = p2()
     for a in range(-2, 4):
@@ -28,10 +33,10 @@ def test_p1xp1_intersection_form():
 
 
 def test_canonical_invariants():
-    assert p2().c1_squared() == 9 and p2().c2() == 3
-    assert p1xp1().c1_squared() == 8 and p1xp1().c2() == 4
+    assert c1_squared(p2()) == 9 and p2().euler_number == 3
+    assert c1_squared(p1xp1()) == 8 and p1xp1().euler_number == 4
     bl = blowup(p2(), 0)
-    assert bl.c1_squared() == 8 and bl.c2() == 4
+    assert c1_squared(bl) == 8 and bl.euler_number == 4
 
 
 def test_exceptional_curve():
@@ -47,7 +52,7 @@ def test_exceptional_curve():
 def test_iterated_blowup():
     bl2 = blowup(blowup(p2(), 0), 1)
     assert bl2.euler_number == 5
-    assert bl2.c1_squared() == 7
+    assert c1_squared(bl2) == 7
 
 
 def test_invariants_riemann_roch():

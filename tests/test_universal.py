@@ -193,3 +193,36 @@ def test_five_series_expdet_matches_twist_fit():
 def test_five_series_bad_psi():
     with pytest.raises(ValueError):
         fit_five_series("euler", todd_series("x", 4), 2, 2)
+
+
+def test_five_series_sixth_point_gate(monkeypatch):
+    import hilbloc.universal as universal
+
+    real = universal.h_psi_phi
+
+    def perturbed(model, x, psi, phi_q, order):
+        # only the sixth class, (P2, O(3) + (r-1).1), carries an O(3)
+        h = real(model, x, psi, phi_q, order)
+        if any(b.coeffs[0] == 3 for b, _ in x.line_bundles):
+            h = h + TruncSeries("z", order, [0, 0, 1])
+        return h
+
+    monkeypatch.setattr(universal, "h_psi_phi", perturbed)
+    with pytest.raises(FitError, match="sixth-point consistency failed at order 2"):
+        fit_five_series("chern", TruncSeries("x", 4, [1, 1]), 2, 2)
+
+
+def test_five_series_reference_gamma_gate(monkeypatch):
+    import hilbloc.universal as universal
+
+    real = universal._reference_classes
+    monkeypatch.setattr(universal, "_reference_classes", lambda r: real(r)[::-1])
+    with pytest.raises(FitError, match="reference gamma mismatch"):
+        fit_five_series("chern", TruncSeries("x", 4, [1, 1]), 2, 2)
+
+
+def test_top_segre_of_o1_on_p2_is_lehns():
+    # Lehn's generating series of the top Segre classes at H = O(1) on P2
+    m = p2()
+    series = h_psi_phi(m, TautClass(((o_bundle(m, 1), 1),)), "segre", TruncSeries("x", 10, [1]), 5)
+    assert list(series.coeffs) == [1, 1, 0, 5, -189, 3801]
