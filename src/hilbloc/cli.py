@@ -28,7 +28,7 @@ from .localization import ConsistencyError, chern_numbers_hilb, chi_via_RR, hilb
 from .partitions import partition_key
 from .rings import Poly, format_fraction
 from .series import coeff_to_json, fg_series, solve_v
-from .toric import build_model, line_bundle, o_bundle
+from .toric import build_model, line_bundle, o_bundle, p1xp1, p2
 from .universal import FitError, fit_AB, universal_chern_poly
 
 LONG_N_MAX = 7
@@ -73,6 +73,9 @@ def _check_n(n: int, long_mode: bool, parser: argparse.ArgumentParser):
 
 # number of --k degrees each named model takes: O(k) on P2, O(k1,k2) on P1xP1
 _K_DEGREES = {"p2": 1, "p1xp1": 2}
+
+# the surfaces that `betti --model` and `genus --genus chi_y --model` take
+_MODELS = {"P2": p2, "P1xP1": p1xp1}
 
 
 def _surface(spec: str, parser):
@@ -150,10 +153,10 @@ def cmd_universal(args, parser):
 
 
 def cmd_betti(args, parser):
-    if args.model not in ("P2", "P1xP1"):
+    if args.model not in _MODELS:
         parser.error("model must be P2 or P1xP1")
     _check_n(args.n, args.long, parser)
-    b = betti_hilb_model(args.model, args.n)
+    b = betti_hilb_model(_MODELS[args.model](), args.n)
     rows = [(2 * p, v) for p, v in enumerate(b)]
     _emit(
         {
@@ -239,9 +242,9 @@ def _genus_by_name(name: str, degree: int, parser):
 def cmd_genus(args, parser):
     _check_n(args.n, args.long, parser)
     if args.genus == "chi_y":
-        if args.model not in ("P2", "P1xP1"):
+        if args.model not in _MODELS:
             parser.error("chi_y tables need --model P2 or P1xP1")
-        series = chi_y_hilb(args.model, args.n, "product")
+        series = chi_y_hilb(_MODELS[args.model](), args.n, "product")
         values = [{"n": m, "value": coeff_to_json(series[m])} for m in range(args.n + 1)]
         rows = [(m, json.dumps(coeff_to_json(series[m]))) for m in range(args.n + 1)]
     else:

@@ -6,19 +6,26 @@ polynomial (see `cobordism`) at beta_k = s_k, and the multiplicative
 sequence is the genus of the classes with a single nonzero Chern number;
 no root-finding is involved.  Coefficients may be polynomials in
 parameters (y).
+
+Betti numbers and chi_{-y} of Hilb^n(S) depend only on b(S), which is
+(1, e(S) - 2, 1) on a toric surface; the Betti numbers are also counted
+at the fixed points of a generic 1-PS (Bialynicki-Birula).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
 
 from .cobordism import ChernVector, beta_degree, beta_var, to_beta
-from .partitions import count_partitions, count_with_parts, enumerate_partitions
+from .localization import ConsistencyError, chart_tangent_weights, one_ps_ladder
+from .partitions import enumerate_partitions
 from .rings import Poly
 from .series import TruncSeries, exp_series, geometric, partition_product, todd_series
+from .toric import ToricSurface
 
 
 @dataclass(frozen=True)
@@ -126,90 +133,64 @@ def genus_series(genus: GenusSpec, h: TruncSeries) -> TruncSeries:
     return TruncSeries("t", h.order, [genus_eval(genus, c) for c in h.coeffs])
 
 
-# -- model Betti numbers and the chi_y generating series ------------------------------
+# -- Betti numbers and the chi_y generating series ----------------------------------
 
 
-def betti_hilb_model(model_name: str, n: int) -> list:
-    """Even Betti numbers b_0, b_2, ..., b_{4n} of Hilb^n for the two models,
-    from the partition triple/quadruple sums; odd Betti numbers vanish."""
+def betti_hilb_model(model: ToricSurface, n: int) -> list:
+    """Even Betti numbers b_0, b_2, ..., b_{4n} of Hilb^n(S), S toric; odd ones vanish.
+
+    Bialynicki-Birula: b_2k counts the fixed points with k positive tangent
+    weights at a generic 1-PS (the first of the 'xi' ladder).  A point's
+    weights are the union of its charts', so sum_k b_2k y^k is
+    [z^n] prod_charts sum_{|la| <= n} z^{|la|} y^{pos(chart, la)}."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    b = [0] * (2 * n + 1)
-    if model_name == "P2":
-        for n1 in range(n + 1):
-            for n2 in range(n + 1 - n1):
-                n3 = n - n1 - n2
-                pn2 = count_partitions(n2)
-                for r1 in range(n1 + 1):
-                    p1 = count_with_parts(n1, r1)
-                    if not p1:
-                        continue
-                    for r3 in range(n3 + 1):
-                        p3 = count_with_parts(n3, r3)
-                        if p3:
-                            b[n + r3 - r1] += p1 * pn2 * p3
-    elif model_name == "P1xP1":
-        for n1 in range(n + 1):
-            for n2 in range(n + 1 - n1):
-                for n3 in range(n + 1 - n1 - n2):
-                    n4 = n - n1 - n2 - n3
-                    mid = count_partitions(n2) * count_partitions(n3)
-                    for r1 in range(n1 + 1):
-                        p1 = count_with_parts(n1, r1)
-                        if not p1:
-                            continue
-                        for r4 in range(n4 + 1):
-                            p4 = count_with_parts(n4, r4)
-                            if p4:
-                                b[n + r4 - r1] += p1 * mid * p4
-    else:
-        raise ValueError("model must be 'P2' or 'P1xP1'")
-    return b
+    spec = one_ps_ladder(model, n, "xi")[0]
+    total = Counter({(0, 0): 1})  # (size, positive weights) -> fixed points over the charts so far
+    for chart in model.charts:
+        local = Counter()
+        for m in range(n + 1):
+            for la in enumerate_partitions(m):
+                tvals = [c[0] * spec[0] + c[1] * spec[1] for c in chart_tangent_weights(chart, la)]
+                if 0 in tvals:
+                    raise ConsistencyError("1-PS specialization hit a zero tangent weight")
+                local[m, sum(t > 0 for t in tvals)] += 1
+        nxt = Counter()
+        for (m, k), x in total.items():
+            for (dm, dk), c in local.items():
+                if m + dm <= n:
+                    nxt[m + dm, k + dk] += x * c
+        total = nxt
+    return [total[n, k] for k in range(2 * n + 1)]
 
 
-_MODEL_FACTORS = {
-    "P2": ((-1, 1), (0, 1), (1, 1)),
-    "P1xP1": ((-1, 1), (0, 2), (1, 1)),
-}
+def chi_y_hilb(model: ToricSurface, order: int, method: str) -> TruncSeries:
+    """chi_{-y}(H(S)) as a z-series with polynomial-in-y coefficients, S toric,
+    with b(S) = (1, e - 2, 1) from e = e(S).
 
-_MODEL_CHI_Y = {
-    "P2": 1 + Poly.var("y") + Poly.var("y", 2),
-    "P1xP1": 1 + 2 * Poly.var("y") + Poly.var("y", 2),
-}
-
-
-def chi_y_hilb(model_name: str, order: int, method: str = "product") -> TruncSeries:
-    """chi_{-y}(H(S)) as a z-series with polynomial-in-y coefficients.
-
-    method 'product': the infinite-product formula for the two models;
-    method 'exp'    : exp( sum_m chi_{-y^m}(S) z^m / (m (1-(yz)^m)) );
-    method 'betti'  : sum_p b_2p(Hilb^n) y^p z^n from the Betti sums.
+    method 'product': Goettsche's prod over (eps, b) in ((-1, 1), (0, e - 2), (1, 1))
+                      of prod_k (1 - y^{k+eps} z^k)^{-b};
+    method 'exp'    : exp( sum_m chi_{-y^m}(S) z^m / (m (1-(yz)^m)) ), chi_{-y}(S) = 1 + (e-2) y + y^2;
+    method 'betti'  : sum_p b_2p(Hilb^n) y^p z^n from the fixed-point count.
     """
+    e = model.euler_number
     if method == "product":
-        return partition_product(_MODEL_FACTORS[model_name], order)
+        return partition_product(((-1, 1), (0, e - 2), (1, 1)), order)
     if method == "betti":
-        coeffs = []
-        for n in range(order + 1):
-            b = betti_hilb_model(model_name, n)
-            acc = Poly.const(0)
-            for pdeg, bb in enumerate(b):
-                if bb:
-                    acc = acc + bb * Poly.var("y", pdeg)
-            coeffs.append(acc)
-        return TruncSeries("z", order, coeffs)
+        return TruncSeries("z", order, [
+            sum((b * Poly.var("y", k) for k, b in enumerate(betti_hilb_model(model, n))), Poly.const(0))
+            for n in range(order + 1)
+        ])
     if method == "exp":
-        chi = _MODEL_CHI_Y[model_name]
+        chi = 1 + (e - 2) * Poly.var("y") + Poly.var("y", 2)
         arg = TruncSeries.zero("z", order)
         for m in range(1, order + 1):
             chi_m = chi.substitute({"y": Poly.var("y", m)})
             # z^m/m * 1/(1-(yz)^m) = sum_j y^{mj} z^{m(j+1)} / m
             cs = [Fraction(0)] * (order + 1)
-            j = 0
-            while m * (j + 1) <= order:
+            for j in range(order // m):
                 cs[m * (j + 1)] = (Poly.var("y", m * j) if j else Fraction(1, 1)) * Fraction(1, m)
-                j += 1
-            term = TruncSeries("z", order, cs) * chi_m
-            arg = arg + term
+            arg = arg + TruncSeries("z", order, cs) * chi_m
         return arg.exp()
     raise ValueError(f"unknown method {method!r}")
 

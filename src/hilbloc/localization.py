@@ -97,19 +97,26 @@ def enumerate_fixed_points(model: ToricSurface, n: int) -> list:
 # determinant twist series instead.
 
 
+def chart_tangent_weights(chart: Chart, la) -> list:
+    """The 2|la| tangent characters of the partition la at one chart."""
+    out = []
+    w1, w2 = chart.w1, chart.w2
+    for c in cells(la):
+        a, l = c.arm, c.leg
+        ch1 = ((l + 1) * w1[0] - a * w2[0], (l + 1) * w1[1] - a * w2[1])
+        ch2 = (-l * w1[0] + (a + 1) * w2[0], -l * w1[1] + (a + 1) * w2[1])
+        if ch1 == (0, 0) or ch2 == (0, 0):
+            raise ConsistencyError("non-isolated fixed point (zero tangent character)")
+        out.append(ch1)
+        out.append(ch2)
+    return out
+
+
 def tangent_weights(model: ToricSurface, fp: HilbFixedPoint) -> list:
-    """The 2n tangent characters at fp (with multiplicity)."""
+    """The 2n tangent characters at fp (with multiplicity), chart by chart."""
     out = []
     for chart, la in zip(model.charts, fp.assignment):
-        w1, w2 = chart.w1, chart.w2
-        for c in cells(la):
-            a, l = c.arm, c.leg
-            ch1 = ((l + 1) * w1[0] - a * w2[0], (l + 1) * w1[1] - a * w2[1])
-            ch2 = (-l * w1[0] + (a + 1) * w2[0], -l * w1[1] + (a + 1) * w2[1])
-            if ch1 == (0, 0) or ch2 == (0, 0):
-                raise ConsistencyError("non-isolated fixed point (zero tangent character)")
-            out.append(ch1)
-            out.append(ch2)
+        out.extend(chart_tangent_weights(chart, la))
     return out
 
 
@@ -189,7 +196,7 @@ def _char_bound(model: ToricSurface, n: int):
     return b1 + 1, b2 + 1
 
 
-def one_ps_ladder(model: ToricSurface, n: int, name: str = "xi") -> list:
+def one_ps_ladder(model: ToricSurface, n: int, name: str) -> list:
     """Two documented deterministic ladders of generic 1-parameter subgroups.
 
     'xi'  : (1, B), (1, B+1), ...  with B exceeding every |a1/a2|;

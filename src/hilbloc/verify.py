@@ -217,12 +217,12 @@ def check_chi_ln(p: Profile) -> CheckResult:
 
 def check_chi_y(p: Profile) -> CheckResult:
     order = 6
-    for model in ("P2", "P1xP1"):
+    for model in (p2(), p1xp1()):
         a = chi_y_hilb(model, order, "product")
         b = chi_y_hilb(model, order, "exp")
         c = chi_y_hilb(model, order, "betti")
         if not (a == b and b == c):
-            return CheckResult(5, "chi_-y generating series", False, f"routes differ for {model}")
+            return CheckResult(5, "chi_-y generating series", False, f"routes differ for {model.name}")
     want = (
         1
         + 2 * Poly.var("y")
@@ -230,7 +230,7 @@ def check_chi_y(p: Profile) -> CheckResult:
         + 2 * Poly.var("y", 3)
         + Poly.var("y", 4)
     )
-    if chi_y_hilb("P2", 2, "product")[2] != want:
+    if chi_y_hilb(p2(), 2, "product")[2] != want:
         return CheckResult(5, "chi_-y generating series", False, "P2 z^2 coefficient wrong")
     return CheckResult(
         5, "chi_-y generating series", True, f"three routes identical to z^{order}, both models"

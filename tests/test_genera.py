@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,11 +18,12 @@ from hilbloc.genera import (
     todd_genus,
     total_chern_genus,
 )
-from hilbloc.localization import hilb_cobordism_series
-from hilbloc.partitions import count_partitions
+import hilbloc.genera as genera
+import hilbloc.localization as loc
+from hilbloc.localization import ConsistencyError, hilb_cobordism_series
 from hilbloc.rings import Poly
 from hilbloc.series import TruncSeries
-from hilbloc.toric import p2
+from hilbloc.toric import build_model, p1xp1, p2
 
 CP2 = to_beta(cp_product_class((2,)))
 CP1SQ = to_beta(cp_product_class((1, 1)))
@@ -115,15 +117,50 @@ def test_multiplicative_sequence_hirzebruch_d4():
     }
 
 
+BLOWUPS = [build_model(spec) for spec in ("blowup:p2:0", "blowup:blowup:p2:0:1", "blowup:blowup:blowup:p1xp1:0:0:0")]
+
+
+def goettsche_betti(e: int, n: int) -> list:
+    """[z^n] prod_k (1 - z^k y^{k-1})^{-1} (1 - z^k y^k)^{-(e-2)} (1 - z^k y^{k+1})^{-1}
+    as its y-coefficients: Goettsche's Betti numbers of Hilb^n(S) for b(S) = (1, e - 2, 1)."""
+    series = Counter({(0, 0): 1})  # (z power, y power) -> coefficient
+    for k in range(1, n + 1):
+        for shift, mult in ((k - 1, 1), (k, e - 2), (k + 1, 1)):
+            for _ in range(mult):  # times the geometric series of z^k y^shift
+                nxt = Counter()
+                for (a, b), c in series.items():
+                    for j in range((n - a) // k + 1):
+                        nxt[a + j * k, b + j * shift] += c
+                series = nxt
+    return [series[n, p] for p in range(2 * n + 1)]
+
+
+@pytest.mark.parametrize("ladder", ["xi", "eta"])
+def test_betti_count_matches_goettsche_on_blowups(monkeypatch, ladder):
+    # the count may use any generic 1-PS; it never walks the fixed points themselves
+    monkeypatch.setattr(genera, "one_ps_ladder", lambda model, n, name: loc.one_ps_ladder(model, n, ladder))
+    monkeypatch.setattr(loc, "tangent_weights", None)
+    for model in BLOWUPS:
+        for n in range(6):
+            assert betti_hilb_model(model, n) == goettsche_betti(model.euler_number, n), (model.name, n)
+
+
+def test_betti_count_catches_a_zero_tangent_weight(monkeypatch):
+    # (1, 1) kills the character (1, -1) of P2's tangent space at n = 1
+    monkeypatch.setattr(genera, "one_ps_ladder", lambda model, n, name: [(1, 1), (1, 2)])
+    with pytest.raises(ConsistencyError, match="zero tangent weight"):
+        betti_hilb_model(p2(), 1)
+
+
 def test_betti_n1_is_surface():
-    assert betti_hilb_model("P2", 1) == [1, 1, 1]
-    assert betti_hilb_model("P1xP1", 1) == [1, 2, 1]
+    assert betti_hilb_model(p2(), 1) == [1, 1, 1]
+    assert betti_hilb_model(p1xp1(), 1) == [1, 2, 1]
 
 
 def test_betti_sums_give_euler_and_poincare():
     # total sum of Betti numbers at y=1 is chi_{-y} at y=1, and the
     # alternating-degree Euler number equals the fixed point count
-    for model in ("P2", "P1xP1"):
+    for model in (p2(), p1xp1()):
         series = chi_y_hilb(model, 4, "product")
         for n in range(5):
             euler = sum(betti_hilb_model(model, n))
@@ -132,7 +169,8 @@ def test_betti_sums_give_euler_and_poincare():
 
 
 def test_chi_y_routes_agree():
-    for model in ("P2", "P1xP1"):
+    # b(S) from e(S) in the product and exp routes, the fixed-point count in the betti route
+    for model in (p2(), p1xp1(), BLOWUPS[0], BLOWUPS[2]):
         a = chi_y_hilb(model, 5, "product")
         b = chi_y_hilb(model, 5, "exp")
         c = chi_y_hilb(model, 5, "betti")
@@ -147,7 +185,7 @@ def test_chi_y_hilb2_p2_coefficient():
         + 2 * Poly.var("y", 3)
         + Poly.var("y", 4)
     )
-    assert chi_y_hilb("P2", 2, "product")[2] == want
+    assert chi_y_hilb(p2(), 2, "product")[2] == want
 
 
 def test_genus_route_matches_betti_route():
@@ -155,7 +193,7 @@ def test_genus_route_matches_betti_route():
     h = hilb_cobordism_series(p2(), 4)
     for n in range(5):
         val = genus_eval(g, h[n])
-        b = betti_hilb_model("P2", n)
+        b = betti_hilb_model(p2(), n)
         want = sum(bb * Poly.var("y", p) for p, bb in enumerate(b))
         assert val == want
 
@@ -169,5 +207,5 @@ def test_phi_closed_form_k3():
 
 def test_chi_y_surface_values():
     # Hilb^1(S) = S, and the exponential route starts from the surface's polynomial
-    assert chi_y_hilb("P2", 1, "exp")[1] == 1 + Poly.var("y") + Poly.var("y", 2)
-    assert chi_y_hilb("P1xP1", 1, "exp")[1] == 1 + 2 * Poly.var("y") + Poly.var("y", 2)
+    assert chi_y_hilb(p2(), 1, "exp")[1] == 1 + Poly.var("y") + Poly.var("y", 2)
+    assert chi_y_hilb(p1xp1(), 1, "exp")[1] == 1 + 2 * Poly.var("y") + Poly.var("y", 2)

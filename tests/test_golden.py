@@ -4,8 +4,9 @@ The expected files in `tests/golden/` were written by the CLI before the
 power-sum integrand evaluator replaced the epsilon-multiplication chain
 (the `chern_*_n7_long` files: before the Chern-number sum moved to integer
 numerators over a common denominator; `twist_r3_o8_long`: before the
-integrand evaluator did), so they pin the byte-identical output of every
-rewrite of the engine.  Each
+integrand evaluator did; `betti_p1xp1_n7_long` and `genus_chi_y_p1xp1_n7_long`:
+while the two models still had their own Betti sums and chi_y tables), so
+they pin the byte-identical output of every rewrite of the engine.  Each
 entry is `<name>.json` with the argv below; regenerating one means running
 `python -m hilbloc.cli <argv> > tests/golden/<name>.json` on a build whose
 output is already trusted.
@@ -49,6 +50,8 @@ GOLDEN = {
         "genus", "--genus", "signature", "--surface", "blowup:p2:0", "--n", "5",
     ],
     "genus_euler_k3_n7_long": ["genus", "--genus", "euler", "--k3", "--n", "7", "--long"],
+    "betti_p1xp1_n7_long": ["betti", "--model", "P1xP1", "--n", "7", "--long"],
+    "genus_chi_y_p1xp1_n7_long": ["genus", "--genus", "chi_y", "--model", "P1xP1", "--n", "7", "--long"],
 }
 
 

@@ -22,11 +22,12 @@ from hilbloc.localization import (
     taut_weights,
     tangent_weights,
 )
-from hilbloc.partitions import count_partitions, enumerate_partitions
+from hilbloc.partitions import enumerate_partitions
 from hilbloc.rings import binomial
 from hilbloc.series import TruncSeries, todd_series
 from hilbloc.toric import blowup, build_model, line_bundle, o_bundle, p1xp1, p2
 from hilbloc.universal import _reference_classes, h_psi_phi
+from partition_counts import count_partitions
 
 
 def fp_count(model, n):
@@ -404,7 +405,7 @@ def _chain_point_value(model, n, fp, integrand, spec):
 
 
 def chain_integrate(model, n, integrand):
-    spec = one_ps_ladder(model, n)[0]
+    spec = one_ps_ladder(model, n, "xi")[0]
     return sum(
         (_chain_point_value(model, n, fp, integrand, spec) for fp in enumerate_fixed_points(model, n)),
         Fraction(0),

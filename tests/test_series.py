@@ -4,7 +4,6 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilbloc.partitions import count_with_parts
 from hilbloc.rings import Poly, binomial
 from hilbloc.series import (
     TruncSeries,
@@ -15,6 +14,7 @@ from hilbloc.series import (
     solve_v,
     todd_series,
 )
+from partition_counts import count_with_parts
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
