@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -85,14 +86,24 @@ def _surface(spec: str, parser):
     return build_model(spec)
 
 
+# int() and Fraction() also take blanks, "1_0" and non-ASCII digits; the CLI does not
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+
+def integer(text: str) -> int:
+    """The argparse type of --n, --order and --a: an optional sign and ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_int(text: str, flag: str, parser) -> int:
-    # digits counted before int(), which refuses strings past 4300 digits
-    if len(text.strip().lstrip("+-")) > DIGITS_MAX:
-        parser.error(f"{flag} must have at most {DIGITS_MAX} digits")
-    try:
-        return int(text)
-    except ValueError:
+    if not _INTEGER.fullmatch(text):
         parser.error(f"{flag} must be an integer, got {text!r}")
+    if len(text.lstrip("+-")) > DIGITS_MAX:  # before int(), which refuses strings past 4300 digits
+        parser.error(f"{flag} must have at most {DIGITS_MAX} digits")
+    return int(text)
 
 
 def _int_list(text: str, flag: str, parser) -> list:
@@ -272,11 +283,11 @@ def cmd_series_id(args, parser):
     if not 1 <= args.order <= SERIES_ORDER_MAX:
         parser.error(f"--order must be in 1..{SERIES_ORDER_MAX}")
     try:
-        if "e" in args.y.lower():  # unparsed: Fraction("1e999999999") builds 10**999999999
+        if not _RATIONAL.fullmatch(args.y):  # no exponent: Fraction("1e999999999") builds 10**999999999
             raise ValueError
         y = Fraction(args.y)
     except (ValueError, ZeroDivisionError):
-        parser.error(f"--y must be a rational number p or p/q, got {args.y!r}")
+        parser.error(f"--y must be a rational number p, p/q or a decimal without exponent, got {args.y!r}")
     if max(abs(y.numerator), y.denominator) >= 10**DIGITS_MAX:
         parser.error(f"--y numerator and denominator must have at most {DIGITS_MAX} digits")
     a, order = args.a, args.order
@@ -322,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, ladder=False):
-        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--n", type=integer, required=True)
         sp.add_argument("--long", action="store_true", help="enable n = 6, 7")
         sp.add_argument("--csv", action="store_true")
         if ladder:
@@ -358,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("twist-series", help="fitted log A_r and B_r")
     sp.add_argument("--r", required=True, help=f"at most {DIGITS_MAX} digits")
     sp.add_argument(
-        "--order", type=int, required=True,
+        "--order", type=integer, required=True,
         help=f"2..{TWIST_ORDER_MAX}; above {LONG_N_MAX} needs --long (order {TWIST_ORDER_MAX}: about 2 s)",
     )
     sp.add_argument("--long", action="store_true", help=f"enable order {LONG_N_MAX + 1}..{TWIST_ORDER_MAX}")
@@ -379,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_genus)
 
     sp = sub.add_parser("series-id", help="verify the f/g power-series identities")
-    sp.add_argument("--a", type=int, required=True, help=f"0..{SERIES_A_MAX}")
+    sp.add_argument("--a", type=integer, required=True, help=f"0..{SERIES_A_MAX}")
     sp.add_argument("--y", default="1", help=f"p or p/q, at most {DIGITS_MAX} digits each")
-    sp.add_argument("--order", type=int, default=30, help=f"1..{SERIES_ORDER_MAX}")
+    sp.add_argument("--order", type=integer, default=30, help=f"1..{SERIES_ORDER_MAX}")
     sp.add_argument("--csv", action="store_true")
     sp.set_defaults(fn=cmd_series_id)
 

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 from math import factorial
 
 from .cobordism import ChernVector, beta_degree, beta_var, to_beta
-from .localization import ConsistencyError, chart_tangent_weights, one_ps_ladder
+from .localization import chart_tangent_weights, one_ps_ladder, specialize_tangents
 from .partitions import enumerate_partitions
 from .rings import Poly
 from .series import TruncSeries, exp_series, geometric, partition_product, todd_series
@@ -151,9 +151,7 @@ def betti_hilb_model(model: ToricSurface, n: int) -> list:
         local = Counter()
         for m in range(n + 1):
             for la in enumerate_partitions(m):
-                tvals = [c[0] * spec[0] + c[1] * spec[1] for c in chart_tangent_weights(chart, la)]
-                if 0 in tvals:
-                    raise ConsistencyError("1-PS specialization hit a zero tangent weight")
+                tvals = specialize_tangents(chart_tangent_weights(chart, la), spec)
                 local[m, sum(t > 0 for t in tvals)] += 1
         nxt = Counter()
         for (m, k), x in total.items():

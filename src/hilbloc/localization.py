@@ -20,6 +20,10 @@ pass specializes them along the first two members of a deterministic
 ladder of generic one-parameter subgroups; each specialization keeps
 integer numerators over one running common denominator, the lcm of the
 point denominators seen so far, and the two exact sums must agree.
+
+Numbers on the surface itself (intersection numbers, the gamma-vectors of
+`universal`) are the case n = 1, since Hilb^1(S) = S: `surface_number`
+integrates one Chern monomial there.
 """
 
 from __future__ import annotations
@@ -41,17 +45,6 @@ class ConsistencyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class HilbFixedPoint:
-    """One partition per chart; a torus-fixed point of Hilb^n(S)."""
-
-    assignment: tuple  # tuple of partitions, one per chart
-
-    @property
-    def n(self) -> int:
-        return sum(sum(la) for la in self.assignment)
-
-
-@dataclass(frozen=True)
 class TautClass:
     """A K-theory class sum +/- [line bundle] + trivial * [O^triv]."""
 
@@ -64,8 +57,8 @@ class TautClass:
 
 
 def enumerate_fixed_points(model: ToricSurface, n: int) -> list:
-    """All chart-partition assignments with total size n, deterministically
-    ordered (lexicographic over compositions, rev-lex partitions within)."""
+    """The fixed points of Hilb^n(S), tuples of partitions (one per chart) of total
+    size n, ordered lexicographically over compositions, rev-lex partitions within."""
     if n < 0:
         raise ValueError("n must be non-negative")
     e = len(model.charts)
@@ -74,7 +67,7 @@ def enumerate_fixed_points(model: ToricSurface, n: int) -> list:
     def rec(chart: int, remaining: int, acc):
         if chart == e - 1:
             for la in enumerate_partitions(remaining):
-                out.append(HilbFixedPoint(tuple(acc + [la])))
+                out.append(tuple(acc + [la]))
             return
         for m in range(remaining, -1, -1):
             for la in enumerate_partitions(m):
@@ -97,7 +90,8 @@ def enumerate_fixed_points(model: ToricSurface, n: int) -> list:
 # determinant twist series instead.
 
 
-def chart_tangent_weights(chart: Chart, la) -> list:
+@lru_cache(maxsize=None)
+def chart_tangent_weights(chart: Chart, la) -> tuple:
     """The 2|la| tangent characters of the partition la at one chart."""
     out = []
     w1, w2 = chart.w1, chart.w2
@@ -109,13 +103,13 @@ def chart_tangent_weights(chart: Chart, la) -> list:
             raise ConsistencyError("non-isolated fixed point (zero tangent character)")
         out.append(ch1)
         out.append(ch2)
-    return out
+    return tuple(out)
 
 
-def tangent_weights(model: ToricSurface, fp: HilbFixedPoint) -> list:
+def tangent_weights(model: ToricSurface, fp: tuple) -> list:
     """The 2n tangent characters at fp (with multiplicity), chart by chart."""
     out = []
-    for chart, la in zip(model.charts, fp.assignment):
+    for chart, la in zip(model.charts, fp):
         out.extend(chart_tangent_weights(chart, la))
     return out
 
@@ -127,10 +121,10 @@ def _cell_char(chart: Chart, i: int, j: int, base) -> tuple:
     )
 
 
-def taut_weights(model: ToricSurface, fp: HilbFixedPoint, x: TautClass) -> list:
+def taut_weights(model: ToricSurface, fp: tuple, x: TautClass) -> list:
     """Fibre characters of x^[n] at fp as (character, multiplicity) pairs."""
     out = []
-    for chart, la in zip(model.charts, fp.assignment):
+    for chart, la in zip(model.charts, fp):
         cell_list = [(c.i, c.j) for c in cells(la)]
         for bundle, mult in x.line_bundles:
             lw = bundle.local_weight(chart)
@@ -142,7 +136,7 @@ def taut_weights(model: ToricSurface, fp: HilbFixedPoint, x: TautClass) -> list:
     return out
 
 
-def det_taut_weight(model: ToricSurface, fp: HilbFixedPoint, dets) -> list:
+def det_taut_weight(model: ToricSurface, fp: tuple, dets) -> list:
     """The c1-weights of L_n (x) E^r at fp, one per (L, r) in dets.
 
     det(F^[n]) = det(F)_n (x) E^{rk F} with E = det(O^[n]) gives
@@ -153,12 +147,12 @@ def det_taut_weight(model: ToricSurface, fp: HilbFixedPoint, dets) -> list:
     These partition moments are computed once for all entries of dets.
     """
     o0 = o1 = 0  # the weight of det O^[n]
-    for chart, la in zip(model.charts, fp.assignment):
+    for chart, la in zip(model.charts, fp):
         si = sum(i * row for i, row in enumerate(la))
         sj = sum(row * (row - 1) // 2 for row in la)
         o0 -= si * chart.w1[0] + sj * chart.w2[0]
         o1 -= si * chart.w1[1] + sj * chart.w2[1]
-    sized = [(chart, sum(la)) for chart, la in zip(model.charts, fp.assignment) if la]
+    sized = [(chart, sum(la)) for chart, la in zip(model.charts, fp) if la]
     out = []
     for L, r in dets:
         acc0, acc1 = r * o0, r * o1
@@ -213,6 +207,15 @@ def one_ps_ladder(model: ToricSurface, n: int, name: str) -> list:
 
 def _specialize(char, spec) -> int:
     return char[0] * spec[0] + char[1] * spec[1]
+
+
+def specialize_tangents(chars, spec) -> list:
+    """The tangent characters chars at the 1-PS spec; ConsistencyError if one
+    of them vanishes there, since the fixed point is then not isolated."""
+    tvals = [_specialize(c, spec) for c in chars]
+    if 0 in tvals:
+        raise ConsistencyError("1-PS specialization hit a zero tangent weight")
+    return tvals
 
 
 def _power_sums(weights, order):
@@ -271,9 +274,7 @@ def _residue_pass(model, n, ladder, size, at_point) -> list:
         chars = tangent_weights(model, fp)
         numerators = at_point(fp)
         for spec, total in zip(specs, sums):
-            tvals = [_specialize(c, spec) for c in chars]
-            if 0 in tvals:
-                raise ConsistencyError("1-PS specialization hit a zero tangent weight")
+            tvals = specialize_tangents(chars, spec)
             total.add(prod(tvals), numerators(spec, tvals))
     v1, v2 = ([Fraction(a, total.den) for a in total.acc] for total in sums)
     for a, b in zip(v1, v2):
@@ -485,6 +486,15 @@ def integrate(model: ToricSurface, n: int, integrand: Integrand, ladder: str = "
     """Bott-residue integral over Hilb^n(S), exact; ConsistencyError if the
     two specializations of the chosen 1-PS ladder disagree."""
     return _integrate_family(model, n, integrand, (integrand.exp_det,), ladder)[0]
+
+
+def surface_number(model: ToricSurface, monomial, bundles) -> int:
+    """The integral over S = Hilb^1(S) of a monomial ((bundle_name, degree), ...) in Chern
+    classes of the declared bundles: an intersection number, so ConsistencyError unless integral."""
+    value = integrate(model, 1, Integrand(poly=((1, monomial),), bundles=bundles))
+    if value.denominator != 1:
+        raise ConsistencyError(f"non-integral surface number {value}")
+    return int(value)
 
 
 # -- Chern numbers and the cobordism class of Hilb^n -------------------------------

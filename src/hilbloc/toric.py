@@ -15,7 +15,6 @@ integral(td * exp c1(L)) = chi(L) come out right on the surface itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 
@@ -91,16 +90,6 @@ class TLineBundle:
         )
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
-    L2: Fraction
-    KL: Fraction
-    K2: Fraction
-    e: int
-    chi_O: Fraction
-    chi_L: Fraction
-
-
 # -- model construction ------------------------------------------------------------
 
 
@@ -150,48 +139,3 @@ def o_bundle(model: ToricSurface, *degrees) -> TLineBundle:
     for i, d in enumerate(degrees):
         coeffs[i] = int(d)
     return TLineBundle(model, tuple(coeffs))
-
-
-# -- intersection numbers via localization on the surface ----------------------------
-
-
-def _dot(char: Vec, spec) -> Fraction:
-    return Fraction(char[0] * spec[0] + char[1] * spec[1])
-
-
-def _surface_specs(model: ToricSurface):
-    chars = []
-    for ch in model.charts:
-        chars.extend([ch.w1, ch.w2])
-    bound = 1 + max(abs(c[0]) for c in chars if c[1] != 0)
-    return (1, bound), (1, bound + 1)
-
-
-def intersection(l1: TLineBundle, l2: TLineBundle) -> int:
-    """L1 . L2 by the Bott residue sum over the fixed points of S."""
-    model = l1.surface
-    if l2.surface != model:
-        raise ValueError("bundles live on different surfaces")
-    values = []
-    for spec in _surface_specs(model):
-        acc = Fraction(0)
-        for ch in model.charts:
-            t1, t2 = _dot(ch.w1, spec), _dot(ch.w2, spec)
-            acc += _dot(l1.local_weight(ch), spec) * _dot(l2.local_weight(ch), spec) / (t1 * t2)
-        values.append(acc)
-    if values[0] != values[1]:
-        raise AssertionError("intersection number depends on the 1-PS choice")
-    if values[0].denominator != 1:
-        raise AssertionError("non-integral intersection number")
-    return int(values[0])
-
-
-def invariants(model: ToricSurface, L: TLineBundle) -> SurfaceInvariants:
-    k = model.canonical_bundle()
-    l2 = Fraction(intersection(L, L))
-    kl = Fraction(intersection(k, L))
-    k2 = Fraction(intersection(k, k))
-    e = model.euler_number
-    chi_o = (k2 + e) / 12
-    chi_l = l2 / 2 - kl / 2 + chi_o
-    return SurfaceInvariants(l2, kl, k2, e, chi_o, chi_l)

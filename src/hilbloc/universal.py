@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cobordism import ChernVector, from_beta, hilb_series
-from .localization import Integrand, TautClass, chi_via_RR_family, integrate
+from .localization import Integrand, TautClass, chi_via_RR_family, integrate, surface_number
 from .rings import Poly, binomial, gauss_solve
 from .series import TruncSeries, fg_series
-from .toric import TLineBundle, intersection, o_bundle, p2, p1xp1
+from .toric import TLineBundle, o_bundle, p2, p1xp1
 
 
 class FitError(RuntimeError):
@@ -207,27 +207,28 @@ def _reference_classes(r: int):
 
 
 def gamma_vector(model, x: TautClass):
-    """(c1^2(x), c2(x), c1(x).c1(S), c1^2(S), c2(S)) as intersection numbers."""
-    n_rays = len(model.rays)
-    c1 = [0] * n_rays
-    for bundle, mult in x.line_bundles:
-        for i, c in enumerate(bundle.coeffs):
-            c1[i] += mult * c
-    c1_bundle = TLineBundle(model, tuple(c1))
-    k = model.canonical_bundle()
-    c1sq = intersection(c1_bundle, c1_bundle)
-    # c2 of a sum of line bundles: second elementary symmetric function
-    c2 = 0
-    lbs = [(b, m) for b, m in x.line_bundles]
-    for i, (b1, m1) in enumerate(lbs):
-        for j, (b2, m2) in enumerate(lbs):
-            if j > i:
-                c2 += m1 * m2 * intersection(b1, b2)
-            elif j == i and m1 > 1:
-                c2 += m1 * (m1 - 1) // 2 * intersection(b1, b1)
-    neg_k = TLineBundle(model, tuple(-c for c in k.coeffs))
-    c1_c1s = intersection(c1_bundle, neg_k)
-    return (c1sq, c2, c1_c1s, intersection(k, k), model.euler_number)
+    """(c1^2(x), c2(x), c1(x).c1(S), c1^2(S), c2(S)), each an n = 1 integral
+    of a monomial in the Chern classes of X = x and T = T_S."""
+    monomials = ((("X", 1), ("X", 1)), (("X", 2),), (("X", 1), ("T", 1)), (("T", 1), ("T", 1)), (("T", 2),))
+    bundles = (("X", x), ("T", "tangent"))
+    return tuple(surface_number(model, mono, bundles) for mono in monomials)
+
+
+@dataclass(frozen=True)
+class SurfaceInvariants:
+    L2: Fraction
+    KL: Fraction
+    K2: Fraction
+    e: int
+    chi_O: Fraction
+    chi_L: Fraction
+
+
+def invariants(model, L: TLineBundle) -> SurfaceInvariants:
+    """L^2, KL = -c1(L).c1(S), K^2 and e from gamma; chi(O_S) by Noether, chi(L) by Riemann-Roch."""
+    l2, _, l_c1s, k2, e = gamma_vector(model, TautClass(((L, 1),)))
+    kl, chi_o = Fraction(-l_c1s), Fraction(k2 + e, 12)
+    return SurfaceInvariants(Fraction(l2), kl, Fraction(k2), e, chi_o, Fraction(l2) / 2 - kl / 2 + chi_o)
 
 
 def h_psi_phi(model, x: TautClass, psi: str, phi_q: TruncSeries, order: int) -> TruncSeries:

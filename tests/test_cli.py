@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,6 +184,19 @@ DEPTH_4 = "blowup:blowup:blowup:blowup:p2:0:0:0:0"
         ["genus", "--genus", "todd", "--surface", DEPTH_4, "--n", "1"],
         ["chern", "--surface", "blowup:" * 3000 + "p2" + ":0" * 3000, "--n", "1"],
         ["genus", "--genus", "phi:0:0", "--surface", "p2", "--n", "2"],
+        # int() and Fraction() read these as 10, 1, 3, 10 and 1000; the CLI refuses them
+        ["chi", "--surface", "p2", "--n", "1", "--k", "1", "--r", "1_0"],
+        ["chi", "--surface", "p2", "--n", "1", "--k", "\u0661"],
+        ["chern", "--surface", "p2", "--n", "\u0663"],
+        ["genus", "--genus", "phi:1_0:1", "--surface", "p2", "--n", "1"],
+        ["series-id", "--a", "1", "--y", "1_000"],
+        ["series-id", "--a", "1", "--y", "\u0661/\u0662"],
+        ["series-id", "--a", "1", "--y", " 1"],
+        ["chern", "--surface", "p2", "--n", " 1"],
+        ["twist-series", "--r", "2", "--order", "0_3"],
+        ["series-id", "--a", "1_0"],
+        ["chi", "--surface", "p2", "--n", "1", "--bundle", "1,0,0_0"],
+        ["genus", "--genus", "phi:2:\u0661", "--k3", "--n", "1"],
     ],
 )
 def test_input_errors_exit_2(argv):
@@ -224,6 +238,15 @@ def run_cli(argv):
         (["genus", "--genus", "phi:2:-" + "9" * 5000, "--k3", "--n", "1"], "k in --genus phi:N:k must have at most 40 digits"),
         (["chi", "--surface", "p2", "--n", "1", "--k", "9" * 5000], "each --k entry must have at most 40 digits"),
         (["twist-series", "--r", "9" * 5000, "--order", "3"], "--r must have at most 40 digits"),
+        (["chi", "--surface", "p2", "--n", "1", "--k", "1", "--r", "1_0"], "--r must be an integer"),
+        (["chi", "--surface", "p2", "--n", "1", "--k", "\u0661"], "each --k entry must be an integer"),
+        (["chi", "--surface", "p2", "--n", "1", "--bundle", "1,0,0_0"], "each --bundle entry must be an integer"),
+        (["chern", "--surface", "p2", "--n", "\u0663"], "argument --n: invalid integer value"),
+        (["twist-series", "--r", "2", "--order", "0_3"], "argument --order: invalid integer value"),
+        (["series-id", "--a", "1_0"], "argument --a: invalid integer value"),
+        (["genus", "--genus", "phi:1_0:1", "--surface", "p2", "--n", "1"], "N in --genus phi:N:k must be an integer"),
+        (["genus", "--genus", "phi:2:\u0661", "--k3", "--n", "1"], "k in --genus phi:N:k must be an integer"),
+        (["series-id", "--a", "1", "--y", "1_000"], "--y must be a rational number"),
     ],
 )
 def test_input_error_messages(argv, message):
@@ -274,10 +297,11 @@ def test_integer_arguments_at_digit_bound(capsys):
 SURFACES = st.sampled_from(
     ["p2", "p1xp1", "blowup:p2:0", "p2", "p1xp1", "blowup:p2:9", "p5", "", "blowup:blowup:blowup:p2:0:0:0", DEPTH_4]
 )
-SMALL_INT = st.sampled_from(["0", "1", "2", "0", "1", "2", "-1", "x", "1.5", "99"])
+# "1_0" and the Arabic-Indic digits below are integers to int(), not to the CLI
+SMALL_INT = st.sampled_from(["0", "1", "2", "0", "1", "2", "-1", "x", "1.5", "99", "0_1", "\u0661", " 1"])
 # --r at and past its 40-digit bound, and far past it
 R_INT = st.one_of(SMALL_INT, st.sampled_from(["9" * 40, "-" + "9" * 40, "9" * 41, "-" + "9" * 41, "9" * 4001]))
-Y = st.sampled_from(["-3", "0", "1", "5/2", "-1/3", "2.5", "1/0", "half", "1e5", "", "9" * 41])
+Y = st.sampled_from(["-3", "0", "1", "5/2", "-1/3", "2.5", "1/0", "half", "1e5", "", "9" * 41, "1_0", "\u0665/2", ".5"])
 FLAGS = st.lists(
     st.sampled_from(["--csv", "--long", "--ladder=eta", "--ladder=xi", "--ladder=zeta", "--bogus"]),
     max_size=2,
@@ -286,7 +310,7 @@ FLAGS = st.lists(
 GENERA = st.sampled_from(
     ["todd", "euler", "signature", "phi:2:1", "phi:2:5", "phi:0:0", "phi:x", "chi_y", "a"]
     + ["phi:" + "9" * 40 + ":1", "phi:" + "9" * 41 + ":1", "phi:2:" + "9" * 41, "phi:" + "9" * 3000 + ":1"]
-    + ["phi:" + "9" * 5000 + ":1"]
+    + ["phi:" + "9" * 5000 + ":1", "phi:1_0:1", "phi:2:\u0661"]
 )
 
 
@@ -309,8 +333,14 @@ ARGV = st.one_of(
                 "chi",
                 _req("--surface", SURFACES),
                 _req("--n", SMALL_INT),
-                _opt("--k", st.sampled_from(["1", "1,2", "-1", "one", "1,2,3,4,5", "9" * 40, "1," + "9" * 41])),
-                _opt("--bundle", st.sampled_from(["1,0,0", "2,1,0,0", "1,2", "a,b", "0,0,-" + "9" * 40, "0,0," + "9" * 41])),
+                _opt(
+                    "--k",
+                    st.sampled_from(["1", "1,2", "-1", "one", "1,2,3,4,5", "9" * 40, "1," + "9" * 41, "1_0", "\u0661,2"]),
+                ),
+                _opt(
+                    "--bundle",
+                    st.sampled_from(["1,0,0", "2,1,0,0", "1,2", "a,b", "0,0,-" + "9" * 40, "0,0," + "9" * 41, "1,0,0_0"]),
+                ),
                 _opt("--r", R_INT),
                 FLAGS,
             ),
@@ -350,5 +380,7 @@ def test_cli_contract(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 2, 3) or (code == 1 and argv[0] == "verify"), (code, err.getvalue())
+    # never a silently reinterpreted number: no digit group separator, no non-ASCII digit
+    assert code != 0 or not any(re.search(r"[0-9]_[0-9]", a) or not a.isascii() for a in argv), argv
     if code == 0 and "--csv" not in argv:
         assert json.loads(out.getvalue())["schema"] == 1

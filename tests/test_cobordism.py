@@ -15,10 +15,10 @@ from hilbloc.cobordism import (
     to_beta,
     to_cp_basis,
 )
-from hilbloc.localization import hilb_cobordism_series
+from hilbloc.localization import hilb_cobordism_series, surface_number
 from hilbloc.partitions import enumerate_partitions, merge
 from hilbloc.rings import Poly
-from hilbloc.toric import build_model, intersection, p1xp1, p2
+from hilbloc.toric import build_model, p1xp1, p2
 
 U = Poly.var("u")
 
@@ -136,8 +136,8 @@ def test_hilb_series_unit_coefficients():
 def test_hilb_series_of_the_surface_class_is_the_localized_series(spec):
     # the main theorem: H(S) depends on S only through (K^2, e(S))
     model = build_model(spec)
-    k = model.canonical_bundle()
-    got = hilb_series(intersection(k, k), model.euler_number, 4)
+    k2 = surface_number(model, (("T", 1), ("T", 1)), (("T", "tangent"),))
+    got = hilb_series(k2, model.euler_number, 4)
     assert got.coeffs == hilb_cobordism_series(model, 4).coeffs
 
 

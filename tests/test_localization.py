@@ -19,6 +19,7 @@ from hilbloc.localization import (
     hilb_cobordism_series,
     integrate,
     one_ps_ladder,
+    surface_number,
     taut_weights,
     tangent_weights,
 )
@@ -50,7 +51,7 @@ def test_fixed_point_enumeration():
             pts = enumerate_fixed_points(model, n)
             assert len(pts) == fp_count(model, n)
             assert len(set(pts)) == len(pts)
-            assert all(pt.n == n for pt in pts)
+            assert all(sum(map(sum, pt)) == n for pt in pts)
 
 
 def test_tangent_weight_count():
@@ -236,6 +237,23 @@ def test_family_gate_catches_a_perturbed_second_sum(monkeypatch):
     _perturb_second_sum(monkeypatch)
     with pytest.raises(ConsistencyError, match="disagree"):
         chi_via_RR_family(m, 2, [o_bundle(m, k) for k in (0, 1, 2)], 1)
+
+
+def test_surface_number_gate_catches_a_perturbed_second_sum(monkeypatch):
+    m = p2()
+    bundles = (("L", TautClass(((o_bundle(m, 1), 1),))),)
+    assert surface_number(m, (("L", 1), ("L", 1)), bundles) == 1
+    _perturb_second_sum(monkeypatch)
+    with pytest.raises(ConsistencyError, match="disagree"):
+        surface_number(m, (("L", 1), ("L", 1)), bundles)
+
+
+def test_surface_number_gate_catches_a_non_integer(monkeypatch):
+    import hilbloc.localization as loc
+
+    monkeypatch.setattr(loc, "integrate", lambda model, n, integrand: Fraction(1, 2))
+    with pytest.raises(ConsistencyError, match="non-integral"):
+        surface_number(p2(), (("T", 2),), (("T", "tangent"),))
 
 
 def test_integrand_gate_catches_a_zero_tangent_weight(monkeypatch):

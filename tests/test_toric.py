@@ -1,22 +1,31 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hilbloc.localization import TautClass, surface_number
 from hilbloc.toric import (
     TLineBundle,
     ToricSurface,
     blowup,
     build_model,
-    intersection,
-    invariants,
     line_bundle,
     o_bundle,
     p1xp1,
     p2,
 )
+from hilbloc.universal import invariants
+from surface_oracle import SURFACES
+from surface_oracle import intersection as oracle_intersection
+
+
+def intersection(l1, l2):
+    """L1 . L2 as the n = 1 integral of c1(L1) c1(L2)."""
+    bundles = (("A", TautClass(((l1, 1),))), ("B", TautClass(((l2, 1),))))
+    return surface_number(l1.surface, (("A", 1), ("B", 1)), bundles)
 
 
 def c1_squared(model):
-    k = model.canonical_bundle()
-    return intersection(k, k)
+    return surface_number(model, (("T", 1), ("T", 1)), (("T", "tangent"),))
 
 
 def test_p2_intersection_form():
@@ -30,6 +39,30 @@ def test_p1xp1_intersection_form():
     q = p1xp1()
     for a, b, c, d in ((1, 0, 0, 1), (2, 3, 1, 1), (-1, 2, 2, 0)):
         assert intersection(o_bundle(q, a, b), o_bundle(q, c, d)) == a * d + b * c
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_intersection_matches_the_surface_oracle(data):
+    model = data.draw(st.sampled_from(SURFACES))
+    coeffs = st.lists(st.integers(-4, 4), min_size=len(model.rays), max_size=len(model.rays))
+    l1, l2 = (line_bundle(model, data.draw(coeffs)) for _ in range(2))
+    assert intersection(l1, l2) == oracle_intersection(l1, l2)
+
+
+def _blowups(model, depth):
+    yield model
+    if depth:
+        for i in range(len(model.rays)):
+            yield from _blowups(blowup(model, i), depth - 1)
+
+
+def test_noether_on_rational_surfaces():
+    # K^2 + e = 12 chi(O_S) = 12 on p2, p1xp1 and every blowup of them up to depth 3
+    for model in (*_blowups(p2(), 3), *_blowups(p1xp1(), 3)):
+        e = surface_number(model, (("T", 2),), (("T", "tangent"),))
+        assert e == model.euler_number
+        assert c1_squared(model) + e == 12, model.name
 
 
 def test_canonical_invariants():

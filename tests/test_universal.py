@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbloc.localization import TautClass, chi_via_RR
 from hilbloc.rings import Poly, binomial
 from hilbloc.series import TruncSeries, todd_series
-from hilbloc.toric import blowup, invariants, line_bundle, o_bundle, p1xp1, p2
+from hilbloc.toric import blowup, line_bundle, o_bundle, p1xp1, p2
 from hilbloc.universal import (
     FitError,
     chi_Ln_Er,
@@ -16,9 +18,12 @@ from hilbloc.universal import (
     fit_AB,
     fit_five_series,
     gamma_vector,
+    _reference_classes,
     h_psi_phi,
+    invariants,
     universal_chern_poly,
 )
+import surface_oracle
 
 
 class FakeInv:
@@ -151,6 +156,22 @@ def test_gamma_vectors_of_references():
     assert gamma_vector(m, x) == (1, 0, 3, 9, 3)
     x = TautClass(((o_bundle(m, 1), 2),), 0)
     assert gamma_vector(m, x) == (4, 1, 6, 9, 3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_gamma_vector_matches_the_surface_oracle(data):
+    model = data.draw(st.sampled_from(surface_oracle.SURFACES))
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(model.rays), max_size=len(model.rays))
+    pairs = st.tuples(coeffs.map(lambda c: line_bundle(model, c)), st.integers(-2, 3))
+    x = TautClass(tuple(data.draw(st.lists(pairs, max_size=3))), data.draw(st.integers(-2, 3)))
+    assert gamma_vector(model, x) == surface_oracle.gamma_vector(model, x)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_gamma_vectors_of_all_references_match_the_oracle(r):
+    for model, x in _reference_classes(r):
+        assert gamma_vector(model, x) == surface_oracle.gamma_vector(model, x)
 
 
 def test_five_series_rank_only_classes():
