@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import factorial
 
 from .partitions import enumerate_partitions, merge
-from .rings import Poly, gauss_solve
+from .rings import Poly, gauss_solve, linear_combination
 from .series import TruncSeries
 from .toric import p1xp1, p2
 
@@ -303,7 +303,7 @@ def to_beta(x: ChernVector) -> Poly:
     """The power-sum polynomial of a class given by its Chern numbers."""
     c = x.as_dict()
     return beta_poly(
-        x.dim, [sum((c[la] * t for la, t in row if c[la]), Fraction(0)) for row in _newton_table(x.dim)]
+        x.dim, [linear_combination((c[la], t) for la, t in row if c[la]) for row in _newton_table(x.dim)]
     )
 
 
@@ -322,7 +322,7 @@ def from_beta(d: int, b) -> ChernVector:
         p = Poly(terms)
         coeffs[mu] = p.as_fraction() if p.is_constant() else p
     numbers = {
-        la: sum((coeffs[mu] * t for mu, t in row if mu in coeffs), Fraction(0))
+        la: linear_combination((coeffs[mu], t) for mu, t in row if mu in coeffs)
         for la, row in _from_beta_table(d)
     }
     return ChernVector.from_dict(d, numbers)

@@ -23,7 +23,7 @@ from math import factorial
 from .cobordism import ChernVector, beta_degree, beta_var, to_beta
 from .localization import chart_tangent_weights, one_ps_ladder, specialize_tangents
 from .partitions import enumerate_partitions
-from .rings import Poly
+from .rings import Poly, linear_combination
 from .series import TruncSeries, exp_series, geometric, partition_product, todd_series
 from .toric import ToricSurface
 
@@ -176,7 +176,7 @@ def chi_y_hilb(model: ToricSurface, order: int, method: str) -> TruncSeries:
         return partition_product(((-1, 1), (0, e - 2), (1, 1)), order)
     if method == "betti":
         return TruncSeries("z", order, [
-            sum((b * Poly.var("y", k) for k, b in enumerate(betti_hilb_model(model, n))), Poly.const(0))
+            linear_combination((Poly.var("y", k), b) for k, b in enumerate(betti_hilb_model(model, n)))
             for n in range(order + 1)
         ])
     if method == "exp":

@@ -23,7 +23,7 @@ point denominators seen so far, and the two exact sums must agree.
 
 Numbers on the surface itself (intersection numbers, the gamma-vectors of
 `universal`) are the case n = 1, since Hilb^1(S) = S: `surface_number`
-integrates one Chern monomial there.
+integrates several Chern monomials there in one pass.
 """
 
 from __future__ import annotations
@@ -462,39 +462,45 @@ class _IntegerIntegrand:
         return out
 
 
-def _integrate_family(model, n, integrand, dets, ladder):
-    """The integral of the integrand times e^{c1(L_n (x) E^r)} for each (L, r)
-    in dets (an entry None means no determinant factor)."""
-    form = _IntegerIntegrand(integrand, n)
+def _integrate_family(model, n, integrands, dets, ladder):
+    """The integral of each integrand times e^{c1(L_n (x) E^r)} for each
+    (L, r) in dets (an entry None means no determinant factor), integrand
+    by integrand, from one residue pass."""
+    forms = [_IntegerIntegrand(integrand, n) for integrand in integrands]
+    taut_classes = tuple(dict.fromkeys(x for form in forms for x in form.taut_classes))
 
     def at_point(fp):
-        taut = {x: taut_weights(model, fp, x) for x in form.taut_classes}
+        taut = {x: taut_weights(model, fp, x) for x in taut_classes}
         det_chars = dets if dets == (None,) else det_taut_weight(model, fp, dets)
 
         def numerators(spec, tvals):
             weights = {x: [(_specialize(c, spec), m) for c, m in pairs] for x, pairs in taut.items()}
             ws = [None if c is None else _specialize(c, spec) for c in det_chars]
-            return form.numerators(tvals, weights, ws)
+            return [v for form in forms for v in form.numerators(tvals, weights, ws)]
 
         return numerators
 
-    factor = form.scale / form.denominator
-    return [v * factor for v in _residue_pass(model, n, ladder, len(dets), at_point)]
+    values = _residue_pass(model, n, ladder, len(forms) * len(dets), at_point)
+    factors = [form.scale / form.denominator for form in forms for _ in dets]
+    return [v * f for v, f in zip(values, factors)]
 
 
 def integrate(model: ToricSurface, n: int, integrand: Integrand, ladder: str = "xi") -> Fraction:
     """Bott-residue integral over Hilb^n(S), exact; ConsistencyError if the
     two specializations of the chosen 1-PS ladder disagree."""
-    return _integrate_family(model, n, integrand, (integrand.exp_det,), ladder)[0]
+    return _integrate_family(model, n, (integrand,), (integrand.exp_det,), ladder)[0]
 
 
-def surface_number(model: ToricSurface, monomial, bundles) -> int:
-    """The integral over S = Hilb^1(S) of a monomial ((bundle_name, degree), ...) in Chern
-    classes of the declared bundles: an intersection number, so ConsistencyError unless integral."""
-    value = integrate(model, 1, Integrand(poly=((1, monomial),), bundles=bundles))
-    if value.denominator != 1:
-        raise ConsistencyError(f"non-integral surface number {value}")
-    return int(value)
+def surface_number(model: ToricSurface, monomials, bundles) -> tuple:
+    """The integrals over S = Hilb^1(S) of monomials ((bundle_name, degree), ...) in Chern
+    classes of the declared bundles, from one residue pass: intersection numbers, so
+    ConsistencyError unless each is integral."""
+    integrands = [Integrand(poly=((1, mono),), bundles=bundles) for mono in monomials]
+    values = _integrate_family(model, 1, integrands, (None,), "xi")
+    for value in values:
+        if value.denominator != 1:
+            raise ConsistencyError(f"non-integral surface number {value}")
+    return tuple(int(value) for value in values)
 
 
 # -- Chern numbers and the cobordism class of Hilb^n -------------------------------
@@ -553,4 +559,4 @@ def chi_via_RR_family(model: ToricSurface, n: int, bundles, r: int) -> list:
     """[chi(L_n (x) E^r) for L in bundles], from one pass over the fixed
     points for both specializations: the Todd factor is built once per point
     and specialization, and each L costs one Horner evaluation."""
-    return _integrate_family(model, n, Integrand(todd=True), tuple((L, r) for L in bundles), "xi")
+    return _integrate_family(model, n, (Integrand(todd=True),), tuple((L, r) for L in bundles), "xi")

@@ -4,6 +4,20 @@ Everything in this package works over Q (or Q[y, r, ...]); no floating
 point appears anywhere.  A polynomial is a dict from monomials to
 Fraction, where a monomial is a sorted tuple of (variable, exponent)
 pairs with positive exponents.
+
+Representation invariant: every value in `Poly.terms` is a nonzero
+Fraction.  The public constructors (`Poly(...)`, `Poly.const`) coerce
+int and Fraction coefficients, reject every other type (a float would
+break exactness) and drop zeros.  `Poly._of` trusts its dict and does
+neither; only code that has just built a dict of nonzero Fractions
+itself calls it: the arithmetic in this module, and the integer series
+kernels of `series` when they form their output coefficients.
+
+Terms keep insertion order, and the JSON of a one-variable coefficient
+(`series.coeff_to_json`) lists them in that order, so the arithmetic fixes
+it: a sum lists the left operand's terms first, then the new ones of the
+right, and drops those that cancel; a product lists its terms by first
+appearance over the pairs of factor terms.
 """
 
 from __future__ import annotations
@@ -14,11 +28,34 @@ from math import factorial
 Scalar = (int, Fraction)
 
 
+def _fraction(c) -> Fraction:
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"polynomial coefficients are int or Fraction, not {type(c).__name__}")
+
+
 def _merge_monomials(m1, m2):
     d = dict(m1)
     for v, e in m2:
         d[v] = d.get(v, 0) + e
     return tuple(sorted((v, e) for v, e in d.items() if e))
+
+
+def _add_into(terms: dict, other: dict) -> None:
+    """terms += other in place, both dicts of nonzero Fractions; a sum
+    that cancels is removed."""
+    for m, c in other.items():
+        s = terms.get(m)
+        if s is None:
+            terms[m] = c
+        else:
+            s += c
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
 
 
 class Poly:
@@ -30,21 +67,30 @@ class Poly:
         self.terms = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
+                c = _fraction(c)
                 if c:
                     self.terms[mono] = c
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def _of(terms: dict) -> "Poly":
+        """The Poly with exactly these terms: every value must already be a
+        nonzero Fraction (see the module docstring)."""
+        p = object.__new__(Poly)
+        p.terms = terms
+        return p
+
+    @staticmethod
     def const(c) -> "Poly":
-        return Poly({(): Fraction(c)})
+        c = _fraction(c)
+        return Poly._of({(): c} if c else {})
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "Poly":
         if exp == 0:
             return Poly.const(1)
-        return Poly({((name, exp),): Fraction(1)})
+        return Poly._of({((name, exp),): Fraction(1)})
 
     @staticmethod
     def coerce(x) -> "Poly":
@@ -55,7 +101,7 @@ class Poly:
     # -- queries -------------------------------------------------------
 
     def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
+        return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
     def constant_term(self) -> Fraction:
         return self.terms.get((), Fraction(0))
@@ -84,73 +130,96 @@ class Poly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Scalar):
-            other = Poly.const(other)
-        elif not isinstance(other, Poly):
+        if isinstance(other, Poly):
+            other = other.terms
+        elif isinstance(other, Scalar):
+            if not other:
+                return self
+            other = {(): Fraction(other)}
+        else:
             return NotImplemented
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return Poly(terms)
+        _add_into(terms, other)
+        return Poly._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else -Fraction(other))
+        if not isinstance(other, (Poly, *Scalar)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, Scalar):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
-            c = Fraction(other)
-            return Poly({m: v * c for m, v in self.terms.items()})
+            if not other:
+                return Poly._of({})
+            return Poly._of({m: v * other for m, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _merge_monomials(m1, m2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return Poly(terms)
+                s = terms.get(m)
+                terms[m] = c1 * c2 if s is None else s + c1 * c2
+        return Poly._of({m: c for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Scalar):
-            return self * (Fraction(1) / Fraction(other))
+            return self * (1 / Fraction(other))
         if isinstance(other, Poly) and other.is_constant():
-            return self * (Fraction(1) / other.as_fraction())
+            return self * (1 / other.as_fraction())
         return NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.const(1)
-        base = self
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return Poly.const(1) if out is None else out
 
     def substitute(self, assignment: dict):
-        """Substitute values (scalars or Poly) for variables."""
-        out = Poly.const(0)
+        """Substitute values (scalars or Poly) for variables.  When every
+        variable gets an int or Fraction, the value is summed in Fractions
+        and returned as a constant Poly."""
+        if all(isinstance(assignment.get(v), Scalar) for v in self.variables()):
+            total = Fraction(0)
+            powers = {}
+            for mono, c in self.terms.items():
+                for ve in mono:
+                    p = powers.get(ve)
+                    if p is None:
+                        p = powers[ve] = _fraction(assignment[ve[0]]) ** ve[1]
+                    c = c * p
+                total += c
+            return Poly.const(total)
+        out = {}
+        powers = {}
         for mono, c in self.terms.items():
-            term = Poly.const(c)
+            term = Poly._of({(): c})
             for v, e in mono:
-                val = assignment.get(v)
-                if val is None:
-                    term = term * Poly.var(v, e)
-                else:
-                    term = term * (Poly.coerce(val) ** e)
-            out = out + term
-        return out
+                p = powers.get((v, e))
+                if p is None:
+                    val = assignment.get(v)
+                    p = powers[v, e] = Poly.var(v, e) if val is None else Poly.coerce(val) ** e
+                term = term * p
+            _add_into(out, term.terms)
+        return Poly._of(out)
 
     def __call__(self, **kwargs):
         res = self.substitute(kwargs)
@@ -189,6 +258,24 @@ class Poly:
 
     def __bool__(self):
         return bool(self.terms)
+
+
+def linear_combination(pairs):
+    """sum(c * t for c, t in pairs) from Fraction(0), for Fractions or Polys
+    c and scalars t: the same value, type and term order, accumulated in one
+    dict instead of a copy per step."""
+    acc, terms = Fraction(0), None  # terms: from the first Poly on
+    for c, t in pairs:
+        x = c * t
+        if terms is not None:
+            _add_into(terms, x.terms if isinstance(x, Poly) else {(): Fraction(x)} if x else {})
+        elif isinstance(x, Poly):
+            terms = dict(x.terms)
+            if acc:
+                _add_into(terms, {(): acc})
+        else:
+            acc += x
+    return acc if terms is None else Poly._of(terms)
 
 
 def binomial(x, n: int):

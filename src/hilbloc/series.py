@@ -12,8 +12,13 @@ numerators over their positive lcm denominator L, and `*`, `inverse` and
   H_n = -sum_{k>=1} F_k F_0^(k-1) H_(n-k);
 - the exponential of C/L (C_0 = 0) is out_m = E_m / (m! L^m) with E_0 = 1
   and E_m = sum_{k>=1} k C_k L^(k-1) (m-1)!/(m-k)! E_(m-k).
-`log` and `pow` are built from these three.  A series with any Poly
-coefficient runs the generic coefficient loops.
+`log` and `pow` are built from these three.  Polys in one shared variable
+(y, u, ...) ride along: a Poly coefficient c_i = sum_e c_ie y^e has the
+integer numerators L c_ie, held as an `_IntPoly` indexed by e (a Fraction
+coefficient stays one int), and the same recurrences run on them, giving
+the coefficients, types and term order of the generic loops.  Only series
+with multivariate coefficients (the c1sq/c2/beta series of `cobordism`)
+run the generic coefficient loops.
 """
 
 from __future__ import annotations
@@ -30,15 +35,94 @@ def _coerce(c):
     return Fraction(c)
 
 
-def _int_form(coeffs):
-    """(integer numerators, positive lcm denominator) of Fraction
-    coefficients, or None when a Poly is present."""
-    den = 1
-    for c in coeffs:
-        if isinstance(c, Poly):
-            return None
-        den = lcm(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+class _IntPoly:
+    """The integer numerators of a Poly coefficient in the one variable of a
+    series: a dict {exponent: nonzero int}.  It mixes with ints under `+`,
+    unary `-` and `*`, which is all the integer kernels use, and keeps the
+    type and term order that the same operations on Polys give: a sum puts
+    the left operand's terms first and drops cancelled ones, and a product
+    lists its terms by first appearance."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = c
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            if not other:
+                return self
+            other = {0: other}
+        else:
+            other = other.c
+        c = dict(self.c)
+        for e, x in other.items():
+            x += c.get(e, 0)
+            if x:
+                c[e] = x
+            else:
+                del c[e]
+        return _IntPoly(c)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _IntPoly({e: -x for e, x in self.c.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _IntPoly({e: x * other for e, x in self.c.items()} if other else {})
+        c = {}
+        for e1, x1 in self.c.items():
+            for e2, x2 in other.c.items():
+                e = e1 + e2
+                c[e] = c.get(e, 0) + x1 * x2
+        return _IntPoly({e: x for e, x in c.items() if x})
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.c)
+
+
+def _int_form(*parts):
+    """(var, [(numerators, den), ...]): each list of coefficients as integer
+    numerators over its positive lcm denominator den, a Poly coefficient as
+    an `_IntPoly` in var, the one variable of every Poly in parts (None if
+    there is none).  None when some Poly has two variables or two Polys
+    have different ones."""
+    var, forms = None, []
+    for cs in parts:
+        dens = []
+        for c in cs:
+            if isinstance(c, Poly):
+                for mono, v in c.terms.items():
+                    if mono:
+                        if len(mono) > 1 or (var is not None and mono[0][0] != var):
+                            return None
+                        var = mono[0][0]
+                    dens.append(v.denominator)
+            else:
+                dens.append(c.denominator)
+        den = lcm(*dens)
+        nums = []
+        for c in cs:
+            if isinstance(c, Poly):
+                nums.append(_IntPoly({
+                    mono[0][1] if mono else 0: v.numerator * (den // v.denominator) for mono, v in c.terms.items()
+                }))
+            else:
+                nums.append(c.numerator * (den // c.denominator))
+        forms.append((nums, den))
+    return var, forms
+
+
+def _lower(num, den, var):
+    """The coefficient num / den: a Fraction for an int num, a Poly in var
+    for an `_IntPoly`."""
+    if isinstance(num, int):
+        return Fraction(num, den)
+    return Poly._of({((var, e),) if e else (): Fraction(x, den) for e, x in num.c.items()})
 
 
 class TruncSeries:
@@ -111,10 +195,9 @@ class TruncSeries:
         if isinstance(other, (int, Fraction, Poly)):
             return TruncSeries(self.var, self.order, [c * other for c in self.coeffs])
         n = self._common(other)
-        a_int = _int_form(self.coeffs[: n + 1])
-        b_int = a_int and _int_form(other.coeffs[: n + 1])
-        if b_int:
-            (a, da), (b, db) = a_int, b_int
+        form = _int_form(self.coeffs[: n + 1], other.coeffs[: n + 1])
+        if form:
+            var, ((a, da), (b, db)) = form
             out = [0] * (n + 1)
             for i, ai in enumerate(a):
                 if ai:
@@ -122,7 +205,7 @@ class TruncSeries:
                         if b[j]:
                             out[i + j] += ai * b[j]
             den = da * db
-            return TruncSeries(self.var, n, [Fraction(c, den) for c in out])
+            return TruncSeries(self.var, n, [_lower(c, den, var) for c in out])
         out = [Fraction(0)] * (n + 1)
         for i in range(n + 1):
             a = self.coeffs[i]
@@ -144,10 +227,10 @@ class TruncSeries:
             c0 = c0.as_fraction()
         if c0 == 0:
             raise ZeroDivisionError("non-unit divisor: zero constant term")
-        f_int = _int_form(self.coeffs)
-        if f_int:
-            f, den = f_int
-            f0, fp = f[0], 1  # fp = F_0^(k-1)
+        form = _int_form(self.coeffs)
+        if form:
+            var, ((f, den),) = form
+            f0, fp = c0.numerator * (den // c0.denominator), 1  # F_0 as an int; fp = F_0^(k-1)
             scaled = [0]  # F_k F_0^(k-1)
             for fk in f[1:]:
                 scaled.append(fk * fp)
@@ -155,7 +238,7 @@ class TruncSeries:
             h, out = [1], [Fraction(den, f0)]
             for n in range(1, self.order + 1):
                 h.append(-sum(scaled[k] * h[n - k] for k in range(1, n + 1) if scaled[k]))
-                out.append(Fraction(den * h[n], f0 ** (n + 1)))
+                out.append(_lower(den * h[n], f0 ** (n + 1), var))
             return TruncSeries(self.var, self.order, out)
         inv0 = Fraction(1) / c0
         out = [inv0] + [Fraction(0)] * self.order
@@ -219,9 +302,9 @@ class TruncSeries:
         if self.coeffs[0] != 0:
             raise ValueError("exp requires zero constant term")
         n = self.order
-        c_int = _int_form(self.coeffs)
-        if c_int:
-            c, den = c_int
+        form = _int_form(self.coeffs)
+        if form:
+            var, ((c, den),) = form
             kcl, lp = [0], 1  # k C_k L^(k-1); lp = L^(k-1)
             for k in range(1, n + 1):
                 kcl.append(k * c[k] * lp)
@@ -235,7 +318,7 @@ class TruncSeries:
                     ff *= m - k
                 e.append(acc)
                 scale *= m * den
-                out.append(Fraction(acc, scale))
+                out.append(_lower(acc, scale, var))
             return TruncSeries(self.var, n, out)
         kc = [k * c for k, c in enumerate(self.coeffs)]
         out = [_coerce(1)] + [Fraction(0)] * n

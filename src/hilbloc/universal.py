@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .cobordism import ChernVector, from_beta, hilb_series
 from .localization import Integrand, TautClass, chi_via_RR_family, integrate, surface_number
-from .rings import Poly, binomial, gauss_solve
+from .rings import Poly, binomial, gauss_solve, linear_combination
 from .series import TruncSeries, fg_series
 from .toric import TLineBundle, o_bundle, p2, p1xp1
 
@@ -153,22 +153,16 @@ def cohomology_genfun(h_f, h_o, order_t: int) -> TruncSeries:
     h0, h1, h2 = (int(v) for v in h_o)
     if min(h0, h1, h2) < 0:
         raise ValueError("cohomology dimensions must be non-negative")
-    u = Poly.var("u")
-    front = Poly.const(0)
-    for j, hj in enumerate(h_f):
-        if hj:
-            front = front + int(hj) * Poly.var("u", j)
-    num = TruncSeries("t", order_t, [1, u])
-    den1 = TruncSeries("t", order_t, [1, -1])
-    den2 = TruncSeries("t", order_t, [1, -(u * u)])
-    series = TruncSeries.one("t", order_t)
-    for _ in range(h1):
-        series = series * num
-    for _ in range(h0):
-        series = series / den1
-    for _ in range(h2):
-        series = series / den2
-    return series * front
+    front = linear_combination((Poly.var("u", j), int(hj)) for j, hj in enumerate(h_f) if hj)
+
+    def series(coeff):  # sum_j coeff(j) t^j
+        return TruncSeries("t", order_t, [coeff(j) for j in range(order_t + 1)])
+
+    # (1+ut)^h1, (1-t)^-h0 and (1-u^2 t)^-h2 term by term: C(h, j) and C(h + j - 1, j)
+    num = series(lambda j: binomial(h1, j) * Poly.var("u", j))
+    den1 = series(lambda j: binomial(h0 + j - 1, j))
+    den2 = series(lambda j: binomial(h2 + j - 1, j) * Poly.var("u", 2 * j))
+    return num * den1 * den2 * front
 
 
 def chi_from_genfun(genfun: TruncSeries, n: int) -> Fraction:
@@ -207,11 +201,11 @@ def _reference_classes(r: int):
 
 
 def gamma_vector(model, x: TautClass):
-    """(c1^2(x), c2(x), c1(x).c1(S), c1^2(S), c2(S)), each an n = 1 integral
-    of a monomial in the Chern classes of X = x and T = T_S."""
+    """(c1^2(x), c2(x), c1(x).c1(S), c1^2(S), c2(S)): the n = 1 integrals of
+    monomials in the Chern classes of X = x and T = T_S, from one residue pass."""
     monomials = ((("X", 1), ("X", 1)), (("X", 2),), (("X", 1), ("T", 1)), (("T", 1), ("T", 1)), (("T", 2),))
     bundles = (("X", x), ("T", "tangent"))
-    return tuple(surface_number(model, mono, bundles) for mono in monomials)
+    return surface_number(model, monomials, bundles)
 
 
 @dataclass(frozen=True)

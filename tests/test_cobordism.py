@@ -136,7 +136,7 @@ def test_hilb_series_unit_coefficients():
 def test_hilb_series_of_the_surface_class_is_the_localized_series(spec):
     # the main theorem: H(S) depends on S only through (K^2, e(S))
     model = build_model(spec)
-    k2 = surface_number(model, (("T", 1), ("T", 1)), (("T", "tangent"),))
+    (k2,) = surface_number(model, ((("T", 1), ("T", 1)),), (("T", "tangent"),))
     got = hilb_series(k2, model.euler_number, 4)
     assert got.coeffs == hilb_cobordism_series(model, 4).coeffs
 

@@ -242,18 +242,23 @@ def test_family_gate_catches_a_perturbed_second_sum(monkeypatch):
 def test_surface_number_gate_catches_a_perturbed_second_sum(monkeypatch):
     m = p2()
     bundles = (("L", TautClass(((o_bundle(m, 1), 1),))),)
-    assert surface_number(m, (("L", 1), ("L", 1)), bundles) == 1
+    monomials = ((("L", 1), ("L", 1)), (("L", 2),))
+    assert surface_number(m, monomials, bundles) == (1, 0)
     _perturb_second_sum(monkeypatch)
     with pytest.raises(ConsistencyError, match="disagree"):
-        surface_number(m, (("L", 1), ("L", 1)), bundles)
+        surface_number(m, monomials, bundles)
 
 
 def test_surface_number_gate_catches_a_non_integer(monkeypatch):
     import hilbloc.localization as loc
 
-    monkeypatch.setattr(loc, "integrate", lambda model, n, integrand: Fraction(1, 2))
-    with pytest.raises(ConsistencyError, match="non-integral"):
-        surface_number(p2(), (("T", 2),), (("T", "tangent"),))
+    # the pass's second sum gains 1, so K^2 = 18/2 reads 19/2 while e stays 3:
+    # each value of one pass is gated on its own
+    pass_values = loc._residue_pass
+    monkeypatch.setattr(loc, "_residue_pass", lambda *args: [v + k for k, v in enumerate(pass_values(*args))])
+    monomials = ((("T", 2),), (("T", 1), ("T", 1)))
+    with pytest.raises(ConsistencyError, match="non-integral surface number 19/2"):
+        surface_number(p2(), monomials, (("T", "tangent"),))
 
 
 def test_integrand_gate_catches_a_zero_tangent_weight(monkeypatch):

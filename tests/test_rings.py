@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from hilbloc.rings import Poly, binomial, format_fraction, gauss_solve
+from hilbloc.rings import Poly, binomial, format_fraction, gauss_solve, linear_combination
+from hilbloc.series import TruncSeries
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -72,3 +73,62 @@ def test_gauss_solve_roundtrip(xs):
 @given(fractions)
 def test_fraction_roundtrip(q):
     assert Fraction(format_fraction(q)) == q
+
+
+def test_poly_operators_take_only_exact_scalars():
+    y = Poly.var("y")
+    for op in (
+        lambda: y + 0.1,
+        lambda: 0.1 + y,
+        lambda: y - 0.1,
+        lambda: 0.1 - y,
+        lambda: y * 0.1,
+        lambda: 0.1 * y,
+        lambda: y / 0.1,
+        lambda: Poly.const(0.1),
+        lambda: Poly({(): 0.1}),
+        lambda: Poly({(("y", 1),): 1.0}),
+        lambda: y.substitute({"y": 0.5}),
+    ):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_poly_minus_series_reaches_the_series():
+    y = Poly.var("y")
+    f = TruncSeries("z", 2, [1, 2, Fraction(1, 3)])
+    assert y - f == TruncSeries("z", 2, [y - 1, -2, Fraction(-1, 3)])
+    assert f - y == TruncSeries("z", 2, [1 - y, 2, Fraction(1, 3)])
+
+
+def _is_valid(p) -> bool:
+    """The representation invariant: only nonzero Fraction values."""
+    return isinstance(p, Poly) and all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
+# polynomials in x and y, with terms that cancel when two of them are combined
+polys = st.dictionaries(
+    st.sampled_from([(), (("x", 1),), (("y", 2),), (("x", 1), ("y", 1)), (("x", 2), ("y", 1))]),
+    st.one_of(st.integers(-3, 3), fractions),
+    max_size=5,
+).map(Poly)
+scalars = st.one_of(st.integers(-4, 4), fractions)
+
+
+@settings(deadline=None)
+@given(polys, polys, scalars, scalars, st.integers(0, 4))
+def test_poly_results_store_only_nonzero_fractions(p, q, c, d, k):
+    results = [
+        p + q, p - q, p + c, c + p, p - c, c - p, -p, p * q, p * c, c * p, p ** k,
+        binomial(p, k), p.substitute({"x": q}), p.substitute({"x": c}), p.substitute({"x": c, "y": q}),
+        linear_combination([(p, c), (d, k), (q, d)]),
+    ]
+    if c:
+        results += [p / c, p / Poly.const(c)]
+    scalar = p.substitute({"x": c, "y": d})
+    results.append(scalar)
+    assert all(_is_valid(r) for r in results if isinstance(r, Poly))
+    # the all-scalar substitution equals the Poly.const result of the general path
+    general = p.substitute({"x": Poly.const(c), "y": Poly.const(d)})
+    assert scalar.is_constant() and scalar == general
+    assert p(x=c, y=d) == general.as_fraction()

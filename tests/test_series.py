@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hilbloc.rings import Poly, binomial
 from hilbloc.series import (
     TruncSeries,
+    _int_form,
     exp_series,
     fg_series,
     geometric,
@@ -241,6 +242,65 @@ def test_integer_kernels_match_generic_loops(cs, ds, c0):
     assert list(unit.log().coeffs) == oracle_log(list(unit.coeffs))
     for e in (Fraction(2), Fraction(3), Fraction(-2), Fraction(-1, 2), Fraction(7, 3), Fraction(10**40, 3)):
         assert list(unit.pow(e).coeffs) == oracle_pow(list(unit.coeffs), e)
+
+
+def shape(cs):
+    """Type, value and term order of each coefficient: the kernels give what
+    the generic loops give, down to the order in which a Poly lists its terms."""
+    return [(type(c), tuple(c.terms.items())) if isinstance(c, Poly) else (type(c), c) for c in cs]
+
+
+def poly_in(var):
+    """Polys in var with wide coefficients, constant and zero ones included;
+    coefficients +-1 make terms cancel in sums and products."""
+    coeff = st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]), wide)
+    return st.dictionaries(st.integers(0, 3), coeff, max_size=3).map(
+        lambda d: Poly({((var, e),) if e else (): c for e, c in d.items()})
+    )
+
+
+univariate = st.lists(st.one_of(wide, poly_in("y")), min_size=0, max_size=6)
+
+
+@settings(deadline=None)
+@given(univariate, univariate, wide.filter(bool))
+def test_univariate_kernels_match_generic_loops(cs, ds, c0):
+    f = TruncSeries("z", len(cs), [c0] + cs)  # scalar c0, so f is a unit
+    g = TruncSeries("z", len(ds), [Fraction(0)] + ds)
+    n = min(f.order, g.order)
+    assert shape((f * g).coeffs) == shape(oracle_mul(f.coeffs, g.coeffs)[: n + 1])
+    assert shape(f.inverse().coeffs) == shape(oracle_inverse(list(f.coeffs)))
+    assert shape(g.exp().coeffs) == shape(oracle_exp(list(g.coeffs)))
+    unit = f * (1 / c0)
+    assert shape(unit.log().coeffs) == shape(oracle_log(list(unit.coeffs)))
+    for e in (Fraction(2), Fraction(-1, 2), Fraction(7, 3)):
+        assert shape(unit.pow(e).coeffs) == shape(oracle_pow(list(unit.coeffs), e))
+
+
+def test_univariate_kernels_drop_cancelled_terms():
+    y = Poly.var("y")
+    f = TruncSeries("z", 3, [1, 1 + y, 0, -y])
+    g = TruncSeries("z", 3, [0, 1 - y, 0, y * y])  # (1 + y)(1 - y) = 1 - y^2
+    assert (f * g)[2] == 1 - y * y
+    assert shape((f * g).coeffs) == shape(oracle_mul(f.coeffs, g.coeffs))
+    assert shape(f.inverse().coeffs) == shape(oracle_inverse(list(f.coeffs)))
+    assert shape(g.exp().coeffs) == shape(oracle_exp(list(g.coeffs)))
+
+
+def test_two_variable_coefficients_take_the_generic_loops():
+    y, u = Poly.var("y"), Poly.var("u")
+    f = TruncSeries("z", 4, [Fraction(2), y, Fraction(1, 3) * u, y * u - 1, u * u])
+    g = TruncSeries("z", 4, [0, u, Fraction(-5, 7), y, Fraction(1, 10**40)])
+    h = TruncSeries("z", 4, [0, y * u, 0, Fraction(2, 9), y])
+    assert _int_form(f.coeffs, g.coeffs) is None and _int_form(h.coeffs) is None
+    assert shape((f * g).coeffs) == shape(oracle_mul(f.coeffs, g.coeffs))
+    assert shape(f.inverse().coeffs) == shape(oracle_inverse(list(f.coeffs)))
+    assert shape(h.exp().coeffs) == shape(oracle_exp(list(h.coeffs)))
+    unit = f * Fraction(1, 2)
+    assert shape(unit.log().coeffs) == shape(oracle_log(list(unit.coeffs)))
+    assert shape(unit.pow(Fraction(-3, 2)).coeffs) == shape(oracle_pow(list(unit.coeffs), Fraction(-3, 2)))
+    at = {"y": Fraction(-3, 4), "u": Fraction(5)}
+    assert substitute_params(f * g, at) == substitute_params(f, at) * substitute_params(g, at)
 
 
 @pytest.mark.parametrize("c0", [Fraction(-1), Fraction(3), Fraction(-7, 5), Fraction(10**40 + 1, 10**39)])

@@ -21,11 +21,11 @@ from surface_oracle import intersection as oracle_intersection
 def intersection(l1, l2):
     """L1 . L2 as the n = 1 integral of c1(L1) c1(L2)."""
     bundles = (("A", TautClass(((l1, 1),))), ("B", TautClass(((l2, 1),))))
-    return surface_number(l1.surface, (("A", 1), ("B", 1)), bundles)
+    return surface_number(l1.surface, ((("A", 1), ("B", 1)),), bundles)[0]
 
 
 def c1_squared(model):
-    return surface_number(model, (("T", 1), ("T", 1)), (("T", "tangent"),))
+    return surface_number(model, ((("T", 1), ("T", 1)),), (("T", "tangent"),))[0]
 
 
 def test_p2_intersection_form():
@@ -60,7 +60,7 @@ def _blowups(model, depth):
 def test_noether_on_rational_surfaces():
     # K^2 + e = 12 chi(O_S) = 12 on p2, p1xp1 and every blowup of them up to depth 3
     for model in (*_blowups(p2(), 3), *_blowups(p1xp1(), 3)):
-        e = surface_number(model, (("T", 2),), (("T", "tangent"),))
+        (e,) = surface_number(model, ((("T", 2),),), (("T", "tangent"),))
         assert e == model.euler_number
         assert c1_squared(model) + e == 12, model.name
 
