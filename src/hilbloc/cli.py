@@ -41,7 +41,7 @@ DIGITS_MAX = 40  # digits of --r, of each --k/--bundle entry, of N and k in --ge
 BLOWUP_DEPTH_MAX = 3  # nested blowup: levels in --surface
 SURFACE_HELP = (
     f"p2, p1xp1 or blowup:<surface>:<chart>, at most {BLOWUP_DEPTH_MAX} blowup: levels "
-    "(--n 7 --long on three blowups of p1xp1: chern about 2.7 s, chi about 2.3 s, genus about 3.8 s)"
+    "(--n 7 --long on three blowups of p1xp1: chern about 1.4 s, chi about 2.0 s, genus about 2.0 s)"
 )
 
 

@@ -8,18 +8,21 @@ the local weight of the inducing line bundle.
 
 Every number computed here is a residue sum over the fixed points of an
 integer numerator over prod t, and one pass, `_residue_pass`, evaluates
-them all; each output supplies only its per-point numerators.  For Chern
-numbers these are prod_{p in la} e_p(t), and for the power-sum polynomial
-of Hilb^n(S) (the cobordism class that `hilb_cobordism_series` returns)
-prod_{p in mu} p_p(t).  For other integrands they come
-from the power sums and elementary symmetric functions of the point's
-weights, each factor scaled so that its coefficients are integers (see
-"integrand" below); `chi_via_RR_family` serves several determinant twists
-from the same pass.  Characters stay symbolic (integer pairs) until the
-pass specializes them along the first two members of a deterministic
-ladder of generic one-parameter subgroups; each specialization keeps
-integer numerators over one running common denominator, the lcm of the
-point denominators seen so far, and the two exact sums must agree.
+them all.  It walks the fixed points in blocks of a few hundred, and each
+output supplies only its sums over a block: for Chern numbers the
+numerators are prod_{p in la} e_p(t), and for the power-sum polynomial of
+Hilb^n(S) (the cobordism class that `hilb_cobordism_series` returns)
+prod_{p in mu} p_p(t), both formed column-wise, one column over the
+block's points per symmetric function and per partition suffix.  Other
+integrands are evaluated point by point from the power sums and
+elementary symmetric functions of the point's weights, each factor scaled
+so that its coefficients are integers (see "integrand" below);
+`chi_via_RR_family` serves several determinant twists from the same pass.
+Characters stay symbolic (integer pairs) until the pass specializes them
+along the first two members of a deterministic ladder of generic
+one-parameter subgroups; each specialization keeps integer numerators
+over one running common denominator, the lcm of the block denominators
+seen so far, and the two exact sums must agree.
 
 Numbers on the surface itself (intersection numbers, the gamma-vectors of
 `universal`) are the case n = 1, since Hilb^1(S) = S: `surface_number`
@@ -30,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .cobordism import ChernVector, beta_poly
 from .partitions import cells, enumerate_partitions
@@ -238,44 +241,101 @@ def _tangent_power_sums(tvals, order):
     return p
 
 
+def _elementary_symmetric(values):
+    """[e_0, ..., e_len(values)] of the weights values."""
+    e = [1] + [0] * len(values)
+    for m, v in enumerate(values, 1):
+        for k in range(m, 0, -1):
+            e[k] += v * e[k - 1]
+    return e
+
+
+# The same two kernels on a block of points, column by column: cols[j] is the
+# column of the j-th tangent weight over the block's points (at least one
+# weight), and each function comes back as one column over the same points.
+
+
+def _column_elementary_symmetric(cols):
+    """The columns [e_0, ..., e_len(cols)] of the elementary symmetric
+    functions of the weights cols."""
+    e = [[1] * len(cols[0])]
+    for m, v in enumerate(cols, 1):
+        e.append(list(map(mul, v, e[m - 1])))
+        for k in range(m - 1, 0, -1):
+            e[k] = list(map(add, e[k], map(mul, v, e[k - 1])))
+    return e
+
+
+def _column_power_sums(cols, order):
+    """The columns [p_0, ..., p_order] with p_k = sum t^k over the weights
+    cols."""
+    p, x = [[len(cols)] * len(cols[0])], list(cols)
+    for k in range(1, order + 1):
+        p.append(list(map(sum, zip(*x))))
+        if k < order:
+            for j, t in enumerate(cols):
+                x[j] = list(map(mul, x[j], t))
+    return p
+
+
 # -- residue sums ------------------------------------------------------------------
+
+_BLOCK = 256  # fixed points per block of the residue pass
 
 
 class _ResidueSum:
-    """Per-output sums over fixed points of integer numerators over the point
-    denominators d = prod t, kept as integer numerators over one running
-    positive common denominator: the lcm of the d seen so far."""
+    """Per-output sums of integer numerators over positive denominators (one
+    per block of fixed points), kept as integer numerators over one running
+    common denominator: the lcm of the denominators seen so far."""
 
     def __init__(self, size):
         self.acc = [0] * size
         self.den = 1
 
-    def add(self, d, nums):
-        up = abs(d) // gcd(self.den, d)
+    def add(self, den, nums):
+        up = den // gcd(self.den, den)
         if up != 1:
             self.acc = [a * up for a in self.acc]
             self.den *= up
-        scale = self.den // d
+        scale = self.den // den
         acc = self.acc
         for i, x in enumerate(nums):
             acc[i] += x * scale
 
 
-def _residue_pass(model, n, ladder, size, at_point) -> list:
+def _residue_pass(model, n, ladder, size, at_block) -> list:
     """The size residue sums over the fixed points of Hilb^n, exact.
 
-    at_point(fp) returns numerators(spec, tvals), the point's integer
-    numerators over prod t at a specialization spec with tangent weights
-    tvals.  The sums of the two specializations are independent until they
-    are compared, value by value, at the end."""
+    The pass walks the fixed points in blocks of _BLOCK points, and each
+    block is one term of the running sum: at a specialization spec, with
+    tvals the points' specialized tangent weights, d = prod t their
+    denominators and L the lcm of the block's d,
+    at_block(block)(spec, tvals, [L/d, ...]) returns the block's size
+    integer sums of (L/d) * numerator, the points' numerators over d.  Each
+    (chart, partition) is specialized once per pass and specialization; a
+    zero weight raises ConsistencyError.  The sums of the two
+    specializations are independent until they are compared, value by
+    value, at the end."""
     specs = one_ps_ladder(model, n, ladder)[:2]
     sums = [_ResidueSum(size) for _ in specs]
-    for fp in enumerate_fixed_points(model, n):
-        chars = tangent_weights(model, fp)
-        numerators = at_point(fp)
-        for spec, total in zip(specs, sums):
-            tvals = specialize_tangents(chars, spec)
-            total.add(prod(tvals), numerators(spec, tvals))
+    specialized = [[{} for _ in model.charts] for _ in specs]  # per chart: la -> weights
+    points = enumerate_fixed_points(model, n)
+    for start in range(0, len(points), _BLOCK):
+        block = points[start : start + _BLOCK]
+        block_sums = at_block(block)
+        for spec, known, total in zip(specs, specialized, sums):
+            tvals = []
+            for fp in block:
+                t = []
+                for chart, la, seen in zip(model.charts, fp, known):
+                    ts = seen.get(la)
+                    if ts is None:
+                        ts = seen[la] = specialize_tangents(chart_tangent_weights(chart, la), spec)
+                    t += ts
+                tvals.append(t)
+            ds = list(map(prod, tvals))
+            den = lcm(*ds)
+            total.add(den, block_sums(spec, tvals, [den // d for d in ds]))
     v1, v2 = ([Fraction(a, total.den) for a in total.acc] for total in sums)
     for a, b in zip(v1, v2):
         if a != b:
@@ -283,14 +343,6 @@ def _residue_pass(model, n, ladder, size, at_point) -> list:
                 f"specializations {specs[0]} and {specs[1]} disagree: {a} vs {b}"
             )
     return v1
-
-
-def _elementary_symmetric(values):
-    e = [1] + [0] * len(values)
-    for m, v in enumerate(values, 1):
-        for k in range(m, 0, -1):
-            e[k] += v * e[k - 1]
-    return e
 
 
 def _chern_classes(weights, order):
@@ -376,9 +428,12 @@ def _tangent_log(integrand, order):
 class _IntegerIntegrand:
     """One integral's integrand over Hilb^n in the scaled integer form above:
     the constants depend on the integrand and n only, and `numerators` is
-    the per-point work."""
+    the per-point work.  The bundles whose Chern classes the polynomial
+    reads, and the class of the Chern character, are keyed by position in
+    the dicts chern_slots (TautClass or "tangent" -> slot) and ch_slots
+    (TautClass -> slot), which every integrand of one pass shares."""
 
-    def __init__(self, integrand: Integrand, n: int):
+    def __init__(self, integrand: Integrand, n: int, chern_slots: dict, ch_slots: dict):
         order = self.order = 2 * n
         self.scale, s = _tangent_log(integrand, order)
         d = 1
@@ -400,16 +455,17 @@ class _IntegerIntegrand:
         poly_den = 1  # P
         self.poly = None
         if integrand.poly != _UNIT_POLY:
+            slot = {name: chern_slots.setdefault(src, len(chern_slots)) for name, src in integrand.bundles}
             terms = [(sum(deg for _, deg in monos), Fraction(c), monos) for c, monos in integrand.poly]
             terms = [t for t in terms if t[0] <= order]
             for _, c, _ in terms:
                 poly_den = lcm(poly_den, c.denominator)
-            self.poly = [(deg, int(c * poly_den), monos) for deg, c, monos in terms]
-        self.chern_of = dict(integrand.bundles) if self.poly is not None else {}
-        self.ch_of = integrand.ch_bundle
+            self.poly = [
+                (deg, int(c * poly_den), tuple((slot[name], k) for name, k in monos))
+                for deg, c, monos in terms
+            ]
+        self.ch = None if integrand.ch_bundle is None else ch_slots.setdefault(integrand.ch_bundle, len(ch_slots))
         self.denominator = self.fd[order] * poly_den
-        sources = [*self.chern_of.values(), self.ch_of]
-        self.taut_classes = tuple(dict.fromkeys(x for x in sources if x not in (None, "tangent")))
 
     def _times(self, x, y):
         if x is None:
@@ -419,28 +475,25 @@ class _IntegerIntegrand:
             for m in range(self.order + 1)
         ]
 
-    def numerators(self, tvals, weights, dets) -> list:
-        """N! D^N P times the eps^N coefficient at a point with tangent weights
-        tvals, one per determinant weight in dets (None: no determinant
-        factor); weights maps each tautological class to its (w, m) pairs."""
+    def numerators(self, chern, ch, tangent_p, dets) -> list:
+        """N! D^N P times the eps^N coefficient at a point, one per
+        determinant weight in dets (None: no determinant factor), from the
+        point's Chern classes chern and Chern-character power sums ch (by
+        slot) and the power sums tangent_p of its tangent weights."""
         order = self.order
         body = None
         if self.poly is not None:
-            chern = {
-                name: _elementary_symmetric(tvals) if src == "tangent" else _chern_classes(weights[src], order)
-                for name, src in self.chern_of.items()
-            }
             y = [0] * (order + 1)
             for deg, c, monos in self.poly:
-                for name, k in monos:
-                    c *= chern[name][k]
+                for slot, k in monos:
+                    c *= chern[slot][k]
                 y[deg] += c
             body = [f * v for f, v in zip(self.fd, y)]
-        if self.ch_of is not None:
-            p = _power_sums(weights[self.ch_of], order)
+        if self.ch is not None:
+            p = ch[self.ch]
             body = self._times(body, [self.d**m * p[m] for m in range(order + 1)])
         if self.exp_a is not None:
-            h = list(map(mul, self.exp_a, _tangent_power_sums(tvals, order)))[1:]
+            h = list(map(mul, self.exp_a, tangent_p))[1:]
             e = [1]
             for ff in self.exp_ff[1:]:
                 e.append(sum(map(mul, map(mul, ff, h), reversed(e))))
@@ -465,22 +518,38 @@ class _IntegerIntegrand:
 def _integrate_family(model, n, integrands, dets, ladder):
     """The integral of each integrand times e^{c1(L_n (x) E^r)} for each
     (L, r) in dets (an entry None means no determinant factor), integrand
-    by integrand, from one residue pass."""
-    forms = [_IntegerIntegrand(integrand, n) for integrand in integrands]
-    taut_classes = tuple(dict.fromkeys(x for form in forms for x in form.taut_classes))
+    by integrand, from one residue pass.  At each point and specialization
+    the tangent and tautological Chern classes and power sums are formed
+    once, for every integrand that reads them."""
+    order = 2 * n
+    chern_slots, ch_slots = {}, {}
+    forms = [_IntegerIntegrand(integrand, n, chern_slots, ch_slots) for integrand in integrands]
+    classes = tuple(dict.fromkeys(x for x in (*chern_slots, *ch_slots) if x != "tangent"))
+    chern_of = [None if x == "tangent" else classes.index(x) for x in chern_slots]
+    ch_of = [classes.index(x) for x in ch_slots]
+    tangent_exp = any(form.exp_a is not None for form in forms)
 
-    def at_point(fp):
-        taut = {x: taut_weights(model, fp, x) for x in taut_classes}
-        det_chars = dets if dets == (None,) else det_taut_weight(model, fp, dets)
+    def at_block(block):
+        taut = [[taut_weights(model, fp, x) for x in classes] for fp in block]
+        det_chars = [dets if dets == (None,) else det_taut_weight(model, fp, dets) for fp in block]
 
-        def numerators(spec, tvals):
-            weights = {x: [(_specialize(c, spec), m) for c, m in pairs] for x, pairs in taut.items()}
-            ws = [None if c is None else _specialize(c, spec) for c in det_chars]
-            return [v for form in forms for v in form.numerators(tvals, weights, ws)]
+        def sums(spec, tvals, scales):
+            out = [0] * (len(forms) * len(dets))
+            for t, pairs, chars, scale in zip(tvals, taut, det_chars, scales):
+                weights = [[(_specialize(c, spec), m) for c, m in x] for x in pairs]
+                chern = [
+                    _elementary_symmetric(t) if j is None else _chern_classes(weights[j], order) for j in chern_of
+                ]
+                p = _tangent_power_sums(t, order) if tangent_exp else None
+                ch = [_power_sums(weights[j], order) for j in ch_of]
+                ws = [None if c is None else _specialize(c, spec) for c in chars]
+                nums = [v for form in forms for v in form.numerators(chern, ch, p, ws)]
+                out = [a + v * scale for a, v in zip(out, nums)]
+            return out
 
-        return numerators
+        return sums
 
-    values = _residue_pass(model, n, ladder, len(forms) * len(dets), at_point)
+    values = _residue_pass(model, n, ladder, len(forms) * len(dets), at_block)
     factors = [form.scale / form.denominator for form in forms for _ in dets]
     return [v * f for v, f in zip(values, factors)]
 
@@ -506,33 +575,67 @@ def surface_number(model: ToricSurface, monomials, bundles) -> tuple:
 # -- Chern numbers and the cobordism class of Hilb^n -------------------------------
 
 
+@lru_cache(maxsize=None)
+def _suffix_walk(m: int) -> tuple:
+    """The depth-first walk over the tree of suffixes of the partitions of
+    m, as preorder steps (depth, p, slot, last): the node (p, *parent) at
+    depth extends the last node at depth - 1 (the empty suffix is the root,
+    depth 0), slot is None for a proper suffix and the index of a whole
+    partition, always a leaf, in enumerate_partitions(m), and last marks
+    the parent's last child.  Children come largest part first, so the
+    long chains of small parts are last children."""
+    slots = {la: i for i, la in enumerate(enumerate_partitions(m))}
+    steps = []
+
+    def visit(suffix, rest):
+        # the parts prepended later are >= p, so rest - p is 0 or >= p
+        parts = [p for p in range(rest, (suffix[0] if suffix else 1) - 1, -1) if p == rest or 2 * p <= rest]
+        for p in parts:
+            node = (p, *suffix)
+            steps.append((len(node), p, slots.get(node), p == parts[-1]))
+            visit(node, rest - p)
+
+    visit((), m)
+    return tuple(steps)
+
+
 def _partition_sums(model, n, ladder, factors) -> list:
     """The residue sums of prod_{p in la} f_p / prod t over the partitions la
-    of 2n (rev-lex order), with f = factors(t) the point's sequence f_0,
-    ..., f_2n of symmetric functions of its tangent weights t."""
-    lams = enumerate_partitions(2 * n)
-    # each distinct suffix of a la costs one product f_p * (its tail's), and
-    # sorting by length puts every tail first, the empty one at index 0
-    suffixes = sorted({la[k:] for la in lams for k in range(len(la) + 1)}, key=len)
-    index = {s: i for i, s in enumerate(suffixes)}
-    plan = [(s[0], index[s[1:]]) for s in suffixes[1:]]
-    pick = [index[la] for la in lams]
+    of 2n (rev-lex order), with factors(cols) the columns f_0, ..., f_2n
+    over a block of points whose tangent weights are the columns cols:
+    symmetric functions of each point's weights t.
 
-    def numerators(spec, tvals):
-        f = factors(tvals)
-        prods = [1]
-        for p, tail in plan:
-            prods.append(f[p] * prods[tail])
-        return [prods[i] for i in pick]
+    The products walk the tree of partition suffixes depth first from the
+    column of scales: each proper suffix costs one column product, each
+    partition one sum, and a node's column is dropped once its last child
+    is formed, so few columns are alive at once (4 for 2n = 14)."""
+    steps = _suffix_walk(2 * n)
+    size = len(enumerate_partitions(2 * n))
 
-    return _residue_pass(model, n, ladder, len(lams), lambda fp: numerators)
+    def sums(spec, tvals, scales):
+        if not steps:  # n = 0: the empty partition only
+            return [sum(scales)]
+        f = factors(list(zip(*tvals)))
+        nodes = [scales] + [None] * (2 * n)
+        out = [0] * size
+        for depth, p, slot, last in steps:
+            parent = nodes[depth - 1]
+            if last:
+                nodes[depth - 1] = None
+            if slot is None:
+                nodes[depth] = list(map(mul, f[p], parent))
+            else:
+                out[slot] = sum(map(mul, f[p], parent))
+        return out
+
+    return _residue_pass(model, n, ladder, size, lambda block: sums)
 
 
 @lru_cache(maxsize=None)
 def chern_numbers_hilb(model: ToricSurface, n: int, ladder: str = "xi") -> ChernVector:
     """All Chern numbers c_la(Hilb^n(S)), la a partition of 2n, exact: the
     residue sums of prod_{p in la} e_p(t) / prod t."""
-    values = _partition_sums(model, n, ladder, _elementary_symmetric)
+    values = _partition_sums(model, n, ladder, _column_elementary_symmetric)
     return ChernVector.from_dict(2 * n, dict(zip(enumerate_partitions(2 * n), values)))
 
 
@@ -540,7 +643,8 @@ def chern_numbers_hilb(model: ToricSurface, n: int, ladder: str = "xi") -> Chern
 def _hilb_beta(model: ToricSurface, n: int):
     """The power-sum polynomial of Hilb^n(S): its integrals of p_mu are the
     residue sums of prod_{p in mu} p_p(t) / prod t."""
-    return beta_poly(2 * n, _partition_sums(model, n, "xi", lambda t: _tangent_power_sums(t, 2 * n)))
+    factors = partial(_column_power_sums, order=2 * n)
+    return beta_poly(2 * n, _partition_sums(model, n, "xi", factors))
 
 
 def hilb_cobordism_series(model: ToricSurface, order: int) -> TruncSeries:

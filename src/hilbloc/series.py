@@ -26,13 +26,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from .rings import Poly, binomial
+from .rings import Poly, _fraction, binomial
 
 
 def _coerce(c):
-    if isinstance(c, (Poly, Fraction)):
-        return c
-    return Fraction(c)
+    """A coefficient as a Poly or Fraction; TypeError for anything else,
+    floats included."""
+    return c if isinstance(c, Poly) else _fraction(c)
 
 
 class _IntPoly:
@@ -162,8 +162,6 @@ class TruncSeries:
         return TruncSeries(self.var, min(order, self.order), self.coeffs)
 
     def _common(self, other):
-        if not isinstance(other, TruncSeries):
-            raise TypeError("expected a TruncSeries")
         if self.var != other.var:
             raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
         return min(self.order, other.order)
@@ -175,6 +173,8 @@ class TruncSeries:
             cs = list(self.coeffs)
             cs[0] = cs[0] + other
             return TruncSeries(self.var, self.order, cs)
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
         n = self._common(other)
         return TruncSeries(
             self.var, n, [a + b for a, b in zip(self.coeffs, other.coeffs)]
@@ -186,7 +186,9 @@ class TruncSeries:
         return TruncSeries(self.var, self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncSeries) else -_coerce(other))
+        if not isinstance(other, (int, Fraction, Poly, TruncSeries)):
+            return NotImplemented
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -194,6 +196,8 @@ class TruncSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
             return TruncSeries(self.var, self.order, [c * other for c in self.coeffs])
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
         n = self._common(other)
         form = _int_form(self.coeffs[: n + 1], other.coeffs[: n + 1])
         if form:
@@ -255,6 +259,8 @@ class TruncSeries:
             return self * (Fraction(1) / Fraction(other))
         if isinstance(other, Poly):
             return self * (Fraction(1) / other.as_fraction())
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
         n = self._common(other)
         return self.truncate(n) * other.truncate(n).inverse()
 

@@ -5,8 +5,10 @@ power-sum integrand evaluator replaced the epsilon-multiplication chain
 (the `chern_*_n7_long` files: before the Chern-number sum moved to integer
 numerators over a common denominator; `twist_r3_o8_long`: before the
 integrand evaluator did; `betti_p1xp1_n7_long` and `genus_chi_y_p1xp1_n7_long`:
-while the two models still had their own Betti sums and chi_y tables), so
-they pin the byte-identical output of every rewrite of the engine.  Each
+while the two models still had their own Betti sums and chi_y tables;
+`chern_p1xp1_n6_long_eta` and `chern_blowup3_p1xp1_n5`: while the residue
+pass still walked the fixed points one at a time), so they pin the
+byte-identical output of every rewrite of the engine.  Each
 entry is `<name>.json` with the argv below; regenerating one means running
 `python -m hilbloc.cli <argv> > tests/golden/<name>.json` on a build whose
 output is already trusted.
@@ -24,7 +26,8 @@ import hilbloc
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # every README CLI line except `verify`, plus the twist-series and chern workload sizes,
-# the largest `universal` call and genera on a blowup, on P1xP1 and on K3
+# the largest `universal` call, genera on a blowup, on P1xP1 and on K3, and Chern
+# numbers on the eta ladder and on a surface of seven charts (several blocks of points)
 GOLDEN = {
     "chern_p2_n4": ["chern", "--surface", "p2", "--n", "4"],
     "chern_blowup_n6": ["chern", "--surface", "blowup:p2:0", "--n", "6", "--long"],
@@ -52,6 +55,8 @@ GOLDEN = {
     "genus_euler_k3_n7_long": ["genus", "--genus", "euler", "--k3", "--n", "7", "--long"],
     "betti_p1xp1_n7_long": ["betti", "--model", "P1xP1", "--n", "7", "--long"],
     "genus_chi_y_p1xp1_n7_long": ["genus", "--genus", "chi_y", "--model", "P1xP1", "--n", "7", "--long"],
+    "chern_p1xp1_n6_long_eta": ["chern", "--surface", "p1xp1", "--n", "6", "--long", "--ladder", "eta"],
+    "chern_blowup3_p1xp1_n5": ["chern", "--surface", "blowup:blowup:blowup:p1xp1:0:0:0", "--n", "5"],
 }
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 
 import pytest
@@ -29,6 +30,7 @@ from hilbloc.series import TruncSeries, todd_series
 from hilbloc.toric import blowup, build_model, line_bundle, o_bundle, p1xp1, p2
 from hilbloc.universal import _reference_classes, h_psi_phi
 from partition_counts import count_partitions
+import residue_oracle
 
 
 def fp_count(model, n):
@@ -167,19 +169,22 @@ def test_top_chern_number_is_goettsche(name, euler):
 
 
 def _perturb_second_sum(monkeypatch):
-    """Add 1 to the numerators of the first point fed to the second
-    specialization's residue sum; the first sum is left alone."""
+    """Add 1 to each value of the first block sum fed to the second
+    specialization's residue sum; the first sum is left alone.  Blocks of
+    5 points make that one block of several wherever a pass has more than
+    5 fixed points."""
     import hilbloc.localization as loc
 
+    monkeypatch.setattr(loc, "_BLOCK", 5)
     sums = []  # in order of first use: the first specialization's, then the second's
     add = loc._ResidueSum.add
 
-    def perturbed_add(self, d, nums):
+    def perturbed_add(self, den, nums):
         if self not in sums:
             sums.append(self)
             if len(sums) == 2:
                 nums = [x + 1 for x in nums]
-        add(self, d, nums)
+        add(self, den, nums)
 
     monkeypatch.setattr(loc._ResidueSum, "add", perturbed_add)
 
@@ -535,6 +540,40 @@ def _walked_char_bound(model, n):
             if a1 != 0:
                 b2 = max(b2, abs(a2))
     return b1 + 1, b2 + 1
+
+
+# -- the blocked partition-sum kernel against the per-point pass ----------------------
+
+
+@st.composite
+def blocked_cases(draw):
+    """A surface (P2 or P1xP1 blown up at most twice), n <= 4, a ladder, a
+    factor kind and a block size: one block exactly, one block +- 1 point,
+    or a few points."""
+    model = draw(st.sampled_from((p2(), p1xp1())))
+    for _ in range(draw(st.integers(0, 2))):
+        model = blowup(model, draw(st.integers(0, len(model.charts) - 1)))
+    n = draw(st.integers(0, 4))
+    count = len(enumerate_fixed_points(model, n))
+    block = draw(st.sampled_from((count - 1, count, count + 1, 1, 2, 7)).filter(lambda b: b >= 1))
+    return model, n, draw(st.sampled_from(("xi", "eta"))), draw(st.sampled_from(("e", "p"))), block
+
+
+@settings(deadline=None)
+@given(blocked_cases())
+def test_blocked_partition_sums_match_per_point_oracle(case):
+    import hilbloc.localization as loc
+
+    model, n, ladder, kind, block = case
+    if kind == "e":
+        kernel, oracle = loc._column_elementary_symmetric, loc._elementary_symmetric
+    else:
+        kernel = partial(loc._column_power_sums, order=2 * n)
+        oracle = partial(loc._tangent_power_sums, order=2 * n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(loc, "_BLOCK", block)
+        values = loc._partition_sums(model, n, ladder, kernel)
+    assert values == residue_oracle.partition_sums(model, n, ladder, oracle)
 
 
 def test_char_bound_matches_fixed_point_walk():

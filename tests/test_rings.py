@@ -94,6 +94,33 @@ def test_poly_operators_take_only_exact_scalars():
             op()
 
 
+def test_series_take_only_exact_coefficients():
+    f = TruncSeries.one("z", 2)
+    for op in (
+        lambda: TruncSeries("z", 1, [0.1, 1]),
+        lambda: TruncSeries("z", 1, [1, 1.0]),
+        lambda: f + 0.1,
+        lambda: 0.1 + f,
+        lambda: f - 0.1,
+        lambda: 0.1 - f,
+        lambda: f * 0.1,
+        lambda: 0.1 * f,
+        lambda: f / 0.1,
+        lambda: 0.1 / f,
+        lambda: f + "1",
+        lambda: f * [1],
+    ):
+        with pytest.raises(TypeError):
+            op()
+    for other in (0.1, "1", None):
+        assert f.__add__(other) is NotImplemented
+        assert f.__sub__(other) is NotImplemented
+        assert f.__mul__(other) is NotImplemented
+    # exact scalars still mix in
+    assert f - 1 == TruncSeries.zero("z", 2)
+    assert f * Fraction(1, 3) + Fraction(2, 3) == f
+
+
 def test_poly_minus_series_reaches_the_series():
     y = Poly.var("y")
     f = TruncSeries("z", 2, [1, 2, Fraction(1, 3)])
