@@ -8,16 +8,18 @@ the local weight of the inducing line bundle.
 
 Every number computed here is a residue sum over the fixed points of an
 integer numerator over prod t, and one pass, `_residue_pass`, evaluates
-them all.  It walks the fixed points in blocks of a few hundred, and each
-output supplies only its sums over a block: for Chern numbers the
+them all.  It walks the fixed points in blocks of a few hundred and hands
+each output the block's tangent weights as columns (one list over the
+block's points per weight); the output supplies only its sums over the
+block, formed column-wise by one set of kernels: for Chern numbers the
 numerators are prod_{p in la} e_p(t), and for the power-sum polynomial of
 Hilb^n(S) (the cobordism class that `hilb_cobordism_series` returns)
-prod_{p in mu} p_p(t), both formed column-wise, one column over the
-block's points per symmetric function and per partition suffix.  Other
-integrands are evaluated point by point from the power sums and
-elementary symmetric functions of the point's weights, each factor scaled
-so that its coefficients are integers (see "integrand" below);
-`chi_via_RR_family` serves several determinant twists from the same pass.
+prod_{p in mu} p_p(t), one column per symmetric function and per
+partition suffix.  Other integrands are evaluated on the same columns
+from the power sums and Chern classes of the tangent and tautological
+weights, each factor scaled so that its coefficients are integers (see
+"integrand" below); `chi_via_RR_family` serves several determinant twists
+from the same pass.
 Characters stay symbolic (integer pairs) until the pass specializes them
 along the first two members of a deterministic ladder of generic
 one-parameter subgroups; each specialization keeps integer numerators
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial, gcd, lcm, prod
-from operator import add, mul
+from operator import add, mul, sub
 
 from .cobordism import ChernVector, beta_poly
 from .partitions import cells, enumerate_partitions
@@ -125,17 +127,19 @@ def _cell_char(chart: Chart, i: int, j: int, base) -> tuple:
 
 
 def taut_weights(model: ToricSurface, fp: tuple, x: TautClass) -> list:
-    """Fibre characters of x^[n] at fp as (character, multiplicity) pairs."""
+    """Fibre characters of x^[n] at fp as (character, multiplicity) pairs,
+    summand by summand (each line bundle, then the trivial part) and chart
+    by chart within one, so the j-th pair has the same multiplicity at every
+    fixed point of Hilb^n."""
+    cell_lists = [(chart, [(c.i, c.j) for c in cells(la)]) for chart, la in zip(model.charts, fp)]
+    summands = [(bundle.local_weight, mult) for bundle, mult in x.line_bundles]
+    if x.trivial:
+        summands.append((lambda chart: (0, 0), x.trivial))
     out = []
-    for chart, la in zip(model.charts, fp):
-        cell_list = [(c.i, c.j) for c in cells(la)]
-        for bundle, mult in x.line_bundles:
-            lw = bundle.local_weight(chart)
-            for i, j in cell_list:
-                out.append((_cell_char(chart, i, j, lw), mult))
-        if x.trivial:
-            for i, j in cell_list:
-                out.append((_cell_char(chart, i, j, (0, 0)), x.trivial))
+    for local_weight, mult in summands:
+        for chart, cell_list in cell_lists:
+            lw = local_weight(chart)
+            out.extend((_cell_char(chart, i, j, lw), mult) for i, j in cell_list)
     return out
 
 
@@ -221,44 +225,15 @@ def specialize_tangents(chars, spec) -> list:
     return tvals
 
 
-def _power_sums(weights, order):
-    """[p_0, ..., p_order] with p_k = sum m w^k over (w, m) pairs."""
-    ws = [w for w, _ in weights]
-    x = [m for _, m in weights]
-    p = []
-    for _ in range(order + 1):
-        p.append(sum(x))
-        x = list(map(mul, x, ws))
-    return p
+# Symmetric functions of weights on a block of points, column by column:
+# cols[j] is the column of the j-th weight over the block's width points, and
+# each function comes back as one column over the same points.
 
 
-def _tangent_power_sums(tvals, order):
-    """[p_0, ..., p_order] with p_k = sum t^k over the tangent weights t."""
-    p, x = [len(tvals)], tvals
-    for _ in range(order):
-        p.append(sum(x))
-        x = list(map(mul, x, tvals))
-    return p
-
-
-def _elementary_symmetric(values):
-    """[e_0, ..., e_len(values)] of the weights values."""
-    e = [1] + [0] * len(values)
-    for m, v in enumerate(values, 1):
-        for k in range(m, 0, -1):
-            e[k] += v * e[k - 1]
-    return e
-
-
-# The same two kernels on a block of points, column by column: cols[j] is the
-# column of the j-th tangent weight over the block's points (at least one
-# weight), and each function comes back as one column over the same points.
-
-
-def _column_elementary_symmetric(cols):
+def _column_elementary_symmetric(cols, width):
     """The columns [e_0, ..., e_len(cols)] of the elementary symmetric
     functions of the weights cols."""
-    e = [[1] * len(cols[0])]
+    e = [[1] * width]
     for m, v in enumerate(cols, 1):
         e.append(list(map(mul, v, e[m - 1])))
         for k in range(m - 1, 0, -1):
@@ -266,16 +241,43 @@ def _column_elementary_symmetric(cols):
     return e
 
 
-def _column_power_sums(cols, order):
-    """The columns [p_0, ..., p_order] with p_k = sum t^k over the weights
-    cols."""
-    p, x = [[len(cols)] * len(cols[0])], list(cols)
+def _column_power_sums(cols, width, order, mults=None):
+    """The columns [p_0, ..., p_order] with p_k = sum m t^k over the weights
+    cols, the j-th with multiplicity mults[j] (1 if mults is None)."""
+    if mults is None:
+        p, x = [[len(cols)] * width], list(cols)
+    else:
+        p, x = [[sum(mults)] * width], [[m * t for t in col] for m, col in zip(mults, cols)]
     for k in range(1, order + 1):
-        p.append(list(map(sum, zip(*x))))
+        p.append(list(map(sum, zip(*x))) if x else [0] * width)
         if k < order:
             for j, t in enumerate(cols):
                 x[j] = list(map(mul, x[j], t))
     return p
+
+
+def _chern_classes(cols, mults, order, width):
+    """The columns [c_0, ..., c_order] of prod (1 + t eps)^m over the weights
+    cols with multiplicities mults; a negative m divides by (1 + t eps)^|m|,
+    which is still an integer series."""
+    c = [[1] * width] + [[0] * width for _ in range(order)]
+    for t, m in zip(cols, mults):
+        for _ in range(m):
+            for k in range(order, 0, -1):
+                c[k] = list(map(add, c[k], map(mul, t, c[k - 1])))
+        for _ in range(-m):
+            for k in range(1, order + 1):
+                c[k] = list(map(sub, c[k], map(mul, t, c[k - 1])))
+    return c
+
+
+def _column_dot(coeffs, xs, ys, width):
+    """The column sum_i coeffs[i] xs[i] ys[i] of the columns xs and ys."""
+    out = [0] * width
+    for c, x, y in zip(coeffs, xs, ys):
+        if c:
+            out = [o + c * a * b for o, a, b in zip(out, x, y)]
+    return out
 
 
 # -- residue sums ------------------------------------------------------------------
@@ -308,9 +310,9 @@ def _residue_pass(model, n, ladder, size, at_block) -> list:
 
     The pass walks the fixed points in blocks of _BLOCK points, and each
     block is one term of the running sum: at a specialization spec, with
-    tvals the points' specialized tangent weights, d = prod t their
-    denominators and L the lcm of the block's d,
-    at_block(block)(spec, tvals, [L/d, ...]) returns the block's size
+    cols[j] the column of the points' j-th specialized tangent weight, d =
+    prod t their denominators and L the lcm of the block's d,
+    at_block(block)(spec, cols, [L/d, ...]) returns the block's size
     integer sums of (L/d) * numerator, the points' numerators over d.  Each
     (chart, partition) is specialized once per pass and specialization; a
     zero weight raises ConsistencyError.  The sums of the two
@@ -335,7 +337,7 @@ def _residue_pass(model, n, ladder, size, at_block) -> list:
                 tvals.append(t)
             ds = list(map(prod, tvals))
             den = lcm(*ds)
-            total.add(den, block_sums(spec, tvals, [den // d for d in ds]))
+            total.add(den, block_sums(spec, list(zip(*tvals)), [den // d for d in ds]))
     v1, v2 = ([Fraction(a, total.den) for a in total.acc] for total in sums)
     for a, b in zip(v1, v2):
         if a != b:
@@ -343,22 +345,6 @@ def _residue_pass(model, n, ladder, size, at_block) -> list:
                 f"specializations {specs[0]} and {specs[1]} disagree: {a} vs {b}"
             )
     return v1
-
-
-def _chern_classes(weights, order):
-    """[c_0, ..., c_order] of prod (1 + w eps)^m over (w, m) pairs; a negative
-    m divides by (1 + w eps)^|m|, which is still an integer series."""
-    c = [1] + [0] * order
-    for w, m in weights:
-        if not w:
-            continue
-        for _ in range(m):
-            for k in range(order, 0, -1):
-                c[k] += w * c[k - 1]
-        for _ in range(-m):
-            for k in range(1, order + 1):
-                c[k] -= w * c[k - 1]
-    return c
 
 
 # -- integrand ---------------------------------------------------------------------
@@ -382,7 +368,8 @@ def _chern_classes(weights, order):
 # of the product B:
 #   N! D^N P top = sum_j C(N, j) (D w)^j B_{N-j}.
 # The integral is Q(0)^N / (N! D^N P) times the residue sum of these
-# integers over prod t.
+# integers over prod t.  Every step runs on a block of points at once: each
+# X_m is a column over the block's points, like the weights it comes from.
 
 
 _UNIT_POLY = ((Fraction(1), ()),)
@@ -409,49 +396,47 @@ class Integrand:
         )
 
 
-def _tangent_log(integrand, order):
-    """(Q(0)^order, (s_0, ..., s_order)) with log(Q/Q(0)) = sum s_k x^k, for Q
-    the Todd series times the tangent class; (1, None) if there is neither."""
-    q = todd_series("x", order) if integrand.todd else None
-    if integrand.tangent_class is not None:
-        if integrand.tangent_class.order < order:
+@lru_cache(maxsize=None)
+def _tangent_log(todd, tangent_class, order):
+    """(Q(0)^order, D, exp) for Q the Todd series (if todd) times the tangent
+    class, with log(Q/Q(0)) = sum s_k x^k, D as above and exp[m] the
+    coefficients (m-1)!/(m-k)! k D^k s_k, k = 1..m, of the tangent
+    exponential; (1, 1, None) if there is neither factor."""
+    q = todd_series("x", order) if todd else None
+    if tangent_class is not None:
+        if tangent_class.order < order:
             raise ValueError("tangent characteristic series truncated below 2n")
-        tc = integrand.tangent_class.truncate(order)
+        tc = tangent_class.truncate(order)
         q = tc if q is None else q * tc
     if q is None:
-        return Fraction(1), None
+        return Fraction(1), 1, None
     if q[0] == 0:
         raise ValueError("tangent characteristic series needs Q(0) != 0")
-    return Fraction(q[0]) ** order, (q * (1 / Fraction(q[0]))).log().coeffs
+    s = (q * (1 / Fraction(q[0]))).log().coeffs
+    d = 1
+    for k, c in enumerate(s):
+        while (c * d**k).denominator != 1:
+            d *= (c * d**k).denominator
+    a = [int(k * c * d**k) for k, c in enumerate(s)]
+    exp = tuple(tuple(factorial(m - 1) // factorial(m - k) * a[k] for k in range(1, m + 1)) for m in range(order + 1))
+    return Fraction(q[0]) ** order, d, exp
 
 
 class _IntegerIntegrand:
     """One integral's integrand over Hilb^n in the scaled integer form above:
     the constants depend on the integrand and n only, and `numerators` is
-    the per-point work.  The bundles whose Chern classes the polynomial
-    reads, and the class of the Chern character, are keyed by position in
-    the dicts chern_slots (TautClass or "tangent" -> slot) and ch_slots
-    (TautClass -> slot), which every integrand of one pass shares."""
+    the work on a block of points.  The bundles whose Chern classes the
+    polynomial reads, and the class of the Chern character, are keyed by
+    position in the dicts chern_slots (TautClass or "tangent" -> slot) and
+    ch_slots (TautClass -> slot), which every integrand of one pass shares."""
 
     def __init__(self, integrand: Integrand, n: int, chern_slots: dict, ch_slots: dict):
         order = self.order = 2 * n
-        self.scale, s = _tangent_log(integrand, order)
-        d = 1
-        for k, c in enumerate(s or ()):
-            while (c * d**k).denominator != 1:
-                d *= (c * d**k).denominator
+        self.scale, d, self.exp = _tangent_log(integrand.todd, integrand.tangent_class, order)
         self.d = d
-        self.fd = [factorial(m) * d**m for m in range(order + 1)]
+        self.dpow = [d**m for m in range(order + 1)]
+        fd = [factorial(m) * d**m for m in range(order + 1)]
         self.binom = [[comb(m, j) for j in range(m + 1)] for m in range(order + 1)]
-        # E_m = sum_k ff[m][k-1] (a_k p_k) E_{m-k} with a_k = k D^k s_k and
-        # ff[m][k-1] = (m-1)!/(m-k)!
-        self.exp_a = self.exp_ff = None
-        if s is not None:
-            self.exp_a = [int(k * c * d**k) for k, c in enumerate(s)]
-            self.exp_ff = [
-                [factorial(m - 1) // factorial(m - k) for k in range(1, m + 1)]
-                for m in range(order + 1)
-            ]
         poly_den = 1  # P
         self.poly = None
         if integrand.poly != _UNIT_POLY:
@@ -461,45 +446,42 @@ class _IntegerIntegrand:
             for _, c, _ in terms:
                 poly_den = lcm(poly_den, c.denominator)
             self.poly = [
-                (deg, int(c * poly_den), tuple((slot[name], k) for name, k in monos))
+                (deg, fd[deg] * int(c * poly_den), tuple((slot[name], k) for name, k in monos))
                 for deg, c, monos in terms
             ]
         self.ch = None if integrand.ch_bundle is None else ch_slots.setdefault(integrand.ch_bundle, len(ch_slots))
-        self.denominator = self.fd[order] * poly_den
+        self.denominator = fd[order] * poly_den
 
-    def _times(self, x, y):
+    def _times(self, x, y, width):
         if x is None:
             return y
-        return [
-            sum(c * x[j] * y[m - j] for j, c in enumerate(self.binom[m]))
-            for m in range(self.order + 1)
-        ]
+        return [_column_dot(self.binom[m], x, y[m::-1], width) for m in range(self.order + 1)]
 
-    def numerators(self, chern, ch, tangent_p, dets) -> list:
-        """N! D^N P times the eps^N coefficient at a point, one per
-        determinant weight in dets (None: no determinant factor), from the
-        point's Chern classes chern and Chern-character power sums ch (by
-        slot) and the power sums tangent_p of its tangent weights."""
+    def numerators(self, chern, ch, tangent_p, dets, width) -> list:
+        """The columns of N! D^N P times the eps^N coefficient over a block of
+        width points, one per determinant weight column in dets (None: no
+        determinant factor), from the points' Chern classes chern and
+        Chern-character power sums ch (by slot) and the power sums tangent_p
+        of their tangent weights, all columns."""
         order = self.order
         body = None
         if self.poly is not None:
-            y = [0] * (order + 1)
+            body = [[0] * width for _ in range(order + 1)]
             for deg, c, monos in self.poly:
+                col = [c] * width
                 for slot, k in monos:
-                    c *= chern[slot][k]
-                y[deg] += c
-            body = [f * v for f, v in zip(self.fd, y)]
+                    col = list(map(mul, col, chern[slot][k]))
+                body[deg] = list(map(add, body[deg], col))
         if self.ch is not None:
-            p = ch[self.ch]
-            body = self._times(body, [self.d**m * p[m] for m in range(order + 1)])
-        if self.exp_a is not None:
-            h = list(map(mul, self.exp_a, tangent_p))[1:]
-            e = [1]
-            for ff in self.exp_ff[1:]:
-                e.append(sum(map(mul, map(mul, ff, h), reversed(e))))
-            body = self._times(body, e)
+            p = [[dm * v for v in col] for dm, col in zip(self.dpow, ch[self.ch])]
+            body = self._times(body, p, width)
+        if self.exp is not None:
+            e = [[1] * width]
+            for m in range(1, order + 1):
+                e.append(_column_dot(self.exp[m], tangent_p[1:], e[::-1], width))
+            body = self._times(body, e, width)
         if body is None:
-            body = [1] + [0] * order
+            body = [[1] * width] + [[0] * width for _ in range(order)]
         out = []
         top = None
         for w in dets:
@@ -507,10 +489,11 @@ class _IntegerIntegrand:
                 out.append(body[order])
                 continue
             if top is None:  # C(N, j) B_{N-j}, highest j first
-                top = [c * b for c, b in zip(self.binom[order], reversed(body))][::-1]
-            x, acc = self.d * w, 0
-            for u in top:
-                acc = acc * x + u
+                top = [[c * b for b in col] for c, col in zip(self.binom[order], reversed(body))][::-1]
+            x = [self.d * v for v in w]
+            acc = top[0]
+            for u in top[1:]:
+                acc = [a * t + b for a, t, b in zip(acc, x, u)]
             out.append(acc)
         return out
 
@@ -518,34 +501,39 @@ class _IntegerIntegrand:
 def _integrate_family(model, n, integrands, dets, ladder):
     """The integral of each integrand times e^{c1(L_n (x) E^r)} for each
     (L, r) in dets (an entry None means no determinant factor), integrand
-    by integrand, from one residue pass.  At each point and specialization
+    by integrand, from one residue pass.  On each block and specialization
     the tangent and tautological Chern classes and power sums are formed
-    once, for every integrand that reads them."""
+    once, column by column, for every integrand that reads them."""
     order = 2 * n
     chern_slots, ch_slots = {}, {}
     forms = [_IntegerIntegrand(integrand, n, chern_slots, ch_slots) for integrand in integrands]
     classes = tuple(dict.fromkeys(x for x in (*chern_slots, *ch_slots) if x != "tangent"))
     chern_of = [None if x == "tangent" else classes.index(x) for x in chern_slots]
     ch_of = [classes.index(x) for x in ch_slots]
-    tangent_exp = any(form.exp_a is not None for form in forms)
+    tangent_exp = any(form.exp is not None for form in forms)
 
     def at_block(block):
-        taut = [[taut_weights(model, fp, x) for x in classes] for fp in block]
-        det_chars = [dets if dets == (None,) else det_taut_weight(model, fp, dets) for fp in block]
+        # per class: the multiplicities, the same at every point, and the
+        # columns of characters
+        taut = []
+        for x in classes:
+            pairs = [taut_weights(model, fp, x) for fp in block]
+            taut.append(([m for _, m in pairs[0]], list(zip(*([c for c, _ in p] for p in pairs)))))
+        det_cols = None if dets == (None,) else list(zip(*(det_taut_weight(model, fp, dets) for fp in block)))
 
-        def sums(spec, tvals, scales):
-            out = [0] * (len(forms) * len(dets))
-            for t, pairs, chars, scale in zip(tvals, taut, det_chars, scales):
-                weights = [[(_specialize(c, spec), m) for c, m in x] for x in pairs]
-                chern = [
-                    _elementary_symmetric(t) if j is None else _chern_classes(weights[j], order) for j in chern_of
-                ]
-                p = _tangent_power_sums(t, order) if tangent_exp else None
-                ch = [_power_sums(weights[j], order) for j in ch_of]
-                ws = [None if c is None else _specialize(c, spec) for c in chars]
-                nums = [v for form in forms for v in form.numerators(chern, ch, p, ws)]
-                out = [a + v * scale for a, v in zip(out, nums)]
-            return out
+        def sums(spec, cols, scales):
+            width = len(scales)
+            weights = [[[_specialize(c, spec) for c in col] for col in chars] for _, chars in taut]
+            chern = [
+                _column_elementary_symmetric(cols, width)
+                if j is None
+                else _chern_classes(weights[j], taut[j][0], order, width)
+                for j in chern_of
+            ]
+            p = _column_power_sums(cols, width, order) if tangent_exp else None
+            ch = [_column_power_sums(weights[j], width, order, taut[j][0]) for j in ch_of]
+            ws = dets if det_cols is None else [[_specialize(c, spec) for c in col] for col in det_cols]
+            return [sum(map(mul, col, scales)) for form in forms for col in form.numerators(chern, ch, p, ws, width)]
 
         return sums
 
@@ -601,8 +589,9 @@ def _suffix_walk(m: int) -> tuple:
 
 def _partition_sums(model, n, ladder, factors) -> list:
     """The residue sums of prod_{p in la} f_p / prod t over the partitions la
-    of 2n (rev-lex order), with factors(cols) the columns f_0, ..., f_2n
-    over a block of points whose tangent weights are the columns cols:
+    of 2n (rev-lex order), with factors(cols, width) the columns f_0, ...,
+    f_2n over a block of width points whose tangent weights are the
+    columns cols:
     symmetric functions of each point's weights t.
 
     The products walk the tree of partition suffixes depth first from the
@@ -612,10 +601,10 @@ def _partition_sums(model, n, ladder, factors) -> list:
     steps = _suffix_walk(2 * n)
     size = len(enumerate_partitions(2 * n))
 
-    def sums(spec, tvals, scales):
+    def sums(spec, cols, scales):
         if not steps:  # n = 0: the empty partition only
             return [sum(scales)]
-        f = factors(list(zip(*tvals)))
+        f = factors(cols, len(scales))
         nodes = [scales] + [None] * (2 * n)
         out = [0] * size
         for depth, p, slot, last in steps:

@@ -5,9 +5,10 @@ Every fixed point is evaluated on its own: its tangent characters are
 specialized, the symmetric functions f_0, ..., f_2n of its weights are built
 by scalar recurrences, the products prod_{p in la} f_p are shared over
 partition suffixes, and the point's numerators join a running sum over the
-lcm of the denominators prod t seen so far.  The factor functions are the
-scalar kernels `_elementary_symmetric` and `_tangent_power_sums`, which the
-integrand evaluator uses point by point.
+lcm of the denominators prod t seen so far.  The factor functions are this
+module's own scalar kernels, `elementary_symmetric` and
+`tangent_power_sums`, independent of the column kernels that the package
+runs on every residue sum.
 """
 
 from fractions import Fraction
@@ -21,6 +22,24 @@ from hilbloc.localization import (
     tangent_weights,
 )
 from hilbloc.partitions import enumerate_partitions
+
+
+def elementary_symmetric(values):
+    """[e_0, ..., e_len(values)] of the weights values."""
+    e = [1] + [0] * len(values)
+    for m, v in enumerate(values, 1):
+        for k in range(m, 0, -1):
+            e[k] += v * e[k - 1]
+    return e
+
+
+def tangent_power_sums(tvals, order):
+    """[p_0, ..., p_order] with p_k = sum t^k over the tangent weights t."""
+    p, x = [len(tvals)], tvals
+    for _ in range(order):
+        p.append(sum(x))
+        x = [a * t for a, t in zip(x, tvals)]
+    return p
 
 
 class _RunningSum:

@@ -311,6 +311,9 @@ def test_det_taut_weight_is_the_cell_sum():
         rays = len(model.rays)
         o = line_bundle(model, [0] * rays)
         bundles = [o, line_bundle(model, range(1, rays + 1)), line_bundle(model, [3, -2] + [0] * (rays - 2))]
+        # the column kernel reads the j-th multiplicity of a class once per
+        # block: it is the same at every fixed point, n per summand in order
+        classes = [TautClass(((bundles[1], -2), (o, 1)), 3), TautClass(((bundles[2], 2),), -1), TautClass((), 2)]
         for n in (1, 2, 3):
             for fp in enumerate_fixed_points(model, n):
                 o_sum = weight_sum(model, fp, o)
@@ -319,6 +322,9 @@ def test_det_taut_weight_is_the_cell_sum():
                     for r in (-2, 0, 1, 3):
                         expected = tuple(l_sum[i] + (r - 1) * o_sum[i] for i in (0, 1))
                         assert det_taut_weight(model, fp, [(L, r)]) == [expected]
+                for x in classes:
+                    summands = [m for _, m in x.line_bundles] + ([x.trivial] if x.trivial else [])
+                    assert [m for _, m in taut_weights(model, fp, x)] == [m for m in summands for _ in range(n)]
 
 
 def test_taut_class_rank():
@@ -497,14 +503,21 @@ def integrand_cases(draw):
         else:
             poly = _segre_poly(top)
         kw.update(poly=poly, bundles=(("X", draw(virtual_classes(model))),))
-    return model, n, Integrand(**kw)
+    count = len(enumerate_fixed_points(model, n))
+    block = draw(st.sampled_from((count - 1, count, count + 1, 1, 2, 7)).filter(lambda b: b >= 1))
+    return model, n, Integrand(**kw), block
 
 
 @settings(max_examples=40, deadline=None)
 @given(integrand_cases())
 def test_power_sum_evaluator_matches_eps_chain(case):
-    model, n, integrand = case
-    assert integrate(model, n, integrand) == chain_integrate(model, n, integrand)
+    import hilbloc.localization as loc
+
+    model, n, integrand, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(loc, "_BLOCK", block)
+        value = integrate(model, n, integrand)
+    assert value == chain_integrate(model, n, integrand)
 
 
 def test_k_family_matches_per_k_chi():
@@ -566,10 +579,10 @@ def test_blocked_partition_sums_match_per_point_oracle(case):
 
     model, n, ladder, kind, block = case
     if kind == "e":
-        kernel, oracle = loc._column_elementary_symmetric, loc._elementary_symmetric
+        kernel, oracle = loc._column_elementary_symmetric, residue_oracle.elementary_symmetric
     else:
         kernel = partial(loc._column_power_sums, order=2 * n)
-        oracle = partial(loc._tangent_power_sums, order=2 * n)
+        oracle = partial(residue_oracle.tangent_power_sums, order=2 * n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(loc, "_BLOCK", block)
         values = loc._partition_sums(model, n, ladder, kernel)
