@@ -5,20 +5,30 @@ All arithmetic is exact; a binary operation truncates to the smaller of
 the two operand orders so precision is never silently invented.
 
 A series whose coefficients are all Fractions is written as integer
-numerators over their positive lcm denominator L, and `*`, `inverse` and
-`exp` run on those integers, forming one Fraction per output coefficient:
+numerators over their positive lcm denominator L, and `*`, `inverse`,
+`exp`, `log` and `pow` run on those integers, forming one Fraction per
+output coefficient:
 - a product is the integer convolution of the numerators over L_a L_b;
 - the inverse of F/L is g_n = L H_n / F_0^(n+1) with H_0 = 1 and
   H_n = -sum_{k>=1} F_k F_0^(k-1) H_(n-k);
 - the exponential of C/L (C_0 = 0) is out_m = E_m / (m! L^m) with E_0 = 1
-  and E_m = sum_{k>=1} k C_k L^(k-1) (m-1)!/(m-k)! E_(m-k).
-`log` and `pow` are built from these three.  Polys in one shared variable
-(y, u, ...) ride along: a Poly coefficient c_i = sum_e c_ie y^e has the
-integer numerators L c_ie, held as an `_IntPoly` indexed by e (a Fraction
-coefficient stays one int), and the same recurrences run on them, giving
-the coefficients, types and term order of the generic loops.  Only series
-with multivariate coefficients (the c1sq/c2/beta series of `cobordism`)
-run the generic coefficient loops.
+  and E_m = sum_{k>=1} k C_k L^(k-1) (m-1)!/(m-k)! E_(m-k);
+- the logarithm of F/L (F_0 = L) is l_n = M_n / (n L^n) with
+  M_n = n F_n L^(n-1) - sum_{0<k<n} M_k F_(n-k) L^(n-k-1);
+- the power (F/L)^(p/q) (F_0 = L, p != 0) is out_m = G_m / (m! (qL)^m) with
+  G_0 = 1 and G_m = sum_{k>=1} ((p+q)k - qm) F_k (qL)^(k-1) (m-1)!/(m-k)!
+  G_(m-k), J.C.P. Miller's recurrence n g_n = sum_k ((e+1)k - n) f_k g_(n-k)
+  for f^e (Knuth, TAOCP vol. 2, 4.7).
+Polys in one shared variable (y, u, ...) ride along in `*`, `inverse` and
+`exp`, and in a product with a one-variable Poly scalar: a Poly coefficient
+c_i = sum_e c_ie y^e has the integer numerators L c_ie, held as an
+`_IntPoly` indexed by e (a Fraction coefficient stays one int), and the same
+recurrences run on them, giving the coefficients, types and term order of
+the generic loops.  For such series `log` is derivative * inverse, then
+integral, and `pow` is a repeated product or exp(e log), which fixes the
+term order of their Poly coefficients.  Only series with multivariate
+coefficients (the c1sq/c2/beta series of `cobordism`) run the generic
+coefficient loops.
 """
 
 from __future__ import annotations
@@ -142,6 +152,15 @@ class TruncSeries:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
+    def _of(var: str, order: int, coeffs) -> "TruncSeries":
+        """The series with exactly these coefficients: order + 1 of them,
+        each already a Fraction or a Poly.  Arithmetic forms its results
+        through it and skips the coercion of `__init__`."""
+        s = object.__new__(TruncSeries)
+        s.var, s.order, s.coeffs = var, order, tuple(coeffs)
+        return s
+
+    @staticmethod
     def zero(var: str, order: int) -> "TruncSeries":
         return TruncSeries(var, order)
 
@@ -159,7 +178,15 @@ class TruncSeries:
         return self.coeffs[n] if 0 <= n <= self.order else Fraction(0)
 
     def truncate(self, order: int) -> "TruncSeries":
-        return TruncSeries(self.var, min(order, self.order), self.coeffs)
+        order = min(order, self.order)
+        return TruncSeries._of(self.var, order, self.coeffs[: order + 1])
+
+    def agrees_to(self, other: "TruncSeries", order: int) -> bool:
+        """Whether self and other have the same coefficients through
+        var^order; both must be known that far.  `==` also compares orders."""
+        if order > self._common(other):
+            raise ValueError(f"agreement to order {order} beyond the known orders {self.order}, {other.order}")
+        return self.coeffs[: order + 1] == other.coeffs[: order + 1]
 
     def _common(self, other):
         if self.var != other.var:
@@ -172,18 +199,16 @@ class TruncSeries:
         if isinstance(other, (int, Fraction, Poly)):
             cs = list(self.coeffs)
             cs[0] = cs[0] + other
-            return TruncSeries(self.var, self.order, cs)
+            return TruncSeries._of(self.var, self.order, cs)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = self._common(other)
-        return TruncSeries(
-            self.var, n, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return TruncSeries._of(self.var, n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.var, self.order, [-c for c in self.coeffs])
+        return TruncSeries._of(self.var, self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         if not isinstance(other, (int, Fraction, Poly, TruncSeries)):
@@ -194,8 +219,14 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Poly) and not other.is_constant():
+            form = _int_form(self.coeffs, (other,))
+            if form:  # the scalar's numerators times each coefficient's
+                var, ((a, da), ((s,), ds)) = form
+                den = da * ds
+                return TruncSeries._of(self.var, self.order, [_lower(c * s, den, var) for c in a])
         if isinstance(other, (int, Fraction, Poly)):
-            return TruncSeries(self.var, self.order, [c * other for c in self.coeffs])
+            return TruncSeries._of(self.var, self.order, [c * other for c in self.coeffs])
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = self._common(other)
@@ -209,7 +240,7 @@ class TruncSeries:
                         if b[j]:
                             out[i + j] += ai * b[j]
             den = da * db
-            return TruncSeries(self.var, n, [_lower(c, den, var) for c in out])
+            return TruncSeries._of(self.var, n, [_lower(c, den, var) for c in out])
         out = [Fraction(0)] * (n + 1)
         for i in range(n + 1):
             a = self.coeffs[i]
@@ -219,7 +250,7 @@ class TruncSeries:
                 b = other.coeffs[j]
                 if b:
                     out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.var, n, out)
+        return TruncSeries._of(self.var, n, out)
 
     __rmul__ = __mul__
 
@@ -243,7 +274,7 @@ class TruncSeries:
             for n in range(1, self.order + 1):
                 h.append(-sum(scaled[k] * h[n - k] for k in range(1, n + 1) if scaled[k]))
                 out.append(_lower(den * h[n], f0 ** (n + 1), var))
-            return TruncSeries(self.var, self.order, out)
+            return TruncSeries._of(self.var, self.order, out)
         inv0 = Fraction(1) / c0
         out = [inv0] + [Fraction(0)] * self.order
         for n in range(1, self.order + 1):
@@ -252,7 +283,7 @@ class TruncSeries:
                 if self.coeffs[k]:
                     acc = acc + self.coeffs[k] * out[n - k]
             out[n] = -inv0 * acc
-        return TruncSeries(self.var, self.order, out)
+        return TruncSeries._of(self.var, self.order, out)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -268,9 +299,10 @@ class TruncSeries:
         return self.inverse() * other
 
     def __eq__(self, other):
+        """Same variable, same order, same coefficients; `agrees_to`
+        compares two series only through a given order."""
         if isinstance(other, TruncSeries):
-            n = self._common(other)
-            return all(self.coeffs[i] == other.coeffs[i] for i in range(n + 1))
+            return self.var == other.var and self.order == other.order and self.coeffs == other.coeffs
         return NotImplemented
 
     def __hash__(self):
@@ -289,18 +321,16 @@ class TruncSeries:
     # -- calculus -------------------------------------------------------------
 
     def derivative(self) -> "TruncSeries":
-        return TruncSeries(
-            self.var,
-            max(self.order - 1, 0),
-            [self.coeffs[i] * i for i in range(1, self.order + 1)],
-        )
+        if not self.order:
+            return TruncSeries(self.var, 0)
+        return TruncSeries._of(self.var, self.order - 1, [self.coeffs[i] * i for i in range(1, self.order + 1)])
 
     def integral(self) -> "TruncSeries":
         """Antiderivative with zero constant term (order rises by one)."""
         out = [Fraction(0)]
         for i in range(self.order + 1):
             out.append(self.coeffs[i] / (i + 1))
-        return TruncSeries(self.var, self.order + 1, out)
+        return TruncSeries._of(self.var, self.order + 1, out)
 
     # -- exp / log / pow -------------------------------------------------------
 
@@ -325,7 +355,7 @@ class TruncSeries:
                 e.append(acc)
                 scale *= m * den
                 out.append(_lower(acc, scale, var))
-            return TruncSeries(self.var, n, out)
+            return TruncSeries._of(self.var, n, out)
         kc = [k * c for k, c in enumerate(self.coeffs)]
         out = [_coerce(1)] + [Fraction(0)] * n
         for m in range(1, n + 1):
@@ -334,27 +364,64 @@ class TruncSeries:
                 if kc[k]:
                     acc = acc + kc[k] * out[m - k]
             out[m] = acc / m
-        return TruncSeries(self.var, n, out)
+        return TruncSeries._of(self.var, n, out)
 
     def log(self) -> "TruncSeries":
         if self.coeffs[0] != 1:
             raise ValueError("log requires constant term 1")
-        return (self.derivative() * self.truncate(self.order - 1).inverse()).integral() \
-            if self.order > 0 else TruncSeries(self.var, 0)
+        n = self.order
+        if any(isinstance(c, Poly) for c in self.coeffs):
+            return (self.derivative() * self.truncate(n - 1).inverse()).integral() \
+                if n > 0 else TruncSeries(self.var, 0)
+        ((f, den),) = _int_form(self.coeffs)[1]
+        fl, lp = [0], 1  # F_k L^(k-1); lp = L^(k-1)
+        for fk in f[1:]:
+            fl.append(fk * lp)
+            lp *= den
+        m, out, scale = [0], [Fraction(0)], 1  # scale = L^n
+        for k in range(1, n + 1):
+            acc = k * fl[k]
+            for j in range(1, k):
+                if m[j] and fl[k - j]:
+                    acc -= m[j] * fl[k - j]
+            m.append(acc)
+            scale *= den
+            out.append(Fraction(acc, k * scale))
+        return TruncSeries._of(self.var, n, out)
 
     def pow(self, e) -> "TruncSeries":
         """f**e for exact rational e; requires constant term 1."""
         if self.coeffs[0] != 1:
             raise ValueError("pow requires constant term 1")
         e = Fraction(e)
+        n = self.order
         if e == 0:
-            return TruncSeries.one(self.var, self.order)
-        if e.denominator == 1 and 0 < e.numerator <= self.order:
-            out = self
-            for _ in range(e.numerator - 1):
-                out = out * self
-            return out
-        return (self.log() * e).exp()
+            return TruncSeries.one(self.var, n)
+        if any(isinstance(c, Poly) for c in self.coeffs):
+            if e.denominator == 1 and 0 < e.numerator <= n:
+                out = self
+                for _ in range(e.numerator - 1):
+                    out = out * self
+                return out
+            return (self.log() * e).exp()
+        ((f, den),) = _int_form(self.coeffs)[1]
+        q = e.denominator
+        pq, ql = e.numerator + q, q * den
+        a, qlp = [0], 1  # F_k (qL)^(k-1); qlp = (qL)^(k-1)
+        for fk in f[1:]:
+            a.append(fk * qlp)
+            qlp *= ql
+        g, out, scale = [1], [Fraction(1)], 1  # scale = m! (qL)^m
+        for m in range(1, n + 1):
+            acc, ff, qm = 0, 1, q * m  # ff = (m-1)!/(m-k)!
+            for k in range(1, m + 1):
+                if a[k]:
+                    acc += (pq * k - qm) * a[k] * ff * g[m - k]
+                ff *= m - k
+            g.append(acc)
+            scale *= m * ql
+            out.append(Fraction(acc, scale))
+        return TruncSeries._of(self.var, n, out)
 
 
 # -- named series ----------------------------------------------------------------
@@ -415,15 +482,30 @@ def fg_series(kind: str, y, a: int, order: int) -> TruncSeries:
     """
     if kind not in ("f", "g"):
         raise ValueError("kind must be 'f' or 'g'")
-    yv = y if isinstance(y, Poly) else Fraction(y)
-    coeffs = [_coerce(1)]
+    coeffs = [Fraction(1)]
+    if isinstance(y, Poly):
+        for n in range(1, order + 1):
+            if kind == "f":
+                coeffs.append(binomial(y - a * (n - 1), n))
+            else:
+                # y/(y-an) * C(y-an, n) with the (y-an) factor cancelled
+                coeffs.append(y * binomial(y - a * n - 1, n - 1) / n)
+        return TruncSeries._of("z", order, coeffs)
+    # for y = p/q both are one integer product over q^n n!:
+    # f_n = prod_{i<n} (p - q(a(n-1) + i)),  g_n = p prod_{i<n-1} (p - q(an + 1 + i))
+    y = Fraction(y)
+    p, q = y.numerator, y.denominator
+    scale = 1  # q^n n!
     for n in range(1, order + 1):
+        scale *= q * n
         if kind == "f":
-            coeffs.append(binomial(yv - a * (n - 1), n))
+            num, start, count = 1, p - q * a * (n - 1), n
         else:
-            # y/(y-an) * C(y-an, n) with the (y-an) factor cancelled
-            coeffs.append(yv * binomial(yv - a * n - 1, n - 1) / n)
-    return TruncSeries("z", order, coeffs)
+            num, start, count = p, p - q * (a * n + 1), n - 1
+        for i in range(count):
+            num *= start - q * i
+        coeffs.append(Fraction(num, scale))
+    return TruncSeries._of("z", order, coeffs)
 
 
 def partition_product(factors, order: int) -> TruncSeries:

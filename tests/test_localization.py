@@ -30,6 +30,7 @@ from hilbloc.series import TruncSeries, todd_series
 from hilbloc.toric import blowup, build_model, line_bundle, o_bundle, p1xp1, p2
 from hilbloc.universal import _reference_classes, h_psi_phi
 from partition_counts import count_partitions
+from profile_counts import example_count
 import residue_oracle
 
 
@@ -508,7 +509,7 @@ def integrand_cases(draw):
     return model, n, Integrand(**kw), block
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=example_count(40), deadline=None)
 @given(integrand_cases())
 def test_power_sum_evaluator_matches_eps_chain(case):
     import hilbloc.localization as loc

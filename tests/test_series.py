@@ -16,6 +16,7 @@ from hilbloc.series import (
     todd_series,
 )
 from partition_counts import count_with_parts
+from profile_counts import example_count
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
@@ -34,6 +35,27 @@ def substitute_params(f, assignment):
         else:
             cs.append(c)
     return TruncSeries(f.var, f.order, cs)
+
+
+def test_equal_series_hash_equal():
+    a = TruncSeries("x", 3, [1, Fraction(1, 2), 0, 5])
+    b = TruncSeries("x", 3, [Poly.const(1), Fraction(1, 2), 0, Poly.const(5)])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, series([1, Fraction(1, 2), 0, 5], "x")}) == 1
+    # equality compares variable, order and every coefficient
+    assert TruncSeries("x", 2, [1, 1]) != TruncSeries("x", 3, [1, 1, 0, 5])
+    assert TruncSeries("x", 2, [1, 1]) != TruncSeries("y", 2, [1, 1])
+    assert len({TruncSeries("x", 2, [1, 1]), TruncSeries("x", 3, [1, 1]), TruncSeries("y", 2, [1, 1])}) == 3
+
+
+def test_agrees_to_compares_through_an_order():
+    a, b = TruncSeries("x", 2, [1, 1]), TruncSeries("x", 3, [1, 1, 0, 5])
+    assert a.agrees_to(b, 2) and b.agrees_to(a, 1)
+    assert not b.agrees_to(TruncSeries("x", 3, [1, 1, 0, 4]), 3)
+    with pytest.raises(ValueError, match="beyond the known orders"):
+        a.agrees_to(b, 3)
+    with pytest.raises(ValueError, match="variable mismatch"):
+        a.agrees_to(TruncSeries("y", 2, [1, 1]), 1)
 
 
 def test_arithmetic_truncates_to_common_order():
@@ -229,7 +251,7 @@ wide = st.one_of(
 unit_free = st.lists(wide, min_size=0, max_size=8)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=example_count(150), deadline=None)
 @given(unit_free, unit_free, wide.filter(bool))
 def test_integer_kernels_match_generic_loops(cs, ds, c0):
     f = TruncSeries("z", len(cs), [c0] + cs)  # c0 is any nonzero rational
@@ -250,11 +272,12 @@ def shape(cs):
     return [(type(c), tuple(c.terms.items())) if isinstance(c, Poly) else (type(c), c) for c in cs]
 
 
-def poly_in(var):
-    """Polys in var with wide coefficients, constant and zero ones included;
-    coefficients +-1 make terms cancel in sums and products."""
+def poly_in(var, min_size=0):
+    """Polys in var with wide coefficients, constant and zero ones included
+    unless min_size asks for more terms; coefficients +-1 make terms cancel
+    in sums and products."""
     coeff = st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]), wide)
-    return st.dictionaries(st.integers(0, 3), coeff, max_size=3).map(
+    return st.dictionaries(st.integers(0, 3), coeff, min_size=min_size, max_size=3).map(
         lambda d: Poly({((var, e),) if e else (): c for e, c in d.items()})
     )
 
@@ -275,6 +298,47 @@ def test_univariate_kernels_match_generic_loops(cs, ds, c0):
     assert shape(unit.log().coeffs) == shape(oracle_log(list(unit.coeffs)))
     for e in (Fraction(2), Fraction(-1, 2), Fraction(7, 3)):
         assert shape(unit.pow(e).coeffs) == shape(oracle_pow(list(unit.coeffs), e))
+
+
+exponents = st.one_of(
+    st.integers(3, 12).map(Fraction),
+    st.integers(-12, -1).map(Fraction),
+    fractions,
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+
+
+@settings(max_examples=example_count(100), deadline=None)
+@given(st.one_of(unit_free, univariate), exponents)
+def test_pow_and_log_kernels_match_generic_loops(cs, e):
+    unit = TruncSeries("z", len(cs), [Fraction(1)] + cs)
+    assert shape(unit.log().coeffs) == shape(oracle_log(list(unit.coeffs)))
+    assert shape(unit.pow(e).coeffs) == shape(oracle_pow(list(unit.coeffs), e))
+
+
+@settings(max_examples=example_count(100), deadline=None)
+@given(st.sampled_from("fg"), st.integers(0, 12), st.integers(0, 12), st.data())
+def test_fg_series_integer_path_matches_binomial_formula(kind, a, order, data):
+    # y = a n is the cancelled pole of the g coefficient at z^n
+    y = data.draw(st.one_of(st.just(Fraction(0)), st.integers(0, order).map(lambda n: Fraction(a * n)), wide))
+    if kind == "f":
+        expected = [binomial(y - a * (n - 1), n) for n in range(1, order + 1)]
+    else:
+        expected = [y * binomial(y - a * n - 1, n - 1) / n for n in range(1, order + 1)]
+    assert shape(fg_series(kind, y, a, order).coeffs) == shape([Fraction(1)] + expected)
+
+
+@settings(max_examples=example_count(100), deadline=None)
+@given(
+    st.one_of(unit_free, univariate, st.lists(poly_in("y", 2), min_size=1, max_size=4)),
+    st.one_of(poly_in("y", 2), st.sampled_from("yu").flatmap(poly_in)),
+)
+def test_series_times_poly_scalar_matches_generic_loop(cs, s):
+    # two-term Polys fix a term order; a scalar in u beside Polys in y, or a
+    # constant one, leaves the kernel for the generic loop
+    f = TruncSeries("z", len(cs), [Fraction(1)] + cs)
+    assert shape((f * s).coeffs) == shape([c * s for c in f.coeffs])
+    assert shape((s * f).coeffs) == shape([c * s for c in f.coeffs])
 
 
 def test_univariate_kernels_drop_cancelled_terms():
