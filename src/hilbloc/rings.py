@@ -37,6 +37,15 @@ def _fraction(c) -> Fraction:
 
 
 def _merge_monomials(m1, m2):
+    """The monomial m1 * m2.  The empty monomial and a pair of powers of one
+    variable, the most common cases, skip the dict and the sort."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    if len(m1) == len(m2) == 1 and m1[0][0] == m2[0][0]:
+        e = m1[0][1] + m2[0][1]
+        return ((m1[0][0], e),) if e else ()
     d = dict(m1)
     for v, e in m2:
         d[v] = d.get(v, 0) + e
@@ -285,9 +294,9 @@ def binomial(x, n: int):
     forms prod_{i<n} (p - q i) / (q^n n!) in integers.
     """
     if not isinstance(x, Poly):
+        x = _fraction(x)
         if n < 0:
             return Fraction(0)
-        x = Fraction(x)
         p, q = x.numerator, x.denominator
         num = 1
         for i in range(n):

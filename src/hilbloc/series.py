@@ -4,31 +4,29 @@ Coefficients are Fractions, or Polys in declared parameters (y, r, ...).
 All arithmetic is exact; a binary operation truncates to the smaller of
 the two operand orders so precision is never silently invented.
 
-A series whose coefficients are all Fractions is written as integer
-numerators over their positive lcm denominator L, and `*`, `inverse`,
-`exp`, `log` and `pow` run on those integers, forming one Fraction per
-output coefficient:
+Every operation runs on integers.  A list of coefficients is written as
+integer numerators over their positive lcm denominator L (`_int_form`): a
+Fraction coefficient as one int, a Poly coefficient as an `_IntPoly`, the
+numerators of its terms keyed by monomial.  `*` (by a series, or by an
+int, Fraction or Poly scalar), `inverse` and `exp` each have this one
+implementation and form one coefficient per output term:
 - a product is the integer convolution of the numerators over L_a L_b;
 - the inverse of F/L is g_n = L H_n / F_0^(n+1) with H_0 = 1 and
   H_n = -sum_{k>=1} F_k F_0^(k-1) H_(n-k);
 - the exponential of C/L (C_0 = 0) is out_m = E_m / (m! L^m) with E_0 = 1
-  and E_m = sum_{k>=1} k C_k L^(k-1) (m-1)!/(m-k)! E_(m-k);
+  and E_m = sum_{k>=1} k C_k L^(k-1) (m-1)!/(m-k)! E_(m-k).
+On a series of Fractions, `log` and `pow` are integer recurrences too:
 - the logarithm of F/L (F_0 = L) is l_n = M_n / (n L^n) with
   M_n = n F_n L^(n-1) - sum_{0<k<n} M_k F_(n-k) L^(n-k-1);
 - the power (F/L)^(p/q) (F_0 = L, p != 0) is out_m = G_m / (m! (qL)^m) with
   G_0 = 1 and G_m = sum_{k>=1} ((p+q)k - qm) F_k (qL)^(k-1) (m-1)!/(m-k)!
   G_(m-k), J.C.P. Miller's recurrence n g_n = sum_k ((e+1)k - n) f_k g_(n-k)
   for f^e (Knuth, TAOCP vol. 2, 4.7).
-Polys in one shared variable (y, u, ...) ride along in `*`, `inverse` and
-`exp`, and in a product with a one-variable Poly scalar: a Poly coefficient
-c_i = sum_e c_ie y^e has the integer numerators L c_ie, held as an
-`_IntPoly` indexed by e (a Fraction coefficient stays one int), and the same
-recurrences run on them, giving the coefficients, types and term order of
-the generic loops.  For such series `log` is derivative * inverse, then
-integral, and `pow` is a repeated product or exp(e log), which fixes the
-term order of their Poly coefficients.  Only series with multivariate
-coefficients (the c1sq/c2/beta series of `cobordism`) run the generic
-coefficient loops.
+On a series with Poly coefficients, `log` is derivative * inverse, then
+integral, and `pow` is a repeated product or exp(e log): both are built
+from the kernels above, which fixes the term order of their Poly
+coefficients.  Results have the coefficients, types and term order of the
+plain coefficient loops.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from .rings import Poly, _fraction, binomial
+from .rings import Poly, _fraction, _merge_monomials, binomial
 
 
 def _coerce(c):
@@ -46,12 +44,12 @@ def _coerce(c):
 
 
 class _IntPoly:
-    """The integer numerators of a Poly coefficient in the one variable of a
-    series: a dict {exponent: nonzero int}.  It mixes with ints under `+`,
-    unary `-` and `*`, which is all the integer kernels use, and keeps the
-    type and term order that the same operations on Polys give: a sum puts
-    the left operand's terms first and drops cancelled ones, and a product
-    lists its terms by first appearance."""
+    """The integer numerators of a Poly coefficient: a dict {monomial:
+    nonzero int} keyed by the monomials of `Poly.terms`.  It mixes with ints
+    under `+`, unary `-` and `*`, which is all the integer kernels use, and
+    keeps the type and term order that the same operations on Polys give: a
+    sum puts the left operand's terms first and drops cancelled ones, and a
+    product lists its terms by first appearance."""
 
     __slots__ = ("c",)
 
@@ -62,32 +60,32 @@ class _IntPoly:
         if isinstance(other, int):
             if not other:
                 return self
-            other = {0: other}
+            other = {(): other}
         else:
             other = other.c
         c = dict(self.c)
-        for e, x in other.items():
-            x += c.get(e, 0)
+        for m, x in other.items():
+            x += c.get(m, 0)
             if x:
-                c[e] = x
+                c[m] = x
             else:
-                del c[e]
+                del c[m]
         return _IntPoly(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _IntPoly({e: -x for e, x in self.c.items()})
+        return _IntPoly({m: -x for m, x in self.c.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return _IntPoly({e: x * other for e, x in self.c.items()} if other else {})
+            return _IntPoly({m: x * other for m, x in self.c.items()} if other else {})
         c = {}
-        for e1, x1 in self.c.items():
-            for e2, x2 in other.c.items():
-                e = e1 + e2
-                c[e] = c.get(e, 0) + x1 * x2
-        return _IntPoly({e: x for e, x in c.items() if x})
+        for m1, x1 in self.c.items():
+            for m2, x2 in other.c.items():
+                m = _merge_monomials(m1, m2)
+                c[m] = c.get(m, 0) + x1 * x2
+        return _IntPoly({m: x for m, x in c.items() if x})
 
     __rmul__ = __mul__
 
@@ -95,44 +93,30 @@ class _IntPoly:
         return bool(self.c)
 
 
-def _int_form(*parts):
-    """(var, [(numerators, den), ...]): each list of coefficients as integer
-    numerators over its positive lcm denominator den, a Poly coefficient as
-    an `_IntPoly` in var, the one variable of every Poly in parts (None if
-    there is none).  None when some Poly has two variables or two Polys
-    have different ones."""
-    var, forms = None, []
-    for cs in parts:
-        dens = []
-        for c in cs:
-            if isinstance(c, Poly):
-                for mono, v in c.terms.items():
-                    if mono:
-                        if len(mono) > 1 or (var is not None and mono[0][0] != var):
-                            return None
-                        var = mono[0][0]
-                    dens.append(v.denominator)
-            else:
-                dens.append(c.denominator)
-        den = lcm(*dens)
-        nums = []
-        for c in cs:
-            if isinstance(c, Poly):
-                nums.append(_IntPoly({
-                    mono[0][1] if mono else 0: v.numerator * (den // v.denominator) for mono, v in c.terms.items()
-                }))
-            else:
-                nums.append(c.numerator * (den // c.denominator))
-        forms.append((nums, den))
-    return var, forms
+def _int_form(cs):
+    """(numerators, den): the coefficients cs as integer numerators over
+    their positive lcm denominator den, an int for a Fraction coefficient
+    and an `_IntPoly` for a Poly."""
+    dens = []
+    for c in cs:
+        if isinstance(c, Poly):
+            dens.extend(v.denominator for v in c.terms.values())
+        else:
+            dens.append(c.denominator)
+    den = lcm(*dens)
+    return [
+        _IntPoly({m: v.numerator * (den // v.denominator) for m, v in c.terms.items()})
+        if isinstance(c, Poly) else c.numerator * (den // c.denominator)
+        for c in cs
+    ], den
 
 
-def _lower(num, den, var):
-    """The coefficient num / den: a Fraction for an int num, a Poly in var
-    for an `_IntPoly`."""
+def _lower(num, den):
+    """The coefficient num / den: a Fraction for an int num, a Poly for an
+    `_IntPoly`."""
     if isinstance(num, int):
         return Fraction(num, den)
-    return Poly._of({((var, e),) if e else (): Fraction(x, den) for e, x in num.c.items()})
+    return Poly._of({m: Fraction(x, den) for m, x in num.c.items()})
 
 
 class TruncSeries:
@@ -219,38 +203,23 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Poly) and not other.is_constant():
-            form = _int_form(self.coeffs, (other,))
-            if form:  # the scalar's numerators times each coefficient's
-                var, ((a, da), ((s,), ds)) = form
-                den = da * ds
-                return TruncSeries._of(self.var, self.order, [_lower(c * s, den, var) for c in a])
-        if isinstance(other, (int, Fraction, Poly)):
-            return TruncSeries._of(self.var, self.order, [c * other for c in self.coeffs])
+        if isinstance(other, (int, Fraction, Poly)):  # each numerator times the scalar's
+            a, da = _int_form(self.coeffs)
+            (s,), ds = _int_form((other,))
+            return TruncSeries._of(self.var, self.order, [_lower(c * s, da * ds) for c in a])
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = self._common(other)
-        form = _int_form(self.coeffs[: n + 1], other.coeffs[: n + 1])
-        if form:
-            var, ((a, da), (b, db)) = form
-            out = [0] * (n + 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j in range(n + 1 - i):
-                        if b[j]:
-                            out[i + j] += ai * b[j]
-            den = da * db
-            return TruncSeries._of(self.var, n, [_lower(c, den, var) for c in out])
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries._of(self.var, n, out)
+        a, da = _int_form(self.coeffs[: n + 1])
+        b, db = _int_form(other.coeffs[: n + 1])
+        out = [0] * (n + 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(n + 1 - i):
+                    if b[j]:
+                        out[i + j] += ai * b[j]
+        den = da * db
+        return TruncSeries._of(self.var, n, [_lower(c, den) for c in out])
 
     __rmul__ = __mul__
 
@@ -262,34 +231,21 @@ class TruncSeries:
             c0 = c0.as_fraction()
         if c0 == 0:
             raise ZeroDivisionError("non-unit divisor: zero constant term")
-        form = _int_form(self.coeffs)
-        if form:
-            var, ((f, den),) = form
-            f0, fp = c0.numerator * (den // c0.denominator), 1  # F_0 as an int; fp = F_0^(k-1)
-            scaled = [0]  # F_k F_0^(k-1)
-            for fk in f[1:]:
-                scaled.append(fk * fp)
-                fp *= f0
-            h, out = [1], [Fraction(den, f0)]
-            for n in range(1, self.order + 1):
-                h.append(-sum(scaled[k] * h[n - k] for k in range(1, n + 1) if scaled[k]))
-                out.append(_lower(den * h[n], f0 ** (n + 1), var))
-            return TruncSeries._of(self.var, self.order, out)
-        inv0 = Fraction(1) / c0
-        out = [inv0] + [Fraction(0)] * self.order
+        f, den = _int_form(self.coeffs)
+        f0, fp = c0.numerator * (den // c0.denominator), 1  # F_0 as an int; fp = F_0^(k-1)
+        scaled = [0]  # F_k F_0^(k-1)
+        for fk in f[1:]:
+            scaled.append(fk * fp)
+            fp *= f0
+        h, out = [1], [Fraction(den, f0)]
         for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    acc = acc + self.coeffs[k] * out[n - k]
-            out[n] = -inv0 * acc
+            h.append(-sum(scaled[k] * h[n - k] for k in range(1, n + 1) if scaled[k]))
+            out.append(_lower(den * h[n], f0 ** (n + 1)))
         return TruncSeries._of(self.var, self.order, out)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, Poly):
-            return self * (Fraction(1) / other.as_fraction())
+        if isinstance(other, (int, Fraction, Poly)):
+            return self * (1 / Poly.coerce(other).as_fraction())
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = self._common(other)
@@ -338,32 +294,21 @@ class TruncSeries:
         if self.coeffs[0] != 0:
             raise ValueError("exp requires zero constant term")
         n = self.order
-        form = _int_form(self.coeffs)
-        if form:
-            var, ((c, den),) = form
-            kcl, lp = [0], 1  # k C_k L^(k-1); lp = L^(k-1)
-            for k in range(1, n + 1):
-                kcl.append(k * c[k] * lp)
-                lp *= den
-            e, out, scale = [1], [Fraction(1)], 1  # scale = m! L^m
-            for m in range(1, n + 1):
-                acc, ff = 0, 1  # ff = (m-1)!/(m-k)!
-                for k in range(1, m + 1):
-                    if kcl[k]:
-                        acc += kcl[k] * ff * e[m - k]
-                    ff *= m - k
-                e.append(acc)
-                scale *= m * den
-                out.append(_lower(acc, scale, var))
-            return TruncSeries._of(self.var, n, out)
-        kc = [k * c for k, c in enumerate(self.coeffs)]
-        out = [_coerce(1)] + [Fraction(0)] * n
+        c, den = _int_form(self.coeffs)
+        kcl, lp = [0], 1  # k C_k L^(k-1); lp = L^(k-1)
+        for k in range(1, n + 1):
+            kcl.append(k * c[k] * lp)
+            lp *= den
+        e, out, scale = [1], [Fraction(1)], 1  # scale = m! L^m
         for m in range(1, n + 1):
-            acc = Fraction(0)
+            acc, ff = 0, 1  # ff = (m-1)!/(m-k)!
             for k in range(1, m + 1):
-                if kc[k]:
-                    acc = acc + kc[k] * out[m - k]
-            out[m] = acc / m
+                if kcl[k]:
+                    acc += kcl[k] * ff * e[m - k]
+                ff *= m - k
+            e.append(acc)
+            scale *= m * den
+            out.append(_lower(acc, scale))
         return TruncSeries._of(self.var, n, out)
 
     def log(self) -> "TruncSeries":
@@ -373,7 +318,7 @@ class TruncSeries:
         if any(isinstance(c, Poly) for c in self.coeffs):
             return (self.derivative() * self.truncate(n - 1).inverse()).integral() \
                 if n > 0 else TruncSeries(self.var, 0)
-        ((f, den),) = _int_form(self.coeffs)[1]
+        f, den = _int_form(self.coeffs)
         fl, lp = [0], 1  # F_k L^(k-1); lp = L^(k-1)
         for fk in f[1:]:
             fl.append(fk * lp)
@@ -393,7 +338,7 @@ class TruncSeries:
         """f**e for exact rational e; requires constant term 1."""
         if self.coeffs[0] != 1:
             raise ValueError("pow requires constant term 1")
-        e = Fraction(e)
+        e = _fraction(e)
         n = self.order
         if e == 0:
             return TruncSeries.one(self.var, n)
@@ -404,7 +349,7 @@ class TruncSeries:
                     out = out * self
                 return out
             return (self.log() * e).exp()
-        ((f, den),) = _int_form(self.coeffs)[1]
+        f, den = _int_form(self.coeffs)
         q = e.denominator
         pq, ql = e.numerator + q, q * den
         a, qlp = [0], 1  # F_k (qL)^(k-1); qlp = (qL)^(k-1)
@@ -493,7 +438,7 @@ def fg_series(kind: str, y, a: int, order: int) -> TruncSeries:
         return TruncSeries._of("z", order, coeffs)
     # for y = p/q both are one integer product over q^n n!:
     # f_n = prod_{i<n} (p - q(a(n-1) + i)),  g_n = p prod_{i<n-1} (p - q(an + 1 + i))
-    y = Fraction(y)
+    y = _fraction(y)
     p, q = y.numerator, y.denominator
     scale = 1  # q^n n!
     for n in range(1, order + 1):

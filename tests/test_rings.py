@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilbloc.rings import Poly, binomial, format_fraction, gauss_solve, linear_combination
-from hilbloc.series import TruncSeries
+from hilbloc.rings import Poly, _merge_monomials, binomial, format_fraction, gauss_solve, linear_combination
+from hilbloc.series import TruncSeries, fg_series
+from profile_counts import example_count
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -89,6 +90,8 @@ def test_poly_operators_take_only_exact_scalars():
         lambda: Poly({(): 0.1}),
         lambda: Poly({(("y", 1),): 1.0}),
         lambda: y.substitute({"y": 0.5}),
+        lambda: binomial(0.5, 2),
+        lambda: binomial(0.5, -1),
     ):
         with pytest.raises(TypeError):
             op()
@@ -109,6 +112,9 @@ def test_series_take_only_exact_coefficients():
         lambda: 0.1 / f,
         lambda: f + "1",
         lambda: f * [1],
+        lambda: f.pow(0.5),
+        lambda: fg_series("f", 0.5, 1, 2),
+        lambda: fg_series("g", 2.0, 1, 2),
     ):
         with pytest.raises(TypeError):
             op()
@@ -126,6 +132,29 @@ def test_poly_minus_series_reaches_the_series():
     f = TruncSeries("z", 2, [1, 2, Fraction(1, 3)])
     assert y - f == TruncSeries("z", 2, [y - 1, -2, Fraction(-1, 3)])
     assert f - y == TruncSeries("z", 2, [1 - y, 2, Fraction(1, 3)])
+
+
+def merge_reference(m1, m2):
+    """m1 * m2 through a dict and a sort, the general path of `_merge_monomials`."""
+    d = dict(m1)
+    for v, e in m2:
+        d[v] = d.get(v, 0) + e
+    return tuple(sorted((v, e) for v, e in d.items() if e))
+
+
+# sorted monomials in u, x, y with nonzero exponents, the empty one included;
+# negative exponents let a product of powers of one variable cancel to ()
+exponents = st.integers(-2, 4).filter(bool)
+monomials = st.dictionaries(st.sampled_from("uxy"), exponents, max_size=3).map(lambda d: tuple(sorted(d.items())))
+
+
+@settings(max_examples=example_count(200), deadline=None)
+@given(monomials, monomials, st.sampled_from("uxy"), exponents, exponents)
+def test_merge_monomials_matches_dict_and_sort(m1, m2, v, e1, e2):
+    # any pair, pairs with the empty monomial, and two powers of one variable
+    for a, b in ((m1, m2), (m1, ()), ((), m1), (((v, e1),), ((v, e2),))):
+        merged = _merge_monomials(a, b)
+        assert type(merged) is tuple and merged == merge_reference(a, b)
 
 
 def _is_valid(p) -> bool:

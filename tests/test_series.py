@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hilbloc.rings import Poly, binomial
 from hilbloc.series import (
     TruncSeries,
-    _int_form,
     exp_series,
     fg_series,
     geometric,
@@ -187,7 +186,7 @@ def test_partition_product_matches_double_sum():
 
 
 # -- oracle: the generic coefficient loops, kept here as they stood before
-# Fraction-only series got integer kernels.  Coefficient lists in, lists out.
+# the integer kernels replaced them.  Coefficient lists in, lists out.
 
 
 def oracle_mul(a, b):
@@ -282,11 +281,20 @@ def poly_in(var, min_size=0):
     )
 
 
+def poly_yu(min_size=0):
+    """Polys with terms among 1, y, u, y*u and y^2 and coefficients drawn as in
+    `poly_in`."""
+    monomial = st.sampled_from([(), (("y", 1),), (("u", 1),), (("u", 1), ("y", 1)), (("y", 2),)])
+    coeff = st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]), wide)
+    return st.dictionaries(monomial, coeff, min_size=min_size, max_size=4).map(Poly)
+
+
 univariate = st.lists(st.one_of(wide, poly_in("y")), min_size=0, max_size=6)
+bivariate = st.lists(st.one_of(wide, poly_yu()), min_size=0, max_size=6)
 
 
 @settings(deadline=None)
-@given(univariate, univariate, wide.filter(bool))
+@given(st.one_of(univariate, bivariate), st.one_of(univariate, bivariate), wide.filter(bool))
 def test_univariate_kernels_match_generic_loops(cs, ds, c0):
     f = TruncSeries("z", len(cs), [c0] + cs)  # scalar c0, so f is a unit
     g = TruncSeries("z", len(ds), [Fraction(0)] + ds)
@@ -309,7 +317,7 @@ exponents = st.one_of(
 
 
 @settings(max_examples=example_count(100), deadline=None)
-@given(st.one_of(unit_free, univariate), exponents)
+@given(st.one_of(unit_free, univariate, bivariate), exponents)
 def test_pow_and_log_kernels_match_generic_loops(cs, e):
     unit = TruncSeries("z", len(cs), [Fraction(1)] + cs)
     assert shape(unit.log().coeffs) == shape(oracle_log(list(unit.coeffs)))
@@ -330,12 +338,15 @@ def test_fg_series_integer_path_matches_binomial_formula(kind, a, order, data):
 
 @settings(max_examples=example_count(100), deadline=None)
 @given(
-    st.one_of(unit_free, univariate, st.lists(poly_in("y", 2), min_size=1, max_size=4)),
-    st.one_of(poly_in("y", 2), st.sampled_from("yu").flatmap(poly_in)),
+    st.one_of(unit_free, univariate, bivariate, st.lists(poly_in("y", 2), min_size=1, max_size=4)),
+    st.one_of(
+        poly_in("y", 2), st.sampled_from("yu").flatmap(poly_in), poly_yu(2), wide,
+        st.integers(-(10**40), 10**40),
+    ),
 )
 def test_series_times_poly_scalar_matches_generic_loop(cs, s):
-    # two-term Polys fix a term order; a scalar in u beside Polys in y, or a
-    # constant one, leaves the kernel for the generic loop
+    # two-term Polys fix a term order; a scalar in u beside Polys in y, a
+    # constant Poly, an int and a Fraction all run through the same kernel
     f = TruncSeries("z", len(cs), [Fraction(1)] + cs)
     assert shape((f * s).coeffs) == shape([c * s for c in f.coeffs])
     assert shape((s * f).coeffs) == shape([c * s for c in f.coeffs])
@@ -351,12 +362,11 @@ def test_univariate_kernels_drop_cancelled_terms():
     assert shape(g.exp().coeffs) == shape(oracle_exp(list(g.coeffs)))
 
 
-def test_two_variable_coefficients_take_the_generic_loops():
+def test_two_variable_coefficients_match_generic_loops():
     y, u = Poly.var("y"), Poly.var("u")
     f = TruncSeries("z", 4, [Fraction(2), y, Fraction(1, 3) * u, y * u - 1, u * u])
     g = TruncSeries("z", 4, [0, u, Fraction(-5, 7), y, Fraction(1, 10**40)])
     h = TruncSeries("z", 4, [0, y * u, 0, Fraction(2, 9), y])
-    assert _int_form(f.coeffs, g.coeffs) is None and _int_form(h.coeffs) is None
     assert shape((f * g).coeffs) == shape(oracle_mul(f.coeffs, g.coeffs))
     assert shape(f.inverse().coeffs) == shape(oracle_inverse(list(f.coeffs)))
     assert shape(h.exp().coeffs) == shape(oracle_exp(list(h.coeffs)))
