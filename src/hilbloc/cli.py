@@ -9,7 +9,6 @@ rationals serialized as "p/q" strings, or CSV with --csv.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -56,6 +55,8 @@ def _poly_json(poly) -> dict:
 
 def _emit(payload: dict, csv_rows, csv_header, use_csv):
     if use_csv:
+        import csv  # only --csv writes CSV, and no default output does
+
         out = csv.writer(sys.stdout, lineterminator="\n")
         out.writerow(csv_header)
         out.writerows(csv_rows)
@@ -151,10 +152,7 @@ def cmd_universal(args, parser):
     _check_n(args.n, args.long, parser)
     tab = universal_chern_poly(args.n)
     table = {partition_key(la): _poly_json(poly) for la, poly in tab.numbers}
-    rows = []
-    for la, poly in tab.numbers:
-        for mono, c in _poly_json(poly).items():
-            rows.append((partition_key(la), mono, c))
+    rows = [(la, mono, c) for la, poly in table.items() for mono, c in poly.items()] if args.csv else None
     _emit(
         {"schema": 1, "command": "universal", "n": args.n, "polynomials": table},
         csv_rows=rows,

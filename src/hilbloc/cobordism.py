@@ -27,19 +27,18 @@ independent reference for the tests; no computation here goes through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .partitions import enumerate_partitions, merge
+from .records import Record
 from .rings import Poly, gauss_solve, linear_combination
 from .series import TruncSeries
 from .toric import p1xp1, p2
 
 
-@dataclass(frozen=True)
-class ChernVector:
+class ChernVector(Record):
     """A rational cobordism class: complex dimension + Chern numbers.
 
     Dimension 0 encodes a multiple of the point class; the single entry
@@ -47,8 +46,9 @@ class ChernVector:
     or Polys in formal parameters.
     """
 
-    dim: int
-    numbers: tuple  # tuple of (partition, value), partitions in rev-lex order
+    def __init__(self, dim: int, numbers: tuple):
+        # numbers: tuple of (partition, value), partitions in rev-lex order
+        self._freeze(dim, numbers)
 
     @staticmethod
     def from_dict(dim: int, numbers: dict) -> "ChernVector":

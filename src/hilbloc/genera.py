@@ -15,7 +15,6 @@ at the fixed points of a generic 1-PS (Bialynicki-Birula).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
@@ -23,21 +22,19 @@ from math import factorial
 from .cobordism import ChernVector, beta_degree, beta_var, to_beta
 from .localization import chart_tangent_weights, one_ps_ladder, specialize_tangents
 from .partitions import enumerate_partitions
+from .records import Record
 from .rings import Poly, linear_combination
 from .series import TruncSeries, exp_series, geometric, partition_product, todd_series
 from .toric import ToricSurface
 
 
-@dataclass(frozen=True)
-class GenusSpec:
+class GenusSpec(Record):
     """A genus: characteristic series Q (constant term 1) up to degree D."""
 
-    name: str
-    q: TruncSeries
-
-    def __post_init__(self):
-        if self.q.coeffs[0] != 1:
+    def __init__(self, name: str, q: TruncSeries):
+        if q.coeffs[0] != 1:
             raise ValueError("characteristic series must have Q(0) = 1")
+        self._freeze(name, q)
 
     @property
     def degree(self) -> int:

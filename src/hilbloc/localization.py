@@ -33,7 +33,6 @@ integrates several Chern monomials there in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial, gcd, lcm, prod
@@ -41,6 +40,7 @@ from operator import add, mul, sub
 
 from .cobordism import ChernVector, beta_poly
 from .partitions import cells, enumerate_partitions
+from .records import Record
 from .series import TruncSeries, todd_series
 from .toric import Chart, TLineBundle, ToricSurface
 
@@ -49,12 +49,12 @@ class ConsistencyError(RuntimeError):
     """Two independent 1-PS specializations disagreed: an engine bug."""
 
 
-@dataclass(frozen=True)
-class TautClass:
+class TautClass(Record):
     """A K-theory class sum +/- [line bundle] + trivial * [O^triv]."""
 
-    line_bundles: tuple = ()  # tuple of (TLineBundle, multiplicity)
-    trivial: int = 0
+    def __init__(self, line_bundles: tuple = (), trivial: int = 0):
+        # line_bundles: tuple of (TLineBundle, multiplicity)
+        self._freeze(line_bundles, trivial)
 
     @property
     def rank(self) -> int:
@@ -375,18 +375,21 @@ def _residue_pass(model, n, ladder, size, at_block) -> list:
 _UNIT_POLY = ((Fraction(1), ()),)
 
 
-@dataclass(frozen=True)
-class Integrand:
+class Integrand(Record):
     """A polynomial in Chern classes of declared bundles, optionally times
     the Todd class of the tangent bundle, exp of a determinant weight,
     a Chern character factor, and/or a multiplicative tangent class."""
 
-    poly: tuple = _UNIT_POLY  # sum of (coeff, ((bundle_name, degree), ...))
-    bundles: tuple = ()  # ((name, TautClass-or-"tangent"), ...)
-    todd: bool = False
-    exp_det: tuple | None = None  # (TLineBundle, r)
-    ch_bundle: TautClass | None = None
-    tangent_class: TruncSeries | None = None  # characteristic series Q(x)
+    def __init__(
+        self,
+        poly: tuple = _UNIT_POLY,  # sum of (coeff, ((bundle_name, degree), ...))
+        bundles: tuple = (),  # ((name, TautClass-or-"tangent"), ...)
+        todd: bool = False,
+        exp_det: tuple | None = None,  # (TLineBundle, r)
+        ch_bundle: TautClass | None = None,
+        tangent_class: TruncSeries | None = None,  # characteristic series Q(x)
+    ):
+        self._freeze(poly, bundles, todd, exp_det, ch_bundle, tangent_class)
 
     @staticmethod
     def chern_monomial(la) -> "Integrand":

@@ -7,19 +7,14 @@ monomial-ideal fixed points of Hilbert schemes.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 Partition = tuple  # weakly decreasing tuple of positive ints
 
 
-class Cell(NamedTuple):
-    """A box (row i, column j) of a Young diagram with its arm and leg."""
-
-    i: int
-    j: int
-    arm: int
-    leg: int
+Cell = namedtuple("Cell", "i j arm leg")
+Cell.__doc__ = "A box (row i, column j) of a Young diagram with its arm and leg."
 
 
 @lru_cache(maxsize=None)

@@ -14,36 +14,33 @@ integral(td * exp c1(L)) = chi(L) come out right on the surface itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+
+from .records import Record
 
 
 Vec = tuple  # (int, int) character / lattice vector
 
 
-@dataclass(frozen=True)
-class Chart:
-    index: int
-    rays: tuple  # (v_i, v_{i+1})
-    w1: Vec  # dual to v_i
-    w2: Vec  # dual to v_{i+1}
+class Chart(Record):
+    def __init__(self, index: int, rays: tuple, w1: Vec, w2: Vec):
+        # rays: (v_i, v_{i+1}); w1, w2: the dual basis, w1 dual to v_i
+        self._freeze(index, rays, w1, w2)
 
 
-@dataclass(frozen=True)
-class ToricSurface:
-    name: str
-    rays: tuple  # cyclic order, consecutive determinant +1
-
-    def __post_init__(self):
-        n = len(self.rays)
+class ToricSurface(Record):
+    def __init__(self, name: str, rays: tuple):
+        # rays: in cyclic order, consecutive determinant +1
+        n = len(rays)
         if n < 3:
             raise ValueError("a complete fan needs at least 3 rays")
         for i in range(n):
-            v, w = self.rays[i], self.rays[(i + 1) % n]
+            v, w = rays[i], rays[(i + 1) % n]
             if v[0] * w[1] - v[1] * w[0] != 1:
                 raise ValueError(
                     f"rays {v}, {w} do not span a smooth positively-oriented cone"
                 )
+        self._freeze(name, rays)
 
     @cached_property
     def charts(self) -> tuple:
@@ -67,18 +64,15 @@ class ToricSurface:
         return TLineBundle(self, (-1,) * len(self.rays))
 
 
-@dataclass(frozen=True)
-class TLineBundle:
+class TLineBundle(Record):
     """An equivariant line bundle, as ray coefficients of a toric divisor."""
 
-    surface: ToricSurface
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != len(self.surface.rays):
+    def __init__(self, surface: ToricSurface, coeffs: tuple):
+        if len(coeffs) != len(surface.rays):
             raise ValueError("one coefficient per ray required")
-        if any(not isinstance(c, int) for c in self.coeffs):
+        if any(not isinstance(c, int) for c in coeffs):
             raise ValueError("divisor coefficients must be integers")
+        self._freeze(surface, coeffs)
 
     def local_weight(self, chart: Chart) -> Vec:
         i = chart.index

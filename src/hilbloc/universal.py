@@ -9,11 +9,11 @@ the solved ones (a third k, a sixth class) is a hard consistency gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cobordism import ChernVector, from_beta, hilb_series
 from .localization import Integrand, TautClass, chi_via_RR_family, integrate, surface_number
+from .records import Record
 from .rings import Poly, binomial, gauss_solve, linear_combination
 from .series import TruncSeries, fg_series
 from .toric import TLineBundle, o_bundle, p2, p1xp1
@@ -38,11 +38,9 @@ def universal_chern_poly(n: int) -> ChernVector:
 # -- twist series A_r, B_r ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwistSeriesPair:
-    r: int
-    log_a: TruncSeries
-    b: TruncSeries
+class TwistSeriesPair(Record):
+    def __init__(self, r: int, log_a: TruncSeries, b: TruncSeries):
+        self._freeze(r, log_a, b)
 
 
 def _fit(rows, logs, order: int, gates) -> list:
@@ -208,14 +206,9 @@ def gamma_vector(model, x: TautClass):
     return surface_number(model, monomials, bundles)
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
-    L2: Fraction
-    KL: Fraction
-    K2: Fraction
-    e: int
-    chi_O: Fraction
-    chi_L: Fraction
+class SurfaceInvariants(Record):
+    def __init__(self, L2: Fraction, KL: Fraction, K2: Fraction, e: int, chi_O: Fraction, chi_L: Fraction):
+        self._freeze(L2, KL, K2, e, chi_O, chi_L)
 
 
 def invariants(model, L: TLineBundle) -> SurfaceInvariants:

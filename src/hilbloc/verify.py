@@ -8,7 +8,6 @@ back `hilbloc verify` and the test suite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cobordism import from_beta, hilb_series
@@ -24,24 +23,36 @@ from .localization import (
     TautClass,
     chern_numbers_hilb,
     chi_via_RR,
+    chi_via_RR_family,
     enumerate_fixed_points,
     hilb_cobordism_series,
     integrate,
 )
 from .partitions import enumerate_partitions
+from .records import Record
 from .rings import Poly, binomial
 from .series import fg_series, solve_v
 from .toric import blowup, o_bundle, p2, p1xp1
 from .universal import chi_from_genfun, chi_taut, cohomology_genfun, fit_AB, universal_chern_poly
 
 
-@dataclass
-class CheckResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str = ""
-    warnings: list = field(default_factory=list)
+class CheckResult(Record):
+    """The outcome of one check; mutable (unlike other records) and so unhashable."""
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, number: int, name: str, passed: bool, detail: str = "", warnings: list | None = None):
+        self.number = number
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.warnings = [] if warnings is None else warnings
+
+    @property
+    def _key(self):
+        return tuple(getattr(self, f) for f in self._fields)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -51,18 +62,21 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class Profile:
-    name: str
-    twist_order: int
-    k3_n: int
-    thm1_n: int
-    chiv_n: int
-    phi_n: int
-    chifn_n: int
-    euler_n: int
-    univ_n: int
-    univ_warn_n: int  # 0 disables the n=5 warning pass
+class Profile(Record):
+    def __init__(
+        self,
+        name: str,
+        twist_order: int,
+        k3_n: int,
+        thm1_n: int,
+        chiv_n: int,
+        phi_n: int,
+        chifn_n: int,
+        euler_n: int,
+        univ_n: int,
+        univ_warn_n: int,  # 0 disables the n=5 warning pass
+    ):
+        self._freeze(name, twist_order, k3_n, thm1_n, chiv_n, phi_n, chifn_n, euler_n, univ_n, univ_warn_n)
 
 
 PROFILES = {
@@ -203,11 +217,12 @@ def check_theorem1(p: Profile) -> CheckResult:
 
 def check_chi_ln(p: Profile) -> CheckResult:
     m = p2()
+    bundles = [o_bundle(m, k) for k in range(0, 6)]
     for n in range(1, p.chiv_n + 1):
-        for k in range(0, 6):
+        v0s = chi_via_RR_family(m, n, bundles, 0)
+        v1s = chi_via_RR_family(m, n, bundles, 1)
+        for k, v0, v1 in zip(range(0, 6), v0s, v1s):
             chi = (k + 1) * (k + 2) // 2
-            v0 = chi_via_RR(m, n, o_bundle(m, k), 0)
-            v1 = chi_via_RR(m, n, o_bundle(m, k), 1)
             if v0 != binomial(chi + n - 1, n) or v1 != binomial(chi, n):
                 return CheckResult(4, "chi(L_n x E^r) lemma", False, f"n={n}, k={k}")
     return CheckResult(

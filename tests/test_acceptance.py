@@ -9,7 +9,8 @@ import os
 
 import pytest
 
-from hilbloc.verify import CHECKS, PROFILES
+from hilbloc.verify import CHECKS, PROFILES, CheckResult
+from record_oracle import assert_record
 
 PROFILE = os.environ.get("HILBLOC_ACCEPT_PROFILE", "standard")
 
@@ -43,3 +44,15 @@ def _run(number, capsys):
 def test_acceptance_criterion(number, name, capsys):
     res = _run(number, capsys)
     assert res.passed, f"criterion {number} ({name}): {res.detail}"
+
+
+def test_check_results_and_profiles_are_records():
+    a, b = CheckResult(4, "chi", True), CheckResult(4, "chi", True)
+    assert a == b and a.warnings is not b.warnings
+    a.warnings.append("w")
+    a.detail = "changed"
+    assert a != b and repr(a) == "CheckResult(number=4, name='chi', passed=True, detail='changed', warnings=['w'])"
+    with pytest.raises(TypeError):
+        hash(a)
+    assert_record(PROFILES["quick"], "name twist_order k3_n thm1_n chiv_n phi_n chifn_n euler_n univ_n univ_warn_n",
+                  PROFILES["standard"])

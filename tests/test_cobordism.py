@@ -19,6 +19,7 @@ from hilbloc.localization import hilb_cobordism_series, surface_number
 from hilbloc.partitions import enumerate_partitions, merge
 from hilbloc.rings import Poly
 from hilbloc.toric import build_model, p1xp1, p2
+from record_oracle import assert_record
 
 U = Poly.var("u")
 
@@ -107,6 +108,7 @@ def test_multiply_is_product_of_manifolds():
 def test_multiply_point():
     cp2 = cp_product_class((2,))
     assert multiply(ChernVector.point(3), cp2) == ChernVector(2, tuple((la, 3 * v) for la, v in cp2.numbers))
+    assert_record(cp2, "dim numbers", ChernVector.point(3), cp_product_class((1, 1)))
 
 
 def test_hilb_series_unit_coefficients():

@@ -24,6 +24,7 @@ from hilbloc.localization import ConsistencyError, hilb_cobordism_series
 from hilbloc.rings import Poly
 from hilbloc.series import TruncSeries
 from hilbloc.toric import build_model, p1xp1, p2
+from record_oracle import assert_record
 
 CP2 = to_beta(cp_product_class((2,)))
 CP1SQ = to_beta(cp_product_class((1, 1)))
@@ -81,6 +82,9 @@ def test_genus_eval_rejects_a_series_truncated_below_the_class():
 def test_genus_requires_unit_series():
     with pytest.raises(ValueError):
         GenusSpec("bad", TruncSeries("x", 2, [0, 1]))
+    todd = todd_genus(4)
+    assert todd.log_coeffs is todd.log_coeffs and "log_coeffs" in vars(todd)
+    assert_record(todd, "name q", todd_genus(5), total_chern_genus(4), GenusSpec("euler", todd.q))
 
 
 def test_phi_nk_validation():

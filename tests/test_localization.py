@@ -31,6 +31,7 @@ from hilbloc.toric import blowup, build_model, line_bundle, o_bundle, p1xp1, p2
 from hilbloc.universal import _reference_classes, h_psi_phi
 from partition_counts import count_partitions
 from profile_counts import example_count
+from record_oracle import assert_record
 import residue_oracle
 
 
@@ -332,6 +333,19 @@ def test_taut_class_rank():
     m = p2()
     x = TautClass(((o_bundle(m, 1), 2),), 3)
     assert x.rank == 5
+    assert_record(x, "line_bundles trivial", TautClass(x.line_bundles), TautClass(trivial=3))
+    assert TautClass(trivial=3) == TautClass((), 3) and repr(TautClass()) == "TautClass(line_bundles=(), trivial=0)"
+    # a record with an unhashable field constructs; only hashing it fails
+    y = TautClass([(o_bundle(m, 1), 2)], 3)
+    assert y.rank == 5 and y != x
+    with pytest.raises(TypeError):
+        hash(y)
+    chi = Integrand(todd=True, exp_det=(o_bundle(m, 1), 1))
+    assert_record(
+        chi, "poly bundles todd exp_det ch_bundle tangent_class",
+        Integrand(todd=True), Integrand.chern_monomial((2,)), Integrand(tangent_class=todd_series("x", 4)),
+    )
+    assert chi == Integrand(Integrand().poly, (), True, (o_bundle(m, 1), 1))
 
 
 def test_ch_taut_riemann_roch():

@@ -1,7 +1,14 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hilbloc
 from hilbloc.localization import TautClass, surface_number
 from hilbloc.toric import (
     TLineBundle,
@@ -14,6 +21,7 @@ from hilbloc.toric import (
     p2,
 )
 from hilbloc.universal import invariants
+from record_oracle import assert_record
 from surface_oracle import SURFACES
 from surface_oracle import intersection as oracle_intersection
 
@@ -94,6 +102,7 @@ def test_invariants_riemann_roch():
         inv = invariants(m, o_bundle(m, k))
         assert inv.chi_O == 1
         assert inv.chi_L == (k + 1) * (k + 2) // 2
+    assert_record(inv, "L2 KL K2 e chi_O chi_L", invariants(m, o_bundle(m, 2)))
 
 
 def test_build_model_specs():
@@ -111,3 +120,32 @@ def test_fan_validation():
         ToricSurface("bad", ((1, 0), (0, 1), (-1, -2)))
     with pytest.raises(ValueError):
         TLineBundle(p2(), (1, 0))  # wrong length
+
+
+def test_surfaces_and_bundles_are_records():
+    m = p2()
+    chart = m.charts[1]
+    assert repr(chart) == "Chart(index=1, rays=((0, 1), (-1, -1)), w1=(-1, 1), w2=(-1, 0))"
+    assert_record(chart, "index rays w1 w2", m.charts[0])
+    assert_record(m, "name rays", p1xp1(), ToricSurface("p2", blowup(m, 0).rays))
+    assert_record(o_bundle(m, 1), "surface coeffs", o_bundle(m, 2), o_bundle(blowup(m, 0), 1))
+    # charts is cached in the instance, and is not a field: an equal surface
+    # built afresh has no charts yet and still compares and hashes equal
+    assert m.charts is m.charts and "charts" in vars(m)
+    fresh = ToricSurface("p2", m.rays)
+    assert "charts" not in vars(fresh) and fresh == m and hash(fresh) == hash(m)
+
+
+def test_a_pickled_record_hashes_afresh_in_another_process():
+    # the cached hash of a str field is only valid in the process that computed it
+    m = p2()
+    hash(m)
+    code = (
+        "import pickle, sys; m = pickle.loads(sys.stdin.buffer.read()); "
+        "print(hash(m) == hash((m.name, m.rays)), m.charts[0].index)"
+    )
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"  # not this process's seed
+    env = dict(os.environ, PYTHONPATH=str(Path(hilbloc.__file__).parents[1]), PYTHONHASHSEED=seed)
+    proc = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(m), capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"True", b"0"]

@@ -24,6 +24,7 @@ from hilbloc.universal import (
     invariants,
     universal_chern_poly,
 )
+from record_oracle import assert_record
 import surface_oracle
 
 
@@ -85,6 +86,7 @@ def test_fit_ab_trivial_ranks():
         pair = fit_AB(r, 3)
         assert all(c == 0 for c in pair.log_a.coeffs)
         assert pair.b == TruncSeries.one("z", 3)
+    assert_record(pair, "r log_a b", fit_AB(0, 3), fit_AB(1, 4))
 
 
 def test_fit_ab_printed_z2_values():
