@@ -27,7 +27,7 @@ from .genera import (
 from .localization import ConsistencyError, chern_numbers_hilb, chi_via_RR, hilb_cobordism_series
 from .partitions import partition_key
 from .rings import Poly, format_fraction
-from .series import coeff_to_json, fg_series, solve_v
+from .series import coeff_to_json, fg_identities
 from .toric import build_model, line_bundle, o_bundle, p1xp1, p2
 from .universal import FitError, fit_AB, universal_chern_poly
 
@@ -289,18 +289,7 @@ def cmd_series_id(args, parser):
     if max(abs(y.numerator), y.denominator) >= 10**DIGITS_MAX:
         parser.error(f"--y numerator and denominator must have at most {DIGITS_MAX} digits")
     a, order = args.a, args.order
-    v = solve_v(a, order)
-    f0 = fg_series("f", 0, a, order)
-    g1 = fg_series("g", 1, a, order)
-    g = fg_series("g", y, a, order)
-    f = fg_series("f", y, a, order)
-    g1y = g1.pow(y)
-    checks = {
-        "f0_closed_form": f0 == (v + 1).pow(a + 1) / ((a + 1) * v + 1),
-        "g_is_g1_pow_y": g == g1y,
-        "f_is_g1_pow_y_times_f0": f == g1y * f0,
-        "g_prime": g.derivative().agrees_to(fg_series("f", y - 2 * a - 1, a, order) * y, order - 1),
-    }
+    checks = fg_identities(a, (y,), order)[0]
     if not all(checks.values()):
         raise ConsistencyError(f"series identities failed: {checks}")
     _emit(

@@ -15,11 +15,12 @@ block, formed column-wise by one set of kernels: for Chern numbers the
 numerators are prod_{p in la} e_p(t), and for the power-sum polynomial of
 Hilb^n(S) (the cobordism class that `hilb_cobordism_series` returns)
 prod_{p in mu} p_p(t), one column per symmetric function and per
-partition suffix.  Other integrands are evaluated on the same columns
-from the power sums and Chern classes of the tangent and tautological
-weights, each factor scaled so that its coefficients are integers (see
-"integrand" below); `chi_via_RR_family` serves several determinant twists
-from the same pass.
+partition suffix.  Every other integrand has one shape, a polynomial in
+the Chern classes of tautological bundles (and of T) times one
+multiplicative tangent class (Todd for Riemann-Roch); it is evaluated on
+the same columns, each factor scaled so that its coefficients are
+integers (see "integrand" below), and `_integrate_family` serves several
+determinant twists e^{c1(L_n (x) E^r)} from the same pass.
 Characters stay symbolic (integer pairs) until the pass specializes them
 along the first two members of a deterministic ladder of generic
 one-parameter subgroups; each specialization keeps integer numerators
@@ -38,7 +39,7 @@ from functools import lru_cache, partial
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul, sub
 
-from .cobordism import ChernVector, beta_poly
+from .cobordism import ChernVector, _power_sum_in_e, beta_poly
 from .partitions import cells, enumerate_partitions
 from .records import Record
 from .series import TruncSeries, todd_series
@@ -241,13 +242,9 @@ def _column_elementary_symmetric(cols, width):
     return e
 
 
-def _column_power_sums(cols, width, order, mults=None):
-    """The columns [p_0, ..., p_order] with p_k = sum m t^k over the weights
-    cols, the j-th with multiplicity mults[j] (1 if mults is None)."""
-    if mults is None:
-        p, x = [[len(cols)] * width], list(cols)
-    else:
-        p, x = [[sum(mults)] * width], [[m * t for t in col] for m, col in zip(mults, cols)]
+def _column_power_sums(cols, width, order):
+    """The columns [p_0, ..., p_order] with p_k = sum t^k over the weights cols."""
+    p, x = [[len(cols)] * width], list(cols)
     for k in range(1, order + 1):
         p.append(list(map(sum, zip(*x))) if x else [0] * width)
         if k < order:
@@ -354,8 +351,9 @@ def _residue_pass(model, n, ladder, size, at_block) -> list:
 # p_k = sum m w^k their power sums and N = 2n:
 #   prod_i Q(t_i eps) = Q(0)^N exp(sum_k s_k p_k(t) eps^k),  log(Q/Q(0)) = sum s_k x^k,
 #   c(X) = prod (1 + w eps)^m   (virtual X too: m < 0),
-#   ch(X) = sum_k p_k(X) eps^k / k!,
 #   e^{w eps} = sum_j w^j eps^j / j!.
+# A Chern character or exp(c1) is a polynomial in Chern classes too
+# (`Integrand.chern_character`, `universal.h_psi_phi`).
 # Let D be an integer with D^k s_k integral for k = 1..N (it is grown from
 # the denominators of the s_k, and stays far below their lcm).  Each factor
 # is kept as its scaled coefficients X_m = m! D^m [eps^m], which are integers
@@ -364,8 +362,7 @@ def _residue_pass(model, n, ladder, size, at_block) -> list:
 #   (XY)_m = sum_j C(m, j) X_j Y_{m-j}.
 # The tangent exponential is
 #   E_0 = 1,  E_m = sum_k (k D^k s_k) (m-1)!/(m-k)! p_k E_{m-k},
-# ch gives D^m p_m, and a determinant twist enters only the top coefficient
-# of the product B:
+# and a determinant twist enters only the top coefficient of the product B:
 #   N! D^N P top = sum_j C(N, j) (D w)^j B_{N-j}.
 # The integral is Q(0)^N / (N! D^N P) times the residue sum of these
 # integers over prod t.  Every step runs on a block of points at once: each
@@ -376,20 +373,17 @@ _UNIT_POLY = ((Fraction(1), ()),)
 
 
 class Integrand(Record):
-    """A polynomial in Chern classes of declared bundles, optionally times
-    the Todd class of the tangent bundle, exp of a determinant weight,
-    a Chern character factor, and/or a multiplicative tangent class."""
+    """A polynomial in Chern classes of declared bundles times a
+    multiplicative tangent class (none if tangent_class is None): the Todd
+    class of Riemann-Roch is tangent_class=todd_series("x", 2n)."""
 
     def __init__(
         self,
         poly: tuple = _UNIT_POLY,  # sum of (coeff, ((bundle_name, degree), ...))
         bundles: tuple = (),  # ((name, TautClass-or-"tangent"), ...)
-        todd: bool = False,
-        exp_det: tuple | None = None,  # (TLineBundle, r)
-        ch_bundle: TautClass | None = None,
         tangent_class: TruncSeries | None = None,  # characteristic series Q(x)
     ):
-        self._freeze(poly, bundles, todd, exp_det, ch_bundle, tangent_class)
+        self._freeze(poly, bundles, tangent_class)
 
     @staticmethod
     def chern_monomial(la) -> "Integrand":
@@ -398,21 +392,28 @@ class Integrand(Record):
             bundles=(("T", "tangent"),),
         )
 
+    @staticmethod
+    def chern_character(x: TautClass, n: int, tangent_class: TruncSeries) -> "Integrand":
+        """ch(x^[n]) times the tangent class on Hilb^n: n rank(x) + sum_k
+        p_k / k!, k = 1..2n, each power sum p_k of the Chern roots of X =
+        x^[n] a polynomial in its Chern classes by Newton's identities."""
+        poly = [(Fraction(n * x.rank), ())]
+        for k in range(1, 2 * n + 1):
+            poly += [(c / factorial(k), tuple(("X", p) for p in la)) for la, c in _power_sum_in_e(k).items() if c]
+        return Integrand(tuple(poly), (("X", x),), tangent_class)
+
 
 @lru_cache(maxsize=None)
-def _tangent_log(todd, tangent_class, order):
-    """(Q(0)^order, D, exp) for Q the Todd series (if todd) times the tangent
-    class, with log(Q/Q(0)) = sum s_k x^k, D as above and exp[m] the
-    coefficients (m-1)!/(m-k)! k D^k s_k, k = 1..m, of the tangent
-    exponential; (1, 1, None) if there is neither factor."""
-    q = todd_series("x", order) if todd else None
-    if tangent_class is not None:
-        if tangent_class.order < order:
-            raise ValueError("tangent characteristic series truncated below 2n")
-        tc = tangent_class.truncate(order)
-        q = tc if q is None else q * tc
-    if q is None:
+def _tangent_log(tangent_class, order):
+    """(Q(0)^order, D, exp) for Q the tangent class, with log(Q/Q(0)) = sum
+    s_k x^k, D as above and exp[m] the coefficients (m-1)!/(m-k)! k D^k
+    s_k, k = 1..m, of the tangent exponential; (1, 1, None) if there is
+    none."""
+    if tangent_class is None:
         return Fraction(1), 1, None
+    if tangent_class.order < order:
+        raise ValueError("tangent characteristic series truncated below 2n")
+    q = tangent_class.truncate(order)
     if q[0] == 0:
         raise ValueError("tangent characteristic series needs Q(0) != 0")
     s = (q * (1 / Fraction(q[0]))).log().coeffs
@@ -429,15 +430,14 @@ class _IntegerIntegrand:
     """One integral's integrand over Hilb^n in the scaled integer form above:
     the constants depend on the integrand and n only, and `numerators` is
     the work on a block of points.  The bundles whose Chern classes the
-    polynomial reads, and the class of the Chern character, are keyed by
-    position in the dicts chern_slots (TautClass or "tangent" -> slot) and
-    ch_slots (TautClass -> slot), which every integrand of one pass shares."""
+    polynomial reads are keyed by position in the dict chern_slots
+    (TautClass or "tangent" -> slot), which every integrand of one pass
+    shares."""
 
-    def __init__(self, integrand: Integrand, n: int, chern_slots: dict, ch_slots: dict):
+    def __init__(self, integrand: Integrand, n: int, chern_slots: dict):
         order = self.order = 2 * n
-        self.scale, d, self.exp = _tangent_log(integrand.todd, integrand.tangent_class, order)
+        self.scale, d, self.exp = _tangent_log(integrand.tangent_class, order)
         self.d = d
-        self.dpow = [d**m for m in range(order + 1)]
         fd = [factorial(m) * d**m for m in range(order + 1)]
         self.binom = [[comb(m, j) for j in range(m + 1)] for m in range(order + 1)]
         poly_den = 1  # P
@@ -452,20 +452,13 @@ class _IntegerIntegrand:
                 (deg, fd[deg] * int(c * poly_den), tuple((slot[name], k) for name, k in monos))
                 for deg, c, monos in terms
             ]
-        self.ch = None if integrand.ch_bundle is None else ch_slots.setdefault(integrand.ch_bundle, len(ch_slots))
         self.denominator = fd[order] * poly_den
 
-    def _times(self, x, y, width):
-        if x is None:
-            return y
-        return [_column_dot(self.binom[m], x, y[m::-1], width) for m in range(self.order + 1)]
-
-    def numerators(self, chern, ch, tangent_p, dets, width) -> list:
+    def numerators(self, chern, tangent_p, dets, width) -> list:
         """The columns of N! D^N P times the eps^N coefficient over a block of
         width points, one per determinant weight column in dets (None: no
-        determinant factor), from the points' Chern classes chern and
-        Chern-character power sums ch (by slot) and the power sums tangent_p
-        of their tangent weights, all columns."""
+        determinant factor), from the points' Chern classes chern (by slot)
+        and the power sums tangent_p of their tangent weights, all columns."""
         order = self.order
         body = None
         if self.poly is not None:
@@ -475,14 +468,11 @@ class _IntegerIntegrand:
                 for slot, k in monos:
                     col = list(map(mul, col, chern[slot][k]))
                 body[deg] = list(map(add, body[deg], col))
-        if self.ch is not None:
-            p = [[dm * v for v in col] for dm, col in zip(self.dpow, ch[self.ch])]
-            body = self._times(body, p, width)
         if self.exp is not None:
             e = [[1] * width]
             for m in range(1, order + 1):
                 e.append(_column_dot(self.exp[m], tangent_p[1:], e[::-1], width))
-            body = self._times(body, e, width)
+            body = e if body is None else [_column_dot(self.binom[m], body, e[m::-1], width) for m in range(order + 1)]
         if body is None:
             body = [[1] * width] + [[0] * width for _ in range(order)]
         out = []
@@ -505,14 +495,13 @@ def _integrate_family(model, n, integrands, dets, ladder):
     """The integral of each integrand times e^{c1(L_n (x) E^r)} for each
     (L, r) in dets (an entry None means no determinant factor), integrand
     by integrand, from one residue pass.  On each block and specialization
-    the tangent and tautological Chern classes and power sums are formed
-    once, column by column, for every integrand that reads them."""
+    the tangent and tautological Chern classes and the tangent power sums
+    are formed once, column by column, for every integrand that reads them."""
     order = 2 * n
-    chern_slots, ch_slots = {}, {}
-    forms = [_IntegerIntegrand(integrand, n, chern_slots, ch_slots) for integrand in integrands]
-    classes = tuple(dict.fromkeys(x for x in (*chern_slots, *ch_slots) if x != "tangent"))
+    chern_slots = {}
+    forms = [_IntegerIntegrand(integrand, n, chern_slots) for integrand in integrands]
+    classes = tuple(x for x in chern_slots if x != "tangent")
     chern_of = [None if x == "tangent" else classes.index(x) for x in chern_slots]
-    ch_of = [classes.index(x) for x in ch_slots]
     tangent_exp = any(form.exp is not None for form in forms)
 
     def at_block(block):
@@ -534,9 +523,8 @@ def _integrate_family(model, n, integrands, dets, ladder):
                 for j in chern_of
             ]
             p = _column_power_sums(cols, width, order) if tangent_exp else None
-            ch = [_column_power_sums(weights[j], width, order, taut[j][0]) for j in ch_of]
             ws = dets if det_cols is None else [[_specialize(c, spec) for c in col] for col in det_cols]
-            return [sum(map(mul, col, scales)) for form in forms for col in form.numerators(chern, ch, p, ws, width)]
+            return [sum(map(mul, col, scales)) for form in forms for col in form.numerators(chern, p, ws, width)]
 
         return sums
 
@@ -548,7 +536,7 @@ def _integrate_family(model, n, integrands, dets, ladder):
 def integrate(model: ToricSurface, n: int, integrand: Integrand, ladder: str = "xi") -> Fraction:
     """Bott-residue integral over Hilb^n(S), exact; ConsistencyError if the
     two specializations of the chosen 1-PS ladder disagree."""
-    return _integrate_family(model, n, (integrand,), (integrand.exp_det,), ladder)[0]
+    return _integrate_family(model, n, (integrand,), (None,), ladder)[0]
 
 
 def surface_number(model: ToricSurface, monomials, bundles) -> tuple:
@@ -648,11 +636,12 @@ def hilb_cobordism_series(model: ToricSurface, order: int) -> TruncSeries:
 def chi_via_RR(model: ToricSurface, n: int, L: TLineBundle, r: int = 0, ladder: str = "xi") -> Fraction:
     """chi(L_n (x) E^r) by equivariant Riemann-Roch: the Bott integral of
     td(T) exp(c1(L_n (x) E^r))."""
-    return integrate(model, n, Integrand(todd=True, exp_det=(L, r)), ladder)
+    return _integrate_family(model, n, (Integrand(tangent_class=todd_series("x", 2 * n)),), ((L, r),), ladder)[0]
 
 
 def chi_via_RR_family(model: ToricSurface, n: int, bundles, r: int) -> list:
     """[chi(L_n (x) E^r) for L in bundles], from one pass over the fixed
     points for both specializations: the Todd factor is built once per point
     and specialization, and each L costs one Horner evaluation."""
-    return _integrate_family(model, n, (Integrand(todd=True),), tuple((L, r) for L in bundles), "xi")
+    todd = Integrand(tangent_class=todd_series("x", 2 * n))
+    return _integrate_family(model, n, (todd,), tuple((L, r) for L in bundles), "xi")

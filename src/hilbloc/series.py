@@ -32,6 +32,7 @@ plain coefficient loops.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 
 from .rings import Poly, _fraction, _merge_monomials, binomial
@@ -387,8 +388,10 @@ def exp_series(var: str, order: int, scale=1) -> TruncSeries:
     return TruncSeries(var, order, out)
 
 
+@lru_cache(maxsize=None)
 def todd_series(var: str, order: int) -> TruncSeries:
-    """x / (1 - e^{-x}), the Todd characteristic series."""
+    """x / (1 - e^{-x}), the Todd characteristic series (cached: series are
+    never changed in place)."""
     em = exp_series(var, order + 1, -1)
     denom_over_x = TruncSeries(
         var, order, [-(em[i + 1]) for i in range(order + 1)]
@@ -451,6 +454,31 @@ def fg_series(kind: str, y, a: int, order: int) -> TruncSeries:
             num *= start - q * i
         coeffs.append(Fraction(num, scale))
     return TruncSeries._of("z", order, coeffs)
+
+
+def fg_identities(a: int, ys, order: int) -> list:
+    """The identities of the power-series lemma to z^order, one dict
+    {identity: holds} per y in ys: the closed form f_{0,a} = (1+v)^(a+1) /
+    (1 + (a+1) v) with z = v (1+v)^a, g_{y,a} = g_{1,a}^y, f_{y,a} =
+    g_{1,a}^y f_{0,a}, and g'_{y,a} = y f_{y-2a-1,a} (to z^(order-1)).
+    v, f_{0,a} and g_{1,a} are built once for all of ys."""
+    v = solve_v(a, order)
+    f0 = fg_series("f", 0, a, order)
+    closed = f0 == (v + 1).pow(a + 1) / ((a + 1) * v + 1)
+    g1 = fg_series("g", 1, a, order)
+    out = []
+    for y in ys:
+        g = fg_series("g", y, a, order)
+        g1y = g1.pow(y)
+        out.append(
+            {
+                "f0_closed_form": closed,
+                "g_is_g1_pow_y": g == g1y,
+                "f_is_g1_pow_y_times_f0": fg_series("f", y, a, order) == g1y * f0,
+                "g_prime": g.derivative().agrees_to(fg_series("f", y - 2 * a - 1, a, order) * y, order - 1),
+            }
+        )
+    return out
 
 
 def partition_product(factors, order: int) -> TruncSeries:

@@ -107,7 +107,8 @@ def blowup(model: ToricSurface, chart_index: int) -> ToricSurface:
 
 
 def build_model(spec: str) -> ToricSurface:
-    """Parse a CLI model spec: p2 | p1xp1 | blowup:<spec>:<chart_index>."""
+    """Parse a CLI model spec: p2 | p1xp1 | blowup:<spec>:<chart_index>, the
+    chart index in the digits 0-9 only."""
     spec = spec.strip().lower()
     if spec == "p2":
         return p2()
@@ -116,6 +117,8 @@ def build_model(spec: str) -> ToricSurface:
     if spec.startswith("blowup:"):
         body, _, idx = spec.rpartition(":")
         inner = body[len("blowup:"):]
+        if not (idx.isascii() and idx.isdigit()):  # int() also reads " 1", "+1", "0_1" and "\u0661"
+            raise ValueError(f"bad model spec {spec!r}")
         try:
             return blowup(build_model(inner), int(idx))
         except ValueError as exc:

@@ -10,6 +10,7 @@ the solved ones (a third k, a sixth class) is a hard consistency gate.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .cobordism import ChernVector, from_beta, hilb_series
 from .localization import Integrand, TautClass, chi_via_RR_family, integrate, surface_number
@@ -224,25 +225,20 @@ def h_psi_phi(model, x: TautClass, psi: str, phi_q: TruncSeries, order: int) -> 
         raise ValueError("psi must be 'chern', 'segre' or 'expdet'")
     coeffs = [Fraction(1)]
     for n in range(1, order + 1):
-        integrand = _psi_phi_integrand(model, x, psi, phi_q, n)
-        coeffs.append(integrate(model, n, integrand))
+        coeffs.append(integrate(model, n, _psi_phi_integrand(x, psi, phi_q, n)))
     return TruncSeries("z", order, coeffs)
 
 
-def _psi_phi_integrand(model, x: TautClass, psi: str, phi_q: TruncSeries, n: int):
-    if psi == "expdet":
-        det_l = [0] * len(model.rays)
-        for bundle, mult in x.line_bundles:
-            for i, c in enumerate(bundle.coeffs):
-                det_l[i] += mult * c
-        return Integrand(
-            exp_det=(TLineBundle(model, tuple(det_l)), x.rank),
-            tangent_class=phi_q,
-        )
-    # the total Chern class of x^[n], or of -x^[n] for the Segre class: c(-X) = s(X)
+def _psi_phi_integrand(x: TautClass, psi: str, phi_q: TruncSeries, n: int):
+    """Psi(X) Phi(T) on Hilb^n with X = x^[n], Psi a polynomial in the Chern
+    classes of X: the total Chern class sum_d c_d(X), the Segre class as the
+    Chern class of -X (c(-X) = s(X)), and exp(c1(X)) = sum_d c_1(X)^d / d!."""
     if psi == "segre":
         x = TautClass(tuple((b, -m) for b, m in x.line_bundles), -x.trivial)
-    poly = tuple((Fraction(1), (("X", d),) if d else ()) for d in range(2 * n + 1))
+    if psi == "expdet":
+        poly = tuple((Fraction(1, factorial(d)), (("X", 1),) * d) for d in range(2 * n + 1))
+    else:
+        poly = tuple((Fraction(1), (("X", d),) if d else ()) for d in range(2 * n + 1))
     return Integrand(poly=poly, bundles=(("X", x),), tangent_class=phi_q)
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import hilbloc
 from hilbloc.cli import main
 from hilbloc.toric import build_model
+from profile_counts import example_count
 
 
 def run(capsys, *argv):
@@ -197,6 +198,11 @@ DEPTH_4 = "blowup:blowup:blowup:blowup:p2:0:0:0:0"
         ["series-id", "--a", "1_0"],
         ["chi", "--surface", "p2", "--n", "1", "--bundle", "1,0,0_0"],
         ["genus", "--genus", "phi:2:\u0661", "--k3", "--n", "1"],
+        # int() reads these chart indices as 1; build_model takes the digits 0-9 only
+        ["chern", "--surface", "blowup:p2:0_1", "--n", "1"],
+        ["chern", "--surface", "blowup:p2: 1", "--n", "1"],
+        ["chern", "--surface", "blowup:p2:+1", "--n", "1"],
+        ["chern", "--surface", "blowup:p2:\u0661", "--n", "1"],
     ],
 )
 def test_input_errors_exit_2(argv):
@@ -296,6 +302,7 @@ def test_integer_arguments_at_digit_bound(capsys):
 # listed twice is drawn twice as often.
 SURFACES = st.sampled_from(
     ["p2", "p1xp1", "blowup:p2:0", "p2", "p1xp1", "blowup:p2:9", "p5", "", "blowup:blowup:blowup:p2:0:0:0", DEPTH_4]
+    + ["blowup:p2:0_1", "blowup:p2:\u0661"]
 )
 # "1_0" and the Arabic-Indic digits below are integers to int(), not to the CLI
 SMALL_INT = st.sampled_from(["0", "1", "2", "0", "1", "2", "-1", "x", "1.5", "99", "0_1", "\u0661", " 1"])
@@ -370,7 +377,7 @@ ARGV = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=example_count(200), deadline=None)
 @given(ARGV)
 def test_cli_contract(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -10,6 +10,7 @@ from hilbloc.cobordism import ChernVector, to_beta
 from hilbloc.localization import (
     ConsistencyError,
     _char_bound,
+    _integrate_family,
     Integrand,
     TautClass,
     chern_numbers_hilb,
@@ -236,7 +237,7 @@ def test_integrand_gate_catches_a_perturbed_second_sum(monkeypatch):
     m = p2()
     _perturb_second_sum(monkeypatch)
     with pytest.raises(ConsistencyError, match="disagree"):
-        integrate(m, 2, Integrand(todd=True, exp_det=(o_bundle(m, 1), 1)))
+        integrate(m, 2, Integrand(tangent_class=todd_series("x", 4)))
 
 
 def test_family_gate_catches_a_perturbed_second_sum(monkeypatch):
@@ -340,12 +341,12 @@ def test_taut_class_rank():
     assert y.rank == 5 and y != x
     with pytest.raises(TypeError):
         hash(y)
-    chi = Integrand(todd=True, exp_det=(o_bundle(m, 1), 1))
+    chi = Integrand.chern_character(TautClass(((o_bundle(m, 1), 1),)), 1, todd_series("x", 2))
     assert_record(
-        chi, "poly bundles todd exp_det ch_bundle tangent_class",
-        Integrand(todd=True), Integrand.chern_monomial((2,)), Integrand(tangent_class=todd_series("x", 4)),
+        chi, "poly bundles tangent_class",
+        Integrand(tangent_class=todd_series("x", 2)), Integrand.chern_monomial((2,)), Integrand(),
     )
-    assert chi == Integrand(Integrand().poly, (), True, (o_bundle(m, 1), 1))
+    assert chi == Integrand(chi.poly, (("X", TautClass(((o_bundle(m, 1), 1),))),), todd_series("x", 2))
 
 
 def test_ch_taut_riemann_roch():
@@ -353,7 +354,7 @@ def test_ch_taut_riemann_roch():
     for n in (1, 2, 3):
         for k in (1, 2):
             x = TautClass(((o_bundle(m, k), 1),))
-            val = integrate(m, n, Integrand(todd=True, ch_bundle=x))
+            val = integrate(m, n, Integrand.chern_character(x, n, todd_series("x", 2 * n)))
             assert val == comb(k + 2, 2)
 
 
@@ -361,7 +362,12 @@ def test_ch_taut_riemann_roch():
 #
 # Every factor of the integrand is folded into an eps-series of Fractions by
 # one product per tangent weight (Todd, tangent class) or per line bundle
-# (total Chern class), as the engine did before it moved to power sums.
+# (total Chern class), as the engine did before it moved to power sums.  A
+# case is a dict: a Chern polynomial ("poly" over "bundles"), an optional
+# Todd factor ("todd"), tangent class ("phi"), determinant twist e^w ("det",
+# (L, r)) and Chern character sum m e^w ("ch", a TautClass); the oracle
+# applies each one directly at every point, while the engine gets Todd * Phi
+# as one tangent class, the twist through `dets` and ch as a Chern polynomial.
 
 
 def _eps_mul(a, b, order):
@@ -403,7 +409,7 @@ def _total_chern(weights, order):
     return _eps_mul(num, _eps_inv(den, order), order)
 
 
-def _chain_point_value(model, n, fp, integrand, spec):
+def _chain_point_value(model, n, fp, case, spec):
     order = 2 * n
 
     def specialize(c):
@@ -413,7 +419,7 @@ def _chain_point_value(model, n, fp, integrand, spec):
     denom = 1
     for v in tvals:
         denom *= v
-    bundle_map = dict(integrand.bundles)
+    bundle_map = dict(case["bundles"])
     chern_cache = {}
 
     def chern_of(name, deg):
@@ -427,7 +433,7 @@ def _chain_point_value(model, n, fp, integrand, spec):
         return chern_cache[name][deg]
 
     series = [Fraction(0)] * (order + 1)
-    for coeff, monos in integrand.poly:
+    for coeff, monos in case["poly"]:
         deg = sum(d for _, d in monos)
         if deg > order:
             continue
@@ -435,30 +441,44 @@ def _chain_point_value(model, n, fp, integrand, spec):
         for name, d in monos:
             val *= chern_of(name, d)
         series[deg] += val
-    qs = [todd_series("x", order).coeffs] if integrand.todd else []
-    if integrand.tangent_class is not None:
-        qs.append(integrand.tangent_class.coeffs)
+    qs = [todd_series("x", order).coeffs] if case["todd"] else []
+    if case["phi"] is not None:
+        qs.append(case["phi"].coeffs)
     for q in qs:
         for t in tvals:
             series = _eps_mul(series, [q[k] * t**k for k in range(order + 1)], order)
-    if integrand.exp_det is not None:
-        w = specialize(det_taut_weight(model, fp, [integrand.exp_det])[0])
+    if case["det"] is not None:
+        w = specialize(det_taut_weight(model, fp, [case["det"]])[0])
         series = _eps_mul(series, _eps_exp_weight(w, order), order)
-    if integrand.ch_bundle is not None:
+    if case["ch"] is not None:
         ch = [Fraction(0)] * (order + 1)
-        for c, m in taut_weights(model, fp, integrand.ch_bundle):
+        for c, m in taut_weights(model, fp, case["ch"]):
             for k, e in enumerate(_eps_exp_weight(specialize(c), order)):
                 ch[k] += m * e
         series = _eps_mul(series, ch, order)
     return Fraction(series[order], denom)
 
 
-def chain_integrate(model, n, integrand):
+def chain_integrate(model, n, case):
     spec = one_ps_ladder(model, n, "xi")[0]
     return sum(
-        (_chain_point_value(model, n, fp, integrand, spec) for fp in enumerate_fixed_points(model, n)),
+        (_chain_point_value(model, n, fp, case, spec) for fp in enumerate_fixed_points(model, n)),
         Fraction(0),
     )
+
+
+def engine_integrate(model, n, case):
+    """The case through the engine: one Integrand, Todd * Phi its tangent
+    class and ch(X) * the Chern polynomial its polynomial, and the twist
+    as the one entry of `dets`."""
+    qs = ([todd_series("x", 2 * n)] if case["todd"] else []) + ([case["phi"]] if case["phi"] is not None else [])
+    tangent = qs[0] * qs[1] if len(qs) == 2 else (qs[0] if qs else None)
+    poly, bundles = case["poly"], case["bundles"]
+    if case["ch"] is not None:
+        ch = Integrand.chern_character(case["ch"], n, None)
+        poly = tuple((a * b, ma + mb) for a, ma in poly for b, mb in ch.poly)
+        bundles += ch.bundles
+    return _integrate_family(model, n, (Integrand(poly, bundles, tangent),), (case["det"],), "xi")[0]
 
 
 MODELS = {"p2": p2(), "p1xp1": p1xp1(), "blowup:p2:0": blowup(p2(), 0)}
@@ -502,25 +522,27 @@ def virtual_classes(draw, model):
 def integrand_cases(draw):
     name = draw(st.sampled_from(sorted(MODELS)))
     model, n = MODELS[name], draw(st.integers(0, 3))
-    kw = {"todd": draw(st.booleans())}
+    case = {"poly": Integrand().poly, "bundles": (), "todd": draw(st.booleans()), "phi": None, "det": None, "ch": None}
     if draw(st.booleans()):
         q0 = draw(st.sampled_from((Fraction(1), Fraction(2), Fraction(-1, 2))))
         rest = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=6, max_size=6))
-        kw["tangent_class"] = TruncSeries("x", 6, [q0, *rest])
+        case["phi"] = TruncSeries("x", 6, [q0, *rest])
     if draw(st.booleans()):
-        kw["exp_det"] = (draw(bundles_of(model)), draw(st.integers(-3, 3)))
+        case["det"] = (draw(bundles_of(model)), draw(st.integers(-3, 3)))
     if draw(st.booleans()):
-        kw["ch_bundle"] = draw(virtual_classes(model))
+        case["ch"] = draw(virtual_classes(model))
     if draw(st.booleans()):
         top = 2 * n
         if draw(st.booleans()):
             poly = tuple((Fraction(1), (("X", d),) if d else ()) for d in range(top + 1))
         else:
             poly = _segre_poly(top)
-        kw.update(poly=poly, bundles=(("X", draw(virtual_classes(model))),))
+        # the Chern character's class is named "X"
+        case["poly"] = tuple((c, tuple(("Y", d) for _, d in mono)) for c, mono in poly)
+        case["bundles"] = (("Y", draw(virtual_classes(model))),)
     count = len(enumerate_fixed_points(model, n))
     block = draw(st.sampled_from((count - 1, count, count + 1, 1, 2, 7)).filter(lambda b: b >= 1))
-    return model, n, Integrand(**kw), block
+    return model, n, case, block
 
 
 @settings(max_examples=example_count(40), deadline=None)
@@ -528,11 +550,11 @@ def integrand_cases(draw):
 def test_power_sum_evaluator_matches_eps_chain(case):
     import hilbloc.localization as loc
 
-    model, n, integrand, block = case
+    model, n, case, block = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(loc, "_BLOCK", block)
-        value = integrate(model, n, integrand)
-    assert value == chain_integrate(model, n, integrand)
+        value = engine_integrate(model, n, case)
+    assert value == chain_integrate(model, n, case)
 
 
 def test_k_family_matches_per_k_chi():
@@ -556,6 +578,21 @@ def test_segre_path_is_the_segre_polynomial():
         for n in range(1, 4):
             oracle = Integrand(poly=_segre_poly(2 * n), bundles=(("X", x),), tangent_class=phi)
             assert series[n] == integrate(model, n, oracle)
+
+
+def test_expdet_is_the_determinant_twist():
+    # h_psi_phi takes exp(c1(x^[n])) as the Chern polynomial sum c1^d / d!; the
+    # twist family reads it as e^{c1(L_n (x) E^r)}, L = det x and r = rank x,
+    # by det(x^[n]) = det(x)_n (x) E^{rank x}
+    phi = TruncSeries("x", 6, [1, Fraction(1, 2), Fraction(-1, 3), 2, 0, Fraction(1, 5), -1])
+    bl = MODELS["blowup:p2:0"]
+    x_bl = TautClass(((line_bundle(bl, (1, 0, -1, 2)), 2), (line_bundle(bl, (0, 1, 0, 0)), -1)), 1)
+    for model, x in (*_reference_classes(2), (bl, x_bl)):
+        det = [sum(m * L.coeffs[i] for L, m in x.line_bundles) for i in range(len(model.rays))]
+        series = h_psi_phi(model, x, "expdet", phi, 3)
+        for n in range(4):
+            twist = ((line_bundle(model, det), x.rank),)
+            assert series[n] == _integrate_family(model, n, (Integrand(tangent_class=phi),), twist, "xi")[0], (x, n)
 
 
 def _walked_char_bound(model, n):
