@@ -82,7 +82,7 @@ _MODELS = {"P2": p2, "P1xP1": p1xp1}
 
 def _surface(spec: str, parser):
     # counted before parsing: build_model recurses once per level
-    if spec.lower().count("blowup:") > BLOWUP_DEPTH_MAX:
+    if spec.count("blowup:") > BLOWUP_DEPTH_MAX:
         parser.error(f"--surface nests at most {BLOWUP_DEPTH_MAX} blowup: levels")
     return build_model(spec)
 

@@ -14,13 +14,14 @@ block's points per weight); the output supplies only its sums over the
 block, formed column-wise by one set of kernels: for Chern numbers the
 numerators are prod_{p in la} e_p(t), and for the power-sum polynomial of
 Hilb^n(S) (the cobordism class that `hilb_cobordism_series` returns)
-prod_{p in mu} p_p(t), one column per symmetric function and per
-partition suffix.  Every other integrand has one shape, a polynomial in
-the Chern classes of tautological bundles (and of T) times one
-multiplicative tangent class (Todd for Riemann-Roch); it is evaluated on
-the same columns, each factor scaled so that its coefficients are
+prod_{p in mu} p_p(t).  Every other integrand has one shape, a
+polynomial in the Chern classes of tautological bundles (and of T) times
+one multiplicative tangent class (Todd for Riemann-Roch); it is evaluated
+on the same columns, each factor scaled so that its coefficients are
 integers (see "integrand" below), and `_integrate_family` serves several
-determinant twists e^{c1(L_n (x) E^r)} from the same pass.
+determinant twists e^{c1(L_n (x) E^r)} from the same pass.  Every product
+of such columns runs along one walk over a trie of monomials
+(`_product_walk`), one column product per distinct nonempty prefix.
 Characters stay symbolic (integer pairs) until the pass specializes them
 along the first two members of a deterministic ladder of generic
 one-parameter subgroups; each specialization keeps integer numerators
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import repeat
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul, sub
 
@@ -231,17 +233,6 @@ def specialize_tangents(chars, spec) -> list:
 # each function comes back as one column over the same points.
 
 
-def _column_elementary_symmetric(cols, width):
-    """The columns [e_0, ..., e_len(cols)] of the elementary symmetric
-    functions of the weights cols."""
-    e = [[1] * width]
-    for m, v in enumerate(cols, 1):
-        e.append(list(map(mul, v, e[m - 1])))
-        for k in range(m - 1, 0, -1):
-            e[k] = list(map(add, e[k], map(mul, v, e[k - 1])))
-    return e
-
-
 def _column_power_sums(cols, width, order):
     """The columns [p_0, ..., p_order] with p_k = sum t^k over the weights cols."""
     p, x = [[len(cols)] * width], list(cols)
@@ -253,19 +244,59 @@ def _column_power_sums(cols, width, order):
     return p
 
 
-def _chern_classes(cols, mults, order, width):
+def _chern_classes(cols, width, order, mults):
     """The columns [c_0, ..., c_order] of prod (1 + t eps)^m over the weights
     cols with multiplicities mults; a negative m divides by (1 + t eps)^|m|,
-    which is still an integer series."""
-    c = [[1] * width] + [[0] * width for _ in range(order)]
+    which is still an integer series.  Below degree order a new top class
+    costs one product (all m = 1, order = len(cols): the e_k of the weights)."""
+    c = [[1] * width]
     for t, m in zip(cols, mults):
         for _ in range(m):
-            for k in range(order, 0, -1):
+            top = len(c) - 1
+            if top < order:
+                c.append(list(map(mul, t, c[top])))
+            for k in range(top, 0, -1):
                 c[k] = list(map(add, c[k], map(mul, t, c[k - 1])))
-        for _ in range(-m):
-            for k in range(1, order + 1):
-                c[k] = list(map(sub, c[k], map(mul, t, c[k - 1])))
-    return c
+        if m < 0:
+            c += [[0] * width for _ in range(order + 1 - len(c))]
+            for _ in range(-m):
+                for k in range(1, order + 1):
+                    c[k] = list(map(sub, c[k], map(mul, t, c[k - 1])))
+    return c + [[0] * width for _ in range(order + 1 - len(c))]
+
+
+@lru_cache(maxsize=None)
+def _product_walk(monomials) -> tuple:
+    """The depth-first walk over the trie of the monomials (tuples of integer
+    factors, sorted within each) as preorder steps (depth, factor, leaves,
+    inner, last): the node is factor times the last node at depth - 1,
+    leaves are the indices of the monomials equal to it, inner says whether
+    a node extends it and last whether it is its parent's last child.  The
+    root, the empty product, is a step only if a monomial is empty.
+    Children come largest factor first, so long chains of small factors
+    are last children."""
+    ends = {}
+    for i, mono in enumerate(monomials):
+        ends.setdefault(tuple(sorted(mono)), []).append(i)
+    prefixes = {key[:d] for key in ends for d in range(bool(key), len(key) + 1)}
+    prefixes = sorted(prefixes, key=lambda p: [-f for f in p])  # preorder
+    last = {p[:-1]: p for p in prefixes if p}  # each parent's last child
+    return tuple((len(p), p and p[-1], tuple(ends.get(p, ())), p in last, last.get(p[:-1]) == p) for p in prefixes)
+
+
+def _walk_products(walk, table, root, leaf):
+    """Run a product walk on columns from the column root: a node is
+    table[factor] times its parent, leaf(i, x, y) takes monomial i as the
+    product of the columns x and y, and an inner node lives to its last child."""
+    nodes = [root]
+    for depth, factor, leaves, inner, last in walk:
+        x, y = (table[factor], nodes[depth - 1]) if depth else (root, repeat(1))
+        if last:
+            nodes[depth - 1] = None
+        if inner and depth:
+            nodes[depth:] = [list(map(mul, x, y))]
+        for i in leaves:
+            leaf(i, x, y)
 
 
 def _column_dot(coeffs, xs, ys, width):
@@ -432,7 +463,7 @@ class _IntegerIntegrand:
     the work on a block of points.  The bundles whose Chern classes the
     polynomial reads are keyed by position in the dict chern_slots
     (TautClass or "tangent" -> slot), which every integrand of one pass
-    shares."""
+    shares; c_k of the bundle at slot is the factor slot * (N + 1) + k."""
 
     def __init__(self, integrand: Integrand, n: int, chern_slots: dict):
         order = self.order = 2 * n
@@ -441,33 +472,26 @@ class _IntegerIntegrand:
         fd = [factorial(m) * d**m for m in range(order + 1)]
         self.binom = [[comb(m, j) for j in range(m + 1)] for m in range(order + 1)]
         poly_den = 1  # P
-        self.poly = None
+        self.terms = None  # per monomial: (sorted factors, degree, scaled coefficient)
         if integrand.poly != _UNIT_POLY:
             slot = {name: chern_slots.setdefault(src, len(chern_slots)) for name, src in integrand.bundles}
-            terms = [(sum(deg for _, deg in monos), Fraction(c), monos) for c, monos in integrand.poly]
-            terms = [t for t in terms if t[0] <= order]
-            for _, c, _ in terms:
-                poly_den = lcm(poly_den, c.denominator)
-            self.poly = [
-                (deg, fd[deg] * int(c * poly_den), tuple((slot[name], k) for name, k in monos))
-                for deg, c, monos in terms
-            ]
+            merged = {}  # (degree, sorted factors) -> coefficient: equal monomials are one
+            for c, monos in integrand.poly:
+                deg = sum(k for _, k in monos)
+                if deg <= order:
+                    key = (deg, tuple(sorted(slot[name] * (order + 1) + k for name, k in monos)))
+                    merged[key] = merged[key] + c if key in merged else Fraction(c)
+            poly_den = lcm(1, *(c.denominator for c in merged.values()))
+            self.terms = [(mono, deg, fd[deg] * int(c * poly_den)) for (deg, mono), c in merged.items() if c]
         self.denominator = fd[order] * poly_den
 
-    def numerators(self, chern, tangent_p, dets, width) -> list:
+    def numerators(self, body, tangent_p, dets, width) -> list:
         """The columns of N! D^N P times the eps^N coefficient over a block of
         width points, one per determinant weight column in dets (None: no
-        determinant factor), from the points' Chern classes chern (by slot)
-        and the power sums tangent_p of their tangent weights, all columns."""
+        determinant factor), from the scaled coefficients body of the
+        polynomial (None for the unit polynomial) and the power sums
+        tangent_p of the points' tangent weights, all columns."""
         order = self.order
-        body = None
-        if self.poly is not None:
-            body = [[0] * width for _ in range(order + 1)]
-            for deg, c, monos in self.poly:
-                col = [c] * width
-                for slot, k in monos:
-                    col = list(map(mul, col, chern[slot][k]))
-                body[deg] = list(map(add, body[deg], col))
         if self.exp is not None:
             e = [[1] * width]
             for m in range(1, order + 1):
@@ -500,31 +524,37 @@ def _integrate_family(model, n, integrands, dets, ladder):
     order = 2 * n
     chern_slots = {}
     forms = [_IntegerIntegrand(integrand, n, chern_slots) for integrand in integrands]
-    classes = tuple(x for x in chern_slots if x != "tangent")
-    chern_of = [None if x == "tangent" else classes.index(x) for x in chern_slots]
     tangent_exp = any(form.exp is not None for form in forms)
+    # one product walk for every polynomial: leaf i adds c x y to B_deg of form k
+    terms = [(k, deg, c) for k, form in enumerate(forms) for _, deg, c in form.terms or ()]
+    walk = _product_walk(tuple(mono for form in forms for mono, _, _ in form.terms or ()))
 
     def at_block(block):
-        # per class: the multiplicities, the same at every point, and the
-        # columns of characters
+        # per slot: None for the tangent bundle, else the multiplicities of
+        # the class, the same at every point, and the columns of characters
         taut = []
-        for x in classes:
-            pairs = [taut_weights(model, fp, x) for fp in block]
-            taut.append(([m for _, m in pairs[0]], list(zip(*([c for c, _ in p] for p in pairs)))))
+        for x in chern_slots:
+            pairs = None if x == "tangent" else [taut_weights(model, fp, x) for fp in block]
+            taut.append(pairs and ([m for _, m in pairs[0]], list(zip(*([c for c, _ in p] for p in pairs)))))
         det_cols = None if dets == (None,) else list(zip(*(det_taut_weight(model, fp, dets) for fp in block)))
 
         def sums(spec, cols, scales):
             width = len(scales)
-            weights = [[[_specialize(c, spec) for c in col] for col in chars] for _, chars in taut]
-            chern = [
-                _column_elementary_symmetric(cols, width)
-                if j is None
-                else _chern_classes(weights[j], taut[j][0], order, width)
-                for j in chern_of
-            ]
+            table = []  # the columns c_0, ..., c_N of each slot's bundle, slot by slot
+            for x in taut:
+                weights = cols if x is None else [[_specialize(c, spec) for c in col] for col in x[1]]
+                table += _chern_classes(weights, width, order, repeat(1) if x is None else x[0])
             p = _column_power_sums(cols, width, order) if tangent_exp else None
             ws = dets if det_cols is None else [[_specialize(c, spec) for c in col] for col in det_cols]
-            return [sum(map(mul, col, scales)) for form in forms for col in form.numerators(chern, p, ws, width)]
+            bodies = [None if form.terms is None else [[0] * width for _ in range(order + 1)] for form in forms]
+
+            def leaf(i, xs, ys):  # a coefficient joins at its leaf
+                k, deg, c = terms[i]
+                bodies[k][deg] = [b + c * x * y for b, x, y in zip(bodies[k][deg], xs, ys)]
+
+            _walk_products(walk, table, [1] * width, leaf)
+            numerators = (col for form, body in zip(forms, bodies) for col in form.numerators(body, p, ws, width))
+            return [sum(map(mul, col, scales)) for col in numerators]
 
         return sums
 
@@ -554,30 +584,6 @@ def surface_number(model: ToricSurface, monomials, bundles) -> tuple:
 # -- Chern numbers and the cobordism class of Hilb^n -------------------------------
 
 
-@lru_cache(maxsize=None)
-def _suffix_walk(m: int) -> tuple:
-    """The depth-first walk over the tree of suffixes of the partitions of
-    m, as preorder steps (depth, p, slot, last): the node (p, *parent) at
-    depth extends the last node at depth - 1 (the empty suffix is the root,
-    depth 0), slot is None for a proper suffix and the index of a whole
-    partition, always a leaf, in enumerate_partitions(m), and last marks
-    the parent's last child.  Children come largest part first, so the
-    long chains of small parts are last children."""
-    slots = {la: i for i, la in enumerate(enumerate_partitions(m))}
-    steps = []
-
-    def visit(suffix, rest):
-        # the parts prepended later are >= p, so rest - p is 0 or >= p
-        parts = [p for p in range(rest, (suffix[0] if suffix else 1) - 1, -1) if p == rest or 2 * p <= rest]
-        for p in parts:
-            node = (p, *suffix)
-            steps.append((len(node), p, slots.get(node), p == parts[-1]))
-            visit(node, rest - p)
-
-    visit((), m)
-    return tuple(steps)
-
-
 def _partition_sums(model, n, ladder, factors) -> list:
     """The residue sums of prod_{p in la} f_p / prod t over the partitions la
     of 2n (rev-lex order), with factors(cols, width) the columns f_0, ...,
@@ -585,37 +591,32 @@ def _partition_sums(model, n, ladder, factors) -> list:
     columns cols:
     symmetric functions of each point's weights t.
 
-    The products walk the tree of partition suffixes depth first from the
-    column of scales: each proper suffix costs one column product, each
-    partition one sum, and a node's column is dropped once its last child
-    is formed, so few columns are alive at once (4 for 2n = 14)."""
-    steps = _suffix_walk(2 * n)
-    size = len(enumerate_partitions(2 * n))
+    The products run along the product walk of the partitions from the
+    column of scales: each distinct nonempty prefix of a partition, parts
+    smallest first, costs one column product (269 for 2n = 14, against 780
+    parts), and the empty partition of n = 0 is the root.  A node's column
+    is dropped once its last child is formed, so few columns are alive at
+    once (4 for 2n = 14)."""
+    lams = enumerate_partitions(2 * n)
+    walk = _product_walk(lams)
 
     def sums(spec, cols, scales):
-        if not steps:  # n = 0: the empty partition only
-            return [sum(scales)]
-        f = factors(cols, len(scales))
-        nodes = [scales] + [None] * (2 * n)
-        out = [0] * size
-        for depth, p, slot, last in steps:
-            parent = nodes[depth - 1]
-            if last:
-                nodes[depth - 1] = None
-            if slot is None:
-                nodes[depth] = list(map(mul, f[p], parent))
-            else:
-                out[slot] = sum(map(mul, f[p], parent))
+        out = [0] * len(lams)
+
+        def leaf(i, xs, ys):
+            out[i] = sum(map(mul, xs, ys))
+
+        _walk_products(walk, factors(cols, len(scales)), scales, leaf)
         return out
 
-    return _residue_pass(model, n, ladder, size, lambda block: sums)
+    return _residue_pass(model, n, ladder, len(lams), lambda block: sums)
 
 
 @lru_cache(maxsize=None)
 def chern_numbers_hilb(model: ToricSurface, n: int, ladder: str = "xi") -> ChernVector:
     """All Chern numbers c_la(Hilb^n(S)), la a partition of 2n, exact: the
     residue sums of prod_{p in la} e_p(t) / prod t."""
-    values = _partition_sums(model, n, ladder, _column_elementary_symmetric)
+    values = _partition_sums(model, n, ladder, partial(_chern_classes, order=2 * n, mults=repeat(1)))
     return ChernVector.from_dict(2 * n, dict(zip(enumerate_partitions(2 * n), values)))
 
 

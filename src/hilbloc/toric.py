@@ -107,9 +107,8 @@ def blowup(model: ToricSurface, chart_index: int) -> ToricSurface:
 
 
 def build_model(spec: str) -> ToricSurface:
-    """Parse a CLI model spec: p2 | p1xp1 | blowup:<spec>:<chart_index>, the
-    chart index in the digits 0-9 only."""
-    spec = spec.strip().lower()
+    """Parse a CLI model spec, spelt exactly: p2 | p1xp1 |
+    blowup:<spec>:<chart_index>, the chart index in the digits 0-9 only."""
     if spec == "p2":
         return p2()
     if spec == "p1xp1":

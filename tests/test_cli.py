@@ -203,6 +203,10 @@ DEPTH_4 = "blowup:blowup:blowup:blowup:p2:0:0:0:0"
         ["chern", "--surface", "blowup:p2: 1", "--n", "1"],
         ["chern", "--surface", "blowup:p2:+1", "--n", "1"],
         ["chern", "--surface", "blowup:p2:\u0661", "--n", "1"],
+        # surface names are lower case, without blanks
+        ["chern", "--surface", " P2 ", "--n", "1"],
+        ["chern", "--surface", "P2", "--n", "1"],
+        ["chern", "--surface", "BLOWUP:P2:0", "--n", "1"],
     ],
 )
 def test_input_errors_exit_2(argv):
@@ -302,7 +306,7 @@ def test_integer_arguments_at_digit_bound(capsys):
 # listed twice is drawn twice as often.
 SURFACES = st.sampled_from(
     ["p2", "p1xp1", "blowup:p2:0", "p2", "p1xp1", "blowup:p2:9", "p5", "", "blowup:blowup:blowup:p2:0:0:0", DEPTH_4]
-    + ["blowup:p2:0_1", "blowup:p2:\u0661"]
+    + ["blowup:p2:0_1", "blowup:p2:\u0661", " P2 ", "P2", "BLOWUP:P2:0"]
 )
 # "1_0" and the Arabic-Indic digits below are integers to int(), not to the CLI
 SMALL_INT = st.sampled_from(["0", "1", "2", "0", "1", "2", "-1", "x", "1.5", "99", "0_1", "\u0661", " 1"])
@@ -389,5 +393,7 @@ def test_cli_contract(argv):
     assert code in (0, 2, 3) or (code == 1 and argv[0] == "verify"), (code, err.getvalue())
     # never a silently reinterpreted number: no digit group separator, no non-ASCII digit
     assert code != 0 or not any(re.search(r"[0-9]_[0-9]", a) or not a.isascii() for a in argv), argv
+    # nor a case-folded or stripped surface name
+    assert code != 0 or not any(a.startswith("--surface=") and a != a.strip().lower() for a in argv), argv
     if code == 0 and "--csv" not in argv:
         assert json.loads(out.getvalue())["schema"] == 1

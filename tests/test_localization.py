@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from math import comb, factorial
 
 import pytest
@@ -631,7 +632,7 @@ def test_blocked_partition_sums_match_per_point_oracle(case):
 
     model, n, ladder, kind, block = case
     if kind == "e":
-        kernel, oracle = loc._column_elementary_symmetric, residue_oracle.elementary_symmetric
+        kernel, oracle = partial(loc._chern_classes, order=2 * n, mults=repeat(1)), residue_oracle.elementary_symmetric
     else:
         kernel = partial(loc._column_power_sums, order=2 * n)
         oracle = partial(residue_oracle.tangent_power_sums, order=2 * n)
@@ -647,3 +648,106 @@ def test_char_bound_matches_fixed_point_walk():
     for model in models:
         for n in range(8):
             assert _char_bound(model, n) == _walked_char_bound(model, n), (model.name, n)
+
+
+# -- the product walk and the Chern kernel against factor-by-factor products ----------
+
+
+FACTORS = st.tuples(st.integers(0, 2), st.integers(0, 3)).map(lambda f: 4 * f[0] + f[1])  # slot, degree
+
+
+@st.composite
+def monomial_sets(draw):
+    """Monomials in (slot, degree) factors, as integers the way the
+    integrands number them, with the empty monomial, prefixes of other
+    monomials and monomials equal after sorting."""
+    monos = draw(st.lists(st.lists(FACTORS, max_size=4).map(tuple), min_size=1, max_size=6))
+    for mono in list(monos):
+        kind = draw(st.sampled_from(("none", "empty", "prefix", "reordered")))
+        if kind == "empty":
+            monos.append(())
+        elif kind == "prefix":
+            monos.append(mono[: draw(st.integers(0, len(mono)))])
+        elif kind == "reordered":
+            monos.append(tuple(draw(st.permutations(mono))))
+    return tuple(draw(st.permutations(monos)))
+
+
+@settings(max_examples=example_count(100), deadline=None)
+@given(monomial_sets(), st.lists(st.integers(-9, 9), min_size=1, max_size=3))
+def test_product_walk_matches_factor_by_factor_products(monomials, root):
+    from hilbloc.localization import _product_walk, _walk_products
+
+    width = len(root)
+    table = [[(f + 2) * (-1) ** w + w for w in range(width)] for f in range(12)]
+    walk = _product_walk(monomials)
+    seen = {}
+
+    def leaf(i, xs, ys):
+        assert i not in seen
+        seen[i] = [x * y for x, y in zip(xs, ys)]
+
+    _walk_products(walk, table, root, leaf)
+    for i, mono in enumerate(monomials):
+        col = list(root)
+        for factor in mono:
+            col = [a * b for a, b in zip(col, table[factor])]
+        assert seen.pop(i) == col, mono
+    assert not seen
+    prefixes = {tuple(sorted(mono))[:d] for mono in monomials for d in range(1, len(mono) + 1)}
+    assert sum(1 for depth, *_ in walk if depth) == len(prefixes)
+
+
+def test_product_walk_counts():
+    # one column product per distinct nonempty prefix: the partitions of 6 and
+    # 14 (35 and 780 parts), and the monomials of ch(x^[n]) (77, 217 and 2547
+    # factors at n = 3, 4, 7)
+    from hilbloc.localization import _IntegerIntegrand, _product_walk
+
+    def products(walk):
+        return sum(1 for depth, *_ in walk if depth)
+
+    def monomials(form):
+        return tuple(mono for mono, _, _ in form.terms)
+
+    assert [products(_product_walk(enumerate_partitions(m))) for m in (6, 14)] == [21, 269]
+    x = TautClass(((o_bundle(p2(), 1), 1),))
+    forms = [_IntegerIntegrand(Integrand.chern_character(x, n, None), n, {}) for n in (3, 4, 7)]
+    assert [products(_product_walk(monomials(form))) for form in forms] == [29, 66, 507]
+    # monomials equal once their factors are sorted are one leaf, and a zero
+    # coefficient none
+    poly = ((1, (("X", 1), ("X", 2))), (2, (("X", 2), ("X", 1))), (0, (("X", 3),)))
+    form = _IntegerIntegrand(Integrand(poly, (("X", x),)), 2, {})
+    assert form.terms == [((1, 2), 3, 3 * factorial(3))]
+
+
+@st.composite
+def chern_kernel_cases(draw):
+    """Weight columns over a few points with multiplicities in any order (a
+    positive one after a negative one among them), or every multiplicity 1
+    with order the number of weights."""
+    width, count = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    cols = [draw(st.lists(st.integers(-5, 5), min_size=width, max_size=width)) for _ in range(count)]
+    if draw(st.booleans()):
+        return cols, [1] * count, count
+    mults = draw(st.lists(st.sampled_from((-2, -1, 0, 1, 2)), min_size=count, max_size=count))
+    if count >= 2 and draw(st.booleans()):
+        mults[draw(st.integers(0, count - 2))], mults[-1] = -1, 1
+    return cols, mults, draw(st.integers(0, 6))
+
+
+@settings(max_examples=example_count(100), deadline=None)
+@given(chern_kernel_cases())
+def test_chern_classes_match_per_point_total_chern(case):
+    from hilbloc.localization import _chern_classes
+
+    cols, mults, order = case
+    width = len(cols[0]) if cols else 2
+    c = _chern_classes(cols, width, order, mults)
+    assert len(c) == order + 1
+    for point in range(width):
+        weights = [col[point] for col in cols]
+        expected = _total_chern(list(zip(weights, mults)), order)
+        assert [col[point] for col in c] == expected, (weights, mults, order)
+        if mults == [1] * len(cols) and order == len(cols):
+            assert [col[point] for col in c] == residue_oracle.elementary_symmetric(weights)

@@ -112,6 +112,7 @@ def test_build_model_specs():
     assert build_model("blowup:blowup:p2:0:1").euler_number == 5
     # int() reads the last four chart indices as 1
     bad_specs = ("p3", "blowup:p2:9", "blowup:p2", "", "blowup:p2:0_1", "blowup:p2: 1", "blowup:p2:+1", "blowup:p2:\u0661")
+    bad_specs += (" p2", "P2", "BLOWUP:p2:0", "blowup:P1xP1:0")
     for bad in bad_specs:
         with pytest.raises(ValueError):
             build_model(bad)
