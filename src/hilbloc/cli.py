@@ -244,6 +244,8 @@ def _genus_by_name(name: str, degree: int, parser):
             k = _parse_int(kk, "k in --genus phi:N:k", parser)
         except ValueError:
             parser.error("phi genus spec must be phi:N:k")
+        if name != f"phi:{level}:{k}":  # after the digit bound: no "+", no leading zero
+            parser.error(f"--genus {name} must be spelled phi:{level}:{k}")
         return phi_nk_genus(level, k, degree)
     parser.error(f"unknown genus {name!r} (todd, euler, signature, phi:N:k, chi_y)")
 
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--genus", required=True,
         help=f"todd | euler | signature | phi:N:k | chi_y; phi:N:k needs 0 <= k <= N and N >= 1, "
-        f"N and k of at most {DIGITS_MAX} digits each",
+        f"N and k of at most {DIGITS_MAX} digits each, without a sign or a leading zero",
     )
     where = sp.add_mutually_exclusive_group()
     where.add_argument("--surface", default=None, help=SURFACE_HELP)

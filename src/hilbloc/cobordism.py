@@ -19,7 +19,11 @@ c2 = c2, built from the localized series of the models P2 and P1xP1.
 A `ChernVector`, the map {partitions la of d} -> Q of the Chern numbers
 c_la = integral of c_la1 c_la2 ... (TM), is the form in which classes are
 printed and compared; `to_beta` and `from_beta` convert by Newton's
-identities.  The basis of projective-space monomials
+identities.  `from_beta` works in integers: k! e_k has the integer
+coefficients k!/z_nu in the p_nu, so c_la = sum_mu T[la][mu] b_mu / prod_i la_i!
+with T[la][mu] = aut(mu) prod_i la_i! [p_mu] e_la an integer table, and the
+b_mu of one monomial in the parameters are one integer vector over one
+denominator.  The basis of projective-space monomials
 CP^{m_1} x ... x CP^{m_k} (`cp_product_class`, `basis_matrix`,
 `to_cp_basis`, `from_cp_basis`) is kept on `ChernVector`s as an
 independent reference for the tests; no computation here goes through it.
@@ -27,9 +31,12 @@ independent reference for the tests; no computation here goes through it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import product as cartesian_product
+from math import comb, factorial, lcm, prod
+from operator import mul
 
 from .partitions import enumerate_partitions, merge
 from .records import Record
@@ -95,34 +102,19 @@ def cp_product_class(dims: tuple) -> ChernVector:
     if not dims or any(d < 1 for d in dims):
         raise ValueError("dims must be positive integers")
     d = sum(dims)
-    total = _expand_total_chern(dims)
-    # split into graded pieces c_0..c_d  (degree = sum of exponents)
+    # graded pieces c_0..c_d: the factors are in distinct variables, so the
+    # coefficient of h_1^e_1...h_k^e_k is prod_i binom(d_i + 1, e_i)
     graded = [dict() for _ in range(d + 1)]
-    for exps, c in total.items():
-        graded[sum(exps)][exps] = c
+    for exps in cartesian_product(*(range(di + 1) for di in dims)):
+        graded[sum(exps)][exps] = Fraction(prod(comb(di + 1, e) for di, e in zip(dims, exps)))
     top = dims  # exponent vector of the point monomial
     numbers = {}
     for la in enumerate_partitions(d):
-        prod = {(0,) * len(dims): Fraction(1)}
+        acc = {(0,) * len(dims): Fraction(1)}
         for part in la:
-            prod = _mul_trunc(prod, graded[part], dims)
-        numbers[la] = prod.get(top, Fraction(0))
+            acc = _mul_trunc(acc, graded[part], dims)
+        numbers[la] = acc.get(top, Fraction(0))
     return ChernVector.from_dict(d, numbers)
-
-
-def _expand_total_chern(dims):
-    from math import comb
-
-    k = len(dims)
-    total = {(0,) * k: Fraction(1)}
-    for i, di in enumerate(dims):
-        factor = {}
-        for e in range(di + 1):
-            exps = [0] * k
-            exps[i] = e
-            factor[tuple(exps)] = Fraction(comb(di + 1, e))
-        total = _mul_trunc(total, factor, dims)
-    return total
 
 
 def _mul_trunc(a, b, caps):
@@ -193,10 +185,7 @@ def from_cp_basis(d: int, coeffs: dict) -> ChernVector:
 
 def _aut(mu) -> int:
     """prod_i m_i! over the multiplicities m_i of the parts of mu."""
-    out = 1
-    for part in set(mu):
-        out *= factorial(mu.count(part))
-    return out
+    return prod(factorial(mu.count(part)) for part in set(mu))
 
 
 def _mul_into(out: dict, a: dict, b: dict) -> dict:
@@ -206,7 +195,7 @@ def _mul_into(out: dict, a: dict, b: dict) -> dict:
             continue
         for mu, cb in b.items():
             key = merge(la, mu)
-            out[key] = out.get(key, Fraction(0)) + ca * cb
+            out[key] = out.get(key, 0) + ca * cb
     return out
 
 
@@ -221,22 +210,17 @@ def _power_sum_in_e(k: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _elementary_in_p(k: int) -> dict:
-    """e_k = sum_{nu |- k} (-1)^{k - len(nu)} p_nu / z_nu, z_nu = aut(nu) prod nu."""
-    out = {}
-    for nu in enumerate_partitions(k):
-        z = _aut(nu)
-        for part in nu:
-            z *= part
-        out[nu] = Fraction((-1) ** (k - len(nu)), z)
-    return out
+def _factorial_elementary_in_p(k: int) -> dict:
+    """k! e_k = sum_{nu |- k} (-1)^{k - len(nu)} (k!/z_nu) p_nu, z_nu = aut(nu) prod nu;
+    k!/z_nu is the number of permutations of cycle type nu, an integer."""
+    return {nu: (-1) ** (k - len(nu)) * (factorial(k) // (_aut(nu) * prod(nu))) for nu in enumerate_partitions(k)}
 
 
 @lru_cache(maxsize=None)
 def _expand(single, mu) -> dict:
-    """prod_j single(mu_j): p_mu in the e_la, or e_mu in the p_nu."""
+    """prod_j single(mu_j): p_mu in the e_la, or prod_j mu_j! e_mu_j in the p_nu."""
     if not mu:
-        return {(): Fraction(1)}
+        return {(): 1}
     return _mul_into({}, single(mu[0]), _expand(single, mu[1:]))
 
 
@@ -251,13 +235,18 @@ def _newton_table(d: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _from_beta_table(d: int) -> tuple:
-    """Rows (la, ((mu, t), ...)) over the partitions la of d with
-    c_la = sum t b_mu, that is t = aut(mu) [p_mu] e_la."""
-    return tuple(
-        (la, tuple((mu, c * _aut(mu)) for mu, c in _expand(_elementary_in_p, la).items() if c))
-        for la in enumerate_partitions(d)
-    )
+def _readback_table(d: int) -> tuple:
+    """(slot, rows): slot maps each partition of d to its place in rev-lex
+    order, and rows has one row (den, js, ts) per partition la of d with
+    c_la = sum_i ts[i] b_mu / den for mu the js[i]-th partition: den = prod la_i!
+    and t = aut(mu) [p_mu] prod_i la_i! e_la_i, a nonzero integer."""
+    lams = enumerate_partitions(d)
+    slot = {mu: j for j, mu in enumerate(lams)}
+    rows = []
+    for la in lams:
+        row = [(slot[mu], t * _aut(mu)) for mu, t in _expand(_factorial_elementary_in_p, la).items()]
+        rows.append((prod(map(factorial, la)), *zip(*row)))
+    return slot, tuple(rows)
 
 
 _BETA = "beta"
@@ -309,23 +298,31 @@ def to_beta(x: ChernVector) -> Poly:
 
 def from_beta(d: int, b) -> ChernVector:
     """The class of dimension d whose power-sum polynomial is b; variables
-    other than beta1, ..., beta<d> stay in its Chern numbers."""
+    other than beta1, ..., beta<d> stay in its Chern numbers.  A Chern number
+    is a Poly if its row of the table meets a coefficient of b that is not
+    constant, and a Fraction otherwise."""
     index = {beta_var(k): k for k in range(1, d + 1)}
-    split = {}  # mu -> terms of the coefficient of beta_mu
+    slot, rows = _readback_table(d)
+    groups = defaultdict(lambda: [Fraction(0)] * len(rows))  # parameter monomial -> b_mu by slot of mu
     for mono, c in Poly.coerce(b).terms.items():
         mu = tuple(sorted((index[v] for v, e in mono if v in index for _ in range(e)), reverse=True))
         if sum(mu) != d:
             raise ValueError(f"monomial {mono} has beta-degree {sum(mu)}, expected {d}")
-        split.setdefault(mu, {})[tuple(m for m in mono if m[0] not in index)] = c
-    coeffs = {}
-    for mu, terms in split.items():
-        p = Poly(terms)
-        coeffs[mu] = p.as_fraction() if p.is_constant() else p
-    numbers = {
-        la: linear_combination((coeffs[mu], t) for mu, t in row if mu in coeffs)
-        for la, row in _from_beta_table(d)
-    }
-    return ChernVector.from_dict(d, numbers)
+        groups[tuple(m for m in mono if m[0] not in index)][slot[mu]] = c
+    parametric = {j for mono, vec in groups.items() if mono for j, c in enumerate(vec) if c}
+    vectors = []
+    for mono, vec in groups.items():
+        den = lcm(*(c.denominator for c in vec))
+        vectors.append((mono, den, [c.numerator * (den // c.denominator) for c in vec]))
+    numbers = []
+    for la, (den, js, ts) in zip(enumerate_partitions(d), rows):
+        terms = {}
+        for mono, vden, nums in vectors:
+            s = sum(map(mul, ts, map(nums.__getitem__, js)))
+            if s:
+                terms[mono] = Fraction(s, vden * den)
+        numbers.append((la, terms.get((), Fraction(0)) if parametric.isdisjoint(js) else Poly(terms)))
+    return ChernVector(d, tuple(numbers))
 
 
 def multiply(x: ChernVector, y: ChernVector) -> ChernVector:

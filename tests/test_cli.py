@@ -198,6 +198,9 @@ DEPTH_4 = "blowup:blowup:blowup:blowup:p2:0:0:0:0"
         ["series-id", "--a", "1_0"],
         ["chi", "--surface", "p2", "--n", "1", "--bundle", "1,0,0_0"],
         ["genus", "--genus", "phi:2:\u0661", "--k3", "--n", "1"],
+        # one spelling per genus: int() reads these as phi:2:1
+        ["genus", "--genus", "phi:02:+1", "--k3", "--n", "1"],
+        ["genus", "--genus", "phi:+2:01", "--surface", "p2", "--n", "1"],
         # int() reads these chart indices as 1; build_model takes the digits 0-9 only
         ["chern", "--surface", "blowup:p2:0_1", "--n", "1"],
         ["chern", "--surface", "blowup:p2: 1", "--n", "1"],
@@ -257,6 +260,7 @@ def run_cli(argv):
         (["genus", "--genus", "phi:1_0:1", "--surface", "p2", "--n", "1"], "N in --genus phi:N:k must be an integer"),
         (["genus", "--genus", "phi:2:\u0661", "--k3", "--n", "1"], "k in --genus phi:N:k must be an integer"),
         (["series-id", "--a", "1", "--y", "1_000"], "--y must be a rational number"),
+        (["genus", "--genus", "phi:02:+1", "--k3", "--n", "1"], "--genus phi:02:+1 must be spelled phi:2:1"),
     ],
 )
 def test_input_error_messages(argv, message):
@@ -321,7 +325,7 @@ FLAGS = st.lists(
 GENERA = st.sampled_from(
     ["todd", "euler", "signature", "phi:2:1", "phi:2:5", "phi:0:0", "phi:x", "chi_y", "a"]
     + ["phi:" + "9" * 40 + ":1", "phi:" + "9" * 41 + ":1", "phi:2:" + "9" * 41, "phi:" + "9" * 3000 + ":1"]
-    + ["phi:" + "9" * 5000 + ":1", "phi:1_0:1", "phi:2:\u0661"]
+    + ["phi:" + "9" * 5000 + ":1", "phi:1_0:1", "phi:2:\u0661", "phi:02:+1", "phi:2:-0"]
 )
 
 
@@ -395,5 +399,8 @@ def test_cli_contract(argv):
     assert code != 0 or not any(re.search(r"[0-9]_[0-9]", a) or not a.isascii() for a in argv), argv
     # nor a case-folded or stripped surface name
     assert code != 0 or not any(a.startswith("--surface=") and a != a.strip().lower() for a in argv), argv
+    # nor a phi:N:k genus in any but its one spelling
+    canonical_phi = re.compile(r"--genus=phi:(0|[1-9][0-9]*):(0|[1-9][0-9]*)")
+    assert code != 0 or not any(a.startswith("--genus=phi:") and not canonical_phi.fullmatch(a) for a in argv), argv
     if code == 0 and "--csv" not in argv:
         assert json.loads(out.getvalue())["schema"] == 1

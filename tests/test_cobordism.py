@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbloc.cobordism import (
     ChernVector,
     beta_degree,
     beta_poly,
+    beta_var,
     cp_product_class,
     from_beta,
     from_cp_basis,
@@ -19,7 +22,9 @@ from hilbloc.localization import hilb_cobordism_series, surface_number
 from hilbloc.partitions import enumerate_partitions, merge
 from hilbloc.rings import Poly
 from hilbloc.toric import build_model, p1xp1, p2
+from profile_counts import example_count
 from record_oracle import assert_record
+import beta_oracle
 
 U = Poly.var("u")
 
@@ -152,3 +157,48 @@ def test_beta_poly_divides_by_aut_and_keeps_parameters():
     assert beta_degree(3 * b2 + U * b1 * b1) == 2
     assert beta_degree(to_beta(cp_product_class((3, 1)))) == 4
     assert beta_degree(Fraction(7)) == beta_degree(U) == 0
+
+
+# -- the integer readback against the Fraction oracle -------------------------------
+
+FRACTIONS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+# parameter monomials next to the beta_k: none, the surface numbers, y
+PARAMETERS = st.sampled_from(
+    [(), (), (("c1sq", 1),), (("c2", 1),), (("c1sq", 1), ("c2", 2)), (("y", 3),), (("c2", 1), ("y", 1))]
+)
+
+
+def _beta_term(mu, params):
+    return tuple(sorted(params + tuple((beta_var(k), mu.count(k)) for k in set(mu))))
+
+
+@st.composite
+def beta_polys(draw):
+    """(d, b): a power-sum polynomial b of dimension d <= 10, drawn either term
+    by term or as to_beta of a class with Fraction and Poly Chern numbers.
+    A class whose Chern numbers have fewer parameters than its b_mu makes
+    the parameter groups of b cancel to zero in some rows of the readback."""
+    d = draw(st.integers(0, 10))
+    lams = enumerate_partitions(d)
+    if draw(st.booleans()):
+        terms = draw(st.lists(st.tuples(st.sampled_from(lams), PARAMETERS, FRACTIONS), max_size=12))
+        return d, Poly({_beta_term(mu, params): c for mu, params, c in terms})
+    values = draw(st.lists(st.tuples(PARAMETERS, FRACTIONS, FRACTIONS), min_size=len(lams), max_size=len(lams)))
+    numbers = {la: Poly({params: c, (): c0}) if params else c for la, (params, c, c0) in zip(lams, values)}
+    return d, to_beta(ChernVector.from_dict(d, numbers))
+
+
+@settings(max_examples=example_count(60), deadline=None)
+@given(beta_polys(), st.integers(1, 11), PARAMETERS)
+def test_from_beta_matches_fraction_oracle(case, k, params):
+    d, b = case
+    got, want = from_beta(d, b), beta_oracle.from_beta(d, b)
+    assert got == want
+    assert [type(v) for _, v in got.numbers] == [type(v) for _, v in want.numbers]
+    # one monomial of the wrong beta-degree is refused by both (beta_k with
+    # k > d counts as a parameter, so the wrong degree comes from beta1^k)
+    if d and k != d:
+        wrong = b + Poly({_beta_term((1,) * k, params): 1})
+        for readback in (from_beta, beta_oracle.from_beta):
+            with pytest.raises(ValueError, match=f"beta-degree {k}, expected {d}"):
+                readback(d, wrong)

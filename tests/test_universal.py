@@ -81,6 +81,25 @@ def test_universal_top_chern_is_goettsche():
             assert _evaluate(tab, c1sq, c2)[(2 * n,)] == want[c2][n]
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_universal_chern_numbers_are_integers_on_the_lattice(n):
+    # [S] = a [P2] + b [P1xP1] is an integral class for integer a, b, so every
+    # Chern number of term n of H(P2)^a H(P1xP1)^b is an integer.  P_la has
+    # total degree <= n in (a, b), and by forward differences such a
+    # polynomial is an integer on all of Z^2 once it is one on a, b >= 0,
+    # a + b <= n.
+    tab = universal_chern_poly(n)
+    for a in range(n + 1):
+        for b in range(n + 1 - a):
+            values = _evaluate(tab, 9 * a + 8 * b, 3 * a + 4 * b)
+            assert all(v.denominator == 1 for v in values.values()), (a, b)
+
+
+def test_universal_chern_numbers_off_the_lattice_are_not_integers():
+    # (c1^2, c2) = (1, 0) is (a, b) = (1/3, -1/4): the lattice test has teeth
+    assert _evaluate(universal_chern_poly(2), 1, 0)[(2, 2)] == Fraction(3, 2)
+
+
 def test_fit_ab_trivial_ranks():
     for r in (-1, 0, 1):
         pair = fit_AB(r, 3)
