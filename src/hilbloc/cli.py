@@ -33,14 +33,14 @@ from .universal import FitError, fit_AB, universal_chern_poly
 
 LONG_N_MAX = 7
 SHORT_N_MAX = 5
-TWIST_ORDER_MAX = 10  # twist-series --order 10 --long: about 1.5 s of CPU time, also with a 40-digit --r
+TWIST_ORDER_MAX = 10  # twist-series --order 10 --long: about 0.5 s of CPU time, also with a 40-digit --r
 SERIES_ORDER_MAX = 60  # series-id: about 0.23 s of CPU time at --order 60 --a 100 with a 40-digit p/q
 SERIES_A_MAX = 100
 DIGITS_MAX = 40  # digits of --r, of each --k/--bundle entry, of N and k in --genus phi:N:k, and of p and q in series-id --y
 BLOWUP_DEPTH_MAX = 3  # nested blowup: levels in --surface
 SURFACE_HELP = (
     f"p2, p1xp1 or blowup:<surface>:<chart>, at most {BLOWUP_DEPTH_MAX} blowup: levels "
-    "(--n 7 --long on three blowups of p1xp1: chern about 1.4 s, chi about 1.5 s, genus about 2.0 s)"
+    "(--n 7 --long on three blowups of p1xp1: chern about 1.4 s, chi about 0.2 s, genus about 2.0 s)"
 )
 
 
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", required=True, help=f"at most {DIGITS_MAX} digits")
     sp.add_argument(
         "--order", type=integer, required=True,
-        help=f"2..{TWIST_ORDER_MAX}; above {LONG_N_MAX} needs --long (order {TWIST_ORDER_MAX}: about 1.5 s)",
+        help=f"2..{TWIST_ORDER_MAX}; above {LONG_N_MAX} needs --long (order {TWIST_ORDER_MAX}: about 0.5 s)",
     )
     sp.add_argument("--long", action="store_true", help=f"enable order {LONG_N_MAX + 1}..{TWIST_ORDER_MAX}")
     sp.add_argument("--csv", action="store_true")

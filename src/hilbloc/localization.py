@@ -7,26 +7,31 @@ the arm/leg formula; tautological weights from the cell grid shifted by
 the local weight of the inducing line bundle.
 
 Every number computed here is a residue sum over the fixed points of an
-integer numerator over prod t, and one pass, `_residue_pass`, evaluates
-them all.  It walks the fixed points in blocks of a few hundred and hands
-each output the block's tangent weights as columns (one list over the
-block's points per weight); the output supplies only its sums over the
-block, formed column-wise by one set of kernels: for Chern numbers the
-numerators are prod_{p in la} e_p(t), and for the power-sum polynomial of
-Hilb^n(S) (the cobordism class that `hilb_cobordism_series` returns)
-prod_{p in mu} p_p(t).  Every other integrand has one shape, a
+integer numerator over prod t.  One pass, `_residue_pass`, evaluates all
+but chi(L_n (x) E^r).  It walks the fixed points in blocks of a few
+hundred and hands each output the block's tangent weights as columns (one
+list over the block's points per weight); the output supplies only its
+sums over the block, formed column-wise by one set of kernels: for Chern
+numbers the numerators are prod_{p in la} e_p(t), and for the power-sum
+polynomial of Hilb^n(S) (the cobordism class that `hilb_cobordism_series`
+returns) prod_{p in mu} p_p(t).  Every other integrand has one shape, a
 polynomial in the Chern classes of tautological bundles (and of T) times
 one multiplicative tangent class (Todd for Riemann-Roch); it is evaluated
 on the same columns, each factor scaled so that its coefficients are
-integers (see "integrand" below), and `_integrate_family` serves several
-determinant twists e^{c1(L_n (x) E^r)} from the same pass.  Every product
-of such columns runs along one walk over a trie of monomials
-(`_product_walk`), one column product per distinct nonempty prefix.
-Characters stay symbolic (integer pairs) until the pass specializes them
-along the first two members of a deterministic ladder of generic
-one-parameter subgroups; each specialization keeps integer numerators
-over one running common denominator, the lcm of the block denominators
-seen so far, and the two exact sums must agree.
+integers (see "integrand" below).  Every product of such columns runs
+along one walk over a trie of monomials (`_product_walk`), one column
+product per distinct nonempty prefix.  Characters stay symbolic (integer
+pairs) until the pass specializes them along the first two members of a
+deterministic ladder of generic one-parameter subgroups; each
+specialization keeps integer numerators over one running common
+denominator, the lcm of the block denominators seen so far, and the two
+exact sums must agree.
+
+chi(L_n (x) E^r) is not a pass over tuples of partitions: its integrand
+td(T) e^{c1(L_n (x) E^r)} is multiplicative over the charts, so
+`chi_series` gives it for every n <= order at once as one product over
+the charts of sums over single partitions, on the same column kernels and
+under the same two-specialization gate.
 
 Numbers on the surface itself (intersection numbers, the gamma-vectors of
 `universal`) are the case n = 1, since Hilb^1(S) = S: `surface_number`
@@ -45,7 +50,7 @@ from .cobordism import ChernVector, _power_sum_in_e, beta_poly
 from .partitions import cells, enumerate_partitions
 from .records import Record
 from .series import TruncSeries, todd_series
-from .toric import Chart, TLineBundle, ToricSurface
+from .toric import Chart, TLineBundle, ToricSurface, line_bundle
 
 
 class ConsistencyError(RuntimeError):
@@ -381,8 +386,7 @@ def _residue_pass(model, n, ladder, size, at_block) -> list:
 # multisets (Hirzebruch's universal-genus viewpoint, as in `cobordism`), with
 # p_k = sum m w^k their power sums and N = 2n:
 #   prod_i Q(t_i eps) = Q(0)^N exp(sum_k s_k p_k(t) eps^k),  log(Q/Q(0)) = sum s_k x^k,
-#   c(X) = prod (1 + w eps)^m   (virtual X too: m < 0),
-#   e^{w eps} = sum_j w^j eps^j / j!.
+#   c(X) = prod (1 + w eps)^m   (virtual X too: m < 0).
 # A Chern character or exp(c1) is a polynomial in Chern classes too
 # (`Integrand.chern_character`, `universal.h_psi_phi`).
 # Let D be an integer with D^k s_k integral for k = 1..N (it is grown from
@@ -392,9 +396,7 @@ def _residue_pass(model, n, ladder, size, at_block) -> list:
 # denominators), and a product of factors is the binomial convolution
 #   (XY)_m = sum_j C(m, j) X_j Y_{m-j}.
 # The tangent exponential is
-#   E_0 = 1,  E_m = sum_k (k D^k s_k) (m-1)!/(m-k)! p_k E_{m-k},
-# and a determinant twist enters only the top coefficient of the product B:
-#   N! D^N P top = sum_j C(N, j) (D w)^j B_{N-j}.
+#   E_0 = 1,  E_m = sum_k (k D^k s_k) (m-1)!/(m-k)! p_k E_{m-k}.
 # The integral is Q(0)^N / (N! D^N P) times the residue sum of these
 # integers over prod t.  Every step runs on a block of points at once: each
 # X_m is a column over the block's points, like the weights it comes from.
@@ -457,6 +459,15 @@ def _tangent_log(tangent_class, order):
     return Fraction(q[0]) ** order, d, exp
 
 
+def _tangent_exponential(exp, p, width, order) -> list:
+    """The columns E_0, ..., E_order of the tangent exponential above, from
+    the rows exp of `_tangent_log` and the columns p = [p_1, p_2, ...]."""
+    e = [[1] * width]
+    for m in range(1, order + 1):
+        e.append(_column_dot(exp[m], p, e[::-1], width))
+    return e
+
+
 class _IntegerIntegrand:
     """One integral's integrand over Hilb^n in the scaled integer form above:
     the constants depend on the integrand and n only, and `numerators` is
@@ -468,9 +479,8 @@ class _IntegerIntegrand:
     def __init__(self, integrand: Integrand, n: int, chern_slots: dict):
         order = self.order = 2 * n
         self.scale, d, self.exp = _tangent_log(integrand.tangent_class, order)
-        self.d = d
         fd = [factorial(m) * d**m for m in range(order + 1)]
-        self.binom = [[comb(m, j) for j in range(m + 1)] for m in range(order + 1)]
+        self.binom = [comb(order, j) for j in range(order + 1)]
         poly_den = 1  # P
         self.terms = None  # per monomial: (sorted factors, degree, scaled coefficient)
         if integrand.poly != _UNIT_POLY:
@@ -485,42 +495,25 @@ class _IntegerIntegrand:
             self.terms = [(mono, deg, fd[deg] * int(c * poly_den)) for (deg, mono), c in merged.items() if c]
         self.denominator = fd[order] * poly_den
 
-    def numerators(self, body, tangent_p, dets, width) -> list:
-        """The columns of N! D^N P times the eps^N coefficient over a block of
-        width points, one per determinant weight column in dets (None: no
-        determinant factor), from the scaled coefficients body of the
-        polynomial (None for the unit polynomial) and the power sums
-        tangent_p of the points' tangent weights, all columns."""
+    def numerators(self, body, tangent_p, width) -> list:
+        """The column of N! D^N P times the eps^N coefficient over a block of
+        width points, from the scaled coefficients body of the polynomial
+        (None for the unit polynomial) and the power sums tangent_p of the
+        points' tangent weights, all columns."""
         order = self.order
-        if self.exp is not None:
-            e = [[1] * width]
-            for m in range(1, order + 1):
-                e.append(_column_dot(self.exp[m], tangent_p[1:], e[::-1], width))
-            body = e if body is None else [_column_dot(self.binom[m], body, e[m::-1], width) for m in range(order + 1)]
+        if self.exp is None:
+            return [1 if order == 0 else 0] * width if body is None else body[order]
+        e = _tangent_exponential(self.exp, tangent_p[1:], width, order)
         if body is None:
-            body = [[1] * width] + [[0] * width for _ in range(order)]
-        out = []
-        top = None
-        for w in dets:
-            if w is None:
-                out.append(body[order])
-                continue
-            if top is None:  # C(N, j) B_{N-j}, highest j first
-                top = [[c * b for b in col] for c, col in zip(self.binom[order], reversed(body))][::-1]
-            x = [self.d * v for v in w]
-            acc = top[0]
-            for u in top[1:]:
-                acc = [a * t + b for a, t, b in zip(acc, x, u)]
-            out.append(acc)
-        return out
+            return e[order]
+        return _column_dot(self.binom, body, e[::-1], width)
 
 
-def _integrate_family(model, n, integrands, dets, ladder):
-    """The integral of each integrand times e^{c1(L_n (x) E^r)} for each
-    (L, r) in dets (an entry None means no determinant factor), integrand
-    by integrand, from one residue pass.  On each block and specialization
-    the tangent and tautological Chern classes and the tangent power sums
-    are formed once, column by column, for every integrand that reads them."""
+def _integrate_family(model, n, integrands, ladder):
+    """The integral of each integrand, from one residue pass.  On each
+    block and specialization the tangent and tautological Chern classes and
+    the tangent power sums are formed once, column by column, for every
+    integrand that reads them."""
     order = 2 * n
     chern_slots = {}
     forms = [_IntegerIntegrand(integrand, n, chern_slots) for integrand in integrands]
@@ -536,7 +529,6 @@ def _integrate_family(model, n, integrands, dets, ladder):
         for x in chern_slots:
             pairs = None if x == "tangent" else [taut_weights(model, fp, x) for fp in block]
             taut.append(pairs and ([m for _, m in pairs[0]], list(zip(*([c for c, _ in p] for p in pairs)))))
-        det_cols = None if dets == (None,) else list(zip(*(det_taut_weight(model, fp, dets) for fp in block)))
 
         def sums(spec, cols, scales):
             width = len(scales)
@@ -545,7 +537,6 @@ def _integrate_family(model, n, integrands, dets, ladder):
                 weights = cols if x is None else [[_specialize(c, spec) for c in col] for col in x[1]]
                 table += _chern_classes(weights, width, order, repeat(1) if x is None else x[0])
             p = _column_power_sums(cols, width, order) if tangent_exp else None
-            ws = dets if det_cols is None else [[_specialize(c, spec) for c in col] for col in det_cols]
             bodies = [None if form.terms is None else [[0] * width for _ in range(order + 1)] for form in forms]
 
             def leaf(i, xs, ys):  # a coefficient joins at its leaf
@@ -553,20 +544,19 @@ def _integrate_family(model, n, integrands, dets, ladder):
                 bodies[k][deg] = [b + c * x * y for b, x, y in zip(bodies[k][deg], xs, ys)]
 
             _walk_products(walk, table, [1] * width, leaf)
-            numerators = (col for form, body in zip(forms, bodies) for col in form.numerators(body, p, ws, width))
+            numerators = (form.numerators(body, p, width) for form, body in zip(forms, bodies))
             return [sum(map(mul, col, scales)) for col in numerators]
 
         return sums
 
-    values = _residue_pass(model, n, ladder, len(forms) * len(dets), at_block)
-    factors = [form.scale / form.denominator for form in forms for _ in dets]
-    return [v * f for v, f in zip(values, factors)]
+    values = _residue_pass(model, n, ladder, len(forms), at_block)
+    return [v * form.scale / form.denominator for v, form in zip(values, forms)]
 
 
 def integrate(model: ToricSurface, n: int, integrand: Integrand, ladder: str = "xi") -> Fraction:
     """Bott-residue integral over Hilb^n(S), exact; ConsistencyError if the
     two specializations of the chosen 1-PS ladder disagree."""
-    return _integrate_family(model, n, (integrand,), (None,), ladder)[0]
+    return _integrate_family(model, n, (integrand,), ladder)[0]
 
 
 def surface_number(model: ToricSurface, monomials, bundles) -> tuple:
@@ -574,7 +564,7 @@ def surface_number(model: ToricSurface, monomials, bundles) -> tuple:
     classes of the declared bundles, from one residue pass: intersection numbers, so
     ConsistencyError unless each is integral."""
     integrands = [Integrand(poly=((1, mono),), bundles=bundles) for mono in monomials]
-    values = _integrate_family(model, 1, integrands, (None,), "xi")
+    values = _integrate_family(model, 1, integrands, "xi")
     for value in values:
         if value.denominator != 1:
             raise ConsistencyError(f"non-integral surface number {value}")
@@ -634,15 +624,140 @@ def hilb_cobordism_series(model: ToricSurface, order: int) -> TruncSeries:
     return TruncSeries("z", order, [_hilb_beta(model, n) for n in range(order + 1)])
 
 
+# -- chi(L_n (x) E^r): a product over the charts -------------------------------------
+#
+# At a fixed point (la_c) the tangent space is the sum of the charts' pieces
+# T_{la_c}, and the weight of det(L_n (x) E^r) is the sum over the charts of
+# |la_c| lw_c(L) + r o_c(la_c), with o_c(la) the weight of det O^[|la|] at
+# the one-chart point la (`det_taut_weight`).  So, Q the Todd series,
+#   sum_n chi(L_n (x) E^r) z^n = sum_n z^n [eps^{2n}] prod_c Z_c,
+#   Z_c = sum_la z^{|la|} e^{|la| lw_c(L) eps} e^{r o_c(la) eps} prod_{t in T_la} Q(t eps) / t,
+# exactly at each specialization: the sum over tuples of partitions becomes
+# one sum over single partitions per chart.  With N = 2 order, the partitions
+# of size <= order at a chart are the columns of the integrand's integer
+# kernels (each one's 2|la| weights padded with zeros to N), r o_c(la)
+# folded into the eps^1 term of the tangent exponential.  Summed by size m
+# over their prod t, they give the chart's table
+#   a_c[m][j] = N! L_c D^j [eps^j] (Z_c without e^{m lw_c(L) eps} at z^m),
+# L_c the lcm of the chart's prod t, and e^{m lw_c(L) eps} is scaled the
+# same way, N! D^j [eps^j].  Scaled factors multiply by plain convolution
+# in (z, eps), each product gaining a factor N!.
+
+
+@lru_cache(maxsize=None)
+def _chart_characters(model: ToricSurface, order: int) -> tuple:
+    """Per chart, for its partitions of size 0..order, size by size: their
+    tangent characters and the characters o_c of det O^[n] at them."""
+    lams = [la for m in range(order + 1) for la in enumerate_partitions(m)]
+    trivial = line_bundle(model, [0] * len(model.rays))
+    none = ((),) * len(model.charts)
+    return tuple(
+        (
+            tuple(chart_tangent_weights(chart, la) for la in lams),
+            tuple(det_taut_weight(model, none[:c] + (la,) + none[c + 1 :], [(trivial, 1)])[0] for la in lams),
+        )
+        for c, chart in enumerate(model.charts)
+    )
+
+
+@lru_cache(maxsize=None)
+def _chart_columns(model: ToricSurface, order: int, spec) -> tuple:
+    """Per chart at the specialization spec, over `_chart_characters`: the
+    columns p_1, ..., p_N of the tangent weights' power sums (each
+    partition's 2|la| weights padded with zeros to N), the column of o_c,
+    and L_c with the column of the scales L_c / prod t.  A zero tangent
+    weight raises ConsistencyError."""
+    out = []
+    for chars, o in _chart_characters(model, order):
+        tvals = [specialize_tangents(c, spec) for c in chars]
+        cols = list(zip(*(t + [0] * (2 * order - len(t)) for t in tvals)))
+        ds = list(map(prod, tvals))
+        den = lcm(*ds)
+        p = tuple(map(tuple, _column_power_sums(cols, len(tvals), 2 * order)[1:]))
+        out.append((p, tuple(_specialize(w, spec) for w in o), den, tuple(den // x for x in ds)))
+    return tuple(out)
+
+
+def _chart_sums(columns, sizes, r, d, exp, units) -> list:
+    """The table a_c of one chart's columns (`_chart_columns`) for the twist
+    r: sizes[m] of the partitions have size m, for m = 0..order in turn, d
+    and exp are those of `_tangent_log` at N = 2 order and units[j] = N! / j!."""
+    p, o, _, scales = columns
+    big = len(p)
+    if p:  # E's eps^1 term a_1 p_1 gains D r o_c; exp[m][0] = a_1 for every m
+        p = [[exp[1][0] * x + d * r * w for x, w in zip(p[0], o)], *p[1:]]
+        exp = [row and (1, *row[1:]) for row in exp]
+    e = [list(map(mul, col, scales)) for col in _tangent_exponential(exp, p, len(scales), big)]
+    table, start = [], 0
+    for size in sizes:
+        table.append([u * sum(col[start : start + size]) for u, col in zip(units, e)])
+        start += size
+    return table
+
+
+def _twisted(table, w, units) -> list:
+    """The rows table[m] times e^{m w eps}, all scaled (w is D times the
+    specialized weight, units[i] = N! / i!)."""
+    out = [[units[0] * x for x in table[0]]]
+    for m, row in enumerate(table[1:], 1):
+        twist = [u * (m * w) ** i for i, u in enumerate(units)]
+        out.append([sum(map(mul, twist[: j + 1], row[j::-1])) for j in range(len(row))])
+    return out
+
+
+def _z_eps_coeff(x, y, n, j) -> int:
+    """The z^n eps^j coefficient of the product of two scaled tables, each
+    constant at z^0 (one partition, the empty one)."""
+    if n == 0:
+        return x[0][0] * y[0][0] if j == 0 else 0
+    total = x[0][0] * y[n][j] + x[n][j] * y[0][0]
+    for m in range(1, n):
+        total += sum(map(mul, x[m][: j + 1], y[n - m][j::-1]))
+    return total
+
+
+def _chart_product(tables) -> list:
+    """[X[n][2n] for n = 0..order] of the product X of the charts' scaled
+    (z, eps) tables; the last chart gives only these coefficients."""
+    acc, *middle, last = tables
+    order = len(acc) - 1
+    for table in middle:
+        acc = [[_z_eps_coeff(acc, table, n, j) for j in range(2 * order + 1)] for n in range(order + 1)]
+    return [_z_eps_coeff(acc, last, n, 2 * n) for n in range(order + 1)]
+
+
+def chi_series(model: ToricSurface, order: int, bundles, r: int, ladder: str = "xi") -> list:
+    """[[chi(L_n (x) E^r) for n = 0..order] for L in bundles], exact: the
+    chart product above at each of the first two specializations of the
+    1-PS ladder at order, which must agree value by value."""
+    big = 2 * order
+    _, d, exp = _tangent_log(todd_series("x", big), big)  # Todd: Q(0) = 1
+    sizes = [len(enumerate_partitions(m)) for m in range(order + 1)]
+    units = [factorial(big) // factorial(i) for i in range(big + 1)]
+    specs = one_ps_ladder(model, order, ladder)[:2]
+    values = []  # per specialization: numerators per bundle, and denominators
+    for spec in specs:
+        columns = _chart_columns(model, order, spec)
+        sums = [_chart_sums(cols, sizes, r, d, exp, units) for cols in columns]
+        # each chart's table and twist carry N!, its table L_c
+        den = prod(cols[2] for cols in columns) * units[0] ** (2 * len(sums))
+        rows = []
+        for L in bundles:
+            weights = [d * _specialize(L.local_weight(chart), spec) for chart in model.charts]
+            rows.append(_chart_product([_twisted(table, w, units) for table, w in zip(sums, weights)]))
+        values.append((rows, [den * d ** (2 * n) for n in range(order + 1)]))
+    (rows, dens), (rows2, dens2) = values
+    out = []
+    for row, row2 in zip(rows, rows2):
+        out.append([Fraction(v, den) for v, den in zip(row, dens)])
+        for a, b, den, den2, value in zip(row, row2, dens, dens2, out[-1]):
+            if a * den2 != b * den:
+                other = Fraction(b, den2)
+                raise ConsistencyError(f"specializations {specs[0]} and {specs[1]} disagree: {value} vs {other}")
+    return out
+
+
 def chi_via_RR(model: ToricSurface, n: int, L: TLineBundle, r: int = 0, ladder: str = "xi") -> Fraction:
     """chi(L_n (x) E^r) by equivariant Riemann-Roch: the Bott integral of
-    td(T) exp(c1(L_n (x) E^r))."""
-    return _integrate_family(model, n, (Integrand(tangent_class=todd_series("x", 2 * n)),), ((L, r),), ladder)[0]
-
-
-def chi_via_RR_family(model: ToricSurface, n: int, bundles, r: int) -> list:
-    """[chi(L_n (x) E^r) for L in bundles], from one pass over the fixed
-    points for both specializations: the Todd factor is built once per point
-    and specialization, and each L costs one Horner evaluation."""
-    todd = Integrand(tangent_class=todd_series("x", 2 * n))
-    return _integrate_family(model, n, (todd,), tuple((L, r) for L in bundles), "xi")
+    td(T) exp(c1(L_n (x) E^r)), the term n of `chi_series`."""
+    return chi_series(model, n, (L,), r, ladder)[0][n]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .cobordism import ChernVector, from_beta, hilb_series
-from .localization import Integrand, TautClass, chi_via_RR_family, integrate, surface_number
+from .localization import Integrand, TautClass, chi_series, integrate, surface_number
 from .records import Record
 from .rings import Poly, binomial, gauss_solve, linear_combination
 from .series import TruncSeries, fg_series
@@ -64,11 +64,10 @@ def _fit(rows, logs, order: int, gates) -> list:
 
 def chi_twist_series(ks, r: int, order: int) -> dict:
     """k -> sum_n chi((kH)_n (x) E^r) z^n on P2 for each k in ks, by
-    localization, with one pass over the fixed points per n for all k."""
+    localization: one chart product for every n and k."""
     model = p2()
-    bundles = [o_bundle(model, k) for k in ks]
-    cols = [chi_via_RR_family(model, n, bundles, r) for n in range(order + 1)]
-    return {k: TruncSeries("z", order, [col[i] for col in cols]) for i, k in enumerate(ks)}
+    rows = chi_series(model, order, [o_bundle(model, k) for k in ks], r)
+    return {k: TruncSeries("z", order, row) for k, row in zip(ks, rows)}
 
 
 def fit_AB(r: int, order: int, chi_data: dict | None = None) -> TwistSeriesPair:

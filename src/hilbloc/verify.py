@@ -22,8 +22,8 @@ from .localization import (
     Integrand,
     TautClass,
     chern_numbers_hilb,
+    chi_series,
     chi_via_RR,
-    chi_via_RR_family,
     enumerate_fixed_points,
     hilb_cobordism_series,
     integrate,
@@ -218,12 +218,12 @@ def check_theorem1(p: Profile) -> CheckResult:
 def check_chi_ln(p: Profile) -> CheckResult:
     m = p2()
     bundles = [o_bundle(m, k) for k in range(0, 6)]
+    rows0 = chi_series(m, p.chiv_n, bundles, 0)
+    rows1 = chi_series(m, p.chiv_n, bundles, 1)
     for n in range(1, p.chiv_n + 1):
-        v0s = chi_via_RR_family(m, n, bundles, 0)
-        v1s = chi_via_RR_family(m, n, bundles, 1)
-        for k, v0, v1 in zip(range(0, 6), v0s, v1s):
+        for k, row0, row1 in zip(range(0, 6), rows0, rows1):
             chi = (k + 1) * (k + 2) // 2
-            if v0 != binomial(chi + n - 1, n) or v1 != binomial(chi, n):
+            if row0[n] != binomial(chi + n - 1, n) or row1[n] != binomial(chi, n):
                 return CheckResult(4, "chi(L_n x E^r) lemma", False, f"n={n}, k={k}")
     return CheckResult(
         4, "chi(L_n x E^r) lemma", True, f"binomial values exact, n <= {p.chiv_n}, k <= 5, r in 0,1"

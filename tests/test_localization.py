@@ -11,12 +11,11 @@ from hilbloc.cobordism import ChernVector, to_beta
 from hilbloc.localization import (
     ConsistencyError,
     _char_bound,
-    _integrate_family,
     Integrand,
     TautClass,
     chern_numbers_hilb,
+    chi_series,
     chi_via_RR,
-    chi_via_RR_family,
     det_taut_weight,
     enumerate_fixed_points,
     hilb_cobordism_series,
@@ -242,10 +241,25 @@ def test_integrand_gate_catches_a_perturbed_second_sum(monkeypatch):
 
 
 def test_family_gate_catches_a_perturbed_second_sum(monkeypatch):
+    # add 1 to each scale L_c / prod t of the first chart at the second
+    # specialization; the first specialization's columns are left alone
+    import hilbloc.localization as loc
+
     m = p2()
-    _perturb_second_sum(monkeypatch)
+    chart_columns = loc._chart_columns
+    specs = []
+
+    def perturbed(model, order, spec):
+        (p, o, den, scales), *rest = chart_columns(model, order, spec)
+        specs.append(spec)
+        if len(specs) == 2:
+            scales = [x + 1 for x in scales]
+        return ((p, o, den, scales), *rest)
+
+    monkeypatch.setattr(loc, "_chart_columns", perturbed)
     with pytest.raises(ConsistencyError, match="disagree"):
-        chi_via_RR_family(m, 2, [o_bundle(m, k) for k in (0, 1, 2)], 1)
+        chi_series(m, 2, [o_bundle(m, k) for k in (0, 1, 2)], 1)
+    assert len(set(specs)) == 2
 
 
 def test_surface_number_gate_catches_a_perturbed_second_sum(monkeypatch):
@@ -279,7 +293,7 @@ def test_integrand_gate_catches_a_zero_tangent_weight(monkeypatch):
     with pytest.raises(ConsistencyError, match="zero tangent weight"):
         integrate(m, 1, Integrand.chern_monomial((2,)))
     with pytest.raises(ConsistencyError, match="zero tangent weight"):
-        chi_via_RR_family(m, 1, [o_bundle(m, 0), o_bundle(m, 1)], 0)
+        chi_series(m, 1, [o_bundle(m, 0), o_bundle(m, 1)], 0)
 
 
 @pytest.mark.parametrize("name", ["p2", "p1xp1"])
@@ -293,9 +307,10 @@ def test_chi_closed_forms_through_integer_path(name):
         degrees = [(k1, k2) for k1 in (-2, 0, 1) for k2 in (-1, 0, 2)]
         chis = [Fraction((k1 + 1) * (k2 + 1)) for k1, k2 in degrees]
     bundles = [o_bundle(model, *ks) for ks in degrees]
+    rows0, rows1 = chi_series(model, 6, bundles, 0), chi_series(model, 6, bundles, 1)
     for n in range(1, 7):
-        assert chi_via_RR_family(model, n, bundles, 0) == [binomial(c + n - 1, n) for c in chis]
-        assert chi_via_RR_family(model, n, bundles, 1) == [binomial(c, n) for c in chis]
+        assert [row[n] for row in rows0] == [binomial(c + n - 1, n) for c in chis]
+        assert [row[n] for row in rows1] == [binomial(c, n) for c in chis]
 
 
 @pytest.mark.parametrize("name, euler", [("p2", 3), ("p1xp1", 4), ("blowup:p2:0", 4)])
@@ -368,7 +383,7 @@ def test_ch_taut_riemann_roch():
 # Todd factor ("todd"), tangent class ("phi"), determinant twist e^w ("det",
 # (L, r)) and Chern character sum m e^w ("ch", a TautClass); the oracle
 # applies each one directly at every point, while the engine gets Todd * Phi
-# as one tangent class, the twist through `dets` and ch as a Chern polynomial.
+# as one tangent class, and the twist and ch as Chern polynomials.
 
 
 def _eps_mul(a, b, order):
@@ -468,18 +483,37 @@ def chain_integrate(model, n, case):
     )
 
 
+def expdet_integrand(L, r, n, tangent_class=None, name="X"):
+    """e^{c1(L_n (x) E^r)} times the tangent class on Hilb^n, as the Chern
+    polynomial sum_d c1(X)^d / d! of X = x^[n], x = L + (r - 1) O: det(x^[n])
+    = det(x)_n (x) E^{rank x}."""
+    poly = tuple((Fraction(1, factorial(d)), ((name, 1),) * d) for d in range(2 * n + 1))
+    return Integrand(poly, ((name, TautClass(((L, 1),), r - 1)),), tangent_class)
+
+
+def _times(poly, other, n):
+    """The product of two Chern polynomials, up to degree 2n."""
+    return tuple(
+        (a * b, ma + mb) for a, ma in poly for b, mb in other if sum(d for _, d in ma + mb) <= 2 * n
+    )
+
+
 def engine_integrate(model, n, case):
     """The case through the engine: one Integrand, Todd * Phi its tangent
-    class and ch(X) * the Chern polynomial its polynomial, and the twist
-    as the one entry of `dets`."""
+    class and ch(X) * e^{c1(D)} * the Chern polynomial its polynomial, with
+    D the class whose determinant is the twist."""
     qs = ([todd_series("x", 2 * n)] if case["todd"] else []) + ([case["phi"]] if case["phi"] is not None else [])
     tangent = qs[0] * qs[1] if len(qs) == 2 else (qs[0] if qs else None)
     poly, bundles = case["poly"], case["bundles"]
     if case["ch"] is not None:
         ch = Integrand.chern_character(case["ch"], n, None)
-        poly = tuple((a * b, ma + mb) for a, ma in poly for b, mb in ch.poly)
+        poly = _times(poly, ch.poly, n)
         bundles += ch.bundles
-    return _integrate_family(model, n, (Integrand(poly, bundles, tangent),), (case["det"],), "xi")[0]
+    if case["det"] is not None:
+        expdet = expdet_integrand(*case["det"], n, name="D")
+        poly = _times(poly, expdet.poly, n)
+        bundles += expdet.bundles
+    return integrate(model, n, Integrand(poly, bundles, tangent))
 
 
 MODELS = {"p2": p2(), "p1xp1": p1xp1(), "blowup:p2:0": blowup(p2(), 0)}
@@ -559,10 +593,17 @@ def test_power_sum_evaluator_matches_eps_chain(case):
 
 
 def test_k_family_matches_per_k_chi():
+    # one chart product for every bundle and n, against one residue pass per
+    # bundle and n of td(T) e^{c1(L_n (x) E^r)} as a Chern polynomial
     for model, n, coeffs in ((p2(), 3, ((0, 0, 0), (1, 0, 2), (2, 1, 0))), (p1xp1(), 2, ((0, 0, 0, 0), (1, 0, 2, 0)))):
         bundles = [line_bundle(model, c) for c in coeffs]
         for r in (-2, 0, 3):
-            assert chi_via_RR_family(model, n, bundles, r) == [chi_via_RR(model, n, L, r) for L in bundles]
+            walked = [
+                [integrate(model, k, expdet_integrand(L, r, k, todd_series("x", 2 * k))) for k in range(n + 1)]
+                for L in bundles
+            ]
+            assert chi_series(model, n, bundles, r) == walked
+            assert [chi_via_RR(model, n, L, r) for L in bundles] == [row[n] for row in walked]
 
 
 def test_tangent_class_without_constant_term_is_rejected():
@@ -582,18 +623,42 @@ def test_segre_path_is_the_segre_polynomial():
 
 
 def test_expdet_is_the_determinant_twist():
-    # h_psi_phi takes exp(c1(x^[n])) as the Chern polynomial sum c1^d / d!; the
-    # twist family reads it as e^{c1(L_n (x) E^r)}, L = det x and r = rank x,
-    # by det(x^[n]) = det(x)_n (x) E^{rank x}
+    # h_psi_phi takes exp(c1(x^[n])) as the Chern polynomial sum c1^d / d!; it
+    # is e^{c1(L_n (x) E^r)}, L = det x and r = rank x, by det(x^[n]) =
+    # det(x)_n (x) E^{rank x}: the same polynomial of L + (r - 1) O, and with
+    # the Todd class the chart product's chi
     phi = TruncSeries("x", 6, [1, Fraction(1, 2), Fraction(-1, 3), 2, 0, Fraction(1, 5), -1])
     bl = MODELS["blowup:p2:0"]
     x_bl = TautClass(((line_bundle(bl, (1, 0, -1, 2)), 2), (line_bundle(bl, (0, 1, 0, 0)), -1)), 1)
     for model, x in (*_reference_classes(2), (bl, x_bl)):
-        det = [sum(m * L.coeffs[i] for L, m in x.line_bundles) for i in range(len(model.rays))]
+        det = line_bundle(model, [sum(m * L.coeffs[i] for L, m in x.line_bundles) for i in range(len(model.rays))])
         series = h_psi_phi(model, x, "expdet", phi, 3)
         for n in range(4):
-            twist = ((line_bundle(model, det), x.rank),)
-            assert series[n] == _integrate_family(model, n, (Integrand(tangent_class=phi),), twist, "xi")[0], (x, n)
+            assert series[n] == integrate(model, n, expdet_integrand(det, x.rank, n, phi)), (x, n)
+        todd = h_psi_phi(model, x, "expdet", todd_series("x", 6), 3)
+        assert list(todd.coeffs) == chi_series(model, 3, (det,), x.rank)[0], x
+
+
+@st.composite
+def chi_cases(draw):
+    """A surface (the three models or a two-level blowup), one or two line
+    bundles with coefficients in -2..2, r in -3..3, order <= 3 and a ladder."""
+    model = draw(st.sampled_from((*MODELS.values(), blowup(blowup(p2(), 0), 1))))
+    bundles = draw(st.lists(bundles_of(model), min_size=1, max_size=2))
+    return model, bundles, draw(st.integers(-3, 3)), draw(st.integers(0, 3)), draw(st.sampled_from(("xi", "eta")))
+
+
+@settings(max_examples=example_count(20), deadline=None)
+@given(chi_cases())
+def test_chi_series_matches_the_tuple_walk(case):
+    # the chart product against the residue pass of td(T) e^{c1(X)} with
+    # c1(X^[n]) = c1(L_n (x) E^r), n by n
+    model, bundles, r, order, ladder = case
+    walked = [
+        [integrate(model, n, expdet_integrand(L, r, n, todd_series("x", 2 * n)), ladder) for n in range(order + 1)]
+        for L in bundles
+    ]
+    assert chi_series(model, order, bundles, r, ladder) == walked
 
 
 def _walked_char_bound(model, n):
