@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("series-id", help="verify the f/g power-series identities")
     sp.add_argument("--a", type=integer, required=True, help=f"0..{SERIES_A_MAX}")
-    sp.add_argument("--y", default="1", help=f"p or p/q, at most {DIGITS_MAX} digits each")
+    sp.add_argument("--y", default="1", help=f"p or p/q, at most {DIGITS_MAX} digits each; a negative p/q is written --y=-1/2")
     sp.add_argument("--order", type=integer, default=30, help=f"1..{SERIES_ORDER_MAX}")
     sp.add_argument("--csv", action="store_true")
     sp.set_defaults(fn=cmd_series_id)

@@ -6,26 +6,27 @@ torus-fixed points of S), with total size n.  Tangent weights come from
 the arm/leg formula; tautological weights from the cell grid shifted by
 the local weight of the inducing line bundle.
 
-Every number computed here is a residue sum over the fixed points of an
-integer numerator over prod t.  One pass, `_residue_pass`, evaluates all
-but chi(L_n (x) E^r).  It walks the fixed points in blocks of a few
-hundred and hands each output the block's tangent weights as columns (one
-list over the block's points per weight); the output supplies only its
-sums over the block, formed column-wise by one set of kernels: for Chern
-numbers the numerators are prod_{p in la} e_p(t), and for the power-sum
-polynomial of Hilb^n(S) (the cobordism class that `hilb_cobordism_series`
-returns) prod_{p in mu} p_p(t).  Every other integrand has one shape, a
-polynomial in the Chern classes of tautological bundles (and of T) times
-one multiplicative tangent class (Todd for Riemann-Roch); it is evaluated
-on the same columns, each factor scaled so that its coefficients are
-integers (see "integrand" below).  Every product of such columns runs
-along one walk over a trie of monomials (`_product_walk`), one column
-product per distinct nonempty prefix.  Characters stay symbolic (integer
-pairs) until the pass specializes them along the first two members of a
-deterministic ladder of generic one-parameter subgroups; each
-specialization keeps integer numerators over one running common
-denominator, the lcm of the block denominators seen so far, and the two
-exact sums must agree.
+Every sum over the fixed points of Hilb^n here is a set of monomial sums
+over one column table: `_monomial_sums` walks the fixed points in blocks of
+a few hundred, builds for each block a table of columns (one list over the
+block's points per symmetric function of its weights) and sums each
+monomial in the table's factors over prod t.  For Chern numbers the
+monomials are the partitions la of 2n in the columns e_p(t); for the
+power-sum polynomial of Hilb^n(S) (the cobordism class that
+`hilb_cobordism_series` returns) they are the partitions mu in p_p(t).
+Every other integrand has one shape, a polynomial in the Chern classes of
+tautological bundles (and of T) times one multiplicative tangent class
+(Todd for Riemann-Roch), and is a rational combination of monomials of
+degree 2n in the Chern classes and the scaled tangent exponential (see
+"integrand" below).  Every product of columns runs along one walk over a
+trie of monomials (`_product_walk`), one column product per distinct
+nonempty prefix, and a monomial's block sum is one dot product with the
+column of scales.  Characters stay symbolic (integer pairs) until the pass
+specializes them along the first two members of a deterministic ladder of
+generic one-parameter subgroups; each specialization keeps integer
+numerators over one running common denominator, the lcm of the block
+denominators seen so far, and the two exact sums must agree monomial by
+monomial.
 
 chi(L_n (x) E^r) is not a pass over tuples of partitions: its integrand
 td(T) e^{c1(L_n (x) E^r)} is multiplicative over the charts, so
@@ -41,9 +42,9 @@ integrates several Chern monomials there in one pass.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import repeat
-from math import comb, factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import add, mul, sub
 
 from .cobordism import ChernVector, _power_sum_in_e, beta_poly
@@ -338,26 +339,41 @@ class _ResidueSum:
             acc[i] += x * scale
 
 
-def _residue_pass(model, n, ladder, size, at_block) -> list:
-    """The size residue sums over the fixed points of Hilb^n, exact.
+def _agreed(specs, values, others) -> list:
+    """values, the exact sums at the specialization specs[0], once those at
+    specs[1] (others) agree with them value by value; ConsistencyError if
+    they do not."""
+    for a, b in zip(values, others):
+        if a != b:
+            raise ConsistencyError(f"specializations {specs[0]} and {specs[1]} disagree: {a} vs {b}")
+    return values
 
-    The pass walks the fixed points in blocks of _BLOCK points, and each
-    block is one term of the running sum: at a specialization spec, with
-    cols[j] the column of the points' j-th specialized tangent weight, d =
-    prod t their denominators and L the lcm of the block's d,
-    at_block(block)(spec, cols, [L/d, ...]) returns the block's size
-    integer sums of (L/d) * numerator, the points' numerators over d.  Each
-    (chart, partition) is specialized once per pass and specialization; a
-    zero weight raises ConsistencyError.  The sums of the two
-    specializations are independent until they are compared, value by
-    value, at the end."""
+
+def _monomial_sums(model, n, ladder, monomials, tables) -> list:
+    """The residue sums over the fixed points of Hilb^n of the monomials
+    (tuples of integer factors) over prod t, exact.
+
+    The pass walks the fixed points in blocks of _BLOCK points.
+    tables(block) is called once per block and returns a function of (spec,
+    cols, width): at a specialization spec, with cols[j] the column of the
+    block's j-th specialized tangent weight over its width points, the
+    table of factor columns.  The monomials' column products run along
+    their product walk from the column of scales L/d, with d = prod t of a
+    point and L the lcm of the block's d, so a monomial's block sum is one
+    dot product: each distinct nonempty prefix costs one column product
+    (269 for the partitions of 14, against 780 parts), and a node's column
+    is dropped once its last child is formed.  Each (chart, partition) is
+    specialized once per pass and specialization; a zero weight raises
+    ConsistencyError.  The sums of the two specializations are independent
+    until `_agreed` compares them, monomial by monomial, at the end."""
+    walk = _product_walk(monomials)
     specs = one_ps_ladder(model, n, ladder)[:2]
-    sums = [_ResidueSum(size) for _ in specs]
+    sums = [_ResidueSum(len(monomials)) for _ in specs]
     specialized = [[{} for _ in model.charts] for _ in specs]  # per chart: la -> weights
     points = enumerate_fixed_points(model, n)
     for start in range(0, len(points), _BLOCK):
         block = points[start : start + _BLOCK]
-        block_sums = at_block(block)
+        table = tables(block)
         for spec, known, total in zip(specs, specialized, sums):
             tvals = []
             for fp in block:
@@ -370,36 +386,38 @@ def _residue_pass(model, n, ladder, size, at_block) -> list:
                 tvals.append(t)
             ds = list(map(prod, tvals))
             den = lcm(*ds)
-            total.add(den, block_sums(spec, list(zip(*tvals)), [den // d for d in ds]))
-    v1, v2 = ([Fraction(a, total.den) for a in total.acc] for total in sums)
-    for a, b in zip(v1, v2):
-        if a != b:
-            raise ConsistencyError(
-                f"specializations {specs[0]} and {specs[1]} disagree: {a} vs {b}"
-            )
-    return v1
+            scales = [den // d for d in ds]
+            out = [0] * len(monomials)
+
+            def leaf(i, xs, ys):
+                out[i] = sum(map(mul, xs, ys))
+
+            _walk_products(walk, table(spec, list(zip(*tvals)), len(scales)), scales, leaf)
+            total.add(den, out)
+    return _agreed(specs, *([Fraction(a, total.den) for a in total.acc] for total in sums))
 
 
 # -- integrand ---------------------------------------------------------------------
 #
-# Every factor of the integrand at a fixed point is a function of its weight
-# multisets (Hirzebruch's universal-genus viewpoint, as in `cobordism`), with
-# p_k = sum m w^k their power sums and N = 2n:
-#   prod_i Q(t_i eps) = Q(0)^N exp(sum_k s_k p_k(t) eps^k),  log(Q/Q(0)) = sum s_k x^k,
-#   c(X) = prod (1 + w eps)^m   (virtual X too: m < 0).
-# A Chern character or exp(c1) is a polynomial in Chern classes too
-# (`Integrand.chern_character`, `universal.h_psi_phi`).
-# Let D be an integer with D^k s_k integral for k = 1..N (it is grown from
-# the denominators of the s_k, and stays far below their lcm).  Each factor
-# is kept as its scaled coefficients X_m = m! D^m [eps^m], which are integers
-# (the Chern polynomial's also times P, the lcm of its coefficients'
-# denominators), and a product of factors is the binomial convolution
-#   (XY)_m = sum_j C(m, j) X_j Y_{m-j}.
-# The tangent exponential is
-#   E_0 = 1,  E_m = sum_k (k D^k s_k) (m-1)!/(m-k)! p_k E_{m-k}.
-# The integral is Q(0)^N / (N! D^N P) times the residue sum of these
-# integers over prod t.  Every step runs on a block of points at once: each
-# X_m is a column over the block's points, like the weights it comes from.
+# Every integrand over Hilb^n is a rational combination of monomials of
+# degree exactly N = 2n in the columns of one table, N + 1 columns per slot;
+# factor s (N + 1) + k is column k of slot s.  A slot is
+#   - a bundle X (tautological, virtual too: m < 0, or the tangent bundle),
+#     whose columns are its Chern classes, c(X) = prod (1 + w eps)^m; or
+#   - a tangent class Q (Hirzebruch's universal-genus viewpoint, as in
+#     `cobordism`).  With p_k = sum t^k the power sums of the tangent weights,
+#       prod_i Q(t_i eps) = Q(0)^N exp(sum_k s_k p_k eps^k),  log(Q/Q(0)) = sum s_k x^k,
+#     and with D an integer with D^k s_k integral for k = 1..N (it is grown
+#     from the denominators of the s_k, and stays far below their lcm), its
+#     columns are the integers E_m = m! D^m [eps^m] exp(sum_k s_k p_k eps^k):
+#       E_0 = 1,  E_m = sum_k (k D^k s_k) (m-1)!/(m-k)! p_k E_{m-k}.
+# A term c P of the Chern polynomial of degree deg < N is the monomial P
+# E_{N-deg} with the coefficient c Q(0)^N / ((N-deg)! D^(N-deg)); without a
+# tangent class only the terms of degree N are kept.  A Chern character or
+# exp(c1) is a polynomial in Chern classes too (`Integrand.chern_character`,
+# `universal.h_psi_phi`).  A monomial of degree N is a global class, so its
+# residue sum is an integral that does not depend on the 1-PS: the two
+# specializations agree monomial by monomial, and so integrand by integrand.
 
 
 _UNIT_POLY = ((Fraction(1), ()),)
@@ -468,94 +486,73 @@ def _tangent_exponential(exp, p, width, order) -> list:
     return e
 
 
-class _IntegerIntegrand:
-    """One integral's integrand over Hilb^n in the scaled integer form above:
-    the constants depend on the integrand and n only, and `numerators` is
-    the work on a block of points.  The bundles whose Chern classes the
-    polynomial reads are keyed by position in the dict chern_slots
-    (TautClass or "tangent" -> slot), which every integrand of one pass
-    shares; c_k of the bundle at slot is the factor slot * (N + 1) + k."""
-
-    def __init__(self, integrand: Integrand, n: int, chern_slots: dict):
-        order = self.order = 2 * n
-        self.scale, d, self.exp = _tangent_log(integrand.tangent_class, order)
-        fd = [factorial(m) * d**m for m in range(order + 1)]
-        self.binom = [comb(order, j) for j in range(order + 1)]
-        poly_den = 1  # P
-        self.terms = None  # per monomial: (sorted factors, degree, scaled coefficient)
-        if integrand.poly != _UNIT_POLY:
-            slot = {name: chern_slots.setdefault(src, len(chern_slots)) for name, src in integrand.bundles}
-            merged = {}  # (degree, sorted factors) -> coefficient: equal monomials are one
-            for c, monos in integrand.poly:
-                deg = sum(k for _, k in monos)
-                if deg <= order:
-                    key = (deg, tuple(sorted(slot[name] * (order + 1) + k for name, k in monos)))
-                    merged[key] = merged[key] + c if key in merged else Fraction(c)
-            poly_den = lcm(1, *(c.denominator for c in merged.values()))
-            self.terms = [(mono, deg, fd[deg] * int(c * poly_den)) for (deg, mono), c in merged.items() if c]
-        self.denominator = fd[order] * poly_den
-
-    def numerators(self, body, tangent_p, width) -> list:
-        """The column of N! D^N P times the eps^N coefficient over a block of
-        width points, from the scaled coefficients body of the polynomial
-        (None for the unit polynomial) and the power sums tangent_p of the
-        points' tangent weights, all columns."""
-        order = self.order
-        if self.exp is None:
-            return [1 if order == 0 else 0] * width if body is None else body[order]
-        e = _tangent_exponential(self.exp, tangent_p[1:], width, order)
-        if body is None:
-            return e[order]
-        return _column_dot(self.binom, body, e[::-1], width)
-
-
-def _integrate_family(model, n, integrands, ladder):
-    """The integral of each integrand, from one residue pass.  On each
-    block and specialization the tangent and tautological Chern classes and
-    the tangent power sums are formed once, column by column, for every
-    integrand that reads them."""
+def _integrand_terms(integrand: Integrand, n: int, slots: dict) -> dict:
+    """The integrand over Hilb^n as {monomial: coefficient}, monomials of
+    degree 2n as above, with sorted factors: equal monomials are one, and a
+    zero coefficient drops its monomial.  slots (a TautClass, "tangent", or
+    the rows exp of a tangent class -> slot) is shared by every integrand
+    of one pass."""
     order = 2 * n
-    chern_slots = {}
-    forms = [_IntegerIntegrand(integrand, n, chern_slots) for integrand in integrands]
-    tangent_exp = any(form.exp is not None for form in forms)
-    # one product walk for every polynomial: leaf i adds c x y to B_deg of form k
-    terms = [(k, deg, c) for k, form in enumerate(forms) for _, deg, c in form.terms or ()]
-    walk = _product_walk(tuple(mono for form in forms for mono, _, _ in form.terms or ()))
+    scale, d, exp = _tangent_log(integrand.tangent_class, order)
+    slot = {name: slots.setdefault(src, len(slots)) for name, src in integrand.bundles}
+    if exp is not None:
+        tangent = slots.setdefault(exp, len(slots)) * (order + 1)  # E_m is the factor tangent + m
+    terms = {}
+    for c, monos in integrand.poly:
+        deg = sum(k for _, k in monos)
+        if deg > order or (deg < order and exp is None):
+            continue
+        mono = [slot[name] * (order + 1) + k for name, k in monos]
+        if deg < order:
+            mono.append(tangent + order - deg)
+        key = tuple(sorted(mono))
+        terms[key] = terms.get(key, 0) + c * scale / (factorial(order - deg) * d ** (order - deg))
+    return {mono: c for mono, c in terms.items() if c}
 
-    def at_block(block):
-        # per slot: None for the tangent bundle, else the multiplicities of
-        # the class, the same at every point, and the columns of characters
+
+def _integrate_family(model, n, integrands, ladder) -> list:
+    """The integral of each integrand, from one pass over the distinct
+    monomials of all of them.  On each block and specialization every
+    slot's columns are formed once, for every monomial that reads them."""
+    order = 2 * n
+    slots, index = {}, {}  # index: monomial -> its place in the pass
+    rows = []  # per integrand: (place, coefficient) per monomial
+    for integrand in integrands:
+        terms = _integrand_terms(integrand, n, slots).items()
+        rows.append([(index.setdefault(mono, len(index)), c) for mono, c in terms])
+
+    def tables(block):
+        # per slot: the multiplicities of a tautological class, the same at
+        # every point, and the columns of its characters; None otherwise
         taut = []
-        for x in chern_slots:
-            pairs = None if x == "tangent" else [taut_weights(model, fp, x) for fp in block]
+        for src in slots:
+            pairs = [taut_weights(model, fp, src) for fp in block] if isinstance(src, TautClass) else None
             taut.append(pairs and ([m for _, m in pairs[0]], list(zip(*([c for c, _ in p] for p in pairs)))))
 
-        def sums(spec, cols, scales):
-            width = len(scales)
-            table = []  # the columns c_0, ..., c_N of each slot's bundle, slot by slot
-            for x in taut:
-                weights = cols if x is None else [[_specialize(c, spec) for c in col] for col in x[1]]
-                table += _chern_classes(weights, width, order, repeat(1) if x is None else x[0])
-            p = _column_power_sums(cols, width, order) if tangent_exp else None
-            bodies = [None if form.terms is None else [[0] * width for _ in range(order + 1)] for form in forms]
+        def table(spec, cols, width):
+            out, p = [], None
+            for src, x in zip(slots, taut):
+                if x is not None:
+                    weights = [[_specialize(c, spec) for c in col] for col in x[1]]
+                    out += _chern_classes(weights, width, order, x[0])
+                elif src == "tangent":
+                    out += _chern_classes(cols, width, order, repeat(1))
+                else:
+                    if p is None:
+                        p = _column_power_sums(cols, width, order)[1:]
+                    out += _tangent_exponential(src, p, width, order)
+            return out
 
-            def leaf(i, xs, ys):  # a coefficient joins at its leaf
-                k, deg, c = terms[i]
-                bodies[k][deg] = [b + c * x * y for b, x, y in zip(bodies[k][deg], xs, ys)]
+        return table
 
-            _walk_products(walk, table, [1] * width, leaf)
-            numerators = (form.numerators(body, p, width) for form, body in zip(forms, bodies))
-            return [sum(map(mul, col, scales)) for col in numerators]
-
-        return sums
-
-    values = _residue_pass(model, n, ladder, len(forms), at_block)
-    return [v * form.scale / form.denominator for v, form in zip(values, forms)]
+    values = _monomial_sums(model, n, ladder, tuple(index), tables)
+    return [sum((c * values[i] for i, c in row), Fraction(0)) for row in rows]
 
 
 def integrate(model: ToricSurface, n: int, integrand: Integrand, ladder: str = "xi") -> Fraction:
     """Bott-residue integral over Hilb^n(S), exact; ConsistencyError if the
-    two specializations of the chosen 1-PS ladder disagree."""
+    two specializations of the chosen 1-PS ladder disagree on one of its
+    monomials."""
     return _integrate_family(model, n, (integrand,), ladder)[0]
 
 
@@ -574,48 +571,22 @@ def surface_number(model: ToricSurface, monomials, bundles) -> tuple:
 # -- Chern numbers and the cobordism class of Hilb^n -------------------------------
 
 
-def _partition_sums(model, n, ladder, factors) -> list:
-    """The residue sums of prod_{p in la} f_p / prod t over the partitions la
-    of 2n (rev-lex order), with factors(cols, width) the columns f_0, ...,
-    f_2n over a block of width points whose tangent weights are the
-    columns cols:
-    symmetric functions of each point's weights t.
-
-    The products run along the product walk of the partitions from the
-    column of scales: each distinct nonempty prefix of a partition, parts
-    smallest first, costs one column product (269 for 2n = 14, against 780
-    parts), and the empty partition of n = 0 is the root.  A node's column
-    is dropped once its last child is formed, so few columns are alive at
-    once (4 for 2n = 14)."""
-    lams = enumerate_partitions(2 * n)
-    walk = _product_walk(lams)
-
-    def sums(spec, cols, scales):
-        out = [0] * len(lams)
-
-        def leaf(i, xs, ys):
-            out[i] = sum(map(mul, xs, ys))
-
-        _walk_products(walk, factors(cols, len(scales)), scales, leaf)
-        return out
-
-    return _residue_pass(model, n, ladder, len(lams), lambda block: sums)
-
-
 @lru_cache(maxsize=None)
 def chern_numbers_hilb(model: ToricSurface, n: int, ladder: str = "xi") -> ChernVector:
     """All Chern numbers c_la(Hilb^n(S)), la a partition of 2n, exact: the
     residue sums of prod_{p in la} e_p(t) / prod t."""
-    values = _partition_sums(model, n, ladder, partial(_chern_classes, order=2 * n, mults=repeat(1)))
-    return ChernVector.from_dict(2 * n, dict(zip(enumerate_partitions(2 * n), values)))
+    lams = enumerate_partitions(2 * n)
+    values = _monomial_sums(model, n, ladder, lams, lambda block: lambda spec, cols, width: _chern_classes(cols, width, 2 * n, repeat(1)))
+    return ChernVector.from_dict(2 * n, dict(zip(lams, values)))
 
 
 @lru_cache(maxsize=None)
 def _hilb_beta(model: ToricSurface, n: int):
     """The power-sum polynomial of Hilb^n(S): its integrals of p_mu are the
     residue sums of prod_{p in mu} p_p(t) / prod t."""
-    factors = partial(_column_power_sums, order=2 * n)
-    return beta_poly(2 * n, _partition_sums(model, n, "xi", factors))
+    lams = enumerate_partitions(2 * n)
+    values = _monomial_sums(model, n, "xi", lams, lambda block: lambda spec, cols, width: _column_power_sums(cols, width, 2 * n))
+    return beta_poly(2 * n, values)
 
 
 def hilb_cobordism_series(model: ToricSurface, order: int) -> TruncSeries:
@@ -735,26 +706,20 @@ def chi_series(model: ToricSurface, order: int, bundles, r: int, ladder: str = "
     sizes = [len(enumerate_partitions(m)) for m in range(order + 1)]
     units = [factorial(big) // factorial(i) for i in range(big + 1)]
     specs = one_ps_ladder(model, order, ladder)[:2]
-    values = []  # per specialization: numerators per bundle, and denominators
+    values = []  # per specialization: the values per bundle
     for spec in specs:
         columns = _chart_columns(model, order, spec)
         sums = [_chart_sums(cols, sizes, r, d, exp, units) for cols in columns]
         # each chart's table and twist carry N!, its table L_c
         den = prod(cols[2] for cols in columns) * units[0] ** (2 * len(sums))
+        dens = [den * d ** (2 * n) for n in range(order + 1)]
         rows = []
         for L in bundles:
             weights = [d * _specialize(L.local_weight(chart), spec) for chart in model.charts]
-            rows.append(_chart_product([_twisted(table, w, units) for table, w in zip(sums, weights)]))
-        values.append((rows, [den * d ** (2 * n) for n in range(order + 1)]))
-    (rows, dens), (rows2, dens2) = values
-    out = []
-    for row, row2 in zip(rows, rows2):
-        out.append([Fraction(v, den) for v, den in zip(row, dens)])
-        for a, b, den, den2, value in zip(row, row2, dens, dens2, out[-1]):
-            if a * den2 != b * den:
-                other = Fraction(b, den2)
-                raise ConsistencyError(f"specializations {specs[0]} and {specs[1]} disagree: {value} vs {other}")
-    return out
+            row = _chart_product([_twisted(table, w, units) for table, w in zip(sums, weights)])
+            rows.append([Fraction(v, den) for v, den in zip(row, dens)])
+        values.append(rows)
+    return [_agreed(specs, row, row2) for row, row2 in zip(*values)]
 
 
 def chi_via_RR(model: ToricSurface, n: int, L: TLineBundle, r: int = 0, ladder: str = "xi") -> Fraction:

@@ -89,8 +89,14 @@ PROFILES = {
 # -- ground truth frozen from the published order <= 5 tables -----------------------
 
 
-def log_a_reference(r, order: int) -> list:
+def _evaluate_reference(table, r, order: int) -> list:
+    """The coefficients z^0..z^min(order, 5) of a frozen table at r: entry m
+    lists the terms (c, e) of the polynomial sum c r^e."""
     r = Fraction(r)
+    return [sum((c * r**e for c, e in table[m]), Fraction(0)) for m in range(min(order, 5) + 1)]
+
+
+def log_a_reference(r, order: int) -> list:
     table = [
         [],
         [],
@@ -110,14 +116,10 @@ def log_a_reference(r, order: int) -> list:
             (Fraction(171215, 72576), 9),
         ],
     ]
-    out = []
-    for m in range(min(order, 5) + 1):
-        out.append(sum((c * r ** e for c, e in table[m]), Fraction(0)))
-    return out
+    return _evaluate_reference(table, r, order)
 
 
 def b_reference(r, order: int) -> list:
-    r = Fraction(r)
     table = [
         [(Fraction(1), 0)],
         [],
@@ -137,10 +139,7 @@ def b_reference(r, order: int) -> list:
             (Fraction(503377, 518400), 10),
         ],
     ]
-    out = []
-    for m in range(min(order, 5) + 1):
-        out.append(sum((c * r ** e for c, e in table[m]), Fraction(0)))
-    return out
+    return _evaluate_reference(table, r, order)
 
 
 K3_CHERN = {

@@ -120,6 +120,12 @@ def test_series_id(capsys):
     assert payload["holds"] is True
 
 
+def test_series_id_negative_fraction_after_equals_sign(capsys):
+    # "--y -1/2" reads -1/2 as an option, so a negative p/q follows "="
+    payload = run_json(capsys, "series-id", "--a", "1", "--y=-1/2", "--order", "5")
+    assert payload["y"] == "-1/2" and payload["holds"] is True
+
+
 def test_long_gate(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["chern", "--surface", "p2", "--n", "6"])

@@ -240,6 +240,34 @@ def test_integrand_gate_catches_a_perturbed_second_sum(monkeypatch):
         integrate(m, 2, Integrand(tangent_class=todd_series("x", 4)))
 
 
+def test_integrand_gate_is_per_monomial(monkeypatch):
+    # c2 + c1^2 on P2 at n = 1 is two monomial sums; the second
+    # specialization's gain +1 and -1, so the integrand's value, 3 + 9, is
+    # unchanged and only the gate per monomial sees the difference
+    import hilbloc.localization as loc
+
+    m = p2()
+    poly = ((1, (("T", 2),)), (1, (("T", 1), ("T", 1))))
+    integrand = Integrand(poly, (("T", "tangent"),))
+    assert integrate(m, 1, integrand) == 12
+    sums = []
+    add = loc._ResidueSum.add
+
+    def perturbed_add(self, den, nums):
+        if self not in sums:
+            sums.append(self)
+            if len(sums) == 2:
+                assert len(nums) == 2
+                nums = [nums[0] + 1, nums[1] - 1]
+        add(self, den, nums)
+
+    monkeypatch.setattr(loc._ResidueSum, "add", perturbed_add)
+    with pytest.raises(ConsistencyError, match="disagree"):
+        integrate(m, 1, integrand)
+    # both coefficients are 1: each specialization's value is the sum of its sums
+    assert [Fraction(sum(total.acc), total.den) for total in sums] == [12, 12]
+
+
 def test_family_gate_catches_a_perturbed_second_sum(monkeypatch):
     # add 1 to each scale L_c / prod t of the first chart at the second
     # specialization; the first specialization's columns are left alone
@@ -275,10 +303,10 @@ def test_surface_number_gate_catches_a_perturbed_second_sum(monkeypatch):
 def test_surface_number_gate_catches_a_non_integer(monkeypatch):
     import hilbloc.localization as loc
 
-    # the pass's second sum gains 1, so K^2 = 18/2 reads 19/2 while e stays 3:
-    # each value of one pass is gated on its own
-    pass_values = loc._residue_pass
-    monkeypatch.setattr(loc, "_residue_pass", lambda *args: [v + k for k, v in enumerate(pass_values(*args))])
+    # the pass's second monomial sum gains 1/2, so K^2 = 9 reads 19/2 while e
+    # stays 3: each value of one pass is gated on its own
+    pass_values = loc._monomial_sums
+    monkeypatch.setattr(loc, "_monomial_sums", lambda *args: [v + Fraction(k, 2) for k, v in enumerate(pass_values(*args))])
     monomials = ((("T", 2),), (("T", 1), ("T", 1)))
     with pytest.raises(ConsistencyError, match="non-integral surface number 19/2"):
         surface_number(p2(), monomials, (("T", "tangent"),))
@@ -703,7 +731,8 @@ def test_blocked_partition_sums_match_per_point_oracle(case):
         oracle = partial(residue_oracle.tangent_power_sums, order=2 * n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(loc, "_BLOCK", block)
-        values = loc._partition_sums(model, n, ladder, kernel)
+        tables = lambda block: lambda spec, cols, width: kernel(cols, width)  # noqa: E731
+        values = loc._monomial_sums(model, n, ladder, enumerate_partitions(2 * n), tables)
     assert values == residue_oracle.partition_sums(model, n, ladder, oracle)
 
 
@@ -767,23 +796,32 @@ def test_product_walk_counts():
     # one column product per distinct nonempty prefix: the partitions of 6 and
     # 14 (35 and 780 parts), and the monomials of ch(x^[n]) (77, 217 and 2547
     # factors at n = 3, 4, 7)
-    from hilbloc.localization import _IntegerIntegrand, _product_walk
+    from hilbloc.localization import _integrand_terms, _product_walk, _tangent_log
 
     def products(walk):
         return sum(1 for depth, *_ in walk if depth)
 
-    def monomials(form):
-        return tuple(mono for mono, _, _ in form.terms)
+    def monomials(integrand):  # every degree, the factors c_k of X as k
+        return tuple(tuple(k for _, k in mono) for _, mono in integrand.poly)
 
     assert [products(_product_walk(enumerate_partitions(m))) for m in (6, 14)] == [21, 269]
     x = TautClass(((o_bundle(p2(), 1), 1),))
-    forms = [_IntegerIntegrand(Integrand.chern_character(x, n, None), n, {}) for n in (3, 4, 7)]
-    assert [products(_product_walk(monomials(form))) for form in forms] == [29, 66, 507]
-    # monomials equal once their factors are sorted are one leaf, and a zero
-    # coefficient none
-    poly = ((1, (("X", 1), ("X", 2))), (2, (("X", 2), ("X", 1))), (0, (("X", 3),)))
-    form = _IntegerIntegrand(Integrand(poly, (("X", x),)), 2, {})
-    assert form.terms == [((1, 2), 3, 3 * factorial(3))]
+    integrands = [Integrand.chern_character(x, n, None) for n in (3, 4, 7)]
+    assert [products(_product_walk(monomials(integrand))) for integrand in integrands] == [29, 66, 507]
+    # monomials equal once their factors are sorted are one term, and a zero
+    # coefficient drops its monomial: also one that cancels
+    poly = ((1, (("X", 1), ("X", 3))), (2, (("X", 3), ("X", 1))), (0, (("X", 4),)))
+    poly += ((1, (("X", 2), ("X", 2))), (-1, (("X", 2), ("X", 2))))
+    assert _integrand_terms(Integrand(poly, (("X", x),)), 2, {}) == {(1, 3): 3}
+    # with a tangent class (Todd: Q(0) = 1) a term of degree 4 is unchanged,
+    # and a term of degree deg < 4 gains the factor E_{4 - deg} of the tangent
+    # slot (slot 1: factors 5..9) and the factor 1 / ((4 - deg)! D^(4 - deg))
+    todd = todd_series("x", 4)
+    assert _integrand_terms(Integrand(poly, (("X", x),), todd), 2, {}) == {(1, 3): 3}
+    _, d, _ = _tangent_log(todd, 4)
+    poly = ((1, ()), (2, (("X", 1), ("X", 2))), (3, (("X", 4),)))
+    terms = _integrand_terms(Integrand(poly, (("X", x),), todd), 2, {})
+    assert terms == {(9,): Fraction(1, factorial(4) * d**4), (1, 2, 6): Fraction(2, d), (4,): 3}
 
 
 @st.composite
