@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from math import factorial
 
 from .cobordism import ChernVector, beta_degree, beta_var, to_beta
-from .localization import chart_tangent_weights, one_ps_ladder, specialize_tangents
+from .localization import chart_specializations, one_ps_ladder
 from .partitions import enumerate_partitions
 from .records import Record
 from .rings import Poly, linear_combination
@@ -144,12 +144,8 @@ def betti_hilb_model(model: ToricSurface, n: int) -> list:
         raise ValueError("n must be non-negative")
     spec = one_ps_ladder(model, n, "xi")[0]
     total = Counter({(0, 0): 1})  # (size, positive weights) -> fixed points over the charts so far
-    for chart in model.charts:
-        local = Counter()
-        for m in range(n + 1):
-            for la in enumerate_partitions(m):
-                tvals = specialize_tangents(chart_tangent_weights(chart, la), spec)
-                local[m, sum(t > 0 for t in tvals)] += 1
+    for weights in chart_specializations(model, n, spec):
+        local = Counter((sum(la), sum(t > 0 for t in tvals)) for la, tvals in weights.items())
         nxt = Counter()
         for (m, k), x in total.items():
             for (dm, dk), c in local.items():

@@ -2,9 +2,13 @@
 Bott-residue integrator.
 
 A fixed point assigns one partition per chart (monomial ideals at the
-torus-fixed points of S), with total size n.  Tangent weights come from
-the arm/leg formula; tautological weights from the cell grid shifted by
-the local weight of the inducing line bundle.
+torus-fixed points of S), with total size n, and each fact of one (chart,
+partition) is computed in one place: its tangent characters (the arm/leg
+formula) in `chart_tangent_weights`; the characters of its cells, the
+fibre of O^[n], in `_cell_characters` (`taut_weights` shifts them by a
+bundle's local weight, and det O^[n] has their sum); its tangent weights
+at a 1-PS in `chart_specializations`, the one table that the residue
+sums, the chart product and the Betti numbers (`genera`) read.
 
 Every sum over the fixed points of Hilb^n here is a set of monomial sums
 over one column table: `_monomial_sums` walks the fixed points in blocks of
@@ -51,7 +55,7 @@ from .cobordism import ChernVector, _power_sum_in_e, beta_poly
 from .partitions import cells, enumerate_partitions
 from .records import Record
 from .series import TruncSeries, todd_series
-from .toric import Chart, TLineBundle, ToricSurface, line_bundle
+from .toric import Chart, TLineBundle, ToricSurface
 
 
 class ConsistencyError(RuntimeError):
@@ -128,11 +132,12 @@ def tangent_weights(model: ToricSurface, fp: tuple) -> list:
     return out
 
 
-def _cell_char(chart: Chart, i: int, j: int, base) -> tuple:
-    return (
-        base[0] - i * chart.w1[0] - j * chart.w2[0],
-        base[1] - i * chart.w1[1] - j * chart.w2[1],
-    )
+@lru_cache(maxsize=None)
+def _cell_characters(chart: Chart, la) -> tuple:
+    """The characters -(i w1 + j w2) of the cells (i, j) of la at one chart:
+    the fibre of O^[|la|] at the one-chart point la."""
+    w1, w2 = chart.w1, chart.w2
+    return tuple((-i * w1[0] - j * w2[0], -i * w1[1] - j * w2[1]) for i, row in enumerate(la) for j in range(row))
 
 
 def taut_weights(model: ToricSurface, fp: tuple, x: TautClass) -> list:
@@ -140,43 +145,28 @@ def taut_weights(model: ToricSurface, fp: tuple, x: TautClass) -> list:
     summand by summand (each line bundle, then the trivial part) and chart
     by chart within one, so the j-th pair has the same multiplicity at every
     fixed point of Hilb^n."""
-    cell_lists = [(chart, [(c.i, c.j) for c in cells(la)]) for chart, la in zip(model.charts, fp)]
     summands = [(bundle.local_weight, mult) for bundle, mult in x.line_bundles]
     if x.trivial:
         summands.append((lambda chart: (0, 0), x.trivial))
     out = []
     for local_weight, mult in summands:
-        for chart, cell_list in cell_lists:
-            lw = local_weight(chart)
-            out.extend((_cell_char(chart, i, j, lw), mult) for i, j in cell_list)
+        for chart, la in zip(model.charts, fp):
+            a, b = local_weight(chart)
+            out.extend(((a + c0, b + c1), mult) for c0, c1 in _cell_characters(chart, la))
     return out
 
 
 def det_taut_weight(model: ToricSurface, fp: tuple, dets) -> list:
     """The c1-weights of L_n (x) E^r at fp, one per (L, r) in dets.
 
-    det(F^[n]) = det(F)_n (x) E^{rk F} with E = det(O^[n]) gives
-    weight(L_n (x) E^r) = sum weights(L^[n]) + (r-1) * sum weights(O^[n])
-                        = sum_charts |la| lw(L) + r * sum weights(O^[n]),
-    and the cells (i, j) of la contribute -(sum i) w1 - (sum j) w2 to the
-    O^[n] sum, with sum i = sum_i i la_i and sum j = sum_i binom(la_i, 2).
-    These partition moments are computed once for all entries of dets.
+    det(F^[n]) = det(F)_n (x) E^{rk F} with E = det(O^[n]) makes L_n (x)
+    E^r the determinant of x^[n], x = L + (r - 1) O, so its weight is the
+    sum of the fibre characters of x^[n].
     """
-    o0 = o1 = 0  # the weight of det O^[n]
-    for chart, la in zip(model.charts, fp):
-        si = sum(i * row for i, row in enumerate(la))
-        sj = sum(row * (row - 1) // 2 for row in la)
-        o0 -= si * chart.w1[0] + sj * chart.w2[0]
-        o1 -= si * chart.w1[1] + sj * chart.w2[1]
-    sized = [(chart, sum(la)) for chart, la in zip(model.charts, fp) if la]
     out = []
     for L, r in dets:
-        acc0, acc1 = r * o0, r * o1
-        for chart, size in sized:
-            lw = L.local_weight(chart)
-            acc0 += size * lw[0]
-            acc1 += size * lw[1]
-        out.append((acc0, acc1))
+        pairs = taut_weights(model, fp, TautClass(((L, 1),), r - 1))
+        out.append((sum(m * c[0] for c, m in pairs), sum(m * c[1] for c, m in pairs)))
     return out
 
 
@@ -188,21 +178,19 @@ def _char_bound(model: ToricSurface, n: int):
     """1 + the largest |a1| over tangent characters with a2 != 0, and 1 + the
     largest |a2| over those with a1 != 0, at all fixed points of Hilb^n.
 
-    A cell with arm a and leg l has a + l < n, and every such (a, l) occurs
-    in some chart (a hook of size a + l + 1), so the bound walks the pairs
-    (a, l) per chart instead of the fixed points.
+    A cell with arm a and leg l has a + l < n, and it is the corner of the
+    hook (a + 1, 1^l), whose cells all have this property, so the bound reads
+    the characters of these hooks at each chart instead of the fixed points.
     """
     b1 = b2 = 1
+    hooks = [(a + 1,) + (1,) * l for a in range(n) for l in range(n - a)]
     for chart in model.charts:
-        w1, w2 = chart.w1, chart.w2
-        for a in range(n):
-            for l in range(n - a):
-                for x, y in ((l + 1, -a), (-l, a + 1)):
-                    a1, a2 = x * w1[0] + y * w2[0], x * w1[1] + y * w2[1]
-                    if a2 != 0:
-                        b1 = max(b1, abs(a1))
-                    if a1 != 0:
-                        b2 = max(b2, abs(a2))
+        for hook in hooks:
+            for a1, a2 in chart_tangent_weights(chart, hook):
+                if a2 != 0:
+                    b1 = max(b1, abs(a1))
+                if a1 != 0:
+                    b2 = max(b2, abs(a2))
     return b1 + 1, b2 + 1
 
 
@@ -232,6 +220,18 @@ def specialize_tangents(chars, spec) -> list:
     if 0 in tvals:
         raise ConsistencyError("1-PS specialization hit a zero tangent weight")
     return tvals
+
+
+@lru_cache(maxsize=None)
+def chart_specializations(model: ToricSurface, order: int, spec) -> tuple:
+    """Per chart, {la: the tangent weights of la at the 1-PS spec} over the
+    partitions la of size 0..order, size by size: each (chart, partition)
+    is specialized once per order and spec.  ConsistencyError on a zero
+    weight (`specialize_tangents`)."""
+    lams = [la for m in range(order + 1) for la in enumerate_partitions(m)]
+    return tuple(
+        {la: tuple(specialize_tangents(chart_tangent_weights(chart, la), spec)) for la in lams} for chart in model.charts
+    )
 
 
 # Symmetric functions of weights on a block of points, column by column:
@@ -362,27 +362,24 @@ def _monomial_sums(model, n, ladder, monomials, tables) -> list:
     point and L the lcm of the block's d, so a monomial's block sum is one
     dot product: each distinct nonempty prefix costs one column product
     (269 for the partitions of 14, against 780 parts), and a node's column
-    is dropped once its last child is formed.  Each (chart, partition) is
-    specialized once per pass and specialization; a zero weight raises
-    ConsistencyError.  The sums of the two specializations are independent
+    is dropped once its last child is formed.  The weights of a point are
+    its charts' in `chart_specializations`, which raises ConsistencyError
+    on a zero weight.  The sums of the two specializations are independent
     until `_agreed` compares them, monomial by monomial, at the end."""
     walk = _product_walk(monomials)
     specs = one_ps_ladder(model, n, ladder)[:2]
     sums = [_ResidueSum(len(monomials)) for _ in specs]
-    specialized = [[{} for _ in model.charts] for _ in specs]  # per chart: la -> weights
+    specialized = [chart_specializations(model, n, spec) for spec in specs]
     points = enumerate_fixed_points(model, n)
     for start in range(0, len(points), _BLOCK):
         block = points[start : start + _BLOCK]
         table = tables(block)
-        for spec, known, total in zip(specs, specialized, sums):
+        for spec, charts, total in zip(specs, specialized, sums):
             tvals = []
             for fp in block:
                 t = []
-                for chart, la, seen in zip(model.charts, fp, known):
-                    ts = seen.get(la)
-                    if ts is None:
-                        ts = seen[la] = specialize_tangents(chart_tangent_weights(chart, la), spec)
-                    t += ts
+                for weights, la in zip(charts, fp):
+                    t += weights[la]
                 tvals.append(t)
             ds = list(map(prod, tvals))
             den = lcm(*ds)
@@ -561,22 +558,33 @@ def surface_number(model: ToricSurface, monomials, bundles) -> tuple:
     classes of the declared bundles, from one residue pass: intersection numbers, so
     ConsistencyError unless each is integral."""
     integrands = [Integrand(poly=((1, mono),), bundles=bundles) for mono in monomials]
-    values = _integrate_family(model, 1, integrands, "xi")
+    return tuple(map(int, _integral(_integrate_family(model, 1, integrands, "xi"), "surface number")))
+
+
+def _integral(values, what) -> list:
+    """values, once each is an integer; ConsistencyError otherwise."""
     for value in values:
         if value.denominator != 1:
-            raise ConsistencyError(f"non-integral surface number {value}")
-    return tuple(int(value) for value in values)
+            raise ConsistencyError(f"non-integral {what} {value}")
+    return values
 
 
 # -- Chern numbers and the cobordism class of Hilb^n -------------------------------
 
 
+def chern_residue_sums(model: ToricSurface, n: int, lams, ladder: str = "xi") -> list:
+    """The residue sums over the fixed points of Hilb^n of prod_{p in la}
+    e_p(t) / prod t, one per partition la in lams: the Chern numbers if
+    |la| = 2n, and 0 if |la| < 2n (the dimension axiom)."""
+    return _monomial_sums(model, n, ladder, lams, lambda block: lambda spec, cols, width: _chern_classes(cols, width, 2 * n, repeat(1)))
+
+
 @lru_cache(maxsize=None)
 def chern_numbers_hilb(model: ToricSurface, n: int, ladder: str = "xi") -> ChernVector:
-    """All Chern numbers c_la(Hilb^n(S)), la a partition of 2n, exact: the
-    residue sums of prod_{p in la} e_p(t) / prod t."""
+    """All Chern numbers c_la(Hilb^n(S)), la a partition of 2n, exact;
+    ConsistencyError unless each is integral."""
     lams = enumerate_partitions(2 * n)
-    values = _monomial_sums(model, n, ladder, lams, lambda block: lambda spec, cols, width: _chern_classes(cols, width, 2 * n, repeat(1)))
+    values = _integral(chern_residue_sums(model, n, lams, ladder), "Chern number")
     return ChernVector.from_dict(2 * n, dict(zip(lams, values)))
 
 
@@ -600,7 +608,7 @@ def hilb_cobordism_series(model: ToricSurface, order: int) -> TruncSeries:
 # At a fixed point (la_c) the tangent space is the sum of the charts' pieces
 # T_{la_c}, and the weight of det(L_n (x) E^r) is the sum over the charts of
 # |la_c| lw_c(L) + r o_c(la_c), with o_c(la) the weight of det O^[|la|] at
-# the one-chart point la (`det_taut_weight`).  So, Q the Todd series,
+# the one-chart point la, the sum of its cell characters.  So, Q the Todd series,
 #   sum_n chi(L_n (x) E^r) z^n = sum_n z^n [eps^{2n}] prod_c Z_c,
 #   Z_c = sum_la z^{|la|} e^{|la| lw_c(L) eps} e^{r o_c(la) eps} prod_{t in T_la} Q(t eps) / t,
 # exactly at each specialization: the sum over tuples of partitions becomes
@@ -616,36 +624,21 @@ def hilb_cobordism_series(model: ToricSurface, order: int) -> TruncSeries:
 
 
 @lru_cache(maxsize=None)
-def _chart_characters(model: ToricSurface, order: int) -> tuple:
-    """Per chart, for its partitions of size 0..order, size by size: their
-    tangent characters and the characters o_c of det O^[n] at them."""
-    lams = [la for m in range(order + 1) for la in enumerate_partitions(m)]
-    trivial = line_bundle(model, [0] * len(model.rays))
-    none = ((),) * len(model.charts)
-    return tuple(
-        (
-            tuple(chart_tangent_weights(chart, la) for la in lams),
-            tuple(det_taut_weight(model, none[:c] + (la,) + none[c + 1 :], [(trivial, 1)])[0] for la in lams),
-        )
-        for c, chart in enumerate(model.charts)
-    )
-
-
-@lru_cache(maxsize=None)
 def _chart_columns(model: ToricSurface, order: int, spec) -> tuple:
-    """Per chart at the specialization spec, over `_chart_characters`: the
-    columns p_1, ..., p_N of the tangent weights' power sums (each
-    partition's 2|la| weights padded with zeros to N), the column of o_c,
-    and L_c with the column of the scales L_c / prod t.  A zero tangent
-    weight raises ConsistencyError."""
+    """Per chart at the specialization spec, over its partitions of size
+    0..order in `chart_specializations`: the columns p_1, ..., p_N of the
+    tangent weights' power sums (each partition's 2|la| weights padded with
+    zeros to N), the column of o_c, and L_c with the column of the scales
+    L_c / prod t."""
     out = []
-    for chars, o in _chart_characters(model, order):
-        tvals = [specialize_tangents(c, spec) for c in chars]
-        cols = list(zip(*(t + [0] * (2 * order - len(t)) for t in tvals)))
+    for chart, weights in zip(model.charts, chart_specializations(model, order, spec)):
+        tvals = list(weights.values())
+        cols = list(zip(*(t + (0,) * (2 * order - len(t)) for t in tvals)))
         ds = list(map(prod, tvals))
         den = lcm(*ds)
         p = tuple(map(tuple, _column_power_sums(cols, len(tvals), 2 * order)[1:]))
-        out.append((p, tuple(_specialize(w, spec) for w in o), den, tuple(den // x for x in ds)))
+        o = tuple(sum(_specialize(c, spec) for c in _cell_characters(chart, la)) for la in weights)
+        out.append((p, o, den, tuple(den // x for x in ds)))
     return tuple(out)
 
 

@@ -13,7 +13,10 @@ from hilbloc.localization import (
     _char_bound,
     Integrand,
     TautClass,
+    chart_specializations,
+    chart_tangent_weights,
     chern_numbers_hilb,
+    chern_residue_sums,
     chi_series,
     chi_via_RR,
     det_taut_weight,
@@ -21,6 +24,7 @@ from hilbloc.localization import (
     hilb_cobordism_series,
     integrate,
     one_ps_ladder,
+    specialize_tangents,
     surface_number,
     taut_weights,
     tangent_weights,
@@ -76,8 +80,40 @@ def test_euler_equals_fixed_point_count():
 def test_dimension_axiom():
     m = p2()
     for n in (1, 2, 3):
-        for la in enumerate_partitions(2 * n - 1):
-            assert integrate(m, n, Integrand.chern_monomial(la)) == 0
+        lams = enumerate_partitions(2 * n - 1)
+        assert chern_residue_sums(m, n, lams) == [0] * len(lams)
+
+
+def test_dimension_axiom_sees_a_perturbed_tangent_character(monkeypatch):
+    # (1, 0) -> (2, 0) at the one-point ideal of P2's first chart: the residue
+    # sums of degree 2n - 1 stop vanishing, while `integrate` keeps no term
+    # of degree < 2n without a tangent class and still reads 0
+    import hilbloc.localization as loc
+
+    m = p2()
+    first, weights = m.charts[0], loc.chart_tangent_weights
+
+    def perturbed(chart, la):
+        chars = weights(chart, la)
+        if (chart, la) == (first, (1,)):
+            assert chars[0] == (1, 0)
+            return ((2, 0), *chars[1:])
+        return chars
+
+    monkeypatch.setattr(loc, "chart_tangent_weights", perturbed)
+    caches = (loc.chart_specializations, loc._char_bound)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        assert chern_residue_sums(m, 1, ((1,),)) == [Fraction(-1, 2)]
+        for n in (2, 3):
+            with pytest.raises(ConsistencyError, match="disagree"):
+                chern_residue_sums(m, n, enumerate_partitions(2 * n - 1))
+        for n in (1, 2, 3):
+            assert integrate(m, n, Integrand.chern_monomial(enumerate_partitions(2 * n - 1)[0])) == 0
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_n1_reduces_to_surface():
@@ -212,6 +248,20 @@ def test_cobordism_gate_catches_a_perturbed_second_sum(monkeypatch):
             hilb_cobordism_series(p2(), 3)
     finally:
         loc._hilb_beta.cache_clear()
+
+
+def test_chern_gate_catches_a_non_integer(monkeypatch):
+    import hilbloc.localization as loc
+
+    # the second residue sum at n = 1 gains 1/2, so c1^2 = 9 of P2 reads 19/2
+    pass_values = loc._monomial_sums
+    monkeypatch.setattr(loc, "_monomial_sums", lambda *args: [v + Fraction(k, 2) for k, v in enumerate(pass_values(*args))])
+    chern_numbers_hilb.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="non-integral Chern number 19/2"):
+            chern_numbers_hilb(p2(), 1)
+    finally:
+        chern_numbers_hilb.cache_clear()
 
 
 def test_chern_gate_catches_a_zero_tangent_weight(monkeypatch):
@@ -705,13 +755,19 @@ def _walked_char_bound(model, n):
 
 
 @st.composite
-def blocked_cases(draw):
-    """A surface (P2 or P1xP1 blown up at most twice), n <= 4, a ladder, a
-    factor kind and a block size: one block exactly, one block +- 1 point,
-    or a few points."""
+def small_blowups(draw):
+    """P2 or P1xP1 blown up at most twice."""
     model = draw(st.sampled_from((p2(), p1xp1())))
     for _ in range(draw(st.integers(0, 2))):
         model = blowup(model, draw(st.integers(0, len(model.charts) - 1)))
+    return model
+
+
+@st.composite
+def blocked_cases(draw):
+    """A surface (`small_blowups`), n <= 4, a ladder, a factor kind and a
+    block size: one block exactly, one block +- 1 point, or a few points."""
+    model = draw(small_blowups())
     n = draw(st.integers(0, 4))
     count = len(enumerate_fixed_points(model, n))
     block = draw(st.sampled_from((count - 1, count, count + 1, 1, 2, 7)).filter(lambda b: b >= 1))
@@ -734,6 +790,41 @@ def test_blocked_partition_sums_match_per_point_oracle(case):
         tables = lambda block: lambda spec, cols, width: kernel(cols, width)  # noqa: E731
         values = loc._monomial_sums(model, n, ladder, enumerate_partitions(2 * n), tables)
     assert values == residue_oracle.partition_sums(model, n, ladder, oracle)
+
+
+def _moment_character(chart, la):
+    """The character of det O^[|la|] at the one-chart point la from the
+    moments of la: its cells (i, j) have sum i = sum_i i la_i and sum j =
+    sum_i binom(la_i, 2)."""
+    si = sum(i * row for i, row in enumerate(la))
+    sj = sum(row * (row - 1) // 2 for row in la)
+    return -si * chart.w1[0] - sj * chart.w2[0], -si * chart.w1[1] - sj * chart.w2[1]
+
+
+@settings(max_examples=example_count(30), deadline=None)
+@given(small_blowups(), st.integers(0, 4), st.sampled_from(("xi", "eta")), st.data())
+def test_chart_table_matches_per_partition_facts(model, n, ladder, data):
+    # the shared specialization table against each partition's own tangent
+    # characters, and the cell sums (the chart product's o_c and
+    # det_taut_weight) against the moments of the partitions
+    import hilbloc.localization as loc
+
+    lams = [la for m in range(n + 1) for la in enumerate_partitions(m)]
+    for spec in one_ps_ladder(model, n, ladder)[:2]:
+        columns = loc._chart_columns(model, n, spec)
+        for chart, weights, cols in zip(model.charts, chart_specializations(model, n, spec), columns):
+            assert list(weights) == lams
+            assert [list(w) for w in weights.values()] == [
+                specialize_tangents(chart_tangent_weights(chart, la), spec) for la in lams
+            ]
+            assert list(cols[1]) == [loc._specialize(_moment_character(chart, la), spec) for la in lams]
+    L, r = data.draw(bundles_of(model)), data.draw(st.integers(-3, 3))
+    for fp in enumerate_fixed_points(model, n):
+        want = (0, 0)
+        for chart, la in zip(model.charts, fp):
+            lw, o = L.local_weight(chart), _moment_character(chart, la)
+            want = tuple(want[i] + sum(la) * lw[i] + r * o[i] for i in (0, 1))
+        assert det_taut_weight(model, fp, [(L, r)]) == [want]
 
 
 def test_char_bound_matches_fixed_point_walk():
