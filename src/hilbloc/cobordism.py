@@ -14,7 +14,7 @@ with log Q(x) = sum_k s_k x^k is the substitution beta_k = s_k
 (Hirzebruch, Topological Methods in Algebraic Geometry, Sections 1-4).
 This module is the only one that knows the variable names and aut(mu).
 `hilb_series(c1sq, c2, order)` is H(S) for the class with c1^2 = c1sq and
-c2 = c2, built from the localized series of the models P2 and P1xP1.
+c2 = c2: `surface_series` of the localized series of the models P2 and P1xP1.
 
 A `ChernVector`, the map {partitions la of d} -> Q of the Chern numbers
 c_la = integral of c_la1 c_la2 ... (TM), is the form in which classes are
@@ -333,21 +333,25 @@ def multiply(x: ChernVector, y: ChernVector) -> ChernVector:
 # -- graded series over the cobordism ring ----------------------------------------
 
 
+def surface_series(c1sq, c2, h_p2: TruncSeries, h_p1xp1: TruncSeries) -> TruncSeries:
+    """By the main theorem, exp(a log h_p2 + b log h_p1xp1) for [S] = a [P2] + b [P1xP1], that is
+    (c1sq, c2) = (9a + 8b, 3a + 4b), from the series of Hilb^n classes (or of genera of them) of
+    P2 and P1xP1.  Exact rationals give numeric series (K3 is (0, 24)), Polys the universal family."""
+    a = (_val(c1sq) - 2 * _val(c2)) / 3
+    b = (3 * _val(c2) - _val(c1sq)) / 4
+    return (h_p2.log() * a + h_p1xp1.log() * b).exp()
+
+
 def hilb_series(c1sq, c2, order: int) -> TruncSeries:
-    """H(S) = sum [Hilb^n(S)] z^n for c1^2(S) = c1sq and c2(S) = c2: by the
-    main theorem, exp(a log H(P2) + b log H(P1xP1)) for [S] = a [P2] + b [P1xP1],
-    that is (c1sq, c2) = (9a + 8b, 3a + 4b).  Exact rationals give numeric
-    series (K3 is (0, 24)), Polys the universal family; term n is the
+    """H(S) = sum [Hilb^n(S)] z^n for c1^2(S) = c1sq and c2(S) = c2, the
+    `surface_series` of the localized series of P2 and P1xP1; term n is the
     power-sum polynomial of a class of dimension 2n.
     """
     # imported here: localization imports this module, and the benchmark
     # tracer (perfbench/tracer.py) looks hilb_series up in this module
     from .localization import hilb_cobordism_series
 
-    a = (_val(c1sq) - 2 * _val(c2)) / 3
-    b = (3 * _val(c2) - _val(c1sq)) / 4
-    h_p2, h_p1xp1 = (hilb_cobordism_series(model, order) for model in (p2(), p1xp1()))
-    return (h_p2.log() * a + h_p1xp1.log() * b).exp()
+    return surface_series(c1sq, c2, *(hilb_cobordism_series(model, order) for model in (p2(), p1xp1())))
 
 
 def product_series(x: TruncSeries, y: TruncSeries) -> TruncSeries:

@@ -5,7 +5,9 @@ With log Q(x) = sum_k s_k x^k, the genus of a class is its power-sum
 polynomial (see `cobordism`) at beta_k = s_k, and the multiplicative
 sequence is the genus of the classes with a single nonzero Chern number;
 no root-finding is involved.  Coefficients may be polynomials in
-parameters (y).
+parameters (y).  The genus of Hilb^n(S) has one route, `genus_hilb_series`:
+the chart product with Q on P2 and P1xP1 (`localization.chi_series`),
+combined by the main theorem.
 
 Betti numbers and chi_{-y} of Hilb^n(S) depend only on b(S), which is
 (1, e(S) - 2, 1) on a toric surface; the Betti numbers are also counted
@@ -19,13 +21,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
 
-from .cobordism import ChernVector, beta_degree, beta_var, to_beta
-from .localization import chart_specializations, one_ps_ladder
+from .cobordism import ChernVector, beta_degree, beta_var, surface_series, to_beta
+from .localization import chart_specializations, chi_series, one_ps_ladder
 from .partitions import enumerate_partitions
 from .records import Record
 from .rings import Poly, linear_combination
 from .series import TruncSeries, exp_series, geometric, partition_product, todd_series
-from .toric import ToricSurface
+from .toric import ToricSurface, o_bundle, p1xp1, p2
 
 
 class GenusSpec(Record):
@@ -128,6 +130,13 @@ def genus_eval(genus: GenusSpec, b):
 def genus_series(genus: GenusSpec, h: TruncSeries) -> TruncSeries:
     """Apply a genus termwise to a series of classes: a series in t."""
     return TruncSeries("t", h.order, [genus_eval(genus, c) for c in h.coeffs])
+
+
+def genus_hilb_series(genus: GenusSpec, c1sq, c2, order: int) -> TruncSeries:
+    """The genus of Hilb^n(S), n <= order, for c1^2(S) = c1sq and c2(S) = c2 as a series in t:
+    the chart products of Q on P2 and P1xP1 (L = O, r = 0), combined by `surface_series`."""
+    rows = [chi_series(m, order, (o_bundle(m),), 0, q=genus.q)[0] for m in (p2(), p1xp1())]
+    return surface_series(c1sq, c2, *(TruncSeries("t", order, row) for row in rows))
 
 
 # -- Betti numbers and the chi_y generating series ----------------------------------

@@ -36,7 +36,8 @@ chi(L_n (x) E^r) is not a pass over tuples of partitions: its integrand
 td(T) e^{c1(L_n (x) E^r)} is multiplicative over the charts, so
 `chi_series` gives it for every n <= order at once as one product over
 the charts of sums over single partitions, on the same column kernels and
-under the same two-specialization gate.
+under the same two-specialization gate; with a genus's series in place of
+Todd it is the genus of Hilb^n(S) (`genera.genus_hilb_series`).
 
 Numbers on the surface itself (intersection numbers, the gamma-vectors of
 `universal`) are the case n = 1, since Hilb^1(S) = S: `surface_number`
@@ -608,7 +609,8 @@ def hilb_cobordism_series(model: ToricSurface, order: int) -> TruncSeries:
 # At a fixed point (la_c) the tangent space is the sum of the charts' pieces
 # T_{la_c}, and the weight of det(L_n (x) E^r) is the sum over the charts of
 # |la_c| lw_c(L) + r o_c(la_c), with o_c(la) the weight of det O^[|la|] at
-# the one-chart point la, the sum of its cell characters.  So, Q the Todd series,
+# the one-chart point la, the sum of its cell characters.  So, Q the Todd series
+# (or any characteristic series: with L = O and r = 0 this is a genus),
 #   sum_n chi(L_n (x) E^r) z^n = sum_n z^n [eps^{2n}] prod_c Z_c,
 #   Z_c = sum_la z^{|la|} e^{|la| lw_c(L) eps} e^{r o_c(la) eps} prod_{t in T_la} Q(t eps) / t,
 # exactly at each specialization: the sum over tuples of partitions becomes
@@ -690,12 +692,14 @@ def _chart_product(tables) -> list:
     return [_z_eps_coeff(acc, last, n, 2 * n) for n in range(order + 1)]
 
 
-def chi_series(model: ToricSurface, order: int, bundles, r: int, ladder: str = "xi") -> list:
+def chi_series(model: ToricSurface, order: int, bundles, r: int, ladder: str = "xi", q: TruncSeries | None = None) -> list:
     """[[chi(L_n (x) E^r) for n = 0..order] for L in bundles], exact: the
     chart product above at each of the first two specializations of the
-    1-PS ladder at order, which must agree value by value."""
+    1-PS ladder at order, which must agree value by value.  Q is q (rational
+    coefficients; term n has the factor q(0)^{2n}) if given, Todd if not."""
     big = 2 * order
-    _, d, exp = _tangent_log(todd_series("x", big), big)  # Todd: Q(0) = 1
+    q = todd_series("x", big) if q is None else q
+    _, d, exp = _tangent_log(q, big)
     sizes = [len(enumerate_partitions(m)) for m in range(order + 1)]
     units = [factorial(big) // factorial(i) for i in range(big + 1)]
     specs = one_ps_ladder(model, order, ladder)[:2]
@@ -705,7 +709,7 @@ def chi_series(model: ToricSurface, order: int, bundles, r: int, ladder: str = "
         sums = [_chart_sums(cols, sizes, r, d, exp, units) for cols in columns]
         # each chart's table and twist carry N!, its table L_c
         den = prod(cols[2] for cols in columns) * units[0] ** (2 * len(sums))
-        dens = [den * d ** (2 * n) for n in range(order + 1)]
+        dens = [den * (d / Fraction(q[0])) ** (2 * n) for n in range(order + 1)]
         rows = []
         for L in bundles:
             weights = [d * _specialize(L.local_weight(chart), spec) for chart in model.charts]

@@ -175,6 +175,8 @@ DEPTH_4 = "blowup:blowup:blowup:blowup:p2:0:0:0:0"
         ["genus", "--genus", "euler", "--surface", "p2", "--k3", "--n", "2"],
         ["genus", "--genus", "chi_y", "--model", "P2", "--surface", "p1xp1", "--n", "2"],
         ["genus", "--genus", "todd", "--model", "P2", "--k3", "--n", "2"],
+        ["genus", "--genus", "todd", "--model", "P2", "--n", "3"],
+        ["genus", "--genus", "euler", "--n", "3"],
         ["chi", "--surface", "p2", "--n", "2", "--k", "5", "--bundle", "1,0,0"],
         ["twist-series", "--r", "9" * 41, "--order", "3"],
         ["twist-series", "--r", "9" * 4001, "--order", "3"],
@@ -267,6 +269,8 @@ def run_cli(argv):
         (["genus", "--genus", "phi:2:\u0661", "--k3", "--n", "1"], "k in --genus phi:N:k must be an integer"),
         (["series-id", "--a", "1", "--y", "1_000"], "--y must be a rational number"),
         (["genus", "--genus", "phi:02:+1", "--k3", "--n", "1"], "--genus phi:02:+1 must be spelled phi:2:1"),
+        (["genus", "--genus", "todd", "--model", "P2", "--n", "3"], "--model is only for --genus chi_y"),
+        (["genus", "--genus", "euler", "--n", "3"], "--genus euler needs --surface or --k3"),
     ],
 )
 def test_input_error_messages(argv, message):

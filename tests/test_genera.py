@@ -2,6 +2,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbloc.cobordism import cp_product_class, hilb_series, to_beta
 from hilbloc.genera import (
@@ -10,6 +12,7 @@ from hilbloc.genera import (
     chi_y_genus,
     chi_y_hilb,
     genus_eval,
+    genus_hilb_series,
     genus_series,
     multiplicative_sequence,
     phi_nk_closed_form,
@@ -20,10 +23,11 @@ from hilbloc.genera import (
 )
 import hilbloc.genera as genera
 import hilbloc.localization as loc
-from hilbloc.localization import ConsistencyError, hilb_cobordism_series
+from hilbloc.localization import ConsistencyError, Integrand, chi_series, hilb_cobordism_series, integrate
 from hilbloc.rings import Poly
-from hilbloc.series import TruncSeries
-from hilbloc.toric import build_model, p1xp1, p2
+from hilbloc.series import TruncSeries, geometric
+from hilbloc.toric import ToricSurface, blowup, build_model, o_bundle, p1xp1, p2
+from profile_counts import example_count
 from record_oracle import assert_record
 
 CP2 = to_beta(cp_product_class((2,)))
@@ -213,3 +217,94 @@ def test_chi_y_surface_values():
     # Hilb^1(S) = S, and the exponential route starts from the surface's polynomial
     assert chi_y_hilb(p2(), 1, "exp")[1] == 1 + Poly.var("y") + Poly.var("y", 2)
     assert chi_y_hilb(p1xp1(), 1, "exp")[1] == 1 + 2 * Poly.var("y") + Poly.var("y", 2)
+
+
+# -- the genus of Hilb^n(S) as a chart product ------------------------------------------
+
+NAMED_GENERA = {
+    "todd": todd_genus,
+    "euler": total_chern_genus,
+    "signature": signature_genus,
+    "phi:2:1": lambda degree: phi_nk_genus(2, 1, degree),
+}
+
+
+def chart_genus(model, genus, order, ladder="xi"):
+    """The genus of Hilb^n(S), n = 0..order, from the chart product on the fan of S."""
+    return chi_series(model, order, (o_bundle(model),), 0, ladder, q=genus.q)[0]
+
+
+def hirzebruch(a):
+    return ToricSurface(f"F_{a}", ((1, 0), (0, 1), (-1, a), (0, -1)))
+
+
+@pytest.mark.parametrize("ladder", ["xi", "eta"])
+@pytest.mark.parametrize("spec", ["p2", "p1xp1", "blowup:p2:0"])
+def test_chart_product_genus_matches_the_power_sum_classes(spec, ladder):
+    # the oracle is the genus of the localized power-sum classes of Hilb^n(S)
+    model = build_model(spec)
+    h = hilb_cobordism_series(model, 5)
+    for name, make in NAMED_GENERA.items():
+        genus = make(10)
+        assert chart_genus(model, genus, 5, ladder) == list(genus_series(genus, h).coeffs), name
+
+
+def test_todd_genus_of_hilb_is_geometric():
+    # chi(O_{S^[n]}) = 1 on a rational surface, and sum_n chi(O_{S^[n]}) z^n is
+    # (1 - z)^{-chi(O_S)} with chi(O_S) = (c1^2 + c2) / 12 (Noether)
+    for spec in ("p2", "p1xp1", "blowup:blowup:p1xp1:0:2"):
+        assert chart_genus(build_model(spec), todd_genus(12), 6) == [1] * 7
+    for c1sq, c2 in ((9, 3), (0, 24), (0, 12), (-8, 44)):
+        assert genus_hilb_series(todd_genus(12), c1sq, c2, 6) == geometric("t", 6).pow(Fraction(c1sq + c2, 12))
+
+
+def test_chart_product_scales_term_n_by_q0_to_the_2n():
+    model, o = p1xp1(), (o_bundle(p1xp1()),)
+    q = total_chern_genus(8).q
+    base = chi_series(model, 4, o, 0, q=q)[0]  # Euler numbers: every term is nonzero
+    for c in (Fraction(2), Fraction(-1, 3)):
+        scaled = chi_series(model, 4, o, 0, q=q * c)[0]
+        assert scaled == [v * c ** (2 * n) for n, v in enumerate(base)]
+        assert scaled[2] == integrate(model, 2, Integrand(tangent_class=(q * c).truncate(4)))  # the walk scales too
+    with pytest.raises(ValueError, match="Q\\(0\\) != 0"):
+        chi_series(model, 4, o, 0, q=TruncSeries("x", 8, [0, 1]))
+
+
+@st.composite
+def theorem_cases(draw):
+    """A smooth complete fan (P2 or F_a with a <= 5, blown up 0-3 times at drawn
+    charts), n <= 4, a genus of degree 2n (a named one, or drawn rational
+    coefficients with Q(0) = 1) and a ladder."""
+    a = draw(st.integers(-1, 5))
+    model = p2() if a < 0 else hirzebruch(a)
+    for _ in range(draw(st.integers(0, 3))):
+        model = blowup(model, draw(st.integers(0, len(model.rays) - 1)))
+    n = draw(st.integers(0, 4))
+    name = draw(st.sampled_from([*NAMED_GENERA, "drawn"]))
+    if name == "drawn":
+        coeffs = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=2 * n, max_size=2 * n))
+        genus = GenusSpec("drawn", TruncSeries("x", 2 * n, [1, *coeffs]))
+    else:
+        genus = NAMED_GENERA[name](2 * n)
+    return model, genus, n, draw(st.sampled_from(("xi", "eta")))
+
+
+@settings(max_examples=example_count(15), deadline=None)
+@given(theorem_cases())
+def test_main_theorem_on_random_fans(case):
+    # the paper's main theorem: [S^[n]] depends only on (c1^2, c2) = (12 - e, e)
+    # for a smooth toric surface, so the chart product on the fan equals the
+    # genus series that the two models give through the change of basis
+    model, genus, n, ladder = case
+    e = model.euler_number
+    assert chart_genus(model, genus, n, ladder) == list(genus_hilb_series(genus, 12 - e, e, n).coeffs)
+
+
+def test_main_theorem_at_the_wrong_c1sq_fails():
+    # the mutant: Todd at (c1^2 + 1, c2) is (1 - z)^{-13/12}, not the fan's (1 - z)^{-1}
+    todd = todd_genus(6)
+    for model in (p2(), hirzebruch(3), blowup(blowup(p1xp1(), 0), 0)):
+        e = model.euler_number
+        direct = chart_genus(model, todd, 3)
+        assert direct == list(genus_hilb_series(todd, 12 - e, e, 3).coeffs)
+        assert direct != list(genus_hilb_series(todd, 13 - e, e, 3).coeffs)

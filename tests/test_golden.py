@@ -7,7 +7,9 @@ numerators over a common denominator; `twist_r3_o8_long`: before the
 integrand evaluator did; `betti_p1xp1_n7_long` and `genus_chi_y_p1xp1_n7_long`:
 while the two models still had their own Betti sums and chi_y tables;
 `chern_p1xp1_n6_long_eta` and `chern_blowup3_p1xp1_n5`: while the residue
-pass still walked the fixed points one at a time), so they pin the
+pass still walked the fixed points one at a time; `genus_todd_blowup3_p1xp1_n7_long`
+and `genus_phi21_k3_n7_long`: while `genus` still evaluated the power-sum class
+of Hilb^n(S)), so they pin the
 byte-identical output of every rewrite of the engine.  Each
 entry is `<name>.json` with the argv below; regenerating one means running
 `python -m hilbloc.cli <argv> > tests/golden/<name>.json` on a build whose
@@ -27,7 +29,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # every README CLI line except `verify`, plus the twist-series and chern workload sizes,
 # the largest `universal` call, genera on a blowup, on P1xP1 and on K3, and Chern
-# numbers on the eta ladder and on a surface of seven charts (several blocks of points)
+# numbers on the eta ladder and on a surface of seven charts (several blocks of points),
+# and the largest genus calls on a surface and on K3
 GOLDEN = {
     "chern_p2_n4": ["chern", "--surface", "p2", "--n", "4"],
     "chern_blowup_n6": ["chern", "--surface", "blowup:p2:0", "--n", "6", "--long"],
@@ -57,6 +60,10 @@ GOLDEN = {
     "genus_chi_y_p1xp1_n7_long": ["genus", "--genus", "chi_y", "--model", "P1xP1", "--n", "7", "--long"],
     "chern_p1xp1_n6_long_eta": ["chern", "--surface", "p1xp1", "--n", "6", "--long", "--ladder", "eta"],
     "chern_blowup3_p1xp1_n5": ["chern", "--surface", "blowup:blowup:blowup:p1xp1:0:0:0", "--n", "5"],
+    "genus_todd_blowup3_p1xp1_n7_long": [
+        "genus", "--genus", "todd", "--surface", "blowup:blowup:blowup:p1xp1:0:0:0", "--n", "7", "--long",
+    ],
+    "genus_phi21_k3_n7_long": ["genus", "--genus", "phi:2:1", "--k3", "--n", "7", "--long"],
 }
 
 
