@@ -316,32 +316,25 @@ def cmd_verify(args, parser):
         sys.exit(1)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hilbloc", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(sp, ladder=False):
+    sp.add_argument("--n", type=integer, required=True)
+    sp.add_argument("--long", action="store_true", help="enable n = 6, 7")
+    sp.add_argument("--csv", action="store_true")
+    if ladder:
+        sp.add_argument("--ladder", choices=("xi", "eta"), default="xi", help="1-PS ladder of the residue sum")
 
-    def common(sp, ladder=False):
-        sp.add_argument("--n", type=integer, required=True)
-        sp.add_argument("--long", action="store_true", help="enable n = 6, 7")
-        sp.add_argument("--csv", action="store_true")
-        if ladder:
-            sp.add_argument("--ladder", choices=("xi", "eta"), default="xi", help="1-PS ladder of the residue sum")
 
-    sp = sub.add_parser("chern", help="Chern numbers of Hilb^n over a toric model")
+def _chern_args(sp):
     sp.add_argument("--surface", required=True, help=SURFACE_HELP)
-    common(sp, ladder=True)
-    sp.set_defaults(fn=cmd_chern)
+    _common(sp, ladder=True)
 
-    sp = sub.add_parser("universal", help="universal polynomials P_la(c1^2, c2)")
-    common(sp)
-    sp.set_defaults(fn=cmd_universal)
 
-    sp = sub.add_parser("betti", help="Betti numbers of Hilb^n for the two models")
+def _betti_args(sp):
     sp.add_argument("--model", required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_betti)
+    _common(sp)
 
-    sp = sub.add_parser("chi", help="chi(L_n (x) E^r) by localization")
+
+def _chi_args(sp):
     sp.add_argument("--surface", required=True, help=SURFACE_HELP)
     bundle = sp.add_mutually_exclusive_group()
     bundle.add_argument(
@@ -351,10 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--bundle", type=str, default=None, help=f"comma-separated ray coefficients, at most {DIGITS_MAX} digits each"
     )
     sp.add_argument("--r", default="0", help=f"at most {DIGITS_MAX} digits")
-    common(sp, ladder=True)
-    sp.set_defaults(fn=cmd_chi)
+    _common(sp, ladder=True)
 
-    sp = sub.add_parser("twist-series", help="fitted log A_r and B_r")
+
+def _twist_series_args(sp):
     sp.add_argument("--r", required=True, help=f"at most {DIGITS_MAX} digits")
     sp.add_argument(
         "--order", type=integer, required=True,
@@ -362,9 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--long", action="store_true", help=f"enable order {LONG_N_MAX + 1}..{TWIST_ORDER_MAX}")
     sp.add_argument("--csv", action="store_true")
-    sp.set_defaults(fn=cmd_twist_series)
 
-    sp = sub.add_parser("genus", help="genus values of Hilb^n terms")
+
+def _genus_args(sp):
     sp.add_argument(
         "--genus", required=True,
         help=f"todd | euler | signature | phi:N:k | chi_y; phi:N:k needs 0 <= k <= N and N >= 1, "
@@ -374,25 +367,58 @@ def build_parser() -> argparse.ArgumentParser:
     where.add_argument("--surface", default=None, help=SURFACE_HELP)
     where.add_argument("--model", default=None, help="P2 | P1xP1 (for chi_y)")
     where.add_argument("--k3", action="store_true", help="use the K3 cobordism class")
-    common(sp)
-    sp.set_defaults(fn=cmd_genus)
+    _common(sp)
 
-    sp = sub.add_parser("series-id", help="verify the f/g power-series identities")
+
+def _series_id_args(sp):
     sp.add_argument("--a", type=integer, required=True, help=f"0..{SERIES_A_MAX}")
     sp.add_argument("--y", default="1", help=f"p or p/q, at most {DIGITS_MAX} digits each; a negative p/q is written --y=-1/2")
     sp.add_argument("--order", type=integer, default=30, help=f"1..{SERIES_ORDER_MAX}")
     sp.add_argument("--csv", action="store_true")
-    sp.set_defaults(fn=cmd_series_id)
 
-    sp = sub.add_parser("verify", help="run the acceptance suite (exit 1 if a check fails)")
+
+def _verify_args(sp):
     sp.add_argument("--profile", choices=("quick", "standard", "long"), default="quick")
-    sp.set_defaults(fn=cmd_verify)
 
+
+# name -> (help, the function that adds its arguments, the command), in the order of --help
+_COMMANDS = {
+    "chern": ("Chern numbers of Hilb^n over a toric model", _chern_args, cmd_chern),
+    "universal": ("universal polynomials P_la(c1^2, c2)", _common, cmd_universal),
+    "betti": ("Betti numbers of Hilb^n for the two models", _betti_args, cmd_betti),
+    "chi": ("chi(L_n (x) E^r) by localization", _chi_args, cmd_chi),
+    "twist-series": ("fitted log A_r and B_r", _twist_series_args, cmd_twist_series),
+    "genus": ("genus values of Hilb^n terms", _genus_args, cmd_genus),
+    "series-id": ("verify the f/g power-series identities", _series_id_args, cmd_series_id),
+    "verify": ("run the acceptance suite (exit 1 if a check fails)", _verify_args, cmd_verify),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of argv.  When argv starts with a command, only that
+    command's subparser is built, under a metavar that keeps the top-level
+    usage of the full parser: every later argument goes to the subparser,
+    so only that usage and the subparser's own texts can be printed.
+    Otherwise (no command, --help or an unknown name) every subparser is."""
+    parser = argparse.ArgumentParser(prog="hilbloc", description=__doc__)
+    if argv[:1] and argv[0] in _COMMANDS:
+        names = argv[:1]
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}")
+    else:
+        # no metavar here: argparse names the positional by it in its errors
+        names = _COMMANDS
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        text, add_arguments, fn = _COMMANDS[name]
+        sp = sub.add_parser(name, help=text)
+        add_arguments(sp)
+        sp.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         args.fn(args, parser)

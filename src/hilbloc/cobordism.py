@@ -333,13 +333,15 @@ def multiply(x: ChernVector, y: ChernVector) -> ChernVector:
 # -- graded series over the cobordism ring ----------------------------------------
 
 
-def surface_series(c1sq, c2, h_p2: TruncSeries, h_p1xp1: TruncSeries) -> TruncSeries:
-    """By the main theorem, exp(a log h_p2 + b log h_p1xp1) for [S] = a [P2] + b [P1xP1], that is
-    (c1sq, c2) = (9a + 8b, 3a + 4b), from the series of Hilb^n classes (or of genera of them) of
-    P2 and P1xP1.  Exact rationals give numeric series (K3 is (0, 24)), Polys the universal family."""
+def surface_series(c1sq, c2, model_series, var: str, order: int) -> TruncSeries:
+    """By the main theorem, exp(a log h_P2 + b log h_P1xP1) for [S] = a [P2] + b [P1xP1], that is
+    (c1sq, c2) = (9a + 8b, 3a + 4b), a series in var to order from model_series(model), the series
+    of Hilb^n classes (or of genera of them) of P2 or P1xP1; a model whose coefficient is 0 is not
+    asked for.  Exact rationals give numeric series (K3 is (0, 24)), Polys the universal family."""
     a = (_val(c1sq) - 2 * _val(c2)) / 3
     b = (3 * _val(c2) - _val(c1sq)) / 4
-    return (h_p2.log() * a + h_p1xp1.log() * b).exp()
+    logs = [model_series(model).log() * c for model, c in ((p2(), a), (p1xp1(), b)) if c != 0]
+    return sum(logs, TruncSeries.zero(var, order)).exp()
 
 
 def hilb_series(c1sq, c2, order: int) -> TruncSeries:
@@ -351,7 +353,7 @@ def hilb_series(c1sq, c2, order: int) -> TruncSeries:
     # tracer (perfbench/tracer.py) looks hilb_series up in this module
     from .localization import hilb_cobordism_series
 
-    return surface_series(c1sq, c2, *(hilb_cobordism_series(model, order) for model in (p2(), p1xp1())))
+    return surface_series(c1sq, c2, lambda model: hilb_cobordism_series(model, order), "z", order)
 
 
 def product_series(x: TruncSeries, y: TruncSeries) -> TruncSeries:

@@ -27,7 +27,7 @@ from .partitions import enumerate_partitions
 from .records import Record
 from .rings import Poly, linear_combination
 from .series import TruncSeries, exp_series, geometric, partition_product, todd_series
-from .toric import ToricSurface, o_bundle, p1xp1, p2
+from .toric import ToricSurface, o_bundle
 
 
 class GenusSpec(Record):
@@ -134,9 +134,13 @@ def genus_series(genus: GenusSpec, h: TruncSeries) -> TruncSeries:
 
 def genus_hilb_series(genus: GenusSpec, c1sq, c2, order: int) -> TruncSeries:
     """The genus of Hilb^n(S), n <= order, for c1^2(S) = c1sq and c2(S) = c2 as a series in t:
-    the chart products of Q on P2 and P1xP1 (L = O, r = 0), combined by `surface_series`."""
-    rows = [chi_series(m, order, (o_bundle(m),), 0, q=genus.q)[0] for m in (p2(), p1xp1())]
-    return surface_series(c1sq, c2, *(TruncSeries("t", order, row) for row in rows))
+    the chart products of Q on P2 and P1xP1 (L = O, r = 0), combined by `surface_series`, which
+    skips the model whose coefficient is 0 (P1xP1 for (9, 3), P2 for (8, 4))."""
+
+    def model_series(model):
+        return TruncSeries("t", order, chi_series(model, order, (o_bundle(model),), 0, q=genus.q)[0])
+
+    return surface_series(c1sq, c2, model_series, "t", order)
 
 
 # -- Betti numbers and the chi_y generating series ----------------------------------

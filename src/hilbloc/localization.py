@@ -8,7 +8,11 @@ formula) in `chart_tangent_weights`; the characters of its cells, the
 fibre of O^[n], in `_cell_characters` (`taut_weights` shifts them by a
 bundle's local weight, and det O^[n] has their sum); its tangent weights
 at a 1-PS in `chart_specializations`, the one table that the residue
-sums, the chart product and the Betti numbers (`genera`) read.
+sums, the chart product and the Betti numbers (`genera`) read; and the
+power sums p_1, ..., p_2n of those weights in `_chart_power_rows`, the one
+power-sum table.  p_k is additive over the charts, so the power sums of a
+fixed point (`_hilb_beta`, the tangent class of an integrand) are the sum
+of its charts' rows, and the chart product reads the rows as columns.
 
 Every sum over the fixed points of Hilb^n here is a set of monomial sums
 over one column table: `_monomial_sums` walks the fixed points in blocks of
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import factorial, gcd, lcm, prod
 from operator import add, mul, sub
 
@@ -235,20 +239,45 @@ def chart_specializations(model: ToricSurface, order: int, spec) -> tuple:
     )
 
 
+def _chart_power_rows(model: ToricSurface, order: int, spec) -> tuple:
+    """Per chart, {la: (p_1, ..., p_N)} with p_k = sum t^k over the tangent
+    weights t of la in `chart_specializations`, N = 2 order, over the same
+    partitions; the powers of each distinct weight are formed once.  p_k is
+    additive over the charts, so the row of a fixed point is the sum of its
+    charts' rows (`_point_power_sums`)."""
+    big = 2 * order
+    charts = chart_specializations(model, order, spec)
+    distinct = {t for weights in charts for tvals in weights.values() for t in tvals}
+    powers = {t: list(accumulate(repeat(t, big), mul)) for t in distinct}
+    return tuple(
+        {la: tuple(map(sum, zip(*map(powers.get, tvals)))) if la else (0,) * big for la, tvals in weights.items()}
+        for weights in charts
+    )
+
+
+def _point_power_sums(model: ToricSurface, n: int):
+    """The function of (spec, block) that gives the columns p_1, ..., p_2n of
+    the tangent weights' power sums at the 1-PS spec over block, fixed points
+    of Hilb^n: each point's row is the sum of its charts' rows, and the rows
+    (`_chart_power_rows`) of a spec are formed once, for every block of one
+    pass, and dropped with the function."""
+    rows = {}
+
+    def columns(spec, block):
+        if spec not in rows:
+            rows[spec] = _chart_power_rows(model, n, spec)
+        points = []
+        for fp in block:
+            parts = [chart[la] for chart, la in zip(rows[spec], fp) if la]
+            points.append(parts[0] if len(parts) == 1 else tuple(map(sum, zip(*parts))))
+        return list(zip(*points))
+
+    return columns
+
+
 # Symmetric functions of weights on a block of points, column by column:
 # cols[j] is the column of the j-th weight over the block's width points, and
 # each function comes back as one column over the same points.
-
-
-def _column_power_sums(cols, width, order):
-    """The columns [p_0, ..., p_order] with p_k = sum t^k over the weights cols."""
-    p, x = [[len(cols)] * width], list(cols)
-    for k in range(1, order + 1):
-        p.append(list(map(sum, zip(*x))) if x else [0] * width)
-        if k < order:
-            for j, t in enumerate(cols):
-                x[j] = list(map(mul, x[j], t))
-    return p
 
 
 def _chern_classes(cols, width, order, mults):
@@ -518,6 +547,7 @@ def _integrate_family(model, n, integrands, ladder) -> list:
     for integrand in integrands:
         terms = _integrand_terms(integrand, n, slots).items()
         rows.append([(index.setdefault(mono, len(index)), c) for mono, c in terms])
+    power_sums = _point_power_sums(model, n)
 
     def tables(block):
         # per slot: the multiplicities of a tautological class, the same at
@@ -537,7 +567,7 @@ def _integrate_family(model, n, integrands, ladder) -> list:
                     out += _chern_classes(cols, width, order, repeat(1))
                 else:
                     if p is None:
-                        p = _column_power_sums(cols, width, order)[1:]
+                        p = power_sums(spec, block)
                     out += _tangent_exponential(src, p, width, order)
             return out
 
@@ -594,8 +624,19 @@ def _hilb_beta(model: ToricSurface, n: int):
     """The power-sum polynomial of Hilb^n(S): its integrals of p_mu are the
     residue sums of prod_{p in mu} p_p(t) / prod t."""
     lams = enumerate_partitions(2 * n)
-    values = _monomial_sums(model, n, "xi", lams, lambda block: lambda spec, cols, width: _column_power_sums(cols, width, 2 * n))
-    return beta_poly(2 * n, values)
+    return beta_poly(2 * n, _monomial_sums(model, n, "xi", lams, _power_sum_tables(model, n)))
+
+
+def _power_sum_tables(model: ToricSurface, n: int):
+    """The `_monomial_sums` tables of the columns [p_0, ..., p_2n] of the
+    tangent weights' power sums over a block of fixed points of Hilb^n,
+    p_0 = 2n and the rest from `_point_power_sums`."""
+    power_sums = _point_power_sums(model, n)
+
+    def tables(block):
+        return lambda spec, cols, width: [[2 * n] * width, *power_sums(spec, block)]
+
+    return tables
 
 
 def hilb_cobordism_series(model: ToricSurface, order: int) -> TruncSeries:
@@ -615,9 +656,10 @@ def hilb_cobordism_series(model: ToricSurface, order: int) -> TruncSeries:
 #   Z_c = sum_la z^{|la|} e^{|la| lw_c(L) eps} e^{r o_c(la) eps} prod_{t in T_la} Q(t eps) / t,
 # exactly at each specialization: the sum over tuples of partitions becomes
 # one sum over single partitions per chart.  With N = 2 order, the partitions
-# of size <= order at a chart are the columns of the integrand's integer
-# kernels (each one's 2|la| weights padded with zeros to N), r o_c(la)
-# folded into the eps^1 term of the tangent exponential.  Summed by size m
+# of size <= order at a chart are the columns of the tangent exponential's
+# integer kernel, on their power-sum rows p_1..p_N (`_chart_power_rows`), with
+# r o_c(la) folded into the eps^1 term.  A chart's e^{m lw_c(L) eps} is 1 where
+# lw_c(L) = 0 (every chart of L = O, so every genus).  Summed by size m
 # over their prod t, they give the chart's table
 #   a_c[m][j] = N! L_c D^j [eps^j] (Z_c without e^{m lw_c(L) eps} at z^m),
 # L_c the lcm of the chart's prod t, and e^{m lw_c(L) eps} is scaled the
@@ -629,18 +671,15 @@ def hilb_cobordism_series(model: ToricSurface, order: int) -> TruncSeries:
 def _chart_columns(model: ToricSurface, order: int, spec) -> tuple:
     """Per chart at the specialization spec, over its partitions of size
     0..order in `chart_specializations`: the columns p_1, ..., p_N of the
-    tangent weights' power sums (each partition's 2|la| weights padded with
-    zeros to N), the column of o_c, and L_c with the column of the scales
-    L_c / prod t."""
+    tangent weights' power sums (the rows of `_chart_power_rows`), the column
+    of o_c, and L_c with the column of the scales L_c / prod t."""
     out = []
-    for chart, weights in zip(model.charts, chart_specializations(model, order, spec)):
-        tvals = list(weights.values())
-        cols = list(zip(*(t + (0,) * (2 * order - len(t)) for t in tvals)))
-        ds = list(map(prod, tvals))
+    charts = zip(model.charts, chart_specializations(model, order, spec), _chart_power_rows(model, order, spec))
+    for chart, weights, rows in charts:
+        ds = list(map(prod, weights.values()))
         den = lcm(*ds)
-        p = tuple(map(tuple, _column_power_sums(cols, len(tvals), 2 * order)[1:]))
         o = tuple(sum(_specialize(c, spec) for c in _cell_characters(chart, la)) for la in weights)
-        out.append((p, o, den, tuple(den // x for x in ds)))
+        out.append((tuple(zip(*rows.values())), o, den, tuple(den // x for x in ds)))
     return tuple(out)
 
 
@@ -663,7 +702,9 @@ def _chart_sums(columns, sizes, r, d, exp, units) -> list:
 
 def _twisted(table, w, units) -> list:
     """The rows table[m] times e^{m w eps}, all scaled (w is D times the
-    specialized weight, units[i] = N! / i!)."""
+    specialized weight, units[i] = N! / i!); for w = 0 only the scale N!."""
+    if not w:
+        return [[units[0] * x for x in row] for row in table]
     out = [[units[0] * x for x in table[0]]]
     for m, row in enumerate(table[1:], 1):
         twist = [u * (m * w) ** i for i, u in enumerate(units)]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hilbloc
-from hilbloc.cli import main
+from hilbloc.cli import _COMMANDS, build_parser, main
 from hilbloc.toric import build_model
 from profile_counts import example_count
 
@@ -271,12 +271,69 @@ def run_cli(argv):
         (["genus", "--genus", "phi:02:+1", "--k3", "--n", "1"], "--genus phi:02:+1 must be spelled phi:2:1"),
         (["genus", "--genus", "todd", "--model", "P2", "--n", "3"], "--model is only for --genus chi_y"),
         (["genus", "--genus", "euler", "--n", "3"], "--genus euler needs --surface or --k3"),
+        (["twist-series", "--r", "2", "--order", "1"], "hilbloc: error: order must be >= 2"),
+        (["twist-series", "--r", "2"], "hilbloc twist-series: error: the following arguments are required: --order"),
+        (["twist"], "argument command: invalid choice: 'twist'"),
+        ([], "the following arguments are required: command"),
     ],
 )
 def test_input_error_messages(argv, message):
     proc = run_cli(argv)
     assert proc.returncode == 2
     assert message in proc.stderr
+
+
+# -- the parser of one command against the parser of all of them -------------------
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_parser_of_one_command_prints_as_the_full_parser(name, capsys, monkeypatch):
+    # the top-level usage (every error of the top-level parser prints it) and
+    # what the subparser prints; the top-level help, which lists one command
+    # here, is never printed: every argument after the command goes to the
+    # subparser
+    monkeypatch.setenv("COLUMNS", "80")
+    one, full = build_parser([name]), build_parser()
+    assert one.format_usage() == full.format_usage()
+    for argv in ([name, "--help"], [name, "--bogus"]):
+        printed = []
+        for parser in (one, full):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["twist-series", "--r", "2", "--order", "1"],  # raised inside the command, by the top-level parser
+        ["twist-series", "--r", "2"],
+        ["chi", "--surface", "p2", "--n", "1"],
+        ["twist"],
+        [],
+        ["--bogus"],
+        ["--help"],
+    ],
+)
+def test_main_prints_as_with_the_full_parser(argv, capsys, monkeypatch):
+    # what main prints for argv against the full parser's output, which main
+    # printed before it built the named command's subparser only
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(argv)
+    got = capsys.readouterr()
+    full = build_parser()
+    with pytest.raises(SystemExit):
+        args = full.parse_args(argv)
+        args.fn(args, full)
+    assert got == capsys.readouterr()
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["hilbloc", "series-id", "--a", "1", "--order", "1"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["holds"] is True
 
 
 def test_series_id_order_one(capsys):

@@ -9,7 +9,8 @@ while the two models still had their own Betti sums and chi_y tables;
 `chern_p1xp1_n6_long_eta` and `chern_blowup3_p1xp1_n5`: while the residue
 pass still walked the fixed points one at a time; `genus_todd_blowup3_p1xp1_n7_long`
 and `genus_phi21_k3_n7_long`: while `genus` still evaluated the power-sum class
-of Hilb^n(S)), so they pin the
+of Hilb^n(S); `genus_todd_p2_n7_long`: while `genus --surface` still ran the
+chart product of both models, also the one of coefficient 0), so they pin the
 byte-identical output of every rewrite of the engine.  Each
 entry is `<name>.json` with the argv below; regenerating one means running
 `python -m hilbloc.cli <argv> > tests/golden/<name>.json` on a build whose
@@ -28,7 +29,7 @@ import hilbloc
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # every README CLI line except `verify`, plus the twist-series and chern workload sizes,
-# the largest `universal` call, genera on a blowup, on P1xP1 and on K3, and Chern
+# the largest `universal` call, genera on a blowup, on P2, on P1xP1 and on K3, and Chern
 # numbers on the eta ladder and on a surface of seven charts (several blocks of points),
 # and the largest genus calls on a surface and on K3
 GOLDEN = {
@@ -52,6 +53,7 @@ GOLDEN = {
     "universal_n5": ["universal", "--n", "5"],
     "universal_n7_long": ["universal", "--n", "7", "--long"],
     "genus_todd_p1xp1_n6_long": ["genus", "--genus", "todd", "--surface", "p1xp1", "--n", "6", "--long"],
+    "genus_todd_p2_n7_long": ["genus", "--genus", "todd", "--surface", "p2", "--n", "7", "--long"],
     "genus_signature_blowup_p2_0_n5": [
         "genus", "--genus", "signature", "--surface", "blowup:p2:0", "--n", "5",
     ],

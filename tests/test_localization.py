@@ -781,13 +781,15 @@ def test_blocked_partition_sums_match_per_point_oracle(case):
 
     model, n, ladder, kind, block = case
     if kind == "e":
-        kernel, oracle = partial(loc._chern_classes, order=2 * n, mults=repeat(1)), residue_oracle.elementary_symmetric
+        kernel = partial(loc._chern_classes, order=2 * n, mults=repeat(1))
+        tables = lambda block: lambda spec, cols, width: kernel(cols, width)  # noqa: E731
+        oracle = residue_oracle.elementary_symmetric
     else:
-        kernel = partial(loc._column_power_sums, order=2 * n)
+        # the power sums of a point are its charts' rows added up
+        tables = loc._power_sum_tables(model, n)
         oracle = partial(residue_oracle.tangent_power_sums, order=2 * n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(loc, "_BLOCK", block)
-        tables = lambda block: lambda spec, cols, width: kernel(cols, width)  # noqa: E731
         values = loc._monomial_sums(model, n, ladder, enumerate_partitions(2 * n), tables)
     assert values == residue_oracle.partition_sums(model, n, ladder, oracle)
 
@@ -805,18 +807,20 @@ def _moment_character(chart, la):
 @given(small_blowups(), st.integers(0, 4), st.sampled_from(("xi", "eta")), st.data())
 def test_chart_table_matches_per_partition_facts(model, n, ladder, data):
     # the shared specialization table against each partition's own tangent
-    # characters, and the cell sums (the chart product's o_c and
-    # det_taut_weight) against the moments of the partitions
+    # characters, the power-sum rows (p_1..p_2n, the empty partition's too)
+    # against the power sums of those, and the cell sums (the chart product's
+    # o_c and det_taut_weight) against the moments of the partitions
     import hilbloc.localization as loc
 
     lams = [la for m in range(n + 1) for la in enumerate_partitions(m)]
     for spec in one_ps_ladder(model, n, ladder)[:2]:
         columns = loc._chart_columns(model, n, spec)
-        for chart, weights, cols in zip(model.charts, chart_specializations(model, n, spec), columns):
-            assert list(weights) == lams
-            assert [list(w) for w in weights.values()] == [
-                specialize_tangents(chart_tangent_weights(chart, la), spec) for la in lams
-            ]
+        tables = zip(model.charts, chart_specializations(model, n, spec), loc._chart_power_rows(model, n, spec), columns)
+        for chart, weights, rows, cols in tables:
+            assert list(weights) == list(rows) == lams
+            tvals = [specialize_tangents(chart_tangent_weights(chart, la), spec) for la in lams]
+            assert [list(w) for w in weights.values()] == tvals
+            assert [list(row) for row in rows.values()] == [residue_oracle.tangent_power_sums(t, 2 * n)[1:] for t in tvals]
             assert list(cols[1]) == [loc._specialize(_moment_character(chart, la), spec) for la in lams]
     L, r = data.draw(bundles_of(model)), data.draw(st.integers(-3, 3))
     for fp in enumerate_fixed_points(model, n):
