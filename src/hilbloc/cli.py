@@ -130,6 +130,10 @@ def _bundle_from_args(model, args, parser):
 def cmd_chern(args, parser):
     model = _surface(args.surface, parser)
     _check_n(args.n, args.long, parser)
+    if model.euler_number == 4:
+        # every smooth toric surface of four rays has (c1^2, c2) = (8, 4), so by the main theorem its
+        # Chern numbers are those of P1xP1, whose central symmetry halves the fixed points summed
+        model = p1xp1()
     vec = chern_numbers_hilb(model, args.n, args.ladder)
     rows = [(partition_key(la), format_fraction(v)) for la, v in vec.numbers]
     _emit(

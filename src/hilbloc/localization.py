@@ -36,6 +36,17 @@ numerators over one running common denominator, the lcm of the block
 denominators seen so far, and the two exact sums must agree monomial by
 monomial.
 
+On a centrally symmetric fan, rays[c + e/2] = -rays[c] (P1xP1, or P1xP1
+blown up at two opposite charts), the rotation sigma of the fixed points by
+e/2 charts negates every tangent weight, so a monomial of even degree 2n in
+the tangent weights alone takes the same value over prod t at p and at
+sigma(p).  The Chern numbers and the power-sum class then sum one point per
+sigma-orbit, its scale times the orbit's size (`_sigma_orbits`, which reads
+the symmetry off the specialized tables, not the rays, and sums every point
+when it fails).  The sums of degree 2n - 1 of the dimension axiom are not
+reduced, since sigma-pairs cancel there, nor are integrands, since sigma
+does not negate tautological characters.
+
 chi(L_n (x) E^r) is not a pass over tuples of partitions: its integrand
 td(T) e^{c1(L_n (x) E^r)} is multiplicative over the charts, so
 `chi_series` gives it for every n <= order at once as one product over
@@ -379,7 +390,30 @@ def _agreed(specs, values, others) -> list:
     return values
 
 
-def _monomial_sums(model, n, ladder, monomials, tables) -> list:
+def _sigma_orbits(model: ToricSurface, n: int, specialized) -> tuple:
+    """(points, mults): one fixed point of Hilb^n per orbit of the central
+    symmetry sigma, (la_0, ..., la_{e-1}) -> (la_h, ..., la_{h-1}) with
+    h = e/2, with the orbit's size, 2 or 1 (a sigma-fixed point).  sigma
+    negates every tangent weight only if the weights at chart c + h are the
+    exact negation of those at chart c, for every partition, in each of the
+    specialized tables (`chart_specializations`); if they are not (or e is
+    odd), every point is returned and mults is None."""
+    points = enumerate_fixed_points(model, n)
+    h, odd = divmod(len(model.charts), 2)
+    if odd or any(
+        charts[c + h][la] != tuple(-t for t in weights) for charts in specialized for c in range(h) for la, weights in charts[c].items()
+    ):
+        return points, None
+    reps, mults = [], []
+    for fp in points:
+        image = fp[h:] + fp[:h]
+        if fp <= image:
+            reps.append(fp)
+            mults.append(1 if fp == image else 2)
+    return reps, mults
+
+
+def _monomial_sums(model, n, ladder, monomials, tables, orbits=False) -> list:
     """The residue sums over the fixed points of Hilb^n of the monomials
     (tuples of integer factors) over prod t, exact.
 
@@ -395,12 +429,17 @@ def _monomial_sums(model, n, ladder, monomials, tables) -> list:
     is dropped once its last child is formed.  The weights of a point are
     its charts' in `chart_specializations`, which raises ConsistencyError
     on a zero weight.  The sums of the two specializations are independent
-    until `_agreed` compares them, monomial by monomial, at the end."""
+    until `_agreed` compares them, monomial by monomial, at the end.
+
+    With orbits, every monomial must have even degree 2n and depend on the
+    tangent weights alone: the pass then visits one point per orbit of the
+    central symmetry (`_sigma_orbits`), whose scale is multiplied by the
+    orbit's size."""
     walk = _product_walk(monomials)
     specs = one_ps_ladder(model, n, ladder)[:2]
     sums = [_ResidueSum(len(monomials)) for _ in specs]
     specialized = [chart_specializations(model, n, spec) for spec in specs]
-    points = enumerate_fixed_points(model, n)
+    points, mults = _sigma_orbits(model, n, specialized) if orbits else (enumerate_fixed_points(model, n), None)
     for start in range(0, len(points), _BLOCK):
         block = points[start : start + _BLOCK]
         table = tables(block)
@@ -414,6 +453,8 @@ def _monomial_sums(model, n, ladder, monomials, tables) -> list:
             ds = list(map(prod, tvals))
             den = lcm(*ds)
             scales = [den // d for d in ds]
+            if mults:
+                scales = list(map(mul, scales, mults[start : start + _BLOCK]))
             out = [0] * len(monomials)
 
             def leaf(i, xs, ys):
@@ -606,8 +647,14 @@ def _integral(values, what) -> list:
 def chern_residue_sums(model: ToricSurface, n: int, lams, ladder: str = "xi") -> list:
     """The residue sums over the fixed points of Hilb^n of prod_{p in la}
     e_p(t) / prod t, one per partition la in lams: the Chern numbers if
-    |la| = 2n, and 0 if |la| < 2n (the dimension axiom)."""
-    return _monomial_sums(model, n, ladder, lams, lambda block: lambda spec, cols, width: _chern_classes(cols, width, 2 * n, repeat(1)))
+    |la| = 2n, and 0 if |la| < 2n (the dimension axiom).  Only a set of
+    Chern numbers runs on the orbits of the central symmetry: on sums of
+    odd degree 2n - 1 its pairs cancel, and the axiom would test nothing."""
+
+    def tables(block):
+        return lambda spec, cols, width: _chern_classes(cols, width, 2 * n, repeat(1))
+
+    return _monomial_sums(model, n, ladder, lams, tables, orbits=all(sum(la) == 2 * n for la in lams))
 
 
 @lru_cache(maxsize=None)
@@ -624,7 +671,7 @@ def _hilb_beta(model: ToricSurface, n: int):
     """The power-sum polynomial of Hilb^n(S): its integrals of p_mu are the
     residue sums of prod_{p in mu} p_p(t) / prod t."""
     lams = enumerate_partitions(2 * n)
-    return beta_poly(2 * n, _monomial_sums(model, n, "xi", lams, _power_sum_tables(model, n)))
+    return beta_poly(2 * n, _monomial_sums(model, n, "xi", lams, _power_sum_tables(model, n), orbits=True))
 
 
 def _power_sum_tables(model: ToricSurface, n: int):

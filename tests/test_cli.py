@@ -71,6 +71,29 @@ def test_chern_deterministic(capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("chart", range(3))
+def test_chern_on_four_rays_runs_on_p1xp1(capsys, monkeypatch, chart):
+    # F_1 has the class (8, 4) of P1xP1, so `chern` sums on P1xP1's fan, on
+    # the ladder asked for, and echoes the surface as given; the numbers are
+    # those of the residue sums on F_1's own fan
+    import hilbloc.cli as cli
+    from hilbloc.localization import chern_numbers_hilb
+    from hilbloc.partitions import partition_key
+    from hilbloc.rings import format_fraction
+    from hilbloc.toric import p1xp1
+
+    calls = []
+    monkeypatch.setattr(cli, "chern_numbers_hilb", lambda *args: calls.append(args) or chern_numbers_hilb(*args))
+    spec = f"blowup:p2:{chart}"
+    for n in range(5):
+        for ladder in ("xi", "eta"):
+            payload = run_json(capsys, "chern", "--surface", spec, "--n", str(n), "--ladder", ladder)
+            assert payload == {**run_json(capsys, "chern", "--surface", "p1xp1", "--n", str(n), "--ladder", ladder), "surface": spec}
+            assert calls[-2:] == [(p1xp1(), n, ladder)] * 2
+            own = chern_numbers_hilb(build_model(spec), n, ladder)
+            assert payload["numbers"] == {partition_key(la): format_fraction(v) for la, v in own.numbers}
+
+
 def test_twist_series_trivial(capsys):
     payload = run_json(capsys, "twist-series", "--r", "1", "--order", "5")
     assert all(c == "0" for c in payload["logA"])

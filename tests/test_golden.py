@@ -10,7 +10,9 @@ while the two models still had their own Betti sums and chi_y tables;
 pass still walked the fixed points one at a time; `genus_todd_blowup3_p1xp1_n7_long`
 and `genus_phi21_k3_n7_long`: while `genus` still evaluated the power-sum class
 of Hilb^n(S); `genus_todd_p2_n7_long`: while `genus --surface` still ran the
-chart product of both models, also the one of coefficient 0), so they pin the
+chart product of both models, also the one of coefficient 0;
+`chern_blowup_p2_2_n6_long_eta`: while `chern` still summed a surface of four
+rays on its own fan), so they pin the
 byte-identical output of every rewrite of the engine.  Each
 entry is `<name>.json` with the argv below; regenerating one means running
 `python -m hilbloc.cli <argv> > tests/golden/<name>.json` on a build whose
@@ -31,7 +33,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # every README CLI line except `verify`, plus the twist-series and chern workload sizes,
 # the largest `universal` call, genera on a blowup, on P2, on P1xP1 and on K3, and Chern
 # numbers on the eta ladder and on a surface of seven charts (several blocks of points),
-# and the largest genus calls on a surface and on K3
+# and the largest genus calls on a surface and on K3, and Chern numbers of F_1 on the eta ladder
 GOLDEN = {
     "chern_p2_n4": ["chern", "--surface", "p2", "--n", "4"],
     "chern_blowup_n6": ["chern", "--surface", "blowup:p2:0", "--n", "6", "--long"],
@@ -66,6 +68,7 @@ GOLDEN = {
         "genus", "--genus", "todd", "--surface", "blowup:blowup:blowup:p1xp1:0:0:0", "--n", "7", "--long",
     ],
     "genus_phi21_k3_n7_long": ["genus", "--genus", "phi:2:1", "--k3", "--n", "7", "--long"],
+    "chern_blowup_p2_2_n6_long_eta": ["chern", "--surface", "blowup:p2:2", "--n", "6", "--long", "--ladder", "eta"],
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbloc.cobordism import ChernVector, to_beta
+from hilbloc.cobordism import ChernVector, beta_poly, to_beta
 from hilbloc.localization import (
     ConsistencyError,
     _char_bound,
@@ -32,7 +32,7 @@ from hilbloc.localization import (
 from hilbloc.partitions import enumerate_partitions
 from hilbloc.rings import binomial
 from hilbloc.series import TruncSeries, todd_series
-from hilbloc.toric import blowup, build_model, line_bundle, o_bundle, p1xp1, p2
+from hilbloc.toric import ToricSurface, blowup, build_model, line_bundle, o_bundle, p1xp1, p2
 from hilbloc.universal import _reference_classes, h_psi_phi
 from partition_counts import count_partitions
 from profile_counts import example_count
@@ -114,6 +114,151 @@ def test_dimension_axiom_sees_a_perturbed_tangent_character(monkeypatch):
     finally:
         for cache in caches:
             cache.cache_clear()
+
+
+# -- the central symmetry: the even sums on half the fixed points ---------------------
+
+
+def opposite_blowups(i):
+    """P1xP1 blown up at chart i and then at the chart opposite it: six rays,
+    rays[c + 3] = -rays[c]."""
+    return blowup(blowup(p1xp1(), i), (i + 3) % 5)
+
+
+CENTRALLY_SYMMETRIC = [p1xp1(), *(opposite_blowups(i) for i in range(4))]
+
+
+def _orbits(model, n, ladder):
+    import hilbloc.localization as loc
+
+    specs = one_ps_ladder(model, n, ladder)[:2]
+    return loc._sigma_orbits(model, n, [chart_specializations(model, n, spec) for spec in specs])
+
+
+def test_orbits_of_the_central_symmetry():
+    # one point per orbit {p, sigma(p)}, counted by the orbit's size
+    for model in CENTRALLY_SYMMETRIC:
+        h = len(model.rays) // 2
+        assert all(model.rays[c + h] == tuple(-x for x in model.rays[c]) for c in range(h))
+        for n in range(5):
+            for ladder in ("xi", "eta"):
+                points, mults = _orbits(model, n, ladder)
+                orbits = {fp: {fp, fp[h:] + fp[:h]} for fp in points}
+                assert [len(orbit) for orbit in orbits.values()] == mults
+                assert sorted(set().union(*orbits.values())) == sorted(enumerate_fixed_points(model, n))
+                assert sum(mults) == len(enumerate_fixed_points(model, n)) > len(points) or n == 0
+    # no central symmetry (at n = 0 the one point is its own orbit on any fan):
+    # F_1 three ways, F_2, five rays, and six rays blown up at adjacent charts
+    others = [p2(), *(blowup(p2(), c) for c in range(3)), ToricSurface("F_2", ((1, 0), (0, 1), (-1, 2), (0, -1)))]
+    others += [blowup(p1xp1(), 0), blowup(blowup(p1xp1(), 0), 1)]
+    for model in others:
+        for n in range(1, 4):
+            assert _orbits(model, n, "xi") == (enumerate_fixed_points(model, n), None)
+
+
+@settings(max_examples=example_count(20), deadline=None)
+@given(
+    st.sampled_from(CENTRALLY_SYMMETRIC),
+    st.integers(0, 4),
+    st.sampled_from(("xi", "eta")),
+    st.sampled_from(("e", "p")),
+    st.sampled_from((1, 7, 256)),
+)
+def test_orbit_sums_match_full_sums(model, n, ladder, kind, block):
+    # the Chern numbers and the power-sum class on one point per orbit, the
+    # point's scale times the orbit's size, against the sums over every point
+    import hilbloc.localization as loc
+
+    lams = enumerate_partitions(2 * n)
+    if kind == "e":
+        tables = lambda block: lambda spec, cols, width: loc._chern_classes(cols, width, 2 * n, repeat(1))  # noqa: E731
+    else:
+        tables = loc._power_sum_tables(model, n)
+    assert _orbits(model, n, ladder)[1] is not None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(loc, "_BLOCK", block)
+        full = loc._monomial_sums(model, n, ladder, lams, tables)
+        assert loc._monomial_sums(model, n, ladder, lams, tables, orbits=True) == full
+        if kind == "e":
+            assert chern_residue_sums(model, n, lams, ladder) == full
+    if kind == "p" and ladder == "xi":
+        assert loc._hilb_beta(model, n) == beta_poly(2 * n, full)
+
+
+def test_a_perturbed_chart_table_sums_every_point(monkeypatch):
+    # (1, 0) -> (2, 0) at the one-point ideal of P1xP1's first chart: chart 2,
+    # whose rays are the negated rays of chart 0, no longer holds the negated
+    # weights, so the even sums visit every point, where the two
+    # specializations disagree, and the sums of degree 2n - 1 see the change
+    # as on P2
+    import hilbloc.localization as loc
+
+    m = p1xp1()
+    first, weights = m.charts[0], loc.chart_tangent_weights
+
+    def perturbed(chart, la):
+        chars = weights(chart, la)
+        if (chart, la) == (first, (1,)):
+            assert chars[0] == (1, 0)
+            return ((2, 0), *chars[1:])
+        return chars
+
+    monkeypatch.setattr(loc, "chart_tangent_weights", perturbed)
+    caches = (loc.chart_specializations, loc._char_bound, loc._hilb_beta, chern_numbers_hilb)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        assert m.rays[2] == (-1, 0) and m.rays[3] == (0, -1)
+        for n in (1, 2, 3):
+            for ladder in ("xi", "eta"):
+                assert _orbits(m, n, ladder) == (enumerate_fixed_points(m, n), None)
+            with pytest.raises(ConsistencyError, match="disagree"):
+                chern_numbers_hilb(m, n)
+            with pytest.raises(ConsistencyError, match="disagree"):
+                hilb_cobordism_series(m, n)
+        assert chern_residue_sums(m, 1, ((1,),)) == [Fraction(-1, 2)]
+        for n in (2, 3):
+            with pytest.raises(ConsistencyError, match="disagree"):
+                chern_residue_sums(m, n, enumerate_partitions(2 * n - 1))
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
+def test_odd_degree_sums_and_integrands_visit_every_point(monkeypatch):
+    # the blocks that each pass on P1xP1 hands to its tables: every point for
+    # the sums of degree 2n - 1 (there sigma-pairs cancel) and for integrands
+    # (sigma does not negate tautological characters), half of them for a set
+    # of Chern numbers
+    import hilbloc.localization as loc
+
+    seen = []
+    pass_values = loc._monomial_sums
+
+    def counted(model, n, ladder, monomials, tables, **kwargs):
+        def counted_tables(block):
+            seen.append(len(block))
+            return tables(block)
+
+        return pass_values(model, n, ladder, monomials, counted_tables, **kwargs)
+
+    monkeypatch.setattr(loc, "_monomial_sums", counted)
+    m = p1xp1()
+    passes = {
+        "odd": lambda n: chern_residue_sums(m, n, enumerate_partitions(2 * n - 1)),
+        "mixed": lambda n: chern_residue_sums(m, n, enumerate_partitions(2 * n - 1) + enumerate_partitions(2 * n)),
+        "euler": lambda n: integrate(m, n, Integrand.chern_monomial((2 * n,))),
+        "todd": lambda n: integrate(m, n, Integrand(tangent_class=todd_series("x", 2 * n))),
+        "ch": lambda n: integrate(m, n, Integrand.chern_character(TautClass(((o_bundle(m, 1, 0), 1),)), n, None)),
+        "even": lambda n: chern_residue_sums(m, n, enumerate_partitions(2 * n)),
+    }
+    for n in (1, 2, 3):
+        total = len(enumerate_fixed_points(m, n))
+        for name, run in passes.items():
+            seen.clear()
+            run(n)
+            assert sum(seen) == (len(_orbits(m, n, "xi")[0]) if name == "even" else total), (name, n)
+        assert len(_orbits(m, n, "xi")[0]) < total
 
 
 def test_n1_reduces_to_surface():
@@ -255,7 +400,9 @@ def test_chern_gate_catches_a_non_integer(monkeypatch):
 
     # the second residue sum at n = 1 gains 1/2, so c1^2 = 9 of P2 reads 19/2
     pass_values = loc._monomial_sums
-    monkeypatch.setattr(loc, "_monomial_sums", lambda *args: [v + Fraction(k, 2) for k, v in enumerate(pass_values(*args))])
+    monkeypatch.setattr(
+        loc, "_monomial_sums", lambda *args, **kwargs: [v + Fraction(k, 2) for k, v in enumerate(pass_values(*args, **kwargs))]
+    )
     chern_numbers_hilb.cache_clear()
     try:
         with pytest.raises(ConsistencyError, match="non-integral Chern number 19/2"):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hilbloc.localization import TautClass, chi_via_RR
 from hilbloc.rings import Poly, binomial
 from hilbloc.series import TruncSeries, todd_series
-from hilbloc.toric import blowup, line_bundle, o_bundle, p1xp1, p2
+from hilbloc.toric import ToricSurface, blowup, line_bundle, o_bundle, p1xp1, p2
 from hilbloc.universal import (
     FitError,
     chi_Ln_Er,
@@ -24,6 +24,7 @@ from hilbloc.universal import (
     invariants,
     universal_chern_poly,
 )
+from profile_counts import example_count
 from record_oracle import assert_record
 import surface_oracle
 
@@ -54,6 +55,30 @@ def test_universal_table_matches_models():
             assert _evaluate(tab, *pair) == direct
 
 
+@st.composite
+def toric_fans(draw):
+    """P2 or F_a with a <= 5, blown up 0-2 times at drawn charts, and n <= 3."""
+    a = draw(st.integers(-1, 5))
+    model = p2() if a < 0 else ToricSurface(f"F_{a}", ((1, 0), (0, 1), (-1, a), (0, -1)))
+    for _ in range(draw(st.integers(0, 2))):
+        model = blowup(model, draw(st.integers(0, len(model.rays) - 1)))
+    return model, draw(st.integers(0, 3))
+
+
+@settings(max_examples=example_count(15), deadline=None)
+@given(toric_fans())
+def test_chern_numbers_of_random_fans_are_universal(case):
+    # the main theorem in Chern numbers: on a smooth toric surface, (c1^2, c2)
+    # = (12 - e, e), the residue sums on the fan are the universal polynomials,
+    # fitted from the power-sum classes of P2 and of P1xP1 (the latter summed
+    # on one point per orbit of its central symmetry)
+    from hilbloc.localization import chern_numbers_hilb
+
+    model, n = case
+    e = model.euler_number
+    assert chern_numbers_hilb(model, n).as_dict() == _evaluate(universal_chern_poly(n), 12 - e, e)
+
+
 def test_universal_k3_values():
     tab = universal_chern_poly(2)
     vals = _evaluate(tab, 0, 24)
@@ -81,7 +106,7 @@ def test_universal_top_chern_is_goettsche():
             assert _evaluate(tab, c1sq, c2)[(2 * n,)] == want[c2][n]
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_universal_chern_numbers_are_integers_on_the_lattice(n):
     # [S] = a [P2] + b [P1xP1] is an integral class for integer a, b, so every
     # Chern number of term n of H(P2)^a H(P1xP1)^b is an integer.  P_la has
