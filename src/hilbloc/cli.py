@@ -4,6 +4,12 @@ Every subcommand prints deterministic JSON (schema 1) with exact
 rationals serialized as "p/q" strings, or CSV with --csv.  Exit codes:
 0 success, 2 invalid arguments, 3 internal inconsistency detected;
 `verify` exits 1 when one of its checks fails.
+
+Every command but `verify` returns its fields, its CSV header and its CSV
+rows; `main` alone forms the envelope {"schema": 1, "command": <name>,
+**fields} and prints it, or the rows, through `_emit`.  Both keep their
+names: the benchmark tracer (`perfbench/tracer.py`) wraps them by name.
+Only the first two paragraphs above are the `--help` description.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .genera import (
 from .localization import ConsistencyError, chern_numbers_hilb, chi_via_RR
 from .partitions import partition_key
 from .rings import Poly, format_fraction
-from .series import coeff_to_json, fg_identities
+from .series import fg_identities
 from .toric import build_model, line_bundle, o_bundle, p1xp1, p2
 from .universal import FitError, fit_AB, universal_chern_poly
 
@@ -52,7 +58,18 @@ def _poly_json(poly) -> dict:
     return out
 
 
-def _emit(payload: dict, csv_rows, csv_header, use_csv):
+def _coeff_json(c):
+    """Serialize a series coefficient: a "p/q" string, or {exponent: "p/q"} for a
+    non-constant Poly in one variable, in the order of its terms."""
+    if isinstance(c, Poly):
+        if c.is_constant():
+            return format_fraction(c.constant_term())
+        name = c.variables()[0]
+        return {str(e): format_fraction(v) for e, v in c.coefficient_map(name).items()}
+    return format_fraction(c)
+
+
+def _emit(payload: dict, csv_header, csv_rows, use_csv):
     if use_csv:
         import csv  # only --csv writes CSV, and no default output does
 
@@ -136,52 +153,24 @@ def cmd_chern(args, parser):
         model = p1xp1()
     vec = chern_numbers_hilb(model, args.n, args.ladder)
     rows = [(partition_key(la), format_fraction(v)) for la, v in vec.numbers]
-    _emit(
-        {
-            "schema": 1,
-            "command": "chern",
-            "surface": args.surface,
-            "n": args.n,
-            "dim": vec.dim,
-            "numbers": dict(rows),
-        },
-        csv_rows=rows,
-        csv_header=("partition", "value"),
-        use_csv=args.csv,
-    )
+    fields = {"surface": args.surface, "n": args.n, "dim": vec.dim, "numbers": dict(rows)}
+    return fields, ("partition", "value"), rows
 
 
 def cmd_universal(args, parser):
     _check_n(args.n, args.long, parser)
     tab = universal_chern_poly(args.n)
     table = {partition_key(la): _poly_json(poly) for la, poly in tab.numbers}
-    rows = [(la, mono, c) for la, poly in table.items() for mono, c in poly.items()] if args.csv else None
-    _emit(
-        {"schema": 1, "command": "universal", "n": args.n, "polynomials": table},
-        csv_rows=rows,
-        csv_header=("partition", "monomial", "coefficient"),
-        use_csv=args.csv,
-    )
+    rows = ((la, mono, c) for la, poly in table.items() for mono, c in poly.items())
+    return {"n": args.n, "polynomials": table}, ("partition", "monomial", "coefficient"), rows
 
 
 def cmd_betti(args, parser):
     if args.model not in _MODELS:
         parser.error("model must be P2 or P1xP1")
     _check_n(args.n, args.long, parser)
-    b = betti_hilb_model(_MODELS[args.model](), args.n)
-    rows = [(2 * p, v) for p, v in enumerate(b)]
-    _emit(
-        {
-            "schema": 1,
-            "command": "betti",
-            "model": args.model,
-            "n": args.n,
-            "betti": {str(2 * p): v for p, v in enumerate(b)},
-        },
-        csv_rows=rows,
-        csv_header=("degree", "b"),
-        use_csv=args.csv,
-    )
+    rows = [(2 * p, v) for p, v in enumerate(betti_hilb_model(_MODELS[args.model](), args.n))]
+    return {"model": args.model, "n": args.n, "betti": {str(d): v for d, v in rows}}, ("degree", "b"), rows
 
 
 def cmd_chi(args, parser):
@@ -189,21 +178,9 @@ def cmd_chi(args, parser):
     _check_n(args.n, args.long, parser)
     r = _parse_int(args.r, "--r", parser)
     L = _bundle_from_args(model, args, parser)
-    val = chi_via_RR(model, args.n, L, r, ladder=args.ladder)
-    _emit(
-        {
-            "schema": 1,
-            "command": "chi",
-            "surface": args.surface,
-            "n": args.n,
-            "bundle": list(L.coeffs),
-            "r": r,
-            "chi": format_fraction(val),
-        },
-        csv_rows=[(args.n, r, format_fraction(val))],
-        csv_header=("n", "r", "chi"),
-        use_csv=args.csv,
-    )
+    chi = format_fraction(chi_via_RR(model, args.n, L, r, ladder=args.ladder))
+    fields = {"surface": args.surface, "n": args.n, "bundle": list(L.coeffs), "r": r, "chi": chi}
+    return fields, ("n", "r", "chi"), [(args.n, r, chi)]
 
 
 def cmd_twist_series(args, parser):
@@ -215,22 +192,13 @@ def cmd_twist_series(args, parser):
         parser.error(f"order > {LONG_N_MAX} requires --long")
     r = _parse_int(args.r, "--r", parser)
     pair = fit_AB(r, args.order)
-    payload = {
-        "schema": 1,
-        "command": "twist-series",
-        "r": r,
-        "order": args.order,
-        "logA": [format_fraction(c) for c in pair.log_a.coeffs],
-        "B": [format_fraction(c) for c in pair.b.coeffs],
-    }
+    log_a = [format_fraction(c) for c in pair.log_a.coeffs]
+    b = [format_fraction(c) for c in pair.b.coeffs]
+    fields = {"r": r, "order": args.order, "logA": log_a, "B": b}
     if args.order > 5:
         # published tables stop at z^5; higher orders are derived only
-        payload["unverified_orders"] = list(range(6, args.order + 1))
-    rows = [
-        (m, format_fraction(pair.log_a[m]), format_fraction(pair.b[m]))
-        for m in range(args.order + 1)
-    ]
-    _emit(payload, csv_rows=rows, csv_header=("order", "logA", "B"), use_csv=args.csv)
+        fields["unverified_orders"] = list(range(6, args.order + 1))
+    return fields, ("order", "logA", "B"), zip(range(args.order + 1), log_a, b)
 
 
 def _genus_by_name(name: str, degree: int, parser):
@@ -259,8 +227,8 @@ def cmd_genus(args, parser):
         if args.model not in _MODELS:
             parser.error("chi_y tables need --model P2 or P1xP1")
         series = chi_y_hilb(_MODELS[args.model](), args.n, "product")
-        values = [{"n": m, "value": coeff_to_json(series[m])} for m in range(args.n + 1)]
-        rows = [(m, json.dumps(coeff_to_json(series[m]))) for m in range(args.n + 1)]
+        values = [_coeff_json(c) for c in series.coeffs]
+        cells = map(json.dumps, values)  # a CSV cell holds the JSON of a Poly coefficient
     else:
         genus = _genus_by_name(args.genus, 2 * args.n, parser)
         if args.surface is None and not args.k3:
@@ -268,14 +236,9 @@ def cmd_genus(args, parser):
         # (c1^2, c2) is (0, 24) on K3, and (12 - e, e) on a smooth toric surface: it is rational, chi(O) = 1
         e = 24 if args.k3 else _surface(args.surface, parser).euler_number
         series = genus_hilb_series(genus, 0 if args.k3 else 12 - e, e, args.n)
-        values = [{"n": m, "value": format_fraction(v)} for m, v in enumerate(series.coeffs)]
-        rows = [(v["n"], v["value"]) for v in values]
-    _emit(
-        {"schema": 1, "command": "genus", "genus": args.genus, "values": values},
-        csv_rows=rows,
-        csv_header=("n", "value"),
-        use_csv=args.csv,
-    )
+        cells = values = [format_fraction(v) for v in series.coeffs]
+    fields = {"genus": args.genus, "values": [{"n": m, "value": v} for m, v in enumerate(values)]}
+    return fields, ("n", "value"), enumerate(cells)
 
 
 def cmd_series_id(args, parser):
@@ -296,20 +259,9 @@ def cmd_series_id(args, parser):
     checks = fg_identities(a, (y,), order)[0]
     if not all(checks.values()):
         raise ConsistencyError(f"series identities failed: {checks}")
-    _emit(
-        {
-            "schema": 1,
-            "command": "series-id",
-            "a": a,
-            "y": format_fraction(y),
-            "order": order,
-            "holds": True,
-            "checks": {k: bool(ok) for k, ok in checks.items()},
-        },
-        csv_rows=[(k, ok) for k, ok in checks.items()],
-        csv_header=("identity", "holds"),
-        use_csv=args.csv,
-    )
+    fields = {"a": a, "y": format_fraction(y), "order": order, "holds": True}
+    fields["checks"] = {k: bool(ok) for k, ok in checks.items()}
+    return fields, ("identity", "holds"), checks.items()
 
 
 def cmd_verify(args, parser):
@@ -404,7 +356,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     usage of the full parser: every later argument goes to the subparser,
     so only that usage and the subparser's own texts can be printed.
     Otherwise (no command, --help or an unknown name) every subparser is."""
-    parser = argparse.ArgumentParser(prog="hilbloc", description=__doc__)
+    parser = argparse.ArgumentParser(prog="hilbloc", description="\n\n".join(__doc__.split("\n\n")[:2]))
     if argv[:1] and argv[0] in _COMMANDS:
         names = argv[:1]
         sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}")
@@ -425,12 +377,15 @@ def main(argv=None) -> int:
     parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
-        args.fn(args, parser)
+        output = args.fn(args, parser)
     except (ConsistencyError, FitError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")
+    if output is not None:  # `verify` prints its own report
+        fields, csv_header, csv_rows = output
+        _emit({"schema": 1, "command": args.command, **fields}, csv_header, csv_rows, args.csv)
     return 0
 
 

@@ -14,7 +14,7 @@ itself calls it: the arithmetic in this module, and the integer series
 kernels of `series` when they form their output coefficients.
 
 Terms keep insertion order, and the JSON of a one-variable coefficient
-(`series.coeff_to_json`) lists them in that order, so the arithmetic fixes
+(`cli._coeff_json`) lists them in that order, so the arithmetic fixes
 it: a sum lists the left operand's terms first, then the new ones of the
 right, and drops those that cancel; a product lists its terms by first
 appearance over the pairs of factor terms.

@@ -500,17 +500,3 @@ def partition_product(factors, order: int) -> TruncSeries:
             for _ in range(m):
                 out = out * factor
     return out
-
-
-# -- serialization -----------------------------------------------------------------
-
-
-def coeff_to_json(c):
-    from .rings import format_fraction
-
-    if isinstance(c, Poly):
-        if c.is_constant():
-            return format_fraction(c.constant_term())
-        name = c.variables()[0]
-        return {str(e): format_fraction(v) for e, v in c.coefficient_map(name).items()}
-    return format_fraction(c)

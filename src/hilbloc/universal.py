@@ -70,20 +70,17 @@ def chi_twist_series(ks, r: int, order: int) -> dict:
     return {k: TruncSeries("z", order, row) for k, row in zip(ks, rows)}
 
 
-def fit_AB(r: int, order: int, chi_data: dict | None = None) -> TwistSeriesPair:
+def fit_AB(r: int, order: int) -> TwistSeriesPair:
     """Solve for log A_r and log B_r from P2 twist data.
 
-    chi_data maps k -> the z-series of chi((kH)_n (x) E^r); at least two k
-    are required, any extra k is used as a redundancy check (a failure is
-    a hard error: it falsifies the ansatz or the localization engine).
+    The z-series of chi((kH)_n (x) E^r) for k = 0, 1 fix the two series,
+    and k = 2 is a redundancy check (a failure is a hard error: it
+    falsifies the ansatz or the localization engine).
     On P2: chi(O_S) = 1, K^2 = 9, KL = -3k, chi(O(k)) = (k+1)(k+2)/2, and
     log chi = chi(L) log g + log f / 2 + (KL - K^2/2) log A + K^2 log B.
     """
-    if chi_data is None:
-        chi_data = chi_twist_series((0, 1, 2), r, order)
+    chi_data = chi_twist_series((0, 1, 2), r, order)
     ks = sorted(chi_data)
-    if len(ks) < 2:
-        raise ValueError("need at least two k values")
     a_param = r * r - 1
     log_g = fg_series("g", 1, a_param, order).log()
     log_f = fg_series("f", 0, a_param, order).log()

@@ -492,5 +492,10 @@ def test_cli_contract(argv):
     # nor a phi:N:k genus in any but its one spelling
     canonical_phi = re.compile(r"--genus=phi:(0|[1-9][0-9]*):(0|[1-9][0-9]*)")
     assert code != 0 or not any(a.startswith("--genus=phi:") and not canonical_phi.fullmatch(a) for a in argv), argv
+    # every JSON output opens with the schema-1 envelope; --csv prints a header line instead
     if code == 0 and "--csv" not in argv:
-        assert json.loads(out.getvalue())["schema"] == 1
+        payload = json.loads(out.getvalue())
+        assert list(payload)[:2] == ["schema", "command"], list(payload)
+        assert (payload["schema"], payload["command"]) == (1, argv[0])
+    elif code == 0:
+        assert re.fullmatch(r"[A-Za-z]+(,[A-Za-z]+)+", out.getvalue().splitlines()[0]), out.getvalue()

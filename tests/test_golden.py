@@ -13,10 +13,12 @@ of Hilb^n(S); `genus_todd_p2_n7_long`: while `genus --surface` still ran the
 chart product of both models, also the one of coefficient 0;
 `chern_blowup_p2_2_n6_long_eta`: while `chern` still summed a surface of four
 rays on its own fan), so they pin the
-byte-identical output of every rewrite of the engine.  Each
-entry is `<name>.json` with the argv below; regenerating one means running
-`python -m hilbloc.cli <argv> > tests/golden/<name>.json` on a build whose
-output is already trusted.
+byte-identical output of every rewrite of the engine.  The `*_csv`
+entries pin the `--csv` bytes of each command; they were written before
+`main` took over the output step from the commands.  Each entry is
+`<name>.json` (`<name>.csv` for a `--csv` argv) with the argv below;
+regenerating one means running `python -m hilbloc.cli <argv> >
+tests/golden/<name>.json` on a build whose output is already trusted.
 """
 
 import os
@@ -69,7 +71,22 @@ GOLDEN = {
     ],
     "genus_phi21_k3_n7_long": ["genus", "--genus", "phi:2:1", "--k3", "--n", "7", "--long"],
     "chern_blowup_p2_2_n6_long_eta": ["chern", "--surface", "blowup:p2:2", "--n", "6", "--long", "--ladder", "eta"],
+    # one --csv call per command
+    "chern_p1xp1_n3_csv": ["chern", "--surface", "p1xp1", "--n", "3", "--csv"],
+    "universal_n2_csv": ["universal", "--n", "2", "--csv"],
+    "betti_p1xp1_n3_csv": ["betti", "--model", "P1xP1", "--n", "3", "--csv"],
+    "chi_p1xp1_n2_k12_r2_csv": ["chi", "--surface", "p1xp1", "--n", "2", "--k", "1,2", "--r", "2", "--csv"],
+    "twist_rm3_o5_csv": ["twist-series", "--r", "-3", "--order", "5", "--csv"],
+    "genus_chi_y_p2_n3_csv": ["genus", "--genus", "chi_y", "--model", "P2", "--n", "3", "--csv"],
+    "genus_signature_blowup_p2_0_n3_csv": [
+        "genus", "--genus", "signature", "--surface", "blowup:p2:0", "--n", "3", "--csv",
+    ],
+    "series_id_a3_o10_csv": ["series-id", "--a", "3", "--y", "5/2", "--order", "10", "--csv"],
 }
+
+
+def golden_file(name):
+    return GOLDEN_DIR / (f"{name}.csv" if "--csv" in GOLDEN[name] else f"{name}.json")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -79,4 +96,4 @@ def test_golden_stdout(name):
         [sys.executable, "-m", "hilbloc.cli", *GOLDEN[name]], capture_output=True, env=env
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == (GOLDEN_DIR / f"{name}.json").read_bytes()
+    assert proc.stdout == golden_file(name).read_bytes()

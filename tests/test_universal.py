@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbloc import universal
 from hilbloc.localization import TautClass, chi_via_RR
 from hilbloc.rings import Poly, binomial
 from hilbloc.series import TruncSeries, todd_series
@@ -145,12 +146,13 @@ def test_fit_ab_symmetry():
     assert p3.b == m3.b
 
 
-def test_fit_ab_rejects_corrupt_data():
+def test_fit_ab_rejects_corrupt_data(monkeypatch):
     data = chi_twist_series((0, 1, 2), 2, 3)
     bad = data[2]
     data[2] = TruncSeries("z", 3, [bad[0], bad[1], bad[2] + 1, bad[3]])
+    monkeypatch.setattr(universal, "chi_twist_series", lambda ks, r, order: data)
     with pytest.raises(FitError):
-        fit_AB(2, 3, chi_data=data)
+        fit_AB(2, 3)
 
 
 def test_chi_ln_er_matches_localization():
