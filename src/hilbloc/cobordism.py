@@ -23,7 +23,11 @@ identities.  `from_beta` works in integers: k! e_k has the integer
 coefficients k!/z_nu in the p_nu, so c_la = sum_mu T[la][mu] b_mu / prod_i la_i!
 with T[la][mu] = aut(mu) prod_i la_i! [p_mu] e_la an integer table, and the
 b_mu of one monomial in the parameters are one integer vector over one
-denominator.  The basis of projective-space monomials
+denominator; the vectors of all parameter monomials are packed into one
+integer per mu, so a Chern number is one integer dot product.  The tables
+multiply polynomials keyed by partitions on packed keys, the part
+multiplicities in 8-bit fields, so a product of monomials is an int add
+(dimensions below 256).  The basis of projective-space monomials
 CP^{m_1} x ... x CP^{m_k} (`cp_product_class`, `basis_matrix`,
 `to_cp_basis`, `from_cp_basis`) is kept on `ChernVector`s as an
 independent reference for the tests; no computation here goes through it.
@@ -38,7 +42,7 @@ from itertools import product as cartesian_product
 from math import comb, factorial, lcm, prod
 from operator import mul
 
-from .partitions import enumerate_partitions, merge
+from .partitions import enumerate_partitions
 from .records import Record
 from .rings import Poly, gauss_solve, linear_combination
 from .series import TruncSeries
@@ -181,6 +185,24 @@ def from_cp_basis(d: int, coeffs: dict) -> ChernVector:
 
 # Polynomials in the e_k (Chern classes) or in the p_k (power sums) are
 # dicts keyed by partitions: la stands for the monomial e_la1 e_la2 ...
+# Products run on packed keys, the multiplicities of the parts 1, 2, ... of
+# la in fields of 8 bits (`_pack`), so the product of two monomials is an int
+# add; partitions of 256 or more would carry a field, and `_product` refuses
+# them.
+
+_PART_BITS = 8
+
+
+def _pack(la) -> int:
+    """The packed key of the partition la: its multiplicity of the part p in
+    the field p - 1."""
+    return sum(1 << _PART_BITS * (p - 1) for p in la)
+
+
+@lru_cache(maxsize=None)
+def _partitions_by_key(d: int) -> dict:
+    """{packed key: la} over the partitions la of d, in rev-lex order."""
+    return {_pack(la): la for la in enumerate_partitions(d)}
 
 
 def _aut(mu) -> int:
@@ -188,65 +210,96 @@ def _aut(mu) -> int:
     return prod(factorial(mu.count(part)) for part in set(mu))
 
 
-def _mul_into(out: dict, a: dict, b: dict) -> dict:
-    """out += a * b, concatenating the monomials."""
-    for la, ca in a.items():
-        if not ca:
-            continue
-        for mu, cb in b.items():
-            key = merge(la, mu)
-            out[key] = out.get(key, 0) + ca * cb
+def _times(a: dict, b: dict, out=None) -> dict:
+    """out + a * b (a new dict if out is None) for polynomials keyed by packed
+    partitions; a new key takes its place in out at its first appearance."""
+    out = {} if out is None else out
+    get, right = out.get, b.items()
+    for ka, ca in a.items():
+        if ca:
+            for kb, cb in right:
+                key = ka + kb
+                out[key] = get(key, 0) + ca * cb
     return out
+
+
+@lru_cache(maxsize=None)
+def _product(single, mu) -> dict:
+    """prod_j single(mu_j) with packed keys, memoized on the suffixes of mu:
+    p_mu in the e_la, or prod_j mu_j! e_mu_j in the p_nu."""
+    if not mu:
+        return {0: 1}
+    if sum(mu) >> _PART_BITS:
+        raise ValueError(f"partitions of {sum(mu)} do not fit packed keys of {_PART_BITS}-bit multiplicities")
+    return _times(single(mu[0]), _product(single, mu[1:]))
 
 
 @lru_cache(maxsize=None)
 def _power_sum_in_e(k: int) -> dict:
-    """p_k in the e_la by Newton's identity
+    """p_k in the e_la, keyed by packed la, by Newton's identity
     p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^{k-1} k e_k."""
-    out = {(k,): Fraction((-1) ** (k - 1) * k)}
+    if k >> _PART_BITS:
+        raise ValueError(f"partitions of {k} do not fit packed keys of {_PART_BITS}-bit multiplicities")
+    out = {_pack((k,)): Fraction((-1) ** (k - 1) * k)}
     for i in range(1, k):
-        _mul_into(out, {(i,): Fraction((-1) ** (i - 1))}, _power_sum_in_e(k - i))
+        _times({_pack((i,)): Fraction((-1) ** (i - 1))}, _power_sum_in_e(k - i), out)
     return out
+
+
+def power_sum_in_chern(k: int) -> dict:
+    """p_k in the e_la as {la: coefficient}, the zero ones dropped."""
+    partition = _partitions_by_key(k)
+    return {partition[key]: c for key, c in _power_sum_in_e(k).items() if c}
 
 
 @lru_cache(maxsize=None)
 def _factorial_elementary_in_p(k: int) -> dict:
-    """k! e_k = sum_{nu |- k} (-1)^{k - len(nu)} (k!/z_nu) p_nu, z_nu = aut(nu) prod nu;
-    k!/z_nu is the number of permutations of cycle type nu, an integer."""
-    return {nu: (-1) ** (k - len(nu)) * (factorial(k) // (_aut(nu) * prod(nu))) for nu in enumerate_partitions(k)}
-
-
-@lru_cache(maxsize=None)
-def _expand(single, mu) -> dict:
-    """prod_j single(mu_j): p_mu in the e_la, or prod_j mu_j! e_mu_j in the p_nu."""
-    if not mu:
-        return {(): 1}
-    return _mul_into({}, single(mu[0]), _expand(single, mu[1:]))
+    """k! e_k = sum_{nu |- k} (-1)^{k - len(nu)} (k!/z_nu) p_nu, z_nu = aut(nu) prod nu,
+    keyed by packed nu; k!/z_nu is the number of permutations of cycle type
+    nu, an integer."""
+    return {
+        _pack(nu): (-1) ** (k - len(nu)) * (factorial(k) // (_aut(nu) * prod(nu))) for nu in enumerate_partitions(k)
+    }
 
 
 @lru_cache(maxsize=None)
 def _newton_table(d: int) -> tuple:
     """One row ((la, t), ...) per partition mu of d, in rev-lex order, with
     integral p_mu = sum t c_la, that is t = [e_la] p_mu."""
+    partition = _partitions_by_key(d)
     return tuple(
-        tuple((la, c) for la, c in _expand(_power_sum_in_e, mu).items() if c)
+        tuple((partition[key], c) for key, c in _product(_power_sum_in_e, mu).items() if c)
         for mu in enumerate_partitions(d)
     )
 
 
 @lru_cache(maxsize=None)
 def _readback_table(d: int) -> tuple:
-    """(slot, rows): slot maps each partition of d to its place in rev-lex
-    order, and rows has one row (den, js, ts) per partition la of d with
-    c_la = sum_i ts[i] b_mu / den for mu the js[i]-th partition: den = prod la_i!
-    and t = aut(mu) [p_mu] prod_i la_i! e_la_i, a nonzero integer."""
+    """One row (den, js, ts) per partition la of d, in rev-lex order, with
+    c_la = sum_i ts[i] b_mu / den for mu the js[i]-th partition of d in
+    rev-lex order (its slot): den = prod la_i! and
+    t = aut(mu) [p_mu] prod_i la_i! e_la_i, a nonzero integer."""
     lams = enumerate_partitions(d)
-    slot = {mu: j for j, mu in enumerate(lams)}
+    packed_slot = {_pack(mu): j for j, mu in enumerate(lams)}
+    auts = [_aut(mu) for mu in lams]
     rows = []
     for la in lams:
-        row = [(slot[mu], t * _aut(mu)) for mu, t in _expand(_factorial_elementary_in_p, la).items()]
-        rows.append((prod(map(factorial, la)), *zip(*row)))
-    return slot, tuple(rows)
+        expansion = _product(_factorial_elementary_in_p, la)
+        js = tuple(packed_slot[key] for key in expansion)
+        rows.append((prod(map(factorial, la)), js, tuple(t * auts[j] for j, t in zip(js, expansion.values()))))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _beta_slots(d: int) -> dict:
+    """{beta_mu1 beta_mu2 ... as a Poly monomial: the slot of mu} over the partitions mu of d."""
+    return {_beta_monomial(mu): j for j, mu in enumerate(enumerate_partitions(d))}
+
+
+@lru_cache(maxsize=None)
+def _readback_bound(d: int) -> int:
+    """The largest sum of |t| over a row of `_readback_table(d)`."""
+    return max(sum(map(abs, ts)) for _, _, ts in _readback_table(d))
 
 
 _BETA = "beta"
@@ -300,28 +353,51 @@ def from_beta(d: int, b) -> ChernVector:
     """The class of dimension d whose power-sum polynomial is b; variables
     other than beta1, ..., beta<d> stay in its Chern numbers.  A Chern number
     is a Poly if its row of the table meets a coefficient of b that is not
-    constant, and a Fraction otherwise."""
+    constant, and a Fraction otherwise.
+
+    The coefficients of b are grouped by their monomial in the parameters,
+    each group an integer vector over the slots of the beta-monomials over
+    one denominator.  The groups are packed into one integer per slot, group
+    g in the field g of w bits, with w wide enough for every row sum, so a
+    row is one dot product: adding 2^(w-1) to every field (a uniform sign
+    offset) makes each field of the sum its group's row sum plus 2^(w-1)."""
     index = {beta_var(k): k for k in range(1, d + 1)}
-    slot, rows = _readback_table(d)
-    groups = defaultdict(lambda: [Fraction(0)] * len(rows))  # parameter monomial -> b_mu by slot of mu
+    rows = _readback_table(d)
+    slot = _beta_slots(d)
+    groups = defaultdict(dict)  # parameter monomial -> {slot of mu: b_mu}
+    parametric = set()  # the slots of the b_mu that are not constant
     for mono, c in Poly.coerce(b).terms.items():
-        mu = tuple(sorted((index[v] for v, e in mono if v in index for _ in range(e)), reverse=True))
-        if sum(mu) != d:
-            raise ValueError(f"monomial {mono} has beta-degree {sum(mu)}, expected {d}")
-        groups[tuple(m for m in mono if m[0] not in index)][slot[mu]] = c
-    parametric = {j for mono, vec in groups.items() if mono for j, c in enumerate(vec) if c}
-    vectors = []
+        params = tuple(m for m in mono if m[0] not in index)
+        beta = tuple(m for m in mono if m[0] in index)
+        j = slot.get(beta)
+        if j is None:
+            raise ValueError(f"monomial {mono} has beta-degree {sum(index[v] * e for v, e in beta)}, expected {d}")
+        groups[params][j] = c
+        if params:
+            parametric.add(j)
+    monos, dens, vectors = [], [], []
     for mono, vec in groups.items():
-        den = lcm(*(c.denominator for c in vec))
-        vectors.append((mono, den, [c.numerator * (den // c.denominator) for c in vec]))
+        den = lcm(*(c.denominator for c in vec.values()))
+        monos.append(mono)
+        dens.append(den)
+        vectors.append({j: c.numerator * (den // c.denominator) for j, c in vec.items()})
+    top = max((abs(x) for vec in vectors for x in vec.values()), default=0)
+    width = ((top * _readback_bound(d)).bit_length() + 8) // 8  # bytes per field: |row sum| < 2^(8 width - 1)
+    packed = [0] * len(rows)
+    for g, vec in enumerate(vectors):
+        for j, x in vec.items():
+            packed[j] += x << 8 * width * g
+    half = 1 << 8 * width - 1
+    offset = sum(half << 8 * width * g for g in range(len(vectors)))
     numbers = []
     for la, (den, js, ts) in zip(enumerate_partitions(d), rows):
+        fields = (sum(map(mul, ts, map(packed.__getitem__, js))) + offset).to_bytes(width * len(vectors), "little")
         terms = {}
-        for mono, vden, nums in vectors:
-            s = sum(map(mul, ts, map(nums.__getitem__, js)))
+        for g, (mono, vden) in enumerate(zip(monos, dens)):
+            s = int.from_bytes(fields[g * width : (g + 1) * width], "little") - half
             if s:
                 terms[mono] = Fraction(s, vden * den)
-        numbers.append((la, terms.get((), Fraction(0)) if parametric.isdisjoint(js) else Poly(terms)))
+        numbers.append((la, terms.get((), Fraction(0)) if parametric.isdisjoint(js) else Poly._of(terms)))
     return ChernVector(d, tuple(numbers))
 
 

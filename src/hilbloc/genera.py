@@ -147,25 +147,31 @@ def genus_hilb_series(genus: GenusSpec, c1sq, c2, order: int) -> TruncSeries:
 
 
 def betti_hilb_model(model: ToricSurface, n: int) -> list:
-    """Even Betti numbers b_0, b_2, ..., b_{4n} of Hilb^n(S), S toric; odd ones vanish.
-
-    Bialynicki-Birula: b_2k counts the fixed points with k positive tangent
-    weights at a generic 1-PS (the first of the 'xi' ladder).  A point's
-    weights are the union of its charts', so sum_k b_2k y^k is
-    [z^n] prod_charts sum_{|la| <= n} z^{|la|} y^{pos(chart, la)}."""
+    """Even Betti numbers b_0, b_2, ..., b_{4n} of Hilb^n(S), S toric; odd ones vanish."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    spec = one_ps_ladder(model, n, "xi")[0]
+    return _betti_rows(model, n)[n]
+
+
+def _betti_rows(model: ToricSurface, order: int) -> list:
+    """[b_0, b_2, ..., b_{4n}] of Hilb^n(S) for every n <= order, from one chart product.
+
+    Bialynicki-Birula: b_2k counts the fixed points with k positive tangent
+    weights at a generic 1-PS, here the first of the 'xi' ladder of order,
+    which is generic for every n <= order.  A point's weights are the union
+    of its charts', so sum_k b_2k y^k is
+    [z^n] prod_charts sum_{|la| <= order} z^{|la|} y^{pos(chart, la)}."""
+    spec = one_ps_ladder(model, order, "xi")[0]
     total = Counter({(0, 0): 1})  # (size, positive weights) -> fixed points over the charts so far
-    for weights in chart_specializations(model, n, spec):
+    for weights in chart_specializations(model, order, spec):
         local = Counter((sum(la), sum(t > 0 for t in tvals)) for la, tvals in weights.items())
         nxt = Counter()
         for (m, k), x in total.items():
             for (dm, dk), c in local.items():
-                if m + dm <= n:
+                if m + dm <= order:
                     nxt[m + dm, k + dk] += x * c
         total = nxt
-    return [total[n, k] for k in range(2 * n + 1)]
+    return [[total[n, k] for k in range(2 * n + 1)] for n in range(order + 1)]
 
 
 def chi_y_hilb(model: ToricSurface, order: int, method: str) -> TruncSeries:
@@ -175,15 +181,15 @@ def chi_y_hilb(model: ToricSurface, order: int, method: str) -> TruncSeries:
     method 'product': Goettsche's prod over (eps, b) in ((-1, 1), (0, e - 2), (1, 1))
                       of prod_k (1 - y^{k+eps} z^k)^{-b};
     method 'exp'    : exp( sum_m chi_{-y^m}(S) z^m / (m (1-(yz)^m)) ), chi_{-y}(S) = 1 + (e-2) y + y^2;
-    method 'betti'  : sum_p b_2p(Hilb^n) y^p z^n from the fixed-point count.
+    method 'betti'  : sum_p b_2p(Hilb^n) y^p z^n from the fixed-point count, one chart
+                      product at the ladder of order.
     """
     e = model.euler_number
     if method == "product":
         return partition_product(((-1, 1), (0, e - 2), (1, 1)), order)
     if method == "betti":
         return TruncSeries("z", order, [
-            linear_combination((Poly.var("y", k), b) for k, b in enumerate(betti_hilb_model(model, n)))
-            for n in range(order + 1)
+            linear_combination((Poly.var("y", k), b) for k, b in enumerate(row)) for row in _betti_rows(model, order)
         ])
     if method == "exp":
         chi = 1 + (e - 2) * Poly.var("y") + Poly.var("y", 2)

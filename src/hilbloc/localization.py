@@ -67,7 +67,7 @@ from itertools import accumulate, repeat
 from math import factorial, gcd, lcm, prod
 from operator import add, mul, sub
 
-from .cobordism import ChernVector, _power_sum_in_e, beta_poly
+from .cobordism import ChernVector, beta_poly, power_sum_in_chern
 from .partitions import cells, enumerate_partitions
 from .records import Record
 from .series import TruncSeries, todd_series
@@ -250,6 +250,7 @@ def chart_specializations(model: ToricSurface, order: int, spec) -> tuple:
     )
 
 
+@lru_cache(maxsize=None)
 def _chart_power_rows(model: ToricSurface, order: int, spec) -> tuple:
     """Per chart, {la: (p_1, ..., p_N)} with p_k = sum t^k over the tangent
     weights t of la in `chart_specializations`, N = 2 order, over the same
@@ -266,17 +267,19 @@ def _chart_power_rows(model: ToricSurface, order: int, spec) -> tuple:
     )
 
 
-def _point_power_sums(model: ToricSurface, n: int):
+def _point_power_sums(model: ToricSurface, n: int, order: int | None = None):
     """The function of (spec, block) that gives the columns p_1, ..., p_2n of
     the tangent weights' power sums at the 1-PS spec over block, fixed points
-    of Hilb^n: each point's row is the sum of its charts' rows, and the rows
-    (`_chart_power_rows`) of a spec are formed once, for every block of one
-    pass, and dropped with the function."""
+    of Hilb^n: each point's row is the sum of its charts' rows, read from the
+    rows (`_chart_power_rows`) of the spec at order >= n (n if None), cut to
+    p_1, ..., p_2n once per spec for every block of one pass."""
+    order = n if order is None else order
     rows = {}
 
     def columns(spec, block):
         if spec not in rows:
-            rows[spec] = _chart_power_rows(model, n, spec)
+            charts = _chart_power_rows(model, order, spec)
+            rows[spec] = [{la: row[: 2 * n] for la, row in chart.items()} for chart in charts]
         points = []
         for fp in block:
             parts = [chart[la] for chart, la in zip(rows[spec], fp) if la]
@@ -413,9 +416,11 @@ def _sigma_orbits(model: ToricSurface, n: int, specialized) -> tuple:
     return reps, mults
 
 
-def _monomial_sums(model, n, ladder, monomials, tables, orbits=False) -> list:
+def _monomial_sums(model, n, ladder, monomials, tables, orbits=False, order=None) -> list:
     """The residue sums over the fixed points of Hilb^n of the monomials
-    (tuples of integer factors) over prod t, exact.
+    (tuples of integer factors) over prod t, exact, at the first two 1-PS
+    of the ladder of Hilb^order, order >= n (n if None): `_char_bound` is
+    monotone in n, so that ladder is generic for Hilb^n too.
 
     The pass walks the fixed points in blocks of _BLOCK points.
     tables(block) is called once per block and returns a function of (spec,
@@ -435,10 +440,11 @@ def _monomial_sums(model, n, ladder, monomials, tables, orbits=False) -> list:
     tangent weights alone: the pass then visits one point per orbit of the
     central symmetry (`_sigma_orbits`), whose scale is multiplied by the
     orbit's size."""
+    order = n if order is None else order
     walk = _product_walk(monomials)
-    specs = one_ps_ladder(model, n, ladder)[:2]
+    specs = one_ps_ladder(model, order, ladder)[:2]
     sums = [_ResidueSum(len(monomials)) for _ in specs]
-    specialized = [chart_specializations(model, n, spec) for spec in specs]
+    specialized = [chart_specializations(model, order, spec) for spec in specs]
     points, mults = _sigma_orbits(model, n, specialized) if orbits else (enumerate_fixed_points(model, n), None)
     for start in range(0, len(points), _BLOCK):
         block = points[start : start + _BLOCK]
@@ -518,7 +524,7 @@ class Integrand(Record):
         x^[n] a polynomial in its Chern classes by Newton's identities."""
         poly = [(Fraction(n * x.rank), ())]
         for k in range(1, 2 * n + 1):
-            poly += [(c / factorial(k), tuple(("X", p) for p in la)) for la, c in _power_sum_in_e(k).items() if c]
+            poly += [(c / factorial(k), tuple(("X", p) for p in la)) for la, c in power_sum_in_chern(k).items()]
         return Integrand(tuple(poly), (("X", x),), tangent_class)
 
 
@@ -666,19 +672,23 @@ def chern_numbers_hilb(model: ToricSurface, n: int, ladder: str = "xi") -> Chern
     return ChernVector.from_dict(2 * n, dict(zip(lams, values)))
 
 
-@lru_cache(maxsize=None)
-def _hilb_beta(model: ToricSurface, n: int):
-    """The power-sum polynomial of Hilb^n(S): its integrals of p_mu are the
-    residue sums of prod_{p in mu} p_p(t) / prod t."""
+_hilb_betas = {}  # (model, n) -> the power-sum polynomial of Hilb^n(S), exact whatever ladder found it
+
+
+def _hilb_beta(model: ToricSurface, n: int, order: int | None = None):
+    """The power-sum polynomial of Hilb^n(S), from one pass at the xi ladder
+    of Hilb^order (`_monomial_sums`): its integrals of p_mu are the residue
+    sums of prod_{p in mu} p_p(t) / prod t."""
     lams = enumerate_partitions(2 * n)
-    return beta_poly(2 * n, _monomial_sums(model, n, "xi", lams, _power_sum_tables(model, n), orbits=True))
+    sums = _monomial_sums(model, n, "xi", lams, _power_sum_tables(model, n, order), orbits=True, order=order)
+    return beta_poly(2 * n, sums)
 
 
-def _power_sum_tables(model: ToricSurface, n: int):
+def _power_sum_tables(model: ToricSurface, n: int, order: int | None = None):
     """The `_monomial_sums` tables of the columns [p_0, ..., p_2n] of the
     tangent weights' power sums over a block of fixed points of Hilb^n,
-    p_0 = 2n and the rest from `_point_power_sums`."""
-    power_sums = _point_power_sums(model, n)
+    p_0 = 2n and the rest from `_point_power_sums` at order."""
+    power_sums = _point_power_sums(model, n, order)
 
     def tables(block):
         return lambda spec, cols, width: [[2 * n] * width, *power_sums(spec, block)]
@@ -688,8 +698,14 @@ def _power_sum_tables(model: ToricSurface, n: int):
 
 def hilb_cobordism_series(model: ToricSurface, order: int) -> TruncSeries:
     """H(S) = sum [Hilb^n(S)] z^n to the requested order, by localization:
-    term n is the power-sum polynomial of Hilb^n(S)."""
-    return TruncSeries("z", order, [_hilb_beta(model, n) for n in range(order + 1)])
+    term n is the power-sum polynomial of Hilb^n(S).  Each n not yet known
+    is one pass at the ladder of order, which is generic for every n <= order,
+    so all of them read one table of specialized weights and power sums per
+    1-PS; each pass keeps its own two-specialization gate."""
+    for n in range(order + 1):
+        if (model, n) not in _hilb_betas:
+            _hilb_betas[model, n] = _hilb_beta(model, n, order)
+    return TruncSeries("z", order, [_hilb_betas[model, n] for n in range(order + 1)])
 
 
 # -- chi(L_n (x) E^r): a product over the charts -------------------------------------

@@ -55,8 +55,3 @@ def cells(la: Partition) -> list:
 def partition_key(la: Partition) -> str:
     """Comma-joined parts, used as a JSON object key: (2,2) -> "2,2"."""
     return ",".join(str(p) for p in la) if la else ""
-
-
-def merge(la: Partition, mu: Partition) -> Partition:
-    """Multiset union, re-sorted: the product of monomials c_la * c_mu."""
-    return tuple(sorted(la + mu, reverse=True))

@@ -10,8 +10,9 @@ Fraction.  The public constructors (`Poly(...)`, `Poly.const`) coerce
 int and Fraction coefficients, reject every other type (a float would
 break exactness) and drop zeros.  `Poly._of` trusts its dict and does
 neither; only code that has just built a dict of nonzero Fractions
-itself calls it: the arithmetic in this module, and the integer series
-kernels of `series` when they form their output coefficients.
+itself calls it: the arithmetic in this module, and the integer kernels
+of `series` and `cobordism.from_beta` when they form their output
+coefficients.
 
 Terms keep insertion order, and the JSON of a one-variable coefficient
 (`cli._coeff_json`) lists them in that order, so the arithmetic fixes

@@ -7,9 +7,17 @@ the two operand orders so precision is never silently invented.
 Every operation runs on integers.  A list of coefficients is written as
 integer numerators over their positive lcm denominator L (`_int_form`): a
 Fraction coefficient as one int, a Poly coefficient as an `_IntPoly`, the
-numerators of its terms keyed by monomial.  `*` (by a series, or by an
-int, Fraction or Poly scalar), `inverse` and `exp` each have this one
-implementation and form one coefficient per output term:
+numerators of its terms keyed by the monomial's exponent vector packed into
+one int, a 32-bit field per variable (fields are assigned to variables at
+first sight and fixed for the process).  A product of monomials is then an
+int add, and each output monomial is decoded once, through a dict.  An
+exponent of 2^24 or more entering a kernel raises (also one that a
+kernel inside `log` or `pow` has formed): a kernel multiplies at most
+`order` numerators into one term, so below order 256 no field can carry
+into the next, and above it `_int_form` checks the largest exponent times
+the order against 2^32.  `*` (by a series, or by an int, Fraction or Poly
+scalar), `inverse` and `exp` each have this one implementation and form
+one coefficient per output term:
 - a product is the integer convolution of the numerators over L_a L_b;
 - the inverse of F/L is g_n = L H_n / F_0^(n+1) with H_0 = 1 and
   H_n = -sum_{k>=1} F_k F_0^(k-1) H_(n-k);
@@ -35,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from .rings import Poly, _fraction, _merge_monomials, binomial
+from .rings import Poly, _fraction, binomial
 
 
 def _coerce(c):
@@ -44,13 +52,46 @@ def _coerce(c):
     return c if isinstance(c, Poly) else _fraction(c)
 
 
+_FIELD = 32  # bits per variable in a packed monomial key
+_EXP_BOUND = 1 << 24  # input exponents stay below it
+_SHIFTS = {}  # variable -> the shift of its field
+
+
+class _Monomials(dict):
+    """packed key -> monomial, each decoded once."""
+
+    def __missing__(self, key):
+        mask = (1 << _FIELD) - 1
+        mono = self[key] = tuple(sorted((v, e) for v, shift in _SHIFTS.items() if (e := key >> shift & mask)))
+        return mono
+
+
+class _Keys(dict):
+    """monomial -> packed key, each encoded once; ValueError for an exponent
+    outside 1 .. 2^24 - 1."""
+
+    def __missing__(self, mono):
+        key = 0
+        for v, e in mono:
+            if not 0 < e < _EXP_BOUND:
+                raise ValueError(f"exponent {e} of {v} cannot be packed: a monomial key holds 1 <= e < 2^24")
+            key += e << _SHIFTS.setdefault(v, _FIELD * len(_SHIFTS))
+        self[mono] = key
+        _MONOMIALS.setdefault(key, mono)
+        return key
+
+
+_MONOMIALS = _Monomials()
+_KEYS = _Keys()
+
+
 class _IntPoly:
-    """The integer numerators of a Poly coefficient: a dict {monomial:
-    nonzero int} keyed by the monomials of `Poly.terms`.  It mixes with ints
-    under `+`, unary `-` and `*`, which is all the integer kernels use, and
-    keeps the type and term order that the same operations on Polys give: a
-    sum puts the left operand's terms first and drops cancelled ones, and a
-    product lists its terms by first appearance."""
+    """The integer numerators of a Poly coefficient: a dict {packed monomial
+    key: nonzero int}.  It mixes with ints under `+`, unary `-` and `*`,
+    which is all the integer kernels use, and keeps the type and term order
+    that the same operations on Polys give: a sum puts the left operand's
+    terms first and drops cancelled ones, and a product lists its terms by
+    first appearance."""
 
     __slots__ = ("c",)
 
@@ -61,7 +102,7 @@ class _IntPoly:
         if isinstance(other, int):
             if not other:
                 return self
-            other = {(): other}
+            other = {0: other}
         else:
             other = other.c
         c = dict(self.c)
@@ -82,10 +123,11 @@ class _IntPoly:
         if isinstance(other, int):
             return _IntPoly({m: x * other for m, x in self.c.items()} if other else {})
         c = {}
+        get, right = c.get, other.c.items()
         for m1, x1 in self.c.items():
-            for m2, x2 in other.c.items():
-                m = _merge_monomials(m1, m2)
-                c[m] = c.get(m, 0) + x1 * x2
+            for m2, x2 in right:
+                m = m1 + m2
+                c[m] = get(m, 0) + x1 * x2
         return _IntPoly({m: x for m, x in c.items() if x})
 
     __rmul__ = __mul__
@@ -97,7 +139,8 @@ class _IntPoly:
 def _int_form(cs):
     """(numerators, den): the coefficients cs as integer numerators over
     their positive lcm denominator den, an int for a Fraction coefficient
-    and an `_IntPoly` for a Poly."""
+    and an `_IntPoly` for a Poly.  ValueError if an exponent cannot be
+    packed, or if more than 256 coefficients could carry a field."""
     dens = []
     for c in cs:
         if isinstance(c, Poly):
@@ -105,11 +148,16 @@ def _int_form(cs):
         else:
             dens.append(c.denominator)
     den = lcm(*dens)
-    return [
-        _IntPoly({m: v.numerator * (den // v.denominator) for m, v in c.terms.items()})
+    out = [
+        _IntPoly({_KEYS[m]: v.numerator * (den // v.denominator) for m, v in c.terms.items()})
         if isinstance(c, Poly) else c.numerator * (den // c.denominator)
         for c in cs
-    ], den
+    ]
+    if len(cs) * _EXP_BOUND > 1 << _FIELD:  # a term multiplies at most len(cs) numerators
+        top = max((e for c in cs if isinstance(c, Poly) for m in c.terms for _, e in m), default=0)
+        if top * len(cs) >> _FIELD:
+            raise ValueError(f"exponent {top} at order {len(cs) - 1} cannot be packed: products would pass 2^32")
+    return out, den
 
 
 def _lower(num, den):
@@ -117,7 +165,7 @@ def _lower(num, den):
     `_IntPoly`."""
     if isinstance(num, int):
         return Fraction(num, den)
-    return Poly._of({m: Fraction(x, den) for m, x in num.c.items()})
+    return Poly._of({_MONOMIALS[m]: Fraction(x, den) for m, x in num.c.items()})
 
 
 class TruncSeries:

@@ -9,11 +9,12 @@ Chern number is a Poly exactly when one of its b_mu is.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from hilbloc.cobordism import ChernVector, beta_var
-from hilbloc.partitions import enumerate_partitions, merge
+from hilbloc.partitions import enumerate_partitions
 from hilbloc.rings import Poly, linear_combination
+from partition_counts import merge
 
 
 def _aut(mu):
@@ -76,3 +77,57 @@ def from_beta(d, b):
         la: linear_combination((coeffs[mu], t) for mu, t in row if mu in coeffs) for la, row in from_beta_table(d)
     }
     return ChernVector.from_dict(d, numbers)
+
+
+# -- the integer tables of `cobordism` as they were built on partition keys
+# (`_mul_into` and `_expand`), before the products moved to packed keys
+
+
+def _mul_into(out, a, b):
+    """out += a * b, concatenating the monomials."""
+    for la, ca in a.items():
+        if not ca:
+            continue
+        for mu, cb in b.items():
+            key = merge(la, mu)
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+@lru_cache(maxsize=None)
+def power_sum_in_e(k):
+    """p_k in the e_la by Newton's identity, zero coefficients kept."""
+    out = {(k,): Fraction((-1) ** (k - 1) * k)}
+    for i in range(1, k):
+        _mul_into(out, {(i,): Fraction((-1) ** (i - 1))}, power_sum_in_e(k - i))
+    return out
+
+
+@lru_cache(maxsize=None)
+def factorial_elementary_in_p(k):
+    """k! e_k in the p_nu, integer coefficients."""
+    return {nu: (-1) ** (k - len(nu)) * (factorial(k) // (_aut(nu) * prod(nu))) for nu in enumerate_partitions(k)}
+
+
+@lru_cache(maxsize=None)
+def expand(single, mu):
+    """prod_j single(mu_j), one factor at a time from the last."""
+    if not mu:
+        return {(): 1}
+    return _mul_into({}, single(mu[0]), expand(single, mu[1:]))
+
+
+def newton_table(d):
+    return tuple(
+        tuple((la, c) for la, c in expand(power_sum_in_e, mu).items() if c) for mu in enumerate_partitions(d)
+    )
+
+
+def readback_table(d):
+    lams = enumerate_partitions(d)
+    slot = {mu: j for j, mu in enumerate(lams)}
+    rows = []
+    for la in lams:
+        row = [(slot[mu], t * _aut(mu)) for mu, t in expand(factorial_elementary_in_p, la).items()]
+        rows.append((prod(map(factorial, la)), *zip(*row)))
+    return slot, tuple(rows)

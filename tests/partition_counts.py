@@ -1,5 +1,6 @@
 """Partition counts, the oracles for the number of fixed points of Hilb^n
-and for the coefficients of `series.partition_product`."""
+and for the coefficients of `series.partition_product`, and the product of
+partition-keyed monomials that the oracles of the cobordism tables use."""
 
 from functools import lru_cache
 
@@ -20,3 +21,8 @@ def count_with_parts(n: int, r: int) -> int:
 def count_partitions(n: int) -> int:
     """p(n), partitions of n with any number of parts."""
     return sum(count_with_parts(n, r) for r in range(n + 1))
+
+
+def merge(la, mu):
+    """Multiset union, re-sorted: the product of monomials c_la * c_mu."""
+    return tuple(sorted(la + mu, reverse=True))

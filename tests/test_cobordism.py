@@ -14,14 +14,16 @@ from hilbloc.cobordism import (
     from_cp_basis,
     hilb_series,
     multiply,
+    power_sum_in_chern,
     product_series,
     to_beta,
     to_cp_basis,
 )
 from hilbloc.localization import hilb_cobordism_series, surface_number
-from hilbloc.partitions import enumerate_partitions, merge
+from hilbloc.partitions import enumerate_partitions
 from hilbloc.rings import Poly
 from hilbloc.toric import build_model, p1xp1, p2
+from partition_counts import merge
 from profile_counts import example_count
 from record_oracle import assert_record
 import beta_oracle
@@ -212,3 +214,40 @@ def test_from_beta_matches_fraction_oracle(case, k, params):
         for readback in (from_beta, beta_oracle.from_beta):
             with pytest.raises(ValueError, match=f"beta-degree {k}, expected {d}"):
                 readback(d, wrong)
+
+
+WIDE = st.one_of(
+    FRACTIONS, st.builds(Fraction, st.integers(-(10**40), 10**40).filter(bool), st.integers(1, 10**40))
+)
+
+
+@settings(max_examples=example_count(40), deadline=None)
+@given(st.integers(0, 8), st.data())
+def test_from_beta_packed_groups_hold_wide_values_of_both_signs(d, data):
+    # the parameter groups share one integer per slot: 40-digit numerators of
+    # both signs in many groups must come back field by field
+    lams = enumerate_partitions(d)
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(lams), PARAMETERS, WIDE), max_size=16))
+    b = Poly({_beta_term(mu, params): c for mu, params, c in terms})
+    got, want = from_beta(d, b), beta_oracle.from_beta(d, b)
+    assert got == want
+    assert [type(v) for _, v in got.numbers] == [type(v) for _, v in want.numbers]
+
+
+def test_packed_tables_match_the_partition_key_construction():
+    # rows, their order, the order of their entries and the entries' types
+    import hilbloc.cobordism as cob
+
+    for d in range(15):
+        slot, rows = beta_oracle.readback_table(d)
+        assert cob._readback_table(d) == rows
+        assert cob._beta_slots(d) == {cob._beta_monomial(mu): j for mu, j in slot.items()}
+        got, want = cob._newton_table(d), beta_oracle.newton_table(d)
+        assert got == want
+        assert [type(c) for row in got for _, c in row] == [type(c) for row in want for _, c in row]
+    for k in range(1, 15):
+        want = {la: c for la, c in beta_oracle.power_sum_in_e(k).items() if c}
+        assert list(power_sum_in_chern(k).items()) == list(want.items())
+    # a multiplicity of 256 would carry into the next part's field
+    with pytest.raises(ValueError, match="do not fit packed keys"):
+        cob._product(cob._factorial_elementary_in_p, (1,) * 256)

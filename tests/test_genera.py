@@ -308,3 +308,14 @@ def test_main_theorem_at_the_wrong_c1sq_fails():
         direct = chart_genus(model, todd, 3)
         assert direct == list(genus_hilb_series(todd, 12 - e, e, 3).coeffs)
         assert direct != list(genus_hilb_series(todd, 13 - e, e, 3).coeffs)
+
+
+def test_betti_route_builds_one_ladder_per_series(monkeypatch):
+    # one chart product at the ladder of the order gives every n <= order
+    ladders, build = [], loc.one_ps_ladder
+    monkeypatch.setattr(genera, "one_ps_ladder", lambda model, n, name: ladders.append(n) or build(model, n, name))
+    model = blowup(p1xp1(), 2)
+    series = chi_y_hilb(model, 5, "betti")
+    assert ladders == [5]
+    assert series == chi_y_hilb(model, 5, "product")
+    assert [sum(b * Poly.var("y", k) for k, b in enumerate(betti_hilb_model(model, n))) for n in range(6)] == list(series.coeffs)

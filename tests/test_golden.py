@@ -19,6 +19,8 @@ entries pin the `--csv` bytes of each command; they were written before
 `<name>.json` (`<name>.csv` for a `--csv` argv) with the argv below;
 regenerating one means running `python -m hilbloc.cli <argv> >
 tests/golden/<name>.json` on a build whose output is already trusted.
+The `lib_*` files pin library results above the CLI caps
+(`library_golden.py`).
 """
 
 import os
@@ -29,6 +31,8 @@ from pathlib import Path
 import pytest
 
 import hilbloc
+import library_golden
+from library_golden import LIBRARY_GOLDEN
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -97,3 +101,9 @@ def test_golden_stdout(name):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == golden_file(name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_GOLDEN))
+def test_library_golden(name):
+    # the cobordism layer above the CLI caps: values, their types and term order
+    assert library_golden.compute(name) == library_golden.golden_file(name).read_text()

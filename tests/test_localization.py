@@ -101,9 +101,9 @@ def test_dimension_axiom_sees_a_perturbed_tangent_character(monkeypatch):
         return chars
 
     monkeypatch.setattr(loc, "chart_tangent_weights", perturbed)
-    caches = (loc.chart_specializations, loc._char_bound)
-    for cache in caches:
-        cache.cache_clear()
+    clears = (loc.chart_specializations.cache_clear, loc._chart_power_rows.cache_clear, loc._char_bound.cache_clear)
+    for clear in clears:
+        clear()
     try:
         assert chern_residue_sums(m, 1, ((1,),)) == [Fraction(-1, 2)]
         for n in (2, 3):
@@ -112,8 +112,8 @@ def test_dimension_axiom_sees_a_perturbed_tangent_character(monkeypatch):
         for n in (1, 2, 3):
             assert integrate(m, n, Integrand.chern_monomial(enumerate_partitions(2 * n - 1)[0])) == 0
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        for clear in clears:
+            clear()
 
 
 # -- the central symmetry: the even sums on half the fixed points ---------------------
@@ -204,9 +204,15 @@ def test_a_perturbed_chart_table_sums_every_point(monkeypatch):
         return chars
 
     monkeypatch.setattr(loc, "chart_tangent_weights", perturbed)
-    caches = (loc.chart_specializations, loc._char_bound, loc._hilb_beta, chern_numbers_hilb)
-    for cache in caches:
-        cache.cache_clear()
+    clears = (
+        loc.chart_specializations.cache_clear,
+        loc._chart_power_rows.cache_clear,
+        loc._char_bound.cache_clear,
+        loc._hilb_betas.clear,
+        chern_numbers_hilb.cache_clear,
+    )
+    for clear in clears:
+        clear()
     try:
         assert m.rays[2] == (-1, 0) and m.rays[3] == (0, -1)
         for n in (1, 2, 3):
@@ -221,8 +227,8 @@ def test_a_perturbed_chart_table_sums_every_point(monkeypatch):
             with pytest.raises(ConsistencyError, match="disagree"):
                 chern_residue_sums(m, n, enumerate_partitions(2 * n - 1))
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        for clear in clears:
+            clear()
 
 
 def test_odd_degree_sums_and_integrands_visit_every_point(monkeypatch):
@@ -387,12 +393,12 @@ def test_cobordism_gate_catches_a_perturbed_second_sum(monkeypatch):
     import hilbloc.localization as loc
 
     _perturb_second_sum(monkeypatch)
-    loc._hilb_beta.cache_clear()
+    loc._hilb_betas.clear()
     try:
         with pytest.raises(ConsistencyError, match="disagree"):
             hilb_cobordism_series(p2(), 3)
     finally:
-        loc._hilb_beta.cache_clear()
+        loc._hilb_betas.clear()
 
 
 def test_chern_gate_catches_a_non_integer(monkeypatch):
@@ -419,7 +425,7 @@ def test_chern_gate_catches_a_zero_tangent_weight(monkeypatch):
     assert (1, -1) in [c for fp in enumerate_fixed_points(m, 1) for c in tangent_weights(m, fp)]
     monkeypatch.setattr(loc, "one_ps_ladder", lambda model, n, ladder: [(1, 1), (1, 2)])
     chern_numbers_hilb.cache_clear()
-    loc._hilb_beta.cache_clear()
+    loc._hilb_betas.clear()
     try:
         with pytest.raises(ConsistencyError, match="zero tangent weight"):
             chern_numbers_hilb(m, 1)
@@ -427,7 +433,7 @@ def test_chern_gate_catches_a_zero_tangent_weight(monkeypatch):
             hilb_cobordism_series(m, 1)
     finally:
         chern_numbers_hilb.cache_clear()
-        loc._hilb_beta.cache_clear()
+        loc._hilb_betas.clear()
 
 
 def test_integrand_gate_catches_a_perturbed_second_sum(monkeypatch):
@@ -1096,3 +1102,58 @@ def test_chern_classes_match_per_point_total_chern(case):
         assert [col[point] for col in c] == expected, (weights, mults, order)
         if mults == [1] * len(cols) and order == len(cols):
             assert [col[point] for col in c] == residue_oracle.elementary_symmetric(weights)
+
+
+# -- one ladder per Hilbert series ------------------------------------------------------
+
+
+@st.composite
+def series_cases(draw):
+    """A smooth complete fan (P2 or F_a with a <= 3, blown up 0-2 times at
+    drawn charts) and an order <= 3."""
+    a = draw(st.integers(-1, 3))
+    model = p2() if a < 0 else ToricSurface(f"F_{a}", ((1, 0), (0, 1), (-1, a), (0, -1)))
+    for _ in range(draw(st.integers(0, 2))):
+        model = blowup(model, draw(st.integers(0, len(model.rays) - 1)))
+    return model, draw(st.integers(0, 3))
+
+
+@settings(max_examples=example_count(15), deadline=None)
+@given(series_cases())
+def test_series_terms_match_passes_at_their_own_ladders(case):
+    # the series runs every n <= order at the ladder of order; a pass over
+    # every point at n's own xi or eta ladder gives the same class, term by term
+    import hilbloc.localization as loc
+
+    model, order = case
+    for n in range(order + 1):
+        loc._hilb_betas.pop((model, n), None)
+    h = hilb_cobordism_series(model, order)
+    for n in range(order + 1):
+        lams = enumerate_partitions(2 * n)
+        for ladder in ("xi", "eta"):
+            own = beta_poly(2 * n, loc._monomial_sums(model, n, ladder, lams, loc._power_sum_tables(model, n)))
+            assert list(h[n].terms.items()) == list(own.terms.items()), (model.name, n, ladder)
+
+
+def test_a_longer_series_runs_only_the_new_passes(monkeypatch):
+    import hilbloc.localization as loc
+
+    model = blowup(p2(), 1)
+    for n in range(6):
+        loc._hilb_betas.pop((model, n), None)
+    passes, run = [], loc._monomial_sums
+
+    def spy(*args, **kwargs):
+        passes.append((args[1], kwargs["order"]))  # (n, the order of the ladder)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(loc, "_monomial_sums", spy)
+    h3 = hilb_cobordism_series(model, 3)
+    assert passes == [(0, 3), (1, 3), (2, 3), (3, 3)]
+    passes.clear()
+    h5 = hilb_cobordism_series(model, 5)
+    assert passes == [(4, 5), (5, 5)]
+    assert h5.coeffs[:4] == h3.coeffs
+    passes.clear()
+    assert hilb_cobordism_series(model, 4) == h5.truncate(4) and passes == []

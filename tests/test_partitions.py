@@ -4,10 +4,9 @@ from hilbloc.partitions import (
     Cell,
     cells,
     enumerate_partitions,
-    merge,
     partition_key,
 )
-from partition_counts import count_partitions, count_with_parts
+from partition_counts import count_partitions, count_with_parts, merge
 
 # p(0)..p(12)
 P_TABLE = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]

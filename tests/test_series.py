@@ -436,3 +436,54 @@ def test_kernel_error_gates_are_kept():
         series([2, 1]).log()
     with pytest.raises(ValueError, match="pow requires constant term 1"):
         series([-1, 1]).pow(Fraction(1, 2))
+
+
+# -- packed monomial keys: the kernels against the tuple-key loops of Poly ----------
+
+PACK_BOUND = 1 << 24  # the first exponent a monomial key refuses
+
+
+def poly_3(min_size=0):
+    """Polys in up to three of beta3, u and y, with exponents 1..3 or just
+    below 2^24, and coefficients drawn as in `poly_in`."""
+    exponent = st.one_of(st.integers(1, 3), st.integers(PACK_BOUND - 3, PACK_BOUND - 1))
+    monomial = st.dictionaries(st.sampled_from(["beta3", "u", "y"]), exponent, max_size=3).map(
+        lambda d: tuple(sorted(d.items()))
+    )
+    coeff = st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]), wide)
+    return st.dictionaries(monomial, coeff, min_size=min_size, max_size=4).map(Poly)
+
+
+trivariate = st.lists(st.one_of(wide, poly_3()), min_size=0, max_size=5)
+
+
+@settings(max_examples=example_count(100), deadline=None)
+@given(trivariate, trivariate, wide.filter(bool), st.one_of(poly_3(1), wide))
+def test_packed_keys_match_tuple_key_loops(cs, ds, c0, s):
+    # each kernel on inputs with exponents below 2^24: a product of up to
+    # `order` numerators per term, so fields near 2^24 must not carry
+    f = TruncSeries("z", len(cs), [c0] + cs)  # scalar c0, so f is a unit
+    g = TruncSeries("z", len(ds), [Fraction(0)] + ds)
+    n = min(f.order, g.order)
+    assert shape((f * g).coeffs) == shape(oracle_mul(f.coeffs, g.coeffs)[: n + 1])
+    assert shape((f * s).coeffs) == shape([c * s for c in f.coeffs])
+    assert shape(f.inverse().coeffs) == shape(oracle_inverse(list(f.coeffs)))
+    assert shape(g.exp().coeffs) == shape(oracle_exp(list(g.coeffs)))
+
+
+def test_packed_keys_refuse_exponents_that_could_carry():
+    y = Poly.var("y")
+    top = PACK_BOUND - 1
+    f = series([1, y ** top])
+    assert (f * f)[1] == 2 * y ** top
+    with pytest.raises(ValueError, match="cannot be packed"):
+        series([1, y ** PACK_BOUND]) * f
+    with pytest.raises(ValueError, match="cannot be packed"):
+        f * (y ** PACK_BOUND)
+    # at order 255 a term multiplies at most 255 numerators: 255 (2^24 - 1) < 2^32
+    inv = TruncSeries("z", 255, [1, y ** top]).inverse()
+    assert all(inv[k] == (-1) ** k * y ** (k * top) for k in (0, 1, 128, 255))
+    # beyond order 255 the largest exponent times the order must stay below 2^32
+    assert TruncSeries("z", 300, [1, y]).inverse()[300] == y**300
+    with pytest.raises(ValueError, match="would pass 2\\^32"):
+        TruncSeries("z", 300, [1, y ** top]).inverse()
