@@ -42,10 +42,11 @@ e/2 charts negates every tangent weight, so a monomial of even degree 2n in
 the tangent weights alone takes the same value over prod t at p and at
 sigma(p).  The Chern numbers and the power-sum class then sum one point per
 sigma-orbit, its scale times the orbit's size (`_sigma_orbits`, which reads
-the symmetry off the specialized tables, not the rays, and sums every point
-when it fails).  The sums of degree 2n - 1 of the dimension axiom are not
-reduced, since sigma-pairs cancel there, nor are integrands, since sigma
-does not negate tautological characters.
+the symmetry off the specialized tables, once per order and 1-PS in
+`_sigma_negates`, not off the rays, and sums every point when it fails).
+The sums of degree 2n - 1 of the dimension axiom are not reduced, since
+sigma-pairs cancel there, nor are integrands, since sigma does not negate
+tautological characters.
 
 chi(L_n (x) E^r) is not a pass over tuples of partitions: its integrand
 td(T) e^{c1(L_n (x) E^r)} is multiplicative over the charts, so
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from math import factorial, gcd, lcm, prod
 from operator import add, mul, sub
 
@@ -270,21 +271,18 @@ def _chart_power_rows(model: ToricSurface, order: int, spec) -> tuple:
 def _point_power_sums(model: ToricSurface, n: int, order: int | None = None):
     """The function of (spec, block) that gives the columns p_1, ..., p_2n of
     the tangent weights' power sums at the 1-PS spec over block, fixed points
-    of Hilb^n: each point's row is the sum of its charts' rows, read from the
-    rows (`_chart_power_rows`) of the spec at order >= n (n if None), cut to
-    p_1, ..., p_2n once per spec for every block of one pass."""
+    of Hilb^n: each point's row is the sum of its charts' rows, read uncut
+    from the rows (`_chart_power_rows`) of the spec at order >= n (n if
+    None), and only the first 2n columns are formed."""
     order = n if order is None else order
-    rows = {}
 
     def columns(spec, block):
-        if spec not in rows:
-            charts = _chart_power_rows(model, order, spec)
-            rows[spec] = [{la: row[: 2 * n] for la, row in chart.items()} for chart in charts]
+        charts = _chart_power_rows(model, order, spec)
         points = []
         for fp in block:
-            parts = [chart[la] for chart, la in zip(rows[spec], fp) if la]
+            parts = [chart[la] for chart, la in zip(charts, fp) if la]
             points.append(parts[0] if len(parts) == 1 else tuple(map(sum, zip(*parts))))
-        return list(zip(*points))
+        return list(islice(zip(*points), 2 * n))
 
     return columns
 
@@ -393,19 +391,27 @@ def _agreed(specs, values, others) -> list:
     return values
 
 
-def _sigma_orbits(model: ToricSurface, n: int, specialized) -> tuple:
+@lru_cache(maxsize=None)
+def _sigma_negates(model: ToricSurface, order: int, spec) -> bool:
+    """Whether the central symmetry sigma of an even fan with e charts, chart
+    c -> c + e/2, negates the tangent weights of every partition of size <=
+    order in the table of spec (`chart_specializations`): the weights at
+    chart c + e/2 are the exact negation of those at chart c."""
+    charts = chart_specializations(model, order, spec)
+    h = len(charts) // 2
+    return all(charts[c + h][la] == tuple(-t for t in weights) for c in range(h) for la, weights in charts[c].items())
+
+
+def _sigma_orbits(model: ToricSurface, n: int, order: int, specs) -> tuple:
     """(points, mults): one fixed point of Hilb^n per orbit of the central
     symmetry sigma, (la_0, ..., la_{e-1}) -> (la_h, ..., la_{h-1}) with
     h = e/2, with the orbit's size, 2 or 1 (a sigma-fixed point).  sigma
-    negates every tangent weight only if the weights at chart c + h are the
-    exact negation of those at chart c, for every partition, in each of the
-    specialized tables (`chart_specializations`); if they are not (or e is
-    odd), every point is returned and mults is None."""
+    negates every tangent weight only if it does in the table of every spec
+    at order (`_sigma_negates`); if it does not (or e is odd), every point
+    is returned and mults is None."""
     points = enumerate_fixed_points(model, n)
     h, odd = divmod(len(model.charts), 2)
-    if odd or any(
-        charts[c + h][la] != tuple(-t for t in weights) for charts in specialized for c in range(h) for la, weights in charts[c].items()
-    ):
+    if odd or not all(_sigma_negates(model, order, spec) for spec in specs):
         return points, None
     reps, mults = [], []
     for fp in points:
@@ -445,7 +451,7 @@ def _monomial_sums(model, n, ladder, monomials, tables, orbits=False, order=None
     specs = one_ps_ladder(model, order, ladder)[:2]
     sums = [_ResidueSum(len(monomials)) for _ in specs]
     specialized = [chart_specializations(model, order, spec) for spec in specs]
-    points, mults = _sigma_orbits(model, n, specialized) if orbits else (enumerate_fixed_points(model, n), None)
+    points, mults = _sigma_orbits(model, n, order, specs) if orbits else (enumerate_fixed_points(model, n), None)
     for start in range(0, len(points), _BLOCK):
         block = points[start : start + _BLOCK]
         table = tables(block)

@@ -24,7 +24,7 @@ appearance over the pairs of factor terms.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 Scalar = (int, Fraction)
 
@@ -299,10 +299,7 @@ def binomial(x, n: int):
         if n < 0:
             return Fraction(0)
         p, q = x.numerator, x.denominator
-        num = 1
-        for i in range(n):
-            num *= p - q * i
-        return Fraction(num, q**n * factorial(n))
+        return Fraction(prod(range(p, p - q * n, -q)), q**n * factorial(n))
     if n < 0:
         return Poly.const(0)
     num = Poly.const(1)

@@ -4,44 +4,69 @@ Coefficients are Fractions, or Polys in declared parameters (y, r, ...).
 All arithmetic is exact; a binary operation truncates to the smaller of
 the two operand orders so precision is never silently invented.
 
-Every operation runs on integers.  A list of coefficients is written as
-integer numerators over their positive lcm denominator L (`_int_form`): a
-Fraction coefficient as one int, a Poly coefficient as an `_IntPoly`, the
-numerators of its terms keyed by the monomial's exponent vector packed into
-one int, a 32-bit field per variable (fields are assigned to variables at
-first sight and fixed for the process).  A product of monomials is then an
-int add, and each output monomial is decoded once, through a dict.  An
-exponent of 2^24 or more entering a kernel raises (also one that a
-kernel inside `log` or `pow` has formed): a kernel multiplies at most
-`order` numerators into one term, so below order 256 no field can carry
-into the next, and above it `_int_form` checks the largest exponent times
-the order against 2^32.  `*` (by a series, or by an int, Fraction or Poly
-scalar), `inverse` and `exp` each have this one implementation and form
-one coefficient per output term:
+What a series stores.  Its integer form: the numerators of its
+coefficients over one common positive denominator, an int for a Fraction
+coefficient and an `_IntPoly` for a Poly, the numerators of its terms
+keyed by the monomial's exponent vector packed into one int, a 32-bit
+field per variable (fields are assigned to variables at first sight and
+fixed for the process; a product of monomials is then an int add, and
+each output monomial is decoded once, through a dict).  A series whose
+coefficients are all rationals always holds that form in normal form,
+without a common factor (one multi-argument `math.gcd` reduces each
+result).  A series with a Poly coefficient holds the form its operation
+made (a kernel's reduced the same way); one built from coefficients gets
+it from `_int_form` when a kernel first reads it.  The coefficients,
+Fractions and Polys, are built from the integer form only when asked for,
+by `coeffs` (all of them, then kept) or `s[n]` (one), with the type and
+term order that the plain coefficient loops give.
+
+Every operation (`+`, `-`, `*` by a series or by an int, Fraction or Poly
+scalar, `inverse`, `exp`, `log`, `pow`, `derivative`, `integral`,
+`truncate`) reads the integer form and writes one, so `_int_form` runs
+only on coefficients handed in from outside (Poly scalars of `*` among
+them); an operation other than a kernel on a series built from Poly
+coefficients that no kernel has read yet, and a sum with a Poly scalar,
+work on the coefficients instead.  With a common denominator L:
 - a product is the integer convolution of the numerators over L_a L_b;
 - the inverse of F/L is g_n = L H_n / F_0^(n+1) with H_0 = 1 and
   H_n = -sum_{k>=1} F_k F_0^(k-1) H_(n-k);
-- the exponential of C/L (C_0 = 0) is out_m = E_m / (m! L^m) with E_0 = 1
-  and E_m = sum_{k>=1} k C_k L^(k-1) (m-1)!/(m-k)! E_(m-k).
-On a series of Fractions, `log` and `pow` are integer recurrences too:
+- the exponential of C/L (C_0 = 0) to order N is out_m = G_m / (N! L^m)
+  with G_0 = N! and m G_m = sum_{k>=1} k C_k L^(k-1) G_(m-k).
+On a series of rationals, `log` and `pow` are integer recurrences too:
 - the logarithm of F/L (F_0 = L) is l_n = M_n / (n L^n) with
   M_n = n F_n L^(n-1) - sum_{0<k<n} M_k F_(n-k) L^(n-k-1);
-- the power (F/L)^(p/q) (F_0 = L, p != 0) is out_m = G_m / (m! (qL)^m) with
-  G_0 = 1 and G_m = sum_{k>=1} ((p+q)k - qm) F_k (qL)^(k-1) (m-1)!/(m-k)!
-  G_(m-k), J.C.P. Miller's recurrence n g_n = sum_k ((e+1)k - n) f_k g_(n-k)
-  for f^e (Knuth, TAOCP vol. 2, 4.7).
+- the power (F/L)^(p/q) (F_0 = L, p != 0) to order N is
+  out_m = H_m / (N! (qL)^m) with H_0 = N! and
+  m H_m = sum_{k>=1} ((p+q)k - qm) F_k (qL)^(k-1) H_(m-k), J.C.P. Miller's
+  recurrence n g_n = sum_k ((e+1)k - n) f_k g_(n-k) for f^e (Knuth, TAOCP
+  vol. 2, 4.7).
 On a series with Poly coefficients, `log` is derivative * inverse, then
 integral, and `pow` is a repeated product or exp(e log): both are built
 from the kernels above, which fixes the term order of their Poly
-coefficients.  Results have the coefficients, types and term order of the
-plain coefficient loops.
+coefficients.
+
+Packed exponents.  An exponent of 2^24 or more entering a kernel raises,
+also one that an earlier kernel formed: a kernel result whose monomial
+keys hold one is lowered at once and keeps no integer form, so the next
+kernel reads its coefficients through `_int_form`, which refuses it.  A kernel
+multiplies at most `order` numerators into one term, so below order 256
+no field can carry into the next, and above it the kernel checks the
+largest exponent times the order against 2^32.
+
+Equality and hash.  Two series are equal when they have the same
+variable, order and coefficient values.  Two series of rationals compare
+their normal forms; otherwise coefficients are compared, where a
+constant Poly equals the Fraction of its value.  The hash of a series
+whose coefficients are all constant is that of its rational normal form,
+so a series and its copy with constant Poly coefficients hash equal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, lcm
+from functools import lru_cache, reduce
+from math import factorial, gcd, lcm, prod
+from operator import mul, or_
 
 from .rings import Poly, _fraction, binomial
 
@@ -68,14 +93,21 @@ class _Monomials(dict):
 
 class _Keys(dict):
     """monomial -> packed key, each encoded once; ValueError for an exponent
-    outside 1 .. 2^24 - 1."""
+    outside 1 .. 2^24 - 1.  `wide` has the bits at and above 2^24 of every
+    assigned field set: a key that meets it holds an exponent no key may."""
+
+    wide = 0
 
     def __missing__(self, mono):
         key = 0
         for v, e in mono:
             if not 0 < e < _EXP_BOUND:
                 raise ValueError(f"exponent {e} of {v} cannot be packed: a monomial key holds 1 <= e < 2^24")
-            key += e << _SHIFTS.setdefault(v, _FIELD * len(_SHIFTS))
+            shift = _SHIFTS.get(v)
+            if shift is None:
+                shift = _SHIFTS[v] = _FIELD * len(_SHIFTS)
+                self.wide |= ((1 << _FIELD) - _EXP_BOUND) << shift
+            key += e << shift
         self[mono] = key
         _MONOMIALS.setdefault(key, mono)
         return key
@@ -91,7 +123,7 @@ class _IntPoly:
     which is all the integer kernels use, and keeps the type and term order
     that the same operations on Polys give: a sum puts the left operand's
     terms first and drops cancelled ones, and a product lists its terms by
-    first appearance."""
+    first appearance.  `//` by an int divides every term exactly."""
 
     __slots__ = ("c",)
 
@@ -122,6 +154,9 @@ class _IntPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return _IntPoly({m: x * other for m, x in self.c.items()} if other else {})
+        if len(other.c) == 1:  # one term: nothing collides or cancels
+            ((m2, x2),) = other.c.items()
+            return _IntPoly({m1 + m2: x1 * x2 for m1, x1 in self.c.items()})
         c = {}
         get, right = c.get, other.c.items()
         for m1, x1 in self.c.items():
@@ -132,6 +167,9 @@ class _IntPoly:
 
     __rmul__ = __mul__
 
+    def __floordiv__(self, other):
+        return _IntPoly({m: x // other for m, x in self.c.items()})
+
     def __bool__(self):
         return bool(self.c)
 
@@ -140,7 +178,7 @@ def _int_form(cs):
     """(numerators, den): the coefficients cs as integer numerators over
     their positive lcm denominator den, an int for a Fraction coefficient
     and an `_IntPoly` for a Poly.  ValueError if an exponent cannot be
-    packed, or if more than 256 coefficients could carry a field."""
+    packed."""
     dens = []
     for c in cs:
         if isinstance(c, Poly):
@@ -148,16 +186,11 @@ def _int_form(cs):
         else:
             dens.append(c.denominator)
     den = lcm(*dens)
-    out = [
+    return [
         _IntPoly({_KEYS[m]: v.numerator * (den // v.denominator) for m, v in c.terms.items()})
         if isinstance(c, Poly) else c.numerator * (den // c.denominator)
         for c in cs
-    ]
-    if len(cs) * _EXP_BOUND > 1 << _FIELD:  # a term multiplies at most len(cs) numerators
-        top = max((e for c in cs if isinstance(c, Poly) for m in c.terms for _, e in m), default=0)
-        if top * len(cs) >> _FIELD:
-            raise ValueError(f"exponent {top} at order {len(cs) - 1} cannot be packed: products would pass 2^32")
-    return out, den
+    ], den
 
 
 def _lower(num, den):
@@ -168,10 +201,33 @@ def _lower(num, den):
     return Poly._of({_MONOMIALS[m]: Fraction(x, den) for m, x in num.c.items()})
 
 
-class TruncSeries:
-    """A power series in one variable, truncated at order N inclusive."""
+def _sum(a, da, b, db):
+    """(numerators, den): a / da + b / db over lcm(da, db), for lists of
+    numerators, b no longer than a."""
+    den = lcm(da, db)
+    num = [x * (den // da) for x in a]
+    for i, x in enumerate(b):
+        num[i] += x * (den // db)
+    return num, den
 
-    __slots__ = ("var", "order", "coeffs")
+
+@lru_cache(maxsize=None)
+def _lcm_to(n: int) -> int:
+    """lcm(1, ..., n)."""
+    return lcm(*range(1, n + 1))
+
+
+class TruncSeries:
+    """A power series in one variable, truncated at order N inclusive.
+
+    Stored (see the module docstring) as `_num` over `_den`, the integer
+    form, in normal form for a series of rationals; `_cs`, the coefficient
+    tuple, once built or as handed in; and `_poly`, whether a coefficient is
+    a Poly.  `_num` is None for a series of Polys until a kernel reads it,
+    `_cs` until the coefficients are read; never both.  Nothing stored is
+    changed in place."""
+
+    __slots__ = ("var", "order", "_poly", "_num", "_den", "_cs")
 
     def __init__(self, var: str, order: int, coeffs=()):
         if order < 0:
@@ -180,18 +236,65 @@ class TruncSeries:
         cs += [Fraction(0)] * (order + 1 - len(cs))
         self.var = var
         self.order = order
-        self.coeffs = tuple(cs)
+        self._store(cs)
 
     # -- constructors ----------------------------------------------------
+
+    def _store(self, cs):
+        self._cs, self._poly = tuple(cs), any(isinstance(c, Poly) for c in cs)
+        self._num, self._den = (None, 0) if self._poly else _int_form(cs)
 
     @staticmethod
     def _of(var: str, order: int, coeffs) -> "TruncSeries":
         """The series with exactly these coefficients: order + 1 of them,
-        each already a Fraction or a Poly.  Arithmetic forms its results
-        through it and skips the coercion of `__init__`."""
+        each already a Fraction or a Poly.  Operations that form
+        coefficients themselves build through it and skip the coercion of
+        `__init__`."""
         s = object.__new__(TruncSeries)
-        s.var, s.order, s.coeffs = var, order, tuple(coeffs)
+        s.var, s.order = var, order
+        s._store(coeffs)
         return s
+
+    @staticmethod
+    def _make(var: str, order: int, poly: bool, num, den: int, cs=None) -> "TruncSeries":
+        s = object.__new__(TruncSeries)
+        s.var, s.order, s._poly, s._num, s._den, s._cs = var, order, poly, num, den, cs
+        return s
+
+    @staticmethod
+    def _new(var: str, order: int, num, den: int) -> "TruncSeries":
+        """The series num / den that a kernel formed (den != 0, of either
+        sign), reduced by the gcd of den and every numerator: the normal
+        form of a series of rationals.  A series of Polys is lowered at
+        once, and keeps no integer form, if an exponent in it cannot be
+        packed."""
+        try:
+            g, keys = gcd(den, *num), None  # math.gcd takes ints only
+        except TypeError:  # an `_IntPoly` among num
+            keys, vals = 0, [den]
+            for c in num:
+                if type(c) is int:
+                    vals.append(c)
+                else:
+                    vals.extend(c.c.values())
+                    keys = reduce(or_, c.c, keys)
+            g = gcd(*vals)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+        if keys is not None and keys & _KEYS.wide:
+            return TruncSeries._make(var, order, True, None, 0, tuple([_lower(c, den) for c in num]))
+        return TruncSeries._make(var, order, keys is not None, num, den)
+
+    @staticmethod
+    def _derived(var: str, order: int, num, den: int) -> "TruncSeries":
+        """num / den formed by an operation that is not a kernel (a sum, a
+        truncation, a derivative or an integral): the normal form if every
+        numerator is an int, else kept as it is."""
+        if all(type(c) is int for c in num):
+            return TruncSeries._new(var, order, num, den)
+        return TruncSeries._make(var, order, True, num, den)
 
     @staticmethod
     def zero(var: str, order: int) -> "TruncSeries":
@@ -207,18 +310,49 @@ class TruncSeries:
 
     # -- helpers -----------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients of var^0 .. var^order, Fractions and Polys."""
+        if self._cs is None:
+            den = self._den
+            self._cs = tuple([_lower(c, den) for c in self._num])
+        return self._cs
+
     def __getitem__(self, n: int):
-        return self.coeffs[n] if 0 <= n <= self.order else Fraction(0)
+        if not 0 <= n <= self.order:
+            return Fraction(0)
+        return self._cs[n] if self._cs is not None else _lower(self._num[n], self._den)
+
+    def _int(self, n: int):
+        """(numerators of var^0 .. var^n, their denominator), for a kernel
+        that multiplies at most n + 1 of them into one term."""
+        if self._num is None:
+            self._num, self._den = _int_form(self._cs)
+        num = self._num if n == self.order else self._num[: n + 1]
+        if (n + 1) * _EXP_BOUND > 1 << _FIELD and self._poly:
+            top = max((e for c in num if type(c) is not int for m in c.c for _, e in _MONOMIALS[m]), default=0)
+            if top * (n + 1) >> _FIELD:
+                raise ValueError(f"exponent {top} at order {n} cannot be packed: products would pass 2^32")
+        return num, self._den
+
+    def _rational(self, other) -> bool:
+        return not (self._poly or other._poly)
 
     def truncate(self, order: int) -> "TruncSeries":
-        order = min(order, self.order)
-        return TruncSeries._of(self.var, order, self.coeffs[: order + 1])
+        if order >= self.order:
+            return self
+        if self._num is None:
+            return TruncSeries._of(self.var, order, self._cs[: order + 1])
+        return TruncSeries._derived(self.var, order, self._num[: order + 1], self._den)
 
     def agrees_to(self, other: "TruncSeries", order: int) -> bool:
         """Whether self and other have the same coefficients through
         var^order; both must be known that far.  `==` also compares orders."""
         if order > self._common(other):
             raise ValueError(f"agreement to order {order} beyond the known orders {self.order}, {other.order}")
+        if self._rational(other):
+            da, db = self._den, other._den
+            return [a * db for a in self._num[: order + 1]] == [b * da for b in other._num[: order + 1]]
         return self.coeffs[: order + 1] == other.coeffs[: order + 1]
 
     def _common(self, other):
@@ -230,18 +364,27 @@ class TruncSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
+            if self._num is not None and not isinstance(other, Poly):
+                other = _fraction(other)
+                num, den = _sum(self._num, self._den, [other.numerator], other.denominator)
+                return TruncSeries._derived(self.var, self.order, num, den)
             cs = list(self.coeffs)
             cs[0] = cs[0] + other
             return TruncSeries._of(self.var, self.order, cs)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = self._common(other)
+        if self._num is not None and other._num is not None:
+            num, den = _sum(self._num[: n + 1], self._den, other._num[: n + 1], other._den)
+            return TruncSeries._derived(self.var, n, num, den)
         return TruncSeries._of(self.var, n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries._of(self.var, self.order, [-c for c in self.coeffs])
+        if self._num is None:
+            return TruncSeries._of(self.var, self.order, [-c for c in self._cs])
+        return TruncSeries._make(self.var, self.order, self._poly, [-c for c in self._num], self._den)
 
     def __sub__(self, other):
         if not isinstance(other, (int, Fraction, Poly, TruncSeries)):
@@ -253,44 +396,54 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):  # each numerator times the scalar's
-            a, da = _int_form(self.coeffs)
-            (s,), ds = _int_form((other,))
-            return TruncSeries._of(self.var, self.order, [_lower(c * s, da * ds) for c in a])
+            a, da = self._int(self.order)
+            (s,), ds = _int_form((other,)) if isinstance(other, Poly) else ((other.numerator,), other.denominator)
+            return TruncSeries._new(self.var, self.order, [c * s for c in a], da * ds)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = self._common(other)
-        a, da = _int_form(self.coeffs[: n + 1])
-        b, db = _int_form(other.coeffs[: n + 1])
-        out = [0] * (n + 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(n + 1 - i):
-                    if b[j]:
-                        out[i + j] += ai * b[j]
-        den = da * db
-        return TruncSeries._of(self.var, n, [_lower(c, den) for c in out])
+        a, da = self._int(n)
+        b, db = other._int(n)
+        if self._rational(other):
+            rb = b[::-1]
+            out = [sum(map(mul, a, rb[n - k :])) for k in range(n + 1)]
+        else:
+            out = [0] * (n + 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j in range(n + 1 - i):
+                        if b[j]:
+                            out[i + j] += ai * b[j]
+        return TruncSeries._new(self.var, n, out, da * db)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncSeries":
-        c0 = self.coeffs[0]
+        c0 = self[0]
         if isinstance(c0, Poly):
             if not c0.is_constant():
                 raise ZeroDivisionError("non-unit divisor: constant term not scalar")
             c0 = c0.as_fraction()
         if c0 == 0:
             raise ZeroDivisionError("non-unit divisor: zero constant term")
-        f, den = _int_form(self.coeffs)
+        n = self.order
+        f, den = self._int(n)
         f0, fp = c0.numerator * (den // c0.denominator), 1  # F_0 as an int; fp = F_0^(k-1)
-        scaled = [0]  # F_k F_0^(k-1)
+        scaled = []  # F_k F_0^(k-1), k >= 1
         for fk in f[1:]:
             scaled.append(fk * fp)
             fp *= f0
-        h, out = [1], [Fraction(den, f0)]
-        for n in range(1, self.order + 1):
-            h.append(-sum(scaled[k] * h[n - k] for k in range(1, n + 1) if scaled[k]))
-            out.append(_lower(den * h[n], f0 ** (n + 1)))
-        return TruncSeries._of(self.var, self.order, out)
+        h = [1]
+        for m in range(1, n + 1):
+            if not self._poly:
+                h.append(-sum(map(mul, scaled, reversed(h))))
+            else:  # zero terms skipped, as the Poly loops skip them
+                h.append(-sum(scaled[k - 1] * h[m - k] for k in range(1, m + 1) if scaled[k - 1]))
+        out, fp = [0] * (n + 1), den  # out_m = L H_m F_0^(n-m) over F_0^(n+1)
+        for m in range(n, -1, -1):
+            out[m] = h[m] * fp
+            fp *= f0
+        return TruncSeries._new(self.var, n, out, fp // den)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -304,14 +457,24 @@ class TruncSeries:
         return self.inverse() * other
 
     def __eq__(self, other):
-        """Same variable, same order, same coefficients; `agrees_to`
+        """Same variable, same order, same coefficient values; `agrees_to`
         compares two series only through a given order."""
-        if isinstance(other, TruncSeries):
-            return self.var == other.var and self.order == other.order and self.coeffs == other.coeffs
-        return NotImplemented
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
+        if self.var != other.var or self.order != other.order:
+            return False
+        if self._rational(other):
+            return self._den == other._den and self._num == other._num
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.var, self.order, self.coeffs))
+        if not self._poly:
+            num, den = self._num, self._den
+        elif all(not isinstance(c, Poly) or c.is_constant() for c in self.coeffs):
+            num, den = _int_form([c.as_fraction() if isinstance(c, Poly) else c for c in self.coeffs])
+        else:
+            return hash((self.var, self.order, self.coeffs))
+        return hash((self.var, self.order, den, tuple(num)))
 
     def __repr__(self):
         bits = []
@@ -326,96 +489,106 @@ class TruncSeries:
     # -- calculus -------------------------------------------------------------
 
     def derivative(self) -> "TruncSeries":
-        if not self.order:
+        n = self.order
+        if not n:
             return TruncSeries(self.var, 0)
-        return TruncSeries._of(self.var, self.order - 1, [self.coeffs[i] * i for i in range(1, self.order + 1)])
+        if self._num is None:
+            return TruncSeries._of(self.var, n - 1, [self._cs[i] * i for i in range(1, n + 1)])
+        return TruncSeries._derived(self.var, n - 1, [self._num[i] * i for i in range(1, n + 1)], self._den)
 
     def integral(self) -> "TruncSeries":
         """Antiderivative with zero constant term (order rises by one)."""
-        out = [Fraction(0)]
-        for i in range(self.order + 1):
-            out.append(self.coeffs[i] / (i + 1))
-        return TruncSeries._of(self.var, self.order + 1, out)
+        n = self.order
+        if self._num is None:
+            return TruncSeries._of(self.var, n + 1, [Fraction(0)] + [c / (i + 1) for i, c in enumerate(self._cs)])
+        big = _lcm_to(n + 1)
+        num = [0] + [x * (big // (i + 1)) for i, x in enumerate(self._num)]
+        return TruncSeries._derived(self.var, n + 1, num, self._den * big)
 
     # -- exp / log / pow -------------------------------------------------------
 
     def exp(self) -> "TruncSeries":
-        if self.coeffs[0] != 0:
+        if self[0] != 0:
             raise ValueError("exp requires zero constant term")
         n = self.order
-        c, den = _int_form(self.coeffs)
-        kcl, lp = [0], 1  # k C_k L^(k-1); lp = L^(k-1)
+        c, den = self._int(n)
+        kcl, lp = [], 1  # k C_k L^(k-1), k >= 1; lp = L^(k-1)
         for k in range(1, n + 1):
             kcl.append(k * c[k] * lp)
             lp *= den
-        e, out, scale = [1], [Fraction(1)], 1  # scale = m! L^m
+        g = [factorial(n)]
         for m in range(1, n + 1):
-            acc, ff = 0, 1  # ff = (m-1)!/(m-k)!
-            for k in range(1, m + 1):
-                if kcl[k]:
-                    acc += kcl[k] * ff * e[m - k]
-                ff *= m - k
-            e.append(acc)
-            scale *= m * den
-            out.append(_lower(acc, scale))
-        return TruncSeries._of(self.var, n, out)
+            if not self._poly:
+                g.append(sum(map(mul, kcl, reversed(g))) // m)
+            else:
+                acc = 0
+                for k in range(1, m + 1):
+                    if kcl[k - 1]:
+                        acc += kcl[k - 1] * g[m - k]
+                g.append(acc // m)
+        out, lp = [0] * (n + 1), 1  # out_m = G_m L^(n-m) over n! L^n
+        for m in range(n, -1, -1):
+            out[m] = g[m] * lp
+            lp *= den
+        return TruncSeries._new(self.var, n, out, g[0] * lp // den)
 
     def log(self) -> "TruncSeries":
-        if self.coeffs[0] != 1:
+        if self[0] != 1:
             raise ValueError("log requires constant term 1")
         n = self.order
-        if any(isinstance(c, Poly) for c in self.coeffs):
+        if self._poly:
             return (self.derivative() * self.truncate(n - 1).inverse()).integral() \
                 if n > 0 else TruncSeries(self.var, 0)
-        f, den = _int_form(self.coeffs)
+        f, den = self._num, self._den
         fl, lp = [0], 1  # F_k L^(k-1); lp = L^(k-1)
         for fk in f[1:]:
             fl.append(fk * lp)
             lp *= den
-        m, out, scale = [0], [Fraction(0)], 1  # scale = L^n
+        m = []  # M_1, M_2, ...
         for k in range(1, n + 1):
-            acc = k * fl[k]
-            for j in range(1, k):
-                if m[j] and fl[k - j]:
-                    acc -= m[j] * fl[k - j]
-            m.append(acc)
-            scale *= den
-            out.append(Fraction(acc, k * scale))
-        return TruncSeries._of(self.var, n, out)
+            m.append(k * fl[k] - sum(map(mul, m, fl[k - 1 : 0 : -1])))
+        big = _lcm_to(n)
+        out, lp = [0] * (n + 1), 1  # l_k = M_k (big / k) L^(n-k) over big L^n
+        for k in range(n, 0, -1):
+            out[k] = m[k - 1] * (big // k) * lp
+            lp *= den
+        return TruncSeries._new(self.var, n, out, big * lp)
 
     def pow(self, e) -> "TruncSeries":
         """f**e for exact rational e; requires constant term 1."""
-        if self.coeffs[0] != 1:
+        if self[0] != 1:
             raise ValueError("pow requires constant term 1")
         e = _fraction(e)
         n = self.order
         if e == 0:
             return TruncSeries.one(self.var, n)
-        if any(isinstance(c, Poly) for c in self.coeffs):
+        if self._poly:
             if e.denominator == 1 and 0 < e.numerator <= n:
                 out = self
                 for _ in range(e.numerator - 1):
                     out = out * self
                 return out
             return (self.log() * e).exp()
-        f, den = _int_form(self.coeffs)
-        q = e.denominator
-        pq, ql = e.numerator + q, q * den
-        a, qlp = [0], 1  # F_k (qL)^(k-1); qlp = (qL)^(k-1)
-        for fk in f[1:]:
-            a.append(fk * qlp)
+        if e == 1:
+            return self
+        f, den = self._num, self._den
+        p, q = e.numerator, e.denominator
+        ql = q * den
+        a, ka, qlp = [], [], 1  # F_k (qL)^(k-1) and k times it, k >= 1; qlp = (qL)^(k-1)
+        for k in range(1, n + 1):
+            a.append(f[k] * qlp)
+            ka.append(k * a[-1])
             qlp *= ql
-        g, out, scale = [1], [Fraction(1)], 1  # scale = m! (qL)^m
+        h = [factorial(n)]
         for m in range(1, n + 1):
-            acc, ff, qm = 0, 1, q * m  # ff = (m-1)!/(m-k)!
-            for k in range(1, m + 1):
-                if a[k]:
-                    acc += (pq * k - qm) * a[k] * ff * g[m - k]
-                ff *= m - k
-            g.append(acc)
-            scale *= m * ql
-            out.append(Fraction(acc, scale))
-        return TruncSeries._of(self.var, n, out)
+            s1 = sum(map(mul, ka, reversed(h)))
+            s2 = sum(map(mul, a, reversed(h)))
+            h.append(((p + q) * s1 - q * m * s2) // m)
+        out, qlp = [0] * (n + 1), 1  # out_m = H_m (qL)^(n-m) over n! (qL)^n
+        for m in range(n, -1, -1):
+            out[m] = h[m] * qlp
+            qlp *= ql
+        return TruncSeries._new(self.var, n, out, h[0] * qlp // ql)
 
 
 # -- named series ----------------------------------------------------------------
@@ -491,17 +664,20 @@ def fg_series(kind: str, y, a: int, order: int) -> TruncSeries:
     # f_n = prod_{i<n} (p - q(a(n-1) + i)),  g_n = p prod_{i<n-1} (p - q(an + 1 + i))
     y = _fraction(y)
     p, q = y.numerator, y.denominator
-    scale = 1  # q^n n!
+    num = [1]
     for n in range(1, order + 1):
-        scale *= q * n
         if kind == "f":
-            num, start, count = 1, p - q * a * (n - 1), n
+            start = p - q * a * (n - 1)
+            num.append(prod(range(start, start - q * n, -q)))
         else:
-            num, start, count = p, p - q * (a * n + 1), n - 1
-        for i in range(count):
-            num *= start - q * i
-        coeffs.append(Fraction(num, scale))
-    return TruncSeries._of("z", order, coeffs)
+            start = p - q * (a * n + 1)
+            num.append(p * prod(range(start, start - q * (n - 1), -q)))
+    scale = 1  # q^(order-n) order!/n!: every term over q^order order!
+    for n in range(order, 0, -1):
+        num[n] *= scale
+        scale *= q * n
+    num[0] = scale
+    return TruncSeries._new("z", order, num, scale)
 
 
 def fg_identities(a: int, ys, order: int) -> list:

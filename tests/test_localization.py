@@ -132,7 +132,7 @@ def _orbits(model, n, ladder):
     import hilbloc.localization as loc
 
     specs = one_ps_ladder(model, n, ladder)[:2]
-    return loc._sigma_orbits(model, n, [chart_specializations(model, n, spec) for spec in specs])
+    return loc._sigma_orbits(model, n, n, specs)
 
 
 def test_orbits_of_the_central_symmetry():
@@ -207,6 +207,7 @@ def test_a_perturbed_chart_table_sums_every_point(monkeypatch):
     clears = (
         loc.chart_specializations.cache_clear,
         loc._chart_power_rows.cache_clear,
+        loc._sigma_negates.cache_clear,
         loc._char_bound.cache_clear,
         loc._hilb_betas.clear,
         chern_numbers_hilb.cache_clear,

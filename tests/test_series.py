@@ -443,10 +443,12 @@ def test_kernel_error_gates_are_kept():
 PACK_BOUND = 1 << 24  # the first exponent a monomial key refuses
 
 
-def poly_3(min_size=0):
-    """Polys in up to three of beta3, u and y, with exponents 1..3 or just
-    below 2^24, and coefficients drawn as in `poly_in`."""
-    exponent = st.one_of(st.integers(1, 3), st.integers(PACK_BOUND - 3, PACK_BOUND - 1))
+def poly_3(min_size=0, near_bound=True):
+    """Polys in up to three of beta3, u and y, with exponents 1..3 or (with
+    near_bound) just below 2^24, and coefficients drawn as in `poly_in`."""
+    exponent = st.integers(1, 3)
+    if near_bound:
+        exponent = st.one_of(exponent, st.integers(PACK_BOUND - 3, PACK_BOUND - 1))
     monomial = st.dictionaries(st.sampled_from(["beta3", "u", "y"]), exponent, max_size=3).map(
         lambda d: tuple(sorted(d.items()))
     )
@@ -487,3 +489,144 @@ def test_packed_keys_refuse_exponents_that_could_carry():
     assert TruncSeries("z", 300, [1, y]).inverse()[300] == y**300
     with pytest.raises(ValueError, match="would pass 2\\^32"):
         TruncSeries("z", 300, [1, y ** top]).inverse()
+
+
+def test_packed_keys_refuse_an_exponent_formed_by_a_kernel():
+    # y^(2^23) squared forms y^(2^24) inside a product: the result is lowered
+    # to its Polys, but the next kernel must refuse its integer form, also
+    # inside log and pow, whose intermediate series only kernels read
+    y = Poly.var("y")
+    half = y ** (PACK_BOUND // 2)
+    f = TruncSeries("z", 2, [1, half])
+    square = f * f
+    assert square[2] == y ** PACK_BOUND
+    chains = [
+        lambda: square * f,
+        lambda: f * square,
+        lambda: square * y,
+        lambda: square.inverse(),
+        lambda: (-square).truncate(2).derivative() * f,
+        lambda: f * f * f,
+        lambda: f.pow(Fraction(3)),
+        lambda: f.pow(Fraction(1, 2)),
+        lambda: f.log() * f,
+        lambda: (f.log() * 2).exp(),
+    ]
+    for chain in chains:
+        with pytest.raises(ValueError, match="cannot be packed"):
+            chain()
+    # to z^1 no product reaches 2^24
+    g = TruncSeries("z", 1, [1, half])
+    assert (g * g * g).pow(Fraction(1, 2))[1] == Fraction(3, 2) * half
+
+
+def test_kernel_zero_equals_an_empty_poly_coefficient():
+    # a kernel leaves z^0 of this product as the int 0, a Fraction; built from
+    # coefficients the same series holds the empty Poly there
+    y = Poly.var("y")
+    made = TruncSeries("z", 2, [1, 0, y]) * TruncSeries("z", 2, [0, 0, y])
+    built = TruncSeries("z", 2, [Poly(), Fraction(0), y])
+    assert type(made[0]) is Fraction and type(built[0]) is Poly
+    assert built * TruncSeries.one("z", 2) == made  # built's integer form is now read too
+    assert made == built and built == made and hash(made) == hash(built)
+    assert made.agrees_to(built, 2) and built.agrees_to(made, 2)
+    assert len({made, built}) == 1
+
+
+def test_rationals_left_of_a_kernel_made_poly_series_are_in_normal_form():
+    # the derivative drops the one Poly, y/3, and a truncation drops y/3 at
+    # z^2: what is left compares and hashes as the series built from it
+    y = Poly.var("y")
+    one = TruncSeries.one("z", 2)
+    d = (TruncSeries("z", 2, [y / 3, 0, Fraction(3, 2)]) * one).derivative()
+    t = (TruncSeries("z", 2, [1, Fraction(3, 2), y / 3]) * one).truncate(1)
+    for made, coeffs in ((d, [0, 3]), (t, [1, Fraction(3, 2)])):
+        built = TruncSeries("z", 1, coeffs)
+        assert shape(made.coeffs) == shape(built.coeffs)
+        assert made == built and hash(made) == hash(built)
+
+
+# -- the stored form: kernel results fed to further operations --------------------
+
+
+def oracle_derivative(cs):
+    return [cs[i] * i for i in range(1, len(cs))] or [Fraction(0)]
+
+
+def oracle_integral(cs):
+    return [Fraction(0)] + [c / (i + 1) for i, c in enumerate(cs)]
+
+
+def check_stored(r, expected):
+    """r has the value, type and term order of the coefficient loops'
+    expected, element by element too; it equals, agrees with and hashes as
+    the series built from expected, and as that series with every Fraction
+    a constant Poly."""
+    assert shape(r.coeffs) == shape(expected)
+    assert shape([r[i] for i in range(r.order + 1)]) == shape(expected)
+    built = TruncSeries(r.var, r.order, expected)
+    const = TruncSeries(r.var, r.order, [Poly.const(c) if isinstance(c, Fraction) else c for c in expected])
+    for other in (built, const):
+        assert r == other and other == r and hash(r) == hash(other)
+        assert r.agrees_to(other, r.order) and other.agrees_to(r, r.order)
+    changed = list(expected)
+    changed[-1] = changed[-1] + 1
+    assert r != TruncSeries(r.var, r.order, changed)
+    assert not r.agrees_to(TruncSeries(r.var, r.order, changed), r.order)
+    assert r.order == 0 or r.agrees_to(TruncSeries(r.var, r.order, changed), r.order - 1)
+    return r
+
+
+STEPS = ("mul", "scalar", "add", "inverse", "exp", "log", "pow", "calculus", "truncate")
+stored_coeffs = st.lists(st.one_of(wide, poly_in("y"), poly_yu(), poly_3(near_bound=False)), min_size=0, max_size=4)
+
+
+@settings(max_examples=example_count(60), deadline=None)
+@given(
+    st.one_of(unit_free.map(lambda cs: cs[:4]), stored_coeffs),
+    st.one_of(unit_free.map(lambda cs: cs[:4]), stored_coeffs),
+    wide.filter(bool),
+    st.lists(
+        st.tuples(
+            st.sampled_from(STEPS),
+            st.one_of(wide, st.integers(-5, 5), poly_in("y"), poly_3(near_bound=False)),
+            st.sampled_from([Fraction(2), Fraction(3), Fraction(-1, 2), Fraction(7, 3), Fraction(-3)]),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_stored_form_matches_generic_loops(cs, ds, c0, steps):
+    # each step reads series that earlier kernels made and stored: f a unit
+    # with a scalar constant term, g with constant term 0
+    f = check_stored(TruncSeries("z", len(cs), [c0] + cs), [c0] + cs)
+    g = check_stored(TruncSeries("z", len(ds), [Fraction(0)] + ds), [Fraction(0)] + ds)
+    for step, s, e in steps:
+        if step == "mul":
+            n = min(f.order, g.order)
+            square = check_stored(f * f, oracle_mul(f.coeffs, f.coeffs))
+            f, g = square, check_stored(f * g, oracle_mul(f.coeffs, g.coeffs)[: n + 1])
+        elif step == "scalar":
+            g = check_stored(g * s, [c * s for c in g.coeffs])
+        elif step == "add":
+            total = check_stored(f + g, [a + b for a, b in zip(f.coeffs, g.coeffs)])
+            f, g = total, check_stored(-g, [-c for c in g.coeffs])
+        elif step == "inverse":  # the loop divides by the value of a constant Poly
+            f = check_stored(f.inverse(), oracle_inverse([Poly.coerce(f[0]).as_fraction(), *f.coeffs[1:]]))
+        elif step == "exp":
+            f = check_stored(g.exp(), oracle_exp(list(g.coeffs)))
+        else:
+            scale = 1 / Poly.coerce(f[0]).as_fraction()
+            unit = check_stored(f * scale, [c * scale for c in f.coeffs])
+            if step == "log":
+                g = check_stored(unit.log(), oracle_log(list(unit.coeffs)))
+            elif step == "pow":
+                f = check_stored(unit.pow(e), oracle_pow(list(unit.coeffs), e))
+            elif step == "calculus":
+                check_stored(f.derivative(), oracle_derivative(f.coeffs))
+                d = check_stored(g.derivative(), oracle_derivative(g.coeffs))
+                g = check_stored(d.integral(), oracle_integral(d.coeffs))
+            else:
+                k = max(f.order, g.order, 1) - 1
+                f = check_stored(f.truncate(k), list(f.coeffs[: k + 1]))
+                g = check_stored(g.truncate(k), list(g.coeffs[: k + 1]))
