@@ -10,23 +10,21 @@ coefficient and an `_IntPoly` for a Poly, the numerators of its terms
 keyed by the monomial's exponent vector packed into one int, a 32-bit
 field per variable (fields are assigned to variables at first sight and
 fixed for the process; a product of monomials is then an int add, and
-each output monomial is decoded once, through a dict).  A series whose
-coefficients are all rationals always holds that form in normal form,
-without a common factor (one multi-argument `math.gcd` reduces each
-result).  A series with a Poly coefficient holds the form its operation
-made (a kernel's reduced the same way); one built from coefficients gets
-it from `_int_form` when a kernel first reads it.  The coefficients,
-Fractions and Polys, are built from the integer form only when asked for,
-by `coeffs` (all of them, then kept) or `s[n]` (one), with the type and
-term order that the plain coefficient loops give.
+each output monomial is decoded once, through a dict).  Every operation
+forms it reduced by the gcd of its denominator and numerators (one
+multi-argument `math.gcd` for a series of rationals), so a series of
+rationals holds it in normal form.  A series built from coefficients with
+a Poly among them gets it from `_int_form` when an operation first reads
+it, and keeps it.  The coefficients, Fractions and Polys, are built from
+the integer form only when asked for, by `coeffs` (all of them, then
+kept) or `s[n]` (one), with the type and term order that the plain
+coefficient loops give.
 
 Every operation (`+`, `-`, `*` by a series or by an int, Fraction or Poly
 scalar, `inverse`, `exp`, `log`, `pow`, `derivative`, `integral`,
 `truncate`) reads the integer form and writes one, so `_int_form` runs
-only on coefficients handed in from outside (Poly scalars of `*` among
-them); an operation other than a kernel on a series built from Poly
-coefficients that no kernel has read yet, and a sum with a Poly scalar,
-work on the coefficients instead.  With a common denominator L:
+only on coefficients handed in from outside, Poly scalars among them,
+and once per series.  With a common denominator L:
 - a product is the integer convolution of the numerators over L_a L_b;
 - the inverse of F/L is g_n = L H_n / F_0^(n+1) with H_0 = 1 and
   H_n = -sum_{k>=1} F_k F_0^(k-1) H_(n-k);
@@ -45,20 +43,22 @@ integral, and `pow` is a repeated product or exp(e log): both are built
 from the kernels above, which fixes the term order of their Poly
 coefficients.
 
-Packed exponents.  An exponent of 2^24 or more entering a kernel raises,
-also one that an earlier kernel formed: a kernel result whose monomial
-keys hold one is lowered at once and keeps no integer form, so the next
-kernel reads its coefficients through `_int_form`, which refuses it.  A kernel
-multiplies at most `order` numerators into one term, so below order 256
-no field can carry into the next, and above it the kernel checks the
-largest exponent times the order against 2^32.
+Packed exponents.  An exponent of 2^24 or more entering any operation
+raises, also one that an earlier kernel formed: a kernel result whose
+monomial keys hold one is lowered at once and keeps no integer form, so
+the next operation reads its coefficients through `_int_form`, which
+refuses it; the coefficients themselves can still be read, compared and
+hashed.  A kernel multiplies at most `order` numerators into one term, so
+below order 256 no field can carry into the next, and above it the kernel
+checks the largest exponent times the order against 2^32.
 
 Equality and hash.  Two series are equal when they have the same
 variable, order and coefficient values.  Two series of rationals compare
 their normal forms; otherwise coefficients are compared, where a
-constant Poly equals the Fraction of its value.  The hash of a series
-whose coefficients are all constant is that of its rational normal form,
-so a series and its copy with constant Poly coefficients hash equal.
+constant Poly equals the Fraction of its value.  The hash is that of the
+variable, the order and the coefficients, and a constant Poly hashes as
+its Fraction, so a series and its copy with constant Poly coefficients
+hash equal.
 """
 
 from __future__ import annotations
@@ -193,22 +193,27 @@ def _int_form(cs):
     ], den
 
 
+def _scalar(c):
+    """(numerators, den): the integer form of an int, Fraction or Poly
+    scalar, one numerator long."""
+    return _int_form((c,)) if isinstance(c, Poly) else ((c.numerator,), c.denominator)
+
+
+def _dot(xs, ys, poly: bool):
+    """sum_k xs[k] ys[-1-k] over the shorter list: the convolution step of a
+    recurrence.  With poly, zero xs[k] are skipped, as the Poly loops skip
+    them, which keeps a zero result an int."""
+    if poly:
+        return sum(x * y for x, y in zip(xs, reversed(ys)) if x)
+    return sum(map(mul, xs, reversed(ys)))
+
+
 def _lower(num, den):
     """The coefficient num / den: a Fraction for an int num, a Poly for an
     `_IntPoly`."""
     if isinstance(num, int):
         return Fraction(num, den)
     return Poly._of({_MONOMIALS[m]: Fraction(x, den) for m, x in num.c.items()})
-
-
-def _sum(a, da, b, db):
-    """(numerators, den): a / da + b / db over lcm(da, db), for lists of
-    numerators, b no longer than a."""
-    den = lcm(da, db)
-    num = [x * (den // da) for x in a]
-    for i, x in enumerate(b):
-        num[i] += x * (den // db)
-    return num, den
 
 
 @lru_cache(maxsize=None)
@@ -223,9 +228,10 @@ class TruncSeries:
     Stored (see the module docstring) as `_num` over `_den`, the integer
     form, in normal form for a series of rationals; `_cs`, the coefficient
     tuple, once built or as handed in; and `_poly`, whether a coefficient is
-    a Poly.  `_num` is None for a series of Polys until a kernel reads it,
-    `_cs` until the coefficients are read; never both.  Nothing stored is
-    changed in place."""
+    a Poly.  `_num` is None for a series built from Poly coefficients until
+    `_form` first reads it, and for a kernel result lowered at once; `_cs`
+    until the coefficients are read; never both.  Nothing stored is changed
+    in place."""
 
     __slots__ = ("var", "order", "_poly", "_num", "_den", "_cs")
 
@@ -234,36 +240,15 @@ class TruncSeries:
             raise ValueError("order must be non-negative")
         cs = [_coerce(c) for c in coeffs[: order + 1]]
         cs += [Fraction(0)] * (order + 1 - len(cs))
-        self.var = var
-        self.order = order
-        self._store(cs)
+        self.var, self.order, self._cs = var, order, tuple(cs)
+        self._poly = any(isinstance(c, Poly) for c in cs)
+        self._num, self._den = (None, 0) if self._poly else _int_form(cs)
 
     # -- constructors ----------------------------------------------------
 
-    def _store(self, cs):
-        self._cs, self._poly = tuple(cs), any(isinstance(c, Poly) for c in cs)
-        self._num, self._den = (None, 0) if self._poly else _int_form(cs)
-
-    @staticmethod
-    def _of(var: str, order: int, coeffs) -> "TruncSeries":
-        """The series with exactly these coefficients: order + 1 of them,
-        each already a Fraction or a Poly.  Operations that form
-        coefficients themselves build through it and skip the coercion of
-        `__init__`."""
-        s = object.__new__(TruncSeries)
-        s.var, s.order = var, order
-        s._store(coeffs)
-        return s
-
-    @staticmethod
-    def _make(var: str, order: int, poly: bool, num, den: int, cs=None) -> "TruncSeries":
-        s = object.__new__(TruncSeries)
-        s.var, s.order, s._poly, s._num, s._den, s._cs = var, order, poly, num, den, cs
-        return s
-
     @staticmethod
     def _new(var: str, order: int, num, den: int) -> "TruncSeries":
-        """The series num / den that a kernel formed (den != 0, of either
+        """The series num / den that an operation formed (den != 0, of either
         sign), reduced by the gcd of den and every numerator: the normal
         form of a series of rationals.  A series of Polys is lowered at
         once, and keeps no integer form, if an exponent in it cannot be
@@ -283,18 +268,13 @@ class TruncSeries:
             g = -g
         if g != 1:
             num, den = [c // g for c in num], den // g
-        if keys is not None and keys & _KEYS.wide:
-            return TruncSeries._make(var, order, True, None, 0, tuple([_lower(c, den) for c in num]))
-        return TruncSeries._make(var, order, keys is not None, num, den)
-
-    @staticmethod
-    def _derived(var: str, order: int, num, den: int) -> "TruncSeries":
-        """num / den formed by an operation that is not a kernel (a sum, a
-        truncation, a derivative or an integral): the normal form if every
-        numerator is an int, else kept as it is."""
-        if all(type(c) is int for c in num):
-            return TruncSeries._new(var, order, num, den)
-        return TruncSeries._make(var, order, True, num, den)
+        s = object.__new__(TruncSeries)
+        s.var, s.order, s._poly = var, order, keys is not None
+        if s._poly and keys & _KEYS.wide:
+            s._num, s._den, s._cs = None, 0, tuple([_lower(c, den) for c in num])
+        else:
+            s._num, s._den, s._cs = num, den, None
+        return s
 
     @staticmethod
     def zero(var: str, order: int) -> "TruncSeries":
@@ -323,17 +303,26 @@ class TruncSeries:
             return Fraction(0)
         return self._cs[n] if self._cs is not None else _lower(self._num[n], self._den)
 
-    def _int(self, n: int):
-        """(numerators of var^0 .. var^n, their denominator), for a kernel
-        that multiplies at most n + 1 of them into one term."""
+    def _form(self):
+        """(numerators, den): the integer form, which every operation reads;
+        built from the coefficients on first use and kept.  ValueError if an
+        exponent cannot be packed."""
         if self._num is None:
             self._num, self._den = _int_form(self._cs)
-        num = self._num if n == self.order else self._num[: n + 1]
+        return self._num, self._den
+
+    def _int(self, n: int):
+        """(numerators of var^0 .. var^n, their denominator), for a kernel
+        that multiplies at most n + 1 of them into one term: `_form`, and
+        ValueError if such a product could carry an exponent past 2^32."""
+        num, den = self._form()
+        if n < self.order:
+            num = num[: n + 1]
         if (n + 1) * _EXP_BOUND > 1 << _FIELD and self._poly:
             top = max((e for c in num if type(c) is not int for m in c.c for _, e in _MONOMIALS[m]), default=0)
             if top * (n + 1) >> _FIELD:
                 raise ValueError(f"exponent {top} at order {n} cannot be packed: products would pass 2^32")
-        return num, self._den
+        return num, den
 
     def _rational(self, other) -> bool:
         return not (self._poly or other._poly)
@@ -341,9 +330,8 @@ class TruncSeries:
     def truncate(self, order: int) -> "TruncSeries":
         if order >= self.order:
             return self
-        if self._num is None:
-            return TruncSeries._of(self.var, order, self._cs[: order + 1])
-        return TruncSeries._derived(self.var, order, self._num[: order + 1], self._den)
+        num, den = self._form()
+        return TruncSeries._new(self.var, order, num[: order + 1], den)
 
     def agrees_to(self, other: "TruncSeries", order: int) -> bool:
         """Whether self and other have the same coefficients through
@@ -364,27 +352,24 @@ class TruncSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
-            if self._num is not None and not isinstance(other, Poly):
-                other = _fraction(other)
-                num, den = _sum(self._num, self._den, [other.numerator], other.denominator)
-                return TruncSeries._derived(self.var, self.order, num, den)
-            cs = list(self.coeffs)
-            cs[0] = cs[0] + other
-            return TruncSeries._of(self.var, self.order, cs)
-        if not isinstance(other, TruncSeries):
+            n, (b, db) = self.order, _scalar(other)
+        elif isinstance(other, TruncSeries):
+            n = self._common(other)
+            b, db = other._form()
+        else:
             return NotImplemented
-        n = self._common(other)
-        if self._num is not None and other._num is not None:
-            num, den = _sum(self._num[: n + 1], self._den, other._num[: n + 1], other._den)
-            return TruncSeries._derived(self.var, n, num, den)
-        return TruncSeries._of(self.var, n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        a, da = self._form()
+        den = lcm(da, db)
+        num = [x * (den // da) for x in a[: n + 1]]
+        for i, x in enumerate(b[: n + 1]):  # one numerator for a scalar
+            num[i] += x * (den // db)
+        return TruncSeries._new(self.var, n, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._num is None:
-            return TruncSeries._of(self.var, self.order, [-c for c in self._cs])
-        return TruncSeries._make(self.var, self.order, self._poly, [-c for c in self._num], self._den)
+        num, den = self._form()
+        return TruncSeries._new(self.var, self.order, [-c for c in num], den)
 
     def __sub__(self, other):
         if not isinstance(other, (int, Fraction, Poly, TruncSeries)):
@@ -397,7 +382,7 @@ class TruncSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):  # each numerator times the scalar's
             a, da = self._int(self.order)
-            (s,), ds = _int_form((other,)) if isinstance(other, Poly) else ((other.numerator,), other.denominator)
+            (s,), ds = _scalar(other)
             return TruncSeries._new(self.var, self.order, [c * s for c in a], da * ds)
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -435,10 +420,7 @@ class TruncSeries:
             fp *= f0
         h = [1]
         for m in range(1, n + 1):
-            if not self._poly:
-                h.append(-sum(map(mul, scaled, reversed(h))))
-            else:  # zero terms skipped, as the Poly loops skip them
-                h.append(-sum(scaled[k - 1] * h[m - k] for k in range(1, m + 1) if scaled[k - 1]))
+            h.append(-_dot(scaled, h, self._poly))
         out, fp = [0] * (n + 1), den  # out_m = L H_m F_0^(n-m) over F_0^(n+1)
         for m in range(n, -1, -1):
             out[m] = h[m] * fp
@@ -468,13 +450,7 @@ class TruncSeries:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        if not self._poly:
-            num, den = self._num, self._den
-        elif all(not isinstance(c, Poly) or c.is_constant() for c in self.coeffs):
-            num, den = _int_form([c.as_fraction() if isinstance(c, Poly) else c for c in self.coeffs])
-        else:
-            return hash((self.var, self.order, self.coeffs))
-        return hash((self.var, self.order, den, tuple(num)))
+        return hash((self.var, self.order, self.coeffs))
 
     def __repr__(self):
         bits = []
@@ -492,18 +468,15 @@ class TruncSeries:
         n = self.order
         if not n:
             return TruncSeries(self.var, 0)
-        if self._num is None:
-            return TruncSeries._of(self.var, n - 1, [self._cs[i] * i for i in range(1, n + 1)])
-        return TruncSeries._derived(self.var, n - 1, [self._num[i] * i for i in range(1, n + 1)], self._den)
+        num, den = self._form()
+        return TruncSeries._new(self.var, n - 1, [num[i] * i for i in range(1, n + 1)], den)
 
     def integral(self) -> "TruncSeries":
         """Antiderivative with zero constant term (order rises by one)."""
         n = self.order
-        if self._num is None:
-            return TruncSeries._of(self.var, n + 1, [Fraction(0)] + [c / (i + 1) for i, c in enumerate(self._cs)])
+        num, den = self._form()
         big = _lcm_to(n + 1)
-        num = [0] + [x * (big // (i + 1)) for i, x in enumerate(self._num)]
-        return TruncSeries._derived(self.var, n + 1, num, self._den * big)
+        return TruncSeries._new(self.var, n + 1, [0] + [x * (big // (i + 1)) for i, x in enumerate(num)], den * big)
 
     # -- exp / log / pow -------------------------------------------------------
 
@@ -518,14 +491,7 @@ class TruncSeries:
             lp *= den
         g = [factorial(n)]
         for m in range(1, n + 1):
-            if not self._poly:
-                g.append(sum(map(mul, kcl, reversed(g))) // m)
-            else:
-                acc = 0
-                for k in range(1, m + 1):
-                    if kcl[k - 1]:
-                        acc += kcl[k - 1] * g[m - k]
-                g.append(acc // m)
+            g.append(_dot(kcl, g, self._poly) // m)
         out, lp = [0] * (n + 1), 1  # out_m = G_m L^(n-m) over n! L^n
         for m in range(n, -1, -1):
             out[m] = g[m] * lp
@@ -659,7 +625,7 @@ def fg_series(kind: str, y, a: int, order: int) -> TruncSeries:
             else:
                 # y/(y-an) * C(y-an, n) with the (y-an) factor cancelled
                 coeffs.append(y * binomial(y - a * n - 1, n - 1) / n)
-        return TruncSeries._of("z", order, coeffs)
+        return TruncSeries("z", order, coeffs)
     # for y = p/q both are one integer product over q^n n!:
     # f_n = prod_{i<n} (p - q(a(n-1) + i)),  g_n = p prod_{i<n-1} (p - q(an + 1 + i))
     y = _fraction(y)

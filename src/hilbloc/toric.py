@@ -60,9 +60,6 @@ class ToricSurface(Record):
     def euler_number(self) -> int:
         return len(self.rays)
 
-    def canonical_bundle(self) -> "TLineBundle":
-        return TLineBundle(self, (-1,) * len(self.rays))
-
 
 class TLineBundle(Record):
     """An equivariant line bundle, as ray coefficients of a toric divisor."""

@@ -45,6 +45,11 @@ def intersection(l1: TLineBundle, l2: TLineBundle) -> int:
     return int(values[0])
 
 
+def canonical_bundle(model) -> TLineBundle:
+    """K_S = -(sum of the toric divisors)."""
+    return TLineBundle(model, (-1,) * len(model.rays))
+
+
 def gamma_vector(model, x):
     """(c1^2(x), c2(x), c1(x).c1(S), c1^2(S), c2(S)) for x = sum m_i L_i + trivial."""
     c1 = [0] * len(model.rays)
@@ -52,7 +57,7 @@ def gamma_vector(model, x):
         for i, c in enumerate(bundle.coeffs):
             c1[i] += mult * c
     c1_bundle = TLineBundle(model, tuple(c1))
-    k = model.canonical_bundle()
+    k = canonical_bundle(model)
     # c2 of a sum of line bundles: the second elementary symmetric function,
     # with c(L)^m = (1 + L)^m contributing C(m, 2) L^2 for every integer m
     c2 = 0

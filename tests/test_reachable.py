@@ -24,13 +24,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hilbloc"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
-# each waits for a caller (ROADMAP items 3 and 7) or for a move into tests/
+# each waits for a caller (ROADMAP items 3 and 7)
 UNREACHED = {
     "universal.chi_Ln_Er",  # item 3
     "universal.invariants",  # item 3
     "universal.SurfaceInvariants",  # item 3
     "genera.chi_y_genus",  # item 7
-    "toric.ToricSurface.canonical_bundle",  # read only by tests/surface_oracle.py
 }
 
 

@@ -493,8 +493,9 @@ def test_packed_keys_refuse_exponents_that_could_carry():
 
 def test_packed_keys_refuse_an_exponent_formed_by_a_kernel():
     # y^(2^23) squared forms y^(2^24) inside a product: the result is lowered
-    # to its Polys, but the next kernel must refuse its integer form, also
-    # inside log and pow, whose intermediate series only kernels read
+    # to its Polys, which can still be read, compared and hashed, but every
+    # further operation must refuse its integer form, also inside log and
+    # pow, whose intermediate series only kernels read
     y = Poly.var("y")
     half = y ** (PACK_BOUND // 2)
     f = TruncSeries("z", 2, [1, half])
@@ -511,13 +512,45 @@ def test_packed_keys_refuse_an_exponent_formed_by_a_kernel():
         lambda: f.pow(Fraction(1, 2)),
         lambda: f.log() * f,
         lambda: (f.log() * 2).exp(),
+        lambda: -square,
+        lambda: square + 1,
+        lambda: square.truncate(1),
+        lambda: square.derivative(),
+        lambda: square.integral(),
+        lambda: f + y**PACK_BOUND,
     ]
     for chain in chains:
         with pytest.raises(ValueError, match="cannot be packed"):
             chain()
+    assert square[2] == y**PACK_BOUND and square.coeffs[1] == 2 * half
+    assert square == square and hash(square) == hash(TruncSeries("z", 2, square.coeffs))
     # to z^1 no product reaches 2^24
     g = TruncSeries("z", 1, [1, half])
     assert (g * g * g).pow(Fraction(1, 2))[1] == Fraction(3, 2) * half
+
+
+def test_integer_form_of_a_series_is_built_once(monkeypatch):
+    # an operation stores the integer form it reads: log reads h through its
+    # derivative and its truncation, and a sum with a Poly scalar forms the
+    # scalar's through the same `_int_form`
+    import hilbloc.series as series
+
+    calls = []
+
+    def counted(cs):
+        calls.append(tuple(cs))
+        return int_form(cs)
+
+    int_form = series._int_form
+    monkeypatch.setattr(series, "_int_form", counted)
+    y = Poly.var("y")
+    h = TruncSeries("z", 4, [1, y, y**2, 3 * y, y + 1])
+    h.log()
+    assert calls == [h.coeffs]
+    calls.clear()
+    h = TruncSeries("z", 4, [1, y, y**2, 3 * y, y + 1])
+    (h + y) * h
+    assert sorted(calls, key=len) == [(y,), h.coeffs]
 
 
 def test_kernel_zero_equals_an_empty_poly_coefficient():

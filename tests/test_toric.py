@@ -22,7 +22,7 @@ from hilbloc.toric import (
 )
 from hilbloc.universal import invariants
 from record_oracle import assert_record
-from surface_oracle import SURFACES
+from surface_oracle import SURFACES, canonical_bundle
 from surface_oracle import intersection as oracle_intersection
 
 
@@ -86,7 +86,7 @@ def test_exceptional_curve():
     # the inserted ray's divisor is the exceptional curve: E^2 = -1
     e = line_bundle(bl, (0, 1, 0, 0))
     assert intersection(e, e) == -1
-    k = bl.canonical_bundle()
+    k = canonical_bundle(bl)
     assert intersection(k, e) == -1  # K.E = -1 for a (-1)-curve
 
 
