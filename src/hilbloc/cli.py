@@ -100,7 +100,10 @@ def _surface(spec: str, parser):
     # counted before parsing: build_model recurses once per level
     if spec.count("blowup:") > BLOWUP_DEPTH_MAX:
         parser.error(f"--surface nests at most {BLOWUP_DEPTH_MAX} blowup: levels")
-    return build_model(spec)
+    model = build_model(spec)
+    if model.name != spec:  # build_model reads a chart index "00" as 0
+        parser.error(f"--surface {spec} must be spelled {model.name}")
+    return model
 
 
 # int() and Fraction() also take blanks, "1_0" and non-ASCII digits; the CLI does not

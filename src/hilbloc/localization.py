@@ -4,23 +4,25 @@ Bott-residue integrator.
 A fixed point assigns one partition per chart (monomial ideals at the
 torus-fixed points of S), with total size n, and each fact of one (chart,
 partition) is computed in one place: its tangent characters (the arm/leg
-formula) in `chart_tangent_weights`; the characters of its cells, the
-fibre of O^[n], in `_cell_characters` (`taut_weights` shifts them by a
-bundle's local weight, and det O^[n] has their sum); its tangent weights
-at a 1-PS in `chart_specializations`, the one table that the residue
-sums, the chart product and the Betti numbers (`genera`) read; and the
-power sums p_1, ..., p_2n of those weights in `_chart_power_rows`, the one
-power-sum table.  p_k is additive over the charts, so the power sums of a
-fixed point (`_hilb_beta`, the tangent class of an integrand) are the sum
-of its charts' rows, and the chart product reads the rows as columns.
+formula) in `chart_tangent_weights`, the characters of its cells (the
+fibre of O^[n]) in `_cell_characters`, and at a 1-PS one cached table per
+fact over the partitions of size <= order: the tangent weights in
+`chart_specializations` (read by the residue sums, the chart product and
+the Betti numbers of `genera`), the cell characters in `_chart_cells` (a
+tautological bundle's weights are them shifted by its weight at the chart,
+and the chart product's o_c is their sum) and the power sums p_1, ...,
+p_2n of the tangent weights in `_chart_power_rows`.  p_k is additive over
+the charts, so the power sums of a fixed point (`_hilb_beta`, the tangent
+class of an integrand) are the sum of its charts' rows.
 
 Every sum over the fixed points of Hilb^n here is a set of monomial sums
 over one column table: `_monomial_sums` walks the fixed points in blocks of
-a few hundred, builds for each block a table of columns (one list over the
-block's points per symmetric function of its weights) and sums each
-monomial in the table's factors over prod t.  For Chern numbers the
-monomials are the partitions la of 2n in the columns e_p(t); for the
-power-sum polynomial of Hilb^n(S) (the cobordism class that
+a few hundred and, per block and 1-PS, calls the pass's one callback
+table(spec, block, cols), which reads the chart tables and returns the
+columns (one list over the block's points per symmetric function of its
+weights), and sums each monomial in their factors over prod t.  For Chern
+numbers the monomials are the partitions la of 2n in the columns e_p(t);
+for the power-sum polynomial of Hilb^n(S) (the cobordism class that
 `hilb_cobordism_series` returns) they are the partitions mu in p_p(t).
 Every other integrand has one shape, a polynomial in the Chern classes of
 tautological bundles (and of T) times one multiplicative tangent class
@@ -30,7 +32,7 @@ degree 2n in the Chern classes and the scaled tangent exponential (see
 trie of monomials (`_product_walk`), one column product per distinct
 nonempty prefix, and a monomial's block sum is one dot product with the
 column of scales.  Characters stay symbolic (integer pairs) until the pass
-specializes them along the first two members of a deterministic ladder of
+specializes them along the two members of a deterministic ladder of
 generic one-parameter subgroups; each specialization keeps integer
 numerators over one running common denominator, the lcm of the block
 denominators seen so far, and the two exact sums must agree monomial by
@@ -212,43 +214,42 @@ def _char_bound(model: ToricSurface, n: int):
 
 
 def one_ps_ladder(model: ToricSurface, n: int, name: str) -> list:
-    """Two documented deterministic ladders of generic 1-parameter subgroups.
-
-    'xi'  : (1, B), (1, B+1), ...  with B exceeding every |a1/a2|;
-    'eta' : (B', 1), (B'+1, 1), ... with B' exceeding every |a2/a1|.
-    The first entry of each ladder is already generic by construction.
-    """
+    """The two generic 1-parameter subgroups of a documented deterministic
+    ladder, the pair that a pass specializes along and `_agreed` compares:
+    'xi'  : (1, B), (1, B+1)   with B exceeding every |a1/a2|;
+    'eta' : (B', 1), (B'+1, 1) with B' exceeding every |a2/a1|."""
     b1, b2 = _char_bound(model, n)
     if name == "xi":
-        return [(1, b1 + j) for j in range(4)]
+        return [(1, b1), (1, b1 + 1)]
     if name == "eta":
-        return [(b2 + j, 1) for j in range(4)]
+        return [(b2, 1), (b2 + 1, 1)]
     raise ValueError(f"unknown ladder {name!r}")
 
 
-def _specialize(char, spec) -> int:
-    return char[0] * spec[0] + char[1] * spec[1]
-
-
-def specialize_tangents(chars, spec) -> list:
-    """The tangent characters chars at the 1-PS spec; ConsistencyError if one
-    of them vanishes there, since the fixed point is then not isolated."""
-    tvals = [_specialize(c, spec) for c in chars]
-    if 0 in tvals:
-        raise ConsistencyError("1-PS specialization hit a zero tangent weight")
-    return tvals
+def _specialize(chars, spec) -> tuple:
+    """The characters chars at the 1-PS spec (from a list: a tuple grown from a generator keeps a larger block)."""
+    return tuple([a * spec[0] + b * spec[1] for a, b in chars])
 
 
 @lru_cache(maxsize=None)
 def chart_specializations(model: ToricSurface, order: int, spec) -> tuple:
     """Per chart, {la: the tangent weights of la at the 1-PS spec} over the
     partitions la of size 0..order, size by size: each (chart, partition)
-    is specialized once per order and spec.  ConsistencyError on a zero
-    weight (`specialize_tangents`)."""
+    is specialized once per order and spec.  ConsistencyError if a weight
+    vanishes, since the fixed point is then not isolated."""
     lams = [la for m in range(order + 1) for la in enumerate_partitions(m)]
-    return tuple(
-        {la: tuple(specialize_tangents(chart_tangent_weights(chart, la), spec)) for la in lams} for chart in model.charts
-    )
+    charts = tuple({la: _specialize(chart_tangent_weights(chart, la), spec) for la in lams} for chart in model.charts)
+    if any(0 in tvals for weights in charts for tvals in weights.values()):
+        raise ConsistencyError("1-PS specialization hit a zero tangent weight")
+    return charts
+
+
+@lru_cache(maxsize=None)
+def _chart_cells(model: ToricSurface, order: int, spec) -> tuple:
+    """Per chart, {la: the cell characters of la (`_cell_characters`) at the
+    1-PS spec} over the partitions of `chart_specializations`."""
+    charts = zip(model.charts, chart_specializations(model, order, spec))
+    return tuple({la: _specialize(_cell_characters(chart, la), spec) for la in weights} for chart, weights in charts)
 
 
 @lru_cache(maxsize=None)
@@ -268,23 +269,17 @@ def _chart_power_rows(model: ToricSurface, order: int, spec) -> tuple:
     )
 
 
-def _point_power_sums(model: ToricSurface, n: int, order: int | None = None):
-    """The function of (spec, block) that gives the columns p_1, ..., p_2n of
-    the tangent weights' power sums at the 1-PS spec over block, fixed points
-    of Hilb^n: each point's row is the sum of its charts' rows, read uncut
-    from the rows (`_chart_power_rows`) of the spec at order >= n (n if
-    None), and only the first 2n columns are formed."""
-    order = n if order is None else order
-
-    def columns(spec, block):
-        charts = _chart_power_rows(model, order, spec)
-        points = []
-        for fp in block:
-            parts = [chart[la] for chart, la in zip(charts, fp) if la]
-            points.append(parts[0] if len(parts) == 1 else tuple(map(sum, zip(*parts))))
-        return list(islice(zip(*points), 2 * n))
-
-    return columns
+def _point_power_sums(model: ToricSurface, n: int, order: int, spec, block) -> list:
+    """The columns p_1, ..., p_2n of the tangent weights' power sums at the
+    1-PS spec over block, fixed points of Hilb^n: each point's row is the
+    sum of its charts' rows, read uncut from the rows (`_chart_power_rows`)
+    of spec at order >= n, and only the first 2n columns are formed."""
+    charts = _chart_power_rows(model, order, spec)
+    points = []
+    for fp in block:
+        parts = [chart[la] for chart, la in zip(charts, fp) if la]
+        points.append(parts[0] if len(parts) == 1 else tuple(map(sum, zip(*parts))))
+    return list(islice(zip(*points), 2 * n))
 
 
 # Symmetric functions of weights on a block of points, column by column:
@@ -422,39 +417,37 @@ def _sigma_orbits(model: ToricSurface, n: int, order: int, specs) -> tuple:
     return reps, mults
 
 
-def _monomial_sums(model, n, ladder, monomials, tables, orbits=False, order=None) -> list:
+def _monomial_sums(model, n, order, ladder, monomials, table, orbits=False) -> list:
     """The residue sums over the fixed points of Hilb^n of the monomials
-    (tuples of integer factors) over prod t, exact, at the first two 1-PS
-    of the ladder of Hilb^order, order >= n (n if None): `_char_bound` is
-    monotone in n, so that ladder is generic for Hilb^n too.
+    (tuples of integer factors) over prod t, exact, at the two 1-PS of the
+    ladder of Hilb^order, order >= n: `_char_bound` is monotone in n, so
+    that ladder is generic for Hilb^n too.
 
-    The pass walks the fixed points in blocks of _BLOCK points.
-    tables(block) is called once per block and returns a function of (spec,
-    cols, width): at a specialization spec, with cols[j] the column of the
-    block's j-th specialized tangent weight over its width points, the
-    table of factor columns.  The monomials' column products run along
-    their product walk from the column of scales L/d, with d = prod t of a
-    point and L the lcm of the block's d, so a monomial's block sum is one
-    dot product: each distinct nonempty prefix costs one column product
-    (269 for the partitions of 14, against 780 parts), and a node's column
-    is dropped once its last child is formed.  The weights of a point are
-    its charts' in `chart_specializations`, which raises ConsistencyError
-    on a zero weight.  The sums of the two specializations are independent
-    until `_agreed` compares them, monomial by monomial, at the end.
+    The pass walks the fixed points in blocks of _BLOCK points and calls
+    table(spec, block, cols) once per block and 1-PS spec: with cols[j] the
+    column of the block's j-th tangent weight at spec over its points, it
+    returns the table of factor columns, read from the chart tables of spec.
+    The monomials' column products run along their product walk from the
+    column of scales L/d, with d = prod t of a point and L the lcm of the
+    block's d, so a monomial's block sum is one dot product: each distinct
+    nonempty prefix costs one column product (269 for the partitions of 14,
+    against 780 parts), and a node's column is dropped once its last child
+    is formed.  The weights of a point are its charts' in
+    `chart_specializations`, which raises ConsistencyError on a zero weight.
+    The sums of the two specializations are independent until `_agreed`
+    compares them, monomial by monomial, at the end.
 
     With orbits, every monomial must have even degree 2n and depend on the
     tangent weights alone: the pass then visits one point per orbit of the
     central symmetry (`_sigma_orbits`), whose scale is multiplied by the
     orbit's size."""
-    order = n if order is None else order
     walk = _product_walk(monomials)
-    specs = one_ps_ladder(model, order, ladder)[:2]
+    specs = one_ps_ladder(model, order, ladder)
     sums = [_ResidueSum(len(monomials)) for _ in specs]
     specialized = [chart_specializations(model, order, spec) for spec in specs]
     points, mults = _sigma_orbits(model, n, order, specs) if orbits else (enumerate_fixed_points(model, n), None)
     for start in range(0, len(points), _BLOCK):
         block = points[start : start + _BLOCK]
-        table = tables(block)
         for spec, charts, total in zip(specs, specialized, sums):
             tvals = []
             for fp in block:
@@ -472,7 +465,7 @@ def _monomial_sums(model, n, ladder, monomials, tables, orbits=False, order=None
             def leaf(i, xs, ys):
                 out[i] = sum(map(mul, xs, ys))
 
-            _walk_products(walk, table(spec, list(zip(*tvals)), len(scales)), scales, leaf)
+            _walk_products(walk, table(spec, block, list(zip(*tvals))), scales, leaf)
             total.add(den, out)
     return _agreed(specs, *([Fraction(a, total.den) for a in total.acc] for total in sums))
 
@@ -515,13 +508,6 @@ class Integrand(Record):
         tangent_class: TruncSeries | None = None,  # characteristic series Q(x)
     ):
         self._freeze(poly, bundles, tangent_class)
-
-    @staticmethod
-    def chern_monomial(la) -> "Integrand":
-        return Integrand(
-            poly=((Fraction(1), tuple(("T", int(p)) for p in la)),),
-            bundles=(("T", "tangent"),),
-        )
 
     @staticmethod
     def chern_character(x: TautClass, n: int, tangent_class: TruncSeries) -> "Integrand":
@@ -590,6 +576,21 @@ def _integrand_terms(integrand: Integrand, n: int, slots: dict) -> dict:
     return {mono: c for mono, c in terms.items() if c}
 
 
+def _taut_chern_classes(model, n, x: TautClass, spec, block) -> list:
+    """The Chern columns [c_0, ..., c_2n] of x^[n] at the 1-PS spec over block,
+    fixed points of Hilb^n: its weights, in the order of `taut_weights`, are
+    the entries of `_chart_cells` shifted by their summand's weight at the
+    chart, and the n weights of a summand carry its multiplicity."""
+    cells = _chart_cells(model, n, spec)
+    summands = [(_specialize(map(L.local_weight, model.charts), spec), m) for L, m in x.line_bundles]
+    summands += [((0,) * len(cells), x.trivial)] if x.trivial else []
+    cols, mults = [], []
+    for shifts, m in summands:
+        cols += zip(*([s + w for s, chart, la in zip(shifts, cells, fp) for w in chart[la]] for fp in block))
+        mults += [m] * n
+    return _chern_classes(cols, len(block), 2 * n, mults)
+
+
 def _integrate_family(model, n, integrands, ladder) -> list:
     """The integral of each integrand, from one pass over the distinct
     monomials of all of them.  On each block and specialization every
@@ -600,33 +601,21 @@ def _integrate_family(model, n, integrands, ladder) -> list:
     for integrand in integrands:
         terms = _integrand_terms(integrand, n, slots).items()
         rows.append([(index.setdefault(mono, len(index)), c) for mono, c in terms])
-    power_sums = _point_power_sums(model, n)
 
-    def tables(block):
-        # per slot: the multiplicities of a tautological class, the same at
-        # every point, and the columns of its characters; None otherwise
-        taut = []
+    def table(spec, block, cols):
+        out, p = [], None
         for src in slots:
-            pairs = [taut_weights(model, fp, src) for fp in block] if isinstance(src, TautClass) else None
-            taut.append(pairs and ([m for _, m in pairs[0]], list(zip(*([c for c, _ in p] for p in pairs)))))
+            if isinstance(src, TautClass):
+                out += _taut_chern_classes(model, n, src, spec, block)
+            elif src == "tangent":
+                out += _chern_classes(cols, len(block), order, repeat(1))
+            else:
+                if p is None:
+                    p = _point_power_sums(model, n, n, spec, block)
+                out += _tangent_exponential(src, p, len(block), order)
+        return out
 
-        def table(spec, cols, width):
-            out, p = [], None
-            for src, x in zip(slots, taut):
-                if x is not None:
-                    weights = [[_specialize(c, spec) for c in col] for col in x[1]]
-                    out += _chern_classes(weights, width, order, x[0])
-                elif src == "tangent":
-                    out += _chern_classes(cols, width, order, repeat(1))
-                else:
-                    if p is None:
-                        p = power_sums(spec, block)
-                    out += _tangent_exponential(src, p, width, order)
-            return out
-
-        return table
-
-    values = _monomial_sums(model, n, ladder, tuple(index), tables)
+    values = _monomial_sums(model, n, n, ladder, tuple(index), table)
     return [sum((c * values[i] for i, c in row), Fraction(0)) for row in rows]
 
 
@@ -663,10 +652,10 @@ def chern_residue_sums(model: ToricSurface, n: int, lams, ladder: str = "xi") ->
     Chern numbers runs on the orbits of the central symmetry: on sums of
     odd degree 2n - 1 its pairs cancel, and the axiom would test nothing."""
 
-    def tables(block):
-        return lambda spec, cols, width: _chern_classes(cols, width, 2 * n, repeat(1))
+    def table(spec, block, cols):
+        return _chern_classes(cols, len(block), 2 * n, repeat(1))
 
-    return _monomial_sums(model, n, ladder, lams, tables, orbits=all(sum(la) == 2 * n for la in lams))
+    return _monomial_sums(model, n, n, ladder, lams, table, orbits=all(sum(la) == 2 * n for la in lams))
 
 
 @lru_cache(maxsize=None)
@@ -681,25 +670,15 @@ def chern_numbers_hilb(model: ToricSurface, n: int, ladder: str = "xi") -> Chern
 _hilb_betas = {}  # (model, n) -> the power-sum polynomial of Hilb^n(S), exact whatever ladder found it
 
 
-def _hilb_beta(model: ToricSurface, n: int, order: int | None = None):
+def _hilb_beta(model: ToricSurface, n: int, order: int):
     """The power-sum polynomial of Hilb^n(S), from one pass at the xi ladder
     of Hilb^order (`_monomial_sums`): its integrals of p_mu are the residue
-    sums of prod_{p in mu} p_p(t) / prod t."""
-    lams = enumerate_partitions(2 * n)
-    sums = _monomial_sums(model, n, "xi", lams, _power_sum_tables(model, n, order), orbits=True, order=order)
-    return beta_poly(2 * n, sums)
+    sums of prod_{p in mu} p_p(t) / prod t (p_0 = 2n is never read)."""
 
+    def table(spec, block, cols):
+        return [[2 * n] * len(block), *_point_power_sums(model, n, order, spec, block)]
 
-def _power_sum_tables(model: ToricSurface, n: int, order: int | None = None):
-    """The `_monomial_sums` tables of the columns [p_0, ..., p_2n] of the
-    tangent weights' power sums over a block of fixed points of Hilb^n,
-    p_0 = 2n and the rest from `_point_power_sums` at order."""
-    power_sums = _point_power_sums(model, n, order)
-
-    def tables(block):
-        return lambda spec, cols, width: [[2 * n] * width, *power_sums(spec, block)]
-
-    return tables
+    return beta_poly(2 * n, _monomial_sums(model, n, order, "xi", enumerate_partitions(2 * n), table, orbits=True))
 
 
 def hilb_cobordism_series(model: ToricSurface, order: int) -> TruncSeries:
@@ -741,14 +720,14 @@ def _chart_columns(model: ToricSurface, order: int, spec) -> tuple:
     """Per chart at the specialization spec, over its partitions of size
     0..order in `chart_specializations`: the columns p_1, ..., p_N of the
     tangent weights' power sums (the rows of `_chart_power_rows`), the column
-    of o_c, and L_c with the column of the scales L_c / prod t."""
+    of o_c (the sums of `_chart_cells`), and L_c with the column of the
+    scales L_c / prod t."""
     out = []
-    charts = zip(model.charts, chart_specializations(model, order, spec), _chart_power_rows(model, order, spec))
-    for chart, weights, rows in charts:
+    tables = (chart_specializations, _chart_power_rows, _chart_cells)
+    for weights, rows, cells in zip(*(table(model, order, spec) for table in tables)):
         ds = list(map(prod, weights.values()))
         den = lcm(*ds)
-        o = tuple(sum(_specialize(c, spec) for c in _cell_characters(chart, la)) for la in weights)
-        out.append((tuple(zip(*rows.values())), o, den, tuple(den // x for x in ds)))
+        out.append((tuple(zip(*rows.values())), tuple(map(sum, cells.values())), den, tuple(den // x for x in ds)))
     return tuple(out)
 
 
@@ -804,7 +783,7 @@ def _chart_product(tables) -> list:
 
 def chi_series(model: ToricSurface, order: int, bundles, r: int, ladder: str = "xi", q: TruncSeries | None = None) -> list:
     """[[chi(L_n (x) E^r) for n = 0..order] for L in bundles], exact: the
-    chart product above at each of the first two specializations of the
+    chart product above at each of the two specializations of the
     1-PS ladder at order, which must agree value by value.  Q is q (rational
     coefficients; term n has the factor q(0)^{2n}) if given, Todd if not."""
     big = 2 * order
@@ -812,7 +791,7 @@ def chi_series(model: ToricSurface, order: int, bundles, r: int, ladder: str = "
     _, d, exp = _tangent_log(q, big)
     sizes = [len(enumerate_partitions(m)) for m in range(order + 1)]
     units = [factorial(big) // factorial(i) for i in range(big + 1)]
-    specs = one_ps_ladder(model, order, ladder)[:2]
+    specs = one_ps_ladder(model, order, ladder)
     values = []  # per specialization: the values per bundle
     for spec in specs:
         columns = _chart_columns(model, order, spec)
@@ -822,7 +801,7 @@ def chi_series(model: ToricSurface, order: int, bundles, r: int, ladder: str = "
         dens = [den * (d / Fraction(q[0])) ** (2 * n) for n in range(order + 1)]
         rows = []
         for L in bundles:
-            weights = [d * _specialize(L.local_weight(chart), spec) for chart in model.charts]
+            weights = [d * w for w in _specialize(map(L.local_weight, model.charts), spec)]
             row = _chart_product([_twisted(table, w, units) for table, w in zip(sums, weights)])
             rows.append([Fraction(v, den) for v, den in zip(row, dens)])
         values.append(rows)

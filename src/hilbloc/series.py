@@ -651,7 +651,13 @@ def fg_identities(a: int, ys, order: int) -> list:
     {identity: holds} per y in ys: the closed form f_{0,a} = (1+v)^(a+1) /
     (1 + (a+1) v) with z = v (1+v)^a, g_{y,a} = g_{1,a}^y, f_{y,a} =
     g_{1,a}^y f_{0,a}, and g'_{y,a} = y f_{y-2a-1,a} (to z^(order-1)).
-    v, f_{0,a} and g_{1,a} are built once for all of ys."""
+    Each y must be rational (an int or a Fraction), since g_{1,a}^y is a
+    power of a series of rationals; TypeError otherwise.  v, f_{0,a} and
+    g_{1,a} are built once for all of ys."""
+    ys = list(ys)
+    for y in ys:
+        if not isinstance(y, (int, Fraction)):
+            raise TypeError(f"fg_identities: y must be rational (int or Fraction), not {type(y).__name__} {y!r}")
     v = solve_v(a, order)
     f0 = fg_series("f", 0, a, order)
     closed = f0 == (v + 1).pow(a + 1) / ((a + 1) * v + 1)

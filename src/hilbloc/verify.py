@@ -334,7 +334,7 @@ def check_engine(p: Profile) -> CheckResult:
     # Euler numbers
     for model in models:
         for n in range(p.euler_n + 1):
-            e = integrate(model, n, Integrand.chern_monomial((2 * n,) if n else ()))
+            [e] = chern_residue_sums(model, n, ((2 * n,) if n else (),))
             if e != len(enumerate_fixed_points(model, n)):
                 return CheckResult(9, "engine self-consistency", False, f"Euler != #fp: {model.name}, n={n}")
     return CheckResult(

@@ -8,7 +8,10 @@ partition suffixes, and the point's numerators join a running sum over the
 lcm of the denominators prod t seen so far.  The factor functions are this
 module's own scalar kernels, `elementary_symmetric` and
 `tangent_power_sums`, independent of the column kernels that the package
-runs on every residue sum.
+runs on every residue sum, and its tangent weights are specialized here
+(`specialize_tangents`), not read from the package's chart tables.
+`chern_monomial` is the integrand of one Chern number, which the tests
+integrate against the Chern-number pass.
 """
 
 from fractions import Fraction
@@ -16,12 +19,26 @@ from math import gcd, prod
 
 from hilbloc.localization import (
     ConsistencyError,
+    Integrand,
     enumerate_fixed_points,
     one_ps_ladder,
-    specialize_tangents,
     tangent_weights,
 )
 from hilbloc.partitions import enumerate_partitions
+
+
+def chern_monomial(la) -> Integrand:
+    """c_la(T) = prod_{p in la} c_p(T) as an integrand."""
+    return Integrand(poly=((Fraction(1), tuple(("T", int(p)) for p in la)),), bundles=(("T", "tangent"),))
+
+
+def specialize_tangents(chars, spec) -> list:
+    """The tangent characters chars at the 1-PS spec; ConsistencyError if one
+    of them vanishes there, since the fixed point is then not isolated."""
+    tvals = [c[0] * spec[0] + c[1] * spec[1] for c in chars]
+    if 0 in tvals:
+        raise ConsistencyError("1-PS specialization hit a zero tangent weight")
+    return tvals
 
 
 def elementary_symmetric(values):
@@ -69,7 +86,7 @@ def partition_sums(model, n, ladder, factors):
     index = {s: i for i, s in enumerate(suffixes)}
     plan = [(s[0], index[s[1:]]) for s in suffixes[1:]]
     pick = [index[la] for la in lams]
-    specs = one_ps_ladder(model, n, ladder)[:2]
+    specs = one_ps_ladder(model, n, ladder)
     sums = [_RunningSum(len(lams)) for _ in specs]
     for fp in enumerate_fixed_points(model, n):
         chars = tangent_weights(model, fp)

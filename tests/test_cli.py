@@ -298,6 +298,7 @@ def run_cli(argv):
         (["twist-series", "--r", "2"], "hilbloc twist-series: error: the following arguments are required: --order"),
         (["twist"], "argument command: invalid choice: 'twist'"),
         ([], "the following arguments are required: command"),
+        (["chern", "--surface", "blowup:p2:00", "--n", "1"], "--surface blowup:p2:00 must be spelled blowup:p2:0"),
     ],
 )
 def test_input_error_messages(argv, message):
@@ -400,7 +401,7 @@ def test_integer_arguments_at_digit_bound(capsys):
 # listed twice is drawn twice as often.
 SURFACES = st.sampled_from(
     ["p2", "p1xp1", "blowup:p2:0", "p2", "p1xp1", "blowup:p2:9", "p5", "", "blowup:blowup:blowup:p2:0:0:0", DEPTH_4]
-    + ["blowup:p2:0_1", "blowup:p2:\u0661", " P2 ", "P2", "BLOWUP:P2:0"]
+    + ["blowup:p2:0_1", "blowup:p2:\u0661", " P2 ", "P2", "BLOWUP:P2:0", "blowup:p2:00"]
 )
 # "1_0" and the Arabic-Indic digits below are integers to int(), not to the CLI
 SMALL_INT = st.sampled_from(["0", "1", "2", "0", "1", "2", "-1", "x", "1.5", "99", "0_1", "\u0661", " 1"])
@@ -487,8 +488,10 @@ def test_cli_contract(argv):
     assert code in (0, 2, 3) or (code == 1 and argv[0] == "verify"), (code, err.getvalue())
     # never a silently reinterpreted number: no digit group separator, no non-ASCII digit
     assert code != 0 or not any(re.search(r"[0-9]_[0-9]", a) or not a.isascii() for a in argv), argv
-    # nor a case-folded or stripped surface name
+    # nor a case-folded or stripped surface name, nor one that names its model in another spelling
     assert code != 0 or not any(a.startswith("--surface=") and a != a.strip().lower() for a in argv), argv
+    surfaces = [a[len("--surface="):] for a in argv if a.startswith("--surface=")]
+    assert code != 0 or all(build_model(s).name == s for s in surfaces), argv
     # nor a phi:N:k genus in any but its one spelling
     canonical_phi = re.compile(r"--genus=phi:(0|[1-9][0-9]*):(0|[1-9][0-9]*)")
     assert code != 0 or not any(a.startswith("--genus=phi:") and not canonical_phi.fullmatch(a) for a in argv), argv

@@ -24,7 +24,6 @@ from hilbloc.localization import (
     hilb_cobordism_series,
     integrate,
     one_ps_ladder,
-    specialize_tangents,
     surface_number,
     taut_weights,
     tangent_weights,
@@ -37,7 +36,9 @@ from hilbloc.universal import _reference_classes, h_psi_phi
 from partition_counts import count_partitions
 from profile_counts import example_count
 from record_oracle import assert_record
+from residue_oracle import chern_monomial
 import residue_oracle
+import surface_oracle
 
 
 def fp_count(model, n):
@@ -73,7 +74,7 @@ def test_tangent_weight_count():
 def test_euler_equals_fixed_point_count():
     for model in (p2(), p1xp1()):
         for n in (1, 2, 3, 4):
-            e = integrate(model, n, Integrand.chern_monomial((2 * n,)))
+            e = integrate(model, n, chern_monomial((2 * n,)))
             assert e == len(enumerate_fixed_points(model, n))
 
 
@@ -110,7 +111,7 @@ def test_dimension_axiom_sees_a_perturbed_tangent_character(monkeypatch):
             with pytest.raises(ConsistencyError, match="disagree"):
                 chern_residue_sums(m, n, enumerate_partitions(2 * n - 1))
         for n in (1, 2, 3):
-            assert integrate(m, n, Integrand.chern_monomial(enumerate_partitions(2 * n - 1)[0])) == 0
+            assert integrate(m, n, chern_monomial(enumerate_partitions(2 * n - 1)[0])) == 0
     finally:
         for clear in clears:
             clear()
@@ -131,8 +132,15 @@ CENTRALLY_SYMMETRIC = [p1xp1(), *(opposite_blowups(i) for i in range(4))]
 def _orbits(model, n, ladder):
     import hilbloc.localization as loc
 
-    specs = one_ps_ladder(model, n, ladder)[:2]
-    return loc._sigma_orbits(model, n, n, specs)
+    return loc._sigma_orbits(model, n, n, one_ps_ladder(model, n, ladder))
+
+
+def power_sum_table(model, n):
+    """The table of the power-sum pass of Hilb^n at the ladder of Hilb^n, the
+    columns [p_0, ..., p_2n] of `_hilb_beta`."""
+    import hilbloc.localization as loc
+
+    return lambda spec, block, cols: [[2 * n] * len(block), *loc._point_power_sums(model, n, n, spec, block)]
 
 
 def test_orbits_of_the_central_symmetry():
@@ -171,18 +179,18 @@ def test_orbit_sums_match_full_sums(model, n, ladder, kind, block):
 
     lams = enumerate_partitions(2 * n)
     if kind == "e":
-        tables = lambda block: lambda spec, cols, width: loc._chern_classes(cols, width, 2 * n, repeat(1))  # noqa: E731
+        table = lambda spec, block, cols: loc._chern_classes(cols, len(block), 2 * n, repeat(1))  # noqa: E731
     else:
-        tables = loc._power_sum_tables(model, n)
+        table = power_sum_table(model, n)
     assert _orbits(model, n, ladder)[1] is not None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(loc, "_BLOCK", block)
-        full = loc._monomial_sums(model, n, ladder, lams, tables)
-        assert loc._monomial_sums(model, n, ladder, lams, tables, orbits=True) == full
+        full = loc._monomial_sums(model, n, n, ladder, lams, table)
+        assert loc._monomial_sums(model, n, n, ladder, lams, table, orbits=True) == full
         if kind == "e":
             assert chern_residue_sums(model, n, lams, ladder) == full
     if kind == "p" and ladder == "xi":
-        assert loc._hilb_beta(model, n) == beta_poly(2 * n, full)
+        assert loc._hilb_beta(model, n, n) == beta_poly(2 * n, full)
 
 
 def test_a_perturbed_chart_table_sums_every_point(monkeypatch):
@@ -233,28 +241,31 @@ def test_a_perturbed_chart_table_sums_every_point(monkeypatch):
 
 
 def test_odd_degree_sums_and_integrands_visit_every_point(monkeypatch):
-    # the blocks that each pass on P1xP1 hands to its tables: every point for
-    # the sums of degree 2n - 1 (there sigma-pairs cancel) and for integrands
-    # (sigma does not negate tautological characters), half of them for a set
-    # of Chern numbers
+    # the blocks that each pass on P1xP1 hands to its table at the first 1-PS:
+    # every point for the sums of degree 2n - 1 (there sigma-pairs cancel) and
+    # for integrands (sigma does not negate tautological characters), half of
+    # them for a set of Chern numbers
     import hilbloc.localization as loc
 
     seen = []
     pass_values = loc._monomial_sums
 
-    def counted(model, n, ladder, monomials, tables, **kwargs):
-        def counted_tables(block):
-            seen.append(len(block))
-            return tables(block)
+    def counted(model, n, order, ladder, monomials, table, **kwargs):
+        first = loc.one_ps_ladder(model, order, ladder)[0]
 
-        return pass_values(model, n, ladder, monomials, counted_tables, **kwargs)
+        def counted_table(spec, block, cols):
+            if spec == first:
+                seen.append(len(block))
+            return table(spec, block, cols)
+
+        return pass_values(model, n, order, ladder, monomials, counted_table, **kwargs)
 
     monkeypatch.setattr(loc, "_monomial_sums", counted)
     m = p1xp1()
     passes = {
         "odd": lambda n: chern_residue_sums(m, n, enumerate_partitions(2 * n - 1)),
         "mixed": lambda n: chern_residue_sums(m, n, enumerate_partitions(2 * n - 1) + enumerate_partitions(2 * n)),
-        "euler": lambda n: integrate(m, n, Integrand.chern_monomial((2 * n,))),
+        "euler": lambda n: integrate(m, n, chern_monomial((2 * n,))),
         "todd": lambda n: integrate(m, n, Integrand(tangent_class=todd_series("x", 2 * n))),
         "ch": lambda n: integrate(m, n, Integrand.chern_character(TautClass(((o_bundle(m, 1, 0), 1),)), n, None)),
         "even": lambda n: chern_residue_sums(m, n, enumerate_partitions(2 * n)),
@@ -272,8 +283,8 @@ def test_n1_reduces_to_surface():
     m = p2()
     for k in range(4):
         assert chi_via_RR(m, 1, o_bundle(m, k)) == comb(k + 2, 2)
-    assert integrate(m, 1, Integrand.chern_monomial((2,))) == 3
-    assert integrate(m, 1, Integrand.chern_monomial((1, 1))) == 9
+    assert integrate(m, 1, chern_monomial((2,))) == 3
+    assert integrate(m, 1, chern_monomial((1, 1))) == 9
 
 
 def test_chi_binomial_laws():
@@ -328,7 +339,7 @@ def test_chern_numbers_match_integrand_evaluator(name):
     for n in (0, 1, 2, 3):
         vec = chern_numbers_hilb(model, n)
         for la, value in vec.numbers:
-            assert value == integrate(model, n, Integrand.chern_monomial(la)), (n, la)
+            assert value == integrate(model, n, chern_monomial(la)), (n, la)
 
 
 @pytest.mark.parametrize("spec", ["p2", "p1xp1", "blowup:p2:0", "blowup:blowup:p2:0:1"])
@@ -523,7 +534,7 @@ def test_integrand_gate_catches_a_zero_tangent_weight(monkeypatch):
     m = p2()
     monkeypatch.setattr(loc, "one_ps_ladder", lambda model, n, ladder: [(1, 1), (1, 2)])
     with pytest.raises(ConsistencyError, match="zero tangent weight"):
-        integrate(m, 1, Integrand.chern_monomial((2,)))
+        integrate(m, 1, chern_monomial((2,)))
     with pytest.raises(ConsistencyError, match="zero tangent weight"):
         chi_series(m, 1, [o_bundle(m, 0), o_bundle(m, 1)], 0)
 
@@ -549,7 +560,7 @@ def test_chi_closed_forms_through_integer_path(name):
 def test_top_chern_integrand_is_goettsche(name, euler):
     # the Chern-polynomial branch of the integrand evaluator, not the Chern-number sum
     for n in range(1, 7):
-        assert integrate(MODELS[name], n, Integrand.chern_monomial((2 * n,))) == goettsche_euler(euler, n)
+        assert integrate(MODELS[name], n, chern_monomial((2 * n,))) == goettsche_euler(euler, n)
 
 
 def test_det_taut_weight_is_the_cell_sum():
@@ -592,7 +603,7 @@ def test_taut_class_rank():
     chi = Integrand.chern_character(TautClass(((o_bundle(m, 1), 1),)), 1, todd_series("x", 2))
     assert_record(
         chi, "poly bundles tangent_class",
-        Integrand(tangent_class=todd_series("x", 2)), Integrand.chern_monomial((2,)), Integrand(),
+        Integrand(tangent_class=todd_series("x", 2)), chern_monomial((2,)), Integrand(),
     )
     assert chi == Integrand(chi.poly, (("X", TautClass(((o_bundle(m, 1), 1),))),), todd_series("x", 2))
 
@@ -936,15 +947,15 @@ def test_blocked_partition_sums_match_per_point_oracle(case):
     model, n, ladder, kind, block = case
     if kind == "e":
         kernel = partial(loc._chern_classes, order=2 * n, mults=repeat(1))
-        tables = lambda block: lambda spec, cols, width: kernel(cols, width)  # noqa: E731
+        table = lambda spec, block, cols: kernel(cols, len(block))  # noqa: E731
         oracle = residue_oracle.elementary_symmetric
     else:
         # the power sums of a point are its charts' rows added up
-        tables = loc._power_sum_tables(model, n)
+        table = power_sum_table(model, n)
         oracle = partial(residue_oracle.tangent_power_sums, order=2 * n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(loc, "_BLOCK", block)
-        values = loc._monomial_sums(model, n, ladder, enumerate_partitions(2 * n), tables)
+        values = loc._monomial_sums(model, n, n, ladder, enumerate_partitions(2 * n), table)
     assert values == residue_oracle.partition_sums(model, n, ladder, oracle)
 
 
@@ -967,15 +978,15 @@ def test_chart_table_matches_per_partition_facts(model, n, ladder, data):
     import hilbloc.localization as loc
 
     lams = [la for m in range(n + 1) for la in enumerate_partitions(m)]
-    for spec in one_ps_ladder(model, n, ladder)[:2]:
+    for spec in one_ps_ladder(model, n, ladder):
         columns = loc._chart_columns(model, n, spec)
         tables = zip(model.charts, chart_specializations(model, n, spec), loc._chart_power_rows(model, n, spec), columns)
         for chart, weights, rows, cols in tables:
             assert list(weights) == list(rows) == lams
-            tvals = [specialize_tangents(chart_tangent_weights(chart, la), spec) for la in lams]
+            tvals = [residue_oracle.specialize_tangents(chart_tangent_weights(chart, la), spec) for la in lams]
             assert [list(w) for w in weights.values()] == tvals
             assert [list(row) for row in rows.values()] == [residue_oracle.tangent_power_sums(t, 2 * n)[1:] for t in tvals]
-            assert list(cols[1]) == [loc._specialize(_moment_character(chart, la), spec) for la in lams]
+            assert cols[1] == loc._specialize([_moment_character(chart, la) for la in lams], spec)
     L, r = data.draw(bundles_of(model)), data.draw(st.integers(-3, 3))
     for fp in enumerate_fixed_points(model, n):
         want = (0, 0)
@@ -1133,7 +1144,7 @@ def test_series_terms_match_passes_at_their_own_ladders(case):
     for n in range(order + 1):
         lams = enumerate_partitions(2 * n)
         for ladder in ("xi", "eta"):
-            own = beta_poly(2 * n, loc._monomial_sums(model, n, ladder, lams, loc._power_sum_tables(model, n)))
+            own = beta_poly(2 * n, loc._monomial_sums(model, n, n, ladder, lams, power_sum_table(model, n)))
             assert list(h[n].terms.items()) == list(own.terms.items()), (model.name, n, ladder)
 
 
@@ -1146,7 +1157,7 @@ def test_a_longer_series_runs_only_the_new_passes(monkeypatch):
     passes, run = [], loc._monomial_sums
 
     def spy(*args, **kwargs):
-        passes.append((args[1], kwargs["order"]))  # (n, the order of the ladder)
+        passes.append((args[1], args[2]))  # (n, the order of the ladder)
         return run(*args, **kwargs)
 
     monkeypatch.setattr(loc, "_monomial_sums", spy)
@@ -1158,3 +1169,37 @@ def test_a_longer_series_runs_only_the_new_passes(monkeypatch):
     assert h5.coeffs[:4] == h3.coeffs
     passes.clear()
     assert hilb_cobordism_series(model, 4) == h5.truncate(4) and passes == []
+
+
+# -- the cell-character table against taut_weights, point by point -----------------
+
+
+@st.composite
+def taut_table_cases(draw):
+    """A surface of the oracle comparisons or a drawn fan (`series_cases`),
+    n <= 3, a class of at most two line bundles with multiplicities +-1, +-2
+    and a trivial part, and a ladder."""
+    model = draw(st.one_of(st.sampled_from(surface_oracle.SURFACES), series_cases().map(lambda case: case[0])))
+    return model, draw(st.integers(0, 3)), draw(virtual_classes(model)), draw(st.sampled_from(("xi", "eta")))
+
+
+@settings(max_examples=example_count(30), deadline=None)
+@given(taut_table_cases())
+def test_chart_cells_match_specialized_taut_weights(case):
+    # at both 1-PS of the pass: the Chern columns of a tautological slot, read
+    # from `_chart_cells` shifted by each summand's weight at the chart, against
+    # those of `taut_weights` specialized point by point, and the chart
+    # product's o column against the specialized cell characters summed
+    import hilbloc.localization as loc
+
+    model, n, x, ladder = case
+    points = enumerate_fixed_points(model, n)
+    for spec in one_ps_ladder(model, n, ladder):
+        pairs = [taut_weights(model, fp, x) for fp in points]
+        cols = list(zip(*([c[0] * spec[0] + c[1] * spec[1] for c, _ in point] for point in pairs)))
+        want = loc._chern_classes(cols, len(points), 2 * n, [m for _, m in pairs[0]])
+        assert loc._taut_chern_classes(model, n, x, spec, points) == want
+        charts = zip(model.charts, chart_specializations(model, n, spec), loc._chart_columns(model, n, spec))
+        for chart, weights, columns in charts:
+            o = [sum(c[0] * spec[0] + c[1] * spec[1] for c in loc._cell_characters(chart, la)) for la in weights]
+            assert list(columns[1]) == o

@@ -8,6 +8,7 @@ from hilbloc.rings import Poly, binomial
 from hilbloc.series import (
     TruncSeries,
     exp_series,
+    fg_identities,
     fg_series,
     geometric,
     partition_product,
@@ -164,6 +165,16 @@ def test_fg_series_poly_parameter():
     # specializing the symbolic series matches the numeric one
     num = fg_series("g", Fraction(5, 2), 1, 3)
     assert substitute_params(g, {"y": Fraction(5, 2)}) == num
+
+
+def test_fg_identities_names_a_non_rational_y():
+    # fg_series takes a Poly y, but g_{1,a}^y needs a rational exponent: the
+    # error names y before any series is built
+    for y in (Poly.var("y"), 0.5, "2"):
+        with pytest.raises(TypeError, match="y must be rational"):
+            fg_identities(2, [1, y], 30)
+    holds = dict.fromkeys(("f0_closed_form", "g_is_g1_pow_y", "f_is_g1_pow_y_times_f0", "g_prime"), True)
+    assert fg_identities(1, (y for y in (2, Fraction(1, 2))), 4) == [holds, holds]
 
 
 def partition_double_sum(eps: int, order: int) -> TruncSeries:
