@@ -10,14 +10,13 @@ the solved ones (a third k, a sixth class) is a hard consistency gate.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .cobordism import ChernVector, from_beta, hilb_series
 from .localization import Integrand, TautClass, chi_series, integrate, surface_number
 from .records import Record
 from .rings import Poly, binomial, gauss_solve, linear_combination
 from .series import TruncSeries, fg_series
-from .toric import TLineBundle, o_bundle, p2, p1xp1
+from .toric import TLineBundle, line_bundle, o_bundle, p2, p1xp1
 
 
 class FitError(RuntimeError):
@@ -216,9 +215,14 @@ def invariants(model, L: TLineBundle) -> SurfaceInvariants:
 
 
 def h_psi_phi(model, x: TautClass, psi: str, phi_q: TruncSeries, order: int) -> TruncSeries:
-    """H_{Psi,Phi}(S, x) = sum_n integral Psi(x^[n]) Phi(Hilb^n) z^n."""
+    """H_{Psi,Phi}(S, x) = sum_n integral Psi(x^[n]) Phi(Hilb^n) z^n.  Psi =
+    exp(c1) is the chart product of chi(L_n (x) E^r) with Phi in place of
+    Todd, L = det x and r = rank x, by det(x^[n]) = det(x)_n (x) E^{rank x}."""
     if psi not in ("chern", "segre", "expdet"):
         raise ValueError("psi must be 'chern', 'segre' or 'expdet'")
+    if psi == "expdet":
+        det = line_bundle(model, [sum(m * L.coeffs[i] for L, m in x.line_bundles) for i in range(len(model.rays))])
+        return TruncSeries("z", order, chi_series(model, order, (det,), x.rank, q=phi_q)[0])
     coeffs = [Fraction(1)]
     for n in range(1, order + 1):
         coeffs.append(integrate(model, n, _psi_phi_integrand(x, psi, phi_q, n)))
@@ -226,15 +230,11 @@ def h_psi_phi(model, x: TautClass, psi: str, phi_q: TruncSeries, order: int) -> 
 
 
 def _psi_phi_integrand(x: TautClass, psi: str, phi_q: TruncSeries, n: int):
-    """Psi(X) Phi(T) on Hilb^n with X = x^[n], Psi a polynomial in the Chern
-    classes of X: the total Chern class sum_d c_d(X), the Segre class as the
-    Chern class of -X (c(-X) = s(X)), and exp(c1(X)) = sum_d c_1(X)^d / d!."""
+    """Psi(X) Phi(T) on Hilb^n with X = x^[n], Psi the total Chern class
+    sum_d c_d(X), or the Segre class as the Chern class of -X (c(-X) = s(X))."""
     if psi == "segre":
         x = TautClass(tuple((b, -m) for b, m in x.line_bundles), -x.trivial)
-    if psi == "expdet":
-        poly = tuple((Fraction(1, factorial(d)), (("X", 1),) * d) for d in range(2 * n + 1))
-    else:
-        poly = tuple((Fraction(1), (("X", d),) if d else ()) for d in range(2 * n + 1))
+    poly = tuple((Fraction(1), (("X", d),) if d else ()) for d in range(2 * n + 1))
     return Integrand(poly=poly, bundles=(("X", x),), tangent_class=phi_q)
 
 

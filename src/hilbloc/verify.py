@@ -1,12 +1,15 @@
 """The acceptance suite: ten numbered checks with tiered profiles.
 
-Each check returns a CheckResult; `run_all` executes them in order.  All
-comparisons are literal equality of exact rationals.  The same functions
-back `hilbloc verify` and the test suite.
+A check body states each gate as `_require(ok, detail)` and returns its
+PASS detail; `_check(number, name)` turns it into `p -> CheckResult`.
+`run_all` executes the checks in order.  All comparisons are literal
+equality of exact rationals.  The same functions back `hilbloc verify`
+and the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -64,26 +67,19 @@ class CheckResult(Record):
 
 
 class Profile(Record):
-    def __init__(
-        self,
-        name: str,
-        twist_order: int,
-        k3_n: int,
-        thm1_n: int,
-        chiv_n: int,
-        phi_n: int,
-        chifn_n: int,
-        euler_n: int,
-        univ_n: int,
-        univ_warn_n: int,  # 0 disables the n=5 warning pass
-    ):
-        self._freeze(name, twist_order, k3_n, thm1_n, chiv_n, phi_n, chifn_n, euler_n, univ_n, univ_warn_n)
+    """The sizes a profile gives the checks: small_n is the largest n of
+    checks 2, 4, 8 and 10, order the series order of checks 1 and 6, thm1_n
+    and euler_n the largest n of checks 3 and 9, and univ_warn_n the n of
+    check 10's warning pass (0 disables it)."""
+
+    def __init__(self, name: str, small_n: int, order: int, thm1_n: int, euler_n: int, univ_warn_n: int):
+        self._freeze(name, small_n, order, thm1_n, euler_n, univ_warn_n)
 
 
 PROFILES = {
-    "quick": Profile("quick", 3, 3, 3, 3, 3, 3, 3, 3, 0),
-    "standard": Profile("standard", 5, 4, 4, 4, 5, 4, 5, 4, 5),
-    "long": Profile("long", 5, 4, 6, 4, 5, 4, 7, 4, 5),
+    "quick": Profile("quick", 3, 3, 3, 3, 0),
+    "standard": Profile("standard", 4, 5, 4, 5, 5),
+    "long": Profile("long", 4, 5, 6, 7, 5),
 }
 
 
@@ -159,144 +155,138 @@ K3_CHERN = {
 # -- the ten checks ------------------------------------------------------------------
 
 
-def check_twist_series(p: Profile) -> CheckResult:
-    order = p.twist_order
+class _Failed(Exception):
+    """A gate of a check failed; the message is the FAIL detail."""
+
+
+def _require(ok, detail: str) -> None:
+    if not ok:
+        raise _Failed(detail)
+
+
+def _check(number: int, name: str):
+    """Turn a check body into `p -> CheckResult`: FAIL with the detail of the
+    first `_require` that fails, PASS with the detail the body returns, or
+    with the (detail, warnings) pair it returns."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def check(p: Profile) -> CheckResult:
+            try:
+                out = body(p)
+            except _Failed as exc:
+                return CheckResult(number, name, False, str(exc))
+            detail, warnings = out if isinstance(out, tuple) else (out, None)
+            return CheckResult(number, name, True, detail, warnings)
+
+        return check
+
+    return wrap
+
+
+@_check(1, "twist series")
+def check_twist_series(p: Profile) -> str:
     pairs = {}
     for r in range(-3, 4):
-        pair = fit_AB(r, order)
-        log_a, b = log_a_reference(r, order), b_reference(r, order)
-        for m in range(order + 1):
-            if pair.log_a[m] != log_a[m]:
-                return CheckResult(1, "twist series", False, f"log A_{r} wrong at z^{m}")
-            if pair.b[m] != b[m]:
-                return CheckResult(1, "twist series", False, f"B_{r} wrong at z^{m}")
+        pair = fit_AB(r, p.order)
+        log_a, b = log_a_reference(r, p.order), b_reference(r, p.order)
+        for m in range(p.order + 1):
+            _require(pair.log_a[m] == log_a[m], f"log A_{r} wrong at z^{m}")
+            _require(pair.b[m] == b[m], f"B_{r} wrong at z^{m}")
         pairs[r] = pair
     # symmetry relations on the fitted values
     for r in (2, 3):
-        prod = (pairs[r].log_a + pairs[-r].log_a).coeffs
-        if any(c != 0 for c in prod):
-            return CheckResult(1, "twist series", False, f"A_{-r} != 1/A_{r}")
-        if pairs[r].b != pairs[-r].b:
-            return CheckResult(1, "twist series", False, f"B_{-r} != B_{r}")
+        _require(all(c == 0 for c in (pairs[r].log_a + pairs[-r].log_a).coeffs), f"A_{-r} != 1/A_{r}")
+        _require(pairs[r].b == pairs[-r].b, f"B_{-r} != B_{r}")
     for r in (-1, 0, 1):
-        if any(c != 0 for c in pairs[r].log_a.coeffs) or any(
-            c != (1 if m == 0 else 0) for m, c in enumerate(pairs[r].b.coeffs)
-        ):
-            return CheckResult(1, "twist series", False, f"A_{r} or B_{r} != 1")
-    return CheckResult(
-        1, "twist series", True, f"log A_r, B_r match printed tables to z^{order}, r in -3..3"
-    )
+        ones = all(c == 0 for c in pairs[r].log_a.coeffs) and all(
+            c == (1 if m == 0 else 0) for m, c in enumerate(pairs[r].b.coeffs)
+        )
+        _require(ones, f"A_{r} or B_{r} != 1")
+    return f"log A_r, B_r match printed tables to z^{p.order}, r in -3..3"
 
 
-def check_k3_chern(p: Profile) -> CheckResult:
-    order = p.k3_n
-    k3 = hilb_series(0, 24, order)
+@_check(2, "K3 Chern numbers")
+def check_k3_chern(p: Profile) -> str:
+    k3 = hilb_series(0, 24, p.small_n)
     checked = 0
     for n, table in K3_CHERN.items():
-        if n > order:
+        if n > p.small_n:
             continue
         term = from_beta(2 * n, k3[n]).as_dict()
         for la, v in table.items():
-            if term[la] != v:
-                return CheckResult(2, "K3 Chern numbers", False, f"n={n}, {la}: {term[la]} != {v}")
+            _require(term[la] == v, f"n={n}, {la}: {term[la]} != {v}")
             checked += 1
-    return CheckResult(2, "K3 Chern numbers", True, f"{checked} published values exact, n <= {order}")
+    return f"{checked} published values exact, n <= {p.small_n}"
 
 
-def check_theorem1(p: Profile) -> CheckResult:
-    bl = blowup(p2(), 0)
-    q = p1xp1()
+@_check(3, "Theorem 1 (blowup vs P1xP1)")
+def check_theorem1(p: Profile) -> str:
+    bl, q = blowup(p2(), 0), p1xp1()
     for n in range(p.thm1_n + 1):
-        a = chern_numbers_hilb(bl, n).as_dict()
-        b = chern_numbers_hilb(q, n).as_dict()
-        if a != b:
-            return CheckResult(3, "Theorem 1 (blowup vs P1xP1)", False, f"differ at n={n}")
-    return CheckResult(
-        3, "Theorem 1 (blowup vs P1xP1)", True, f"all Chern numbers equal, n <= {p.thm1_n}"
-    )
+        _require(chern_numbers_hilb(bl, n).as_dict() == chern_numbers_hilb(q, n).as_dict(), f"differ at n={n}")
+    return f"all Chern numbers equal, n <= {p.thm1_n}"
 
 
-def check_chi_ln(p: Profile) -> CheckResult:
+@_check(4, "chi(L_n x E^r) lemma")
+def check_chi_ln(p: Profile) -> str:
     m = p2()
     bundles = [o_bundle(m, k) for k in range(0, 6)]
-    rows0 = chi_series(m, p.chiv_n, bundles, 0)
-    rows1 = chi_series(m, p.chiv_n, bundles, 1)
-    for n in range(1, p.chiv_n + 1):
-        for k, row0, row1 in zip(range(0, 6), rows0, rows1):
+    rows0 = chi_series(m, p.small_n, bundles, 0)
+    rows1 = chi_series(m, p.small_n, bundles, 1)
+    for n in range(1, p.small_n + 1):
+        for k, (row0, row1) in enumerate(zip(rows0, rows1)):
             chi = (k + 1) * (k + 2) // 2
-            if row0[n] != binomial(chi + n - 1, n) or row1[n] != binomial(chi, n):
-                return CheckResult(4, "chi(L_n x E^r) lemma", False, f"n={n}, k={k}")
-    return CheckResult(
-        4, "chi(L_n x E^r) lemma", True, f"binomial values exact, n <= {p.chiv_n}, k <= 5, r in 0,1"
-    )
+            _require(row0[n] == binomial(chi + n - 1, n) and row1[n] == binomial(chi, n), f"n={n}, k={k}")
+    return f"binomial values exact, n <= {p.small_n}, k <= 5, r in 0,1"
 
 
-def check_chi_y(p: Profile) -> CheckResult:
+@_check(5, "chi_-y generating series")
+def check_chi_y(p: Profile) -> str:
     order = 6
     for model in (p2(), p1xp1()):
-        a = chi_y_hilb(model, order, "product")
-        b = chi_y_hilb(model, order, "exp")
-        c = chi_y_hilb(model, order, "betti")
-        if not (a == b and b == c):
-            return CheckResult(5, "chi_-y generating series", False, f"routes differ for {model.name}")
-    want = (
-        1
-        + 2 * Poly.var("y")
-        + 3 * Poly.var("y", 2)
-        + 2 * Poly.var("y", 3)
-        + Poly.var("y", 4)
-    )
-    if chi_y_hilb(p2(), 2, "product")[2] != want:
-        return CheckResult(5, "chi_-y generating series", False, "P2 z^2 coefficient wrong")
-    return CheckResult(
-        5, "chi_-y generating series", True, f"three routes identical to z^{order}, both models"
-    )
+        a, b, c = (chi_y_hilb(model, order, route) for route in ("product", "exp", "betti"))
+        _require(a == b and b == c, f"routes differ for {model.name}")
+    want = sum(c * Poly.var("y", e) for e, c in enumerate((1, 2, 3, 2, 1)))
+    _require(chi_y_hilb(p2(), 2, "product")[2] == want, "P2 z^2 coefficient wrong")
+    return f"three routes identical to z^{order}, both models"
 
 
-def check_phi_nk(p: Profile) -> CheckResult:
-    order = p.phi_n
+@_check(6, "phi_N,k generating series")
+def check_phi_nk(p: Profile) -> str:
     classes = {
-        "P2": hilb_cobordism_series(p2(), order),
-        "P1xP1": hilb_cobordism_series(p1xp1(), order),
-        "K3": hilb_series(0, 24, order),
+        "P2": hilb_cobordism_series(p2(), p.order),
+        "P1xP1": hilb_cobordism_series(p1xp1(), p.order),
+        "K3": hilb_series(0, 24, p.order),
     }
     for nk in ((1, 0), (2, 1), (3, 1)):
-        genus = phi_nk_genus(nk[0], nk[1], 2 * order)
+        genus = phi_nk_genus(nk[0], nk[1], 2 * p.order)
         for name, h in classes.items():
             series = genus_series(genus, h)
-            phi_s = genus_eval(genus, h[1])
-            if series != phi_nk_closed_form(phi_s, order):
-                return CheckResult(6, "phi_N,k generating series", False, f"{nk} on {name}")
-    return CheckResult(
-        6, "phi_N,k generating series", True, f"(1-t)^-phi(S) exact to t^{order}, 3 genera x 3 classes"
-    )
+            _require(series == phi_nk_closed_form(genus_eval(genus, h[1]), p.order), f"{nk} on {name}")
+    return f"(1-t)^-phi(S) exact to t^{p.order}, 3 genera x 3 classes"
 
 
-def check_powseries(p: Profile) -> CheckResult:
+@_check(7, "power-series lemma")
+def check_powseries(p: Profile) -> str:
     ys = (Fraction(1), Fraction(2), Fraction(-1), Fraction(5, 2))
     for a in range(0, 9):
         for y, holds in zip(ys, fg_identities(a, ys, 30)):
-            if not holds["f0_closed_form"]:
-                return CheckResult(7, "power-series lemma", False, f"f_0,{a} closed form")
-            if not holds["g_is_g1_pow_y"]:
-                return CheckResult(7, "power-series lemma", False, f"g_{y},{a} != g_1^y")
-            if not holds["f_is_g1_pow_y_times_f0"]:
-                return CheckResult(7, "power-series lemma", False, f"f_{y},{a} != g_1^y f_0")
-            if not holds["g_prime"]:
-                return CheckResult(7, "power-series lemma", False, f"g'_{y},{a}")
-    return CheckResult(
-        7, "power-series lemma", True, "three identities + closed form exact to z^30, a in 0..8"
-    )
+            _require(holds["f0_closed_form"], f"f_0,{a} closed form")
+            _require(holds["g_is_g1_pow_y"], f"g_{y},{a} != g_1^y")
+            _require(holds["f_is_g1_pow_y_times_f0"], f"f_{y},{a} != g_1^y f_0")
+            _require(holds["g_prime"], f"g'_{y},{a}")
+    return "three identities + closed form exact to z^30, a in 0..8"
 
 
-def check_taut_chi(p: Profile) -> CheckResult:
+@_check(8, "tautological chi")
+def check_taut_chi(p: Profile) -> str:
     m = p2()
-    for n in range(1, p.chifn_n + 1):
+    for n in range(1, p.small_n + 1):
         for k in range(0, 4):
             x = TautClass(((o_bundle(m, k), 1),))
             val = integrate(m, n, Integrand.chern_character(x, n, todd_series("x", 2 * n)))
-            if val != (k + 1) * (k + 2) // 2:
-                return CheckResult(8, "tautological chi", False, f"n={n}, k={k}")
+            _require(val == (k + 1) * (k + 2) // 2, f"n={n}, k={k}")
     rng = random.Random(20260823)
     for _ in range(20):
         hf = tuple(rng.randint(0, 9) for _ in range(3))
@@ -305,62 +295,46 @@ def check_taut_chi(p: Profile) -> CheckResult:
         chif = hf[0] - hf[1] + hf[2]
         chio = ho[0] - ho[1] + ho[2]
         for n in range(1, 7):
-            if chi_from_genfun(gf, n) != chi_taut(chif, chio, n):
-                return CheckResult(8, "tautological chi", False, f"genfun u=-1 at {hf},{ho},n={n}")
-    return CheckResult(
-        8, "tautological chi", True, f"chi(O(k)^[n]) = chi(O(k)) n <= {p.chifn_n}; 20 random genfun inputs"
-    )
+            _require(chi_from_genfun(gf, n) == chi_taut(chif, chio, n), f"genfun u=-1 at {hf},{ho},n={n}")
+    return f"chi(O(k)^[n]) = chi(O(k)) n <= {p.small_n}; 20 random genfun inputs"
 
 
-def check_engine(p: Profile) -> CheckResult:
+@_check(9, "engine self-consistency")
+def check_engine(p: Profile) -> str:
     models = (p2(), p1xp1(), blowup(p2(), 0))
     # ladder independence on Chern numbers and a chi sample
     for model in models:
         for n in range(min(3, p.euler_n) + 1):
-            if chern_numbers_hilb(model, n, "xi") != chern_numbers_hilb(model, n, "eta"):
-                return CheckResult(9, "engine self-consistency", False, f"ladders differ: {model.name}, n={n}")
+            same = chern_numbers_hilb(model, n, "xi") == chern_numbers_hilb(model, n, "eta")
+            _require(same, f"ladders differ: {model.name}, n={n}")
     m = p2()
     for n in (1, 2, 3):
-        if chi_via_RR(m, n, o_bundle(m, 2), 1, ladder="xi") != chi_via_RR(
-            m, n, o_bundle(m, 2), 1, ladder="eta"
-        ):
-            return CheckResult(9, "engine self-consistency", False, f"chi ladders differ at n={n}")
+        same = chi_via_RR(m, n, o_bundle(m, 2), 1, ladder="xi") == chi_via_RR(m, n, o_bundle(m, 2), 1, ladder="eta")
+        _require(same, f"chi ladders differ at n={n}")
     # dimension axiom: the residue sums of Chern monomials of degree 2n - 1
     for n in (1, 2, 3):
         lams = enumerate_partitions(2 * n - 1)
         for la, value in zip(lams, chern_residue_sums(m, n, lams)):
-            if value != 0:
-                return CheckResult(9, "engine self-consistency", False, f"dim axiom fails: n={n}, {la}")
+            _require(value == 0, f"dim axiom fails: n={n}, {la}")
     # Euler numbers
     for model in models:
         for n in range(p.euler_n + 1):
             [e] = chern_residue_sums(model, n, ((2 * n,) if n else (),))
-            if e != len(enumerate_fixed_points(model, n)):
-                return CheckResult(9, "engine self-consistency", False, f"Euler != #fp: {model.name}, n={n}")
-    return CheckResult(
-        9, "engine self-consistency", True, f"ladders, dimension axiom, Euler = #fixed points (n <= {p.euler_n})"
-    )
+            _require(e == len(enumerate_fixed_points(model, n)), f"Euler != #fp: {model.name}, n={n}")
+    return f"ladders, dimension axiom, Euler = #fixed points (n <= {p.euler_n})"
 
 
-def check_universal_nonneg(p: Profile) -> CheckResult:
-    warnings = []
-    for n in range(1, p.univ_n + 1):
+@_check(10, "universal polynomial nonnegativity")
+def check_universal_nonneg(p: Profile) -> tuple:
+    for n in range(1, p.small_n + 1):
         for la, poly in universal_chern_poly(n).numbers:
-            if any(c < 0 for c in Poly.coerce(poly).terms.values()):
-                return CheckResult(
-                    10, "universal polynomial nonnegativity", False, f"negative coefficient in P_{la}, n={n}"
-                )
-    if p.univ_warn_n:
-        for la, poly in universal_chern_poly(p.univ_warn_n).numbers:
-            if any(c < 0 for c in Poly.coerce(poly).terms.values()):
-                warnings.append(f"P_{la} has a negative coefficient at n={p.univ_warn_n}")
-    return CheckResult(
-        10,
-        "universal polynomial nonnegativity",
-        True,
-        f"all P_la coefficients >= 0 for n <= {p.univ_n}",
-        warnings,
-    )
+            _require(all(c >= 0 for c in Poly.coerce(poly).terms.values()), f"negative coefficient in P_{la}, n={n}")
+    warnings = [
+        f"P_{la} has a negative coefficient at n={p.univ_warn_n}"
+        for la, poly in (universal_chern_poly(p.univ_warn_n).numbers if p.univ_warn_n else ())
+        if any(c < 0 for c in Poly.coerce(poly).terms.values())
+    ]
+    return f"all P_la coefficients >= 0 for n <= {p.small_n}", warnings
 
 
 CHECKS = (

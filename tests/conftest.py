@@ -1,8 +1,8 @@
 """Hypothesis profiles.  The default profile keeps tier-1 short; `ci` runs the
-oracle tests with more examples in a fixed order, so a rare kernel mismatch
-shows up on every CI run or on none:
+oracle tests marked `ci_examples` with more examples in a fixed order, so a
+rare kernel mismatch shows up on every CI run or on none:
 
-    python -m pytest tests/test_series.py tests/test_rings.py --hypothesis-profile=ci
+    python -m pytest -m ci_examples --hypothesis-profile=ci
 """
 
 from hypothesis import settings

@@ -2,13 +2,17 @@
 PASS/FAIL line per criterion.
 
 Profile defaults to "standard"; set HILBLOC_ACCEPT_PROFILE=quick|standard|long
-to change it.
+to change it.  The FAIL path of every check, and the exit code 1 of
+`hilbloc verify` that follows, are pinned under the quick profile.
 """
 
 import os
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from hilbloc import cli, verify
 from hilbloc.verify import CHECKS, PROFILES, CheckResult
 from record_oracle import assert_record
 
@@ -54,5 +58,51 @@ def test_check_results_and_profiles_are_records():
     assert a != b and repr(a) == "CheckResult(number=4, name='chi', passed=True, detail='changed', warnings=['w'])"
     with pytest.raises(TypeError):
         hash(a)
-    assert_record(PROFILES["quick"], "name twist_order k3_n thm1_n chiv_n phi_n chifn_n euler_n univ_n univ_warn_n",
+    assert_record(PROFILES["quick"], "name small_n order thm1_n euler_n univ_warn_n",
                   PROFILES["standard"])
+
+
+_FALSE_IDENTITIES = dict.fromkeys(("f0_closed_form", "g_is_g1_pow_y", "f_is_g1_pow_y_times_f0", "g_prime"), False)
+
+# check number -> (a name the check reads, a value that fails its first gate, the FAIL line)
+FAILURES = {
+    1: ("log_a_reference", lambda r, order: [Fraction(1)] * (order + 1),
+        "FAIL   1 twist series: log A_-3 wrong at z^0"),
+    2: ("K3_CHERN", {2: {(4,): 325}},
+        "FAIL   2 K3 Chern numbers: n=2, (4,): 324 != 325"),
+    3: ("blowup", lambda model, chart_index: model,
+        "FAIL   3 Theorem 1 (blowup vs P1xP1): differ at n=1"),
+    4: ("binomial", lambda a, b: -1,
+        "FAIL   4 chi(L_n x E^r) lemma: n=1, k=0"),
+    5: ("chi_y_hilb", lambda model, order, route: route,
+        "FAIL   5 chi_-y generating series: routes differ for p2"),
+    6: ("phi_nk_closed_form", lambda phi_s, order: None,
+        "FAIL   6 phi_N,k generating series: (1, 0) on P2"),
+    7: ("fg_identities", lambda a, ys, order: [_FALSE_IDENTITIES] * len(ys),
+        "FAIL   7 power-series lemma: f_0,0 closed form"),
+    8: ("integrate", lambda model, n, integrand: -1,
+        "FAIL   8 tautological chi: n=1, k=0"),
+    9: ("chern_numbers_hilb", lambda model, n, ladder: ladder,
+        "FAIL   9 engine self-consistency: ladders differ: p2, n=0"),
+    10: ("universal_chern_poly", lambda n: SimpleNamespace(numbers=(((2,), -1),)),
+         "FAIL  10 universal polynomial nonnegativity: negative coefficient in P_(2,), n=1"),
+}
+
+
+@pytest.mark.parametrize("number", sorted(FAILURES))
+def test_a_failed_gate_prints_its_fail_line(number, monkeypatch):
+    name, value, line = FAILURES[number]
+    monkeypatch.setattr(verify, name, value)
+    res = CHECKS[number - 1](PROFILES["quick"])
+    assert not res.passed and res.warnings == [] and res.line() == line
+
+
+def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
+    name, value, line = FAILURES[7]
+    monkeypatch.setattr(verify, name, value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--profile", "quick"])
+    assert exc.value.code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[6] == line and len(lines) == 10
+    assert [n for n, out in enumerate(lines, 1) if out.startswith("PASS ")] == [1, 2, 3, 4, 5, 6, 8, 9, 10]

@@ -476,6 +476,7 @@ ARGV = st.one_of(
 )
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(200), deadline=None)
 @given(ARGV)
 def test_cli_contract(argv):

@@ -200,6 +200,7 @@ def beta_polys(draw):
     return d, to_beta(ChernVector.from_dict(d, numbers))
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(60), deadline=None)
 @given(beta_polys(), st.integers(1, 11), PARAMETERS)
 def test_from_beta_matches_fraction_oracle(case, k, params):
@@ -221,6 +222,7 @@ WIDE = st.one_of(
 )
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(40), deadline=None)
 @given(st.integers(0, 8), st.data())
 def test_from_beta_packed_groups_hold_wide_values_of_both_signs(d, data):

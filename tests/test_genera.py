@@ -289,6 +289,7 @@ def theorem_cases(draw):
     return model, genus, n, draw(st.sampled_from(("xi", "eta")))
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(15), deadline=None)
 @given(theorem_cases())
 def test_main_theorem_on_random_fans(case):

@@ -15,10 +15,12 @@ chart product of both models, also the one of coefficient 0;
 rays on its own fan), so they pin the
 byte-identical output of every rewrite of the engine.  The `*_csv`
 entries pin the `--csv` bytes of each command; they were written before
-`main` took over the output step from the commands.  Each entry is
-`<name>.json` (`<name>.csv` for a `--csv` argv) with the argv below;
-regenerating one means running `python -m hilbloc.cli <argv> >
-tests/golden/<name>.json` on a build whose output is already trusted.
+`main` took over the output step from the commands.  The `verify_*` entries
+pin the report of the acceptance suite under each profile; they were written
+while every check still built its own result records.  Each entry is
+`<name>.json` (`<name>.csv` for a `--csv` argv, `<name>.txt` for `verify`)
+with the argv below; regenerating one means running `python -m hilbloc.cli
+<argv> > tests/golden/<file>` on a build whose output is already trusted.
 The `lib_*` files pin library results above the CLI caps
 (`library_golden.py`).
 """
@@ -36,7 +38,7 @@ from library_golden import LIBRARY_GOLDEN
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-# every README CLI line except `verify`, plus the twist-series and chern workload sizes,
+# every README CLI line, plus the twist-series and chern workload sizes,
 # the largest `universal` call, genera on a blowup, on P2, on P1xP1 and on K3, and Chern
 # numbers on the eta ladder and on a surface of seven charts (several blocks of points),
 # and the largest genus calls on a surface and on K3, and Chern numbers of F_1 on the eta ladder
@@ -86,11 +88,17 @@ GOLDEN = {
         "genus", "--genus", "signature", "--surface", "blowup:p2:0", "--n", "3", "--csv",
     ],
     "series_id_a3_o10_csv": ["series-id", "--a", "3", "--y", "5/2", "--order", "10", "--csv"],
+    # the acceptance report under each profile
+    "verify_quick": ["verify", "--profile", "quick"],
+    "verify_standard": ["verify", "--profile", "standard"],
+    "verify_long": ["verify", "--profile", "long"],
 }
 
 
 def golden_file(name):
-    return GOLDEN_DIR / (f"{name}.csv" if "--csv" in GOLDEN[name] else f"{name}.json")
+    argv = GOLDEN[name]
+    suffix = "csv" if "--csv" in argv else "txt" if argv[0] == "verify" else "json"
+    return GOLDEN_DIR / f"{name}.{suffix}"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -55,6 +55,18 @@ def fp_count(model, n):
     return acc[n]
 
 
+def clear_engine_caches():
+    """Forget every cached fact of the engine: each `lru_cache` of
+    `hilbloc.localization` and its table of Hilbert-scheme beta classes, so
+    that a perturbed chart table is read afresh (and the true one after)."""
+    import hilbloc.localization as loc
+
+    for fn in vars(loc).values():
+        if hasattr(fn, "cache_clear") and fn.__module__ == loc.__name__:
+            fn.cache_clear()
+    loc._hilb_betas.clear()
+
+
 def test_fixed_point_enumeration():
     for model in (p2(), p1xp1(), blowup(p2(), 0)):
         for n in range(5):
@@ -102,9 +114,7 @@ def test_dimension_axiom_sees_a_perturbed_tangent_character(monkeypatch):
         return chars
 
     monkeypatch.setattr(loc, "chart_tangent_weights", perturbed)
-    clears = (loc.chart_specializations.cache_clear, loc._chart_power_rows.cache_clear, loc._char_bound.cache_clear)
-    for clear in clears:
-        clear()
+    clear_engine_caches()
     try:
         assert chern_residue_sums(m, 1, ((1,),)) == [Fraction(-1, 2)]
         for n in (2, 3):
@@ -113,8 +123,7 @@ def test_dimension_axiom_sees_a_perturbed_tangent_character(monkeypatch):
         for n in (1, 2, 3):
             assert integrate(m, n, chern_monomial(enumerate_partitions(2 * n - 1)[0])) == 0
     finally:
-        for clear in clears:
-            clear()
+        clear_engine_caches()
 
 
 # -- the central symmetry: the even sums on half the fixed points ---------------------
@@ -164,6 +173,7 @@ def test_orbits_of_the_central_symmetry():
             assert _orbits(model, n, "xi") == (enumerate_fixed_points(model, n), None)
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(20), deadline=None)
 @given(
     st.sampled_from(CENTRALLY_SYMMETRIC),
@@ -212,16 +222,7 @@ def test_a_perturbed_chart_table_sums_every_point(monkeypatch):
         return chars
 
     monkeypatch.setattr(loc, "chart_tangent_weights", perturbed)
-    clears = (
-        loc.chart_specializations.cache_clear,
-        loc._chart_power_rows.cache_clear,
-        loc._sigma_negates.cache_clear,
-        loc._char_bound.cache_clear,
-        loc._hilb_betas.clear,
-        chern_numbers_hilb.cache_clear,
-    )
-    for clear in clears:
-        clear()
+    clear_engine_caches()
     try:
         assert m.rays[2] == (-1, 0) and m.rays[3] == (0, -1)
         for n in (1, 2, 3):
@@ -236,8 +237,7 @@ def test_a_perturbed_chart_table_sums_every_point(monkeypatch):
             with pytest.raises(ConsistencyError, match="disagree"):
                 chern_residue_sums(m, n, enumerate_partitions(2 * n - 1))
     finally:
-        for clear in clears:
-            clear()
+        clear_engine_caches()
 
 
 def test_odd_degree_sums_and_integrands_visit_every_point(monkeypatch):
@@ -823,6 +823,7 @@ def integrand_cases(draw):
     return model, n, case, block
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(40), deadline=None)
 @given(integrand_cases())
 def test_power_sum_evaluator_matches_eps_chain(case):
@@ -866,10 +867,10 @@ def test_segre_path_is_the_segre_polynomial():
 
 
 def test_expdet_is_the_determinant_twist():
-    # h_psi_phi takes exp(c1(x^[n])) as the Chern polynomial sum c1^d / d!; it
-    # is e^{c1(L_n (x) E^r)}, L = det x and r = rank x, by det(x^[n]) =
-    # det(x)_n (x) E^{rank x}: the same polynomial of L + (r - 1) O, and with
-    # the Todd class the chart product's chi
+    # h_psi_phi takes exp(c1(x^[n])) as the chart product of chi(L_n (x) E^r)
+    # with Phi in place of Todd, L = det x and r = rank x, by det(x^[n]) =
+    # det(x)_n (x) E^{rank x}; the oracle is the walk of the Chern polynomial
+    # sum c1^d / d! of L + (r - 1) O, and with the Todd class it is chi
     phi = TruncSeries("x", 6, [1, Fraction(1, 2), Fraction(-1, 3), 2, 0, Fraction(1, 5), -1])
     bl = MODELS["blowup:p2:0"]
     x_bl = TautClass(((line_bundle(bl, (1, 0, -1, 2)), 2), (line_bundle(bl, (0, 1, 0, 0)), -1)), 1)
@@ -891,6 +892,7 @@ def chi_cases(draw):
     return model, bundles, draw(st.integers(-3, 3)), draw(st.integers(0, 3)), draw(st.sampled_from(("xi", "eta")))
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(20), deadline=None)
 @given(chi_cases())
 def test_chi_series_matches_the_tuple_walk(case):
@@ -939,6 +941,7 @@ def blocked_cases(draw):
     return model, n, draw(st.sampled_from(("xi", "eta"))), draw(st.sampled_from(("e", "p"))), block
 
 
+@pytest.mark.ci_examples
 @settings(deadline=None)
 @given(blocked_cases())
 def test_blocked_partition_sums_match_per_point_oracle(case):
@@ -968,6 +971,7 @@ def _moment_character(chart, la):
     return -si * chart.w1[0] - sj * chart.w2[0], -si * chart.w1[1] - sj * chart.w2[1]
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(30), deadline=None)
 @given(small_blowups(), st.integers(0, 4), st.sampled_from(("xi", "eta")), st.data())
 def test_chart_table_matches_per_partition_facts(model, n, ladder, data):
@@ -1027,6 +1031,7 @@ def monomial_sets(draw):
     return tuple(draw(st.permutations(monos)))
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(100), deadline=None)
 @given(monomial_sets(), st.lists(st.integers(-9, 9), min_size=1, max_size=3))
 def test_product_walk_matches_factor_by_factor_products(monomials, root):
@@ -1099,6 +1104,7 @@ def chern_kernel_cases(draw):
     return cols, mults, draw(st.integers(0, 6))
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(100), deadline=None)
 @given(chern_kernel_cases())
 def test_chern_classes_match_per_point_total_chern(case):
@@ -1130,6 +1136,7 @@ def series_cases(draw):
     return model, draw(st.integers(0, 3))
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(15), deadline=None)
 @given(series_cases())
 def test_series_terms_match_passes_at_their_own_ladders(case):
@@ -1183,6 +1190,7 @@ def taut_table_cases(draw):
     return model, draw(st.integers(0, 3)), draw(virtual_classes(model)), draw(st.sampled_from(("xi", "eta")))
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(30), deadline=None)
 @given(taut_table_cases())
 def test_chart_cells_match_specialized_taut_weights(case):

@@ -148,6 +148,7 @@ exponents = st.integers(-2, 4).filter(bool)
 monomials = st.dictionaries(st.sampled_from("uxy"), exponents, max_size=3).map(lambda d: tuple(sorted(d.items())))
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(200), deadline=None)
 @given(monomials, monomials, st.sampled_from("uxy"), exponents, exponents)
 def test_merge_monomials_matches_dict_and_sort(m1, m2, v, e1, e2):
@@ -171,6 +172,7 @@ polys = st.dictionaries(
 scalars = st.one_of(st.integers(-4, 4), fractions)
 
 
+@pytest.mark.ci_examples
 @settings(deadline=None)
 @given(polys, polys, scalars, scalars, st.integers(0, 4))
 def test_poly_results_store_only_nonzero_fractions(p, q, c, d, k):

@@ -261,6 +261,7 @@ wide = st.one_of(
 unit_free = st.lists(wide, min_size=0, max_size=8)
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(150), deadline=None)
 @given(unit_free, unit_free, wide.filter(bool))
 def test_integer_kernels_match_generic_loops(cs, ds, c0):
@@ -304,6 +305,7 @@ univariate = st.lists(st.one_of(wide, poly_in("y")), min_size=0, max_size=6)
 bivariate = st.lists(st.one_of(wide, poly_yu()), min_size=0, max_size=6)
 
 
+@pytest.mark.ci_examples
 @settings(deadline=None)
 @given(st.one_of(univariate, bivariate), st.one_of(univariate, bivariate), wide.filter(bool))
 def test_univariate_kernels_match_generic_loops(cs, ds, c0):
@@ -327,6 +329,7 @@ exponents = st.one_of(
 )
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(100), deadline=None)
 @given(st.one_of(unit_free, univariate, bivariate), exponents)
 def test_pow_and_log_kernels_match_generic_loops(cs, e):
@@ -335,6 +338,7 @@ def test_pow_and_log_kernels_match_generic_loops(cs, e):
     assert shape(unit.pow(e).coeffs) == shape(oracle_pow(list(unit.coeffs), e))
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(100), deadline=None)
 @given(st.sampled_from("fg"), st.integers(0, 12), st.integers(0, 12), st.data())
 def test_fg_series_integer_path_matches_binomial_formula(kind, a, order, data):
@@ -347,6 +351,7 @@ def test_fg_series_integer_path_matches_binomial_formula(kind, a, order, data):
     assert shape(fg_series(kind, y, a, order).coeffs) == shape([Fraction(1)] + expected)
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(100), deadline=None)
 @given(
     st.one_of(unit_free, univariate, bivariate, st.lists(poly_in("y", 2), min_size=1, max_size=4)),
@@ -373,6 +378,7 @@ def test_univariate_kernels_drop_cancelled_terms():
     assert shape(g.exp().coeffs) == shape(oracle_exp(list(g.coeffs)))
 
 
+@pytest.mark.ci_examples
 def test_two_variable_coefficients_match_generic_loops():
     y, u = Poly.var("y"), Poly.var("u")
     f = TruncSeries("z", 4, [Fraction(2), y, Fraction(1, 3) * u, y * u - 1, u * u])
@@ -470,6 +476,7 @@ def poly_3(min_size=0, near_bound=True):
 trivariate = st.lists(st.one_of(wide, poly_3()), min_size=0, max_size=5)
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(100), deadline=None)
 @given(trivariate, trivariate, wide.filter(bool), st.one_of(poly_3(1), wide))
 def test_packed_keys_match_tuple_key_loops(cs, ds, c0, s):
@@ -625,6 +632,7 @@ STEPS = ("mul", "scalar", "add", "inverse", "exp", "log", "pow", "calculus", "tr
 stored_coeffs = st.lists(st.one_of(wide, poly_in("y"), poly_yu(), poly_3(near_bound=False)), min_size=0, max_size=4)
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(60), deadline=None)
 @given(
     st.one_of(unit_free.map(lambda cs: cs[:4]), stored_coeffs),

@@ -66,6 +66,7 @@ def toric_fans(draw):
     return model, draw(st.integers(0, 3))
 
 
+@pytest.mark.ci_examples
 @settings(max_examples=example_count(15), deadline=None)
 @given(toric_fans())
 def test_chern_numbers_of_random_fans_are_universal(case):
