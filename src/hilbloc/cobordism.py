@@ -44,7 +44,7 @@ from operator import mul
 
 from .partitions import enumerate_partitions
 from .records import Record
-from .rings import Poly, gauss_solve, linear_combination
+from .rings import IntPoly, Poly, gauss_solve, linear_combination
 from .series import TruncSeries
 from .toric import p1xp1, p2
 
@@ -184,11 +184,12 @@ def from_cp_basis(d: int, coeffs: dict) -> ChernVector:
 # -- power-sum coordinates ---------------------------------------------------------
 
 # Polynomials in the e_k (Chern classes) or in the p_k (power sums) are
-# dicts keyed by partitions: la stands for the monomial e_la1 e_la2 ...
-# Products run on packed keys, the multiplicities of the parts 1, 2, ... of
-# la in fields of 8 bits (`_pack`), so the product of two monomials is an int
+# `rings.IntPoly`s keyed by partitions: la stands for the monomial
+# e_la1 e_la2 ..., packed as the multiplicities of the parts 1, 2, ... of la
+# in fields of 8 bits (`_pack`), so the product of two monomials is an int
 # add; partitions of 256 or more would carry a field, and `_product` refuses
-# them.
+# them.  No coefficient of these products cancels: the one of e_la in p_mu,
+# and of p_nu in the product of the k! e_k, has the sign (-1)^(d - len).
 
 _PART_BITS = 8
 
@@ -210,56 +211,43 @@ def _aut(mu) -> int:
     return prod(factorial(mu.count(part)) for part in set(mu))
 
 
-def _times(a: dict, b: dict, out=None) -> dict:
-    """out + a * b (a new dict if out is None) for polynomials keyed by packed
-    partitions; a new key takes its place in out at its first appearance."""
-    out = {} if out is None else out
-    get, right = out.get, b.items()
-    for ka, ca in a.items():
-        if ca:
-            for kb, cb in right:
-                key = ka + kb
-                out[key] = get(key, 0) + ca * cb
-    return out
-
-
 @lru_cache(maxsize=None)
-def _product(single, mu) -> dict:
+def _product(single, mu) -> IntPoly:
     """prod_j single(mu_j) with packed keys, memoized on the suffixes of mu:
     p_mu in the e_la, or prod_j mu_j! e_mu_j in the p_nu."""
     if not mu:
-        return {0: 1}
+        return IntPoly({0: 1})
     if sum(mu) >> _PART_BITS:
         raise ValueError(f"partitions of {sum(mu)} do not fit packed keys of {_PART_BITS}-bit multiplicities")
-    return _times(single(mu[0]), _product(single, mu[1:]))
+    return single(mu[0]) * _product(single, mu[1:])
 
 
 @lru_cache(maxsize=None)
-def _power_sum_in_e(k: int) -> dict:
+def _power_sum_in_e(k: int) -> IntPoly:
     """p_k in the e_la, keyed by packed la, by Newton's identity
     p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^{k-1} k e_k."""
     if k >> _PART_BITS:
         raise ValueError(f"partitions of {k} do not fit packed keys of {_PART_BITS}-bit multiplicities")
-    out = {_pack((k,)): Fraction((-1) ** (k - 1) * k)}
+    out = IntPoly({_pack((k,)): Fraction((-1) ** (k - 1) * k)})
     for i in range(1, k):
-        _times({_pack((i,)): Fraction((-1) ** (i - 1))}, _power_sum_in_e(k - i), out)
+        out += IntPoly({_pack((i,)): Fraction((-1) ** (i - 1))}) * _power_sum_in_e(k - i)
     return out
 
 
 def power_sum_in_chern(k: int) -> dict:
-    """p_k in the e_la as {la: coefficient}, the zero ones dropped."""
+    """p_k in the e_la as {la: nonzero coefficient}."""
     partition = _partitions_by_key(k)
-    return {partition[key]: c for key, c in _power_sum_in_e(k).items() if c}
+    return {partition[key]: c for key, c in _power_sum_in_e(k).terms.items()}
 
 
 @lru_cache(maxsize=None)
-def _factorial_elementary_in_p(k: int) -> dict:
+def _factorial_elementary_in_p(k: int) -> IntPoly:
     """k! e_k = sum_{nu |- k} (-1)^{k - len(nu)} (k!/z_nu) p_nu, z_nu = aut(nu) prod nu,
     keyed by packed nu; k!/z_nu is the number of permutations of cycle type
     nu, an integer."""
-    return {
-        _pack(nu): (-1) ** (k - len(nu)) * (factorial(k) // (_aut(nu) * prod(nu))) for nu in enumerate_partitions(k)
-    }
+    return IntPoly(
+        {_pack(nu): (-1) ** (k - len(nu)) * (factorial(k) // (_aut(nu) * prod(nu))) for nu in enumerate_partitions(k)}
+    )
 
 
 @lru_cache(maxsize=None)
@@ -268,7 +256,7 @@ def _newton_table(d: int) -> tuple:
     integral p_mu = sum t c_la, that is t = [e_la] p_mu."""
     partition = _partitions_by_key(d)
     return tuple(
-        tuple((partition[key], c) for key, c in _product(_power_sum_in_e, mu).items() if c)
+        tuple((partition[key], c) for key, c in _product(_power_sum_in_e, mu).terms.items())
         for mu in enumerate_partitions(d)
     )
 
@@ -284,7 +272,7 @@ def _readback_table(d: int) -> tuple:
     auts = [_aut(mu) for mu in lams]
     rows = []
     for la in lams:
-        expansion = _product(_factorial_elementary_in_p, la)
+        expansion = _product(_factorial_elementary_in_p, la).terms
         js = tuple(packed_slot[key] for key in expansion)
         rows.append((prod(map(factorial, la)), js, tuple(t * auts[j] for j, t in zip(js, expansion.values()))))
     return tuple(rows)

@@ -486,9 +486,10 @@ def _monomial_sums(model, n, order, ladder, monomials, table, orbits=False) -> l
 #       E_0 = 1,  E_m = sum_k (k D^k s_k) (m-1)!/(m-k)! p_k E_{m-k}.
 # A term c P of the Chern polynomial of degree deg < N is the monomial P
 # E_{N-deg} with the coefficient c Q(0)^N / ((N-deg)! D^(N-deg)); without a
-# tangent class only the terms of degree N are kept.  A Chern character or
-# exp(c1) is a polynomial in Chern classes too (`Integrand.chern_character`,
-# `universal.h_psi_phi`).  A monomial of degree N is a global class, so its
+# tangent class only the terms of degree N are kept.  The Chern character and
+# the total Chern and Segre classes are polynomials in Chern classes too
+# (`Integrand.chern_character`, `universal.h_psi_phi`; its exp(c1) is a chart
+# product, `chi_series`).  A monomial of degree N is a global class, so its
 # residue sum is an integral that does not depend on the 1-PS: the two
 # specializations agree monomial by monomial, and so integrand by integrand.
 

@@ -54,7 +54,7 @@ def _merge_monomials(m1, m2):
 
 
 def _add_into(terms: dict, other: dict) -> None:
-    """terms += other in place, both dicts of nonzero Fractions; a sum
+    """terms += other in place, both dicts of nonzero coefficients; a sum
     that cancels is removed."""
     for m, c in other.items():
         s = terms.get(m)
@@ -265,6 +265,60 @@ class Poly:
             else:
                 bits.append(f"{c}*{mstr}")
         return " + ".join(bits).replace("+ -", "- ")
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+class IntPoly:
+    """A polynomial {packed monomial key: nonzero int or Fraction}: the key
+    of a product of monomials is the sum of their keys (the caller keeps its
+    bit fields from carrying), and 0 is the constant monomial.  It mixes with
+    ints under `+`, unary `-` and `*` with the term order of `Poly`, and `//`
+    by an int divides every term exactly.  The numerators of `series` and
+    the Newton tables of `cobordism` multiply on it."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            if not other:
+                return self
+            other = {0: other}
+        else:
+            other = other.terms
+        terms = dict(self.terms)
+        _add_into(terms, other)
+        return IntPoly(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return IntPoly({m: -x for m, x in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return IntPoly({m: x * other for m, x in self.terms.items()} if other else {})
+        if len(other.terms) == 1:  # one term: nothing collides or cancels
+            ((m2, x2),) = other.terms.items()
+            return IntPoly({m1 + m2: x1 * x2 for m1, x1 in self.terms.items()})
+        terms = {}
+        get, right = terms.get, other.terms.items()
+        for m1, x1 in self.terms.items():
+            for m2, x2 in right:
+                m = m1 + m2
+                terms[m] = get(m, 0) + x1 * x2
+        if all(terms.values()):  # nothing cancelled: keep the dict
+            return IntPoly(terms)
+        return IntPoly({m: x for m, x in terms.items() if x})
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        return IntPoly({m: x // other for m, x in self.terms.items()})
 
     def __bool__(self):
         return bool(self.terms)

@@ -6,11 +6,12 @@ the two operand orders so precision is never silently invented.
 
 What a series stores.  Its integer form: the numerators of its
 coefficients over one common positive denominator, an int for a Fraction
-coefficient and an `_IntPoly` for a Poly, the numerators of its terms
-keyed by the monomial's exponent vector packed into one int, a 32-bit
-field per variable (fields are assigned to variables at first sight and
-fixed for the process; a product of monomials is then an int add, and
-each output monomial is decoded once, through a dict).  Every operation
+coefficient and a `rings.IntPoly`, the package's one integer polynomial
+product, for a Poly: the numerators of its terms keyed by the monomial's
+exponent vector packed into one int, a 32-bit field per variable (fields
+are assigned to variables at first sight and fixed for the process; a
+product of monomials is then an int add, and each output monomial is
+decoded once, through a dict).  Every operation
 forms it reduced by the gcd of its denominator and numerators (one
 multi-argument `math.gcd` for a series of rationals), so a series of
 rationals holds it in normal form.  A series built from coefficients with
@@ -68,7 +69,7 @@ from functools import lru_cache, reduce
 from math import factorial, gcd, lcm, prod
 from operator import mul, or_
 
-from .rings import Poly, _fraction, binomial
+from .rings import IntPoly, Poly, _fraction, binomial
 
 
 def _coerce(c):
@@ -117,67 +118,10 @@ _MONOMIALS = _Monomials()
 _KEYS = _Keys()
 
 
-class _IntPoly:
-    """The integer numerators of a Poly coefficient: a dict {packed monomial
-    key: nonzero int}.  It mixes with ints under `+`, unary `-` and `*`,
-    which is all the integer kernels use, and keeps the type and term order
-    that the same operations on Polys give: a sum puts the left operand's
-    terms first and drops cancelled ones, and a product lists its terms by
-    first appearance.  `//` by an int divides every term exactly."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        self.c = c
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return self
-            other = {0: other}
-        else:
-            other = other.c
-        c = dict(self.c)
-        for m, x in other.items():
-            x += c.get(m, 0)
-            if x:
-                c[m] = x
-            else:
-                del c[m]
-        return _IntPoly(c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _IntPoly({m: -x for m, x in self.c.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _IntPoly({m: x * other for m, x in self.c.items()} if other else {})
-        if len(other.c) == 1:  # one term: nothing collides or cancels
-            ((m2, x2),) = other.c.items()
-            return _IntPoly({m1 + m2: x1 * x2 for m1, x1 in self.c.items()})
-        c = {}
-        get, right = c.get, other.c.items()
-        for m1, x1 in self.c.items():
-            for m2, x2 in right:
-                m = m1 + m2
-                c[m] = get(m, 0) + x1 * x2
-        return _IntPoly({m: x for m, x in c.items() if x})
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, other):
-        return _IntPoly({m: x // other for m, x in self.c.items()})
-
-    def __bool__(self):
-        return bool(self.c)
-
-
 def _int_form(cs):
     """(numerators, den): the coefficients cs as integer numerators over
     their positive lcm denominator den, an int for a Fraction coefficient
-    and an `_IntPoly` for a Poly.  ValueError if an exponent cannot be
+    and an `IntPoly` for a Poly.  ValueError if an exponent cannot be
     packed."""
     dens = []
     for c in cs:
@@ -187,7 +131,7 @@ def _int_form(cs):
             dens.append(c.denominator)
     den = lcm(*dens)
     return [
-        _IntPoly({_KEYS[m]: v.numerator * (den // v.denominator) for m, v in c.terms.items()})
+        IntPoly({_KEYS[m]: v.numerator * (den // v.denominator) for m, v in c.terms.items()})
         if isinstance(c, Poly) else c.numerator * (den // c.denominator)
         for c in cs
     ], den
@@ -210,10 +154,10 @@ def _dot(xs, ys, poly: bool):
 
 def _lower(num, den):
     """The coefficient num / den: a Fraction for an int num, a Poly for an
-    `_IntPoly`."""
+    `IntPoly`."""
     if isinstance(num, int):
         return Fraction(num, den)
-    return Poly._of({_MONOMIALS[m]: Fraction(x, den) for m, x in num.c.items()})
+    return Poly._of({_MONOMIALS[m]: Fraction(x, den) for m, x in num.terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -255,14 +199,14 @@ class TruncSeries:
         packed."""
         try:
             g, keys = gcd(den, *num), None  # math.gcd takes ints only
-        except TypeError:  # an `_IntPoly` among num
+        except TypeError:  # an `IntPoly` among num
             keys, vals = 0, [den]
             for c in num:
                 if type(c) is int:
                     vals.append(c)
                 else:
-                    vals.extend(c.c.values())
-                    keys = reduce(or_, c.c, keys)
+                    vals.extend(c.terms.values())
+                    keys = reduce(or_, c.terms, keys)
             g = gcd(*vals)
         if den < 0:
             g = -g
@@ -319,7 +263,7 @@ class TruncSeries:
         if n < self.order:
             num = num[: n + 1]
         if (n + 1) * _EXP_BOUND > 1 << _FIELD and self._poly:
-            top = max((e for c in num if type(c) is not int for m in c.c for _, e in _MONOMIALS[m]), default=0)
+            top = max((e for c in num if type(c) is not int for m in c.terms for _, e in _MONOMIALS[m]), default=0)
             if top * (n + 1) >> _FIELD:
                 raise ValueError(f"exponent {top} at order {n} cannot be packed: products would pass 2^32")
         return num, den

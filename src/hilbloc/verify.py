@@ -41,22 +41,10 @@ from .universal import chi_from_genfun, chi_taut, cohomology_genfun, fit_AB, uni
 
 
 class CheckResult(Record):
-    """The outcome of one check; mutable (unlike other records) and so unhashable."""
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    """The outcome of one check; unhashable, since `warnings` is a list."""
 
     def __init__(self, number: int, name: str, passed: bool, detail: str = "", warnings: list | None = None):
-        self.number = number
-        self.name = name
-        self.passed = passed
-        self.detail = detail
-        self.warnings = [] if warnings is None else warnings
-
-    @property
-    def _key(self):
-        return tuple(getattr(self, f) for f in self._fields)
+        self._freeze(number, name, passed, detail, [] if warnings is None else warnings)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -54,8 +54,9 @@ def test_check_results_and_profiles_are_records():
     a, b = CheckResult(4, "chi", True), CheckResult(4, "chi", True)
     assert a == b and a.warnings is not b.warnings
     a.warnings.append("w")
-    a.detail = "changed"
-    assert a != b and repr(a) == "CheckResult(number=4, name='chi', passed=True, detail='changed', warnings=['w'])"
+    with pytest.raises(AttributeError):
+        a.detail = "changed"
+    assert a != b and repr(a) == "CheckResult(number=4, name='chi', passed=True, detail='', warnings=['w'])"
     with pytest.raises(TypeError):
         hash(a)
     assert_record(PROFILES["quick"], "name small_n order thm1_n euler_n univ_warn_n",
@@ -95,6 +96,19 @@ def test_a_failed_gate_prints_its_fail_line(number, monkeypatch):
     monkeypatch.setattr(verify, name, value)
     res = CHECKS[number - 1](PROFILES["quick"])
     assert not res.passed and res.warnings == [] and res.line() == line
+
+
+def test_check_10_prints_its_warn_line(monkeypatch):
+    # a negative coefficient at the warning pass's n only warns
+    monkeypatch.setattr(
+        verify, "universal_chern_poly", lambda n: SimpleNamespace(numbers=(((2,), -1 if n == 5 else 1),))
+    )
+    res = CHECKS[9](PROFILES["standard"])
+    assert res.passed
+    assert res.line() == (
+        "PASS  10 universal polynomial nonnegativity: all P_la coefficients >= 0 for n <= 4\n"
+        "      WARN P_(2,) has a negative coefficient at n=5"
+    )
 
 
 def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):

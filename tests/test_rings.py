@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilbloc.rings import Poly, _merge_monomials, binomial, format_fraction, gauss_solve, linear_combination
+from hilbloc.rings import IntPoly, Poly, _merge_monomials, binomial, format_fraction, gauss_solve, linear_combination
 from hilbloc.series import TruncSeries, fg_series
 from profile_counts import example_count
 
@@ -190,3 +190,57 @@ def test_poly_results_store_only_nonzero_fractions(p, q, c, d, k):
     general = p.substitute({"x": Poly.const(c), "y": Poly.const(d)})
     assert scalar.is_constant() and scalar == general
     assert p(x=c, y=d) == general.as_fraction()
+
+
+# IntPoly keys here pack x in bits 0-7 and y in bits 8-15
+X, Y = 1, 1 << 8
+
+
+def _as_poly(p: IntPoly) -> Poly:
+    """The Poly of an IntPoly, term for term in its order."""
+    return Poly({tuple((v, e) for v, e in (("x", k & 255), ("y", k >> 8)) if e): c for k, c in p.terms.items()})
+
+
+def _product_reference(a: IntPoly, b: IntPoly) -> dict:
+    """a * b as the full dict over the pairs of terms, then the zeros dropped."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+int_polys = st.dictionaries(st.sampled_from([0, X, Y, X + Y, 2 * X, 2 * Y]), st.integers(-3, 3).filter(bool),
+                            max_size=5).map(IntPoly)
+
+
+@settings(deadline=None)
+@given(int_polys, int_polys)
+def test_int_poly_keeps_the_term_order_of_poly(a, b):
+    # sums put the left operand first, products list terms by first appearance,
+    # and cancelled terms are dropped, exactly as the same Polys do
+    for got, want in ((a + b, _as_poly(a) + _as_poly(b)), (a * b, _as_poly(a) * _as_poly(b)), (-a, -_as_poly(a))):
+        assert list(_as_poly(got).terms.items()) == list(want.terms.items())
+        assert all(got.terms.values())
+    assert list((a * b).terms.items()) == list(_product_reference(a, b).items())
+
+
+def test_int_poly_sums_products_and_division():
+    p = IntPoly({X: 2, Y: 3})
+    assert list((p + IntPoly({Y: -3, 2 * X: 5})).terms.items()) == [(X, 2), (2 * X, 5)]
+    assert list((IntPoly({Y: -3, 2 * X: 5}) + p).terms.items()) == [(2 * X, 5), (X, 2)]
+    assert list((p + 4).terms.items()) == [(X, 2), (Y, 3), (0, 4)]
+    # (x + y)(x - y): the xy terms cancel and are dropped
+    assert list((IntPoly({X: 1, Y: 1}) * IntPoly({X: 1, Y: -1})).terms.items()) == [(2 * X, 1), (2 * Y, -1)]
+    # nothing cancels in (x + y)^2: the dict kept is the filtered one
+    square = IntPoly({X: 1, Y: 1}) * IntPoly({X: 1, Y: 1})
+    assert list(square.terms.items()) == [(2 * X, 1), (X + Y, 2), (2 * Y, 1)]
+    assert square.terms == _product_reference(IntPoly({X: 1, Y: 1}), IntPoly({X: 1, Y: 1}))
+    assert 0 + p is p and p + 0 is p
+    for zero in (p * 0, 0 * p):
+        assert type(zero) is IntPoly and zero.terms == {} and not zero
+    assert (IntPoly({X: 6, Y: -4}) // 2).terms == {X: 3, Y: -2}
+    # Fraction values
+    q = IntPoly({X: Fraction(1, 2)}) * IntPoly({X: Fraction(2, 3), Y: Fraction(-1, 2)})
+    assert list(q.terms.items()) == [(2 * X, Fraction(1, 3)), (X + Y, Fraction(-1, 4))]
+    assert all(type(c) is Fraction for c in q.terms.values())

@@ -213,7 +213,7 @@ def oracle_mul(a, b):
 
 
 def oracle_inverse(cs):
-    inv0 = Fraction(1) / cs[0]
+    inv0 = 1 / Poly.coerce(cs[0]).as_fraction()  # the loop divides by the value of a constant Poly
     out = [inv0] + [Fraction(0)] * (len(cs) - 1)
     for n in range(1, len(cs)):
         acc = Fraction(0)

@@ -81,6 +81,23 @@ def test_chern_numbers_of_random_fans_are_universal(case):
     assert chern_numbers_hilb(model, n).as_dict() == _evaluate(universal_chern_poly(n), 12 - e, e)
 
 
+@pytest.mark.parametrize("spec", ["blowup:blowup:blowup:p1xp1:0:0:0", "blowup:blowup:blowup:p2:0:0:0"])
+def test_chern_on_the_largest_cli_fans_matches_the_hilbert_series(spec):
+    # `chern` on the fans with the most fixed points the CLI allows: the walk
+    # on the fan's own fixed points against the class read back from H(S) of
+    # the models, in values and in value types
+    from hilbloc.cobordism import from_beta, hilb_series
+    from hilbloc.localization import chern_numbers_hilb
+    from hilbloc.toric import build_model
+
+    model = build_model(spec)
+    e = model.euler_number
+    for n in (4, 5, 6):
+        got, want = chern_numbers_hilb(model, n), from_beta(2 * n, hilb_series(12 - e, e, n)[n])
+        assert got == want
+        assert [type(v) for _, v in got.numbers] == [type(v) for _, v in want.numbers]
+
+
 def test_universal_k3_values():
     tab = universal_chern_poly(2)
     vals = _evaluate(tab, 0, 24)
