@@ -44,7 +44,7 @@ from operator import mul
 
 from .partitions import enumerate_partitions
 from .records import Record
-from .rings import IntPoly, Poly, gauss_solve, linear_combination
+from .rings import IntPoly, Poly, _coerce, gauss_solve, linear_combination
 from .series import TruncSeries
 from .toric import p1xp1, p2
 
@@ -70,7 +70,7 @@ class ChernVector(Record):
 
     @staticmethod
     def point(value=1) -> "ChernVector":
-        return ChernVector(0, (((), _val(value)),))
+        return ChernVector(0, (((), _coerce(value)),))
 
     def as_dict(self) -> dict:
         return dict(self.numbers)
@@ -82,10 +82,6 @@ class ChernVector(Record):
         if self.dim != 0:
             raise ValueError("not a point class")
         return self.numbers[0][1]
-
-
-def _val(x):
-    return x if isinstance(x, Poly) else Fraction(x)
 
 
 # -- Chern numbers of products of projective spaces ---------------------------
@@ -172,7 +168,7 @@ def from_cp_basis(d: int, coeffs: dict) -> ChernVector:
     lams = enumerate_partitions(d)
     m = basis_matrix(d)
     idx = {mu: i for i, mu in enumerate(lams)}
-    numbers = {la: _val(0) for la in lams}
+    numbers = {la: Fraction(0) for la in lams}
     for mu, a in coeffs.items():
         row = m[idx[mu]]
         if a:
@@ -402,8 +398,8 @@ def surface_series(c1sq, c2, model_series, var: str, order: int) -> TruncSeries:
     (c1sq, c2) = (9a + 8b, 3a + 4b), a series in var to order from model_series(model), the series
     of Hilb^n classes (or of genera of them) of P2 or P1xP1; a model whose coefficient is 0 is not
     asked for.  Exact rationals give numeric series (K3 is (0, 24)), Polys the universal family."""
-    a = (_val(c1sq) - 2 * _val(c2)) / 3
-    b = (3 * _val(c2) - _val(c1sq)) / 4
+    a = (_coerce(c1sq) - 2 * _coerce(c2)) / 3
+    b = (3 * _coerce(c2) - _coerce(c1sq)) / 4
     logs = [model_series(model).log() * c for model, c in ((p2(), a), (p1xp1(), b)) if c != 0]
     return sum(logs, TruncSeries.zero(var, order)).exp()
 

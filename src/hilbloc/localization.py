@@ -34,9 +34,9 @@ nonempty prefix, and a monomial's block sum is one dot product with the
 column of scales.  Characters stay symbolic (integer pairs) until the pass
 specializes them along the two members of a deterministic ladder of
 generic one-parameter subgroups; each specialization keeps integer
-numerators over one running common denominator, the lcm of the block
-denominators seen so far, and the two exact sums must agree monomial by
-monomial.
+numerators over one denominator D = prod_c L_c, L_c the lcm of prod t over
+the chart's partitions (`_chart_denominators`, read by the chart product
+too), and the two exact sums must agree monomial by monomial.
 
 On a centrally symmetric fan, rays[c + e/2] = -rays[c] (P1xP1, or P1xP1
 blown up at two opposite charts), the rotation sigma of the fixed points by
@@ -67,7 +67,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
-from math import factorial, gcd, lcm, prod
+from math import factorial, lcm, prod
 from operator import add, mul, sub
 
 from .cobordism import ChernVector, beta_poly, power_sum_in_chern
@@ -245,6 +245,15 @@ def chart_specializations(model: ToricSurface, order: int, spec) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _chart_denominators(model: ToricSurface, order: int, spec) -> tuple:
+    """Per chart, L_c: the lcm of prod t over the partitions of
+    `chart_specializations`.  prod t of a fixed point of Hilb^n, n <= order,
+    is the product of its charts', so it divides D = prod_c L_c, the one
+    denominator of every sum at spec."""
+    return tuple(lcm(*map(prod, weights.values())) for weights in chart_specializations(model, order, spec))
+
+
+@lru_cache(maxsize=None)
 def _chart_cells(model: ToricSurface, order: int, spec) -> tuple:
     """Per chart, {la: the cell characters of la (`_cell_characters`) at the
     1-PS spec} over the partitions of `chart_specializations`."""
@@ -356,26 +365,6 @@ def _column_dot(coeffs, xs, ys, width):
 _BLOCK = 256  # fixed points per block of the residue pass
 
 
-class _ResidueSum:
-    """Per-output sums of integer numerators over positive denominators (one
-    per block of fixed points), kept as integer numerators over one running
-    common denominator: the lcm of the denominators seen so far."""
-
-    def __init__(self, size):
-        self.acc = [0] * size
-        self.den = 1
-
-    def add(self, den, nums):
-        up = den // gcd(self.den, den)
-        if up != 1:
-            self.acc = [a * up for a in self.acc]
-            self.den *= up
-        scale = self.den // den
-        acc = self.acc
-        for i, x in enumerate(nums):
-            acc[i] += x * scale
-
-
 def _agreed(specs, values, others) -> list:
     """values, the exact sums at the specialization specs[0], once those at
     specs[1] (others) agree with them value by value; ConsistencyError if
@@ -432,10 +421,12 @@ def _monomial_sums(model, n, order, ladder, monomials, table, orbits=False) -> l
     block's d, so a monomial's block sum is one dot product: each distinct
     nonempty prefix costs one column product (269 for the partitions of 14,
     against 780 parts), and a node's column is dropped once its last child
-    is formed.  The weights of a point are its charts' in
-    `chart_specializations`, which raises ConsistencyError on a zero weight.
-    The sums of the two specializations are independent until `_agreed`
-    compares them, monomial by monomial, at the end.
+    is formed.  Each block sum, over L, is added times D / L to the 1-PS's
+    sums over its one denominator D = prod_c L_c (`_chart_denominators`),
+    and each sum becomes a Fraction once, at the end.  The weights of a
+    point are its charts' in `chart_specializations`, which raises
+    ConsistencyError on a zero weight.  The sums of the two specializations
+    are independent until `_agreed` compares them, monomial by monomial.
 
     With orbits, every monomial must have even degree 2n and depend on the
     tangent weights alone: the pass then visits one point per orbit of the
@@ -443,12 +434,13 @@ def _monomial_sums(model, n, order, ladder, monomials, table, orbits=False) -> l
     orbit's size."""
     walk = _product_walk(monomials)
     specs = one_ps_ladder(model, order, ladder)
-    sums = [_ResidueSum(len(monomials)) for _ in specs]
+    dens = [prod(_chart_denominators(model, order, spec)) for spec in specs]
+    sums = [[0] * len(monomials) for _ in specs]
     specialized = [chart_specializations(model, order, spec) for spec in specs]
     points, mults = _sigma_orbits(model, n, order, specs) if orbits else (enumerate_fixed_points(model, n), None)
     for start in range(0, len(points), _BLOCK):
         block = points[start : start + _BLOCK]
-        for spec, charts, total in zip(specs, specialized, sums):
+        for spec, charts, den, total in zip(specs, specialized, dens, sums):
             tvals = []
             for fp in block:
                 t = []
@@ -456,18 +448,17 @@ def _monomial_sums(model, n, order, ladder, monomials, table, orbits=False) -> l
                     t += weights[la]
                 tvals.append(t)
             ds = list(map(prod, tvals))
-            den = lcm(*ds)
-            scales = [den // d for d in ds]
+            block_den = lcm(*ds)
+            scales = [block_den // d for d in ds]
             if mults:
                 scales = list(map(mul, scales, mults[start : start + _BLOCK]))
-            out = [0] * len(monomials)
+            up = den // block_den
 
             def leaf(i, xs, ys):
-                out[i] = sum(map(mul, xs, ys))
+                total[i] += up * sum(map(mul, xs, ys))
 
             _walk_products(walk, table(spec, block, list(zip(*tvals))), scales, leaf)
-            total.add(den, out)
-    return _agreed(specs, *([Fraction(a, total.den) for a in total.acc] for total in sums))
+    return _agreed(specs, *([Fraction(x, den) for x in total] for den, total in zip(dens, sums)))
 
 
 # -- integrand ---------------------------------------------------------------------
@@ -711,9 +702,11 @@ def hilb_cobordism_series(model: ToricSurface, order: int) -> TruncSeries:
 # lw_c(L) = 0 (every chart of L = O, so every genus).  Summed by size m
 # over their prod t, they give the chart's table
 #   a_c[m][j] = N! L_c D^j [eps^j] (Z_c without e^{m lw_c(L) eps} at z^m),
-# L_c the lcm of the chart's prod t, and e^{m lw_c(L) eps} is scaled the
-# same way, N! D^j [eps^j].  Scaled factors multiply by plain convolution
-# in (z, eps), each product gaining a factor N!.
+# L_c the lcm of the chart's prod t (`_chart_denominators`, whose product
+# over the charts is the one denominator of the residue sums at the same
+# 1-PS), and e^{m lw_c(L) eps} is scaled the same way, N! D^j [eps^j].
+# Scaled factors multiply by plain convolution in (z, eps), each product
+# gaining a factor N!.
 
 
 @lru_cache(maxsize=None)
@@ -721,14 +714,13 @@ def _chart_columns(model: ToricSurface, order: int, spec) -> tuple:
     """Per chart at the specialization spec, over its partitions of size
     0..order in `chart_specializations`: the columns p_1, ..., p_N of the
     tangent weights' power sums (the rows of `_chart_power_rows`), the column
-    of o_c (the sums of `_chart_cells`), and L_c with the column of the
-    scales L_c / prod t."""
+    of o_c (the sums of `_chart_cells`), and L_c (`_chart_denominators`)
+    with the column of the scales L_c / prod t."""
     out = []
-    tables = (chart_specializations, _chart_power_rows, _chart_cells)
-    for weights, rows, cells in zip(*(table(model, order, spec) for table in tables)):
-        ds = list(map(prod, weights.values()))
-        den = lcm(*ds)
-        out.append((tuple(zip(*rows.values())), tuple(map(sum, cells.values())), den, tuple(den // x for x in ds)))
+    tables = (chart_specializations, _chart_power_rows, _chart_cells, _chart_denominators)
+    for weights, rows, cells, den in zip(*(table(model, order, spec) for table in tables)):
+        scales = tuple(den // prod(tvals) for tvals in weights.values())
+        out.append((tuple(zip(*rows.values())), tuple(map(sum, cells.values())), den, scales))
     return tuple(out)
 
 

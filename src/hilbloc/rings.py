@@ -37,6 +37,12 @@ def _fraction(c) -> Fraction:
     raise TypeError(f"polynomial coefficients are int or Fraction, not {type(c).__name__}")
 
 
+def _coerce(c):
+    """A coefficient as a Poly or Fraction; TypeError for anything else,
+    floats included."""
+    return c if isinstance(c, Poly) else _fraction(c)
+
+
 def _merge_monomials(m1, m2):
     """The monomial m1 * m2.  The empty monomial and a pair of powers of one
     variable, the most common cases, skip the dict and the sort."""
@@ -363,13 +369,13 @@ def binomial(x, n: int):
 
 
 def gauss_solve(matrix, rhs):
-    """Solve M x = rhs exactly.  M is a square matrix of Fractions; the
-    right-hand-side entries may be Fractions or Polys (anything that is a
-    Q-vector-space element).  Raises ValueError on a singular matrix.
+    """Solve M x = rhs exactly: M square, of ints or Fractions, and rhs of
+    ints, Fractions or Polys; TypeError on any other entry, floats included,
+    and ValueError on a singular matrix.
     """
     n = len(matrix)
-    m = [[Fraction(e) for e in row] for row in matrix]
-    b = list(rhs)
+    m = [[_fraction(e) for e in row] for row in matrix]
+    b = [_coerce(x) for x in rhs]
     if any(len(row) != n for row in m) or len(b) != n:
         raise ValueError("gauss_solve requires a square system")
     for col in range(n):

@@ -69,13 +69,7 @@ from functools import lru_cache, reduce
 from math import factorial, gcd, lcm, prod
 from operator import mul, or_
 
-from .rings import IntPoly, Poly, _fraction, binomial
-
-
-def _coerce(c):
-    """A coefficient as a Poly or Fraction; TypeError for anything else,
-    floats included."""
-    return c if isinstance(c, Poly) else _fraction(c)
+from .rings import IntPoly, Poly, _coerce, _fraction, binomial
 
 
 _FIELD = 32  # bits per variable in a packed monomial key

@@ -152,10 +152,13 @@ def cohomology_genfun(h_f, h_o, order_t: int) -> TruncSeries:
     def series(coeff):  # sum_j coeff(j) t^j
         return TruncSeries("t", order_t, [coeff(j) for j in range(order_t + 1)])
 
+    def on_u(c, j):  # the one-term Poly c u^j
+        return Poly({((("u", j),) if j else ()): c})
+
     # (1+ut)^h1, (1-t)^-h0 and (1-u^2 t)^-h2 term by term: C(h, j) and C(h + j - 1, j)
-    num = series(lambda j: binomial(h1, j) * Poly.var("u", j))
+    num = series(lambda j: on_u(binomial(h1, j), j))
     den1 = series(lambda j: binomial(h0 + j - 1, j))
-    den2 = series(lambda j: binomial(h2 + j - 1, j) * Poly.var("u", 2 * j))
+    den2 = series(lambda j: on_u(binomial(h2 + j - 1, j), 2 * j))
     return num * den1 * den2 * front
 
 
@@ -163,7 +166,7 @@ def chi_from_genfun(genfun: TruncSeries, n: int) -> Fraction:
     """Specialize u = -1 in the t^{n-1} coefficient: chi(F^[n])."""
     c = genfun[n - 1]
     if isinstance(c, Poly):
-        return c.substitute({"u": Fraction(-1)}).as_fraction()
+        return sum((-x if j % 2 else x for j, x in c.coefficient_map("u").items()), Fraction(0))
     return Fraction(c)
 
 

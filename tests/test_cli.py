@@ -167,6 +167,12 @@ def test_missing_bundle(capsys):
     assert exc.value.code == 2
 
 
+def numbered(k, argv, *message):
+    """One input-error case with the fixed id argv<k>, then its message if
+    it has one: a new case takes a new k and renames no other."""
+    return pytest.param(argv, *message, id="-".join([f"argv{k}", *message]))
+
+
 # p2 blown up four times, one level past the CLI bound
 DEPTH_4 = "blowup:blowup:blowup:blowup:p2:0:0:0:0"
 
@@ -174,73 +180,73 @@ DEPTH_4 = "blowup:blowup:blowup:blowup:p2:0:0:0:0"
 @pytest.mark.parametrize(
     "argv",
     [
-        ["series-id", "--a", "1", "--y", "1/0"],
-        ["series-id", "--a", "1", "--y", "half"],
-        ["chi", "--surface", "p2", "--n", "1", "--k", "1,2,3,4,5"],
-        ["chi", "--surface", "p2", "--n", "1", "--k", "1,2"],
-        ["chi", "--surface", "p1xp1", "--n", "1", "--k", "1"],
-        ["chi", "--surface", "blowup:p2:0", "--n", "1", "--k", "1"],
-        ["chi", "--surface", "p2", "--n", "1", "--k", "one"],
-        ["chi", "--surface", "p2", "--n", "1", "--bundle", "1,2"],
-        ["series-id", "--a", "1", "--order", "0"],
-        ["series-id", "--a", "1", "--order", "61"],
-        ["series-id", "--a", "101"],
-        ["series-id", "--a", "-1"],
-        ["twist-series", "--r", "2", "--order", "11", "--long"],
-        ["genus", "--genus", "phi:2:5", "--k3", "--n", "2"],
-        ["genus", "--genus", "phi:2", "--k3", "--n", "2"],
-        ["series-id", "--a", "1", "--y", "9" * 41],
-        ["series-id", "--a", "1", "--y", "1/" + "7" * 41],
-        ["series-id", "--a", "1", "--y", "1e999999999"],
-        ["universal", "--n", "2", "--ladder", "eta"],
-        ["betti", "--model", "P2", "--n", "2", "--ladder", "eta"],
-        ["genus", "--genus", "todd", "--k3", "--n", "2", "--ladder", "eta"],
-        ["genus", "--genus", "euler", "--surface", "p2", "--k3", "--n", "2"],
-        ["genus", "--genus", "chi_y", "--model", "P2", "--surface", "p1xp1", "--n", "2"],
-        ["genus", "--genus", "todd", "--model", "P2", "--k3", "--n", "2"],
-        ["genus", "--genus", "todd", "--model", "P2", "--n", "3"],
-        ["genus", "--genus", "euler", "--n", "3"],
-        ["chi", "--surface", "p2", "--n", "2", "--k", "5", "--bundle", "1,0,0"],
-        ["twist-series", "--r", "9" * 41, "--order", "3"],
-        ["twist-series", "--r", "9" * 4001, "--order", "3"],
-        ["chi", "--surface", "p2", "--n", "1", "--k", "9" * 4001],
-        ["chi", "--surface", "p2", "--n", "1", "--k", "1", "--r", "-" + "9" * 41],
-        ["chi", "--surface", "p1xp1", "--n", "1", "--k", "1,-" + "9" * 41],
-        ["chi", "--surface", "p2", "--n", "1", "--bundle", "0,0," + "9" * 41],
-        ["genus", "--genus", "phi:" + "9" * 41 + ":1", "--surface", "p2", "--n", "1"],
-        ["genus", "--genus", "phi:2:-" + "9" * 41, "--k3", "--n", "1"],
-        ["genus", "--genus", "phi:" + "9" * 3000 + ":1", "--surface", "p2", "--n", "1"],
-        ["genus", "--genus", "phi:" + "9" * 5000 + ":1", "--k3", "--n", "1"],
-        ["chern", "--surface", DEPTH_4, "--n", "1"],
-        ["chi", "--surface", DEPTH_4, "--n", "1", "--bundle", "1,0,0,0,0,0,0"],
-        ["genus", "--genus", "todd", "--surface", DEPTH_4, "--n", "1"],
-        ["chern", "--surface", "blowup:" * 3000 + "p2" + ":0" * 3000, "--n", "1"],
-        ["genus", "--genus", "phi:0:0", "--surface", "p2", "--n", "2"],
+        numbered(0, ["series-id", "--a", "1", "--y", "1/0"]),
+        numbered(1, ["series-id", "--a", "1", "--y", "half"]),
+        numbered(2, ["chi", "--surface", "p2", "--n", "1", "--k", "1,2,3,4,5"]),
+        numbered(3, ["chi", "--surface", "p2", "--n", "1", "--k", "1,2"]),
+        numbered(4, ["chi", "--surface", "p1xp1", "--n", "1", "--k", "1"]),
+        numbered(5, ["chi", "--surface", "blowup:p2:0", "--n", "1", "--k", "1"]),
+        numbered(6, ["chi", "--surface", "p2", "--n", "1", "--k", "one"]),
+        numbered(7, ["chi", "--surface", "p2", "--n", "1", "--bundle", "1,2"]),
+        numbered(8, ["series-id", "--a", "1", "--order", "0"]),
+        numbered(9, ["series-id", "--a", "1", "--order", "61"]),
+        numbered(10, ["series-id", "--a", "101"]),
+        numbered(11, ["series-id", "--a", "-1"]),
+        numbered(12, ["twist-series", "--r", "2", "--order", "11", "--long"]),
+        numbered(13, ["genus", "--genus", "phi:2:5", "--k3", "--n", "2"]),
+        numbered(14, ["genus", "--genus", "phi:2", "--k3", "--n", "2"]),
+        numbered(15, ["series-id", "--a", "1", "--y", "9" * 41]),
+        numbered(16, ["series-id", "--a", "1", "--y", "1/" + "7" * 41]),
+        numbered(17, ["series-id", "--a", "1", "--y", "1e999999999"]),
+        numbered(18, ["universal", "--n", "2", "--ladder", "eta"]),
+        numbered(19, ["betti", "--model", "P2", "--n", "2", "--ladder", "eta"]),
+        numbered(20, ["genus", "--genus", "todd", "--k3", "--n", "2", "--ladder", "eta"]),
+        numbered(21, ["genus", "--genus", "euler", "--surface", "p2", "--k3", "--n", "2"]),
+        numbered(22, ["genus", "--genus", "chi_y", "--model", "P2", "--surface", "p1xp1", "--n", "2"]),
+        numbered(23, ["genus", "--genus", "todd", "--model", "P2", "--k3", "--n", "2"]),
+        numbered(24, ["genus", "--genus", "todd", "--model", "P2", "--n", "3"]),
+        numbered(25, ["genus", "--genus", "euler", "--n", "3"]),
+        numbered(26, ["chi", "--surface", "p2", "--n", "2", "--k", "5", "--bundle", "1,0,0"]),
+        numbered(27, ["twist-series", "--r", "9" * 41, "--order", "3"]),
+        numbered(28, ["twist-series", "--r", "9" * 4001, "--order", "3"]),
+        numbered(29, ["chi", "--surface", "p2", "--n", "1", "--k", "9" * 4001]),
+        numbered(30, ["chi", "--surface", "p2", "--n", "1", "--k", "1", "--r", "-" + "9" * 41]),
+        numbered(31, ["chi", "--surface", "p1xp1", "--n", "1", "--k", "1,-" + "9" * 41]),
+        numbered(32, ["chi", "--surface", "p2", "--n", "1", "--bundle", "0,0," + "9" * 41]),
+        numbered(33, ["genus", "--genus", "phi:" + "9" * 41 + ":1", "--surface", "p2", "--n", "1"]),
+        numbered(34, ["genus", "--genus", "phi:2:-" + "9" * 41, "--k3", "--n", "1"]),
+        numbered(35, ["genus", "--genus", "phi:" + "9" * 3000 + ":1", "--surface", "p2", "--n", "1"]),
+        numbered(36, ["genus", "--genus", "phi:" + "9" * 5000 + ":1", "--k3", "--n", "1"]),
+        numbered(37, ["chern", "--surface", DEPTH_4, "--n", "1"]),
+        numbered(38, ["chi", "--surface", DEPTH_4, "--n", "1", "--bundle", "1,0,0,0,0,0,0"]),
+        numbered(39, ["genus", "--genus", "todd", "--surface", DEPTH_4, "--n", "1"]),
+        numbered(40, ["chern", "--surface", "blowup:" * 3000 + "p2" + ":0" * 3000, "--n", "1"]),
+        numbered(41, ["genus", "--genus", "phi:0:0", "--surface", "p2", "--n", "2"]),
         # int() and Fraction() read these as 10, 1, 3, 10 and 1000; the CLI refuses them
-        ["chi", "--surface", "p2", "--n", "1", "--k", "1", "--r", "1_0"],
-        ["chi", "--surface", "p2", "--n", "1", "--k", "\u0661"],
-        ["chern", "--surface", "p2", "--n", "\u0663"],
-        ["genus", "--genus", "phi:1_0:1", "--surface", "p2", "--n", "1"],
-        ["series-id", "--a", "1", "--y", "1_000"],
-        ["series-id", "--a", "1", "--y", "\u0661/\u0662"],
-        ["series-id", "--a", "1", "--y", " 1"],
-        ["chern", "--surface", "p2", "--n", " 1"],
-        ["twist-series", "--r", "2", "--order", "0_3"],
-        ["series-id", "--a", "1_0"],
-        ["chi", "--surface", "p2", "--n", "1", "--bundle", "1,0,0_0"],
-        ["genus", "--genus", "phi:2:\u0661", "--k3", "--n", "1"],
+        numbered(42, ["chi", "--surface", "p2", "--n", "1", "--k", "1", "--r", "1_0"]),
+        numbered(43, ["chi", "--surface", "p2", "--n", "1", "--k", "\u0661"]),
+        numbered(44, ["chern", "--surface", "p2", "--n", "\u0663"]),
+        numbered(45, ["genus", "--genus", "phi:1_0:1", "--surface", "p2", "--n", "1"]),
+        numbered(46, ["series-id", "--a", "1", "--y", "1_000"]),
+        numbered(47, ["series-id", "--a", "1", "--y", "\u0661/\u0662"]),
+        numbered(48, ["series-id", "--a", "1", "--y", " 1"]),
+        numbered(49, ["chern", "--surface", "p2", "--n", " 1"]),
+        numbered(50, ["twist-series", "--r", "2", "--order", "0_3"]),
+        numbered(51, ["series-id", "--a", "1_0"]),
+        numbered(52, ["chi", "--surface", "p2", "--n", "1", "--bundle", "1,0,0_0"]),
+        numbered(53, ["genus", "--genus", "phi:2:\u0661", "--k3", "--n", "1"]),
         # one spelling per genus: int() reads these as phi:2:1
-        ["genus", "--genus", "phi:02:+1", "--k3", "--n", "1"],
-        ["genus", "--genus", "phi:+2:01", "--surface", "p2", "--n", "1"],
+        numbered(54, ["genus", "--genus", "phi:02:+1", "--k3", "--n", "1"]),
+        numbered(55, ["genus", "--genus", "phi:+2:01", "--surface", "p2", "--n", "1"]),
         # int() reads these chart indices as 1; build_model takes the digits 0-9 only
-        ["chern", "--surface", "blowup:p2:0_1", "--n", "1"],
-        ["chern", "--surface", "blowup:p2: 1", "--n", "1"],
-        ["chern", "--surface", "blowup:p2:+1", "--n", "1"],
-        ["chern", "--surface", "blowup:p2:\u0661", "--n", "1"],
+        numbered(56, ["chern", "--surface", "blowup:p2:0_1", "--n", "1"]),
+        numbered(57, ["chern", "--surface", "blowup:p2: 1", "--n", "1"]),
+        numbered(58, ["chern", "--surface", "blowup:p2:+1", "--n", "1"]),
+        numbered(59, ["chern", "--surface", "blowup:p2:\u0661", "--n", "1"]),
         # surface names are lower case, without blanks
-        ["chern", "--surface", " P2 ", "--n", "1"],
-        ["chern", "--surface", "P2", "--n", "1"],
-        ["chern", "--surface", "BLOWUP:P2:0", "--n", "1"],
+        numbered(60, ["chern", "--surface", " P2 ", "--n", "1"]),
+        numbered(61, ["chern", "--surface", "P2", "--n", "1"]),
+        numbered(62, ["chern", "--surface", "BLOWUP:P2:0", "--n", "1"]),
     ],
 )
 def test_input_errors_exit_2(argv):
@@ -261,44 +267,50 @@ def run_cli(argv):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["genus", "--genus", "phi:2:5", "--k3", "--n", "2"], "require 0 <= k <= N"),
-        (["genus", "--genus", "phi:2", "--k3", "--n", "2"], "phi genus spec must be phi:N:k"),
-        (["series-id", "--a", "1", "--order", "0"], "--order must be in 1..60"),
-        (["series-id", "--a", "101"], "--a must be in 0..100"),
-        (["twist-series", "--r", "2", "--order", "11", "--long"], "order > 10 is not supported"),
-        (["series-id", "--a", "1", "--y", "9" * 41], "at most 40 digits"),
-        (["twist-series", "--r", "9" * 4001, "--order", "3"], "--r must have at most 40 digits"),
-        (["chi", "--surface", "p2", "--n", "1", "--k", "9" * 41], "each --k entry must have at most 40 digits"),
-        (
+        numbered(0, ["genus", "--genus", "phi:2:5", "--k3", "--n", "2"], "require 0 <= k <= N"),
+        numbered(1, ["genus", "--genus", "phi:2", "--k3", "--n", "2"], "phi genus spec must be phi:N:k"),
+        numbered(2, ["series-id", "--a", "1", "--order", "0"], "--order must be in 1..60"),
+        numbered(3, ["series-id", "--a", "101"], "--a must be in 0..100"),
+        numbered(4, ["twist-series", "--r", "2", "--order", "11", "--long"], "order > 10 is not supported"),
+        numbered(5, ["series-id", "--a", "1", "--y", "9" * 41], "at most 40 digits"),
+        numbered(6, ["twist-series", "--r", "9" * 4001, "--order", "3"], "--r must have at most 40 digits"),
+        numbered(7, ["chi", "--surface", "p2", "--n", "1", "--k", "9" * 41], "each --k entry must have at most 40 digits"),
+        numbered(
+            8,
             ["genus", "--genus", "phi:" + "9" * 3000 + ":1", "--surface", "p2", "--n", "1"],
             "N in --genus phi:N:k must have at most 40 digits",
         ),
-        (["genus", "--genus", "phi:2:" + "9" * 41, "--k3", "--n", "1"], "k in --genus phi:N:k must have at most 40 digits"),
-        (["chern", "--surface", DEPTH_4, "--n", "1"], "--surface nests at most 3 blowup: levels"),
-        (
+        numbered(
+            9, ["genus", "--genus", "phi:2:" + "9" * 41, "--k3", "--n", "1"], "k in --genus phi:N:k must have at most 40 digits"
+        ),
+        numbered(10, ["chern", "--surface", DEPTH_4, "--n", "1"], "--surface nests at most 3 blowup: levels"),
+        numbered(
+            11,
             ["genus", "--genus", "phi:" + "9" * 5000 + ":1", "--k3", "--n", "1"],
             "N in --genus phi:N:k must have at most 40 digits",
         ),
-        (["genus", "--genus", "phi:2:-" + "9" * 5000, "--k3", "--n", "1"], "k in --genus phi:N:k must have at most 40 digits"),
-        (["chi", "--surface", "p2", "--n", "1", "--k", "9" * 5000], "each --k entry must have at most 40 digits"),
-        (["twist-series", "--r", "9" * 5000, "--order", "3"], "--r must have at most 40 digits"),
-        (["chi", "--surface", "p2", "--n", "1", "--k", "1", "--r", "1_0"], "--r must be an integer"),
-        (["chi", "--surface", "p2", "--n", "1", "--k", "\u0661"], "each --k entry must be an integer"),
-        (["chi", "--surface", "p2", "--n", "1", "--bundle", "1,0,0_0"], "each --bundle entry must be an integer"),
-        (["chern", "--surface", "p2", "--n", "\u0663"], "argument --n: invalid integer value"),
-        (["twist-series", "--r", "2", "--order", "0_3"], "argument --order: invalid integer value"),
-        (["series-id", "--a", "1_0"], "argument --a: invalid integer value"),
-        (["genus", "--genus", "phi:1_0:1", "--surface", "p2", "--n", "1"], "N in --genus phi:N:k must be an integer"),
-        (["genus", "--genus", "phi:2:\u0661", "--k3", "--n", "1"], "k in --genus phi:N:k must be an integer"),
-        (["series-id", "--a", "1", "--y", "1_000"], "--y must be a rational number"),
-        (["genus", "--genus", "phi:02:+1", "--k3", "--n", "1"], "--genus phi:02:+1 must be spelled phi:2:1"),
-        (["genus", "--genus", "todd", "--model", "P2", "--n", "3"], "--model is only for --genus chi_y"),
-        (["genus", "--genus", "euler", "--n", "3"], "--genus euler needs --surface or --k3"),
-        (["twist-series", "--r", "2", "--order", "1"], "hilbloc: error: order must be >= 2"),
-        (["twist-series", "--r", "2"], "hilbloc twist-series: error: the following arguments are required: --order"),
-        (["twist"], "argument command: invalid choice: 'twist'"),
-        ([], "the following arguments are required: command"),
-        (["chern", "--surface", "blowup:p2:00", "--n", "1"], "--surface blowup:p2:00 must be spelled blowup:p2:0"),
+        numbered(
+            12, ["genus", "--genus", "phi:2:-" + "9" * 5000, "--k3", "--n", "1"], "k in --genus phi:N:k must have at most 40 digits"
+        ),
+        numbered(13, ["chi", "--surface", "p2", "--n", "1", "--k", "9" * 5000], "each --k entry must have at most 40 digits"),
+        numbered(14, ["twist-series", "--r", "9" * 5000, "--order", "3"], "--r must have at most 40 digits"),
+        numbered(15, ["chi", "--surface", "p2", "--n", "1", "--k", "1", "--r", "1_0"], "--r must be an integer"),
+        numbered(16, ["chi", "--surface", "p2", "--n", "1", "--k", "\u0661"], "each --k entry must be an integer"),
+        numbered(17, ["chi", "--surface", "p2", "--n", "1", "--bundle", "1,0,0_0"], "each --bundle entry must be an integer"),
+        numbered(18, ["chern", "--surface", "p2", "--n", "\u0663"], "argument --n: invalid integer value"),
+        numbered(19, ["twist-series", "--r", "2", "--order", "0_3"], "argument --order: invalid integer value"),
+        numbered(20, ["series-id", "--a", "1_0"], "argument --a: invalid integer value"),
+        numbered(21, ["genus", "--genus", "phi:1_0:1", "--surface", "p2", "--n", "1"], "N in --genus phi:N:k must be an integer"),
+        numbered(22, ["genus", "--genus", "phi:2:\u0661", "--k3", "--n", "1"], "k in --genus phi:N:k must be an integer"),
+        numbered(23, ["series-id", "--a", "1", "--y", "1_000"], "--y must be a rational number"),
+        numbered(24, ["genus", "--genus", "phi:02:+1", "--k3", "--n", "1"], "--genus phi:02:+1 must be spelled phi:2:1"),
+        numbered(25, ["genus", "--genus", "todd", "--model", "P2", "--n", "3"], "--model is only for --genus chi_y"),
+        numbered(26, ["genus", "--genus", "euler", "--n", "3"], "--genus euler needs --surface or --k3"),
+        numbered(27, ["twist-series", "--r", "2", "--order", "1"], "hilbloc: error: order must be >= 2"),
+        numbered(28, ["twist-series", "--r", "2"], "hilbloc twist-series: error: the following arguments are required: --order"),
+        numbered(29, ["twist"], "argument command: invalid choice: 'twist'"),
+        numbered(30, [], "the following arguments are required: command"),
+        numbered(31, ["chern", "--surface", "blowup:p2:00", "--n", "1"], "--surface blowup:p2:00 must be spelled blowup:p2:0"),
     ],
 )
 def test_input_error_messages(argv, message):

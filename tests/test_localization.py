@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
 from math import comb, factorial
 
 import pytest
@@ -370,25 +370,34 @@ def test_top_chern_number_is_goettsche(name, euler):
         assert chern_numbers_hilb(MODELS[name], n).value((2 * n,)) == goettsche_euler(euler, n)
 
 
-def _perturb_second_sum(monkeypatch):
-    """Add 1 to each value of the first block sum fed to the second
-    specialization's residue sum; the first sum is left alone.  Blocks of
-    5 points make that one block of several wherever a pass has more than
-    5 fixed points."""
+def _perturb_second_sum(monkeypatch, gain=lambda i: 1):
+    """Add gain(i) to the sum of each monomial i in the second product walk
+    of the first pass, the second specialization's first block, as one more
+    entry of both columns (gain(i) and 1); the first specialization's walks
+    are left alone.  Blocks of 5 points make that one block of several
+    wherever a pass has more than 5 fixed points.  Returns the indices
+    that the perturbed walk's leaves received."""
     import hilbloc.localization as loc
 
     monkeypatch.setattr(loc, "_BLOCK", 5)
-    sums = []  # in order of first use: the first specialization's, then the second's
-    add = loc._ResidueSum.add
+    walks = []  # one entry per call of the product walk
+    seen = []
+    walk_products = loc._walk_products
 
-    def perturbed_add(self, den, nums):
-        if self not in sums:
-            sums.append(self)
-            if len(sums) == 2:
-                nums = [x + 1 for x in nums]
-        add(self, den, nums)
+    def perturbed_walk(walk, table, root, leaf):
+        walks.append(walk)
+        if len(walks) == 2:
+            unperturbed = leaf
 
-    monkeypatch.setattr(loc._ResidueSum, "add", perturbed_add)
+            def leaf(i, xs, ys):
+                seen.append(i)
+                xs = list(xs)
+                unperturbed(i, [*xs, gain(i)], [*islice(ys, len(xs)), 1])
+
+        walk_products(walk, table, root, leaf)
+
+    monkeypatch.setattr(loc, "_walk_products", perturbed_walk)
+    return seen
 
 
 def test_chern_gate_catches_a_perturbed_second_sum(monkeypatch):
@@ -465,22 +474,20 @@ def test_integrand_gate_is_per_monomial(monkeypatch):
     poly = ((1, (("T", 2),)), (1, (("T", 1), ("T", 1))))
     integrand = Integrand(poly, (("T", "tangent"),))
     assert integrate(m, 1, integrand) == 12
-    sums = []
-    add = loc._ResidueSum.add
+    seen = _perturb_second_sum(monkeypatch, gain=lambda i: (1, -1)[i])
+    received = []  # the two lists of sums that the gate compares
+    agreed = loc._agreed
 
-    def perturbed_add(self, den, nums):
-        if self not in sums:
-            sums.append(self)
-            if len(sums) == 2:
-                assert len(nums) == 2
-                nums = [nums[0] + 1, nums[1] - 1]
-        add(self, den, nums)
+    def recorded(specs, values, others):
+        received.extend((values, others))
+        return agreed(specs, values, others)
 
-    monkeypatch.setattr(loc._ResidueSum, "add", perturbed_add)
+    monkeypatch.setattr(loc, "_agreed", recorded)
     with pytest.raises(ConsistencyError, match="disagree"):
         integrate(m, 1, integrand)
+    assert sorted(seen) == [0, 1]
     # both coefficients are 1: each specialization's value is the sum of its sums
-    assert [Fraction(sum(total.acc), total.den) for total in sums] == [12, 12]
+    assert [sum(values) for values in received] == [12, 12]
 
 
 def test_family_gate_catches_a_perturbed_second_sum(monkeypatch):

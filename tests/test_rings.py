@@ -97,6 +97,21 @@ def test_poly_operators_take_only_exact_scalars():
             op()
 
 
+def test_cobordism_and_gauss_solve_take_only_exact_values():
+    from hilbloc.cobordism import ChernVector, hilb_series
+    from hilbloc.genera import genus_hilb_series, todd_genus
+
+    for op in (
+        lambda: hilb_series(0.1, 24, 1),
+        lambda: genus_hilb_series(todd_genus(2), 9, 3.0, 1),
+        lambda: ChernVector.point(0.5),
+        lambda: gauss_solve([[0.1]], [1]),
+        lambda: gauss_solve([[2]], [0.5]),
+    ):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_series_take_only_exact_coefficients():
     f = TruncSeries.one("z", 2)
     for op in (

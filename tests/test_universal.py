@@ -81,6 +81,24 @@ def test_chern_numbers_of_random_fans_are_universal(case):
     assert chern_numbers_hilb(model, n).as_dict() == _evaluate(universal_chern_poly(n), 12 - e, e)
 
 
+@settings(max_examples=example_count(15), deadline=None)
+@given(toric_fans(), st.sampled_from(["xi", "eta"]))
+def test_chart_denominators_divide_prod_t_at_every_fixed_point(case, ladder):
+    # D = prod_c L_c, the one denominator of the residue sums at a 1-PS, is a
+    # multiple of prod t at every fixed point of Hilb^n, weights specialized
+    # here from the characters of `tangent_weights`
+    from math import prod
+
+    from hilbloc.localization import _chart_denominators, enumerate_fixed_points, one_ps_ladder, tangent_weights
+
+    model, n = case
+    for spec in one_ps_ladder(model, n, ladder):
+        den = prod(_chart_denominators(model, n, spec))
+        for fp in enumerate_fixed_points(model, n):
+            d = prod(a * spec[0] + b * spec[1] for a, b in tangent_weights(model, fp))
+            assert d and den % d == 0
+
+
 @pytest.mark.parametrize("spec", ["blowup:blowup:blowup:p1xp1:0:0:0", "blowup:blowup:blowup:p2:0:0:0"])
 def test_chern_on_the_largest_cli_fans_matches_the_hilbert_series(spec):
     # `chern` on the fans with the most fixed points the CLI allows: the walk
