@@ -100,7 +100,10 @@ def _surface(spec: str, parser):
     # counted before parsing: build_model recurses once per level
     if spec.count("blowup:") > BLOWUP_DEPTH_MAX:
         parser.error(f"--surface nests at most {BLOWUP_DEPTH_MAX} blowup: levels")
-    model = build_model(spec)
+    try:
+        model = build_model(spec)
+    except ValueError as exc:
+        parser.error(f"--surface {spec}: {exc}")
     if model.name != spec:  # build_model reads a chart index "00" as 0
         parser.error(f"--surface {spec} must be spelled {model.name}")
     return model

@@ -115,10 +115,7 @@ def build_model(spec: str) -> ToricSurface:
         inner = body[len("blowup:"):]
         if not (idx.isascii() and idx.isdigit()):  # int() also reads " 1", "+1", "0_1" and "\u0661"
             raise ValueError(f"bad model spec {spec!r}")
-        try:
-            return blowup(build_model(inner), int(idx))
-        except ValueError as exc:
-            raise ValueError(f"bad model spec {spec!r}") from exc
+        return blowup(build_model(inner), int(idx))
     raise ValueError(f"unknown surface spec {spec!r}")
 
 

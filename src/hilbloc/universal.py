@@ -10,11 +10,12 @@ the solved ones (a third k, a sixth class) is a hard consistency gate.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .cobordism import ChernVector, from_beta, hilb_series
 from .localization import Integrand, TautClass, chi_series, integrate, surface_number
 from .records import Record
-from .rings import Poly, binomial, gauss_solve, linear_combination
+from .rings import Poly, binomial, gauss_solve
 from .series import TruncSeries, fg_series
 from .toric import TLineBundle, line_bundle, o_bundle, p2, p1xp1
 
@@ -137,37 +138,34 @@ def chi_taut(chi_f, chi_o, n: int):
     return chi_f * binomial(Fraction(chi_o) + n - 2, n - 1)
 
 
-def cohomology_genfun(h_f, h_o, order_t: int) -> TruncSeries:
-    """sum_{n,i} h^i(Hilb^n, F^[n]) u^i t^{n-1}, n >= 1.
-
-    Equals (sum_j h^j(F) u^j) * (1+ut)^{h1} / ((1-t)^{h0} (1-u^2 t)^{h2})
-    with (h0, h1, h2) = h*(O_S).  Returned as a t-series with Poly-in-u
-    coefficients; coefficient of t^{n-1} collects the h^i(F^[n]) u^i.
-    """
+def cohomology_genfun(h_f, h_o, order_t: int) -> list:
+    """Row n - 1 lists h^i(Hilb^n, F^[n]), i = 0 .. len(h_f) + 2n - 3, for n = 1 ..
+    order_t + 1: the u^i of [t^{n-1}] (sum_j h^j(F) u^j) (1+ut)^{h1} / ((1-t)^{h0}
+    (1-u^2 t)^{h2}), (h0, h1, h2) = h*(O_S), summed over a + b + c = n - 1 as
+    C(h1, a) u^a C(h0 + b - 1, b) C(h2 + c - 1, c) u^{2c}."""
     h0, h1, h2 = (int(v) for v in h_o)
-    if min(h0, h1, h2) < 0:
+    h_f = [int(v) for v in h_f]
+    if min(h0, h1, h2, *h_f) < 0:
         raise ValueError("cohomology dimensions must be non-negative")
-    front = linear_combination((Poly.var("u", j), int(hj)) for j, hj in enumerate(h_f) if hj)
 
-    def series(coeff):  # sum_j coeff(j) t^j
-        return TruncSeries("t", order_t, [coeff(j) for j in range(order_t + 1)])
+    def sym(h, k):  # dim S^k of an h-dimensional space; 1 at k = 0 also for h = 0
+        return comb(h + k - 1, k) if k else 1
 
-    def on_u(c, j):  # the one-term Poly c u^j
-        return Poly({((("u", j),) if j else ()): c})
+    rows = []
+    for m in range(order_t + 1):
+        row = [0] * (len(h_f) + 2 * m)
+        for a in range(m + 1):
+            for c in range(m - a + 1):
+                w = comb(h1, a) * sym(h0, m - a - c) * sym(h2, c)
+                for j, hj in enumerate(h_f):
+                    row[a + 2 * c + j] += w * hj
+        rows.append(row)
+    return rows
 
-    # (1+ut)^h1, (1-t)^-h0 and (1-u^2 t)^-h2 term by term: C(h, j) and C(h + j - 1, j)
-    num = series(lambda j: on_u(binomial(h1, j), j))
-    den1 = series(lambda j: binomial(h0 + j - 1, j))
-    den2 = series(lambda j: on_u(binomial(h2 + j - 1, j), 2 * j))
-    return num * den1 * den2 * front
 
-
-def chi_from_genfun(genfun: TruncSeries, n: int) -> Fraction:
-    """Specialize u = -1 in the t^{n-1} coefficient: chi(F^[n])."""
-    c = genfun[n - 1]
-    if isinstance(c, Poly):
-        return sum((-x if j % 2 else x for j, x in c.coefficient_map("u").items()), Fraction(0))
-    return Fraction(c)
+def chi_from_genfun(rows: list, n: int) -> int:
+    """chi(F^[n]): the alternating sum of row n - 1 (u = -1)."""
+    return sum(-h if i % 2 else h for i, h in enumerate(rows[n - 1]))
 
 
 # -- the five universal series of the Psi/Phi decomposition ----------------------------

@@ -159,6 +159,9 @@ def test_invalid_surface(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["chern", "--surface", "p5", "--n", "1"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hilbloc")
+    assert "error: --surface p5: unknown surface spec 'p5'" in err
 
 
 def test_missing_bundle(capsys):
@@ -247,6 +250,8 @@ DEPTH_4 = "blowup:blowup:blowup:blowup:p2:0:0:0:0"
         numbered(60, ["chern", "--surface", " P2 ", "--n", "1"]),
         numbered(61, ["chern", "--surface", "P2", "--n", "1"]),
         numbered(62, ["chern", "--surface", "BLOWUP:P2:0", "--n", "1"]),
+        # a chart index past the last chart of the fan
+        numbered(63, ["chern", "--surface", "blowup:p2:3", "--n", "1"]),
     ],
 )
 def test_input_errors_exit_2(argv):
@@ -311,6 +316,7 @@ def run_cli(argv):
         numbered(29, ["twist"], "argument command: invalid choice: 'twist'"),
         numbered(30, [], "the following arguments are required: command"),
         numbered(31, ["chern", "--surface", "blowup:p2:00", "--n", "1"], "--surface blowup:p2:00 must be spelled blowup:p2:0"),
+        numbered(32, ["chern", "--surface", "blowup:p2:3", "--n", "1"], "--surface blowup:p2:3: invalid chart index 3"),
     ],
 )
 def test_input_error_messages(argv, message):

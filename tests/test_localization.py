@@ -366,7 +366,7 @@ def goettsche_euler(e, n):
 
 @pytest.mark.parametrize("name, euler", [("p2", 3), ("p1xp1", 4), ("blowup:p2:0", 4)])
 def test_top_chern_number_is_goettsche(name, euler):
-    for n in range(1, 8):
+    for n in range(1, 9):
         assert chern_numbers_hilb(MODELS[name], n).value((2 * n,)) == goettsche_euler(euler, n)
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hilbloc import universal
 from hilbloc.localization import TautClass, chi_via_RR
-from hilbloc.rings import Poly, binomial
+from hilbloc.rings import Poly, binomial, linear_combination
 from hilbloc.series import TruncSeries, todd_series
 from hilbloc.toric import ToricSurface, blowup, line_bundle, o_bundle, p1xp1, p2
 from hilbloc.universal import (
@@ -99,21 +99,25 @@ def test_chart_denominators_divide_prod_t_at_every_fixed_point(case, ladder):
             assert d and den % d == 0
 
 
-@pytest.mark.parametrize("spec", ["blowup:blowup:blowup:p1xp1:0:0:0", "blowup:blowup:blowup:p2:0:0:0"])
-def test_chern_on_the_largest_cli_fans_matches_the_hilbert_series(spec):
-    # `chern` on the fans with the most fixed points the CLI allows: the walk
-    # on the fan's own fixed points against the class read back from H(S) of
-    # the models, in values and in value types
+@pytest.mark.parametrize(
+    "spec, n",
+    [(spec, n) for spec in ("blowup:blowup:blowup:p1xp1:0:0:0", "blowup:blowup:blowup:p2:0:0:0") for n in (4, 5, 6)]
+    + [("p2", 8), ("p1xp1", 8), ("blowup:p2:0", 8)],
+)
+def test_chern_on_the_largest_cli_fans_matches_the_hilbert_series(spec, n):
+    # `chern` on the fans with the most fixed points the CLI allows, and on
+    # the models one step past its largest n: the walk on the fan's own fixed
+    # points against the class read back from H(S) of the models, in values
+    # and in value types
     from hilbloc.cobordism import from_beta, hilb_series
     from hilbloc.localization import chern_numbers_hilb
     from hilbloc.toric import build_model
 
     model = build_model(spec)
     e = model.euler_number
-    for n in (4, 5, 6):
-        got, want = chern_numbers_hilb(model, n), from_beta(2 * n, hilb_series(12 - e, e, n)[n])
-        assert got == want
-        assert [type(v) for _, v in got.numbers] == [type(v) for _, v in want.numbers]
+    got, want = chern_numbers_hilb(model, n), from_beta(2 * n, hilb_series(12 - e, e, n)[n])
+    assert got == want
+    assert [type(v) for _, v in got.numbers] == [type(v) for _, v in want.numbers]
 
 
 def test_universal_k3_values():
@@ -135,9 +139,9 @@ def _goettsche(euler, order):
 
 def test_universal_top_chern_is_goettsche():
     surfaces = ((0, 24), (9, 3), (8, 4))
-    want = {c2: _goettsche(c2, 6) for _, c2 in surfaces}
-    assert want[24][2:] == [324, 3200, 25650, 176256, 1073720]
-    for n in range(1, 7):
+    want = {c2: _goettsche(c2, 8) for _, c2 in surfaces}
+    assert want[24][2:] == [324, 3200, 25650, 176256, 1073720, 5930496, 30178575]
+    for n in range(1, 9):
         tab = universal_chern_poly(n)
         for c1sq, c2 in surfaces:
             assert _evaluate(tab, c1sq, c2)[(2 * n,)] == want[c2][n]
@@ -221,18 +225,57 @@ def test_chi_taut_binomial():
     assert chi_taut(3, 2, 3) == 3 * binomial(Fraction(3), 2)
 
 
+def _oracle_genfun(h_f, h_o, order_t):
+    """The cohomology generating function as a t-series with Poly-in-u
+    coefficients: (sum_j h^j(F) u^j) (1+ut)^{h1} (1-t)^{-h0} (1-u^2 t)^{-h2}
+    from three series of binomial coefficients."""
+    h0, h1, h2 = h_o
+    front = linear_combination((Poly.var("u", j), hj) for j, hj in enumerate(h_f) if hj)
+
+    def series(coeff):  # sum_j coeff(j) t^j
+        return TruncSeries("t", order_t, [coeff(j) for j in range(order_t + 1)])
+
+    num = series(lambda j: binomial(h1, j) * Poly.var("u", j))
+    den1 = series(lambda j: binomial(h0 + j - 1, j))
+    den2 = series(lambda j: binomial(h2 + j - 1, j) * Poly.var("u", 2 * j))
+    return num * den1 * den2 * front
+
+
+@pytest.mark.ci_examples
+@settings(max_examples=example_count(100), deadline=None)
+@given(
+    st.lists(st.integers(0, 9), max_size=4),
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+    st.integers(0, 6),
+)
+def test_cohomology_table_matches_the_series(h_f, h_o, order_t):
+    # every t-power of the series: its u-coefficients are the row, and none
+    # lies beyond the row's last entry
+    rows, gf = cohomology_genfun(h_f, h_o, order_t), _oracle_genfun(h_f, h_o, order_t)
+    assert len(rows) == order_t + 1
+    for m, row in enumerate(rows):
+        assert all(type(h) is int for h in row)
+        coeffs = Poly.coerce(gf[m]).coefficient_map("u")
+        assert all(0 <= i < len(row) for i in coeffs)
+        assert [coeffs.get(i, 0) for i in range(len(row))] == row
+
+
 def test_genfun_trivial_cohomology():
     # h*(O) = (1,0,0): h^i(F^[n]) = h^i(F) for every n
-    gf = cohomology_genfun((2, 1, 4), (1, 0, 0), 5)
-    want = 2 + Poly.var("u") + 4 * Poly.var("u", 2)
-    for n in range(1, 6):
-        assert Poly.coerce(gf[n - 1]) == want
+    rows = cohomology_genfun((2, 1, 4), (1, 0, 0), 5)
+    assert rows == [[2, 1, 4] + [0] * (2 * n - 2) for n in range(1, 7)]
 
 
 def test_genfun_u_minus_one_is_chi():
-    gf = cohomology_genfun((1, 2, 0), (2, 1, 1), 6)
-    for n in range(1, 7):
-        assert chi_from_genfun(gf, n) == chi_taut(-1, 2, n)
+    rows = cohomology_genfun((1, 2, 0), (2, 1, 1), 6)
+    for n in range(1, 8):
+        assert chi_from_genfun(rows, n) == chi_taut(-1, 2, n)
+
+
+@pytest.mark.parametrize("h_f, h_o", [((1, -1, 0), (1, 0, 0)), ((1, 0, 0), (1, -1, 0))])
+def test_genfun_rejects_negative_dimensions(h_f, h_o):
+    with pytest.raises(ValueError, match="non-negative"):
+        cohomology_genfun(h_f, h_o, 2)
 
 
 def test_gamma_vectors_of_references():
