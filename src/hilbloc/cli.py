@@ -34,7 +34,7 @@ from .partitions import partition_key
 from .rings import Poly, format_fraction
 from .series import fg_identities
 from .toric import build_model, line_bundle, o_bundle, p1xp1, p2
-from .universal import FitError, fit_AB, universal_chern_poly
+from .universal import fit_AB, universal_chern_poly
 
 LONG_N_MAX = 7
 SHORT_N_MAX = 5
@@ -384,7 +384,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         output = args.fn(args, parser)
-    except (ConsistencyError, FitError) as exc:
+    except ConsistencyError as exc:  # FitError among them
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -210,4 +210,4 @@ def chi_y_hilb(model: ToricSurface, order: int, method: str) -> TruncSeries:
 
 def phi_nk_closed_form(phi_of_s, order: int) -> TruncSeries:
     """(1 - t)^{-phi(S)}, the closed-form generating series of the genus."""
-    return geometric("t", order).pow(Fraction(phi_of_s))
+    return geometric("t", order).pow(phi_of_s)

@@ -78,7 +78,8 @@ from .toric import Chart, TLineBundle, ToricSurface
 
 
 class ConsistencyError(RuntimeError):
-    """Two independent 1-PS specializations disagreed: an engine bug."""
+    """Two independent 1-PS specializations disagreed, or (`universal.FitError`)
+    an overdetermined fit failed: an engine bug."""
 
 
 class TautClass(Record):

@@ -25,16 +25,22 @@ Every operation (`+`, `-`, `*` by a series or by an int, Fraction or Poly
 scalar, `inverse`, `exp`, `log`, `pow`, `derivative`, `integral`,
 `truncate`) reads the integer form and writes one, so `_int_form` runs
 only on coefficients handed in from outside, Poly scalars among them,
-and once per series.  With a common denominator L:
+and once per series.  Each kernel below is a recurrence in integers X_m
+for out_m = X_m / (K B^m), with a base B and a constant K; its inputs
+enter as F_k B^(k-1), k >= 1, and its outputs are X_m B^(N-m) over K B^N
+to order N: one step, `_geometric`, scales both.  With a common
+denominator L:
 - a product is the integer convolution of the numerators over L_a L_b;
-- the inverse of F/L is g_n = L H_n / F_0^(n+1) with H_0 = 1 and
-  H_n = -sum_{k>=1} F_k F_0^(k-1) H_(n-k);
-- the exponential of C/L (C_0 = 0) to order N is out_m = G_m / (N! L^m)
+- the inverse of F/L (B = K = F_0) is g_n = L H_n / F_0^(n+1) with H_0 = 1
+  and H_n = -sum_{k>=1} F_k F_0^(k-1) H_(n-k) (the step multiplies in L,
+  kept out of the recurrence so that its integers stay small);
+- the exponential of C/L (C_0 = 0; B = L, K = N!) is out_m = G_m / (N! L^m)
   with G_0 = N! and m G_m = sum_{k>=1} k C_k L^(k-1) G_(m-k).
 On a series of rationals, `log` and `pow` are integer recurrences too:
-- the logarithm of F/L (F_0 = L) is l_n = M_n / (n L^n) with
+- the logarithm of F/L (F_0 = L; B = L, K = lcm(1..N)) is
+  l_n = M_n / (n L^n) with
   M_n = n F_n L^(n-1) - sum_{0<k<n} M_k F_(n-k) L^(n-k-1);
-- the power (F/L)^(p/q) (F_0 = L, p != 0) to order N is
+- the power (F/L)^(p/q) (F_0 = L, p != 0; B = qL, K = N!) is
   out_m = H_m / (N! (qL)^m) with H_0 = N! and
   m H_m = sum_{k>=1} ((p+q)k - qm) F_k (qL)^(k-1) H_(m-k), J.C.P. Miller's
   recurrence n g_n = sum_k ((e+1)k - n) f_k g_(n-k) for f^e (Knuth, TAOCP
@@ -152,6 +158,16 @@ def _lower(num, den):
     if isinstance(num, int):
         return Fraction(num, den)
     return Poly._of({_MONOMIALS[m]: Fraction(x, den) for m, x in num.terms.items()})
+
+
+def _geometric(xs, base, first=1):
+    """[first x_0, first x_1 base, first x_2 base^2, ...]: the kernels' one
+    rescaling step, on their inputs and on their reversed outputs."""
+    out, p = [], first
+    for x in xs:
+        out.append(x * p)
+        p *= base
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -351,19 +367,12 @@ class TruncSeries:
             raise ZeroDivisionError("non-unit divisor: zero constant term")
         n = self.order
         f, den = self._int(n)
-        f0, fp = c0.numerator * (den // c0.denominator), 1  # F_0 as an int; fp = F_0^(k-1)
-        scaled = []  # F_k F_0^(k-1), k >= 1
-        for fk in f[1:]:
-            scaled.append(fk * fp)
-            fp *= f0
+        f0 = c0.numerator * (den // c0.denominator)  # F_0 as an int
+        scaled = _geometric(f[1:], f0)  # F_k F_0^(k-1), k >= 1
         h = [1]
         for m in range(1, n + 1):
             h.append(-_dot(scaled, h, self._poly))
-        out, fp = [0] * (n + 1), den  # out_m = L H_m F_0^(n-m) over F_0^(n+1)
-        for m in range(n, -1, -1):
-            out[m] = h[m] * fp
-            fp *= f0
-        return TruncSeries._new(self.var, n, out, fp // den)
+        return TruncSeries._new(self.var, n, _geometric(h[::-1], f0, den)[::-1], f0 ** (n + 1))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -423,18 +432,11 @@ class TruncSeries:
             raise ValueError("exp requires zero constant term")
         n = self.order
         c, den = self._int(n)
-        kcl, lp = [], 1  # k C_k L^(k-1), k >= 1; lp = L^(k-1)
-        for k in range(1, n + 1):
-            kcl.append(k * c[k] * lp)
-            lp *= den
+        kcl = [k * x for k, x in enumerate(_geometric(c[1:], den), 1)]  # k C_k L^(k-1), k >= 1
         g = [factorial(n)]
         for m in range(1, n + 1):
             g.append(_dot(kcl, g, self._poly) // m)
-        out, lp = [0] * (n + 1), 1  # out_m = G_m L^(n-m) over n! L^n
-        for m in range(n, -1, -1):
-            out[m] = g[m] * lp
-            lp *= den
-        return TruncSeries._new(self.var, n, out, g[0] * lp // den)
+        return TruncSeries._new(self.var, n, _geometric(g[::-1], den)[::-1], g[0] * den**n)
 
     def log(self) -> "TruncSeries":
         if self[0] != 1:
@@ -443,20 +445,14 @@ class TruncSeries:
         if self._poly:
             return (self.derivative() * self.truncate(n - 1).inverse()).integral() \
                 if n > 0 else TruncSeries(self.var, 0)
-        f, den = self._num, self._den
-        fl, lp = [0], 1  # F_k L^(k-1); lp = L^(k-1)
-        for fk in f[1:]:
-            fl.append(fk * lp)
-            lp *= den
+        f, den = self._int(n)
+        fl = [0] + _geometric(f[1:], den)  # F_k L^(k-1)
         m = []  # M_1, M_2, ...
         for k in range(1, n + 1):
             m.append(k * fl[k] - sum(map(mul, m, fl[k - 1 : 0 : -1])))
         big = _lcm_to(n)
-        out, lp = [0] * (n + 1), 1  # l_k = M_k (big / k) L^(n-k) over big L^n
-        for k in range(n, 0, -1):
-            out[k] = m[k - 1] * (big // k) * lp
-            lp *= den
-        return TruncSeries._new(self.var, n, out, big * lp)
+        ls = [0] + [mk * (big // k) for k, mk in enumerate(m, 1)]  # big M_k / k
+        return TruncSeries._new(self.var, n, _geometric(ls[::-1], den)[::-1], big * den**n)
 
     def pow(self, e) -> "TruncSeries":
         """f**e for exact rational e; requires constant term 1."""
@@ -475,24 +471,17 @@ class TruncSeries:
             return (self.log() * e).exp()
         if e == 1:
             return self
-        f, den = self._num, self._den
+        f, den = self._int(n)
         p, q = e.numerator, e.denominator
         ql = q * den
-        a, ka, qlp = [], [], 1  # F_k (qL)^(k-1) and k times it, k >= 1; qlp = (qL)^(k-1)
-        for k in range(1, n + 1):
-            a.append(f[k] * qlp)
-            ka.append(k * a[-1])
-            qlp *= ql
+        a = _geometric(f[1:], ql)  # F_k (qL)^(k-1), k >= 1
+        ka = [k * x for k, x in enumerate(a, 1)]
         h = [factorial(n)]
         for m in range(1, n + 1):
             s1 = sum(map(mul, ka, reversed(h)))
             s2 = sum(map(mul, a, reversed(h)))
             h.append(((p + q) * s1 - q * m * s2) // m)
-        out, qlp = [0] * (n + 1), 1  # out_m = H_m (qL)^(n-m) over n! (qL)^n
-        for m in range(n, -1, -1):
-            out[m] = h[m] * qlp
-            qlp *= ql
-        return TruncSeries._new(self.var, n, out, h[0] * qlp // ql)
+        return TruncSeries._new(self.var, n, _geometric(h[::-1], ql)[::-1], h[0] * ql**n)
 
 
 # -- named series ----------------------------------------------------------------

@@ -28,18 +28,27 @@ class Chart(Record):
         self._freeze(index, rays, w1, w2)
 
 
+def _det(v: Vec, w: Vec) -> int:
+    return v[0] * w[1] - v[1] * w[0]
+
+
 class ToricSurface(Record):
     def __init__(self, name: str, rays: tuple):
-        # rays: in cyclic order, consecutive determinant +1
+        # rays: in cyclic order, consecutive determinant +1, winding once
         n = len(rays)
         if n < 3:
             raise ValueError("a complete fan needs at least 3 rays")
         for i in range(n):
             v, w = rays[i], rays[(i + 1) % n]
-            if v[0] * w[1] - v[1] * w[0] != 1:
+            if _det(v, w) != 1:
                 raise ValueError(
                     f"rays {v}, {w} do not span a smooth positively-oriented cone"
                 )
+        # v_(i-1) + v_(i+1) = a_i v_i with a_i = det(v_(i-1), v_(i+1)) = -D_i^2:
+        # Noether gives sum a_i = 3e - 12 for a fan winding once, 3e - 12w for w times
+        a = sum(_det(rays[i - 1], rays[(i + 1) % n]) for i in range(n))
+        if a != 3 * n - 12:
+            raise ValueError(f"rays wind more than once: sum det(v_(i-1), v_(i+1)) = {a}, not 3e - 12 = {3 * n - 12}")
         self._freeze(name, rays)
 
     @cached_property
@@ -120,12 +129,9 @@ def build_model(spec: str) -> ToricSurface:
 
 
 def line_bundle(model: ToricSurface, coeffs) -> TLineBundle:
-    return TLineBundle(model, tuple(int(c) for c in coeffs))
+    return TLineBundle(model, tuple(coeffs))
 
 
 def o_bundle(model: ToricSurface, *degrees) -> TLineBundle:
     """O(k) on P2 (ray 0), O(k1,k2) on P1xP1 (rays 0 and 1)."""
-    coeffs = [0] * len(model.rays)
-    for i, d in enumerate(degrees):
-        coeffs[i] = int(d)
-    return TLineBundle(model, tuple(coeffs))
+    return TLineBundle(model, degrees + (0,) * (len(model.rays) - len(degrees)))

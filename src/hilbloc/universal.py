@@ -11,16 +11,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import index
 
 from .cobordism import ChernVector, from_beta, hilb_series
-from .localization import Integrand, TautClass, chi_series, integrate, surface_number
+from .localization import ConsistencyError, Integrand, TautClass, chi_series, integrate, surface_number
 from .records import Record
-from .rings import Poly, binomial, gauss_solve
+from .rings import Poly, _coerce, binomial, gauss_solve
 from .series import TruncSeries, fg_series
 from .toric import TLineBundle, line_bundle, o_bundle, p2, p1xp1
 
 
-class FitError(RuntimeError):
+class FitError(ConsistencyError):
     """An overdetermined fit failed its consistency check."""
 
 
@@ -135,7 +136,7 @@ def chi_taut(chi_f, chi_o, n: int):
     """chi(F^[n]) = chi(F) * C(chi(O_S) + n - 2, n - 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return chi_f * binomial(Fraction(chi_o) + n - 2, n - 1)
+    return _coerce(chi_f) * binomial(chi_o + n - 2, n - 1)
 
 
 def cohomology_genfun(h_f, h_o, order_t: int) -> list:
@@ -143,8 +144,8 @@ def cohomology_genfun(h_f, h_o, order_t: int) -> list:
     order_t + 1: the u^i of [t^{n-1}] (sum_j h^j(F) u^j) (1+ut)^{h1} / ((1-t)^{h0}
     (1-u^2 t)^{h2}), (h0, h1, h2) = h*(O_S), summed over a + b + c = n - 1 as
     C(h1, a) u^a C(h0 + b - 1, b) C(h2 + c - 1, c) u^{2c}."""
-    h0, h1, h2 = (int(v) for v in h_o)
-    h_f = [int(v) for v in h_f]
+    h0, h1, h2 = map(index, h_o)
+    h_f = [index(v) for v in h_f]
     if min(h0, h1, h2, *h_f) < 0:
         raise ValueError("cohomology dimensions must be non-negative")
 

@@ -293,7 +293,7 @@ def check_engine(p: Profile) -> str:
     # ladder independence on Chern numbers and a chi sample
     for model in models:
         for n in range(min(3, p.euler_n) + 1):
-            same = chern_numbers_hilb(model, n, "xi") == chern_numbers_hilb(model, n, "eta")
+            same = chern_numbers_hilb(model, n) == chern_numbers_hilb(model, n, "eta")  # xi: check 3's cache key
             _require(same, f"ladders differ: {model.name}, n={n}")
     m = p2()
     for n in (1, 2, 3):

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from hilbloc import cli, verify
+from hilbloc.localization import chern_numbers_hilb
 from hilbloc.verify import CHECKS, PROFILES, CheckResult
 from record_oracle import assert_record
 
@@ -63,6 +64,13 @@ def test_check_results_and_profiles_are_records():
                   PROFILES["standard"])
 
 
+def test_checks_3_and_9_share_their_chern_vectors():
+    # check 9's xi side is check 3's call: P1xP1 and the blowup, n <= 3
+    chern_numbers_hilb.cache_clear()
+    verify.run_all("quick")
+    assert chern_numbers_hilb.cache_info().hits >= 8
+
+
 _FALSE_IDENTITIES = dict.fromkeys(("f0_closed_form", "g_is_g1_pow_y", "f_is_g1_pow_y_times_f0", "g_prime"), False)
 
 # check number -> (a name the check reads, a value that fails its first gate, the FAIL line)
@@ -83,7 +91,7 @@ FAILURES = {
         "FAIL   7 power-series lemma: f_0,0 closed form"),
     8: ("integrate", lambda model, n, integrand: -1,
         "FAIL   8 tautological chi: n=1, k=0"),
-    9: ("chern_numbers_hilb", lambda model, n, ladder: ladder,
+    9: ("chern_numbers_hilb", lambda model, n, ladder="xi": ladder,
         "FAIL   9 engine self-consistency: ladders differ: p2, n=0"),
     10: ("universal_chern_poly", lambda n: SimpleNamespace(numbers=(((2,), -1),)),
          "FAIL  10 universal polynomial nonnegativity: negative coefficient in P_(2,), n=1"),

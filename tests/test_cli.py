@@ -71,6 +71,21 @@ def test_chern_deterministic(capsys):
     assert a == b
 
 
+def test_a_failed_fit_exits_3_as_a_consistency_error(capsys, monkeypatch):
+    import hilbloc.cli as cli
+    from hilbloc.localization import ConsistencyError
+    from hilbloc.universal import FitError
+
+    def fail(n):
+        raise FitError("sixth-point consistency failed at order 2")
+
+    assert issubclass(FitError, ConsistencyError)
+    monkeypatch.setattr(cli, "universal_chern_poly", fail)
+    assert main(["universal", "--n", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "internal inconsistency: sixth-point consistency failed at order 2\n"
+
+
 @pytest.mark.parametrize("chart", range(3))
 def test_chern_on_four_rays_runs_on_p1xp1(capsys, monkeypatch, chart):
     # F_1 has the class (8, 4) of P1xP1, so `chern` sums on P1xP1's fan, on

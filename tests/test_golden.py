@@ -22,7 +22,8 @@ while every check still built its own result records.  Each entry is
 with the argv below; regenerating one means running `python -m hilbloc.cli
 <argv> > tests/golden/<file>` on a build whose output is already trusted.
 The `lib_*` files pin library results above the CLI caps
-(`library_golden.py`).
+(`library_golden.py`).  Every argv replays with warnings as errors
+(`python -W error`) and must leave stderr empty.
 """
 
 import os
@@ -105,9 +106,10 @@ def golden_file(name):
 def test_golden_stdout(name):
     env = dict(os.environ, PYTHONPATH=str(Path(hilbloc.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "hilbloc.cli", *GOLDEN[name]], capture_output=True, env=env
+        [sys.executable, "-W", "error", "-m", "hilbloc.cli", *GOLDEN[name]], capture_output=True, env=env
     )
     assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
     assert proc.stdout == golden_file(name).read_bytes()
 
 

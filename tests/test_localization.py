@@ -370,6 +370,16 @@ def test_top_chern_number_is_goettsche(name, euler):
         assert chern_numbers_hilb(MODELS[name], n).value((2 * n,)) == goettsche_euler(euler, n)
 
 
+@pytest.mark.parametrize(
+    "name, euler, values", [("p2", 3, (1479, 2640)), ("p1xp1", 4, (5180, 10108)), ("blowup:p2:0", 4, (5180, 10108))]
+)
+def test_top_chern_number_is_goettsche_at_n_9_and_10(name, euler, values):
+    # pinned through the residue sum before any cap on n is raised: value and type
+    for n, value in zip((9, 10), values):
+        [e] = chern_residue_sums(MODELS[name], n, ((2 * n,),))
+        assert type(e) is Fraction and e == value == goettsche_euler(euler, n)
+
+
 def _perturb_second_sum(monkeypatch, gain=lambda i: 1):
     """Add gain(i) to the sum of each monomial i in the second product walk
     of the first pass, the second specialization's first block, as one more

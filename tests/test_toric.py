@@ -125,6 +125,17 @@ def test_fan_validation():
         TLineBundle(p2(), (1, 0))  # wrong length
 
 
+def test_a_cycle_of_rays_winding_twice_is_rejected():
+    # P1xP1's four rays listed twice: every consecutive determinant is +1,
+    # but sum det(v_(i-1), v_(i+1)) is 0, not 3e - 12 = 12
+    with pytest.raises(ValueError, match="wind more than once"):
+        ToricSurface("p1xp1 twice", p1xp1().rays * 2)
+    # every F_a of the property tests, a <= 5, and P2, blown up twice at any charts
+    hirzebruch = [ToricSurface(f"F_{a}", ((1, 0), (0, 1), (-1, a), (0, -1))) for a in range(6)]
+    for base in (p2(), *hirzebruch):
+        assert sum(1 for _ in _blowups(base, 2)) == 1 + len(base.rays) * (len(base.rays) + 2)
+
+
 def test_surfaces_and_bundles_are_records():
     m = p2()
     chart = m.charts[1]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbloc import universal
+from hilbloc.genera import phi_nk_closed_form
 from hilbloc.localization import TautClass, chi_via_RR
 from hilbloc.rings import Poly, binomial, linear_combination
 from hilbloc.series import TruncSeries, todd_series
@@ -276,6 +277,24 @@ def test_genfun_u_minus_one_is_chi():
 def test_genfun_rejects_negative_dimensions(h_f, h_o):
     with pytest.raises(ValueError, match="non-negative"):
         cohomology_genfun(h_f, h_o, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: line_bundle(p2(), [1.5, 0, 0]),
+        lambda: o_bundle(p2(), 2.9),
+        lambda: cohomology_genfun([2.7], (1.9, 0, 0), 1),
+        lambda: chi_taut(0.5, 1, 3),
+        lambda: chi_taut(2, 0.1, 3),
+        lambda: phi_nk_closed_form(0.5, 3),
+    ],
+    ids=["line_bundle", "o_bundle", "cohomology_genfun", "chi_taut_chi_f", "chi_taut_chi_o", "phi_nk_closed_form"],
+)
+def test_a_float_argument_raises(call):
+    # each value is checked where it is used, not truncated or converted exactly
+    with pytest.raises((TypeError, ValueError)):
+        call()
 
 
 def test_gamma_vectors_of_references():
