@@ -29,7 +29,8 @@ from .genera import (
     todd_genus,
     total_chern_genus,
 )
-from .localization import ConsistencyError, chern_numbers_hilb, chi_via_RR
+from .cobordism import from_beta, hilb_series
+from .localization import ConsistencyError, _integral, chern_numbers_hilb, chi_via_RR
 from .partitions import partition_key
 from .rings import Poly, format_fraction
 from .series import fg_identities
@@ -45,7 +46,7 @@ DIGITS_MAX = 40  # digits of --r, of each --k/--bundle entry, of N and k in --ge
 BLOWUP_DEPTH_MAX = 3  # nested blowup: levels in --surface
 SURFACE_HELP = (
     f"p2, p1xp1 or blowup:<surface>:<chart>, at most {BLOWUP_DEPTH_MAX} blowup: levels "
-    "(--n 7 --long on three blowups of p1xp1: chern about 0.85 s, chi about 0.12 s, genus about 0.09 s)"
+    "(--n 7 --long on three blowups of p1xp1: chern about 0.16 s, chi about 0.12 s, genus about 0.09 s)"
 )
 
 
@@ -153,11 +154,15 @@ def _bundle_from_args(model, args, parser):
 def cmd_chern(args, parser):
     model = _surface(args.surface, parser)
     _check_n(args.n, args.long, parser)
-    if model.euler_number == 4:
-        # every smooth toric surface of four rays has (c1^2, c2) = (8, 4), so by the main theorem its
-        # Chern numbers are those of P1xP1, whose central symmetry halves the fixed points summed
-        model = p1xp1()
-    vec = chern_numbers_hilb(model, args.n, args.ladder)
+    e = model.euler_number
+    if e <= 4:
+        # a smooth toric surface of four rays has (c1^2, c2) = (8, 4), so by the main theorem its Chern
+        # numbers are those of P1xP1, whose central symmetry halves the fixed points summed
+        vec = chern_numbers_hilb(p1xp1() if e == 4 else model, args.n, args.ladder)
+    else:
+        # (c1^2, c2) = (12 - e, e): the class read back from H(S) of the two models, one pass per model and n
+        vec = from_beta(2 * args.n, hilb_series(12 - e, e, args.n, args.ladder)[args.n])
+        _integral([v for _, v in vec.numbers], "Chern number")
     rows = [(partition_key(la), format_fraction(v)) for la, v in vec.numbers]
     fields = {"surface": args.surface, "n": args.n, "dim": vec.dim, "numbers": dict(rows)}
     return fields, ("partition", "value"), rows

@@ -404,16 +404,16 @@ def surface_series(c1sq, c2, model_series, var: str, order: int) -> TruncSeries:
     return sum(logs, TruncSeries.zero(var, order)).exp()
 
 
-def hilb_series(c1sq, c2, order: int) -> TruncSeries:
+def hilb_series(c1sq, c2, order: int, ladder: str = "xi") -> TruncSeries:
     """H(S) = sum [Hilb^n(S)] z^n for c1^2(S) = c1sq and c2(S) = c2, the
-    `surface_series` of the localized series of P2 and P1xP1; term n is the
-    power-sum polynomial of a class of dimension 2n.
+    `surface_series` of the series of P2 and P1xP1 localized on the 1-PS
+    ladder; term n is the power-sum polynomial of a class of dimension 2n.
     """
     # imported here: localization imports this module, and the benchmark
     # tracer (perfbench/tracer.py) looks hilb_series up in this module
     from .localization import hilb_cobordism_series
 
-    return surface_series(c1sq, c2, lambda model: hilb_cobordism_series(model, order), "z", order)
+    return surface_series(c1sq, c2, lambda model: hilb_cobordism_series(model, order, ladder), "z", order)
 
 
 def product_series(x: TruncSeries, y: TruncSeries) -> TruncSeries:

@@ -71,7 +71,7 @@ from math import factorial, lcm, prod
 from operator import add, mul, sub
 
 from .cobordism import ChernVector, beta_poly, power_sum_in_chern
-from .partitions import cells, enumerate_partitions
+from .partitions import arm_legs, enumerate_partitions
 from .records import Record
 from .series import TruncSeries, todd_series
 from .toric import Chart, TLineBundle, ToricSurface
@@ -96,23 +96,16 @@ class TautClass(Record):
 
 def enumerate_fixed_points(model: ToricSurface, n: int) -> list:
     """The fixed points of Hilb^n(S), tuples of partitions (one per chart) of total
-    size n, ordered lexicographically over compositions, rev-lex partitions within."""
+    size n, in lexicographic order chart by chart: a chart's partitions run by
+    size from the largest down, rev-lex within one size."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    e = len(model.charts)
-    out = []
-
-    def rec(chart: int, remaining: int, acc):
-        if chart == e - 1:
-            for la in enumerate_partitions(remaining):
-                out.append(tuple(acc + [la]))
-            return
-        for m in range(remaining, -1, -1):
-            for la in enumerate_partitions(m):
-                rec(chart + 1, remaining - m, acc + [la])
-
-    rec(0, n, [])
-    return out
+    heads = [((), n)]  # the points' partitions at the first charts, with the size left for the others
+    for _ in model.charts[1:]:
+        heads = (
+            (fp + (la,), left - m) for fp, left in heads for m in range(left, -1, -1) for la in enumerate_partitions(m)
+        )
+    return [fp + (la,) for fp, left in heads for la in enumerate_partitions(left)]
 
 
 # -- weight data --------------------------------------------------------------
@@ -123,25 +116,28 @@ def enumerate_fixed_points(model: ToricSurface, n: int) -> list:
 # to the fibre of O^[n] (the monomial x^i y^j acts on functions, so its
 # character is opposite to the tangent one), and the tangent space picks up
 #   (leg+1)*w1 - arm*w2   and   -leg*w1 + (arm+1)*w2
-# per cell.  This is the single Hilb-level convention; the fibre sign is
-# invisible to the rank-symmetric Riemann-Roch checks and is pinned by the
-# determinant twist series instead.
+# per cell (`_arm_leg_characters`).  This is the single Hilb-level
+# convention; the fibre sign is invisible to the rank-symmetric
+# Riemann-Roch checks and is pinned by the determinant twist series instead.
+
+
+def _arm_leg_characters(chart: Chart, a: int, l: int) -> tuple:
+    """The two tangent characters of a cell with arm a and leg l at one chart."""
+    w1, w2 = chart.w1, chart.w2
+    return (
+        ((l + 1) * w1[0] - a * w2[0], (l + 1) * w1[1] - a * w2[1]),
+        (-l * w1[0] + (a + 1) * w2[0], -l * w1[1] + (a + 1) * w2[1]),
+    )
 
 
 @lru_cache(maxsize=None)
 def chart_tangent_weights(chart: Chart, la) -> tuple:
-    """The 2|la| tangent characters of the partition la at one chart."""
-    out = []
-    w1, w2 = chart.w1, chart.w2
-    for c in cells(la):
-        a, l = c.arm, c.leg
-        ch1 = ((l + 1) * w1[0] - a * w2[0], (l + 1) * w1[1] - a * w2[1])
-        ch2 = (-l * w1[0] + (a + 1) * w2[0], -l * w1[1] + (a + 1) * w2[1])
-        if ch1 == (0, 0) or ch2 == (0, 0):
-            raise ConsistencyError("non-isolated fixed point (zero tangent character)")
-        out.append(ch1)
-        out.append(ch2)
-    return tuple(out)
+    """The 2|la| tangent characters of the partition la at one chart, cell by
+    cell (`partitions.arm_legs`)."""
+    out = tuple(ch for a, l in arm_legs(la) for ch in _arm_leg_characters(chart, a, l))
+    if (0, 0) in out:
+        raise ConsistencyError("non-isolated fixed point (zero tangent character)")
+    return out
 
 
 def tangent_weights(model: ToricSurface, fp: tuple) -> list:
@@ -198,19 +194,15 @@ def _char_bound(model: ToricSurface, n: int):
     """1 + the largest |a1| over tangent characters with a2 != 0, and 1 + the
     largest |a2| over those with a1 != 0, at all fixed points of Hilb^n.
 
-    A cell with arm a and leg l has a + l < n, and it is the corner of the
-    hook (a + 1, 1^l), whose cells all have this property, so the bound reads
-    the characters of these hooks at each chart instead of the fixed points.
+    The cells of the partitions of size <= n have exactly the (arm, leg)
+    pairs with a + l < n (the corner of the hook (a + 1, 1^l) has a and l),
+    so the bound reads their characters at each chart instead of the fixed
+    points.
     """
-    b1 = b2 = 1
-    hooks = [(a + 1,) + (1,) * l for a in range(n) for l in range(n - a)]
-    for chart in model.charts:
-        for hook in hooks:
-            for a1, a2 in chart_tangent_weights(chart, hook):
-                if a2 != 0:
-                    b1 = max(b1, abs(a1))
-                if a1 != 0:
-                    b2 = max(b2, abs(a2))
+    pairs = [(a, l) for a in range(n) for l in range(n - a)]
+    chars = [ch for chart in model.charts for a, l in pairs for ch in _arm_leg_characters(chart, a, l)]
+    b1 = max([1, *(abs(a1) for a1, a2 in chars if a2)])
+    b2 = max([1, *(abs(a2) for a1, a2 in chars if a1)])
     return b1 + 1, b2 + 1
 
 
@@ -660,30 +652,30 @@ def chern_numbers_hilb(model: ToricSurface, n: int, ladder: str = "xi") -> Chern
     return ChernVector.from_dict(2 * n, dict(zip(lams, values)))
 
 
-_hilb_betas = {}  # (model, n) -> the power-sum polynomial of Hilb^n(S), exact whatever ladder found it
+_hilb_betas = {}  # (model, n, ladder) -> the power-sum polynomial of Hilb^n(S), as the gate of that ladder passed it
 
 
-def _hilb_beta(model: ToricSurface, n: int, order: int):
-    """The power-sum polynomial of Hilb^n(S), from one pass at the xi ladder
-    of Hilb^order (`_monomial_sums`): its integrals of p_mu are the residue
+def _hilb_beta(model: ToricSurface, n: int, order: int, ladder: str):
+    """The power-sum polynomial of Hilb^n(S), from one pass at the ladder of
+    Hilb^order (`_monomial_sums`): its integrals of p_mu are the residue
     sums of prod_{p in mu} p_p(t) / prod t (p_0 = 2n is never read)."""
 
     def table(spec, block, cols):
         return [[2 * n] * len(block), *_point_power_sums(model, n, order, spec, block)]
 
-    return beta_poly(2 * n, _monomial_sums(model, n, order, "xi", enumerate_partitions(2 * n), table, orbits=True))
+    return beta_poly(2 * n, _monomial_sums(model, n, order, ladder, enumerate_partitions(2 * n), table, orbits=True))
 
 
-def hilb_cobordism_series(model: ToricSurface, order: int) -> TruncSeries:
+def hilb_cobordism_series(model: ToricSurface, order: int, ladder: str = "xi") -> TruncSeries:
     """H(S) = sum [Hilb^n(S)] z^n to the requested order, by localization:
     term n is the power-sum polynomial of Hilb^n(S).  Each n not yet known
-    is one pass at the ladder of order, which is generic for every n <= order,
-    so all of them read one table of specialized weights and power sums per
-    1-PS; each pass keeps its own two-specialization gate."""
+    on the ladder is one pass at its member of order, which is generic for
+    every n <= order, so all of them read one table of specialized weights
+    and power sums per 1-PS; each pass keeps its own two-specialization gate."""
     for n in range(order + 1):
-        if (model, n) not in _hilb_betas:
-            _hilb_betas[model, n] = _hilb_beta(model, n, order)
-    return TruncSeries("z", order, [_hilb_betas[model, n] for n in range(order + 1)])
+        if (model, n, ladder) not in _hilb_betas:
+            _hilb_betas[model, n, ladder] = _hilb_beta(model, n, order, ladder)
+    return TruncSeries("z", order, [_hilb_betas[model, n, ladder] for n in range(order + 1)])
 
 
 # -- chi(L_n (x) E^r): a product over the charts -------------------------------------

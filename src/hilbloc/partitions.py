@@ -7,14 +7,9 @@ monomial-ideal fixed points of Hilbert schemes.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 
 Partition = tuple  # weakly decreasing tuple of positive ints
-
-
-Cell = namedtuple("Cell", "i j arm leg")
-Cell.__doc__ = "A box (row i, column j) of a Young diagram with its arm and leg."
 
 
 @lru_cache(maxsize=None)
@@ -37,19 +32,13 @@ def _gen(n, largest):
             yield (first,) + rest
 
 
-def cells(la: Partition) -> list:
-    """The cells of the Young diagram of la with arm and leg lengths.
-
-    arm(i,j) = la[i] - j - 1 (boxes strictly to the right),
-    leg(i,j) = #{i' > i : la[i'] > j} (boxes strictly below).
-    """
-    out = []
-    for i, row in enumerate(la):
-        for j in range(row):
-            arm = row - j - 1
-            leg = sum(1 for rr in la[i + 1:] if rr > j)
-            out.append(Cell(i, j, arm, leg))
-    return out
+@lru_cache(maxsize=None)
+def arm_legs(la: Partition) -> tuple:
+    """The (arm, leg) of each cell (i, j) of the Young diagram of la, row by
+    row: arm = la[i] - j - 1 boxes to its right and leg = la'[j] - i - 1
+    below it, la' the conjugate partition."""
+    conj = [sum(row > j for row in la) for j in range(la[0] if la else 0)]
+    return tuple((row - j - 1, conj[j] - i - 1) for i, row in enumerate(la) for j in range(row))
 
 
 def partition_key(la: Partition) -> str:

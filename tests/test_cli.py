@@ -109,6 +109,37 @@ def test_chern_on_four_rays_runs_on_p1xp1(capsys, monkeypatch, chart):
             assert payload["numbers"] == {partition_key(la): format_fraction(v) for la, v in own.numbers}
 
 
+@pytest.mark.parametrize("spec", ["blowup:p1xp1:0", "blowup:blowup:p2:0:1", "blowup:blowup:blowup:p1xp1:0:0:0"])
+def test_chern_on_five_to_seven_rays_reads_the_models_series(capsys, monkeypatch, spec):
+    # (c1^2, c2) = (12 - e, e): `chern` reads the class back from H(S) of P2
+    # and P1xP1, each pass on the ladder asked for, never walking the fan's
+    # own fixed points; the numbers are those of the residue sums on the fan
+    import hilbloc.cli as cli
+    import hilbloc.localization as loc
+    from hilbloc.partitions import partition_key
+    from hilbloc.rings import format_fraction
+    from hilbloc.toric import p1xp1, p2
+
+    passes, run_pass = [], loc._monomial_sums
+
+    def spy(model, n, order, ladder, *args, **kwargs):
+        passes.append((model, ladder))
+        return run_pass(model, n, order, ladder, *args, **kwargs)
+
+    monkeypatch.setattr(loc, "_monomial_sums", spy)
+    monkeypatch.setattr(cli, "chern_numbers_hilb", None)
+    n = 3
+    for ladder in ("xi", "eta"):
+        for model in (p2(), p1xp1()):
+            for m in range(n + 1):
+                loc._hilb_betas.pop((model, m, ladder), None)
+        passes.clear()
+        payload = run_json(capsys, "chern", "--surface", spec, "--n", str(n), "--ladder", ladder)
+        assert set(passes) == {(p2(), ladder), (p1xp1(), ladder)}
+        own = loc.chern_numbers_hilb(build_model(spec), n, ladder)
+        assert payload["numbers"] == {partition_key(la): format_fraction(v) for la, v in own.numbers}
+
+
 def test_twist_series_trivial(capsys):
     payload = run_json(capsys, "twist-series", "--r", "1", "--order", "5")
     assert all(c == "0" for c in payload["logA"])

@@ -27,7 +27,8 @@ from hilbloc.localization import ConsistencyError, Integrand, chi_series, hilb_c
 from hilbloc.rings import Poly
 from hilbloc.series import TruncSeries, geometric
 from hilbloc.toric import ToricSurface, blowup, build_model, o_bundle, p1xp1, p2
-from profile_counts import example_count
+from ktheory_oracle import chi_y_at
+from profile_counts import example_count, size_bound
 from record_oracle import assert_record
 
 CP2 = to_beta(cp_product_class((2,)))
@@ -271,14 +272,20 @@ def test_chart_product_scales_term_n_by_q0_to_the_2n():
 
 
 @st.composite
-def theorem_cases(draw):
-    """A smooth complete fan (P2 or F_a with a <= 5, blown up 0-3 times at drawn
-    charts), n <= 4, a genus of degree 2n (a named one, or drawn rational
-    coefficients with Q(0) = 1) and a ladder."""
+def drawn_fans(draw):
+    """A smooth complete fan: P2 or F_a with a <= 5, blown up 0-3 times at drawn charts."""
     a = draw(st.integers(-1, 5))
     model = p2() if a < 0 else hirzebruch(a)
     for _ in range(draw(st.integers(0, 3))):
         model = blowup(model, draw(st.integers(0, len(model.rays) - 1)))
+    return model
+
+
+@st.composite
+def theorem_cases(draw):
+    """A drawn fan (`drawn_fans`), n <= 4, a genus of degree 2n (a named one,
+    or drawn rational coefficients with Q(0) = 1) and a ladder."""
+    model = draw(drawn_fans())
     n = draw(st.integers(0, 4))
     name = draw(st.sampled_from([*NAMED_GENERA, "drawn"]))
     if name == "drawn":
@@ -299,6 +306,51 @@ def test_main_theorem_on_random_fans(case):
     model, genus, n, ladder = case
     e = model.euler_number
     assert chart_genus(model, genus, n, ladder) == list(genus_hilb_series(genus, 12 - e, e, n).coeffs)
+
+
+# -- the tangent characters against K-theoretic localization at a torus point -------
+
+TORUS_POINTS = ((2, 3), (Fraction(5, 2), Fraction(-1, 3)))
+
+
+def assert_ktheory_oracle(model, n):
+    # chi_{-y} at y = 5/7 from the fixed-point sum at two torus points, which
+    # must agree with each other and with Goettsche's product; at y = 0 it is
+    # the holomorphic Euler characteristic chi(O) = 1 of a rational surface
+    y = Fraction(5, 7)
+    want = Poly.coerce(chi_y_hilb(model, n, "product")[n])(y=y)
+    assert [chi_y_at(model, n, y, q) for q in TORUS_POINTS] == [want, want]
+    assert chi_y_at(model, n, 0, TORUS_POINTS[0]) == 1
+
+
+def test_ktheory_oracle_on_the_models():
+    for model in (p2(), p1xp1(), blowup(p2(), 0)):
+        for n in range(5):
+            assert_ktheory_oracle(model, n)
+
+
+@pytest.mark.ci_examples
+@settings(max_examples=example_count(15), deadline=None)
+@given(drawn_fans(), st.integers(0, size_bound(4, 3)))
+def test_ktheory_oracle_on_random_fans(model, n):
+    assert_ktheory_oracle(model, n)
+
+
+def test_ktheory_oracle_sees_a_perturbed_tangent_character(monkeypatch):
+    # (1, 0) -> (2, 0) at the one-point ideal of P2's first chart, as in
+    # `test_dimension_axiom_sees_a_perturbed_tangent_character`: the fixed-point
+    # sum then depends on the torus point
+    m = p2()
+    first, weights = m.charts[0], loc.chart_tangent_weights
+
+    def perturbed(chart, la):
+        chars = weights(chart, la)
+        return ((2, 0), *chars[1:]) if (chart, la) == (first, (1,)) else chars
+
+    monkeypatch.setattr(loc, "chart_tangent_weights", perturbed)
+    for n in (1, 2, 3):
+        at_first, at_second = (chi_y_at(m, n, Fraction(5, 7), q) for q in TORUS_POINTS)
+        assert at_first != at_second
 
 
 def test_main_theorem_at_the_wrong_c1sq_fails():

@@ -12,7 +12,8 @@ and `genus_phi21_k3_n7_long`: while `genus` still evaluated the power-sum class
 of Hilb^n(S); `genus_todd_p2_n7_long`: while `genus --surface` still ran the
 chart product of both models, also the one of coefficient 0;
 `chern_blowup_p2_2_n6_long_eta`: while `chern` still summed a surface of four
-rays on its own fan), so they pin the
+rays on its own fan; `chern_blowup3_p1xp1_n7_long` and its `_eta` twin: while
+`chern` still summed a surface of seven rays on its own fan), so they pin the
 byte-identical output of every rewrite of the engine.  The `*_csv`
 entries pin the `--csv` bytes of each command; they were written before
 `main` took over the output step from the commands.  The `verify_*` entries
@@ -42,7 +43,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # every README CLI line, plus the twist-series and chern workload sizes,
 # the largest `universal` call, genera on a blowup, on P2, on P1xP1 and on K3, and Chern
 # numbers on the eta ladder and on a surface of seven charts (several blocks of points),
-# and the largest genus calls on a surface and on K3, and Chern numbers of F_1 on the eta ladder
+# and the largest genus calls on a surface and on K3, Chern numbers of F_1 on the eta ladder,
+# and the largest `chern` call on a surface of seven charts, on both ladders
 GOLDEN = {
     "chern_p2_n4": ["chern", "--surface", "p2", "--n", "4"],
     "chern_blowup_n6": ["chern", "--surface", "blowup:p2:0", "--n", "6", "--long"],
@@ -78,6 +80,10 @@ GOLDEN = {
     ],
     "genus_phi21_k3_n7_long": ["genus", "--genus", "phi:2:1", "--k3", "--n", "7", "--long"],
     "chern_blowup_p2_2_n6_long_eta": ["chern", "--surface", "blowup:p2:2", "--n", "6", "--long", "--ladder", "eta"],
+    "chern_blowup3_p1xp1_n7_long": ["chern", "--surface", "blowup:blowup:blowup:p1xp1:0:0:0", "--n", "7", "--long"],
+    "chern_blowup3_p1xp1_n7_long_eta": [
+        "chern", "--surface", "blowup:blowup:blowup:p1xp1:0:0:0", "--n", "7", "--long", "--ladder", "eta",
+    ],
     # one --csv call per command
     "chern_p1xp1_n3_csv": ["chern", "--surface", "p1xp1", "--n", "3", "--csv"],
     "universal_n2_csv": ["universal", "--n", "2", "--csv"],

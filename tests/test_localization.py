@@ -76,6 +76,24 @@ def test_fixed_point_enumeration():
             assert all(sum(map(sum, pt)) == n for pt in pts)
 
 
+def compositions_walk(charts, n):
+    """The tuples of partitions, one per chart of `charts` charts, of total
+    size n: the first chart's size from n down to 0, its partitions in
+    rev-lex order, and for each the tuples of the remaining charts."""
+    if charts == 1:
+        return [(la,) for la in enumerate_partitions(n)]
+    heads = [(la, n - m) for m in range(n, -1, -1) for la in enumerate_partitions(m)]
+    return [(la, *rest) for la, left in heads for rest in compositions_walk(charts - 1, left)]
+
+
+def test_fixed_point_order():
+    # the blocks of the residue pass are cut in this order
+    seven = build_model("blowup:blowup:blowup:p1xp1:0:0:0")
+    for model in (p2(), p1xp1(), seven):
+        for n in range(6):
+            assert enumerate_fixed_points(model, n) == compositions_walk(len(model.charts), n)
+
+
 def test_tangent_weight_count():
     m = p2()
     for n in (1, 2, 3):
@@ -200,7 +218,7 @@ def test_orbit_sums_match_full_sums(model, n, ladder, kind, block):
         if kind == "e":
             assert chern_residue_sums(model, n, lams, ladder) == full
     if kind == "p" and ladder == "xi":
-        assert loc._hilb_beta(model, n, n) == beta_poly(2 * n, full)
+        assert loc._hilb_beta(model, n, n, "xi") == beta_poly(2 * n, full)
 
 
 def test_a_perturbed_chart_table_sums_every_point(monkeypatch):
@@ -1163,7 +1181,7 @@ def test_series_terms_match_passes_at_their_own_ladders(case):
 
     model, order = case
     for n in range(order + 1):
-        loc._hilb_betas.pop((model, n), None)
+        loc._hilb_betas.pop((model, n, "xi"), None)
     h = hilb_cobordism_series(model, order)
     for n in range(order + 1):
         lams = enumerate_partitions(2 * n)
@@ -1177,7 +1195,7 @@ def test_a_longer_series_runs_only_the_new_passes(monkeypatch):
 
     model = blowup(p2(), 1)
     for n in range(6):
-        loc._hilb_betas.pop((model, n), None)
+        loc._hilb_betas.pop((model, n, "xi"), None)
     passes, run = [], loc._monomial_sums
 
     def spy(*args, **kwargs):

@@ -1,11 +1,6 @@
 from hypothesis import given, strategies as st
 
-from hilbloc.partitions import (
-    Cell,
-    cells,
-    enumerate_partitions,
-    partition_key,
-)
+from hilbloc.partitions import arm_legs, enumerate_partitions, partition_key
 from partition_counts import count_partitions, count_with_parts, merge
 
 # p(0)..p(12)
@@ -44,13 +39,23 @@ def brute_arm_leg(la, i, j):
 def test_cells_arm_leg():
     for n in range(8):
         for la in enumerate_partitions(n):
-            got = {(c.i, c.j): (c.arm, c.leg) for c in cells(la)}
-            want = {
-                (i, j): brute_arm_leg(la, i, j)
-                for i in range(len(la))
-                for j in range(la[i])
-            }
-            assert got == want
+            boxes = [(i, j) for i in range(len(la)) for j in range(la[i])]
+            assert arm_legs(la) == tuple(brute_arm_leg(la, i, j) for i, j in boxes)
+
+
+def conjugate(la):
+    return tuple(sum(row > j for row in la) for j in range(la[0] if la else 0))
+
+
+@given(st.integers(0, 10), st.data())
+def test_conjugate_swaps_arm_and_leg(n, data):
+    # the box (i, j) of la is the box (j, i) of its conjugate, with arm and leg exchanged
+    la = data.draw(st.sampled_from(enumerate_partitions(n)))
+    mu = conjugate(la)
+    table = dict(zip([(i, j) for i in range(len(la)) for j in range(la[i])], arm_legs(la)))
+    swapped = dict(zip([(i, j) for j in range(len(mu)) for i in range(mu[j])], arm_legs(mu)))
+    assert sum(mu) == n and conjugate(mu) == la
+    assert swapped == {box: (leg, arm) for box, (arm, leg) in table.items()}
 
 
 @given(st.integers(0, 6), st.integers(0, 6))
