@@ -5,6 +5,10 @@ rationals serialized as "p/q" strings, or CSV with --csv.  Exit codes:
 0 success, 2 invalid arguments, 3 internal inconsistency detected;
 `verify` exits 1 when one of its checks fails.
 
+A command and its helpers take only their own values and raise ValueError
+on bad input; `main` alone turns it, also one raised in the library, into
+`parser.error`, so every exit 2 prints the usage line.
+
 Every command but `verify` returns its fields, its CSV header and its CSV
 rows; `main` alone forms the envelope {"schema": 1, "command": <name>,
 **fields} and prints it, or the rows, through `_emit`.  Both keep their
@@ -42,7 +46,7 @@ SHORT_N_MAX = 5
 TWIST_ORDER_MAX = 10  # twist-series --order 10 --long: about 0.25 s of CPU time, also with a 40-digit --r
 SERIES_ORDER_MAX = 60  # series-id: about 0.23 s of CPU time at --order 60 --a 100 with a 40-digit p/q
 SERIES_A_MAX = 100
-DIGITS_MAX = 40  # digits of --r, of each --k/--bundle entry, of N and k in --genus phi:N:k, and of p and q in series-id --y
+DIGITS_MAX = 40  # digits of every integer argument (`integer`) and of p and q in series-id --y
 BLOWUP_DEPTH_MAX = 3  # nested blowup: levels in --surface
 SURFACE_HELP = (
     f"p2, p1xp1 or blowup:<surface>:<chart>, at most {BLOWUP_DEPTH_MAX} blowup: levels "
@@ -81,13 +85,14 @@ def _emit(payload: dict, csv_header, csv_rows, use_csv):
         print(json.dumps(payload, indent=2, sort_keys=False))
 
 
-def _check_n(n: int, long_mode: bool, parser: argparse.ArgumentParser):
-    if n < 0:
-        parser.error("n must be non-negative")
-    if n > LONG_N_MAX:
-        parser.error(f"n > {LONG_N_MAX} is not supported")
-    if n > SHORT_N_MAX and not long_mode:
-        parser.error(f"n > {SHORT_N_MAX} requires --long")
+def _bounded(name: str, value: int, low: int, high: int, short: int, long_mode: bool):
+    """The work bound of --n and of twist-series --order: low..high, and above short only with --long."""
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    if value > high:
+        raise ValueError(f"{name} > {high} is not supported")
+    if value > short and not long_mode:
+        raise ValueError(f"{name} > {short} requires --long")
 
 
 # number of --k degrees each named model takes: O(k) on P2, O(k1,k2) on P1xP1
@@ -97,16 +102,16 @@ _K_DEGREES = {"p2": 1, "p1xp1": 2}
 _MODELS = {"P2": p2, "P1xP1": p1xp1}
 
 
-def _surface(spec: str, parser):
+def _surface(spec: str):
     # counted before parsing: build_model recurses once per level
     if spec.count("blowup:") > BLOWUP_DEPTH_MAX:
-        parser.error(f"--surface nests at most {BLOWUP_DEPTH_MAX} blowup: levels")
+        raise ValueError(f"--surface nests at most {BLOWUP_DEPTH_MAX} blowup: levels")
     try:
         model = build_model(spec)
     except ValueError as exc:
-        parser.error(f"--surface {spec}: {exc}")
+        raise ValueError(f"--surface {spec}: {exc}") from None
     if model.name != spec:  # build_model reads a chart index "00" as 0
-        parser.error(f"--surface {spec} must be spelled {model.name}")
+        raise ValueError(f"--surface {spec} must be spelled {model.name}")
     return model
 
 
@@ -115,45 +120,37 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
 
 
-def integer(text: str) -> int:
-    """The argparse type of --n, --order and --a: an optional sign and ASCII digits."""
+def integer(text: str, flag: str = "the value") -> int:
+    """An optional sign and at most DIGITS_MAX ASCII digits: every integer the
+    CLI reads.  It is also the argparse type of --n, --order and --a, where
+    argparse prints its own message and never reads flag."""
     if not _INTEGER.fullmatch(text):
-        raise ValueError(text)
-    return int(text)
-
-
-def _parse_int(text: str, flag: str, parser) -> int:
-    if not _INTEGER.fullmatch(text):
-        parser.error(f"{flag} must be an integer, got {text!r}")
+        raise ValueError(f"{flag} must be an integer, got {text!r}")
     if len(text.lstrip("+-")) > DIGITS_MAX:  # before int(), which refuses strings past 4300 digits
-        parser.error(f"{flag} must have at most {DIGITS_MAX} digits")
+        raise ValueError(f"{flag} must have at most {DIGITS_MAX} digits")
     return int(text)
 
 
-def _int_list(text: str, flag: str, parser) -> list:
-    return [_parse_int(c, f"each {flag} entry", parser) for c in text.split(",")]
-
-
-def _bundle_from_args(model, args, parser):
+def _bundle_from_args(model, args):
     if args.bundle is not None:
-        coeffs = _int_list(args.bundle, "--bundle", parser)
+        coeffs = [integer(c, "each --bundle entry") for c in args.bundle.split(",")]
         if len(coeffs) != len(model.rays):
-            parser.error(f"--bundle needs one coefficient per ray, {len(model.rays)} on {model.name}")
+            raise ValueError(f"--bundle needs one coefficient per ray, {len(model.rays)} on {model.name}")
         return line_bundle(model, coeffs)
     if args.k is not None:
-        degrees = _int_list(args.k, "--k", parser)
+        degrees = [integer(c, "each --k entry") for c in args.k.split(",")]
         if len(degrees) != _K_DEGREES.get(model.name):
-            parser.error(
+            raise ValueError(
                 "--k takes one degree on p2 and a bidegree k1,k2 on p1xp1; "
                 "use --bundle with one coefficient per ray for other bundles or surfaces"
             )
         return o_bundle(model, *degrees)
-    parser.error("provide --k or --bundle")
+    raise ValueError("provide --k or --bundle")
 
 
-def cmd_chern(args, parser):
-    model = _surface(args.surface, parser)
-    _check_n(args.n, args.long, parser)
+def cmd_chern(args):
+    model = _surface(args.surface)
+    _bounded("n", args.n, 0, LONG_N_MAX, SHORT_N_MAX, args.long)
     e = model.euler_number
     if e <= 4:
         # a smooth toric surface of four rays has (c1^2, c2) = (8, 4), so by the main theorem its Chern
@@ -168,40 +165,33 @@ def cmd_chern(args, parser):
     return fields, ("partition", "value"), rows
 
 
-def cmd_universal(args, parser):
-    _check_n(args.n, args.long, parser)
+def cmd_universal(args):
+    _bounded("n", args.n, 0, LONG_N_MAX, SHORT_N_MAX, args.long)
     tab = universal_chern_poly(args.n)
     table = {partition_key(la): _poly_json(poly) for la, poly in tab.numbers}
     rows = ((la, mono, c) for la, poly in table.items() for mono, c in poly.items())
     return {"n": args.n, "polynomials": table}, ("partition", "monomial", "coefficient"), rows
 
 
-def cmd_betti(args, parser):
-    if args.model not in _MODELS:
-        parser.error("model must be P2 or P1xP1")
-    _check_n(args.n, args.long, parser)
+def cmd_betti(args):
+    _bounded("n", args.n, 0, LONG_N_MAX, SHORT_N_MAX, args.long)
     rows = [(2 * p, v) for p, v in enumerate(betti_hilb_model(_MODELS[args.model](), args.n))]
     return {"model": args.model, "n": args.n, "betti": {str(d): v for d, v in rows}}, ("degree", "b"), rows
 
 
-def cmd_chi(args, parser):
-    model = _surface(args.surface, parser)
-    _check_n(args.n, args.long, parser)
-    r = _parse_int(args.r, "--r", parser)
-    L = _bundle_from_args(model, args, parser)
+def cmd_chi(args):
+    model = _surface(args.surface)
+    _bounded("n", args.n, 0, LONG_N_MAX, SHORT_N_MAX, args.long)
+    r = integer(args.r, "--r")
+    L = _bundle_from_args(model, args)
     chi = format_fraction(chi_via_RR(model, args.n, L, r, ladder=args.ladder))
     fields = {"surface": args.surface, "n": args.n, "bundle": list(L.coeffs), "r": r, "chi": chi}
     return fields, ("n", "r", "chi"), [(args.n, r, chi)]
 
 
-def cmd_twist_series(args, parser):
-    if args.order < 2:
-        parser.error("order must be >= 2")
-    if args.order > TWIST_ORDER_MAX:
-        parser.error(f"order > {TWIST_ORDER_MAX} is not supported")
-    if args.order > LONG_N_MAX and not args.long:
-        parser.error(f"order > {LONG_N_MAX} requires --long")
-    r = _parse_int(args.r, "--r", parser)
+def cmd_twist_series(args):
+    _bounded("order", args.order, 2, TWIST_ORDER_MAX, LONG_N_MAX, args.long)
+    r = integer(args.r, "--r")
     pair = fit_AB(r, args.order)
     log_a = [format_fraction(c) for c in pair.log_a.coeffs]
     b = [format_fraction(c) for c in pair.b.coeffs]
@@ -212,7 +202,7 @@ def cmd_twist_series(args, parser):
     return fields, ("order", "logA", "B"), zip(range(args.order + 1), log_a, b)
 
 
-def _genus_by_name(name: str, degree: int, parser):
+def _genus_by_name(name: str, degree: int):
     if name == "todd":
         return todd_genus(degree)
     if name == "euler":
@@ -220,52 +210,51 @@ def _genus_by_name(name: str, degree: int, parser):
     if name == "signature":
         return signature_genus(degree)
     if name.startswith("phi:"):
-        try:
-            _, nn, kk = name.split(":")
-            level = _parse_int(nn, "N in --genus phi:N:k", parser)
-            k = _parse_int(kk, "k in --genus phi:N:k", parser)
-        except ValueError:
-            parser.error("phi genus spec must be phi:N:k")
+        parts = name.split(":")
+        if len(parts) != 3:
+            raise ValueError("phi genus spec must be phi:N:k")
+        level = integer(parts[1], "N in --genus phi:N:k")
+        k = integer(parts[2], "k in --genus phi:N:k")
         if name != f"phi:{level}:{k}":  # after the digit bound: no "+", no leading zero
-            parser.error(f"--genus {name} must be spelled phi:{level}:{k}")
+            raise ValueError(f"--genus {name} must be spelled phi:{level}:{k}")
         return phi_nk_genus(level, k, degree)
-    parser.error(f"unknown genus {name!r} (todd, euler, signature, phi:N:k, chi_y)")
+    raise ValueError(f"unknown genus {name!r} (todd, euler, signature, phi:N:k, chi_y)")
 
 
-def cmd_genus(args, parser):
-    _check_n(args.n, args.long, parser)
+def cmd_genus(args):
+    _bounded("n", args.n, 0, LONG_N_MAX, SHORT_N_MAX, args.long)
     if args.genus == "chi_y":
-        if args.model not in _MODELS:
-            parser.error("chi_y tables need --model P2 or P1xP1")
+        if args.model is None:
+            raise ValueError("chi_y tables need --model P2 or P1xP1")
         series = chi_y_hilb(_MODELS[args.model](), args.n, "product")
         values = [_coeff_json(c) for c in series.coeffs]
         cells = map(json.dumps, values)  # a CSV cell holds the JSON of a Poly coefficient
     else:
-        genus = _genus_by_name(args.genus, 2 * args.n, parser)
+        genus = _genus_by_name(args.genus, 2 * args.n)
         if args.surface is None and not args.k3:
-            parser.error(f"--genus {args.genus} needs --surface or --k3; --model is only for --genus chi_y")
+            raise ValueError(f"--genus {args.genus} needs --surface or --k3; --model is only for --genus chi_y")
         # (c1^2, c2) is (0, 24) on K3, and (12 - e, e) on a smooth toric surface: it is rational, chi(O) = 1
-        e = 24 if args.k3 else _surface(args.surface, parser).euler_number
+        e = 24 if args.k3 else _surface(args.surface).euler_number
         series = genus_hilb_series(genus, 0 if args.k3 else 12 - e, e, args.n)
         cells = values = [format_fraction(v) for v in series.coeffs]
     fields = {"genus": args.genus, "values": [{"n": m, "value": v} for m, v in enumerate(values)]}
     return fields, ("n", "value"), enumerate(cells)
 
 
-def cmd_series_id(args, parser):
+def cmd_series_id(args):
     """Check the f/g series identities for one (a, y) at the given order."""
     if not 0 <= args.a <= SERIES_A_MAX:
-        parser.error(f"--a must be in 0..{SERIES_A_MAX}")
+        raise ValueError(f"--a must be in 0..{SERIES_A_MAX}")
     if not 1 <= args.order <= SERIES_ORDER_MAX:
-        parser.error(f"--order must be in 1..{SERIES_ORDER_MAX}")
+        raise ValueError(f"--order must be in 1..{SERIES_ORDER_MAX}")
     try:
         if not _RATIONAL.fullmatch(args.y):  # no exponent: Fraction("1e999999999") builds 10**999999999
             raise ValueError
         y = Fraction(args.y)
     except (ValueError, ZeroDivisionError):
-        parser.error(f"--y must be a rational number p, p/q or a decimal without exponent, got {args.y!r}")
+        raise ValueError(f"--y must be a rational number p, p/q or a decimal without exponent, got {args.y!r}") from None
     if max(abs(y.numerator), y.denominator) >= 10**DIGITS_MAX:
-        parser.error(f"--y numerator and denominator must have at most {DIGITS_MAX} digits")
+        raise ValueError(f"--y numerator and denominator must have at most {DIGITS_MAX} digits")
     a, order = args.a, args.order
     checks = fg_identities(a, (y,), order)[0]
     if not all(checks.values()):
@@ -275,7 +264,7 @@ def cmd_series_id(args, parser):
     return fields, ("identity", "holds"), checks.items()
 
 
-def cmd_verify(args, parser):
+def cmd_verify(args):
     from .verify import run_all
 
     results = run_all(args.profile, emit=print)
@@ -297,7 +286,7 @@ def _chern_args(sp):
 
 
 def _betti_args(sp):
-    sp.add_argument("--model", required=True)
+    sp.add_argument("--model", required=True, choices=_MODELS)
     _common(sp)
 
 
@@ -332,7 +321,7 @@ def _genus_args(sp):
     )
     where = sp.add_mutually_exclusive_group()
     where.add_argument("--surface", default=None, help=SURFACE_HELP)
-    where.add_argument("--model", default=None, help="P2 | P1xP1 (for chi_y)")
+    where.add_argument("--model", default=None, choices=_MODELS, help="for chi_y")
     where.add_argument("--k3", action="store_true", help="use the K3 cobordism class")
     _common(sp)
 
@@ -388,12 +377,12 @@ def main(argv=None) -> int:
     parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
-        output = args.fn(args, parser)
+        output = args.fn(args)
     except ConsistencyError as exc:  # FitError among them
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        parser.exit(2, f"error: {exc}\n")
+    except ValueError as exc:  # bad input, found by the command or by the library
+        parser.error(str(exc))
     if output is not None:  # `verify` prints its own report
         fields, csv_header, csv_rows = output
         _emit({"schema": 1, "command": args.command, **fields}, csv_header, csv_rows, args.csv)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from hilbloc.cobordism import ChernVector
-from hilbloc.localization import hilb_cobordism_series
+from hilbloc.localization import chern_numbers_hilb, hilb_cobordism_series
 from hilbloc.rings import Poly
 from hilbloc.series import TruncSeries
 from hilbloc.toric import p1xp1, p2
@@ -27,6 +27,13 @@ LIBRARY_GOLDEN = {
     "lib_universal_chern_poly_n8": lambda: universal_chern_poly(8),
     "lib_hilb_cobordism_series_p2_n8": lambda: hilb_cobordism_series(p2(), 8),
     "lib_hilb_cobordism_series_p1xp1_n8": lambda: hilb_cobordism_series(p1xp1(), 8),
+    # recorded before `chern` got a per-command cap above n = 7
+    "lib_chern_numbers_hilb_p2_n8": lambda: chern_numbers_hilb(p2(), 8),
+    "lib_chern_numbers_hilb_p2_n9": lambda: chern_numbers_hilb(p2(), 9),
+    "lib_chern_numbers_hilb_p2_n10": lambda: chern_numbers_hilb(p2(), 10),
+    "lib_chern_numbers_hilb_p1xp1_n8": lambda: chern_numbers_hilb(p1xp1(), 8),
+    "lib_chern_numbers_hilb_p1xp1_n9": lambda: chern_numbers_hilb(p1xp1(), 9),
+    "lib_chern_numbers_hilb_p1xp1_n10": lambda: chern_numbers_hilb(p1xp1(), 10),
 }
 
 

@@ -363,12 +363,26 @@ def run_cli(argv):
         numbered(30, [], "the following arguments are required: command"),
         numbered(31, ["chern", "--surface", "blowup:p2:00", "--n", "1"], "--surface blowup:p2:00 must be spelled blowup:p2:0"),
         numbered(32, ["chern", "--surface", "blowup:p2:3", "--n", "1"], "--surface blowup:p2:3: invalid chart index 3"),
+        # a ValueError of the library prints as one of the command
+        numbered(33, ["genus", "--genus", "phi:2:5", "--k3", "--n", "2"], "hilbloc: error: require 0 <= k <= N"),
+        # --n, --order and --a share the digit bound of every other integer
+        numbered(34, ["chern", "--surface", "p2", "--n", "9" * 41], "argument --n: invalid integer value"),
+        numbered(35, ["betti", "--model", "p2", "--n", "2"], "argument --model: invalid choice: 'p2'"),
+        numbered(36, ["twist-series", "--r", "2", "--order", "8"], "order > 7 requires --long"),
     ],
 )
 def test_input_error_messages(argv, message):
     proc = run_cli(argv)
     assert proc.returncode == 2
     assert message in proc.stderr
+
+
+def test_a_library_value_error_prints_the_usage_line():
+    # phi_nk_genus, not the CLI, rejects k > N
+    proc = run_cli(["genus", "--genus", "phi:2:5", "--k3", "--n", "2"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: hilbloc")
+    assert proc.stderr.splitlines()[-1] == "hilbloc: error: require 0 <= k <= N and N >= 1, got k=5, N=2"
 
 
 # -- the parser of one command against the parser of all of them -------------------
@@ -395,7 +409,8 @@ def test_parser_of_one_command_prints_as_the_full_parser(name, capsys, monkeypat
 @pytest.mark.parametrize(
     "argv",
     [
-        ["twist-series", "--r", "2", "--order", "1"],  # raised inside the command, by the top-level parser
+        ["twist-series", "--r", "2", "--order", "1"],  # raised inside the command, printed by the top-level parser
+        ["genus", "--genus", "phi:2:5", "--k3", "--n", "2"],  # raised inside the library, printed by the same parser
         ["twist-series", "--r", "2"],
         ["chi", "--surface", "p2", "--n", "1"],
         ["twist"],
@@ -414,7 +429,10 @@ def test_main_prints_as_with_the_full_parser(argv, capsys, monkeypatch):
     full = build_parser()
     with pytest.raises(SystemExit):
         args = full.parse_args(argv)
-        args.fn(args, full)
+        try:
+            args.fn(args)
+        except ValueError as exc:
+            full.error(str(exc))
     assert got == capsys.readouterr()
 
 

@@ -23,8 +23,10 @@ while every check still built its own result records.  Each entry is
 with the argv below; regenerating one means running `python -m hilbloc.cli
 <argv> > tests/golden/<file>` on a build whose output is already trusted.
 The `lib_*` files pin library results above the CLI caps
-(`library_golden.py`).  Every argv replays with warnings as errors
-(`python -W error`) and must leave stderr empty.
+(`library_golden.py`); the two n = 10 Chern-number pins replay only under
+HILBLOC_ACCEPT_PROFILE=long, as CI's long acceptance step runs them.
+Every argv replays with warnings as errors (`python -W error`) and must
+leave stderr empty.
 """
 
 import os
@@ -36,6 +38,8 @@ import pytest
 
 import hilbloc
 import library_golden
+from hilbloc.localization import chern_numbers_hilb
+from hilbloc.toric import build_model
 from library_golden import LIBRARY_GOLDEN
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -119,7 +123,27 @@ def test_golden_stdout(name):
     assert proc.stdout == golden_file(name).read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(LIBRARY_GOLDEN))
+# about 0.7 s on P2 and 1.3 s on P1xP1 of CPU time
+LONG_LIBRARY_GOLDEN = {"lib_chern_numbers_hilb_p2_n10", "lib_chern_numbers_hilb_p1xp1_n10"}
+LONG = os.environ.get("HILBLOC_ACCEPT_PROFILE") == "long"
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=pytest.mark.skipif(not LONG, reason="HILBLOC_ACCEPT_PROFILE=long only"))
+        if name in LONG_LIBRARY_GOLDEN
+        else name
+        for name in sorted(LIBRARY_GOLDEN)
+    ],
+)
 def test_library_golden(name):
     # the cobordism layer above the CLI caps: values, their types and term order
     assert library_golden.compute(name) == library_golden.golden_file(name).read_text()
+
+
+def test_theorem_1_at_n8_through_the_library():
+    # F_1 = blowup:p2:0 and P1xP1 share (c1^2, c2) = (8, 4), so Hilb^8 of both has one class:
+    # the same numbers and value types, two steps past `verify --profile long` (n <= 6)
+    f1 = library_golden.dumps(chern_numbers_hilb(build_model("blowup:p2:0"), 8))
+    assert f1 == library_golden.golden_file("lib_chern_numbers_hilb_p1xp1_n8").read_text()

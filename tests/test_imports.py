@@ -8,8 +8,12 @@ program happens to import first.
 Every CLI call is a fresh process, so `import hilbloc.cli` is paid on each
 one; it stays clear of the modules that cost start-up time and compute
 nothing for hilbloc (see `hilbloc.records`).
+
+Every source file also parses as Python 3.10, the oldest version that
+`pyproject.toml` allows and that CI's matrix runs.
 """
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -38,3 +42,18 @@ def test_cli_import_skips_heavy_modules():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# perfbench/reference/ is a frozen copy of an early hilbloc that the benchmark runs as it is
+SOURCES = sorted(
+    str(path.relative_to(ROOT))
+    for tree in ("src", "tests", "perfbench")
+    for path in (ROOT / tree).rglob("*.py")
+    if not path.is_relative_to(ROOT / "perfbench" / "reference")
+)
+
+
+@pytest.mark.parametrize("path", SOURCES)
+def test_source_parses_as_python_3_10(path):
+    ast.parse((ROOT / path).read_text(), filename=path, feature_version=(3, 10))
