@@ -19,6 +19,16 @@ Terms keep insertion order, and the JSON of a one-variable coefficient
 it: a sum lists the left operand's terms first, then the new ones of the
 right, and drops those that cancel; a product lists its terms by first
 appearance over the pairs of factor terms.
+
+Packed exponents.  The package has one polynomial product,
+`IntPoly.__mul__`, on packed monomial keys: a monomial's exponents in one
+int, a 32-bit field per variable (assigned at first sight, fixed for the
+process), so a product of monomials is an int add.  `_KEYS` encodes each
+monomial once, `_MONOMIALS` decodes each key once.  A key holds exponents
+1 .. 2^31 - 1, so two keys add without a carry; `_KEYS` raises ValueError
+for any other, and so does `Poly * Poly`, which multiplies on these keys
+(a power of one term multiplies none).  The series kernels multiply many
+keys into one, so a series keeps its exponents below 2^24 (`series`).
 """
 
 from __future__ import annotations
@@ -41,22 +51,6 @@ def _coerce(c):
     """A coefficient as a Poly or Fraction; TypeError for anything else,
     floats included."""
     return c if isinstance(c, Poly) else _fraction(c)
-
-
-def _merge_monomials(m1, m2):
-    """The monomial m1 * m2.  The empty monomial and a pair of powers of one
-    variable, the most common cases, skip the dict and the sort."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    if len(m1) == len(m2) == 1 and m1[0][0] == m2[0][0]:
-        e = m1[0][1] + m2[0][1]
-        return ((m1[0][0], e),) if e else ()
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted((v, e) for v, e in d.items() if e))
 
 
 def _add_into(terms: dict, other: dict) -> None:
@@ -180,13 +174,9 @@ class Poly:
             return Poly._of({m: v * other for m, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _merge_monomials(m1, m2)
-                s = terms.get(m)
-                terms[m] = c1 * c2 if s is None else s + c1 * c2
-        return Poly._of({m: c for m, c in terms.items() if c})
+        a = IntPoly({_KEYS[m]: c for m, c in self.terms.items()})
+        b = IntPoly({_KEYS[m]: c for m, c in other.terms.items()})
+        return Poly._of({_MONOMIALS[k]: c for k, c in (a * b).terms.items()})
 
     __rmul__ = __mul__
 
@@ -200,6 +190,9 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if n and len(self.terms) == 1:  # c m: c^n and m's exponents times n
+            ((m, c),) = self.terms.items()
+            return Poly._of({tuple((v, e * n) for v, e in m): c**n})
         out, base = None, self
         while n:
             if n & 1:
@@ -276,13 +269,55 @@ class Poly:
         return bool(self.terms)
 
 
+_FIELD = 32  # bits per variable in a packed monomial key
+_KEY_BOUND = 1 << 31  # a key's exponents stay below it: two keys add without a carry
+_EXP_BOUND = 1 << 24  # a series' exponents stay below it (see `series`)
+_SHIFTS = {}  # variable -> the shift of its field
+
+
+class _Monomials(dict):
+    """packed key -> monomial, each decoded once."""
+
+    def __missing__(self, key):
+        mask = (1 << _FIELD) - 1
+        mono = self[key] = tuple(sorted((v, e) for v, shift in _SHIFTS.items() if (e := key >> shift & mask)))
+        return mono
+
+
+class _Keys(dict):
+    """monomial -> packed key, each encoded once; ValueError for an exponent
+    outside 1 .. 2^31 - 1.  `wide` has the bits at and above 2^24 of every
+    assigned field set: a key that meets it holds an exponent that no series
+    may."""
+
+    wide = 0
+
+    def __missing__(self, mono):
+        key = 0
+        for v, e in mono:
+            if not 0 < e < _KEY_BOUND:
+                raise ValueError(f"exponent {e} of {v} cannot be packed: a monomial key holds 1 <= e < 2^31")
+            shift = _SHIFTS.get(v)
+            if shift is None:
+                shift = _SHIFTS[v] = _FIELD * len(_SHIFTS)
+                self.wide |= ((1 << _FIELD) - _EXP_BOUND) << shift
+            key += e << shift
+        self[mono] = key
+        _MONOMIALS.setdefault(key, mono)
+        return key
+
+
+_MONOMIALS = _Monomials()
+_KEYS = _Keys()
+
+
 class IntPoly:
     """A polynomial {packed monomial key: nonzero int or Fraction}: the key
     of a product of monomials is the sum of their keys (the caller keeps its
     bit fields from carrying), and 0 is the constant monomial.  It mixes with
     ints under `+`, unary `-` and `*` with the term order of `Poly`, and `//`
-    by an int divides every term exactly.  The numerators of `series` and
-    the Newton tables of `cobordism` multiply on it."""
+    by an int divides every term exactly.  `Poly * Poly`, the numerators of
+    `series` and the Newton tables of `cobordism` multiply on it."""
 
     __slots__ = ("terms",)
 

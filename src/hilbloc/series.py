@@ -6,20 +6,17 @@ the two operand orders so precision is never silently invented.
 
 What a series stores.  Its integer form: the numerators of its
 coefficients over one common positive denominator, an int for a Fraction
-coefficient and a `rings.IntPoly`, the package's one integer polynomial
-product, for a Poly: the numerators of its terms keyed by the monomial's
-exponent vector packed into one int, a 32-bit field per variable (fields
-are assigned to variables at first sight and fixed for the process; a
-product of monomials is then an int add, and each output monomial is
-decoded once, through a dict).  Every operation
-forms it reduced by the gcd of its denominator and numerators (one
-multi-argument `math.gcd` for a series of rationals), so a series of
-rationals holds it in normal form.  A series built from coefficients with
-a Poly among them gets it from `_int_form` when an operation first reads
-it, and keeps it.  The coefficients, Fractions and Polys, are built from
-the integer form only when asked for, by `coeffs` (all of them, then
-kept) or `s[n]` (one), with the type and term order that the plain
-coefficient loops give.
+coefficient and a `rings.IntPoly`, the package's one polynomial product,
+for a Poly: the numerators of its terms on the packed monomial keys of
+`rings` (see "Packed exponents" there).  Every operation forms it reduced
+by the gcd of its denominator and numerators (one multi-argument
+`math.gcd` for a series of rationals), so a series of rationals holds it
+in normal form.  A series built from coefficients with a Poly among them
+gets it from `_int_form` when an operation first reads it, and keeps it.
+The coefficients, Fractions and Polys, are built from the integer form
+only when asked for, by `coeffs` (all of them, then kept) or `s[n]`
+(one), with the type and term order that the plain coefficient loops
+give.
 
 Every operation (`+`, `-`, `*` by a series or by an int, Fraction or Poly
 scalar, `inverse`, `exp`, `log`, `pow`, `derivative`, `integral`,
@@ -75,54 +72,14 @@ from functools import lru_cache, reduce
 from math import factorial, gcd, lcm, prod
 from operator import mul, or_
 
-from .rings import IntPoly, Poly, _coerce, _fraction, binomial
-
-
-_FIELD = 32  # bits per variable in a packed monomial key
-_EXP_BOUND = 1 << 24  # input exponents stay below it
-_SHIFTS = {}  # variable -> the shift of its field
-
-
-class _Monomials(dict):
-    """packed key -> monomial, each decoded once."""
-
-    def __missing__(self, key):
-        mask = (1 << _FIELD) - 1
-        mono = self[key] = tuple(sorted((v, e) for v, shift in _SHIFTS.items() if (e := key >> shift & mask)))
-        return mono
-
-
-class _Keys(dict):
-    """monomial -> packed key, each encoded once; ValueError for an exponent
-    outside 1 .. 2^24 - 1.  `wide` has the bits at and above 2^24 of every
-    assigned field set: a key that meets it holds an exponent no key may."""
-
-    wide = 0
-
-    def __missing__(self, mono):
-        key = 0
-        for v, e in mono:
-            if not 0 < e < _EXP_BOUND:
-                raise ValueError(f"exponent {e} of {v} cannot be packed: a monomial key holds 1 <= e < 2^24")
-            shift = _SHIFTS.get(v)
-            if shift is None:
-                shift = _SHIFTS[v] = _FIELD * len(_SHIFTS)
-                self.wide |= ((1 << _FIELD) - _EXP_BOUND) << shift
-            key += e << shift
-        self[mono] = key
-        _MONOMIALS.setdefault(key, mono)
-        return key
-
-
-_MONOMIALS = _Monomials()
-_KEYS = _Keys()
+from .rings import _EXP_BOUND, _FIELD, _KEYS, _MONOMIALS, IntPoly, Poly, _coerce, _fraction, binomial
 
 
 def _int_form(cs):
     """(numerators, den): the coefficients cs as integer numerators over
     their positive lcm denominator den, an int for a Fraction coefficient
-    and an `IntPoly` for a Poly.  ValueError if an exponent cannot be
-    packed."""
+    and an `IntPoly` for a Poly.  ValueError for an exponent of 2^24 or
+    more."""
     dens = []
     for c in cs:
         if isinstance(c, Poly):
@@ -130,11 +87,14 @@ def _int_form(cs):
         else:
             dens.append(c.denominator)
     den = lcm(*dens)
-    return [
+    num = [
         IntPoly({_KEYS[m]: v.numerator * (den // v.denominator) for m, v in c.terms.items()})
         if isinstance(c, Poly) else c.numerator * (den // c.denominator)
         for c in cs
-    ], den
+    ]
+    if reduce(or_, (k for c in num if type(c) is not int for k in c.terms), 0) & _KEYS.wide:
+        raise ValueError("an exponent of 2^24 or more cannot be packed into a series")
+    return num, den
 
 
 def _scalar(c):

@@ -290,8 +290,9 @@ def check_taut_chi(p: Profile) -> str:
 @_check(9, "engine self-consistency")
 def check_engine(p: Profile) -> str:
     models = (p2(), p1xp1(), blowup(p2(), 0))
-    # ladder independence on Chern numbers and a chi sample
-    for model in models:
+    # ladder independence on Chern numbers and a chi sample; on the three models the
+    # swap (1, B) <-> (B, 1) maps one ladder's weights to the other's, on the 5-ray fan not
+    for model in (*models, blowup(blowup(p2(), 0), 1)):
         for n in range(min(3, p.euler_n) + 1):
             same = chern_numbers_hilb(model, n) == chern_numbers_hilb(model, n, "eta")  # xi: check 3's cache key
             _require(same, f"ladders differ: {model.name}, n={n}")

@@ -7,13 +7,15 @@ to change it.  The FAIL path of every check, and the exit code 1 of
 """
 
 import os
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from hilbloc import cli, verify
-from hilbloc.localization import chern_numbers_hilb
+from hilbloc.localization import chern_numbers_hilb, enumerate_fixed_points, one_ps_ladder, tangent_weights
+from hilbloc.toric import blowup, p1xp1, p2
 from hilbloc.verify import CHECKS, PROFILES, CheckResult
 from record_oracle import assert_record
 
@@ -69,6 +71,42 @@ def test_checks_3_and_9_share_their_chern_vectors():
     chern_numbers_hilb.cache_clear()
     verify.run_all("quick")
     assert chern_numbers_hilb.cache_info().hits >= 8
+
+
+def _weight_multisets(model, n, spec):
+    """The multiset, over the fixed points of Hilb^n, of each point's
+    multiset of tangent weights at the 1-PS spec: all that a residue sum at
+    spec reads."""
+    return Counter(
+        tuple(sorted(a * spec[0] + b * spec[1] for a, b in tangent_weights(model, fp)))
+        for fp in enumerate_fixed_points(model, n)
+    )
+
+
+def test_check_9_compares_two_ladders_that_differ(monkeypatch):
+    # on p2, p1xp1 and blowup:p2:0 swapping the coordinates is a symmetry of
+    # the fan, so each eta 1-PS (B, 1) sums the weights of the xi 1-PS (1, B)
+    # and comparing the ladders there catches only a fault that breaks the
+    # swap; on blowup:blowup:p2:0:1 the two ladders sum different weights
+    symmetric = (p2(), p1xp1(), blowup(p2(), 0))
+    five_rays = blowup(blowup(p2(), 0), 1)
+    for model in (*symmetric, five_rays):
+        for n in (2, 3):
+            pairs = zip(one_ps_ladder(model, n, "xi"), one_ps_ladder(model, n, "eta"))
+            same = [_weight_multisets(model, n, xi) == _weight_multisets(model, n, eta) for xi, eta in pairs]
+            assert same == [model in symmetric] * 2, (model.name, n)
+    # and check 9 compares the ladders on that fan, at every n <= 3
+    calls = []
+
+    def recorded(model, n, ladder="xi"):
+        calls.append((model.name, n, ladder))
+        return chern_numbers_hilb(model, n, ladder)
+
+    monkeypatch.setattr(verify, "chern_numbers_hilb", recorded)
+    assert CHECKS[8](PROFILES["quick"]).passed
+    assert [(n, ladder) for name, n, ladder in calls if name == five_rays.name] == [
+        (n, ladder) for n in range(4) for ladder in ("xi", "eta")
+    ]
 
 
 _FALSE_IDENTITIES = dict.fromkeys(("f0_closed_form", "g_is_g1_pow_y", "f_is_g1_pow_y_times_f0", "g_prime"), False)

@@ -33,6 +33,7 @@ from hilbloc.rings import binomial
 from hilbloc.series import TruncSeries, todd_series
 from hilbloc.toric import ToricSurface, blowup, build_model, line_bundle, o_bundle, p1xp1, p2
 from hilbloc.universal import _reference_classes, h_psi_phi
+from ktheory_oracle import chart_closed_form
 from partition_counts import count_partitions
 from profile_counts import example_count
 from record_oracle import assert_record
@@ -1246,3 +1247,46 @@ def test_chart_cells_match_specialized_taut_weights(case):
         for chart, weights, columns in charts:
             o = [sum(c[0] * spec[0] + c[1] * spec[1] for c in loc._cell_characters(chart, la)) for la in weights]
             assert list(columns[1]) == o
+
+
+def _chart_tables(model, order, ladder, rs):
+    """Per 1-PS of the ladder at order and per chart: the chart's weights
+    (t1, t2) at the 1-PS and, per twist r in rs, the table `_chart_sums`
+    builds for Todd, divided back by its scale N! L_c D^j, N = 2 order."""
+    import hilbloc.localization as loc
+
+    big = 2 * order
+    _, d, exp = loc._tangent_log(todd_series("x", big), big)
+    sizes = [len(enumerate_partitions(m)) for m in range(order + 1)]
+    units = [factorial(big) // factorial(i) for i in range(big + 1)]
+    for spec in one_ps_ladder(model, order, ladder):
+        for chart, columns in zip(model.charts, loc._chart_columns(model, order, spec)):
+            weights = tuple(w[0] * spec[0] + w[1] * spec[1] for w in (chart.w1, chart.w2))
+            scale = [factorial(big) * columns[2] * d**j for j in range(big + 1)]
+            tables = {}
+            for r in rs:
+                table = loc._chart_sums(columns, sizes, r, d, exp, units)
+                tables[r] = [[Fraction(x, s) for x, s in zip(row, scale)] for row in table]
+            yield weights, tables
+
+
+def test_chart_closed_form_sign_convention():
+    # the one-cell ideal's tangent weights are the chart's (w1, w2), and its
+    # term is 1 / ((1 - e^{-t1 eps}) (1 - e^{-t2 eps})): e^{-t eps}, not
+    # e^{+t eps}, which at order 2 already gives another table
+    m = p2()
+    assert all(chart_tangent_weights(chart, (1,)) == (chart.w1, chart.w2) for chart in m.charts)
+    for (t1, t2), tables in _chart_tables(m, 2, "xi", (0, 1)):
+        assert tables[0] == chart_closed_form(t1, t2, False, 2) != chart_closed_form(-t1, -t2, False, 2)
+        assert tables[1] == chart_closed_form(t1, t2, True, 2) != tables[0]
+
+
+@pytest.mark.parametrize("ladder", ["xi", "eta"])
+@pytest.mark.parametrize("model", [p2(), p1xp1()], ids=["p2", "p1xp1"])
+def test_chart_sums_match_the_per_chart_closed_forms(model, ladder):
+    # item 28's epsilon oracle: each chart's table through z^8 eps^16 is the
+    # plethystic exponential of its two weights, c_k = 1 for Todd at r = 0
+    # and c_k = (-1)^(k+1) at r = +-1, at both 1-PS of the ladder
+    for (t1, t2), tables in _chart_tables(model, 8, ladder, (0, 1, -1)):
+        assert tables[0] == chart_closed_form(t1, t2, False, 8)
+        assert tables[1] == tables[-1] == chart_closed_form(t1, t2, True, 8)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilbloc.rings import IntPoly, Poly, _merge_monomials, binomial, format_fraction, gauss_solve, linear_combination
+from hilbloc.rings import IntPoly, Poly, binomial, format_fraction, gauss_solve, linear_combination
 from hilbloc.series import TruncSeries, fg_series
 from profile_counts import example_count
 
@@ -150,16 +150,16 @@ def test_poly_minus_series_reaches_the_series():
 
 
 def merge_reference(m1, m2):
-    """m1 * m2 through a dict and a sort, the general path of `_merge_monomials`."""
+    """m1 * m2 through a dict and a sort."""
     d = dict(m1)
     for v, e in m2:
         d[v] = d.get(v, 0) + e
     return tuple(sorted((v, e) for v, e in d.items() if e))
 
 
-# sorted monomials in u, x, y with nonzero exponents, the empty one included;
-# negative exponents let a product of powers of one variable cancel to ()
-exponents = st.integers(-2, 4).filter(bool)
+# sorted monomials in u, x, y with positive exponents (Poly's invariant), the
+# empty one included
+exponents = st.integers(1, 4)
 monomials = st.dictionaries(st.sampled_from("uxy"), exponents, max_size=3).map(lambda d: tuple(sorted(d.items())))
 
 
@@ -167,10 +167,27 @@ monomials = st.dictionaries(st.sampled_from("uxy"), exponents, max_size=3).map(l
 @settings(max_examples=example_count(200), deadline=None)
 @given(monomials, monomials, st.sampled_from("uxy"), exponents, exponents)
 def test_merge_monomials_matches_dict_and_sort(m1, m2, v, e1, e2):
-    # any pair, pairs with the empty monomial, and two powers of one variable
+    # Poly x Poly on packed keys: any pair, pairs with the empty monomial, and
+    # two powers of one variable
     for a, b in ((m1, m2), (m1, ()), ((), m1), (((v, e1),), ((v, e2),))):
-        merged = _merge_monomials(a, b)
+        ((merged, c),) = (Poly({a: 2}) * Poly({b: Fraction(3, 5)})).terms.items()
         assert type(merged) is tuple and merged == merge_reference(a, b)
+        assert type(c) is Fraction and c == Fraction(6, 5)
+
+
+KEY_BOUND = 1 << 31  # the first exponent a packed monomial key refuses
+
+
+def test_poly_product_refuses_an_exponent_a_key_cannot_hold():
+    # two exponents below 2^31 add without a carry into the next field
+    top = Poly({(("x", KEY_BOUND - 1), ("y", 1)): 1})
+    assert (top * top).terms == {(("x", 2 * KEY_BOUND - 2), ("y", 2)): 1}
+    for big in (Poly({(("x", KEY_BOUND),): 1}), Poly({(("u", 1), ("x", KEY_BOUND)): 1})):
+        for a, b in ((big, top), (top, big)):
+            with pytest.raises(ValueError, match="cannot be packed"):
+                a * b
+    # a power of one term multiplies no keys
+    assert (-Poly.var("x")) ** (2 * KEY_BOUND + 1) == Poly({(("x", 2 * KEY_BOUND + 1),): -1})
 
 
 def _is_valid(p) -> bool:
