@@ -107,12 +107,9 @@ def _surface(spec: str):
     if spec.count("blowup:") > BLOWUP_DEPTH_MAX:
         raise ValueError(f"--surface nests at most {BLOWUP_DEPTH_MAX} blowup: levels")
     try:
-        model = build_model(spec)
+        return build_model(spec)
     except ValueError as exc:
         raise ValueError(f"--surface {spec}: {exc}") from None
-    if model.name != spec:  # build_model reads a chart index "00" as 0
-        raise ValueError(f"--surface {spec} must be spelled {model.name}")
-    return model
 
 
 # int() and Fraction() also take blanks, "1_0" and non-ASCII digits; the CLI does not

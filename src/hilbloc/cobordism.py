@@ -259,10 +259,12 @@ def _newton_table(d: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _readback_table(d: int) -> tuple:
-    """One row (den, js, ts) per partition la of d, in rev-lex order, with
-    c_la = sum_i ts[i] b_mu / den for mu the js[i]-th partition of d in
-    rev-lex order (its slot): den = prod la_i! and
-    t = aut(mu) [p_mu] prod_i la_i! e_la_i, a nonzero integer."""
+    """(rows, slots, bound) over the partitions of d in rev-lex order: one
+    row (den, js, ts) per partition la, with c_la = sum_i ts[i] b_mu / den
+    for mu the js[i]-th partition of d (its slot): den = prod la_i! and
+    t = aut(mu) [p_mu] prod_i la_i! e_la_i, a nonzero integer; slots maps
+    beta_mu1 beta_mu2 ..., a Poly monomial, to the slot of mu; bound is the
+    largest sum of |t| over a row."""
     lams = enumerate_partitions(d)
     packed_slot = {_pack(mu): j for j, mu in enumerate(lams)}
     auts = [_aut(mu) for mu in lams]
@@ -271,19 +273,8 @@ def _readback_table(d: int) -> tuple:
         expansion = _product(_factorial_elementary_in_p, la).terms
         js = tuple(packed_slot[key] for key in expansion)
         rows.append((prod(map(factorial, la)), js, tuple(t * auts[j] for j, t in zip(js, expansion.values()))))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _beta_slots(d: int) -> dict:
-    """{beta_mu1 beta_mu2 ... as a Poly monomial: the slot of mu} over the partitions mu of d."""
-    return {_beta_monomial(mu): j for j, mu in enumerate(enumerate_partitions(d))}
-
-
-@lru_cache(maxsize=None)
-def _readback_bound(d: int) -> int:
-    """The largest sum of |t| over a row of `_readback_table(d)`."""
-    return max(sum(map(abs, ts)) for _, _, ts in _readback_table(d))
+    slots = {_beta_monomial(mu): j for j, mu in enumerate(lams)}
+    return tuple(rows), slots, max(sum(map(abs, ts)) for _, _, ts in rows)
 
 
 _BETA = "beta"
@@ -342,12 +333,12 @@ def from_beta(d: int, b) -> ChernVector:
     The coefficients of b are grouped by their monomial in the parameters,
     each group an integer vector over the slots of the beta-monomials over
     one denominator.  The groups are packed into one integer per slot, group
-    g in the field g of w bits, with w wide enough for every row sum, so a
+    g in the field g of w bits, with w wide enough for every row sum (the
+    largest numerator times the table's bound on a row's sum of |t|), so a
     row is one dot product: adding 2^(w-1) to every field (a uniform sign
     offset) makes each field of the sum its group's row sum plus 2^(w-1)."""
     index = {beta_var(k): k for k in range(1, d + 1)}
-    rows = _readback_table(d)
-    slot = _beta_slots(d)
+    rows, slot, bound = _readback_table(d)
     groups = defaultdict(dict)  # parameter monomial -> {slot of mu: b_mu}
     parametric = set()  # the slots of the b_mu that are not constant
     for mono, c in Poly.coerce(b).terms.items():
@@ -366,7 +357,7 @@ def from_beta(d: int, b) -> ChernVector:
         dens.append(den)
         vectors.append({j: c.numerator * (den // c.denominator) for j, c in vec.items()})
     top = max((abs(x) for vec in vectors for x in vec.values()), default=0)
-    width = ((top * _readback_bound(d)).bit_length() + 8) // 8  # bytes per field: |row sum| < 2^(8 width - 1)
+    width = ((top * bound).bit_length() + 8) // 8  # bytes per field: |row sum| < 2^(8 width - 1)
     packed = [0] * len(rows)
     for g, vec in enumerate(vectors):
         for j, x in vec.items():

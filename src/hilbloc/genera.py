@@ -11,7 +11,8 @@ combined by the main theorem.
 
 Betti numbers and chi_{-y} of Hilb^n(S) depend only on b(S), which is
 (1, e(S) - 2, 1) on a toric surface; the Betti numbers are also counted
-at the fixed points of a generic 1-PS (Bialynicki-Birula).
+at the fixed points of a generic 1-PS (Bialynicki-Birula), at both 1-PS of
+a ladder, and the two counts must agree.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property, lru_cache
 from math import factorial
 
 from .cobordism import ChernVector, beta_degree, beta_var, surface_series, to_beta
-from .localization import chart_specializations, chi_series, one_ps_ladder
+from .localization import _agreed, chart_specializations, chi_series, one_ps_ladder
 from .partitions import enumerate_partitions
 from .records import Record
 from .rings import Poly, linear_combination
@@ -154,24 +155,28 @@ def betti_hilb_model(model: ToricSurface, n: int) -> list:
 
 
 def _betti_rows(model: ToricSurface, order: int) -> list:
-    """[b_0, b_2, ..., b_{4n}] of Hilb^n(S) for every n <= order, from one chart product.
+    """[b_0, b_2, ..., b_{4n}] of Hilb^n(S) for every n <= order, from one chart product per 1-PS.
 
     Bialynicki-Birula: b_2k counts the fixed points with k positive tangent
-    weights at a generic 1-PS, here the first of the 'xi' ladder of order,
-    which is generic for every n <= order.  A point's weights are the union
-    of its charts', so sum_k b_2k y^k is
+    weights at a generic 1-PS, here each of the 'xi' ladder of order, which
+    is generic for every n <= order; the two counts must agree
+    (`localization._agreed`).  A point's weights are the union of its
+    charts', so sum_k b_2k y^k is
     [z^n] prod_charts sum_{|la| <= order} z^{|la|} y^{pos(chart, la)}."""
-    spec = one_ps_ladder(model, order, "xi")[0]
-    total = Counter({(0, 0): 1})  # (size, positive weights) -> fixed points over the charts so far
-    for weights in chart_specializations(model, order, spec):
-        local = Counter((sum(la), sum(t > 0 for t in tvals)) for la, tvals in weights.items())
-        nxt = Counter()
-        for (m, k), x in total.items():
-            for (dm, dk), c in local.items():
-                if m + dm <= order:
-                    nxt[m + dm, k + dk] += x * c
-        total = nxt
-    return [[total[n, k] for k in range(2 * n + 1)] for n in range(order + 1)]
+    specs = one_ps_ladder(model, order, "xi")
+    counts = []
+    for spec in specs:
+        total = Counter({(0, 0): 1})  # (size, positive weights) -> fixed points over the charts so far
+        for weights in chart_specializations(model, order, spec):
+            local = Counter((sum(la), sum(t > 0 for t in tvals)) for la, tvals in weights.items())
+            nxt = Counter()
+            for (m, k), x in total.items():
+                for (dm, dk), c in local.items():
+                    if m + dm <= order:
+                        nxt[m + dm, k + dk] += x * c
+            total = nxt
+        counts.append([[total[n, k] for k in range(2 * n + 1)] for n in range(order + 1)])
+    return _agreed(specs, *counts)
 
 
 def chi_y_hilb(model: ToricSurface, order: int, method: str) -> TruncSeries:
@@ -182,7 +187,7 @@ def chi_y_hilb(model: ToricSurface, order: int, method: str) -> TruncSeries:
                       of prod_k (1 - y^{k+eps} z^k)^{-b};
     method 'exp'    : exp( sum_m chi_{-y^m}(S) z^m / (m (1-(yz)^m)) ), chi_{-y}(S) = 1 + (e-2) y + y^2;
     method 'betti'  : sum_p b_2p(Hilb^n) y^p z^n from the fixed-point count, one chart
-                      product at the ladder of order.
+                      product at each 1-PS of the ladder of order.
     """
     e = model.euler_number
     if method == "product":

@@ -44,8 +44,8 @@ e/2 charts negates every tangent weight, so a monomial of even degree 2n in
 the tangent weights alone takes the same value over prod t at p and at
 sigma(p).  The Chern numbers and the power-sum class then sum one point per
 sigma-orbit, its scale times the orbit's size (`_sigma_orbits`, which reads
-the symmetry off the specialized tables, once per order and 1-PS in
-`_sigma_negates`, not off the rays, and sums every point when it fails).
+the symmetry off the cached `chart_specializations` tables of both 1-PS, not
+off the rays, and sums every point when it fails).
 The sums of degree 2n - 1 of the dimension axiom are not reduced, since
 sigma-pairs cancel there, nor are integrands, since sigma does not negate
 tautological characters.
@@ -368,27 +368,22 @@ def _agreed(specs, values, others) -> list:
     return values
 
 
-@lru_cache(maxsize=None)
-def _sigma_negates(model: ToricSurface, order: int, spec) -> bool:
-    """Whether the central symmetry sigma of an even fan with e charts, chart
-    c -> c + e/2, negates the tangent weights of every partition of size <=
-    order in the table of spec (`chart_specializations`): the weights at
-    chart c + e/2 are the exact negation of those at chart c."""
-    charts = chart_specializations(model, order, spec)
-    h = len(charts) // 2
-    return all(charts[c + h][la] == tuple(-t for t in weights) for c in range(h) for la, weights in charts[c].items())
-
-
 def _sigma_orbits(model: ToricSurface, n: int, order: int, specs) -> tuple:
     """(points, mults): one fixed point of Hilb^n per orbit of the central
     symmetry sigma, (la_0, ..., la_{e-1}) -> (la_h, ..., la_{h-1}) with
     h = e/2, with the orbit's size, 2 or 1 (a sigma-fixed point).  sigma
-    negates every tangent weight only if it does in the table of every spec
-    at order (`_sigma_negates`); if it does not (or e is odd), every point
-    is returned and mults is None."""
+    negates every tangent weight only if, in the table of every spec at
+    order (`chart_specializations`), the weights of each partition at chart
+    c + h are the exact negation of those at chart c; if not (or e is odd),
+    every point is returned and mults is None."""
     points = enumerate_fixed_points(model, n)
     h, odd = divmod(len(model.charts), 2)
-    if odd or not all(_sigma_negates(model, order, spec) for spec in specs):
+    if odd or any(
+        charts[c + h][la] != tuple(-t for t in weights)
+        for charts in (chart_specializations(model, order, spec) for spec in specs)
+        for c in range(h)
+        for la, weights in charts[c].items()
+    ):
         return points, None
     reps, mults = [], []
     for fp in points:

@@ -113,8 +113,8 @@ def blowup(model: ToricSurface, chart_index: int) -> ToricSurface:
 
 
 def build_model(spec: str) -> ToricSurface:
-    """Parse a CLI model spec, spelt exactly: p2 | p1xp1 |
-    blowup:<spec>:<chart_index>, the chart index in the digits 0-9 only."""
+    """Parse a CLI model spec, spelt exactly as the name of the model it
+    builds: p2 | p1xp1 | blowup:<spec>:<chart_index>."""
     if spec == "p2":
         return p2()
     if spec == "p1xp1":
@@ -122,9 +122,12 @@ def build_model(spec: str) -> ToricSurface:
     if spec.startswith("blowup:"):
         body, _, idx = spec.rpartition(":")
         inner = body[len("blowup:"):]
-        if not (idx.isascii() and idx.isdigit()):  # int() also reads " 1", "+1", "0_1" and "\u0661"
+        if not idx.isdecimal():  # int() also reads " 1", "+1" and "0_1"
             raise ValueError(f"bad model spec {spec!r}")
-        return blowup(build_model(inner), int(idx))
+        model = blowup(build_model(inner), int(idx))
+        if model.name != spec:  # int() also reads "00" and "\u0661"
+            raise ValueError(f"{spec} must be spelled {model.name}")
+        return model
     raise ValueError(f"unknown surface spec {spec!r}")
 
 

@@ -86,6 +86,17 @@ def test_a_failed_fit_exits_3_as_a_consistency_error(capsys, monkeypatch):
     assert captured.out == "" and captured.err == "internal inconsistency: sixth-point consistency failed at order 2\n"
 
 
+def test_a_betti_count_the_ladder_disputes_exits_3(capsys, monkeypatch):
+    from hilbloc.toric import p2
+    from test_genera import flip_at_second_spec
+
+    flip_at_second_spec(monkeypatch, p2(), 2)
+    assert main(["betti", "--model", "P2", "--n", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal inconsistency: specializations ") and "disagree" in captured.err
+
+
 @pytest.mark.parametrize("chart", range(3))
 def test_chern_on_four_rays_runs_on_p1xp1(capsys, monkeypatch, chart):
     # F_1 has the class (8, 4) of P1xP1, so `chern` sums on P1xP1's fan, on
@@ -361,7 +372,7 @@ def run_cli(argv):
         numbered(28, ["twist-series", "--r", "2"], "hilbloc twist-series: error: the following arguments are required: --order"),
         numbered(29, ["twist"], "argument command: invalid choice: 'twist'"),
         numbered(30, [], "the following arguments are required: command"),
-        numbered(31, ["chern", "--surface", "blowup:p2:00", "--n", "1"], "--surface blowup:p2:00 must be spelled blowup:p2:0"),
+        numbered(31, ["chern", "--surface", "blowup:p2:00", "--n", "1"], "--surface blowup:p2:00: blowup:p2:00 must be spelled blowup:p2:0"),
         numbered(32, ["chern", "--surface", "blowup:p2:3", "--n", "1"], "--surface blowup:p2:3: invalid chart index 3"),
         # a ValueError of the library prints as one of the command
         numbered(33, ["genus", "--genus", "phi:2:5", "--k3", "--n", "2"], "hilbloc: error: require 0 <= k <= N"),

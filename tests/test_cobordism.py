@@ -242,8 +242,10 @@ def test_packed_tables_match_the_partition_key_construction():
 
     for d in range(15):
         slot, rows = beta_oracle.readback_table(d)
-        assert cob._readback_table(d) == rows
-        assert cob._beta_slots(d) == {cob._beta_monomial(mu): j for mu, j in slot.items()}
+        got_rows, got_slots, bound = cob._readback_table(d)
+        assert got_rows == rows
+        assert got_slots == {cob._beta_monomial(mu): j for mu, j in slot.items()}
+        assert bound == max(sum(map(abs, ts)) for _, _, ts in rows)
         got, want = cob._newton_table(d), beta_oracle.newton_table(d)
         assert got == want
         assert [type(c) for row in got for _, c in row] == [type(c) for row in want for _, c in row]

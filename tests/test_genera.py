@@ -161,6 +161,29 @@ def test_betti_count_catches_a_zero_tangent_weight(monkeypatch):
         betti_hilb_model(p2(), 1)
 
 
+def flip_at_second_spec(monkeypatch, model, order):
+    """Negate one tangent weight of the partition (1,) at chart 0, in the
+    table that `genera` reads at the second 1-PS of the ladder of order only."""
+    second = loc.one_ps_ladder(model, order, "xi")[1]
+
+    def specialized(model, order, spec):
+        charts = loc.chart_specializations(model, order, spec)
+        if spec != second:
+            return charts
+        first = dict(charts[0])
+        first[(1,)] = (-first[(1,)][0],) + first[(1,)][1:]
+        return (first,) + charts[1:]
+
+    monkeypatch.setattr(genera, "chart_specializations", specialized)
+
+
+def test_betti_count_is_gated_by_the_second_spec(monkeypatch):
+    # one sign flipped at the second 1-PS only moves one point of Hilb^1 between b_0 and b_4
+    flip_at_second_spec(monkeypatch, p2(), 2)
+    with pytest.raises(ConsistencyError, match="disagree"):
+        betti_hilb_model(p2(), 2)
+
+
 def test_betti_n1_is_surface():
     assert betti_hilb_model(p2(), 1) == [1, 1, 1]
     assert betti_hilb_model(p1xp1(), 1) == [1, 2, 1]

@@ -113,6 +113,11 @@ def test_build_model_specs():
     # int() reads the last four chart indices as 1
     bad_specs = ("p3", "blowup:p2:9", "blowup:p2", "", "blowup:p2:0_1", "blowup:p2: 1", "blowup:p2:+1", "blowup:p2:\u0661")
     bad_specs += (" p2", "P2", "BLOWUP:p2:0", "blowup:P1xP1:0")
+    # one spelling per model: int() reads "00" as 0 and "01" as 1
+    bad_specs += ("blowup:p2:00", "blowup:blowup:p2:0:01")
+    # a digit that int() refuses is refused as a bad spec, not by int()
+    with pytest.raises(ValueError, match="bad model spec"):
+        build_model("blowup:p2:\u00b2")
     for bad in bad_specs:
         with pytest.raises(ValueError):
             build_model(bad)

@@ -213,6 +213,8 @@ def test_fit_ab_rejects_corrupt_data(monkeypatch):
 
 
 def test_chi_ln_er_matches_localization():
+    from hilbloc.toric import build_model
+
     bl = blowup(p2(), 0)
     L = line_bundle(bl, (2, 1, 0, 0))
     inv = invariants(bl, L)
@@ -220,6 +222,16 @@ def test_chi_ln_er_matches_localization():
         pair = fit_AB(r, 3)
         for n in (1, 2, 3):
             assert chi_Ln_Er(inv, n, r, pair) == chi_via_RR(bl, n, L, r)
+    # the CLI's largest n on its two largest fans, 7 and 6 rays
+    for spec, coeffs, r, value in (
+        ("blowup:blowup:blowup:p1xp1:0:0:0", (1, 0, 0, 0, 0, 0, 0), 2, -84207),
+        ("blowup:blowup:blowup:p1xp1:0:0:0", (2, -1, 0, 3, 0, 1, 0), -3, -527959311),
+        ("blowup:blowup:blowup:p2:0:0:0", (1, 0, 0, 0, 0, 0), 2, -48402),
+        ("blowup:blowup:blowup:p2:0:0:0", (2, -1, 0, 3, 0, 1), -3, 1783986),
+    ):
+        model = build_model(spec)
+        L = line_bundle(model, coeffs)
+        assert chi_Ln_Er(invariants(model, L), 7, r, fit_AB(r, 7)) == chi_via_RR(model, 7, L, r) == value, spec
 
 
 def test_chi_ln_er_k3_closed_form():
