@@ -109,7 +109,9 @@ def _surface(spec: str):
     try:
         return build_model(spec)
     except ValueError as exc:
-        raise ValueError(f"--surface {spec}: {exc}") from None
+        # a spelling fault at the top level already leads with the spec
+        message = str(exc) if str(exc).startswith(f"{spec} ") else f"{spec}: {exc}"
+        raise ValueError(f"--surface {message}") from None
 
 
 # int() and Fraction() also take blanks, "1_0" and non-ASCII digits; the CLI does not

@@ -361,7 +361,9 @@ _BLOCK = 256  # fixed points per block of the residue pass
 def _agreed(specs, values, others) -> list:
     """values, the exact sums at the specialization specs[0], once those at
     specs[1] (others) agree with them value by value; ConsistencyError if
-    they do not."""
+    they do not, or if the two specializations are one."""
+    if specs[0] == specs[1]:
+        raise ConsistencyError(f"specialization {specs[0]} is compared with itself")
     for a, b in zip(values, others):
         if a != b:
             raise ConsistencyError(f"specializations {specs[0]} and {specs[1]} disagree: {a} vs {b}")

@@ -1,8 +1,7 @@
 """A catalogue of mutants of `src/`: each one a small fault in the engine
 that `hilbloc verify --profile quick` or a named set of tests must catch.
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named ones
+    python tests/mutants.py
 
 The runner first checks the unmutated tree: `verify --profile quick` and
 every listed test must pass on a plain copy.  Then, for each mutant, it
@@ -137,19 +136,14 @@ def _mutate(root: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def main(names) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    mutants = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="hilbloc-mutant-") as tmp:
         _copy(Path(tmp))
-        if _run(Path(tmp), sorted({t for m in mutants for t in m.tests})) != (0, 0):
+        if _run(Path(tmp), sorted({t for m in MUTANTS for t in m.tests})) != (0, 0):
             print("the unmutated tree fails verify --profile quick or a listed test", file=sys.stderr)
             return 2
     survivors = []
-    for mutant in mutants:
+    for mutant in MUTANTS:
         start = time.perf_counter()
         with tempfile.TemporaryDirectory(prefix="hilbloc-mutant-") as tmp:
             _copy(Path(tmp))
@@ -167,9 +161,9 @@ def main(names) -> int:
         print(f"{mutant.name}: {verdict} ({time.perf_counter() - start:.1f} s)")
         if not killed_by:
             survivors.append(mutant.name)
-    print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

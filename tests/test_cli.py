@@ -372,7 +372,7 @@ def run_cli(argv):
         numbered(28, ["twist-series", "--r", "2"], "hilbloc twist-series: error: the following arguments are required: --order"),
         numbered(29, ["twist"], "argument command: invalid choice: 'twist'"),
         numbered(30, [], "the following arguments are required: command"),
-        numbered(31, ["chern", "--surface", "blowup:p2:00", "--n", "1"], "--surface blowup:p2:00: blowup:p2:00 must be spelled blowup:p2:0"),
+        numbered(31, ["chern", "--surface", "blowup:p2:00", "--n", "1"], "--surface blowup:p2:00 must be spelled blowup:p2:0"),
         numbered(32, ["chern", "--surface", "blowup:p2:3", "--n", "1"], "--surface blowup:p2:3: invalid chart index 3"),
         # a ValueError of the library prints as one of the command
         numbered(33, ["genus", "--genus", "phi:2:5", "--k3", "--n", "2"], "hilbloc: error: require 0 <= k <= N"),

@@ -439,6 +439,14 @@ def test_chern_gate_catches_a_perturbed_second_sum(monkeypatch):
         chern_numbers_hilb.cache_clear()
 
 
+def test_gate_refuses_a_spec_compared_with_itself():
+    import hilbloc.localization as loc
+
+    assert loc._agreed(((1, 2), (1, 3)), [Fraction(1, 2)], [Fraction(1, 2)]) == [Fraction(1, 2)]
+    with pytest.raises(ConsistencyError, match="compared with itself"):
+        loc._agreed(((1, 2), (1, 2)), [Fraction(1, 2)], [Fraction(1, 2)])
+
+
 def test_cobordism_gate_catches_a_perturbed_second_sum(monkeypatch):
     import hilbloc.localization as loc
 
