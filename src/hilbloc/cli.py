@@ -43,6 +43,7 @@ from .universal import fit_AB, universal_chern_poly
 
 LONG_N_MAX = 7
 SHORT_N_MAX = 5
+TWIST_SHORT_MAX = 7  # twist-series --order above this needs --long
 TWIST_ORDER_MAX = 10  # twist-series --order 10 --long: about 0.25 s of CPU time, also with a 40-digit --r
 SERIES_ORDER_MAX = 60  # series-id: about 0.23 s of CPU time at --order 60 --a 100 with a 40-digit p/q
 SERIES_A_MAX = 100
@@ -189,7 +190,7 @@ def cmd_chi(args):
 
 
 def cmd_twist_series(args):
-    _bounded("order", args.order, 2, TWIST_ORDER_MAX, LONG_N_MAX, args.long)
+    _bounded("order", args.order, 2, TWIST_ORDER_MAX, TWIST_SHORT_MAX, args.long)
     r = integer(args.r, "--r")
     pair = fit_AB(r, args.order)
     log_a = [format_fraction(c) for c in pair.log_a.coeffs]
@@ -273,7 +274,8 @@ def cmd_verify(args):
 
 def _common(sp, ladder=False):
     sp.add_argument("--n", type=integer, required=True)
-    sp.add_argument("--long", action="store_true", help="enable n = 6, 7")
+    long_ns = ", ".join(map(str, range(SHORT_N_MAX + 1, LONG_N_MAX + 1)))
+    sp.add_argument("--long", action="store_true", help=f"enable n = {long_ns}")
     sp.add_argument("--csv", action="store_true")
     if ladder:
         sp.add_argument("--ladder", choices=("xi", "eta"), default="xi", help="1-PS ladder of the residue sum")
@@ -306,9 +308,9 @@ def _twist_series_args(sp):
     sp.add_argument("--r", required=True, help=f"at most {DIGITS_MAX} digits")
     sp.add_argument(
         "--order", type=integer, required=True,
-        help=f"2..{TWIST_ORDER_MAX}; above {LONG_N_MAX} needs --long (order {TWIST_ORDER_MAX}: about 0.25 s)",
+        help=f"2..{TWIST_ORDER_MAX}; above {TWIST_SHORT_MAX} needs --long (order {TWIST_ORDER_MAX}: about 0.25 s)",
     )
-    sp.add_argument("--long", action="store_true", help=f"enable order {LONG_N_MAX + 1}..{TWIST_ORDER_MAX}")
+    sp.add_argument("--long", action="store_true", help=f"enable order {TWIST_SHORT_MAX + 1}..{TWIST_ORDER_MAX}")
     sp.add_argument("--csv", action="store_true")
 
 

@@ -699,26 +699,16 @@ def hilb_cobordism_series(model: ToricSurface, order: int, ladder: str = "xi") -
 # gaining a factor N!.
 
 
-@lru_cache(maxsize=None)
-def _chart_columns(model: ToricSurface, order: int, spec) -> tuple:
-    """Per chart at the specialization spec, over its partitions of size
-    0..order in `chart_specializations`: the columns p_1, ..., p_N of the
-    tangent weights' power sums (the rows of `_chart_power_rows`), the column
-    of o_c (the sums of `_chart_cells`), and L_c (`_chart_denominators`)
-    with the column of the scales L_c / prod t."""
-    out = []
-    tables = (chart_specializations, _chart_power_rows, _chart_cells, _chart_denominators)
-    for weights, rows, cells, den in zip(*(table(model, order, spec) for table in tables)):
-        scales = tuple(den // prod(tvals) for tvals in weights.values())
-        out.append((tuple(zip(*rows.values())), tuple(map(sum, cells.values())), den, scales))
-    return tuple(out)
-
-
-def _chart_sums(columns, sizes, r, d, exp, units) -> list:
-    """The table a_c of one chart's columns (`_chart_columns`) for the twist
-    r: sizes[m] of the partitions have size m, for m = 0..order in turn, d
-    and exp are those of `_tangent_log` at N = 2 order and units[j] = N! / j!."""
-    p, o, _, scales = columns
+def _chart_sums(weights, rows, cells, den, sizes, r, d, exp, units) -> list:
+    """The table a_c of one chart for the twist r, from its entries at one
+    1-PS in `chart_specializations` (weights), `_chart_power_rows` (rows),
+    `_chart_cells` (cells) and `_chart_denominators` (den, L_c): the columns
+    p_1, ..., p_N of rows, o_c the sums of cells, and the scales L_c / prod t.
+    sizes[m] of the partitions have size m, for m = 0..order in turn, d and
+    exp are those of `_tangent_log` at N = 2 order and units[j] = N! / j!."""
+    p = list(zip(*rows.values()))
+    o = map(sum, cells.values())
+    scales = [den // prod(tvals) for tvals in weights.values()]
     big = len(p)
     if p:  # E's eps^1 term a_1 p_1 gains D r o_c; exp[m][0] = a_1 for every m
         p = [[exp[1][0] * x + d * r * w for x, w in zip(p[0], o)], *p[1:]]
@@ -775,12 +765,13 @@ def chi_series(model: ToricSurface, order: int, bundles, r: int, ladder: str = "
     sizes = [len(enumerate_partitions(m)) for m in range(order + 1)]
     units = [factorial(big) // factorial(i) for i in range(big + 1)]
     specs = one_ps_ladder(model, order, ladder)
+    tables = (chart_specializations, _chart_power_rows, _chart_cells, _chart_denominators)
     values = []  # per specialization: the values per bundle
     for spec in specs:
-        columns = _chart_columns(model, order, spec)
-        sums = [_chart_sums(cols, sizes, r, d, exp, units) for cols in columns]
+        charts = zip(*(table(model, order, spec) for table in tables))
+        sums = [_chart_sums(*chart, sizes, r, d, exp, units) for chart in charts]
         # each chart's table and twist carry N!, its table L_c
-        den = prod(cols[2] for cols in columns) * units[0] ** (2 * len(sums))
+        den = prod(_chart_denominators(model, order, spec)) * units[0] ** (2 * len(sums))
         dens = [den * (d / Fraction(q[0])) ** (2 * n) for n in range(order + 1)]
         rows = []
         for L in bundles:

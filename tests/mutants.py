@@ -8,15 +8,16 @@ every listed test must pass on a plain copy.  Then, for each mutant, it
 copies `src/`, `tests/` and `pyproject.toml` into a fresh temporary directory
 outside the repository, replaces the mutant's old text, which must occur
 exactly once in its file, by its new text, and runs `verify --profile quick`
-and the mutant's tests with `pytest -x` on the copy.  A mutant is killed when
-either run fails; it survives when both pass.  The repository itself is
-never edited.  Exit status: 0 if every mutant is killed, 1 if one survives,
-2 if the catalogue itself is broken (an old text found other than once, a
-listed test that does not run, or a failure on the unmutated tree).
+and the mutant's tests with `pytest -x` on the copy, under the hypothesis
+profile `mutants` of `tests/conftest.py`, which skips the shrink phase: a
+killed mutant needs only its first failing example.  A mutant is killed
+when either run fails; it survives when both pass.  The repository itself
+is never edited.  Exit status: 0 if every mutant is killed, 1 if one
+survives, 2 if the catalogue itself is broken (an old text found other than
+once, a listed test that does not run, or a failure on the unmutated tree).
 
-It is a CI step of its own, not part of tier-1: the seven mutants below
-took 43 to 106 s of wall time on a 2-vCPU machine, most of it hypothesis
-shrinking the failing example of the last one.
+It is a CI step of its own, not part of tier-1: the ten mutants below took
+about 33 s of wall time on a 2-vCPU machine, 1.5 to 3.5 s each.
 """
 
 from __future__ import annotations
@@ -110,6 +111,33 @@ MUTANTS = (
         "IntPoly lists a product's terms by first appearance over the other factor's terms: the values stay,"
         " the term order of a Poly coefficient (pinned by the shape oracles of test_series) changes",
     ),
+    Mutant(
+        "arm-leg-arm-2-at-3",
+        "localization.py",
+        "(-l * w1[0] + (a + 1) * w2[0], -l * w1[1] + (a + 1) * w2[1]),",
+        "(-l * w1[0] + (a + 1 + (a == 2)) * w2[0], -l * w1[1] + (a + 1 + (a == 2)) * w2[1]),",
+        ("tests/test_localization.py::test_ext_class_chart_product_is_the_euler_product",),
+        "the second tangent character of every cell with arm 2 read at arm 3: from n = 3 on the characters"
+        " of a fixed point are no longer its tangent space, and the Ext class's product formula fails",
+    ),
+    Mutant(
+        "geometric-power-off-by-one",
+        "series.py",
+        "out, p = [], first",
+        "out, p = [], first * base",
+        ("tests/test_series.py::test_integer_kernels_match_generic_loops",),
+        "every power of the rescaling base one higher: the kernels' inputs and outputs are no longer put over"
+        " and read back from the same denominator",
+    ),
+    Mutant(
+        "twisted-m-minus-one",
+        "localization.py",
+        "twist = [u * (m * w) ** i for i, u in enumerate(units)]",
+        "twist = [u * ((m - 1) * w) ** i for i, u in enumerate(units)]",
+        ("tests/test_localization.py::test_chi_binomial_laws",),
+        "a chart's factor e^{m lw_c(L) eps} at z^m taken as e^{(m - 1) lw_c(L) eps}: chi(L_n (x) E^r) changes"
+        " for every L with a nonzero local weight",
+    ),
 )
 
 
@@ -124,7 +152,7 @@ def _run(root: Path, tests) -> tuple:
     """(verify's exit status, pytest's exit status) on the copy at root."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     verify = [sys.executable, "-m", "hilbloc.cli", "verify", "--profile", "quick"]
-    pytest = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    pytest = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-profile=mutants", *tests]
     return tuple(subprocess.run(cmd, cwd=root, env=env, capture_output=True).returncode for cmd in (verify, pytest))
 
 

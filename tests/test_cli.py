@@ -388,6 +388,18 @@ def test_input_error_messages(argv, message):
     assert message in proc.stderr
 
 
+def test_twist_series_short_cap_is_its_own(capsys, monkeypatch):
+    # twist-series --order has its own short cap: raising the --n cap of the
+    # other commands does not let --order 8 run without --long
+    import hilbloc.cli as cli
+
+    monkeypatch.setattr(cli, "LONG_N_MAX", 10)
+    with pytest.raises(SystemExit) as exc:
+        main(["twist-series", "--r", "1", "--order", "8"])
+    assert exc.value.code == 2
+    assert "order > 7 requires --long" in capsys.readouterr().err
+
+
 def test_a_library_value_error_prints_the_usage_line():
     # phi_nk_genus, not the CLI, rejects k > N
     proc = run_cli(["genus", "--genus", "phi:2:5", "--k3", "--n", "2"])

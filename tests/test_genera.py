@@ -28,6 +28,7 @@ from hilbloc.rings import Poly
 from hilbloc.series import TruncSeries, geometric
 from hilbloc.toric import ToricSurface, blowup, build_model, o_bundle, p1xp1, p2
 from ktheory_oracle import chi_y_at
+import hodge_oracle
 from profile_counts import example_count, size_bound
 from record_oracle import assert_record
 
@@ -395,3 +396,43 @@ def test_betti_route_builds_one_ladder_per_series(monkeypatch):
     assert ladders == [5]
     assert series == chi_y_hilb(model, 5, "product")
     assert [sum(b * Poly.var("y", k) for k, b in enumerate(betti_hilb_model(model, n))) for n in range(6)] == list(series.coeffs)
+
+
+# the Hodge diamonds (irregularity, geometric genus, h^{1,1}) and (K^2, e) of four non-toric surfaces
+HODGE_SURFACES = {
+    "k3": ((0, 1, 20), (0, 24)),
+    "abelian": ((2, 1, 4), (0, 0)),
+    "enriques": ((0, 0, 10), (0, 12)),
+    "quintic": ((0, 4, 45), (5, 55)),
+}
+
+
+def test_hodge_product_of_k3():
+    # h^{1,1} = 21, h^{2,2} = 232, h^{3,1} = 21 and e = 324 on K3^[2]; e(K3^[3]) = 3200
+    table = hodge_oracle.hodge_hilb(hodge_oracle.diamond(0, 1, 20), 3)
+    assert (table[2][1, 1], table[2][2, 2], table[2][3, 1]) == (21, 232, 21)
+    assert [sum(row.values()) for row in table] == [1, 24, 324, 3200]
+
+
+@pytest.mark.parametrize("ladder", ["xi", "eta"])
+@pytest.mark.parametrize("name", sorted(HODGE_SURFACES))
+def test_chi_y_of_the_cobordism_route_is_the_hodge_product(name, ladder):
+    # item 33: chi_y(S^[n]) = sum_{p,q} (-1)^q h^{p,q}(S^[n]) y^p from the
+    # diamond alone, against the chi_y genus of H(S) at (K^2, e), n <= 4
+    (q, pg, h11), (k2, e) = HODGE_SURFACES[name]
+    table = hodge_oracle.hodge_hilb(hodge_oracle.diamond(q, pg, h11), 4)
+    got = genus_series(chi_y_genus(8), hilb_series(k2, e, 4, ladder))
+    for n, c in enumerate(got.coeffs):
+        ys = {p: v for p, v in Poly.coerce(c).coefficient_map("y").items() if v}
+        assert ys == hodge_oracle.chi_y(table[n]), (name, n)
+
+
+@pytest.mark.parametrize("spec", ["p2", "p1xp1", "blowup:blowup:blowup:p2:0:0:0", "blowup:blowup:blowup:p1xp1:0:0:0"])
+def test_betti_count_is_the_hodge_product(spec):
+    # a toric surface has h^{1,0} = h^{2,0} = 0 and h^{1,1} = e - 2; the odd
+    # Betti numbers of the product vanish and the even ones are the count's
+    model = build_model(spec)
+    table = hodge_oracle.hodge_hilb(hodge_oracle.diamond(0, 0, model.euler_number - 2), 7)
+    for n, row in enumerate(table):
+        b = hodge_oracle.betti(row, n)
+        assert b[1::2] == [0] * (2 * n) and b[::2] == betti_hilb_model(model, n), (spec, n)

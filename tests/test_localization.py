@@ -38,6 +38,7 @@ from partition_counts import count_partitions
 from profile_counts import example_count
 from record_oracle import assert_record
 from residue_oracle import chern_monomial
+import ext_oracle
 import residue_oracle
 import surface_oracle
 
@@ -528,22 +529,23 @@ def test_integrand_gate_is_per_monomial(monkeypatch):
 
 
 def test_family_gate_catches_a_perturbed_second_sum(monkeypatch):
-    # add 1 to each scale L_c / prod t of the first chart at the second
-    # specialization; the first specialization's columns are left alone
+    # add 1 to the sum o_c of the cell characters of each nonempty partition
+    # of the first chart at the second specialization, through one cell of
+    # `_chart_cells`; the first specialization's tables are left alone
     import hilbloc.localization as loc
 
     m = p2()
-    chart_columns = loc._chart_columns
+    chart_cells = loc._chart_cells
     specs = []
 
     def perturbed(model, order, spec):
-        (p, o, den, scales), *rest = chart_columns(model, order, spec)
+        cells, *rest = chart_cells(model, order, spec)
         specs.append(spec)
         if len(specs) == 2:
-            scales = [x + 1 for x in scales]
-        return ((p, o, den, scales), *rest)
+            cells = {la: (c[0] + 1, *c[1:]) if c else c for la, c in cells.items()}
+        return (cells, *rest)
 
-    monkeypatch.setattr(loc, "_chart_columns", perturbed)
+    monkeypatch.setattr(loc, "_chart_cells", perturbed)
     with pytest.raises(ConsistencyError, match="disagree"):
         chi_series(m, 2, [o_bundle(m, k) for k in (0, 1, 2)], 1)
     assert len(set(specs)) == 2
@@ -1027,14 +1029,13 @@ def test_chart_table_matches_per_partition_facts(model, n, ladder, data):
 
     lams = [la for m in range(n + 1) for la in enumerate_partitions(m)]
     for spec in one_ps_ladder(model, n, ladder):
-        columns = loc._chart_columns(model, n, spec)
-        tables = zip(model.charts, chart_specializations(model, n, spec), loc._chart_power_rows(model, n, spec), columns)
-        for chart, weights, rows, cols in tables:
+        tables = (chart_specializations, loc._chart_power_rows, loc._chart_cells)
+        for chart, weights, rows, cells in zip(model.charts, *(table(model, n, spec) for table in tables)):
             assert list(weights) == list(rows) == lams
             tvals = [residue_oracle.specialize_tangents(chart_tangent_weights(chart, la), spec) for la in lams]
             assert [list(w) for w in weights.values()] == tvals
             assert [list(row) for row in rows.values()] == [residue_oracle.tangent_power_sums(t, 2 * n)[1:] for t in tvals]
-            assert cols[1] == loc._specialize([_moment_character(chart, la) for la in lams], spec)
+            assert tuple(map(sum, cells.values())) == loc._specialize([_moment_character(chart, la) for la in lams], spec)
     L, r = data.draw(bundles_of(model)), data.draw(st.integers(-3, 3))
     for fp in enumerate_fixed_points(model, n):
         want = (0, 0)
@@ -1251,10 +1252,10 @@ def test_chart_cells_match_specialized_taut_weights(case):
         cols = list(zip(*([c[0] * spec[0] + c[1] * spec[1] for c, _ in point] for point in pairs)))
         want = loc._chern_classes(cols, len(points), 2 * n, [m for _, m in pairs[0]])
         assert loc._taut_chern_classes(model, n, x, spec, points) == want
-        charts = zip(model.charts, chart_specializations(model, n, spec), loc._chart_columns(model, n, spec))
-        for chart, weights, columns in charts:
+        charts = zip(model.charts, chart_specializations(model, n, spec), loc._chart_cells(model, n, spec))
+        for chart, weights, cells in charts:
             o = [sum(c[0] * spec[0] + c[1] * spec[1] for c in loc._cell_characters(chart, la)) for la in weights]
-            assert list(columns[1]) == o
+            assert list(map(sum, cells.values())) == o
 
 
 def _chart_tables(model, order, ladder, rs):
@@ -1267,13 +1268,14 @@ def _chart_tables(model, order, ladder, rs):
     _, d, exp = loc._tangent_log(todd_series("x", big), big)
     sizes = [len(enumerate_partitions(m)) for m in range(order + 1)]
     units = [factorial(big) // factorial(i) for i in range(big + 1)]
+    facts = (chart_specializations, loc._chart_power_rows, loc._chart_cells, loc._chart_denominators)
     for spec in one_ps_ladder(model, order, ladder):
-        for chart, columns in zip(model.charts, loc._chart_columns(model, order, spec)):
+        for chart, *entries in zip(model.charts, *(table(model, order, spec) for table in facts)):
             weights = tuple(w[0] * spec[0] + w[1] * spec[1] for w in (chart.w1, chart.w2))
-            scale = [factorial(big) * columns[2] * d**j for j in range(big + 1)]
+            scale = [factorial(big) * entries[-1] * d**j for j in range(big + 1)]
             tables = {}
             for r in rs:
-                table = loc._chart_sums(columns, sizes, r, d, exp, units)
+                table = loc._chart_sums(*entries, sizes, r, d, exp, units)
                 tables[r] = [[Fraction(x, s) for x, s in zip(row, scale)] for row in table]
             yield weights, tables
 
@@ -1298,3 +1300,63 @@ def test_chart_sums_match_the_per_chart_closed_forms(model, ladder):
     for (t1, t2), tables in _chart_tables(model, 8, ladder, (0, 1, -1)):
         assert tables[0] == chart_closed_form(t1, t2, False, 8)
         assert tables[1] == tables[-1] == chart_closed_form(t1, t2, True, 8)
+
+
+def _serre_dual(L):
+    """K - L, K = -sum D_i: every ray coefficient a_i becomes -1 - a_i."""
+    return line_bundle(L.surface, [-1 - a for a in L.coeffs])
+
+
+@pytest.mark.parametrize("ladder", ["xi", "eta"])
+@pytest.mark.parametrize(
+    "spec, coeffs",
+    [("p2", (1, 0, 0)), ("p1xp1", (1, 2, 0, 0)), ("blowup:blowup:blowup:p1xp1:0:0:0", (2, -1, 0, 3, 0, 1, 0))],
+    ids=["p2", "p1xp1", "7-ray"],
+)
+def test_chi_series_is_serre_dual(spec, coeffs, ladder):
+    # K of Hilb^n(S) is (K_S)_n and E -> E^-1 under duality, so
+    # chi(L_n (x) E^r) = chi((K - L)_n (x) E^-r) term by term, at the CLI's largest n
+    model = build_model(spec)
+    L = line_bundle(model, coeffs)
+    for r in (-3, 0, 2):
+        assert chi_series(model, 7, (L,), r, ladder) == chi_series(model, 7, (_serre_dual(L),), -r, ladder)
+
+
+@settings(max_examples=example_count(10), deadline=None)
+@given(small_blowups(), st.integers(0, 5), st.integers(-3, 3), st.sampled_from(("xi", "eta")), st.data())
+def test_chi_series_is_serre_dual_on_drawn_fans(model, order, r, ladder, data):
+    L = data.draw(bundles_of(model))
+    assert chi_series(model, order, (L,), r, ladder) == chi_series(model, order, (_serre_dual(L),), -r, ladder)
+
+
+EXT_FANS = ["p2", "p1xp1", "blowup:blowup:blowup:p2:0:0:0", "blowup:blowup:blowup:p1xp1:0:0:0"]
+
+
+@pytest.mark.parametrize("spec", EXT_FANS)
+@settings(max_examples=example_count(3), deadline=None)
+@given(data=st.data())
+def test_ext_class_chart_product_is_the_euler_product(spec, data):
+    # item 32's Carlsson-Okounkov closed form through z^10: the tangent
+    # weights of `chart_specializations` shifted by L's local weights, at
+    # both 1-PS of both ladders, against the exponent K.L - L.L - e(S) read
+    # off the fan
+    model = build_model(spec)
+    L = data.draw(bundles_of(model))
+    want = ext_oracle.euler_product(ext_oracle.ext_exponent(model, L), 10)
+    for ladder in ("xi", "eta"):
+        for one_ps in one_ps_ladder(model, 10, ladder):
+            assert ext_oracle.ext_chart_product(model, L, 10, one_ps) == want
+
+
+def test_ext_exponents_of_the_fixed_cases():
+    # the exponents K.L - L.L - e(S) of the cases first checked by hand
+    cases = [
+        ("p2", (1, 0, 0), -7),
+        ("p1xp1", (1, 2, 0, 0), -14),
+        ("blowup:p2:0", (1, 0, 0, 2), -20),
+        ("blowup:blowup:blowup:p1xp1:0:0:0", (2, -1, 0, 3, 0, 1, 0), 29),
+    ]
+    for spec, coeffs, exponent in cases:
+        model = build_model(spec)
+        assert ext_oracle.ext_exponent(model, line_bundle(model, coeffs)) == exponent
+    assert ext_oracle.euler_product(-1, 6) == [count_partitions(m) for m in range(7)]
