@@ -73,7 +73,8 @@ def signature_genus(degree: int) -> GenusSpec:
 
 
 def chi_y_genus(degree: int) -> GenusSpec:
-    """The chi_{-y} genus: Q(x) = x(1 + y e^{-x(1+y)}) / (1 - e^{-x(1+y)}).
+    """The chi_y genus, chi_y = sum_p chi(Omega^p) y^p (2 - 20y + 2y^2 on
+    K3): Q(x) = x(1 + y e^{-x(1+y)}) / (1 - e^{-x(1+y)}).
 
     Expanded through the equivalent form x(1+y)/(1 - e^{-x(1+y)}) - x*y so
     that every coefficient is an honest polynomial in y.  The paper only

@@ -383,24 +383,25 @@ def linear_combination(pairs):
     return acc if terms is None else Poly._of(terms)
 
 
-def binomial(x, n: int):
-    """Generalized binomial coefficient C(x, n) = x(x-1)...(x-n+1)/n!.
+def _rational_arg(x, name: str):
+    """x if it is an int or a Fraction; otherwise a TypeError that names the
+    argument, name being "function: argument"."""
+    if isinstance(x, Scalar):
+        return x
+    raise TypeError(f"{name} must be rational (int or Fraction), not {type(x).__name__} {x!r}")
 
-    Works for integer, Fraction and Poly arguments alike; for x = p/q it
-    forms prod_{i<n} (p - q i) / (q^n n!) in integers.
+
+def binomial(x, n: int) -> Fraction:
+    """Generalized binomial coefficient C(x, n) = x(x-1)...(x-n+1)/n! of a
+    rational x (an int or a Fraction; TypeError otherwise), 0 for n < 0.
+
+    For x = p/q it forms prod_{i<n} (p - q i) / (q^n n!) in integers.
     """
-    if not isinstance(x, Poly):
-        x = _fraction(x)
-        if n < 0:
-            return Fraction(0)
-        p, q = x.numerator, x.denominator
-        return Fraction(prod(range(p, p - q * n, -q)), q**n * factorial(n))
+    x = _rational_arg(x, "binomial: x")
     if n < 0:
-        return Poly.const(0)
-    num = Poly.const(1)
-    for i in range(n):
-        num = num * (x - i)
-    return num / factorial(n)
+        return Fraction(0)
+    p, q = x.numerator, x.denominator
+    return Fraction(prod(range(p, p - q * n, -q)), q**n * factorial(n))
 
 
 def gauss_solve(matrix, rhs):

@@ -72,7 +72,7 @@ from functools import lru_cache, reduce
 from math import factorial, gcd, lcm, prod
 from operator import mul, or_
 
-from .rings import _EXP_BOUND, _FIELD, _KEYS, _MONOMIALS, IntPoly, Poly, _coerce, _fraction, binomial
+from .rings import _EXP_BOUND, _FIELD, _KEYS, _MONOMIALS, IntPoly, Poly, _coerce, _fraction, _rational_arg, binomial
 
 
 def _int_form(cs):
@@ -342,9 +342,6 @@ class TruncSeries:
         n = self._common(other)
         return self.truncate(n) * other.truncate(n).inverse()
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __eq__(self, other):
         """Same variable, same order, same coefficient values; `agrees_to`
         compares two series only through a given order."""
@@ -493,29 +490,20 @@ def solve_v(a: int, order: int) -> TruncSeries:
 
 
 def fg_series(kind: str, y, a: int, order: int) -> TruncSeries:
-    """The combinatorial series f_{y,a} and g_{y,a}.
+    """The combinatorial series f_{y,a} and g_{y,a} at a rational y (an
+    int or a Fraction; TypeError otherwise).
 
     f_{y,a} = sum_n C(y - a(n-1), n) z^n
     g_{y,a} = 1 + sum_{n>=1} y/(y-an) * C(y-an, n) z^n
 
-    y may be an exact rational or a Poly parameter.  The apparent pole of
-    the g coefficient at y = a*n cancels exactly against the leading factor
-    of C(y-an, n), so every coefficient is a polynomial in y.
+    The apparent pole of the g coefficient at y = a*n cancels exactly
+    against the leading factor of C(y-an, n): g_n = y C(y-an-1, n-1) / n.
     """
     if kind not in ("f", "g"):
         raise ValueError("kind must be 'f' or 'g'")
-    coeffs = [Fraction(1)]
-    if isinstance(y, Poly):
-        for n in range(1, order + 1):
-            if kind == "f":
-                coeffs.append(binomial(y - a * (n - 1), n))
-            else:
-                # y/(y-an) * C(y-an, n) with the (y-an) factor cancelled
-                coeffs.append(y * binomial(y - a * n - 1, n - 1) / n)
-        return TruncSeries("z", order, coeffs)
+    y = _rational_arg(y, "fg_series: y")
     # for y = p/q both are one integer product over q^n n!:
     # f_n = prod_{i<n} (p - q(a(n-1) + i)),  g_n = p prod_{i<n-1} (p - q(an + 1 + i))
-    y = _fraction(y)
     p, q = y.numerator, y.denominator
     num = [1]
     for n in range(1, order + 1):
@@ -541,10 +529,7 @@ def fg_identities(a: int, ys, order: int) -> list:
     Each y must be rational (an int or a Fraction), since g_{1,a}^y is a
     power of a series of rationals; TypeError otherwise.  v, f_{0,a} and
     g_{1,a} are built once for all of ys."""
-    ys = list(ys)
-    for y in ys:
-        if not isinstance(y, (int, Fraction)):
-            raise TypeError(f"fg_identities: y must be rational (int or Fraction), not {type(y).__name__} {y!r}")
+    ys = [_rational_arg(y, "fg_identities: y") for y in ys]
     v = solve_v(a, order)
     f0 = fg_series("f", 0, a, order)
     closed = f0 == (v + 1).pow(a + 1) / ((a + 1) * v + 1)

@@ -67,7 +67,7 @@ class Profile(Record):
 PROFILES = {
     "quick": Profile("quick", 3, 3, 3, 3, 0),
     "standard": Profile("standard", 4, 5, 4, 5, 5),
-    "long": Profile("long", 4, 5, 6, 7, 5),
+    "long": Profile("long", 4, 5, 8, 7, 5),
 }
 
 

@@ -16,8 +16,8 @@ is never edited.  Exit status: 0 if every mutant is killed, 1 if one
 survives, 2 if the catalogue itself is broken (an old text found other than
 once, a listed test that does not run, or a failure on the unmutated tree).
 
-It is a CI step of its own, not part of tier-1: the ten mutants below took
-about 33 s of wall time on a 2-vCPU machine, 1.5 to 3.5 s each.
+It is a CI step of its own, not part of tier-1: the twelve mutants below took
+21 to 24 s of wall time on a 2-vCPU machine, 0.7 to 2.3 s each.
 """
 
 from __future__ import annotations
@@ -107,7 +107,10 @@ MUTANTS = (
         "rings.py",
         "        for m1, x1 in self.terms.items():\n            for m2, x2 in right:\n",
         "        for m2, x2 in right:\n            for m1, x1 in self.terms.items():\n",
-        ("tests/test_series.py::test_univariate_kernels_match_generic_loops",),
+        (
+            "tests/test_rings.py::test_int_poly_sums_products_and_division",
+            "tests/test_series.py::test_univariate_kernels_match_generic_loops",
+        ),
         "IntPoly lists a product's terms by first appearance over the other factor's terms: the values stay,"
         " the term order of a Poly coefficient (pinned by the shape oracles of test_series) changes",
     ),
@@ -137,6 +140,24 @@ MUTANTS = (
         ("tests/test_localization.py::test_chi_binomial_laws",),
         "a chart's factor e^{m lw_c(L) eps} at z^m taken as e^{(m - 1) lw_c(L) eps}: chi(L_n (x) E^r) changes"
         " for every L with a nonzero local weight",
+    ),
+    Mutant(
+        "fit-ab-kl-quadratic",
+        "universal.py",
+        "rows = [(Fraction(-3 * k) - Fraction(9, 2), 9) for k in ks]",
+        "rows = [(Fraction(-3 * k * k) - Fraction(9, 2), 9) for k in ks]",
+        ("tests/test_universal.py::test_fit_ab_printed_z2_values",),
+        "K.L on P2 read as -3k^2 for O(k): it agrees with -3k at k = 0 and 1, which fix the fit,"
+        " so only the redundant point k = 2 sees it, and fit_AB's gate must raise FitError",
+    ),
+    Mutant(
+        "five-series-drop-top-class",
+        "universal.py",
+        "for d in range(2 * n + 1))",
+        "for d in range(2 * n))",
+        ("tests/test_universal.py::test_five_series_segre_fit_passes_the_sixth_point",),
+        "Psi(x^[n]) without its top class c_2n: the Segre fit no longer predicts its sixth point,"
+        " and fit_five_series' gate must raise FitError",
     ),
 )
 

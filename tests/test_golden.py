@@ -48,7 +48,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # the largest `universal` call, genera on a blowup, on P2, on P1xP1 and on K3, and Chern
 # numbers on the eta ladder and on a surface of seven charts (several blocks of points),
 # and the largest genus calls on a surface and on K3, Chern numbers of F_1 on the eta ladder,
-# and the largest `chern` call on a surface of seven charts, on both ladders
+# and the largest `chern` call on a surface of seven charts, on both ladders, and `chi --bundle`
+# at the command's largest allowed size
 GOLDEN = {
     "chern_p2_n4": ["chern", "--surface", "p2", "--n", "4"],
     "chern_blowup_n6": ["chern", "--surface", "blowup:p2:0", "--n", "6", "--long"],
@@ -87,6 +88,10 @@ GOLDEN = {
     "chern_blowup3_p1xp1_n7_long": ["chern", "--surface", "blowup:blowup:blowup:p1xp1:0:0:0", "--n", "7", "--long"],
     "chern_blowup3_p1xp1_n7_long_eta": [
         "chern", "--surface", "blowup:blowup:blowup:p1xp1:0:0:0", "--n", "7", "--long", "--ladder", "eta",
+    ],
+    "chi_blowup3_p1xp1_n7_long_bundle": [
+        "chi", "--surface", "blowup:blowup:blowup:p1xp1:0:0:0", "--n", "7", "--long",
+        "--bundle", "2,-1,0,3,0,1,0", "--r", "-3",
     ],
     # one --csv call per command
     "chern_p1xp1_n3_csv": ["chern", "--surface", "p1xp1", "--n", "3", "--csv"],
@@ -144,6 +149,6 @@ def test_library_golden(name):
 
 def test_theorem_1_at_n8_through_the_library():
     # F_1 = blowup:p2:0 and P1xP1 share (c1^2, c2) = (8, 4), so Hilb^8 of both has one class:
-    # the same numbers and value types, two steps past `verify --profile long` (n <= 6)
+    # the same numbers and value types as the P1xP1 pin, at the largest n of `verify --profile long` (n <= 8)
     f1 = library_golden.dumps(chern_numbers_hilb(build_model("blowup:p2:0"), 8))
     assert f1 == library_golden.golden_file("lib_chern_numbers_hilb_p1xp1_n8").read_text()

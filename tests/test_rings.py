@@ -48,12 +48,6 @@ def test_binomial_matches_comb(x, n):
     assert binomial(x, n) == (-1) ** n * binomial(n - x - 1, n)
 
 
-def test_binomial_poly_argument():
-    y = Poly.var("y")
-    p = binomial(y, 2)
-    assert p.substitute({"y": 7}) == 21
-
-
 def test_gauss_solve_known():
     sol = gauss_solve([[2, 1], [1, 3]], [Fraction(5), Fraction(10)])
     assert sol == [Fraction(1), Fraction(3)]
@@ -210,7 +204,7 @@ scalars = st.one_of(st.integers(-4, 4), fractions)
 def test_poly_results_store_only_nonzero_fractions(p, q, c, d, k):
     results = [
         p + q, p - q, p + c, c + p, p - c, c - p, -p, p * q, p * c, c * p, p ** k,
-        binomial(p, k), p.substitute({"x": q}), p.substitute({"x": c}), p.substitute({"x": c, "y": q}),
+        p.substitute({"x": q}), p.substitute({"x": c}), p.substitute({"x": c, "y": q}),
         linear_combination([(p, c), (d, k), (q, d)]),
     ]
     if c:
@@ -268,6 +262,8 @@ def test_int_poly_sums_products_and_division():
     square = IntPoly({X: 1, Y: 1}) * IntPoly({X: 1, Y: 1})
     assert list(square.terms.items()) == [(2 * X, 1), (X + Y, 2), (2 * Y, 1)]
     assert square.terms == _product_reference(IntPoly({X: 1, Y: 1}), IntPoly({X: 1, Y: 1}))
+    # (x + y)(x + 1) lists its terms by first appearance over the left factor's terms
+    assert list((IntPoly({X: 1, Y: 1}) * IntPoly({X: 1, 0: 1})).terms.items()) == [(2 * X, 1), (X, 1), (X + Y, 1), (Y, 1)]
     assert 0 + p is p and p + 0 is p
     for zero in (p * 0, 0 * p):
         assert type(zero) is IntPoly and zero.terms == {} and not zero

@@ -160,17 +160,18 @@ def test_fg_series_g_pole_cancels():
         assert g[n] == raw
 
 
-def test_fg_series_poly_parameter():
+def test_binomial_and_fg_series_name_a_non_rational_argument():
+    # the power-series lemma is about numbers y: a Poly argument is refused, and the error names it
     y = Poly.var("y")
-    g = fg_series("g", y, 1, 3)
-    # specializing the symbolic series matches the numeric one
-    num = fg_series("g", Fraction(5, 2), 1, 3)
-    assert substitute_params(g, {"y": Fraction(5, 2)}) == num
+    with pytest.raises(TypeError, match="^binomial: x must be rational"):
+        binomial(y, 2)
+    for kind in "fg":
+        with pytest.raises(TypeError, match="^fg_series: y must be rational"):
+            fg_series(kind, y, 1, 3)
 
 
 def test_fg_identities_names_a_non_rational_y():
-    # fg_series takes a Poly y, but g_{1,a}^y needs a rational exponent: the
-    # error names y before any series is built
+    # g_{1,a}^y needs a rational exponent: the error names y before any series is built
     for y in (Poly.var("y"), 0.5, "2"):
         with pytest.raises(TypeError, match="y must be rational"):
             fg_identities(2, [1, y], 30)

@@ -371,6 +371,13 @@ def test_five_series_predicts_blowup():
         assert pred == h_psi_phi(bl, x, psi, phi, order)
 
 
+def test_five_series_segre_fit_passes_the_sixth_point():
+    # the Segre fit alone, at the smallest order its sixth point gates; at n = 1, Hilb^1 = S and the
+    # z-coefficient of H is s_2(x) + s_1(x) c1(S) + c2(S) = c1^2(x) - c2(x) - c1(x) c1(S) + c2(S)
+    series = fit_five_series("segre", TruncSeries("x", 4, [1, 1]), 2, 2)
+    assert [s[1] for s in series] == [1, -1, -1, 0, 1]
+
+
 def test_five_series_expdet_matches_twist_fit():
     # Psi = exp(c1 det), Phi = Todd on x = O(k) + (r-1)*1 gives the chi series
     r, order = 2, 3
